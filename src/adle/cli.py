@@ -41,6 +41,7 @@ import yaml
 
 from . import harness
 from .errors import AdleError, ParseError, ScheduleViolation, ValidationError
+from .estimator import initial_network_state
 from .model import ObservationModel, validate_observation_model
 from .network import Graph, TopologyModel, cycle_graph, mean_laplacian, fiedler_value, validate_mean_connectivity
 from .schedule import WeightSchedule, validate_schedule
@@ -160,10 +161,22 @@ def _build_schedule(spec, require_efficiency: bool, errors: list[str]) -> Weight
 
 def _positive_int(raw, name: str, errors: list[str], minimum: int = 1) -> int | None:
     try:
+        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+            raise ValueError(f"must be an integer, got {raw!r}")
         value = int(raw)
         if value < minimum:
             raise ValueError(f"must be >= {minimum}, got {value}")
         return value
+    except (ValueError, TypeError) as exc:
+        errors.append(f"{name}: {exc}")
+        return None
+
+
+def _real(raw, name: str, errors: list[str]) -> float | None:
+    try:
+        if isinstance(raw, bool):
+            raise ValueError(f"must be a number, got {raw!r}")
+        return float(raw)
     except (ValueError, TypeError) as exc:
         errors.append(f"{name}: {exc}")
         return None
@@ -220,30 +233,47 @@ def parse_config(path) -> ScenarioConfig:
     master_seed = _positive_int(raw.get("master_seed", 0), "master_seed", errors, minimum=0)
 
     checkpoints = raw.get("checkpoints") or {}
+    if not isinstance(checkpoints, dict) or set(checkpoints) - {"start", "per_decade"}:
+        errors.append("checkpoints: expected a mapping with keys start/per_decade")
+        checkpoints = {}
     start = _positive_int(checkpoints.get("start", 10), "checkpoints.start", errors)
     per_decade = _positive_int(checkpoints.get("per_decade", 8), "checkpoints.per_decade", errors)
     if horizon is not None and start is not None and horizon < start:
         errors.append(f"horizon: {horizon} ends before the first checkpoint {start}")
 
     parallelism = _positive_int(raw.get("parallelism", 1), "parallelism", errors, minimum=0)
-    fit_window = float(raw.get("fit_window", 0.4))
-    if not 0.0 < fit_window <= 1.0:
+    fit_window = _real(raw.get("fit_window", 0.4), "fit_window", errors)
+    if fit_window is not None and not 0.0 < fit_window <= 1.0:
         errors.append(f"fit_window: must lie in (0, 1], got {fit_window}")
 
     init = raw.get("init") or {}
     if not isinstance(init, dict) or set(init) - {"estimate", "grammian", "sample_cov"}:
         errors.append("init: expected a mapping with keys estimate/grammian/sample_cov")
         init = {}
+    init_values = {}
+    for key, value in init.items():
+        if value is not None:
+            try:
+                init_values[key] = np.asarray(value, dtype=float)
+            except (ValueError, TypeError) as exc:
+                errors.append(f"init.{key}: {exc}")
+    if model is not None and init_values:
+        try:
+            initial_network_state(model, **init_values)
+        except ValueError as exc:
+            errors.append(f"init: {exc}")
 
     acceptance_raw = raw.get("acceptance") or {}
     thresholds = harness.AcceptanceThresholds()
     known = {f.name for f in dataclasses.fields(harness.AcceptanceThresholds)}
-    if not isinstance(acceptance_raw, dict) or set(acceptance_raw) - known:
+    if not isinstance(acceptance_raw, dict):
+        errors.append("acceptance: expected a mapping of thresholds")
+    elif set(acceptance_raw) - known:
         errors.append(f"acceptance: unknown keys {sorted(set(acceptance_raw) - known)}")
     else:
-        thresholds = harness.AcceptanceThresholds(
-            **{k: float(v) for k, v in acceptance_raw.items()}
-        )
+        values = {k: _real(v, f"acceptance.{k}", errors) for k, v in acceptance_raw.items()}
+        if None not in values.values():
+            thresholds = harness.AcceptanceThresholds(**values)
 
     if errors:
         raise ValidationError(errors)
@@ -263,9 +293,9 @@ def parse_config(path) -> ScenarioConfig:
         parallelism=parallelism,
         fit_window=fit_window,
         cap_consensus_weight=cap,
-        init_estimate=None if init.get("estimate") is None else np.asarray(init["estimate"], dtype=float),
-        init_grammian=None if init.get("grammian") is None else np.asarray(init["grammian"], dtype=float),
-        init_sample_cov=None if init.get("sample_cov") is None else np.asarray(init["sample_cov"], dtype=float),
+        init_estimate=init_values.get("estimate"),
+        init_grammian=init_values.get("grammian"),
+        init_sample_cov=init_values.get("sample_cov"),
         acceptance=thresholds,
     )
 

@@ -12,11 +12,16 @@ from the time-``t`` state:
   + alpha_t (H_n' inv(Q_n + gamma_t I) H_n - G_n)``
 * covariance: fold ``y_n(t)`` into the running moments defining ``Q_n``.
 
+The moments are taken about each agent's first observation, so ``Q_n``
+keeps its precision when the observations sit far from zero.
+
 The neighborhoods ``Omega_n(t)`` are read off one freshly sampled
 Laplacian shared by the estimate and Grammian updates.  The gain is
 measurable with respect to the past: it never sees the observation it
 weights.  Kernels accept arbitrary leading batch dimensions so that a
-whole bank of Monte Carlo trials advances with the same code path.
+whole bank of Monte Carlo trials advances with the same code path;
+``_advance`` is also the oracle of the compiled bank kernel
+(``_kernel.c``) and its fallback.
 """
 
 from __future__ import annotations
@@ -37,9 +42,10 @@ class AgentState:
     estimate: np.ndarray        # (M,)
     grammian_est: np.ndarray    # (M, M)
     sample_cov: np.ndarray      # (M_n, M_n)
-    obs_sum: np.ndarray         # (M_n,)
-    obs_outer_sum: np.ndarray   # (M_n, M_n)
+    obs_sum: np.ndarray         # (M_n,) sum of y - obs_shift
+    obs_outer_sum: np.ndarray   # (M_n, M_n) sum of (y - obs_shift)(y - obs_shift)'
     samples_seen: int
+    obs_shift: np.ndarray | None = None  # (M_n,) first observation; None before it
 
 
 @dataclass
@@ -61,12 +67,14 @@ class NetworkState:
 
     Arrays use the padded layout of ``ObservationModel._stacked``:
     observation-indexed axes have length ``max_dim`` with zero padding
-    for agents whose observation dimension is smaller.  ``agents``
-    materializes unpadded per-agent snapshots.
+    for agents whose observation dimension is smaller.  The observation
+    moments are taken about ``obs_shifts``, each agent's first
+    observation.  ``agents`` materializes unpadded per-agent snapshots.
     """
 
     estimates: np.ndarray          # (N, M)
     grammians: np.ndarray          # (N, M, M)
+    obs_shifts: np.ndarray         # (N, max_dim)
     obs_sums: np.ndarray           # (N, max_dim)
     obs_outer_sums: np.ndarray     # (N, max_dim, max_dim)
     initial_sample_covs: np.ndarray  # (N, max_dim, max_dim)
@@ -96,6 +104,7 @@ class NetworkState:
                 obs_sum=self.obs_sums[n, :d].copy(),
                 obs_outer_sum=self.obs_outer_sums[n, :d, :d].copy(),
                 samples_seen=self.samples_seen,
+                obs_shift=self.obs_shifts[n, :d].copy() if self.samples_seen else None,
             )
             for n, d in enumerate(self.obs_dims)
         ]
@@ -135,6 +144,7 @@ def initial_network_state(
     return NetworkState(
         estimates=np.tile(x0, (n, 1)),
         grammians=np.tile(g0, (n, 1, 1)),
+        obs_shifts=np.zeros((n, mx)),
         obs_sums=np.zeros((n, mx)),
         obs_outer_sums=np.zeros((n, mx, mx)),
         initial_sample_covs=q0,
@@ -150,11 +160,28 @@ def initial_network_state(
 
 def _sample_cov_from_moments(obs_sum, obs_outer_sum, count: int, initial):
     """Sample covariance of the first ``count`` observations, or the
-    configured initial value before any observation arrives."""
+    configured initial value before any observation arrives.
+
+    The moments are sums of ``y - shift`` and its outer products for a
+    fixed shift; the covariance does not depend on it."""
     if count == 0:
         return initial
     mean = obs_sum / count
     return obs_outer_sum / count - mean[..., :, None] * mean[..., None, :]
+
+
+def _fold_observations(shifts, sums, outer_sums, count: int, y) -> None:
+    """Fold ``y`` into moments that hold ``count`` observations, in place.
+
+    The first observation (``count == 0``) becomes the shift, so the
+    moments stay centered near the data and ``Q`` keeps its precision
+    far from zero.
+    """
+    if count == 0:
+        shifts[...] = y
+    d = y - shifts
+    sums += d
+    outer_sums += d[..., :, None] * d[..., None, :]
 
 
 def _regularized_inverse(mats: np.ndarray, gamma: float) -> np.ndarray:
@@ -195,22 +222,26 @@ def _max_disagreement(estimates: np.ndarray) -> np.ndarray:
 
 def update_sample_covariance(state: AgentState, y) -> AgentState:
     """Fold one observation into the running moments and refresh the
-    sample covariance (mean and second moment over the same window)."""
+    sample covariance (mean and second moment over the same window).
+
+    A state that has seen observations but carries no ``obs_shift``
+    holds moments about zero."""
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape != state.obs_sum.shape:
         raise ValueError(f"observation has shape {y.shape}, expected {state.obs_sum.shape}")
-    obs_sum = state.obs_sum + y
-    obs_outer = state.obs_outer_sum + np.outer(y, y)
+    shift = np.zeros_like(y) if state.obs_shift is None else np.array(state.obs_shift, dtype=float)
+    obs_sum = np.array(state.obs_sum, dtype=float)
+    obs_outer = np.array(state.obs_outer_sum, dtype=float)
+    _fold_observations(shift, obs_sum, obs_outer, state.samples_seen, y)
     count = state.samples_seen + 1
-    mean = obs_sum / count
-    cov = obs_outer / count - np.outer(mean, mean)
     return AgentState(
         estimate=state.estimate,
         grammian_est=state.grammian_est,
-        sample_cov=cov,
+        sample_cov=_sample_cov_from_moments(obs_sum, obs_outer, count, None),
         obs_sum=obs_sum,
         obs_outer_sum=obs_outer,
         samples_seen=count,
+        obs_shift=shift,
     )
 
 
@@ -329,8 +360,8 @@ def step(
     )
     net.estimates = new_estimates
     net.grammians = new_grammians
-    net.obs_sums += observations
-    net.obs_outer_sums += observations[..., :, None] * observations[..., None, :]
+    _fold_observations(net.obs_shifts, net.obs_sums, net.obs_outer_sums, net.samples_seen,
+                       observations)
     net.samples_seen += 1
     net.step = t + 1
 

@@ -8,11 +8,13 @@ covariance of the scaled errors per agent, and compares it against the
 centralized benchmark covariance along with agreement- and
 consistency-rate fits.
 
-Trials are advanced in fixed-size banks through one vectorized code
-path: each trial still consumes only its own random stream (topology
-draws for a block of steps, then observation noise for the block), so
-any single trial is bit-reproducible from its seed alone and reports do
-not depend on the parallelism degree.
+Trials are advanced in fixed-size banks: each trial still consumes only
+its own random stream (topology draws for a block of steps, then
+observation noise for the block), so any single trial is
+bit-reproducible from its seed alone and reports do not depend on the
+parallelism degree.  A compiled kernel (``_kernel.c``) advances a bank
+from one checkpoint to the next in a single call; where it cannot be
+built, the numpy round ``estimator._advance`` runs step by step.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as _scipy_stats
 
+from . import _kernel, estimator
 from .estimator import (
-    _advance,
+    _fold_observations,
     _gain_kernel,
     _max_disagreement,
     _regularized_inverse,
     _sample_cov_from_moments,
+    initial_network_state,
 )
 from .model import ObservationModel, _unit_variance_draws, centralized_estimate_from_means
 from .network import TopologyModel
@@ -151,6 +155,27 @@ def _laplacian_at(top: TopologyModel, block_draws, s: int):
     return top.edge_laplacians[block_draws[:, s]]
 
 
+def _advance(kernel, estimates, grammians, shifts, sums, outer_sums, count: int, q0, sensing,
+             observations, start: int, stop: int, weights, top: TopologyModel, draws) -> None:
+    """Advance a bank through block steps ``start..stop-1`` in place.
+
+    One call of the compiled kernel (see ``_kernel.BankKernel.advance``
+    for the arguments); without it, the numpy round
+    ``estimator._advance`` and the moment update run step by step.
+    """
+    if kernel is not None:
+        kernel.advance(estimates, grammians, shifts, sums, outer_sums, count, q0, sensing,
+                       observations, start, stop, weights, top, draws)
+        return
+    for s in range(start, stop):
+        y = observations[:, s]
+        estimates[...], grammians[...], _ = estimator._advance(
+            estimates, grammians, sums, outer_sums, count + s - start, q0, sensing,
+            _laplacian_at(top, draws, s), y, *weights[:, s],
+        )
+        _fold_observations(shifts, sums, outer_sums, count + s - start, y)
+
+
 def _bank_checkpoint(
     estimates, grammians, obs_sums, obs_outer_sums, count, q0, stacked, model, gamma
 ):
@@ -176,31 +201,29 @@ def _run_bank(
     seeds,
     init: tuple | None = None,
 ) -> list[TrialMetrics]:
-    """Advance a bank of trials to the horizon; one TrialMetrics per seed."""
+    """Advance a bank of trials to the horizon; one TrialMetrics per seed.
+
+    Each block's draws are consumed in segments that end at checkpoints
+    or at the block end; :func:`_advance` runs one segment.
+    """
     stacked = model._stacked
     model._optimal_gain_stack  # force validation before the hot loop
-    n, m, mx = model.num_agents, model.param_dim, stacked.max_dim
+    n, mx = model.num_agents, stacked.max_dim
     bank = len(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     grid = np.asarray(grid, dtype=np.int64)
     if grid.size == 0 or grid[-1] != horizon or np.any(np.diff(grid) <= 0) or grid[0] < 1:
         raise ValueError("checkpoint grid must be strictly increasing and end at the horizon")
 
-    init_x, init_g, init_q = init if init is not None else (None, None, None)
-    x0 = np.zeros(m) if init_x is None else np.asarray(init_x, dtype=float).reshape(m)
-    g0 = np.zeros((m, m)) if init_g is None else np.asarray(init_g, dtype=float).reshape(m, m)
-    q0_single = np.zeros((n, mx, mx))
-    if init_q is not None:
-        q_arr = np.asarray(init_q, dtype=float)
-        for i, d in enumerate(model.obs_dims):
-            q0_single[i, :d, :d] = q_arr * np.eye(d) if q_arr.ndim == 0 else q_arr.reshape(d, d)
-
-    estimates = np.tile(x0, (bank, n, 1))
-    grammians = np.tile(g0, (bank, n, 1, 1))
-    obs_sums = np.zeros((bank, n, mx))
-    obs_outer_sums = np.zeros((bank, n, mx, mx))
-    q0 = np.tile(q0_single, (bank, 1, 1, 1))
+    fresh = initial_network_state(model, *(init if init is not None else (None, None, None)))
+    estimates, grammians, shifts, sums, outer_sums = (
+        np.tile(a, (bank,) + (1,) * a.ndim)
+        for a in (fresh.estimates, fresh.grammians, fresh.obs_shifts, fresh.obs_sums,
+                  fresh.obs_outer_sums)
+    )
+    q0 = fresh.initial_sample_covs
     count = 0
+    kernel = _kernel.load()
 
     c_points = len(grid)
     rec_disagreement = np.empty((bank, c_points))
@@ -212,35 +235,26 @@ def _run_bank(
     t = 0
     while t < horizon:
         steps = min(BLOCK_STEPS, horizon - t)
+        topo_draws = obs_block = None  # free the previous block before drawing the next
         topo_draws = _draw_topology_block(top, rngs, steps)
         noise = np.stack(
             [_unit_variance_draws(rng, model.noise, (steps, n, mx)) for rng in rngs]
         )
         obs_block = stacked.sensed_truth + (stacked.noise_factor @ noise[..., None])[..., 0]
-        for s in range(steps):
-            lap = _laplacian_at(top, topo_draws, s)
-            y = obs_block[:, s]
-            estimates, grammians, _ = _advance(
-                estimates,
-                grammians,
-                obs_sums,
-                obs_outer_sums,
-                count,
-                q0,
-                stacked.sensing,
-                lap,
-                y,
-                float(schedule.alpha(t)),
-                float(schedule.beta(t)),
-                float(schedule.gamma(t)),
-            )
-            obs_sums += y
-            obs_outer_sums += y[..., :, None] * y[..., None, :]
-            count += 1
-            t += 1
-            if pointer < c_points and t == grid[pointer]:
+        del noise
+        weights = np.array([[float(rate(u)) for u in range(t, t + steps)]
+                            for rate in (schedule.alpha, schedule.beta, schedule.gamma)])
+        block_start = t
+        while t < block_start + steps:
+            stop = min(block_start + steps, int(grid[pointer]))
+            s0, s1 = t - block_start, stop - block_start
+            _advance(kernel, estimates, grammians, shifts, sums, outer_sums, count, q0,
+                     stacked.sensing, obs_block, s0, s1, weights, top, topo_draws)
+            count += s1 - s0
+            t = stop
+            if t == grid[pointer]:
                 dis, err, gap, ggap = _bank_checkpoint(
-                    estimates, grammians, obs_sums, obs_outer_sums, count, q0,
+                    estimates, grammians, sums, outer_sums, count, q0,
                     stacked, model, float(schedule.gamma(t)),
                 )
                 rec_disagreement[:, pointer] = dis
@@ -251,7 +265,7 @@ def _run_bank(
 
     scale = math.sqrt(horizon + 1.0)
     scaled_errors = scale * (estimates - model.true_param)
-    baseline = centralized_estimate_from_means(model, obs_sums / count)
+    baseline = centralized_estimate_from_means(model, shifts + sums / count)
     scaled_baseline = math.sqrt(count) * (baseline - model.true_param)
 
     return [
@@ -310,6 +324,12 @@ def fit_decay_slope(times, values, window: float = 0.4) -> float:
     return float(np.polyfit(np.log(t_fit + 1.0), np.log(v_fit), 1)[0])
 
 
+def worker_count(requested: int, banks: int, cpus: int) -> int:
+    """Worker processes for ``banks`` banks: the request (0 means one per
+    CPU), capped by the number of banks and of CPUs."""
+    return max(1, min(requested or cpus, banks, cpus))
+
+
 def _bank_worker(payload):
     model, top, schedule, horizon, grid, seeds, init = payload
     return _run_bank(model, top, schedule, horizon, grid, seeds, init)
@@ -336,9 +356,9 @@ def run_experiment(config) -> ExperimentReport:
          seeds[i : i + TRIALS_PER_BANK], init)
         for i in range(0, len(seeds), TRIALS_PER_BANK)
     ]
-    workers = config.parallelism if config.parallelism else (os.cpu_count() or 1)
+    workers = worker_count(config.parallelism, len(payloads), os.cpu_count() or 1)
     trials: list[TrialMetrics] = []
-    if workers > 1 and len(payloads) > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for bank in pool.map(_bank_worker, payloads):
                 trials.extend(bank)

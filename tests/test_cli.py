@@ -178,3 +178,27 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
     assert isinstance(config, ScenarioConfig)
     assert config.require_efficiency is True
     assert config.acceptance.efficiency_tol == pytest.approx(0.20)
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"fit_window": "abc"}, "fit_window: could not convert"),
+        ({"acceptance": {"efficiency_tol": "x"}}, "acceptance.efficiency_tol: could not convert"),
+        ({"checkpoints": 5}, "checkpoints: expected a mapping"),
+        ({"horizon": True}, "horizon: must be an integer, got True"),
+        ({"horizon": 2.7}, "horizon: must be an integer, got 2.7"),
+        ({"num_trials": True}, "num_trials: must be an integer, got True"),
+        ({"init": {"estimate": [1.0, 2.0]}}, "init: cannot reshape array of size 2"),
+    ],
+    ids=["fit_window_abc", "acceptance_tol_x", "checkpoints_int", "horizon_true", "horizon_2_7",
+         "num_trials_true", "init_estimate_length"],
+)
+def test_malformed_value_is_a_collected_validation_error(tmp_path, capsys, override, message):
+    path = write_scenario(tmp_path, **override)
+    with pytest.raises(ValidationError) as info:
+        parse_config(path)
+    assert message in str(info.value)
+    assert main(["--config", str(path), "--validate-only"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid scenario configuration" in err and message in err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adle.estimator import (
     AgentState,
@@ -55,6 +57,29 @@ def test_running_covariance_matches_batch_and_truth():
     batch = np.cov(samples, rowvar=False, ddof=0)
     assert np.max(np.abs(state.sample_cov - batch)) < 1e-9
     assert np.max(np.abs(state.sample_cov - truth)) < 0.05
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(2, 300),
+    dim=st.integers(1, 3),
+    scale=st.floats(0.5, 10.0),
+    offset=st.floats(-1e8, 1e8),
+)
+def test_sample_covariance_is_invariant_under_a_constant_offset(seed, count, dim, scale, offset):
+    samples = np.random.default_rng(seed).standard_normal((count, dim)) * scale
+
+    def running_cov(data):
+        state = fresh_agent(2, dim)
+        for y in data:
+            state = update_sample_covariance(state, y)
+        return state.sample_cov
+
+    # the offset samples are rounded to the spacing of doubles near 1e8
+    # (1.5e-8), which moves the covariance by under 1e-6 of the variance
+    gap = np.max(np.abs(running_cov(samples + offset) - running_cov(samples)))
+    assert gap <= 1e-6 * scale**2
 
 
 def test_sample_covariance_rejects_wrong_dimension():

@@ -1,10 +1,18 @@
+import ctypes
 import dataclasses
+import logging
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from adle import _kernel, harness
+from adle.cli import example1_model
+from adle.estimator import _advance, _fold_observations, initial_network_state
 from adle.harness import (
+    BLOCK_STEPS,
     AcceptanceThresholds,
     TrialMetrics,
     checkpoint_grid,
@@ -13,10 +21,11 @@ from adle.harness import (
     fit_decay_slope,
     run_experiment,
     run_trial,
+    worker_count,
     write_report,
 )
-from adle.model import ObservationModel
-from adle.network import Graph, TopologyModel
+from adle.model import ObservationModel, _unit_variance_draws
+from adle.network import Graph, TopologyModel, cycle_graph, path_graph
 from adle.schedule import WeightSchedule, recursion_trace
 
 
@@ -262,3 +271,160 @@ def test_write_report_emits_deterministic_csv(tmp_path, ring_model, bernoulli_pe
     assert header == "trial,t,disagreement," + ",".join(
         f"err_agent_{i}" for i in range(5)
     ) + ",gain_gap,grammian_gap"
+
+
+# ----------------------------------------------------------------- workers
+
+
+def test_worker_count_is_bounded_by_banks_and_cpus():
+    assert worker_count(100_000, banks=2, cpus=8) == 2
+    assert worker_count(0, banks=10, cpus=4) == 4
+    assert worker_count(3, banks=10, cpus=2) == 2
+    assert worker_count(1, banks=10, cpus=8) == 1
+    assert worker_count(0, banks=1, cpus=8) == 1
+
+
+# ----------------------------------------------------------------- memory
+
+
+def test_previous_block_is_freed_before_the_next_is_drawn(
+    ring_model, bernoulli_pentagon, ring_schedule
+):
+    seeds = [np.random.SeedSequence((4, k)) for k in range(16)]
+
+    def peak(horizon):
+        grid = checkpoint_grid(horizon)
+        tracemalloc.start()
+        try:
+            harness._run_bank(ring_model, bernoulli_pentagon, ring_schedule, horizon, grid, seeds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # build and load the kernel outside the measurement
+    one_block, two_blocks = peak(BLOCK_STEPS), peak(2 * BLOCK_STEPS)
+    assert two_blocks <= 1.1 * one_block, (one_block, two_blocks)
+
+
+# ----------------------------------------------------------------- compiled kernel
+
+
+def _ragged_model(noise="gaussian"):
+    sensing = (np.eye(2), np.array([[1.0, 1.0]]), np.array([[0.0, 1.0]]))
+    noise_cov = (np.array([[1.0, 0.3], [0.3, 2.0]]), np.eye(1), np.array([[0.5]]))
+    return ObservationModel(sensing, noise_cov, np.array([1.0, -2.0]), noise=noise)
+
+
+KERNEL_CASES = {
+    "static": (example1_model(), TopologyModel(cycle_graph(5), "static"), WeightSchedule(), None),
+    "bernoulli": (example1_model(), TopologyModel(cycle_graph(5), "bernoulli", 0.5),
+                  WeightSchedule(b=0.5), None),
+    "gossip": (example1_model(), TopologyModel(cycle_graph(5), "gossip"), WeightSchedule(), None),
+    "ragged": (_ragged_model(), TopologyModel(path_graph(3), "bernoulli", 0.7),
+               WeightSchedule(b=0.5), None),
+    "laplace": (example1_model("laplace"), TopologyModel(cycle_graph(5), "bernoulli", 0.5),
+                WeightSchedule(b=0.5), None),
+    "init": (_ragged_model("laplace"), TopologyModel(path_graph(3), "gossip"), WeightSchedule(),
+             (np.array([3.0, -1.0]), np.array([[2.0, 0.5], [0.5, 1.0]]), 2.0)),
+}
+
+
+def _block(model, top, schedule, steps, seed, bank=3):
+    """Draws, observations and weights of one block, in the documented order."""
+    rngs = [np.random.default_rng((seed, r)) for r in range(bank)]
+    stacked = model._stacked
+    draws = harness._draw_topology_block(top, rngs, steps)
+    noise = np.stack([_unit_variance_draws(rng, model.noise, (steps, model.num_agents,
+                                                               stacked.max_dim)) for rng in rngs])
+    obs = stacked.sensed_truth + (stacked.noise_factor @ noise[..., None])[..., 0]
+    weights = np.array([[float(rate(t)) for t in range(steps)]
+                        for rate in (schedule.alpha, schedule.beta, schedule.gamma)])
+    return draws, obs, weights
+
+
+def _bank_state(model, init, bank=3):
+    net = initial_network_state(model, *(init or (None, None, None)))
+    state = [np.tile(a, (bank,) + (1,) * a.ndim)
+             for a in (net.estimates, net.grammians, net.obs_shifts, net.obs_sums,
+                       net.obs_outer_sums)]
+    return state, net.initial_sample_covs
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_matches_numpy_round_over_ten_thousand_steps(case):
+    kernel = _kernel.load()
+    assert kernel is not None, "the C compiler should be available to the test suite"
+    model, top, schedule, init = KERNEL_CASES[case]
+    steps = 10_000
+    draws, obs, weights = _block(model, top, schedule, steps, seed=len(case))
+    sensing = model._stacked.sensing
+
+    compiled, q0 = _bank_state(model, init)
+    kernel.advance(*compiled, 0, q0, sensing, obs, 0, 3_000, weights, top, draws)
+    kernel.advance(*compiled, 3_000, q0, sensing, obs, 3_000, steps, weights, top, draws)
+
+    (x, g, shifts, sums, outer), _ = _bank_state(model, init)
+    for s in range(steps):
+        x, g, _ = _advance(x, g, sums, outer, s, q0, sensing,
+                           harness._laplacian_at(top, draws, s), obs[:, s], *weights[:, s])
+        _fold_observations(shifts, sums, outer, s, obs[:, s])
+
+    for got, want in zip(compiled, (x, g, shifts, sums, outer)):
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
+    kernel = _kernel.load()
+    assert kernel is not None
+    model, top, schedule, _ = KERNEL_CASES["bernoulli"]
+    draws, obs, weights = _block(model, top, schedule, 8, seed=0)
+    (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
+    sensing = model._stacked.sensing
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernel.advance(np.asfortranarray(x), g, shifts, sums, outer, 0, q0, sensing, obs, 0, 8,
+                       weights, top, draws)
+    with pytest.raises(ValueError, match="shape"):
+        kernel.advance(x, g[:, :-1].copy(), shifts, sums, outer, 0, q0, sensing, obs, 0, 8,
+                       weights, top, draws)
+    with pytest.raises(ValueError, match="shape"):
+        kernel.advance(x, g, shifts, sums, outer, 0, q0, sensing, obs, 0, 8,
+                       weights, top, draws[:, :, :-1].copy())
+    assert np.array_equal(x, np.zeros_like(x))  # nothing ran
+
+
+def test_numpy_fallback_runs_experiment_like_the_kernel(
+    monkeypatch, ring_model, bernoulli_pentagon, ring_schedule
+):
+    config = small_config(ring_model, bernoulli_pentagon, ring_schedule, num_trials=70,
+                          horizon=1_500, init_estimate=np.full(5, 0.5), init_sample_cov=1.0)
+    compiled = run_experiment(config)
+    monkeypatch.setattr(harness._kernel, "load", lambda: None)
+    fallback = run_experiment(config)
+    assert np.allclose(fallback.trial_error_norms, compiled.trial_error_norms, rtol=0, atol=1e-10)
+    assert np.allclose(fallback.trial_gain_gap, compiled.trial_gain_gap, rtol=0, atol=1e-10)
+    assert np.allclose(fallback.empirical_scaled_cov, compiled.empirical_scaled_cov,
+                       rtol=0, atol=1e-8)
+
+
+def test_missing_compiler_warns_once_and_returns_none(monkeypatch, tmp_path, caplog):
+    monkeypatch.setattr(_kernel, "COMPILE", ("adle-no-such-compiler",))
+    monkeypatch.setattr(_kernel, "_cache_dir", lambda: tmp_path)
+    _kernel.load.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING, logger=_kernel.__name__):
+            assert _kernel.load() is None
+            assert _kernel.load() is None
+    finally:
+        _kernel.load.cache_clear()
+    assert len(caplog.records) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_concurrent_builds_leave_one_loadable_library(monkeypatch, tmp_path):
+    monkeypatch.setattr(_kernel, "_cache_dir", lambda: tmp_path)
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        futures = [pool.submit(_kernel._build) for _ in range(3)]
+        paths = {future.result(timeout=120) for future in futures}
+    assert len(paths) == 1
+    assert [p.name for p in tmp_path.iterdir()] == [paths.pop().name]
+    _kernel.BankKernel(ctypes.CDLL(str(next(tmp_path.iterdir()))))
