@@ -11,6 +11,7 @@ from .errors import (
     NotPositiveDefinite,
     ParseError,
     ScheduleViolation,
+    TrialDiverged,
     ValidationError,
 )
 from .estimator import (

@@ -16,6 +16,9 @@ Scenarios are YAML files with a versioned ``schema`` field::
     cap_consensus_weight: true
     output_dir: out
 
+The flags ``cap_consensus_weight``, ``require_efficiency`` and
+``run_ks_test`` take YAML booleans only; a quoted ``"false"`` is an error.
+
 An explicit model is a mapping with ``sensing`` (list of matrices),
 ``noise_cov`` (list of square matrices), ``true_param`` (vector), and an
 optional ``noise`` family.  The ``example1`` preset is a five-agent ring
@@ -182,6 +185,14 @@ def _real(raw, name: str, errors: list[str]) -> float | None:
         return None
 
 
+def _flag(raw: dict, name: str, default: bool, errors: list[str]) -> bool:
+    value = raw.get(name, default)
+    if not isinstance(value, bool):
+        errors.append(f"{name}: must be true or false, got {value!r}")
+        return default
+    return value
+
+
 def parse_config(path) -> ScenarioConfig:
     """Load and fully validate a scenario file.
 
@@ -206,7 +217,7 @@ def parse_config(path) -> ScenarioConfig:
     for key in set(raw) - _TOP_LEVEL_KEYS:
         errors.append(f"unknown top-level key {key!r}")
 
-    require_efficiency = bool(raw.get("require_efficiency", True))
+    require_efficiency = _flag(raw, "require_efficiency", True, errors)
     model = _build_model(raw.get("model", "example1"), errors)
     topology = _build_topology(raw.get("topology", {}), errors)
     schedule = _build_schedule(raw.get("schedule"), require_efficiency, errors)
@@ -222,7 +233,7 @@ def parse_config(path) -> ScenarioConfig:
         except AdleError as exc:
             errors.append(f"topology: {exc}")
 
-    cap = bool(raw.get("cap_consensus_weight", False))
+    cap = _flag(raw, "cap_consensus_weight", False, errors)
     if cap and topology is not None and schedule is not None:
         max_degree = int(topology.base.degrees().max())
         if max_degree > 0 and schedule.b > 1.0 / max_degree:
@@ -263,6 +274,8 @@ def parse_config(path) -> ScenarioConfig:
         except ValueError as exc:
             errors.append(f"init: {exc}")
 
+    run_ks_test = _flag(raw, "run_ks_test", False, errors)
+
     acceptance_raw = raw.get("acceptance") or {}
     thresholds = harness.AcceptanceThresholds()
     known = {f.name for f in dataclasses.fields(harness.AcceptanceThresholds)}
@@ -289,7 +302,7 @@ def parse_config(path) -> ScenarioConfig:
         checkpoints_per_decade=per_decade,
         output_dir=raw.get("output_dir"),
         require_efficiency=require_efficiency,
-        run_ks_test=bool(raw.get("run_ks_test", False)),
+        run_ks_test=run_ks_test,
         parallelism=parallelism,
         fit_window=fit_window,
         cap_consensus_weight=cap,

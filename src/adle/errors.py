@@ -57,6 +57,25 @@ class ScheduleViolation(AdleError):
         super().__init__(f"invalid weight schedule: {lines}")
 
 
+class TrialDiverged(AdleError):
+    """A trial's estimates or Grammians, or the checkpoint diagnostics
+    computed from them, became non-finite (overflow or NaN).
+
+    ``trial`` is the trial index ``k`` (its random stream derives from
+    ``(master_seed, k)``); ``step`` is the first checkpoint at which it
+    was seen.
+    """
+
+    def __init__(self, trial: int, step: int):
+        self.trial = trial
+        self.step = step
+        super().__init__(trial, step)  # picklable across worker processes
+
+    def __str__(self) -> str:
+        return (f"trial {self.trial} diverged: non-finite estimates, Grammians or "
+                f"diagnostics at checkpoint step {self.step}")
+
+
 class InvalidExponent(AdleError):
     """Exponent or coefficient outside the admissible range of a recursion."""
 

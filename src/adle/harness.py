@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
-from . import _kernel, estimator
+from . import _kernel, _ks, estimator
+from .errors import TrialDiverged
 from .estimator import (
     _fold_observations,
     _gain_kernel,
@@ -192,6 +192,16 @@ def _bank_checkpoint(
     return disagreement, error_norms, gain_gap, grammian_gap
 
 
+def _check_finite(step: int, first_trial: int, *arrays) -> None:
+    """Raise :class:`TrialDiverged` for the first trial (leading axis) with
+    a non-finite entry in any of ``arrays``."""
+    finite = np.logical_and.reduce(
+        [np.isfinite(a.reshape(len(a), -1)).all(axis=1) for a in arrays]
+    )
+    if not finite.all():
+        raise TrialDiverged(first_trial + int(np.argmin(finite)), step)
+
+
 def _run_bank(
     model: ObservationModel,
     top: TopologyModel,
@@ -200,11 +210,15 @@ def _run_bank(
     grid: np.ndarray,
     seeds,
     init: tuple | None = None,
+    first_trial: int = 0,
 ) -> list[TrialMetrics]:
     """Advance a bank of trials to the horizon; one TrialMetrics per seed.
 
     Each block's draws are consumed in segments that end at checkpoints
-    or at the block end; :func:`_advance` runs one segment.
+    or at the block end; :func:`_advance` runs one segment.  A trial whose
+    state or diagnostics are non-finite at a checkpoint raises
+    :class:`TrialDiverged`, naming it by ``first_trial`` plus its place in
+    the bank.
     """
     stacked = model._stacked
     model._optimal_gain_stack  # force validation before the hot loop
@@ -242,8 +256,7 @@ def _run_bank(
         )
         obs_block = stacked.sensed_truth + (stacked.noise_factor @ noise[..., None])[..., 0]
         del noise
-        weights = np.array([[float(rate(u)) for u in range(t, t + steps)]
-                            for rate in (schedule.alpha, schedule.beta, schedule.gamma)])
+        weights = schedule.block(t, steps)
         block_start = t
         while t < block_start + steps:
             stop = min(block_start + steps, int(grid[pointer]))
@@ -253,10 +266,13 @@ def _run_bank(
             count += s1 - s0
             t = stop
             if t == grid[pointer]:
-                dis, err, gap, ggap = _bank_checkpoint(
-                    estimates, grammians, sums, outer_sums, count, q0,
-                    stacked, model, float(schedule.gamma(t)),
-                )
+                _check_finite(t, first_trial, estimates, grammians)
+                with np.errstate(over="ignore"):  # an overflow is reported just below
+                    dis, err, gap, ggap = _bank_checkpoint(
+                        estimates, grammians, sums, outer_sums, count, q0,
+                        stacked, model, float(schedule.gamma(t)),
+                    )
+                _check_finite(t, first_trial, dis, err, gap, ggap)
                 rec_disagreement[:, pointer] = dis
                 rec_error[:, pointer] = err
                 rec_gain[:, pointer] = gap
@@ -331,8 +347,7 @@ def worker_count(requested: int, banks: int, cpus: int) -> int:
 
 
 def _bank_worker(payload):
-    model, top, schedule, horizon, grid, seeds, init = payload
-    return _run_bank(model, top, schedule, horizon, grid, seeds, init)
+    return _run_bank(*payload)
 
 
 def run_experiment(config) -> ExperimentReport:
@@ -353,7 +368,7 @@ def run_experiment(config) -> ExperimentReport:
     seeds = [np.random.SeedSequence((config.master_seed, k)) for k in range(config.num_trials)]
     payloads = [
         (config.model, config.topology, config.schedule, config.horizon, grid,
-         seeds[i : i + TRIALS_PER_BANK], init)
+         seeds[i : i + TRIALS_PER_BANK], init, i)
         for i in range(0, len(seeds), TRIALS_PER_BANK)
     ]
     workers = worker_count(config.parallelism, len(payloads), os.cpu_count() or 1)
@@ -410,9 +425,7 @@ def _aggregate(config, grid: np.ndarray, trials: list[TrialMetrics]) -> Experime
         for agent in range(n):
             for coord in range(model.param_dim):
                 std = math.sqrt(target[coord, coord])
-                ks_pvalues[agent, coord] = _scipy_stats.kstest(
-                    scaled[:, agent, coord], "norm", args=(0.0, std)
-                ).pvalue
+                ks_pvalues[agent, coord] = _ks.ks_normal_pvalue(scaled[:, agent, coord], std)
 
     optimal_norm = float(max(np.linalg.norm(k) for k in summary.optimal_gains))
     return ExperimentReport(

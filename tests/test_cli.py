@@ -173,6 +173,15 @@ def test_trials_and_horizon_overrides(tmp_path):
     assert "horizon,120" in summary
 
 
+def test_divergent_run_exits_one_and_names_the_trial(tmp_path, capsys):
+    path = write_scenario(tmp_path, cap_consensus_weight=False, schedule={"b": 20.0},
+                          horizon=500, num_trials=12)
+    outdir = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(outdir)]) == 1
+    assert "error: trial 2 diverged" in capsys.readouterr().err
+    assert not (outdir / "summary.csv").exists()
+
+
 def test_config_is_a_plain_dataclass_surface(tmp_path):
     config = parse_config(write_scenario(tmp_path))
     assert isinstance(config, ScenarioConfig)
@@ -190,9 +199,14 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
         ({"horizon": 2.7}, "horizon: must be an integer, got 2.7"),
         ({"num_trials": True}, "num_trials: must be an integer, got True"),
         ({"init": {"estimate": [1.0, 2.0]}}, "init: cannot reshape array of size 2"),
+        ({"run_ks_test": "false"}, "run_ks_test: must be true or false, got 'false'"),
+        ({"require_efficiency": "no"}, "require_efficiency: must be true or false, got 'no'"),
+        ({"cap_consensus_weight": "false"},
+         "cap_consensus_weight: must be true or false, got 'false'"),
     ],
     ids=["fit_window_abc", "acceptance_tol_x", "checkpoints_int", "horizon_true", "horizon_2_7",
-         "num_trials_true", "init_estimate_length"],
+         "num_trials_true", "init_estimate_length", "run_ks_test_quoted_false",
+         "require_efficiency_quoted_no", "cap_consensus_weight_quoted_false"],
 )
 def test_malformed_value_is_a_collected_validation_error(tmp_path, capsys, override, message):
     path = write_scenario(tmp_path, **override)

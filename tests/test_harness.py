@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import logging
+import pickle
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ import pytest
 
 from adle import _kernel, harness
 from adle.cli import example1_model
+from adle.errors import TrialDiverged
 from adle.estimator import _advance, _fold_observations, initial_network_state
 from adle.harness import (
     BLOCK_STEPS,
@@ -246,6 +248,28 @@ def test_ks_pvalues_present_when_requested(ring_model, bernoulli_pentagon, ring_
     assert report.ks_pvalues is not None
     assert report.ks_pvalues.shape == (5, 5)
     assert np.all((report.ks_pvalues >= 0.0) & (report.ks_pvalues <= 1.0))
+
+
+def test_divergence_names_the_trial_and_checkpoint(ring_model, bernoulli_pentagon):
+    # Uncapped b = 20 on the ring overflows within a few hundred steps;
+    # trials 2 and 11 go non-finite one checkpoint before the others.
+    config = small_config(ring_model, bernoulli_pentagon, WeightSchedule(b=20.0),
+                          horizon=500, num_trials=12, master_seed=11)
+    with pytest.raises(TrialDiverged) as info:
+        run_experiment(config)
+    alone = []
+    grid = checkpoint_grid(config.horizon)
+    for k in range(config.num_trials):
+        with pytest.raises(TrialDiverged) as single:
+            run_trial(ring_model, bernoulli_pentagon, config.schedule, config.horizon, grid,
+                      np.random.SeedSequence((config.master_seed, k)))
+        alone.append((single.value.step, k))
+    step, trial = min(alone)
+    assert (info.value.trial, info.value.step) == (trial, step)
+    assert trial > 0 and step in grid
+    assert f"trial {trial} diverged" in str(info.value) and f"step {step}" in str(info.value)
+    copy = pickle.loads(pickle.dumps(info.value))  # crosses the process pool intact
+    assert (copy.trial, copy.step, str(copy)) == (trial, step, str(info.value))
 
 
 # ----------------------------------------------------------------- reports

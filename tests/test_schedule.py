@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adle.errors import InvalidExponent, ScheduleViolation
+from adle.harness import BLOCK_STEPS
 from adle.schedule import (
     WeightSchedule,
     deterministic_recursion_oracle,
@@ -33,6 +34,22 @@ def test_gamma_values_monotone_positive_vanishing():
     g = s.gamma(t)
     assert np.all(g > 0.0)
     assert np.all(np.diff(g) <= 0.0)
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [WeightSchedule(), WeightSchedule(b=0.5),
+     WeightSchedule(b=0.25, tau2=0.3, gamma0=2.0, tau_gamma=0.6),
+     WeightSchedule(a=2.0, tau1=0.9, tau2=0.15)],
+    ids=["default", "capped_ring", "efficiency", "consistency_only"],
+)
+def test_block_equals_per_step_values_bit_for_bit(schedule):
+    start, steps = 3 * BLOCK_STEPS + 17, 2 * BLOCK_STEPS
+    per_step = np.array([[float(rate(u)) for u in range(start, start + steps)]
+                         for rate in (schedule.alpha, schedule.beta, schedule.gamma)])
+    block = schedule.block(start, steps)
+    assert block.shape == (3, steps)
+    assert np.array_equal(block, per_step)
 
 
 def test_validate_accepts_defaults_with_expected_slack():
