@@ -14,19 +14,7 @@ from .errors import (
     TrialDiverged,
     ValidationError,
 )
-from .estimator import (
-    AgentState,
-    GainSet,
-    NetworkState,
-    StepDiagnostics,
-    compute_gain,
-    initial_network_state,
-    network_gains,
-    step,
-    update_estimates,
-    update_grammian,
-    update_sample_covariance,
-)
+from .estimator import NetworkState, initial_network_state
 from .harness import (
     AcceptanceThresholds,
     ExperimentReport,
@@ -38,6 +26,7 @@ from .harness import (
     fit_decay_slope,
     run_experiment,
     run_trial,
+    trajectory,
     write_report,
 )
 from .model import (

@@ -17,9 +17,13 @@
  *   edges     (num_edges, 2)       base-graph edges
  *   uniforms  (bank, steps, num_edges)  Bernoulli link draws (law 1)
  *   picks     (bank, steps)        gossip edge indices (law 2)
+ *   failure   (2,)                 trial and step of a singular gain solve
  *
  * Trials are the outer loop and steps the inner one, so one trial's
- * state stays in cache while it advances through the segment.
+ * state stays in cache while it advances through the segment.  A trial
+ * whose gain solve meets a zero pivot stops there; the others go on, so
+ * that ``failure`` ends up naming the earliest such step (and the first
+ * trial at it), as a round-by-round bank would meet it.
  */
 
 #include <math.h>
@@ -172,7 +176,8 @@ int adle_advance_bank(int64_t bank, int64_t n, int64_t m, int64_t mx, int64_t st
                       double *x, double *g, double *shift, double *sums, double *outer,
                       const double *q0, const double *h, const double *obs, const double *w,
                       int64_t law, int64_t num_edges, const int64_t *edges,
-                      const double *uniforms, double p, const int64_t *picks)
+                      const double *uniforms, double p, const int64_t *picks,
+                      int64_t *failure)
 {
     const int64_t mm = m * m;
     size_t doubles = (size_t)(2 * n * m + 2 * n * mm + 2 * mx * mx + 2 * m * mx + mm + mx);
@@ -186,7 +191,7 @@ int adle_advance_bank(int64_t bank, int64_t n, int64_t m, int64_t mx, int64_t st
     double *work = cg + n * mm;
     int status = OK;
 
-    for (int64_t r = 0; r < bank && status == OK; r++) {
+    for (int64_t r = 0; r < bank; r++) {
         double *xr = x + r * n * m, *gr = g + r * n * mm;
         double *shr = shift + r * n * mx, *sr = sums + r * n * mx;
         double *orr = outer + r * n * mx * mx;
@@ -195,15 +200,19 @@ int adle_advance_bank(int64_t bank, int64_t n, int64_t m, int64_t mx, int64_t st
             const int64_t c = count + (s - start);
             const double *y = obs + (r * steps + s) * n * mx;
 
-            for (int64_t a = 0; a < n; a++) {
-                status = agent_terms(m, mx, c, gamma, xr + a * m, gr + a * mm, sr + a * mx,
-                                     orr + a * mx * mx, q0 + a * mx * mx, h + a * mx * m,
-                                     y + a * mx, innov + a * m, gi + a * mm, work);
-                if (status != OK)
-                    break;
-            }
-            if (status != OK)
+            int singular = 0;
+            for (int64_t a = 0; a < n && !singular; a++)
+                singular = agent_terms(m, mx, c, gamma, xr + a * m, gr + a * mm, sr + a * mx,
+                                       orr + a * mx * mx, q0 + a * mx * mx, h + a * mx * m,
+                                       y + a * mx, innov + a * m, gi + a * mm, work) != OK;
+            if (singular) {
+                if (status == OK || c < failure[1]) {
+                    failure[0] = r;
+                    failure[1] = c;
+                }
+                status = SINGULAR;
                 break;
+            }
 
             memset(cx, 0, (size_t)(n * m) * sizeof(double));
             memset(cg, 0, (size_t)(n * mm) * sizeof(double));

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import TrialDiverged
 from .network import TopologyModel
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -86,7 +87,8 @@ class BankKernel:
             [i64] * 8
             + [_array(f64, writable=True)] * 5
             + [_array(f64)] * 4
-            + [i64, i64, _array(np.int64), _array(f64), ctypes.c_double, _array(np.int64)]
+            + [i64, i64, _array(np.int64), _array(f64), ctypes.c_double, _array(np.int64),
+               _array(np.int64, writable=True)]
         )
         fn.restype = ctypes.c_int
         self._lib = lib
@@ -102,7 +104,10 @@ class BankKernel:
         been folded into the moments before ``start``.  ``observations``
         is the (R, S, N, max_dim) block, ``weights`` the (3, S) alpha,
         beta and gamma of its steps, and ``draws`` the topology block of
-        ``harness._draw_topology_block``.
+        ``harness._draw_topology_block``.  A zero pivot in a gain solve
+        raises :class:`TrialDiverged` naming the earliest step it met
+        (``count`` plus its offset from ``start``) and the first trial,
+        by its place in the bank, that met it there.
         """
         bank, n, m = _shape_of(estimates, "estimates", 3)
         mx = _shape_of(sensing, "sensing", 3)[1]
@@ -142,12 +147,14 @@ class BankKernel:
             if window.size and (window.min() < 0 or window.max() >= num_edges):
                 raise ValueError(f"gossip edge index outside [0, {num_edges})")
 
+        failure = np.zeros(2, dtype=np.int64)
         status = self._fn(bank, n, m, mx, steps, start, stop, count,
                           estimates, grammians, shifts, sums, outer_sums,
                           q0, sensing, observations, weights,
-                          _LAWS[top.law], num_edges, edges, uniforms, float(top.p), picks)
+                          _LAWS[top.law], num_edges, edges, uniforms, float(top.p), picks,
+                          failure)
         if status == 1:
-            raise np.linalg.LinAlgError("Singular matrix in the gain solve")
+            raise TrialDiverged(int(failure[0]), int(failure[1]), TrialDiverged.SINGULAR)
         if status != 0:
             raise MemoryError("bank-step kernel could not allocate its work space")
 

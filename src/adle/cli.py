@@ -400,3 +400,7 @@ def main(argv=None) -> int:
 def run() -> None:
     """Console-script wrapper."""
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

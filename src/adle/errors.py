@@ -58,22 +58,27 @@ class ScheduleViolation(AdleError):
 
 
 class TrialDiverged(AdleError):
-    """A trial's estimates or Grammians, or the checkpoint diagnostics
-    computed from them, became non-finite (overflow or NaN).
+    """A trial broke down numerically: its estimates or Grammians, or the
+    checkpoint diagnostics computed from them, became non-finite
+    (overflow or NaN), or a gain solve met an exactly singular matrix.
 
     ``trial`` is the trial index ``k`` (its random stream derives from
-    ``(master_seed, k)``); ``step`` is the first checkpoint at which it
-    was seen.
+    ``(master_seed, k)``); ``step`` is the first checkpoint at which a
+    non-finite value was seen, or the step whose state held the singular
+    matrix; ``cause`` says which of the two it was.
     """
 
-    def __init__(self, trial: int, step: int):
+    NON_FINITE = "non-finite estimates, Grammians or diagnostics at checkpoint"
+    SINGULAR = "singular matrix in the gain solve at"
+
+    def __init__(self, trial: int, step: int, cause: str = NON_FINITE):
         self.trial = trial
         self.step = step
-        super().__init__(trial, step)  # picklable across worker processes
+        self.cause = cause
+        super().__init__(trial, step, cause)  # picklable across worker processes
 
     def __str__(self) -> str:
-        return (f"trial {self.trial} diverged: non-finite estimates, Grammians or "
-                f"diagnostics at checkpoint step {self.step}")
+        return f"trial {self.trial} diverged: {self.cause} step {self.step}"
 
 
 class InvalidExponent(AdleError):

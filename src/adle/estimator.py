@@ -20,8 +20,9 @@ Laplacian shared by the estimate and Grammian updates.  The gain is
 measurable with respect to the past: it never sees the observation it
 weights.  Kernels accept arbitrary leading batch dimensions so that a
 whole bank of Monte Carlo trials advances with the same code path;
-``_advance`` is also the oracle of the compiled bank kernel
-(``_kernel.c``) and its fallback.
+``_advance`` is the numpy round, the oracle of the compiled bank kernel
+(``_kernel.c``) and its fallback.  :func:`adle.harness.trajectory`
+drives the round and owns the draw order.
 """
 
 from __future__ import annotations
@@ -30,35 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ObservationModel, _unit_variance_draws
-from .network import TopologyModel, sample_laplacian
-from .schedule import WeightSchedule
-
-
-@dataclass
-class AgentState:
-    """Per-agent view of the distributed state at one time step."""
-
-    estimate: np.ndarray        # (M,)
-    grammian_est: np.ndarray    # (M, M)
-    sample_cov: np.ndarray      # (M_n, M_n)
-    obs_sum: np.ndarray         # (M_n,) sum of y - obs_shift
-    obs_outer_sum: np.ndarray   # (M_n, M_n) sum of (y - obs_shift)(y - obs_shift)'
-    samples_seen: int
-    obs_shift: np.ndarray | None = None  # (M_n,) first observation; None before it
-
-
-@dataclass
-class GainSet:
-    """The innovation gains of every agent at one time step."""
-
-    gains: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        gains = tuple(np.asarray(k, dtype=float) for k in self.gains)
-        if any(not np.all(np.isfinite(k)) for k in gains):
-            raise ValueError("gain matrices must be finite")
-        object.__setattr__(self, "gains", gains)
+from .model import ObservationModel
 
 
 @dataclass
@@ -69,55 +42,29 @@ class NetworkState:
     observation-indexed axes have length ``max_dim`` with zero padding
     for agents whose observation dimension is smaller.  The observation
     moments are taken about ``obs_shifts``, each agent's first
-    observation.  ``agents`` materializes unpadded per-agent snapshots.
+    observation, and hold ``step`` observations.  Every array but
+    ``initial_sample_covs`` may carry leading batch axes, such as the
+    trial axis of :func:`adle.harness.trajectory`.
     """
 
-    estimates: np.ndarray          # (N, M)
-    grammians: np.ndarray          # (N, M, M)
-    obs_shifts: np.ndarray         # (N, max_dim)
-    obs_sums: np.ndarray           # (N, max_dim)
-    obs_outer_sums: np.ndarray     # (N, max_dim, max_dim)
+    estimates: np.ndarray          # (..., N, M)
+    grammians: np.ndarray          # (..., N, M, M)
+    obs_shifts: np.ndarray         # (..., N, max_dim)
+    obs_sums: np.ndarray           # (..., N, max_dim)
+    obs_outer_sums: np.ndarray     # (..., N, max_dim, max_dim)
     initial_sample_covs: np.ndarray  # (N, max_dim, max_dim)
-    samples_seen: int
     step: int
     obs_dims: tuple[int, ...]
 
-    @property
-    def num_agents(self) -> int:
-        return self.estimates.shape[0]
-
     def sample_covariances(self) -> list[np.ndarray]:
-        """Current per-agent sample covariances, unpadded."""
-        padded = _sample_cov_from_moments(
-            self.obs_sums, self.obs_outer_sums, self.samples_seen, self.initial_sample_covs
+        """Current per-agent sample covariances, unpadded: (..., M_n, M_n) each."""
+        padded = np.broadcast_to(
+            _sample_cov_from_moments(
+                self.obs_sums, self.obs_outer_sums, self.step, self.initial_sample_covs
+            ),
+            self.obs_outer_sums.shape,
         )
-        return [padded[n, :d, :d] for n, d in enumerate(self.obs_dims)]
-
-    @property
-    def agents(self) -> list[AgentState]:
-        covs = self.sample_covariances()
-        return [
-            AgentState(
-                estimate=self.estimates[n].copy(),
-                grammian_est=self.grammians[n].copy(),
-                sample_cov=np.array(covs[n]),
-                obs_sum=self.obs_sums[n, :d].copy(),
-                obs_outer_sum=self.obs_outer_sums[n, :d, :d].copy(),
-                samples_seen=self.samples_seen,
-                obs_shift=self.obs_shifts[n, :d].copy() if self.samples_seen else None,
-            )
-            for n, d in enumerate(self.obs_dims)
-        ]
-
-
-@dataclass
-class StepDiagnostics:
-    """Cheap per-round health metrics, measured on the post-update state."""
-
-    disagreement: float         # max over agent pairs of estimate distance
-    error_norms: np.ndarray     # (N,) distance of each estimate to the truth
-    gain_gap: float             # max over agents of ||K_n - K_n_opt||_F
-    grammian_gap: float         # ||mean_n G_n - normalized Grammian||_F
+        return [padded[..., n, :d, :d] for n, d in enumerate(self.obs_dims)]
 
 
 def initial_network_state(
@@ -148,7 +95,6 @@ def initial_network_state(
         obs_sums=np.zeros((n, mx)),
         obs_outer_sums=np.zeros((n, mx, mx)),
         initial_sample_covs=q0,
-        samples_seen=0,
         step=0,
         obs_dims=model.obs_dims,
     )
@@ -216,176 +162,12 @@ def _max_disagreement(estimates: np.ndarray) -> np.ndarray:
     return np.sqrt((diffs**2).sum(axis=-1)).max(axis=(-1, -2))
 
 
-# ---------------------------------------------------------------------------
-# per-agent operations
-
-
-def update_sample_covariance(state: AgentState, y) -> AgentState:
-    """Fold one observation into the running moments and refresh the
-    sample covariance (mean and second moment over the same window).
-
-    A state that has seen observations but carries no ``obs_shift``
-    holds moments about zero."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape != state.obs_sum.shape:
-        raise ValueError(f"observation has shape {y.shape}, expected {state.obs_sum.shape}")
-    shift = np.zeros_like(y) if state.obs_shift is None else np.array(state.obs_shift, dtype=float)
-    obs_sum = np.array(state.obs_sum, dtype=float)
-    obs_outer = np.array(state.obs_outer_sum, dtype=float)
-    _fold_observations(shift, obs_sum, obs_outer, state.samples_seen, y)
-    count = state.samples_seen + 1
-    return AgentState(
-        estimate=state.estimate,
-        grammian_est=state.grammian_est,
-        sample_cov=_sample_cov_from_moments(obs_sum, obs_outer, count, None),
-        obs_sum=obs_sum,
-        obs_outer_sum=obs_outer,
-        samples_seen=count,
-        obs_shift=shift,
-    )
-
-
-def compute_gain(state: AgentState, sensing: np.ndarray, gamma_t: float) -> np.ndarray:
-    """Innovation gain ``inv(G + gamma I) H' inv(Q + gamma I)``.
-
-    Both regularized matrices are positive definite for ``gamma_t > 0``
-    whenever ``G`` and ``Q`` are positive semidefinite, so the inverses
-    exist; the regularization vanishes as the learned quantities converge.
-    """
-    if gamma_t <= 0.0:
-        raise ValueError(f"gamma_t must be positive, got {gamma_t}")
-    sensing = np.asarray(sensing, dtype=float)
-    dinv = _regularized_inverse(np.asarray(state.sample_cov, dtype=float), gamma_t)
-    return _gain_kernel(state.grammian_est, gamma_t, sensing.T @ dinv)
-
-
-def update_grammian(grammians, lap, sensing, sample_covs, schedule: WeightSchedule, t: int):
-    """One synchronous Grammian round for all agents, from time-``t`` inputs.
-
-    ``grammians`` is the (N, M, M) stack, ``sensing`` and ``sample_covs``
-    are per-agent sequences, and the neighborhoods are read off ``lap``.
-    Returns the new stack; the network average of the result follows the
-    scalar recursion ``(1 - alpha_t) avg + alpha_t mean_n innovation_n``
-    exactly, because the Laplacian annihilates averages.
-    """
-    grammians = np.asarray(grammians, dtype=float)
-    alpha = float(schedule.alpha(t))
-    beta = float(schedule.beta(t))
-    gamma = float(schedule.gamma(t))
-    innovations = np.stack(
-        [
-            h.T @ _regularized_inverse(np.asarray(q, dtype=float), gamma) @ h
-            for h, q in zip([np.asarray(h, dtype=float) for h in sensing], sample_covs)
-        ]
-    )
-    consensus = _neighborhood_sums_mat(lap, grammians)
-    return grammians - beta * consensus + alpha * (innovations - grammians)
-
-
-def update_estimates(estimates, lap, gains, observations, sensing, schedule: WeightSchedule, t: int):
-    """One synchronous estimate round for all agents, from time-``t`` inputs.
-
-    ``gains`` may be a :class:`GainSet` or a plain sequence of matrices;
-    ``observations`` holds each agent's fresh measurement.
-    """
-    estimates = np.asarray(estimates, dtype=float)
-    gain_list = gains.gains if isinstance(gains, GainSet) else gains
-    alpha = float(schedule.alpha(t))
-    beta = float(schedule.beta(t))
-    innovation = np.stack(
-        [
-            np.asarray(k, dtype=float) @ (np.asarray(y, dtype=float).reshape(-1) - np.asarray(h, dtype=float) @ x)
-            for k, y, h, x in zip(gain_list, observations, sensing, estimates)
-        ]
-    )
-    consensus = _neighborhood_sums_vec(lap, estimates)
-    return estimates - beta * consensus + alpha * innovation
-
-
-def network_gains(net: NetworkState, model: ObservationModel, schedule: WeightSchedule) -> GainSet:
-    """The gains every agent would apply at the current step."""
-    gamma = float(schedule.gamma(net.step))
-    q_padded = _sample_cov_from_moments(
-        net.obs_sums, net.obs_outer_sums, net.samples_seen, net.initial_sample_covs
-    )
-    stacked = model._stacked
-    dinv = _regularized_inverse(q_padded, gamma)
-    k_padded = _gain_kernel(net.grammians, gamma, np.swapaxes(stacked.sensing, -1, -2) @ dinv)
-    return GainSet(tuple(k_padded[n, :, :d] for n, d in enumerate(net.obs_dims)))
-
-
-# ---------------------------------------------------------------------------
-# one full round
-
-
-def step(
-    net: NetworkState,
-    model: ObservationModel,
-    top: TopologyModel,
-    schedule: WeightSchedule,
-    rng: np.random.Generator,
-    want_diagnostics: bool = True,
-) -> tuple[NetworkState, StepDiagnostics | None]:
-    """Advance the network by one round, mutating ``net`` in place.
-
-    Draws one Laplacian, then one observation per agent (a single
-    normal/Laplace block in agent order), and applies the gain, estimate,
-    Grammian, and covariance updates synchronously from the time-``t``
-    snapshot.  Deterministic given the generator state.
-    """
-    stacked = model._stacked
-    t = net.step
-    alpha = float(schedule.alpha(t))
-    beta = float(schedule.beta(t))
-    gamma = float(schedule.gamma(t))
-
-    lap = sample_laplacian(top, rng)
-    draws = _unit_variance_draws(rng, model.noise, (net.num_agents, stacked.max_dim))
-    eps = (stacked.noise_factor @ draws[..., None])[..., 0]
-    observations = stacked.sensed_truth + eps
-
-    new_estimates, new_grammians, gains = _advance(
-        net.estimates,
-        net.grammians,
-        net.obs_sums,
-        net.obs_outer_sums,
-        net.samples_seen,
-        net.initial_sample_covs,
-        stacked.sensing,
-        lap,
-        observations,
-        alpha,
-        beta,
-        gamma,
-    )
-    net.estimates = new_estimates
-    net.grammians = new_grammians
-    _fold_observations(net.obs_shifts, net.obs_sums, net.obs_outer_sums, net.samples_seen,
-                       observations)
-    net.samples_seen += 1
-    net.step = t + 1
-
-    if not want_diagnostics:
-        return net, None
-    diag = StepDiagnostics(
-        disagreement=float(_max_disagreement(net.estimates)),
-        error_norms=np.linalg.norm(net.estimates - model.true_param, axis=-1),
-        gain_gap=float(
-            np.sqrt(((gains - model._optimal_gain_stack) ** 2).sum(axis=(-1, -2))).max()
-        ),
-        grammian_gap=float(
-            np.linalg.norm(net.grammians.mean(axis=0) - model._centralized.grammian_norm)
-        ),
-    )
-    return net, diag
-
-
 def _advance(
     estimates,
     grammians,
     obs_sums,
     obs_outer_sums,
-    samples_seen: int,
+    count: int,
     initial_sample_covs,
     sensing_padded,
     lap,
@@ -394,12 +176,12 @@ def _advance(
     beta: float,
     gamma: float,
 ):
-    """Shared core of one round in the padded layout; returns the new
-    estimate and Grammian stacks plus the gains that were applied.
+    """One round in the padded layout from moments that hold ``count``
+    observations; returns the new estimate and Grammian stacks.
 
     All inputs may carry leading batch dimensions (e.g. a bank of trials).
     """
-    q = _sample_cov_from_moments(obs_sums, obs_outer_sums, samples_seen, initial_sample_covs)
+    q = _sample_cov_from_moments(obs_sums, obs_outer_sums, count, initial_sample_covs)
     dinv = _regularized_inverse(q, gamma)
     sensing_t = np.swapaxes(sensing_padded, -1, -2)
     sensing_t_dinv = sensing_t @ dinv                       # (..., N, M, max_dim)
@@ -415,4 +197,4 @@ def _advance(
         - beta * _neighborhood_sums_mat(lap, grammians)
         + alpha * (grammian_innovation - grammians)
     )
-    return new_estimates, new_grammians, gains
+    return new_estimates, new_grammians

@@ -8,13 +8,14 @@ covariance of the scaled errors per agent, and compares it against the
 centralized benchmark covariance along with agreement- and
 consistency-rate fits.
 
-Trials are advanced in fixed-size banks: each trial still consumes only
-its own random stream (topology draws for a block of steps, then
-observation noise for the block), so any single trial is
-bit-reproducible from its seed alone and reports do not depend on the
-parallelism degree.  A compiled kernel (``_kernel.c``) advances a bank
-from one checkpoint to the next in a single call; where it cannot be
-built, the numpy round ``estimator._advance`` runs step by step.
+Trials are advanced in fixed-size banks by :func:`trajectory`, the one
+driver of the round: each trial still consumes only its own random
+stream (topology draws for a block of steps, then observation noise for
+the block), so any single trial is bit-reproducible from its seed alone
+and reports do not depend on the parallelism degree.  A compiled kernel
+(``_kernel.c``) advances a bank from one checkpoint to the next in a
+single call; where it cannot be built, the numpy round
+``estimator._advance`` runs step by step.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 from . import _kernel, _ks, estimator
 from .errors import TrialDiverged
 from .estimator import (
+    NetworkState,
     _fold_observations,
     _gain_kernel,
     _max_disagreement,
@@ -40,7 +42,7 @@ from .estimator import (
 )
 from .model import ObservationModel, _unit_variance_draws, centralized_estimate_from_means
 from .network import TopologyModel
-from .schedule import WeightSchedule
+from .schedule import WeightSchedule, checkpoint_grid
 
 #: Steps simulated between random-draw refills; part of the documented
 #: per-trial draw order (topology block, then noise block).
@@ -116,24 +118,6 @@ class StatResult:
     gating: bool = True
 
 
-def checkpoint_grid(horizon: int, start: int = 10, per_decade: int = 8) -> np.ndarray:
-    """Geometric checkpoint step indices from ``start`` to ``horizon``."""
-    if horizon < start:
-        raise ValueError(f"horizon {horizon} ends before the first checkpoint {start}")
-    if per_decade < 1:
-        raise ValueError("per_decade must be >= 1")
-    ratio = 10.0 ** (1.0 / per_decade)
-    points = []
-    mark = float(start)
-    while round(mark) < horizon:
-        value = int(round(mark))
-        if not points or value > points[-1]:
-            points.append(value)
-        mark *= ratio
-    points.append(horizon)
-    return np.array(points, dtype=np.int64)
-
-
 def _draw_topology_block(top: TopologyModel, rngs, steps: int):
     """Per-trial topology randomness for a block of steps, in trial order."""
     if top.law == "static":
@@ -155,34 +139,51 @@ def _laplacian_at(top: TopologyModel, block_draws, s: int):
     return top.edge_laplacians[block_draws[:, s]]
 
 
-def _advance(kernel, estimates, grammians, shifts, sums, outer_sums, count: int, q0, sensing,
-             observations, start: int, stop: int, weights, top: TopologyModel, draws) -> None:
-    """Advance a bank through block steps ``start..stop-1`` in place.
+def _advance(kernel, state: NetworkState, sensing, observations, start: int, stop: int,
+             weights, top: TopologyModel, draws) -> None:
+    """Advance a bank through block steps ``start..stop-1`` in place,
+    ``state.step`` included.
 
     One call of the compiled kernel (see ``_kernel.BankKernel.advance``
     for the arguments); without it, the numpy round
     ``estimator._advance`` and the moment update run step by step.
     """
+    x, g, shifts, sums, outer = (state.estimates, state.grammians, state.obs_shifts,
+                                 state.obs_sums, state.obs_outer_sums)
+    q0 = state.initial_sample_covs
     if kernel is not None:
-        kernel.advance(estimates, grammians, shifts, sums, outer_sums, count, q0, sensing,
-                       observations, start, stop, weights, top, draws)
+        kernel.advance(x, g, shifts, sums, outer, state.step, q0, sensing, observations,
+                       start, stop, weights, top, draws)
+        state.step += stop - start
         return
     for s in range(start, stop):
-        y = observations[:, s]
-        estimates[...], grammians[...], _ = estimator._advance(
-            estimates, grammians, sums, outer_sums, count + s - start, q0, sensing,
-            _laplacian_at(top, draws, s), y, *weights[:, s],
-        )
-        _fold_observations(shifts, sums, outer_sums, count + s - start, y)
+        y, lap, count = observations[:, s], _laplacian_at(top, draws, s), state.step
+        x[...], g[...] = _naming_singular(count, len(x), lambda pick: estimator._advance(
+            x[pick], g[pick], sums[pick], outer[pick], count, q0, sensing,
+            lap if lap.ndim == 2 else lap[pick], y[pick], *weights[:, s]))
+        _fold_observations(shifts, sums, outer, count, y)
+        state.step += 1
 
 
-def _bank_checkpoint(
-    estimates, grammians, obs_sums, obs_outer_sums, count, q0, stacked, model, gamma
-):
+def _naming_singular(step: int, bank: int, call):
+    """``call(slice(None))`` on the whole bank.  When one of its solves
+    meets a singular matrix, ``call`` is repeated one trial at a time and
+    :class:`TrialDiverged` names the first trial that fails alone."""
+    try:
+        return call(slice(None))
+    except np.linalg.LinAlgError:
+        for r in range(bank):
+            try:
+                call(slice(r, r + 1))
+            except np.linalg.LinAlgError:
+                raise TrialDiverged(r, step, TrialDiverged.SINGULAR) from None
+        raise
+
+
+def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
     """Fresh diagnostics at the current time for a whole trial bank."""
-    q = _sample_cov_from_moments(obs_sums, obs_outer_sums, count, q0)
-    dinv = _regularized_inverse(q, gamma)
-    sensing_t = np.swapaxes(stacked.sensing, -1, -2)
+    dinv = _regularized_inverse(sample_covs, gamma)
+    sensing_t = np.swapaxes(model._stacked.sensing, -1, -2)
     gains = _gain_kernel(grammians, gamma, sensing_t @ dinv)
     gain_gap = np.sqrt(((gains - model._optimal_gain_stack) ** 2).sum(axis=(-1, -2))).max(axis=-1)
     avg_gap = grammians.mean(axis=-3) - model._centralized.grammian_norm
@@ -192,14 +193,71 @@ def _bank_checkpoint(
     return disagreement, error_norms, gain_gap, grammian_gap
 
 
-def _check_finite(step: int, first_trial: int, *arrays) -> None:
+def _check_finite(step: int, *arrays) -> None:
     """Raise :class:`TrialDiverged` for the first trial (leading axis) with
     a non-finite entry in any of ``arrays``."""
     finite = np.logical_and.reduce(
         [np.isfinite(a.reshape(len(a), -1)).all(axis=1) for a in arrays]
     )
     if not finite.all():
-        raise TrialDiverged(first_trial + int(np.argmin(finite)), step)
+        raise TrialDiverged(int(np.argmin(finite)), step)
+
+
+def trajectory(
+    model: ObservationModel,
+    top: TopologyModel,
+    schedule: WeightSchedule,
+    horizon: int,
+    grid,
+    seeds,
+    init: tuple | None = None,
+):
+    """Advance a bank of trials, one per seed, and yield ``(t, state)`` at
+    every step ``t`` of ``grid``.
+
+    ``state`` is one :class:`NetworkState` whose arrays carry a leading
+    trial axis; it is advanced in place, so copy what must outlive the
+    next step.  ``init`` holds the optional initial estimate, Grammian
+    and sample covariance of :func:`initial_network_state`.  Each trial
+    consumes only its own stream, in blocks of ``BLOCK_STEPS`` steps:
+    the topology draws of the block, then its observation noise.  A
+    block's draws are consumed in segments that end at grid steps or at
+    the block end; :func:`_advance` runs one segment.  A singular gain
+    solve raises :class:`TrialDiverged` with the trial's place in the
+    bank.
+    """
+    stacked = model._stacked
+    n, mx = model.num_agents, stacked.max_dim
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    grid = np.asarray(grid, dtype=np.int64)
+    if grid.size == 0 or grid[-1] != horizon or np.any(np.diff(grid) <= 0) or grid[0] < 1:
+        raise ValueError("checkpoint grid must be strictly increasing and end at the horizon")
+
+    state = initial_network_state(model, *(init if init is not None else (None, None, None)))
+    for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
+        a = getattr(state, field)
+        setattr(state, field, np.tile(a, (len(rngs),) + (1,) * a.ndim))
+    kernel = _kernel.load()
+
+    pointer = 0
+    while state.step < horizon:
+        block_start = state.step
+        steps = min(BLOCK_STEPS, horizon - block_start)
+        topo_draws = obs_block = None  # free the previous block before drawing the next
+        topo_draws = _draw_topology_block(top, rngs, steps)
+        noise = np.stack(
+            [_unit_variance_draws(rng, model.noise, (steps, n, mx)) for rng in rngs]
+        )
+        obs_block = stacked.sensed_truth + (stacked.noise_factor @ noise[..., None])[..., 0]
+        del noise
+        weights = schedule.block(block_start, steps)
+        while state.step < block_start + steps:
+            stop = min(block_start + steps, int(grid[pointer]))
+            _advance(kernel, state, stacked.sensing, obs_block, state.step - block_start,
+                     stop - block_start, weights, top, topo_draws)
+            if state.step == grid[pointer]:
+                yield state.step, state
+                pointer += 1
 
 
 def _run_bank(
@@ -212,88 +270,48 @@ def _run_bank(
     init: tuple | None = None,
     first_trial: int = 0,
 ) -> list[TrialMetrics]:
-    """Advance a bank of trials to the horizon; one TrialMetrics per seed.
+    """Run a bank of trials to the horizon; one TrialMetrics per seed.
 
-    Each block's draws are consumed in segments that end at checkpoints
-    or at the block end; :func:`_advance` runs one segment.  A trial whose
-    state or diagnostics are non-finite at a checkpoint raises
-    :class:`TrialDiverged`, naming it by ``first_trial`` plus its place in
-    the bank.
+    The diagnostics are taken at each step of ``grid`` along the
+    :func:`trajectory`.  A trial whose state or diagnostics are
+    non-finite there, or whose gain solve meets a singular matrix,
+    raises :class:`TrialDiverged`, naming it by ``first_trial`` plus its
+    place in the bank.
     """
-    stacked = model._stacked
     model._optimal_gain_stack  # force validation before the hot loop
-    n, mx = model.num_agents, stacked.max_dim
     bank = len(seeds)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     grid = np.asarray(grid, dtype=np.int64)
-    if grid.size == 0 or grid[-1] != horizon or np.any(np.diff(grid) <= 0) or grid[0] < 1:
-        raise ValueError("checkpoint grid must be strictly increasing and end at the horizon")
+    records = [np.empty((bank, len(grid), *shape)) for shape in ((), (model.num_agents,), (), ())]
+    try:
+        for c, (t, state) in enumerate(trajectory(model, top, schedule, horizon, grid, seeds,
+                                                  init)):
+            _check_finite(t, state.estimates, state.grammians)
+            q = _sample_cov_from_moments(state.obs_sums, state.obs_outer_sums, t,
+                                         state.initial_sample_covs)
+            gamma = float(schedule.gamma(t))
+            with np.errstate(over="ignore"):  # an overflow is reported just below
+                diagnostics = _naming_singular(t, bank, lambda pick: _bank_checkpoint(
+                    state.estimates[pick], state.grammians[pick], q[pick], model, gamma))
+            _check_finite(t, *diagnostics)
+            for record, value in zip(records, diagnostics):
+                record[:, c] = value
+    except TrialDiverged as exc:
+        raise TrialDiverged(first_trial + exc.trial, exc.step, exc.cause) from None
 
-    fresh = initial_network_state(model, *(init if init is not None else (None, None, None)))
-    estimates, grammians, shifts, sums, outer_sums = (
-        np.tile(a, (bank,) + (1,) * a.ndim)
-        for a in (fresh.estimates, fresh.grammians, fresh.obs_shifts, fresh.obs_sums,
-                  fresh.obs_outer_sums)
-    )
-    q0 = fresh.initial_sample_covs
-    count = 0
-    kernel = _kernel.load()
-
-    c_points = len(grid)
-    rec_disagreement = np.empty((bank, c_points))
-    rec_error = np.empty((bank, c_points, n))
-    rec_gain = np.empty((bank, c_points))
-    rec_grammian = np.empty((bank, c_points))
-    pointer = 0
-
-    t = 0
-    while t < horizon:
-        steps = min(BLOCK_STEPS, horizon - t)
-        topo_draws = obs_block = None  # free the previous block before drawing the next
-        topo_draws = _draw_topology_block(top, rngs, steps)
-        noise = np.stack(
-            [_unit_variance_draws(rng, model.noise, (steps, n, mx)) for rng in rngs]
-        )
-        obs_block = stacked.sensed_truth + (stacked.noise_factor @ noise[..., None])[..., 0]
-        del noise
-        weights = schedule.block(t, steps)
-        block_start = t
-        while t < block_start + steps:
-            stop = min(block_start + steps, int(grid[pointer]))
-            s0, s1 = t - block_start, stop - block_start
-            _advance(kernel, estimates, grammians, shifts, sums, outer_sums, count, q0,
-                     stacked.sensing, obs_block, s0, s1, weights, top, topo_draws)
-            count += s1 - s0
-            t = stop
-            if t == grid[pointer]:
-                _check_finite(t, first_trial, estimates, grammians)
-                with np.errstate(over="ignore"):  # an overflow is reported just below
-                    dis, err, gap, ggap = _bank_checkpoint(
-                        estimates, grammians, sums, outer_sums, count, q0,
-                        stacked, model, float(schedule.gamma(t)),
-                    )
-                _check_finite(t, first_trial, dis, err, gap, ggap)
-                rec_disagreement[:, pointer] = dis
-                rec_error[:, pointer] = err
-                rec_gain[:, pointer] = gap
-                rec_grammian[:, pointer] = ggap
-                pointer += 1
-
-    scale = math.sqrt(horizon + 1.0)
-    scaled_errors = scale * (estimates - model.true_param)
-    baseline = centralized_estimate_from_means(model, shifts + sums / count)
-    scaled_baseline = math.sqrt(count) * (baseline - model.true_param)
-
+    scaled_errors = math.sqrt(horizon + 1.0) * (state.estimates - model.true_param)
+    baseline = centralized_estimate_from_means(model, state.obs_shifts + state.obs_sums / t)
+    scaled_baseline = math.sqrt(t) * (baseline - model.true_param)
+    disagreement, error_norms, gain_gap, grammian_gap = records
     return [
         TrialMetrics(
             times=grid.copy(),
-            disagreement=rec_disagreement[r].copy(),
-            error_norms=rec_error[r].copy(),
-            gain_gap=rec_gain[r].copy(),
-            grammian_gap=rec_grammian[r].copy(),
+            disagreement=disagreement[r].copy(),
+            error_norms=error_norms[r].copy(),
+            gain_gap=gain_gap[r].copy(),
+            grammian_gap=grammian_gap[r].copy(),
             terminal_scaled_errors=scaled_errors[r].copy(),
             terminal_scaled_error_centralized=scaled_baseline[r].copy(),
-            terminal_gain_gap=float(rec_gain[r, -1]),
+            terminal_gain_gap=float(gain_gap[r, -1]),
         )
         for r in range(bank)
     ]

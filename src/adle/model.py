@@ -37,6 +37,13 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return mat
 
 
+def _check_symmetric(agent: int, cov: np.ndarray) -> None:
+    """Raise :class:`NotPositiveDefinite` unless ``cov`` is symmetric to 1e-12."""
+    gap = float(np.max(np.abs(cov - cov.T), initial=0.0))
+    if gap > 1e-12 * max(float(np.max(np.abs(cov), initial=0.0)), 1.0):
+        raise NotPositiveDefinite(agent, float("nan"), "matrix is not symmetric")
+
+
 @dataclass(frozen=True, eq=False)
 class ObservationModel:
     """Sensing matrices, noise covariances, and the true parameter.
@@ -101,9 +108,7 @@ class ObservationModel:
         """
         factors = []
         for n, r in enumerate(self.noise_cov):
-            sym_gap = float(np.max(np.abs(r - r.T), initial=0.0))
-            if sym_gap > 1e-12 * max(float(np.max(np.abs(r), initial=0.0)), 1.0):
-                raise NotPositiveDefinite(n, float("nan"), "matrix is not symmetric")
+            _check_symmetric(n, r)
             try:
                 factor = np.linalg.cholesky(r)
             except np.linalg.LinAlgError:
@@ -186,9 +191,7 @@ def validate_observation_model(model: ObservationModel) -> CentralizedSummary:
     grammian_norm = np.zeros((m, m))
     solved = []
     for n, (h, r) in enumerate(zip(model.sensing, model.noise_cov)):
-        sym_gap = float(np.max(np.abs(r - r.T), initial=0.0))
-        if sym_gap > 1e-12 * max(float(np.max(np.abs(r), initial=0.0)), 1.0):
-            raise NotPositiveDefinite(n, float("nan"), "matrix is not symmetric")
+        _check_symmetric(n, r)
         eigenvalues = np.linalg.eigvalsh(r)
         if eigenvalues[0] <= 0.0:
             raise NotPositiveDefinite(n, float(eigenvalues[0]))
@@ -249,11 +252,10 @@ def centralized_estimate(model: ObservationModel, observations) -> np.ndarray:
     for n, (hist, dim) in enumerate(zip(histories, model.obs_dims)):
         if hist.shape[1] != dim:
             raise ValueError(f"observations[{n}] has width {hist.shape[1]}, expected {dim}")
-    summary = model._centralized
-    weighted = np.zeros(model.param_dim)
-    for h, r, hist in zip(model.sensing, model.noise_cov, histories):
-        weighted += h.T @ np.linalg.solve(r, hist.mean(axis=0))
-    return summary.asymptotic_cov @ weighted
+    means = np.zeros((model.num_agents, model._stacked.max_dim))
+    for n, hist in enumerate(histories):
+        means[n, : hist.shape[1]] = hist.mean(axis=0)
+    return centralized_estimate_from_means(model, means)
 
 
 def centralized_estimate_from_means(model: ObservationModel, means: np.ndarray) -> np.ndarray:

@@ -104,6 +104,24 @@ def validate_schedule(s: WeightSchedule, require_efficiency: bool = False) -> We
     return s
 
 
+def checkpoint_grid(horizon: int, start: int = 10, per_decade: int = 8) -> np.ndarray:
+    """Geometric checkpoint step indices from ``start`` to ``horizon``."""
+    if horizon < start:
+        raise ValueError(f"horizon {horizon} ends before the first checkpoint {start}")
+    if per_decade < 1:
+        raise ValueError("per_decade must be >= 1")
+    ratio = 10.0 ** (1.0 / per_decade)
+    points = []
+    mark = float(start)
+    while round(mark) < horizon:
+        value = int(round(mark))
+        if not points or value > points[-1]:
+            points.append(value)
+        mark *= ratio
+    points.append(horizon)
+    return np.array(points, dtype=np.int64)
+
+
 def recursion_trace(
     delta1: float,
     delta2: float,
@@ -134,16 +152,7 @@ def recursion_trace(
     if horizon < 1:
         raise InvalidExponent(f"horizon must be >= 1, got {horizon}")
 
-    ratio = 10.0 ** (1.0 / points_per_decade)
-    times = [0]
-    mark = 1.0
-    while round(mark) < horizon:
-        if round(mark) > times[-1]:
-            times.append(int(round(mark)))
-        mark *= ratio
-    if times[-1] != horizon:
-        times.append(horizon)
-    times_arr = np.array(times, dtype=np.int64)
+    times_arr = np.concatenate(([0], checkpoint_grid(horizon, 1, points_per_decade)))
 
     values = np.empty(len(times_arr))
     values[0] = 1.0

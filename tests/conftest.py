@@ -39,3 +39,10 @@ def make_noiseless_ring() -> ObservationModel:
         sensing.append(row)
         noise_cov.append(np.zeros((1, 1)))
     return ObservationModel(tuple(sensing), tuple(noise_cov), np.ones(5))
+
+
+def make_ragged_model(noise: str = "gaussian") -> ObservationModel:
+    """Three agents with observation dimensions 2, 1 and 1 (padded to 2)."""
+    sensing = (np.eye(2), np.array([[1.0, 1.0]]), np.array([[0.0, 1.0]]))
+    noise_cov = (np.array([[1.0, 0.3], [0.3, 2.0]]), np.eye(1), np.array([[0.5]]))
+    return ObservationModel(sensing, noise_cov, np.array([1.0, -2.0]), noise=noise)

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
+import adle
+from adle import harness
 from adle.cli import ScenarioConfig, example1_graph, main, parse_config
 from adle.errors import ParseError, ValidationError
 
@@ -180,6 +187,44 @@ def test_divergent_run_exits_one_and_names_the_trial(tmp_path, capsys):
     assert main(["--config", str(path), "--out", str(outdir)]) == 1
     assert "error: trial 2 diverged" in capsys.readouterr().err
     assert not (outdir / "summary.csv").exists()
+
+
+def _singular_scenario(tmp_path):
+    # uncapped b = 100 under gossip: trial 0's G + gamma I meets an exactly
+    # zero pivot before its estimates overflow
+    return write_scenario(tmp_path, topology={"base": "example1", "law": "gossip"},
+                          schedule={"b": 100.0}, cap_consensus_weight=False, horizon=400,
+                          num_trials=8)
+
+
+def test_singular_gain_solve_names_the_trial_and_step(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert main(["--config", str(_singular_scenario(tmp_path)), "--out", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert "error: trial 0 diverged: singular matrix in the gain solve at step 11" in err
+    assert not (outdir / "summary.csv").exists()
+
+
+def test_singular_gain_solve_in_the_numpy_fallback_names_the_trial_and_step(
+    tmp_path, capsys, monkeypatch
+):
+    # the numpy state rounds differently: its checkpoint diagnostics at
+    # step 13 are the first solve to meet the singular matrix
+    monkeypatch.setattr(harness._kernel, "load", lambda: None)
+    outdir = tmp_path / "out"
+    assert main(["--config", str(_singular_scenario(tmp_path)), "--out", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert "error: trial 0 diverged: singular matrix in the gain solve at step 13" in err
+    assert not (outdir / "summary.csv").exists()
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    src = str(Path(adle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cmd = [sys.executable, "-m", "adle.cli", "--config", str(tmp_path / "none.yaml")]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "none.yaml" in done.stderr
 
 
 def test_config_is_a_plain_dataclass_surface(tmp_path):

@@ -1,34 +1,41 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adle.estimator import (
-    AgentState,
-    GainSet,
+from adle import harness
+from adle.errors import ScheduleViolation
+from adle.estimator import initial_network_state
+from adle.harness import run_trial, trajectory
+from adle.model import ObservationModel, _unit_variance_draws, validate_observation_model
+from adle.network import (
+    Graph,
+    TopologyModel,
+    cycle_graph,
+    laplacian_of,
+    path_graph,
+    sample_laplacian,
+)
+from adle.schedule import WeightSchedule, validate_schedule
+from conftest import make_noiseless_ring, make_ragged_model
+from reference import (
+    agents_of,
     compute_gain,
-    initial_network_state,
-    network_gains,
-    step,
+    fresh_agent,
+    reference_round,
     update_estimates,
     update_grammian,
     update_sample_covariance,
 )
-from adle.model import ObservationModel, validate_observation_model
-from adle.network import Graph, TopologyModel, cycle_graph, laplacian_of, sample_laplacian
-from adle.schedule import WeightSchedule
-from conftest import make_noiseless_ring
 
 
-def fresh_agent(m: int, mn: int) -> AgentState:
-    return AgentState(
-        estimate=np.zeros(m),
-        grammian_est=np.zeros((m, m)),
-        sample_cov=np.zeros((mn, mn)),
-        obs_sum=np.zeros(mn),
-        obs_outer_sum=np.zeros((mn, mn)),
-        samples_seen=0,
-    )
+def states(model, top, schedule, grid, seed=0, trials=1, init=None):
+    """Copies of the trial-stacked state at every step of ``grid``."""
+    seeds = [np.random.SeedSequence((seed, k)) for k in range(trials)]
+    return [copy.deepcopy(state)
+            for _, state in trajectory(model, top, schedule, grid[-1], grid, seeds, init)]
 
 
 # --------------------------------------------------------------------- Q
@@ -68,17 +75,17 @@ def test_running_covariance_matches_batch_and_truth():
     offset=st.floats(-1e8, 1e8),
 )
 def test_sample_covariance_is_invariant_under_a_constant_offset(seed, count, dim, scale, offset):
-    samples = np.random.default_rng(seed).standard_normal((count, dim)) * scale
-
-    def running_cov(data):
-        state = fresh_agent(2, dim)
-        for y in data:
-            state = update_sample_covariance(state, y)
-        return state.sample_cov
+    # one agent observing theta + noise directly, with theta at 0 and at
+    # the offset: the trajectories draw the same noise
+    def running_cov(theta):
+        model = ObservationModel((np.eye(dim),), (scale**2 * np.eye(dim),), np.full(dim, theta))
+        (state,) = states(model, TopologyModel(Graph(1, ()), "static"), WeightSchedule(),
+                          [count], seed=seed)
+        return state.sample_covariances()[0][0]
 
     # the offset samples are rounded to the spacing of doubles near 1e8
     # (1.5e-8), which moves the covariance by under 1e-6 of the variance
-    gap = np.max(np.abs(running_cov(samples + offset) - running_cov(samples)))
+    gap = np.max(np.abs(running_cov(offset) - running_cov(0.0)))
     assert gap <= 1e-6 * scale**2
 
 
@@ -104,10 +111,13 @@ def test_gain_identity_limit():
 def test_gain_requires_positive_regularization():
     with pytest.raises(ValueError):
         compute_gain(fresh_agent(2, 2), np.eye(2), 0.0)
+    # the library's guard: a schedule whose regularization is not positive
+    with pytest.raises(ScheduleViolation, match="gamma0 > 0"):
+        validate_schedule(WeightSchedule(gamma0=0.0))
 
 
 def test_gains_converge_to_optimal_on_ring(ring_model, bernoulli_pentagon, ring_schedule):
-    from adle.harness import checkpoint_grid, run_trial
+    from adle.harness import checkpoint_grid
 
     horizon = 100_000
     metrics = run_trial(
@@ -175,7 +185,7 @@ def test_estimate_fixed_point_at_truth_with_clean_observations(ring_model, ring_
     truth = ring_model.true_param
     estimates = np.tile(truth, (5, 1))
     observations = [h @ truth for h in ring_model.sensing]
-    gains = GainSet(tuple(np.ones((5, 1)) for _ in range(5)))
+    gains = [np.ones((5, 1))] * 5
     lap = laplacian_of(cycle_graph(5))
     updated = update_estimates(
         estimates, lap, gains, observations, ring_model.sensing, ring_schedule, 3
@@ -229,81 +239,73 @@ def test_zero_gains_preserve_network_average():
         estimates = updated
 
 
-# --------------------------------------------------------------------- step
+# --------------------------------------------------------------------- trajectory
 
 
 def test_step_is_deterministic(ring_model, bernoulli_pentagon, ring_schedule):
-    nets = []
-    for _ in range(2):
-        rng = np.random.default_rng(1234)
-        net = initial_network_state(ring_model)
-        for _ in range(50):
-            step(net, ring_model, bernoulli_pentagon, ring_schedule, rng, want_diagnostics=False)
-        nets.append(net)
-    assert np.array_equal(nets[0].estimates, nets[1].estimates)
-    assert np.array_equal(nets[0].grammians, nets[1].grammians)
-    assert np.array_equal(nets[0].obs_sums, nets[1].obs_sums)
+    runs = [states(ring_model, bernoulli_pentagon, ring_schedule, [50], seed=1234, trials=3)[0]
+            for _ in range(2)]
+    for name in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
 
 
-def test_step_matches_composition_of_public_updates(ring_model, bernoulli_pentagon, ring_schedule):
-    rng = np.random.default_rng(77)
-    net = initial_network_state(ring_model)
-    for _ in range(5):
-        step(net, ring_model, bernoulli_pentagon, ring_schedule, rng, want_diagnostics=False)
+@pytest.mark.parametrize("case", ["bernoulli", "gossip_ragged_init", "static"])
+def test_trajectory_step_matches_reference_round(case, ring_model, ring_schedule):
+    model, top, schedule, init = {
+        "bernoulli": (ring_model, TopologyModel(cycle_graph(5), "bernoulli", 0.5),
+                      ring_schedule, None),
+        "gossip_ragged_init": (make_ragged_model(), TopologyModel(path_graph(3), "gossip"),
+                               WeightSchedule(), (np.array([3.0, -1.0]), np.eye(2), 2.0)),
+        "static": (ring_model, TopologyModel(cycle_graph(5), "static"), WeightSchedule(), None),
+    }[case]
+    steps, trials, n = 6, 2, model.num_agents
+    seeds = [np.random.SeedSequence((77, k)) for k in range(trials)]
+    fresh = initial_network_state(model, *(init or (None, None, None)))
+    start = copy.deepcopy(fresh)
+    for name in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
+        setattr(start, name, np.stack([getattr(fresh, name)] * trials))
+    snapshots = [start] + [copy.deepcopy(state) for _, state in trajectory(
+        model, top, schedule, steps, np.arange(1, steps + 1), seeds, init)]
 
-    # replicate the documented draw order, then compose the public updates
-    probe = np.random.default_rng(77)
-    probe_net = initial_network_state(ring_model)
-    for _ in range(5):
-        step(probe_net, ring_model, bernoulli_pentagon, ring_schedule, probe, want_diagnostics=False)
-    t = probe_net.step
-    lap = sample_laplacian(bernoulli_pentagon, probe)
-    draws = probe.standard_normal((5, 1))
-    observations = [
-        h @ ring_model.true_param + f @ draws[n]
-        for n, (h, f) in enumerate(zip(ring_model.sensing, ring_model._noise_factors))
-    ]
-    gains = network_gains(probe_net, ring_model, ring_schedule)
-    covs = probe_net.sample_covariances()
-    expected_x = update_estimates(
-        probe_net.estimates, lap, gains, observations, ring_model.sensing, ring_schedule, t
-    )
-    expected_g = update_grammian(
-        probe_net.grammians, lap, ring_model.sensing, covs, ring_schedule, t
-    )
-    expected_agents = [
-        update_sample_covariance(agent, y) for agent, y in zip(probe_net.agents, observations)
-    ]
-
-    step(net, ring_model, bernoulli_pentagon, ring_schedule, rng, want_diagnostics=False)
-    assert np.allclose(net.estimates, expected_x, atol=1e-12)
-    assert np.allclose(net.grammians, expected_g, atol=1e-12)
-    for n, agent in enumerate(net.agents):
-        assert np.allclose(agent.sample_cov, expected_agents[n].sample_cov, atol=1e-12)
+    # the same block draws, in the documented order, turned into per-agent
+    # neighbor sets and observations by hand
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    draws = harness._draw_topology_block(top, rngs, steps)
+    noise = np.stack([_unit_variance_draws(rng, model.noise, (steps, n, max(model.obs_dims)))
+                      for rng in rngs])
+    edges = top.base.edges
+    for r in range(trials):
+        for t in range(steps):
+            if top.law == "static":
+                active = edges
+            elif top.law == "bernoulli":
+                active = tuple(e for k, e in enumerate(edges) if draws[r, t, k] < top.p)
+            else:
+                active = (edges[draws[r, t]],)
+            observations = [h @ model.true_param + f @ noise[r, t, a, : h.shape[0]]
+                            for a, (h, f) in enumerate(zip(model.sensing, model._noise_factors))]
+            expected = reference_round(agents_of(snapshots[t], r), laplacian_of(Graph(n, active)),
+                                       observations, model.sensing, schedule, t)
+            for want, got in zip(expected, agents_of(snapshots[t + 1], r)):
+                assert np.max(np.abs(got.estimate - want.estimate)) <= 1e-12
+                assert np.max(np.abs(got.grammian_est - want.grammian_est)) <= 1e-12
+                assert np.max(np.abs(got.sample_cov - want.sample_cov)) <= 1e-12
 
 
 def test_step_fixed_point_with_zero_noise_at_truth(ring_schedule):
     model = make_noiseless_ring()
     top = TopologyModel(cycle_graph(5), "static")
-    net = initial_network_state(model, estimate=model.true_param)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        step(net, model, top, ring_schedule, rng, want_diagnostics=False)
-        assert np.max(np.abs(net.estimates - model.true_param)) < 1e-12
+    for state in states(model, top, ring_schedule, np.arange(1, 21), init=(model.true_param,
+                                                                            None, None)):
+        assert np.max(np.abs(state.estimates - model.true_param)) < 1e-12
 
 
 def test_step_zero_noise_static_graph_converges(ring_schedule):
     model = make_noiseless_ring()
     top = TopologyModel(cycle_graph(5), "static")
-    net = initial_network_state(model)
-    rng = np.random.default_rng(0)
-    horizon = 100_000
-    marks = {int(round(10 * 10 ** (k / 4))) for k in range(17)}
-    recorded = []
-    for t in range(horizon):
-        step(net, model, top, ring_schedule, rng, want_diagnostics=False)
-        if (t + 1) in marks:
-            recorded.append(np.max(np.abs(net.estimates - model.true_param)))
+    marks = sorted({int(round(10 * 10 ** (k / 4))) for k in range(17)})  # 10 .. 100_000
+    recorded = [np.max(np.abs(state.estimates - model.true_param))
+                for state in states(model, top, ring_schedule, marks)]
     assert recorded[-1] < 1e-3
     # the worst error is eventually nonincreasing across checkpoints
     tail = recorded[4:]
@@ -311,37 +313,35 @@ def test_step_zero_noise_static_graph_converges(ring_schedule):
 
 
 def test_symmetry_is_preserved_along_a_run(ring_model, bernoulli_pentagon, ring_schedule):
-    rng = np.random.default_rng(8)
-    net = initial_network_state(ring_model)
-    for t in range(300):
-        step(net, ring_model, bernoulli_pentagon, ring_schedule, rng, want_diagnostics=False)
-        if t % 50 == 0:
-            asym_g = np.max(np.abs(net.grammians - np.swapaxes(net.grammians, -1, -2)))
-            assert asym_g < 1e-12
-            for cov in net.sample_covariances():
-                assert np.max(np.abs(cov - cov.T)) < 1e-12
-                assert np.linalg.eigvalsh(cov)[0] > -1e-10
+    for state in states(ring_model, bernoulli_pentagon, ring_schedule, np.arange(1, 300, 50),
+                        seed=8, trials=4):
+        asym_g = np.max(np.abs(state.grammians - np.swapaxes(state.grammians, -1, -2)))
+        assert asym_g < 1e-12
+        for cov in state.sample_covariances():
+            assert np.max(np.abs(cov - np.swapaxes(cov, -1, -2))) < 1e-12
+            assert np.linalg.eigvalsh(cov).min() > -1e-10
 
 
 def test_moment_consistency_invariant(ring_model, bernoulli_pentagon, ring_schedule):
-    rng = np.random.default_rng(21)
-    net = initial_network_state(ring_model)
-    for _ in range(200):
-        step(net, ring_model, bernoulli_pentagon, ring_schedule, rng, want_diagnostics=False)
-    for agent in net.agents:
-        centered = agent.obs_outer_sum - np.outer(agent.obs_sum, agent.obs_sum) / agent.samples_seen
-        assert np.linalg.eigvalsh(centered)[0] > -1e-10
+    (state,) = states(ring_model, bernoulli_pentagon, ring_schedule, [200], seed=21, trials=4)
+    sums = state.obs_sums
+    centered = state.obs_outer_sums - sums[..., :, None] * sums[..., None, :] / state.step
+    assert np.linalg.eigvalsh(centered).min() > -1e-10
 
 
 def test_step_diagnostics_report_post_update_state(ring_model, bernoulli_pentagon, ring_schedule):
-    rng = np.random.default_rng(5)
-    net = initial_network_state(ring_model)
-    _, diag = step(net, ring_model, bernoulli_pentagon, ring_schedule, rng)
-    assert diag is not None
-    expected_err = np.linalg.norm(net.estimates - ring_model.true_param, axis=1)
-    assert np.allclose(diag.error_norms, expected_err, atol=1e-12)
-    assert diag.disagreement >= 0.0
-    assert np.isfinite(diag.gain_gap) and np.isfinite(diag.grammian_gap)
+    grid = np.array([1, 5, 20])
+    seed = np.random.SeedSequence((5, 0))
+    metrics = run_trial(ring_model, bernoulli_pentagon, ring_schedule, 20, grid, seed)
+    visited = [copy.deepcopy(state) for _, state in trajectory(
+        ring_model, bernoulli_pentagon, ring_schedule, 20, grid, [seed])]
+    for c, state in enumerate(visited):
+        x = state.estimates[0]
+        errors = np.linalg.norm(x - ring_model.true_param, axis=1)
+        assert np.allclose(metrics.error_norms[c], errors, rtol=0, atol=1e-12)
+        spread = max(np.linalg.norm(a - b) for a in x for b in x)
+        assert metrics.disagreement[c] == pytest.approx(spread, abs=1e-12)
+    assert np.all(np.isfinite(metrics.gain_gap)) and np.all(np.isfinite(metrics.grammian_gap))
 
 
 def test_single_agent_tracks_truth_like_a_running_average():

@@ -12,7 +12,7 @@ import pytest
 from adle import _kernel, harness
 from adle.cli import example1_model
 from adle.errors import TrialDiverged
-from adle.estimator import _advance, _fold_observations, initial_network_state
+from adle.estimator import NetworkState, _advance, _fold_observations, initial_network_state
 from adle.harness import (
     BLOCK_STEPS,
     AcceptanceThresholds,
@@ -23,12 +23,14 @@ from adle.harness import (
     fit_decay_slope,
     run_experiment,
     run_trial,
+    trajectory,
     worker_count,
     write_report,
 )
 from adle.model import ObservationModel, _unit_variance_draws
 from adle.network import Graph, TopologyModel, cycle_graph, path_graph
 from adle.schedule import WeightSchedule, recursion_trace
+from conftest import make_ragged_model
 
 
 def small_config(ring_model, bernoulli_pentagon, ring_schedule, **overrides):
@@ -85,6 +87,21 @@ def test_run_trial_metrics_are_finite_and_timed(ring_model, bernoulli_pentagon, 
     for name in ("disagreement", "error_norms", "gain_gap", "grammian_gap",
                  "terminal_scaled_errors", "terminal_scaled_error_centralized"):
         assert np.all(np.isfinite(getattr(metrics, name)))
+
+
+@pytest.mark.parametrize("law", ["static", "bernoulli", "gossip"])
+def test_trajectory_checkpointed_every_step_ends_where_run_trial_ends(ring_model, law):
+    # checkpoints only cut the kernel calls into segments; across two
+    # block boundaries the terminal errors agree bit for bit
+    top = TopologyModel(cycle_graph(5), law, 0.5)
+    schedule, horizon = WeightSchedule(b=0.5), 2_500
+    seed = np.random.SeedSequence((12, 3))
+    metrics = run_trial(ring_model, top, schedule, horizon, checkpoint_grid(horizon), seed)
+    for t, state in trajectory(ring_model, top, schedule, horizon, np.arange(1, horizon + 1),
+                               [seed]):
+        assert state.step == t
+    scaled = np.sqrt(horizon + 1.0) * (state.estimates[0] - ring_model.true_param)
+    assert np.array_equal(scaled, metrics.terminal_scaled_errors)
 
 
 # ----------------------------------------------------------------- covariance
@@ -333,23 +350,17 @@ def test_previous_block_is_freed_before_the_next_is_drawn(
 # ----------------------------------------------------------------- compiled kernel
 
 
-def _ragged_model(noise="gaussian"):
-    sensing = (np.eye(2), np.array([[1.0, 1.0]]), np.array([[0.0, 1.0]]))
-    noise_cov = (np.array([[1.0, 0.3], [0.3, 2.0]]), np.eye(1), np.array([[0.5]]))
-    return ObservationModel(sensing, noise_cov, np.array([1.0, -2.0]), noise=noise)
-
-
 KERNEL_CASES = {
     "static": (example1_model(), TopologyModel(cycle_graph(5), "static"), WeightSchedule(), None),
     "bernoulli": (example1_model(), TopologyModel(cycle_graph(5), "bernoulli", 0.5),
                   WeightSchedule(b=0.5), None),
     "gossip": (example1_model(), TopologyModel(cycle_graph(5), "gossip"), WeightSchedule(), None),
-    "ragged": (_ragged_model(), TopologyModel(path_graph(3), "bernoulli", 0.7),
+    "ragged": (make_ragged_model(), TopologyModel(path_graph(3), "bernoulli", 0.7),
                WeightSchedule(b=0.5), None),
     "laplace": (example1_model("laplace"), TopologyModel(cycle_graph(5), "bernoulli", 0.5),
                 WeightSchedule(b=0.5), None),
-    "init": (_ragged_model("laplace"), TopologyModel(path_graph(3), "gossip"), WeightSchedule(),
-             (np.array([3.0, -1.0]), np.array([[2.0, 0.5], [0.5, 1.0]]), 2.0)),
+    "init": (make_ragged_model("laplace"), TopologyModel(path_graph(3), "gossip"),
+             WeightSchedule(), (np.array([3.0, -1.0]), np.array([[2.0, 0.5], [0.5, 1.0]]), 2.0)),
 }
 
 
@@ -389,12 +400,26 @@ def test_kernel_matches_numpy_round_over_ten_thousand_steps(case):
 
     (x, g, shifts, sums, outer), _ = _bank_state(model, init)
     for s in range(steps):
-        x, g, _ = _advance(x, g, sums, outer, s, q0, sensing,
-                           harness._laplacian_at(top, draws, s), obs[:, s], *weights[:, s])
+        x, g = _advance(x, g, sums, outer, s, q0, sensing,
+                        harness._laplacian_at(top, draws, s), obs[:, s], *weights[:, s])
         _fold_observations(shifts, sums, outer, s, obs[:, s])
 
     for got, want in zip(compiled, (x, g, shifts, sums, outer)):
         assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
+def test_singular_gain_solve_names_the_first_trial_and_its_step(compiled):
+    model, top, schedule, _ = KERNEL_CASES["bernoulli"]
+    draws, obs, weights = _block(model, top, schedule, 8, seed=0)
+    (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
+    g[1:] = -weights[2, 3] * np.eye(model.param_dim)  # G + gamma I = 0 at block step 3
+    state = NetworkState(x, g, shifts, sums, outer, q0, 40, model.obs_dims)
+    kernel = _kernel.load() if compiled else None
+    with pytest.raises(TrialDiverged) as info:
+        harness._advance(kernel, state, model._stacked.sensing, obs, 3, 8, weights, top, draws)
+    assert (info.value.trial, info.value.step) == (1, 40)
+    assert "singular matrix in the gain solve at step 40" in str(info.value)
 
 
 def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
