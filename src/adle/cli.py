@@ -1,30 +1,9 @@
-"""Scenario configuration, presets, and the command-line entry point.
+"""Scenario files and the ``adle`` command line.
 
-Scenarios are YAML files with a versioned ``schema`` field::
-
-    schema: adle-scenario/1
-    model: example1            # or explicit matrices, see below
-    topology:
-      base: example1           # or an edge list [[0, 1], [1, 2], ...]
-      law: bernoulli           # static | bernoulli | gossip
-      p: 0.5
-    schedule: {a: 1.0, b: 1.0, tau1: 1.0, tau2: 0.2,
-               gamma0: 1.0, tau_gamma: 0.75, eps1: 6.0}
-    horizon: 50000
-    num_trials: 500
-    master_seed: 20260810
-    cap_consensus_weight: true
-    output_dir: out
-
-The flags ``cap_consensus_weight``, ``require_efficiency`` and
-``run_ks_test`` take YAML booleans only; a quoted ``"false"`` is an error.
-
-An explicit model is a mapping with ``sensing`` (list of matrices),
-``noise_cov`` (list of square matrices), ``true_param`` (vector), and an
-optional ``noise`` family.  The ``example1`` preset is a five-agent ring
-where agent ``n`` observes the noisy sum of parameter entries ``n-1``,
-``n``, ``n+1`` (cyclically); no single agent can recover anything alone,
-but the network is globally observable.
+A scenario is a YAML mapping with ``schema: adle-scenario/1``; every key
+it may hold is a row of ``_TOP`` or ``_SECTIONS``.  A key that is absent
+or null takes the default of the field it sets, and all errors are
+collected into one :class:`ValidationError`.  The README lists the keys.
 
 Exit status: 0 when every acceptance statistic passes, 2 when the run
 completed but a statistic failed (the report is still written), 1 for
@@ -34,29 +13,21 @@ configuration or runtime errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 import yaml
 
 from . import harness
-from .errors import AdleError, ParseError, ScheduleViolation, ValidationError
+from .errors import AdleError, ParseError, ValidationError
 from .estimator import initial_network_state
 from .model import ObservationModel, validate_observation_model
 from .network import Graph, TopologyModel, cycle_graph, mean_laplacian, fiedler_value, validate_mean_connectivity
 from .schedule import WeightSchedule, validate_schedule
 
 SCHEMA = "adle-scenario/1"
-
-_TOP_LEVEL_KEYS = {
-    "schema", "model", "topology", "schedule", "horizon", "num_trials",
-    "master_seed", "checkpoints", "output_dir", "require_efficiency",
-    "run_ks_test", "parallelism", "fit_window", "cap_consensus_weight",
-    "init", "acceptance",
-}
 
 
 @dataclass(frozen=True)
@@ -68,7 +39,7 @@ class ScenarioConfig:
     schedule: WeightSchedule
     horizon: int
     num_trials: int
-    master_seed: int
+    master_seed: int = 0
     checkpoint_start: int = 10
     checkpoints_per_decade: int = 8
     output_dir: str | None = None
@@ -84,15 +55,10 @@ class ScenarioConfig:
 
 
 def example1_model(noise: str = "gaussian") -> ObservationModel:
-    """Five agents on a ring, each observing a cyclic three-entry sum."""
-    sensing = []
-    noise_cov = []
-    for n in range(5):
-        row = np.zeros((1, 5))
-        row[0, (n - 1) % 5] = row[0, n] = row[0, (n + 1) % 5] = 1.0
-        sensing.append(row)
-        noise_cov.append(np.eye(1))
-    return ObservationModel(tuple(sensing), tuple(noise_cov), np.ones(5), noise=noise)
+    """Five agents on a ring, each observing a cyclic three-entry sum:
+    no agent can recover any entry alone, but the network can."""
+    sensing = tuple(np.roll([[1.0, 1.0, 1.0, 0.0, 0.0]], n - 1) for n in range(5))
+    return ObservationModel(sensing, (np.eye(1),) * 5, np.ones(5), noise=noise)
 
 
 def example1_graph() -> Graph:
@@ -100,102 +66,120 @@ def example1_graph() -> Graph:
     return cycle_graph(5)
 
 
-def _build_model(spec, errors: list[str]) -> ObservationModel | None:
-    try:
-        if spec == "example1":
-            return example1_model()
-        if isinstance(spec, dict):
-            if spec.get("preset") == "example1":
-                return example1_model(spec.get("noise", "gaussian"))
-            unknown = set(spec) - {"sensing", "noise_cov", "true_param", "noise"}
-            if unknown:
-                raise ValueError(f"unknown model keys {sorted(unknown)}")
-            return ObservationModel(
-                tuple(np.asarray(h, dtype=float) for h in spec["sensing"]),
-                tuple(np.atleast_2d(np.asarray(r, dtype=float)) for r in spec["noise_cov"]),
-                np.asarray(spec["true_param"], dtype=float),
-                noise=spec.get("noise", "gaussian"),
-            )
-        raise ValueError(f"model must be 'example1' or a mapping, got {type(spec).__name__}")
-    except KeyError as exc:
-        errors.append(f"model: missing key {exc}")
-    except (ValueError, TypeError) as exc:
-        errors.append(f"model: {exc}")
-    return None
+def _int(raw) -> int:
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(f"must be an integer, got {raw!r}")
+    return int(raw)
 
 
-def _build_topology(spec, errors: list[str]) -> TopologyModel | None:
-    try:
-        if not isinstance(spec, dict):
-            raise ValueError(f"topology must be a mapping, got {type(spec).__name__}")
-        unknown = set(spec) - {"base", "nodes", "law", "p"}
-        if unknown:
-            raise ValueError(f"unknown topology keys {sorted(unknown)}")
-        base_spec = spec.get("base", "example1")
-        if base_spec in ("example1", "pentagon"):
-            base = example1_graph()
-        else:
-            edges = tuple((int(e[0]), int(e[1])) for e in base_spec)
-            nodes = int(spec.get("nodes", max((max(e) for e in edges), default=-1) + 1))
-            base = Graph(nodes, edges)
-        return TopologyModel(base, law=spec.get("law", "static"), p=float(spec.get("p", 1.0)))
-    except (ValueError, TypeError, IndexError) as exc:
-        errors.append(f"topology: {exc}")
-    return None
-
-
-def _build_schedule(spec, require_efficiency: bool, errors: list[str]) -> WeightSchedule | None:
-    try:
-        spec = spec or {}
-        if not isinstance(spec, dict):
-            raise ValueError(f"schedule must be a mapping, got {type(spec).__name__}")
-        known = {f.name for f in dataclasses.fields(WeightSchedule)}
-        unknown = set(spec) - known
-        if unknown:
-            raise ValueError(f"unknown schedule keys {sorted(unknown)}")
-        schedule = WeightSchedule(**{k: float(v) for k, v in spec.items()})
-        return validate_schedule(schedule, require_efficiency=require_efficiency)
-    except ScheduleViolation as exc:
-        errors.append(f"schedule: {exc}")
-    except (ValueError, TypeError) as exc:
-        errors.append(f"schedule: {exc}")
-    return None
-
-
-def _positive_int(raw, name: str, errors: list[str], minimum: int = 1) -> int | None:
-    try:
-        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-            raise ValueError(f"must be an integer, got {raw!r}")
-        value = int(raw)
-        if value < minimum:
-            raise ValueError(f"must be >= {minimum}, got {value}")
-        return value
-    except (ValueError, TypeError) as exc:
-        errors.append(f"{name}: {exc}")
-        return None
-
-
-def _real(raw, name: str, errors: list[str]) -> float | None:
-    try:
-        if isinstance(raw, bool):
-            raise ValueError(f"must be a number, got {raw!r}")
-        return float(raw)
-    except (ValueError, TypeError) as exc:
-        errors.append(f"{name}: {exc}")
-        return None
-
-
-def _flag(raw: dict, name: str, default: bool, errors: list[str]) -> bool:
-    value = raw.get(name, default)
-    if not isinstance(value, bool):
-        errors.append(f"{name}: must be true or false, got {value!r}")
-        return default
+def _array(raw) -> np.ndarray:
+    value = np.asarray(raw, dtype=float)
+    if isinstance(raw, bool) or not np.isfinite(value).all():
+        raise ValueError(f"must be {'a number' if isinstance(raw, bool) else 'finite'}, got {raw!r}")
     return value
 
 
-def parse_config(path) -> ScenarioConfig:
+def _real(raw) -> float:
+    value = _array(raw)
+    if value.ndim:
+        raise ValueError(f"must be a number, got {raw!r}")
+    return float(value)
+
+
+def _edges(raw) -> tuple[tuple[int, int], ...]:
+    if raw in ("example1", "pentagon"):
+        return example1_graph().edges
+    if not (isinstance(raw, list) and all(isinstance(e, list) and len(e) == 2 for e in raw)):
+        raise ValueError(f"must be 'example1' or a list of [node, node] edges, got {raw!r}")
+    return tuple((_int(n), _int(l)) for n, l in raw)
+
+
+# A row: the converter of a present, non-null value (None keeps it as it
+# is), the test the converted value must pass, and the requirement it states.
+_REAL, _ARRAY, _AS_IS = (_real, None, ""), (_array, None, ""), (None, None, "")
+_COUNT = (_int, lambda v: v >= 1, "must be >= 1")
+_NATURAL = (_int, lambda v: v >= 0, "must be >= 0")
+_FLAG = (None, lambda v: isinstance(v, bool), "must be true or false")
+_TEXT = (None, lambda v: isinstance(v, str), "must be a string")
+
+#: Every top-level scenario key and every key of its mapping sections.
+_TOP = {
+    "schema": (None, lambda v: v == SCHEMA, f"expected {SCHEMA!r}"),
+    "horizon": _COUNT, "num_trials": _COUNT, "master_seed": _NATURAL, "parallelism": _NATURAL,
+    "fit_window": (_real, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "output_dir": _TEXT,
+    "require_efficiency": _FLAG, "run_ks_test": _FLAG, "cap_consensus_weight": _FLAG,
+}
+_SECTIONS = {
+    "checkpoints": {"start": _COUNT, "per_decade": _COUNT},
+    "init": {"estimate": _ARRAY, "grammian": _ARRAY, "sample_cov": _ARRAY},
+    # ObservationModel checks the matrices
+    "model": {"preset": (None, lambda v: v == "example1", "expected 'example1'"),
+              "sensing": _AS_IS, "noise_cov": _AS_IS, "true_param": _AS_IS, "noise": _TEXT},
+    "topology": {"base": (_edges, None, ""), "nodes": _COUNT, "law": _TEXT, "p": _REAL},
+    "schedule": dict.fromkeys((f.name for f in fields(WeightSchedule)), _REAL),
+    "acceptance": dict.fromkeys(
+        (f.name for f in fields(harness.AcceptanceThresholds)), _REAL),
+}
+_REQUIRED = ("schema", "horizon", "num_trials")
+_ERRORS = (AdleError, ValueError, TypeError, OverflowError)
+
+
+def _read(raw: dict, errors: list[str]) -> dict[str, dict | None]:
+    """Convert and check every key present.  Returns the values of each
+    section (``""`` is the top level); a section with an error is None."""
+    values = {}
+    for section, rows in (("", _TOP), *_SECTIONS.items()):
+        spec = raw.get(section) if section else raw
+        prefix, before = f"{section}." if section else "", len(errors)
+        if section == "model" and (spec is None or isinstance(spec, str)):
+            spec = {"preset": "example1" if spec is None else spec}
+        if not isinstance(spec, (dict, type(None))):
+            errors.append(f"{section}: expected a mapping, got {type(spec).__name__}")
+        spec = spec if isinstance(spec, dict) else {}
+        errors += [f"{prefix}{key}: unknown key" for key in spec
+                   if key not in rows and (section or key not in _SECTIONS)]
+        values[section] = converted = {}
+        for key, (convert, test, requirement) in rows.items():
+            if spec.get(key) is None:
+                if prefix + key in _REQUIRED:
+                    errors.append(f"{key}: missing")
+                continue
+            try:
+                value = spec[key] if convert is None else convert(spec[key])
+                if test is not None and not test(value):
+                    raise ValueError(f"{requirement}, got {value!r}")
+                converted[key] = value
+            except _ERRORS as exc:
+                errors.append(f"{prefix}{key}: {exc}")
+        if section and len(errors) > before:
+            values[section] = None
+    return values
+
+
+def _model(spec: dict) -> ObservationModel:
+    model = example1_model(**spec) if spec.pop("preset", None) else ObservationModel(**spec)
+    validate_observation_model(model)
+    return model
+
+
+def _topology(spec: dict, model: ObservationModel | None) -> TopologyModel | None:
+    edges = spec.pop("base", example1_graph().edges)
+    nodes = spec.pop("nodes", max((max(e) for e in edges), default=-1) + 1)
+    topology = TopologyModel(Graph(nodes, edges), **spec)
+    if model is None:  # node count and connectivity are checked against a valid model
+        return None
+    if nodes != model.num_agents:
+        raise ValueError(f"{nodes} nodes, but the model has {model.num_agents} agents")
+    validate_mean_connectivity(topology)
+    return topology
+
+
+def parse_config(path, overrides=None) -> ScenarioConfig:
     """Load and fully validate a scenario file.
 
+    ``overrides`` maps top-level keys to values that replace the file's
+    before validation, as ``--seed``, ``--trials`` and ``--horizon`` do.
     Raises :class:`ParseError` for unreadable or malformed YAML and
     :class:`ValidationError` carrying every validation failure at once.
     """
@@ -212,129 +196,52 @@ def parse_config(path) -> ScenarioConfig:
         raise ParseError("scenario file must contain a mapping", path=str(path))
 
     errors: list[str] = []
-    if raw.get("schema") != SCHEMA:
-        errors.append(f"schema: expected {SCHEMA!r}, got {raw.get('schema')!r}")
-    for key in set(raw) - _TOP_LEVEL_KEYS:
-        errors.append(f"unknown top-level key {key!r}")
+    values = _read({**raw, **(overrides or {})}, errors)
+    names = {f.name: f.default for f in fields(ScenarioConfig)}
+    settings = {name: d for name, d in names.items() if d is not MISSING}
+    for section in ("", "checkpoints", "init"):
+        for key, value in (values[section] or {}).items():
+            name = "checkpoint_start" if key == "start" else f"{section}_{key}" if section else key
+            if name in names:
+                settings[name] = value
 
-    require_efficiency = _flag(raw, "require_efficiency", True, errors)
-    model = _build_model(raw.get("model", "example1"), errors)
-    topology = _build_topology(raw.get("topology", {}), errors)
-    schedule = _build_schedule(raw.get("schedule"), require_efficiency, errors)
-
-    if model is not None:
+    def build(section, make):
         try:
-            validate_observation_model(model)
-        except AdleError as exc:
-            errors.append(f"model: {exc}")
-    if topology is not None:
-        try:
-            validate_mean_connectivity(topology)
-        except AdleError as exc:
-            errors.append(f"topology: {exc}")
+            return None if values[section] is None else make(dict(values[section]))
+        except _ERRORS as exc:
+            errors.append(f"{section}: {exc}")
+            return None
 
-    cap = _flag(raw, "cap_consensus_weight", False, errors)
-    if cap and topology is not None and schedule is not None:
-        max_degree = int(topology.base.degrees().max())
+    model = settings["model"] = build("model", _model)
+    top = settings["topology"] = build("topology", lambda spec: _topology(spec, model))
+    schedule = build("schedule", lambda spec: validate_schedule(
+        WeightSchedule(**spec), require_efficiency=settings["require_efficiency"]))
+    if schedule is not None and top is not None and settings["cap_consensus_weight"]:
+        max_degree = int(top.base.degrees().max())
         if max_degree > 0 and schedule.b > 1.0 / max_degree:
-            schedule = dataclasses.replace(schedule, b=1.0 / max_degree)
-
-    horizon = _positive_int(raw.get("horizon", 0), "horizon", errors)
-    num_trials = _positive_int(raw.get("num_trials", 0), "num_trials", errors)
-    master_seed = _positive_int(raw.get("master_seed", 0), "master_seed", errors, minimum=0)
-
-    checkpoints = raw.get("checkpoints") or {}
-    if not isinstance(checkpoints, dict) or set(checkpoints) - {"start", "per_decade"}:
-        errors.append("checkpoints: expected a mapping with keys start/per_decade")
-        checkpoints = {}
-    start = _positive_int(checkpoints.get("start", 10), "checkpoints.start", errors)
-    per_decade = _positive_int(checkpoints.get("per_decade", 8), "checkpoints.per_decade", errors)
-    if horizon is not None and start is not None and horizon < start:
-        errors.append(f"horizon: {horizon} ends before the first checkpoint {start}")
-
-    parallelism = _positive_int(raw.get("parallelism", 1), "parallelism", errors, minimum=0)
-    fit_window = _real(raw.get("fit_window", 0.4), "fit_window", errors)
-    if fit_window is not None and not 0.0 < fit_window <= 1.0:
-        errors.append(f"fit_window: must lie in (0, 1], got {fit_window}")
-
-    init = raw.get("init") or {}
-    if not isinstance(init, dict) or set(init) - {"estimate", "grammian", "sample_cov"}:
-        errors.append("init: expected a mapping with keys estimate/grammian/sample_cov")
-        init = {}
-    init_values = {}
-    for key, value in init.items():
-        if value is not None:
-            try:
-                init_values[key] = np.asarray(value, dtype=float)
-            except (ValueError, TypeError) as exc:
-                errors.append(f"init.{key}: {exc}")
-    if model is not None and init_values:
-        try:
-            initial_network_state(model, **init_values)
-        except ValueError as exc:
-            errors.append(f"init: {exc}")
-
-    run_ks_test = _flag(raw, "run_ks_test", False, errors)
-
-    acceptance_raw = raw.get("acceptance") or {}
-    thresholds = harness.AcceptanceThresholds()
-    known = {f.name for f in dataclasses.fields(harness.AcceptanceThresholds)}
-    if not isinstance(acceptance_raw, dict):
-        errors.append("acceptance: expected a mapping of thresholds")
-    elif set(acceptance_raw) - known:
-        errors.append(f"acceptance: unknown keys {sorted(set(acceptance_raw) - known)}")
-    else:
-        values = {k: _real(v, f"acceptance.{k}", errors) for k, v in acceptance_raw.items()}
-        if None not in values.values():
-            thresholds = harness.AcceptanceThresholds(**values)
-
+            schedule = replace(schedule, b=1.0 / max_degree)
+    settings["schedule"] = schedule
+    settings["acceptance"] = build("acceptance", lambda spec: harness.AcceptanceThresholds(**spec))
+    if model is not None and values["init"]:
+        build("init", lambda spec: initial_network_state(model, **spec))
+    if "horizon" in settings and settings["horizon"] < settings["checkpoint_start"]:
+        errors.append(f"horizon: {settings['horizon']} ends before the first checkpoint "
+                      f"{settings['checkpoint_start']}")
     if errors:
         raise ValidationError(errors)
-
-    return ScenarioConfig(
-        model=model,
-        topology=topology,
-        schedule=schedule,
-        horizon=horizon,
-        num_trials=num_trials,
-        master_seed=master_seed,
-        checkpoint_start=start,
-        checkpoints_per_decade=per_decade,
-        output_dir=raw.get("output_dir"),
-        require_efficiency=require_efficiency,
-        run_ks_test=run_ks_test,
-        parallelism=parallelism,
-        fit_window=fit_window,
-        cap_consensus_weight=cap,
-        init_estimate=init_values.get("estimate"),
-        init_grammian=init_values.get("grammian"),
-        init_sample_cov=init_values.get("sample_cov"),
-        acceptance=thresholds,
-    )
-
-
-class _Parser(argparse.ArgumentParser):
-    # bad flags exit 1 (not argparse's default 2), with usage on stderr
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+    return ScenarioConfig(**settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="adle",
-        description="Run distributed-estimation Monte Carlo experiments from a scenario file.",
-    )
+    parser = argparse.ArgumentParser(prog="adle", description=(
+        "Run distributed-estimation Monte Carlo experiments from a scenario file."))
     parser.add_argument("--config", required=True, help="path to the scenario YAML file")
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--trials", type=int, help="override the number of trials")
     parser.add_argument("--horizon", type=int, help="override the horizon")
     parser.add_argument("--out", help="output directory (else $ADLE_OUT_DIR, else config)")
-    parser.add_argument(
-        "--validate-only", action="store_true",
-        help="validate the scenario, print its key derived quantities, and exit",
-    )
+    parser.add_argument("--validate-only", action="store_true",
+                        help="validate the scenario, print its key derived quantities, and exit")
     return parser
 
 
@@ -342,30 +249,18 @@ def main(argv=None) -> int:
     """Entry point; returns the process exit status."""
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # bad flags exit 1, not argparse's 2
+        return 1 if exc.code else 0
 
+    flags = {"master_seed": args.seed, "num_trials": args.trials, "horizon": args.horizon}
     try:
-        config = parse_config(args.config)
+        config = parse_config(args.config, {k: v for k, v in flags.items() if v is not None})
     except AdleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.trials is not None:
-        overrides["num_trials"] = args.trials
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    if config.num_trials < 1 or config.horizon < config.checkpoint_start:
-        print("error: overrides left an unrunnable configuration", file=sys.stderr)
-        return 1
-
-    summary = validate_observation_model(config.model)
     if args.validate_only:
+        summary = validate_observation_model(config.model)
         print(f"configuration OK (schema {SCHEMA})")
         print(f"mean-Laplacian Fiedler value: {fiedler_value(mean_laplacian(config.topology)):.6g}")
         print(f"schedule separation slack: {config.schedule.separation_slack:.6g}")
@@ -375,10 +270,8 @@ def main(argv=None) -> int:
 
     outdir = args.out or os.environ.get("ADLE_OUT_DIR") or config.output_dir or "adle-out"
     try:
-        print(
-            f"running {config.num_trials} trials to horizon {config.horizon} "
-            f"(seed {config.master_seed}, parallelism {config.parallelism or 'auto'})"
-        )
+        print(f"running {config.num_trials} trials to horizon {config.horizon} "
+              f"(seed {config.master_seed}, parallelism {config.parallelism or 'auto'})")
         report = harness.run_experiment(config)
         stats = harness.write_report(report, outdir, config.acceptance)
     except (AdleError, ValueError, OSError) as exc:
@@ -387,8 +280,8 @@ def main(argv=None) -> int:
 
     width = max(len(s.name) for s in stats)
     for stat in stats:
-        verdict = "PASS" if stat.passed else "FAIL"
-        print(f"  {stat.name:<{width}}  {stat.value:>12.6g}  {stat.requirement:<22} {verdict}")
+        print(f"  {stat.name:<{width}}  {stat.value:>12.6g}  {stat.requirement:<22} "
+              f"{'PASS' if stat.passed else 'FAIL'}")
     print(f"report written to {outdir}")
     failed = [s for s in stats if s.gating and not s.passed]
     if failed:

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ObservationModel
+from .errors import NotPositiveDefinite
+from .model import ObservationModel, _psd_factor
 
 
 @dataclass
@@ -78,6 +79,7 @@ def initial_network_state(
     ``estimate`` (length M) and ``grammian`` (M x M) are applied to every
     agent; ``sample_cov`` may be a scalar ``c`` (meaning ``c I``) or a
     square matrix shared by all agents of equal observation dimension.
+    Raises ``ValueError`` unless both are symmetric positive semidefinite.
     """
     stacked = model._stacked
     n, m, mx = model.num_agents, model.param_dim, stacked.max_dim
@@ -88,6 +90,12 @@ def initial_network_state(
         q_arr = np.asarray(sample_cov, dtype=float)
         for i, d in enumerate(model.obs_dims):
             q0[i, :d, :d] = q_arr * np.eye(d) if q_arr.ndim == 0 else q_arr.reshape(d, d)
+    for name, given, mats in (("grammian", grammian, (g0,)), ("sample_cov", sample_cov, q0)):
+        try:
+            for mat in mats if given is not None else ():
+                _psd_factor(0, mat)
+        except NotPositiveDefinite:
+            raise ValueError(f"{name} must be symmetric positive semidefinite") from None
     return NetworkState(
         estimates=np.tile(x0, (n, 1)),
         grammians=np.tile(g0, (n, 1, 1)),

@@ -34,6 +34,8 @@ def _as_matrix(value, name: str) -> np.ndarray:
     mat = np.atleast_2d(np.asarray(value, dtype=float))
     if mat.ndim != 2:
         raise ValueError(f"{name} must be a matrix, got ndim={mat.ndim}")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} has a non-finite entry")
     return mat
 
 
@@ -42,6 +44,20 @@ def _check_symmetric(agent: int, cov: np.ndarray) -> None:
     gap = float(np.max(np.abs(cov - cov.T), initial=0.0))
     if gap > 1e-12 * max(float(np.max(np.abs(cov), initial=0.0)), 1.0):
         raise NotPositiveDefinite(agent, float("nan"), "matrix is not symmetric")
+
+
+def _psd_factor(agent: int, cov: np.ndarray) -> np.ndarray:
+    """A factor F with F @ F.T equal to ``cov``; raises
+    :class:`NotPositiveDefinite` unless ``cov`` is symmetric positive
+    semidefinite (eigenvalues down to -1e-8 of the largest count as 0)."""
+    _check_symmetric(agent, cov)
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(cov)
+        if w[0] < -1e-8 * max(w[-1], 1.0):
+            raise NotPositiveDefinite(agent, float(w[0]), "negative eigenvalue") from None
+        return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +77,7 @@ class ObservationModel:
     def __post_init__(self):
         sensing = tuple(_as_matrix(h, f"sensing[{n}]") for n, h in enumerate(self.sensing))
         noise_cov = tuple(_as_matrix(r, f"noise_cov[{n}]") for n, r in enumerate(self.noise_cov))
-        theta = np.asarray(self.true_param, dtype=float).reshape(-1)
+        theta = _as_matrix(self.true_param, "true_param").reshape(-1)
         if len(sensing) == 0:
             raise ValueError("need at least one agent")
         if len(sensing) != len(noise_cov):
@@ -69,6 +85,8 @@ class ObservationModel:
                 f"{len(sensing)} sensing matrices but {len(noise_cov)} noise covariances"
             )
         m = sensing[0].shape[1]
+        if m == 0:
+            raise ValueError("sensing[0] has no columns")
         for n, (h, r) in enumerate(zip(sensing, noise_cov)):
             if h.shape[1] != m:
                 raise ValueError(f"sensing[{n}] has {h.shape[1]} columns, expected {m}")
@@ -106,19 +124,10 @@ class ObservationModel:
         yields exactly noiseless observations, useful in tests); strict
         positive definiteness is enforced only by model validation.
         """
-        factors = []
-        for n, r in enumerate(self.noise_cov):
-            _check_symmetric(n, r)
-            try:
-                factor = np.linalg.cholesky(r)
-            except np.linalg.LinAlgError:
-                w, v = np.linalg.eigh(r)
-                if w[0] < -1e-8 * max(w[-1], 1.0):
-                    raise NotPositiveDefinite(n, float(w[0]), "negative eigenvalue") from None
-                factor = v * np.sqrt(np.clip(w, 0.0, None))
+        factors = tuple(_psd_factor(n, r) for n, r in enumerate(self.noise_cov))
+        for factor in factors:
             factor.setflags(write=False)
-            factors.append(factor)
-        return tuple(factors)
+        return factors
 
     @cached_property
     def _centralized(self) -> "CentralizedSummary":

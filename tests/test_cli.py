@@ -6,11 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import adle
 from adle import harness
 from adle.cli import ScenarioConfig, example1_graph, main, parse_config
 from adle.errors import ParseError, ValidationError
+
+
+#: An explicit two-agent model on the edge [0, 1].
+TWO_AGENTS = {"sensing": [[[1.0, 0.0]], [[0.0, 1.0]]], "noise_cov": [[[2.0]], [[1.0]]],
+              "true_param": [1.0, 2.0]}
 
 
 def write_scenario(tmp_path, name="scenario.yaml", **overrides):
@@ -248,10 +255,39 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
         ({"require_efficiency": "no"}, "require_efficiency: must be true or false, got 'no'"),
         ({"cap_consensus_weight": "false"},
          "cap_consensus_weight: must be true or false, got 'false'"),
+        ({"schedule": {"gamma0": float("inf")}}, "schedule.gamma0: must be finite, got inf"),
+        ({"init": {"estimate": [float("nan"), 0.0, 0.0, 0.0, 0.0]}},
+         "init.estimate: must be finite, got [nan, 0.0, 0.0, 0.0, 0.0]"),
+        ({"acceptance": {"efficiency_tol": float("nan")}},
+         "acceptance.efficiency_tol: must be finite, got nan"),
+        ({"model": {**TWO_AGENTS, "sensing": [[[float("nan"), 0.0]], [[0.0, 1.0]]]}},
+         "model: sensing[0] has a non-finite entry"),
+        ({"model": {**TWO_AGENTS, "noise_cov": [[[float("nan")]], [[1.0]]]}},
+         "model: noise_cov[0] has a non-finite entry"),
+        ({"model": {**TWO_AGENTS, "true_param": [float("inf"), 0.0]}},
+         "model: true_param has a non-finite entry"),
+        ({"topology": {"base": [[0, float("inf")]]}}, "topology.base: must be an integer, got inf"),
+        ({"topology": {"base": [[0, 1.7]]}}, "topology.base: must be an integer, got 1.7"),
+        ({"topology": {"base": [{"a": 1}]}}, "topology.base: must be 'example1' or a list"),
+        ({"topology": {"base": [[0, 1], [1, 2]]}}, "topology: 3 nodes, but the model has 5"),
+        ({"output_dir": ["a", "b"]}, "output_dir: must be a string, got ['a', 'b']"),
+        ({"init": {"sample_cov": -5}}, "init: sample_cov must be symmetric positive semidefinite"),
+        ({"init": {"grammian": np.diag([1.0, 1.0, -1.0, 1.0, 1.0]).tolist()}},
+         "init: grammian must be symmetric positive semidefinite"),
+        ({"init": {"grammian": (np.eye(5) + np.eye(5, k=1)).tolist()}},
+         "init: grammian must be symmetric positive semidefinite"),
+        ({"model": {"preset": "example1", "foo": 1}}, "model.foo: unknown key"),
+        ({"model": {"sensing": [[[]]], "noise_cov": [[[1.0]]], "true_param": []},
+          "topology": {"base": [], "nodes": 1}}, "model: sensing[0] has no columns"),
     ],
     ids=["fit_window_abc", "acceptance_tol_x", "checkpoints_int", "horizon_true", "horizon_2_7",
          "num_trials_true", "init_estimate_length", "run_ks_test_quoted_false",
-         "require_efficiency_quoted_no", "cap_consensus_weight_quoted_false"],
+         "require_efficiency_quoted_no", "cap_consensus_weight_quoted_false",
+         "schedule_gamma0_inf", "init_estimate_nan", "acceptance_tol_nan", "model_sensing_nan",
+         "model_noise_cov_nan", "model_true_param_inf", "topology_edge_inf",
+         "topology_edge_fraction", "topology_edge_mapping", "topology_node_count",
+         "output_dir_list", "init_sample_cov_negative", "init_grammian_indefinite",
+         "init_grammian_asymmetric", "model_preset_unknown_key", "model_no_columns"],
 )
 def test_malformed_value_is_a_collected_validation_error(tmp_path, capsys, override, message):
     path = write_scenario(tmp_path, **override)
@@ -261,3 +297,78 @@ def test_malformed_value_is_a_collected_validation_error(tmp_path, capsys, overr
     assert main(["--config", str(path), "--validate-only"]) == 1
     err = capsys.readouterr().err
     assert "invalid scenario configuration" in err and message in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "master_seed: must be >= 0, got -1"),
+    (["--trials", "0"], "num_trials: must be >= 1, got 0"),
+    (["--horizon", "5"], "horizon: 5 ends before the first checkpoint 10"),
+], ids=["seed", "trials", "horizon"])
+@pytest.mark.parametrize("validate_only", [True, False], ids=["validate_only", "run"])
+def test_overrides_are_validated_with_the_file(tmp_path, capsys, flags, message, validate_only):
+    path = write_scenario(tmp_path, horizon=200, num_trials=4)
+    argv = ["--config", str(path), "--out", str(tmp_path / "out"), *flags]
+    assert main(argv + ["--validate-only"] * validate_only) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid scenario configuration" in err and message in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValidationError, match=message):
+        parse_config(path, {"master_seed": -1, "num_trials": 0, "horizon": 5})
+
+
+def test_a_list_output_dir_is_rejected_before_the_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ADLE_OUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", str(write_scenario(tmp_path, output_dir=["a", "b"]))]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "output_dir: must be a string" in err
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "demos" / "scenarios")
+                                        .glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_scenarios_validate(path, capsys):
+    assert main(["--config", str(path), "--validate-only"]) == 0
+    assert "configuration OK" in capsys.readouterr().out
+
+
+#: Every key of a scenario: the top-level keys, then ``section.key``.
+SCENARIO_KEYS = [
+    "schema", "model", "topology", "schedule", "horizon", "num_trials", "master_seed",
+    "checkpoints", "output_dir", "require_efficiency", "run_ks_test", "parallelism",
+    "fit_window", "cap_consensus_weight", "init", "acceptance",
+    "model.preset", "model.sensing", "model.noise_cov", "model.true_param", "model.noise",
+    "topology.base", "topology.nodes", "topology.law", "topology.p",
+    *(f"schedule.{k}" for k in ("a", "b", "tau1", "tau2", "gamma0", "tau_gamma", "eps1")),
+    "checkpoints.start", "checkpoints.per_decade",
+    "init.estimate", "init.grammian", "init.sample_cov",
+    *(f"acceptance.{k}" for k in (
+        "efficiency_tol", "consistency_slope_min", "consistency_slope_max",
+        "disagreement_slope_max", "disagreement_error_ratio_max", "gain_rel_tol",
+        "gain_pass_fraction_min", "ks_significance")),
+]
+YAML_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+YAML_VALUES = st.recursive(
+    YAML_SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(SCENARIO_KEYS), value=YAML_VALUES)
+def test_any_value_of_any_key_validates_or_is_rejected(tmp_path, key, value):
+    doc = yaml.safe_load(write_scenario(tmp_path).read_text())
+    section, _, name = key.rpartition(".")
+    if section:
+        spec = doc.get(section)
+        doc[section] = {"preset": spec} if isinstance(spec, str) else dict(spec or {})
+        doc[section][name] = value
+    else:
+        doc[key] = value
+    path = tmp_path / "mutated.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["--config", str(path), "--validate-only"]) in (0, 1)
