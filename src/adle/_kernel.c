@@ -2,8 +2,9 @@
  * ``estimator._advance`` plus the moment update, for a whole bank of
  * trials over one segment of a draw block.
  *
- * Every array is C-contiguous float64 (int64 for edges and gossip picks)
- * with the shapes the Python loader checks; this file trusts them.
+ * Every array is C-contiguous float64 (int64 for edges, one byte per
+ * flag for active) with the shapes the Python loader checks; this file
+ * trusts them.
  *
  *   x         (bank, n, m)         estimates, updated in place
  *   g         (bank, n, m, m)      Grammians, updated in place
@@ -15,8 +16,7 @@
  *   obs       (bank, steps, n, mx) observations of the draw block
  *   w         (3, steps)           alpha, beta, gamma of each block step
  *   edges     (num_edges, 2)       base-graph edges
- *   uniforms  (bank, steps, num_edges)  Bernoulli link draws (law 1)
- *   picks     (bank, steps)        gossip edge indices (law 2)
+ *   active    (bank, steps, num_edges)  active-edge masks; NULL: all active
  *   failure   (2,)                 trial and step of a singular gain solve
  *
  * Trials are the outer loop and steps the inner one, so one trial's
@@ -31,7 +31,6 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { LAW_STATIC = 0, LAW_BERNOULLI = 1, LAW_GOSSIP = 2 };
 enum { OK = 0, SINGULAR = 1, NO_MEMORY = 2 };
 
 /* Solve a z = b for k right-hand sides by LU with partial pivoting, as
@@ -175,8 +174,7 @@ int adle_advance_bank(int64_t bank, int64_t n, int64_t m, int64_t mx, int64_t st
                       int64_t start, int64_t stop, int64_t count,
                       double *x, double *g, double *shift, double *sums, double *outer,
                       const double *q0, const double *h, const double *obs, const double *w,
-                      int64_t law, int64_t num_edges, const int64_t *edges,
-                      const double *uniforms, double p, const int64_t *picks,
+                      int64_t num_edges, const int64_t *edges, const uint8_t *active,
                       int64_t *failure)
 {
     const int64_t mm = m * m;
@@ -216,19 +214,12 @@ int adle_advance_bank(int64_t bank, int64_t n, int64_t m, int64_t mx, int64_t st
 
             memset(cx, 0, (size_t)(n * m) * sizeof(double));
             memset(cg, 0, (size_t)(n * mm) * sizeof(double));
-            if (law == LAW_GOSSIP) {
-                const int64_t *e = edges + 2 * picks[r * steps + s];
-                edge_sums(m, e[0], e[1], xr, cx);
-                edge_sums(mm, e[0], e[1], gr, cg);
-            } else {
-                const double *u =
-                    law == LAW_BERNOULLI ? uniforms + (r * steps + s) * num_edges : NULL;
-                for (int64_t k = 0; k < num_edges; k++) {
-                    if (u != NULL && !(u[k] < p))
-                        continue;
-                    edge_sums(m, edges[2 * k], edges[2 * k + 1], xr, cx);
-                    edge_sums(mm, edges[2 * k], edges[2 * k + 1], gr, cg);
-                }
+            const uint8_t *on = active != NULL ? active + (r * steps + s) * num_edges : NULL;
+            for (int64_t k = 0; k < num_edges; k++) {
+                if (on != NULL && !on[k])
+                    continue;
+                edge_sums(m, edges[2 * k], edges[2 * k + 1], xr, cx);
+                edge_sums(mm, edges[2 * k], edges[2 * k + 1], gr, cg);
             }
 
             for (int64_t q = 0; q < n * m; q++)

@@ -33,8 +33,6 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 #: one architecture.
 COMPILE = ("gcc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-_LAWS = {"static": 0, "bernoulli": 1, "gossip": 2}
-
 _log = logging.getLogger(__name__)
 
 
@@ -87,15 +85,14 @@ class BankKernel:
             [i64] * 8
             + [_array(f64, writable=True)] * 5
             + [_array(f64)] * 4
-            + [i64, i64, _array(np.int64), _array(f64), ctypes.c_double, _array(np.int64),
-               _array(np.int64, writable=True)]
+            + [i64, _array(np.int64), ctypes.c_void_p, _array(np.int64, writable=True)]
         )
         fn.restype = ctypes.c_int
         self._lib = lib
         self._fn = fn
 
     def advance(self, estimates, grammians, shifts, sums, outer_sums, count: int, q0, sensing,
-                observations, start: int, stop: int, weights, top: TopologyModel, draws) -> None:
+                observations, start: int, stop: int, weights, top: TopologyModel, active) -> None:
         """Advance the bank through block steps ``start..stop-1`` in place.
 
         ``estimates`` (R, N, M), ``grammians`` (R, N, M, M) and the moments
@@ -103,11 +100,13 @@ class BankKernel:
         (R, N, max_dim, max_dim) are updated; ``count`` observations have
         been folded into the moments before ``start``.  ``observations``
         is the (R, S, N, max_dim) block, ``weights`` the (3, S) alpha,
-        beta and gamma of its steps, and ``draws`` the topology block of
-        ``harness._draw_topology_block``.  A zero pivot in a gain solve
-        raises :class:`TrialDiverged` naming the earliest step it met
-        (``count`` plus its offset from ``start``) and the first trial,
-        by its place in the bank, that met it there.
+        beta and gamma of its steps, and ``active`` the bool (R, S, E)
+        active-edge masks of ``harness._draw_topology_block`` over the
+        edges ``top.edge_array``, or ``None`` when every edge is active
+        at every step.  A zero pivot in a gain solve raises
+        :class:`TrialDiverged` naming the earliest step it met (``count``
+        plus its offset from ``start``) and the first trial, by its place
+        in the bank, that met it there.
         """
         bank, n, m = _shape_of(estimates, "estimates", 3)
         mx = _shape_of(sensing, "sensing", 3)[1]
@@ -132,27 +131,17 @@ class BankKernel:
             raise ValueError(f"segment [{start}, {stop}) outside a block of {steps} steps")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-
-        edges = np.array(top.base.edges, dtype=np.int64).reshape(-1, 2)
-        num_edges = edges.shape[0]
         if top.base.num_nodes != n:
             raise ValueError(f"topology has {top.base.num_nodes} nodes, state has {n} agents")
-        uniforms = np.empty(0)
-        picks = np.empty(0, dtype=np.int64)
-        if top.law == "bernoulli":
-            uniforms = _check(draws, "draws", np.float64, (bank, steps, num_edges))
-        elif top.law == "gossip":
-            picks = _check(draws, "draws", np.int64, (bank, steps))
-            window = picks[:, start:stop]
-            if window.size and (window.min() < 0 or window.max() >= num_edges):
-                raise ValueError(f"gossip edge index outside [0, {num_edges})")
+        if active is not None:
+            _check(active, "active", np.bool_, (bank, steps, top.base.num_edges))
 
         failure = np.zeros(2, dtype=np.int64)
         status = self._fn(bank, n, m, mx, steps, start, stop, count,
                           estimates, grammians, shifts, sums, outer_sums,
                           q0, sensing, observations, weights,
-                          _LAWS[top.law], num_edges, edges, uniforms, float(top.p), picks,
-                          failure)
+                          top.base.num_edges, top.edge_array,
+                          None if active is None else active.ctypes.data, failure)
         if status == 1:
             raise TrialDiverged(int(failure[0]), int(failure[1]), TrialDiverged.SINGULAR)
         if status != 0:

@@ -227,6 +227,9 @@ def parse_config(path, overrides=None) -> ScenarioConfig:
     if "horizon" in settings and settings["horizon"] < settings["checkpoint_start"]:
         errors.append(f"horizon: {settings['horizon']} ends before the first checkpoint "
                       f"{settings['checkpoint_start']}")
+    if "horizon" in settings and settings["checkpoints_per_decade"] > settings["horizon"]:
+        errors.append(f"checkpoints.per_decade: {settings['checkpoints_per_decade']} exceeds "
+                      f"the horizon {settings['horizon']}")
     if errors:
         raise ValidationError(errors)
     return ScenarioConfig(**settings)

@@ -119,28 +119,19 @@ class StatResult:
 
 
 def _draw_topology_block(top: TopologyModel, rngs, steps: int):
-    """Per-trial topology randomness for a block of steps, in trial order."""
-    if top.law == "static":
-        return None
-    if top.law == "bernoulli":
-        return np.stack([rng.random((steps, top.base.num_edges)) for rng in rngs])
-    return np.stack([rng.integers(0, top.base.num_edges, size=steps) for rng in rngs])
+    """Per-trial active-edge masks for a block of steps, bool (R, steps, E)
+    in trial order; ``None`` when every edge is always active."""
+    masks = [top.draw_active(rng, steps) for rng in rngs]
+    return None if masks[0] is None else np.stack(masks)
 
 
-def _laplacian_at(top: TopologyModel, block_draws, s: int):
+def _laplacian_at(top: TopologyModel, active, s: int):
     """Sampled Laplacians for step ``s`` of a block: (R, N, N) or shared (N, N)."""
-    if top.law == "static":
-        return top.base_laplacian
-    if top.law == "bernoulli":
-        mask = (block_draws[:, s] < top.p).astype(float)
-        n = top.base.num_nodes
-        flat = top.edge_laplacians.reshape(top.base.num_edges, n * n)
-        return (mask @ flat).reshape(-1, n, n)
-    return top.edge_laplacians[block_draws[:, s]]
+    return top.laplacians(None if active is None else active[:, s])
 
 
 def _advance(kernel, state: NetworkState, sensing, observations, start: int, stop: int,
-             weights, top: TopologyModel, draws) -> None:
+             weights, top: TopologyModel, active) -> None:
     """Advance a bank through block steps ``start..stop-1`` in place,
     ``state.step`` included.
 
@@ -153,11 +144,11 @@ def _advance(kernel, state: NetworkState, sensing, observations, start: int, sto
     q0 = state.initial_sample_covs
     if kernel is not None:
         kernel.advance(x, g, shifts, sums, outer, state.step, q0, sensing, observations,
-                       start, stop, weights, top, draws)
+                       start, stop, weights, top, active)
         state.step += stop - start
         return
     for s in range(start, stop):
-        y, lap, count = observations[:, s], _laplacian_at(top, draws, s), state.step
+        y, lap, count = observations[:, s], _laplacian_at(top, active, s), state.step
         x[...], g[...] = _naming_singular(count, len(x), lambda pick: estimator._advance(
             x[pick], g[pick], sums[pick], outer[pick], count, q0, sensing,
             lap if lap.ndim == 2 else lap[pick], y[pick], *weights[:, s]))
@@ -243,8 +234,8 @@ def trajectory(
     while state.step < horizon:
         block_start = state.step
         steps = min(BLOCK_STEPS, horizon - block_start)
-        topo_draws = obs_block = None  # free the previous block before drawing the next
-        topo_draws = _draw_topology_block(top, rngs, steps)
+        active = obs_block = None  # free the previous block before drawing the next
+        active = _draw_topology_block(top, rngs, steps)
         noise = np.stack(
             [_unit_variance_draws(rng, model.noise, (steps, n, mx)) for rng in rngs]
         )
@@ -254,7 +245,7 @@ def trajectory(
         while state.step < block_start + steps:
             stop = min(block_start + steps, int(grid[pointer]))
             _advance(kernel, state, stacked.sensing, obs_block, state.step - block_start,
-                     stop - block_start, weights, top, topo_draws)
+                     stop - block_start, weights, top, active)
             if state.step == grid[pointer]:
                 yield state.step, state
                 pointer += 1

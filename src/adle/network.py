@@ -9,6 +9,10 @@ three supported laws are
   probability ``p``,
 * ``gossip`` -- exactly one base edge, chosen uniformly, is active.
 
+The law is read here only: :meth:`TopologyModel.draw_active` turns a
+random stream into per-step active-edge masks, which are all that the
+sampled Laplacians, the numpy round and the compiled kernel see.
+
 The quantity that matters for convergence is not per-step connectivity
 but the algebraic connectivity (Fiedler value) of the *mean* Laplacian:
 under the gossip law no single sample is connected for more than two
@@ -58,11 +62,7 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=int)
-        for n, l in self.edges:
-            deg[n] += 1
-            deg[l] += 1
-        return deg
+        return np.bincount(np.array(self.edges, dtype=int).ravel(), minlength=self.num_nodes)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -84,12 +84,9 @@ def complete_graph(n: int) -> Graph:
 
 def laplacian_of(graph: Graph) -> np.ndarray:
     """Graph Laplacian ``L = D - A`` as a dense float array."""
-    lap = np.zeros((graph.num_nodes, graph.num_nodes))
+    lap = np.diag(graph.degrees().astype(float))
     for n, l in graph.edges:
-        lap[n, n] += 1.0
-        lap[l, l] += 1.0
-        lap[n, l] -= 1.0
-        lap[l, n] -= 1.0
+        lap[n, l] = lap[l, n] = -1.0
     return lap
 
 
@@ -139,6 +136,32 @@ class TopologyModel:
         stack.setflags(write=False)
         return stack
 
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The base edges as a read-only int64 array, shape (E, 2)."""
+        edges = np.array(self.base.edges, dtype=np.int64).reshape(-1, 2)
+        edges.setflags(write=False)
+        return edges
+
+    def draw_active(self, rng: np.random.Generator, steps: int) -> np.ndarray | None:
+        """Active-edge masks of ``steps`` i.i.d. link draws, bool (steps, E);
+        ``None`` under the ``static`` law, which draws nothing."""
+        num_edges = self.base.num_edges
+        if self.law == "static":
+            return None
+        if self.law == "bernoulli":
+            return rng.random((steps, num_edges)) < self.p
+        return rng.integers(0, num_edges, size=(steps, 1)) == np.arange(num_edges)
+
+    def laplacians(self, active: np.ndarray | None) -> np.ndarray:
+        """Laplacians of active-edge masks, (..., E) to (..., N, N); ``None``
+        (every edge active) gives the shared, read-only base Laplacian."""
+        if active is None:
+            return self.base_laplacian
+        n = self.base.num_nodes
+        flat = self.edge_laplacians.reshape(self.base.num_edges, n * n)
+        return (active.astype(float) @ flat).reshape(*active.shape[:-1], n, n)
+
 
 def mean_laplacian(top: TopologyModel) -> np.ndarray:
     """Exact expectation of the sampled Laplacian under the link law."""
@@ -159,15 +182,9 @@ def validate_mean_connectivity(top: TopologyModel) -> float:
 
 
 def sample_laplacian(top: TopologyModel, rng: np.random.Generator) -> np.ndarray:
-    """One i.i.d. draw of the communication Laplacian.
-
-    The returned array is read-only for the ``static`` and ``gossip`` laws
-    (it aliases cached storage); copy before mutating.
+    """One i.i.d. draw of the communication Laplacian, from a one-step
+    :meth:`TopologyModel.draw_active` mask.  Under the ``static`` law it is
+    the read-only base Laplacian (cached storage); copy before mutating.
     """
-    if top.law == "static":
-        return top.base_laplacian
-    if top.law == "bernoulli":
-        mask = rng.random(top.base.num_edges) < top.p
-        return np.tensordot(mask.astype(float), top.edge_laplacians, axes=1)
-    index = int(rng.integers(top.base.num_edges))
-    return top.edge_laplacians[index]
+    active = top.draw_active(rng, 1)
+    return top.laplacians(None if active is None else active[0])

@@ -111,6 +111,8 @@ def checkpoint_grid(horizon: int, start: int = 10, per_decade: int = 8) -> np.nd
     if per_decade < 1:
         raise ValueError("per_decade must be >= 1")
     ratio = 10.0 ** (1.0 / per_decade)
+    if ratio == 1.0:
+        raise ValueError(f"per_decade {per_decade} is too large: the grid ratio rounds to 1")
     points = []
     mark = float(start)
     while round(mark) < horizon:

@@ -5,7 +5,9 @@ Each test prints one ``ACCEPTANCE <name>: PASS/FAIL`` line (visible with
 Carlo runs are shared per module: the efficiency run (500 trials to
 horizon 50k), the long run (100 trials to horizon 100k, used by the
 consistency, agreement, and gain-learning checks), and the gossip run
-(500 trials to horizon 100k).  Budget: several minutes on one core.
+(500 trials to horizon 100k); the efficiency and gossip runs use two
+worker processes, which does not change their results.  Budget: several
+minutes on two cores.
 """
 
 import time
@@ -49,7 +51,7 @@ def last_decade_window(times) -> float:
 
 @pytest.fixture(scope="module")
 def efficiency_report():
-    return run_experiment(ring_config())
+    return run_experiment(ring_config(parallelism=2))
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +63,7 @@ def long_report():
 def gossip_report():
     return run_experiment(ring_config(
         topology=TopologyModel(example1_graph(), "gossip"),
-        horizon=100_000, num_trials=500, master_seed=20260812,
+        horizon=100_000, num_trials=500, master_seed=20260812, parallelism=2,
     ))
 
 

@@ -279,6 +279,8 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
         ({"model": {"preset": "example1", "foo": 1}}, "model.foo: unknown key"),
         ({"model": {"sensing": [[[]]], "noise_cov": [[[1.0]]], "true_param": []},
           "topology": {"base": [], "nodes": 1}}, "model: sensing[0] has no columns"),
+        ({"checkpoints": {"per_decade": 10**17}},
+         "checkpoints.per_decade: 100000000000000000 exceeds the horizon 200"),
     ],
     ids=["fit_window_abc", "acceptance_tol_x", "checkpoints_int", "horizon_true", "horizon_2_7",
          "num_trials_true", "init_estimate_length", "run_ks_test_quoted_false",
@@ -287,7 +289,8 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
          "model_noise_cov_nan", "model_true_param_inf", "topology_edge_inf",
          "topology_edge_fraction", "topology_edge_mapping", "topology_node_count",
          "output_dir_list", "init_sample_cov_negative", "init_grammian_indefinite",
-         "init_grammian_asymmetric", "model_preset_unknown_key", "model_no_columns"],
+         "init_grammian_asymmetric", "model_preset_unknown_key", "model_no_columns",
+         "checkpoints_per_decade_huge"],
 )
 def test_malformed_value_is_a_collected_validation_error(tmp_path, capsys, override, message):
     path = write_scenario(tmp_path, **override)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adle import harness
 from adle.errors import ScheduleViolation
 from adle.estimator import initial_network_state
 from adle.harness import run_trial, trajectory
@@ -267,22 +266,25 @@ def test_trajectory_step_matches_reference_round(case, ring_model, ring_schedule
     snapshots = [start] + [copy.deepcopy(state) for _, state in trajectory(
         model, top, schedule, steps, np.arange(1, steps + 1), seeds, init)]
 
-    # the same block draws, in the documented order, turned into per-agent
-    # neighbor sets and observations by hand
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    draws = harness._draw_topology_block(top, rngs, steps)
-    noise = np.stack([_unit_variance_draws(rng, model.noise, (steps, n, max(model.obs_dims)))
-                      for rng in rngs])
+    # each trial's stream read by hand in the documented order (the block's
+    # link draws, then its noise) and turned into neighbor sets and
+    # observations
     edges = top.base.edges
-    for r in range(trials):
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        if case == "bernoulli":
+            uniforms = rng.random((steps, len(edges)))
+        elif case == "gossip_ragged_init":
+            picks = rng.integers(0, len(edges), size=steps)
+        noise = _unit_variance_draws(rng, model.noise, (steps, n, max(model.obs_dims)))
         for t in range(steps):
-            if top.law == "static":
+            if case == "static":
                 active = edges
-            elif top.law == "bernoulli":
-                active = tuple(e for k, e in enumerate(edges) if draws[r, t, k] < top.p)
+            elif case == "bernoulli":
+                active = tuple(e for k, e in enumerate(edges) if uniforms[t, k] < top.p)
             else:
-                active = (edges[draws[r, t]],)
-            observations = [h @ model.true_param + f @ noise[r, t, a, : h.shape[0]]
+                active = (edges[picks[t]],)
+            observations = [h @ model.true_param + f @ noise[t, a, : h.shape[0]]
                             for a, (h, f) in enumerate(zip(model.sensing, model._noise_factors))]
             expected = reference_round(agents_of(snapshots[t], r), laplacian_of(Graph(n, active)),
                                        observations, model.sensing, schedule, t)

@@ -28,7 +28,14 @@ from adle.harness import (
     write_report,
 )
 from adle.model import ObservationModel, _unit_variance_draws
-from adle.network import Graph, TopologyModel, cycle_graph, path_graph
+from adle.network import (
+    Graph,
+    TopologyModel,
+    cycle_graph,
+    laplacian_of,
+    path_graph,
+    sample_laplacian,
+)
 from adle.schedule import WeightSchedule, recursion_trace
 from conftest import make_ragged_model
 
@@ -59,6 +66,12 @@ def test_checkpoint_grid_is_geometric_and_ends_at_horizon():
 def test_checkpoint_grid_rejects_short_horizon():
     with pytest.raises(ValueError):
         checkpoint_grid(5, start=10)
+
+
+def test_checkpoint_grid_rejects_a_ratio_that_rounds_to_one():
+    # 10 ** (1 / 10**17) is 1.0 in floating point: the grid would never grow
+    with pytest.raises(ValueError, match="per_decade"):
+        checkpoint_grid(100, 10, 10**17)
 
 
 # ----------------------------------------------------------------- trials
@@ -345,6 +358,60 @@ def test_previous_block_is_freed_before_the_next_is_drawn(
     peak(16)  # build and load the kernel outside the measurement
     one_block, two_blocks = peak(BLOCK_STEPS), peak(2 * BLOCK_STEPS)
     assert two_blocks <= 1.1 * one_block, (one_block, two_blocks)
+
+
+# ----------------------------------------------------------------- link draws
+
+
+DRAW_LAWS = {
+    "static": TopologyModel(cycle_graph(5), "static"),
+    "bernoulli": TopologyModel(cycle_graph(5), "bernoulli", 0.3),
+    "gossip": TopologyModel(cycle_graph(5), "gossip"),
+}
+
+
+@pytest.mark.parametrize("steps", [BLOCK_STEPS, 37], ids=["full_block", "short_block"])
+@pytest.mark.parametrize("law", sorted(DRAW_LAWS))
+def test_block_masks_are_the_link_draws_read_by_hand(law, steps):
+    top = DRAW_LAWS[law]
+    seeds = [np.random.SeedSequence((19, k)) for k in range(3)]
+    masks = harness._draw_topology_block(top, [np.random.default_rng(s) for s in seeds], steps)
+    if law == "static":
+        assert masks is None
+        return
+    expected = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        if law == "bernoulli":
+            expected.append(rng.random((steps, top.base.num_edges)) < top.p)
+        else:
+            picks = rng.integers(0, top.base.num_edges, size=steps)
+            expected.append(np.arange(top.base.num_edges) == picks[:, None])
+    assert masks.dtype == np.bool_ and np.array_equal(masks, np.stack(expected))
+    if law == "gossip":  # a one-hot mask gathers its edge's Laplacian bit for bit
+        picks = masks.argmax(axis=-1)
+        for s in (0, steps - 1):
+            gathered = top.edge_laplacians[picks[:, s]]
+            assert harness._laplacian_at(top, masks, s).tobytes() == gathered.tobytes()
+
+
+@pytest.mark.parametrize("law", sorted(DRAW_LAWS))
+def test_sample_laplacian_is_a_one_step_block(law):
+    top = DRAW_LAWS[law]
+    edges = top.base.edges
+    for seed in range(20):
+        one_step = harness._draw_topology_block(top, [np.random.default_rng(seed)], 1)
+        expected = harness._laplacian_at(top, one_step, 0).reshape(5, 5)
+        sampled = sample_laplacian(top, np.random.default_rng(seed))
+        assert np.array_equal(sampled, expected)
+        rng = np.random.default_rng(seed)  # one sample's draws, read by hand
+        if law == "static":
+            active = edges
+        elif law == "bernoulli":
+            active = tuple(e for e, u in zip(edges, rng.random(len(edges))) if u < top.p)
+        else:
+            active = (edges[rng.integers(len(edges))],)
+        assert np.array_equal(sampled, laplacian_of(Graph(5, active)))
 
 
 # ----------------------------------------------------------------- compiled kernel
