@@ -70,23 +70,14 @@ def _build() -> Path:
     return target
 
 
-def _array(dtype, writable: bool = False):
-    flags = ("C_CONTIGUOUS", "WRITEABLE") if writable else ("C_CONTIGUOUS",)
-    return np.ctypeslib.ndpointer(dtype=dtype, flags=flags)
-
-
 class BankKernel:
-    """The loaded library; :meth:`advance` checks every array before the call."""
+    """The loaded library; :meth:`advance` checks every array before the call,
+    which receives their data addresses."""
 
     def __init__(self, lib: ctypes.CDLL):
         fn = lib.adle_advance_bank
-        i64, f64 = ctypes.c_int64, np.float64
-        fn.argtypes = (
-            [i64] * 8
-            + [_array(f64, writable=True)] * 5
-            + [_array(f64)] * 4
-            + [i64, _array(np.int64), ctypes.c_void_p, _array(np.int64, writable=True)]
-        )
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        fn.argtypes = [i64] * 8 + [ptr] * 9 + [i64] + [ptr] * 3
         fn.restype = ctypes.c_int
         self._lib = lib
         self._fn = fn
@@ -111,7 +102,7 @@ class BankKernel:
         bank, n, m = _shape_of(estimates, "estimates", 3)
         mx = _shape_of(sensing, "sensing", 3)[1]
         steps = _shape_of(observations, "observations", 4)[1]
-        expected = {
+        expected = {  # in the kernel's argument order
             "estimates": (estimates, (bank, n, m)),
             "grammians": (grammians, (bank, n, m, m)),
             "shifts": (shifts, (bank, n, mx)),
@@ -138,10 +129,9 @@ class BankKernel:
 
         failure = np.zeros(2, dtype=np.int64)
         status = self._fn(bank, n, m, mx, steps, start, stop, count,
-                          estimates, grammians, shifts, sums, outer_sums,
-                          q0, sensing, observations, weights,
-                          top.base.num_edges, top.edge_array,
-                          None if active is None else active.ctypes.data, failure)
+                          *(arr.ctypes.data for arr, _ in expected.values()),
+                          top.base.num_edges, top.edge_array.ctypes.data,
+                          None if active is None else active.ctypes.data, failure.ctypes.data)
         if status == 1:
             raise TrialDiverged(int(failure[0]), int(failure[1]), TrialDiverged.SINGULAR)
         if status != 0:

@@ -25,7 +25,7 @@ from .errors import AdleError, ParseError, ValidationError
 from .estimator import initial_network_state
 from .model import ObservationModel, validate_observation_model
 from .network import Graph, TopologyModel, cycle_graph, mean_laplacian, fiedler_value, validate_mean_connectivity
-from .schedule import WeightSchedule, validate_schedule
+from .schedule import WeightSchedule, checkpoint_bound, validate_schedule
 
 SCHEMA = "adle-scenario/1"
 
@@ -230,6 +230,18 @@ def parse_config(path, overrides=None) -> ScenarioConfig:
     if "horizon" in settings and settings["checkpoints_per_decade"] > settings["horizon"]:
         errors.append(f"checkpoints.per_decade: {settings['checkpoints_per_decade']} exceeds "
                       f"the horizon {settings['horizon']}")
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # the size is unknown: no bound
+        memory = None
+    if model is not None and memory and {"horizon", "num_trials"} <= settings.keys():
+        trials, count = settings["num_trials"], checkpoint_bound(
+            settings["horizon"], settings["checkpoint_start"], settings["checkpoints_per_decade"])
+        need = trials * count * (model.num_agents + 3) * 8  # bytes of checkpoint records
+        if need > memory:
+            errors.append(f"checkpoints: {trials} trials x up to {count} checkpoints need "
+                          f"{need >> 20} MiB of records, more than the {memory >> 20} MiB "
+                          "of physical memory")
     if errors:
         raise ValidationError(errors)
     return ScenarioConfig(**settings)

@@ -260,10 +260,14 @@ def _run_bank(
     seeds,
     init: tuple | None = None,
     first_trial: int = 0,
-) -> list[TrialMetrics]:
-    """Run a bank of trials to the horizon; one TrialMetrics per seed.
+) -> tuple[np.ndarray, ...]:
+    """Run a bank of trials to the horizon, one per seed.
 
-    The diagnostics are taken at each step of ``grid`` along the
+    Returns arrays with a leading trial axis: the checkpoint records
+    ``disagreement`` (R, C), ``error_norms`` (R, C, N), ``gain_gap``
+    (R, C) and ``grammian_gap`` (R, C), then the terminal scaled errors
+    (R, N, M) and the scaled centralized baseline (R, M).  The
+    diagnostics are taken at each step of ``grid`` along the
     :func:`trajectory`.  A trial whose state or diagnostics are
     non-finite there, or whose gain solve meets a singular matrix,
     raises :class:`TrialDiverged`, naming it by ``first_trial`` plus its
@@ -292,20 +296,7 @@ def _run_bank(
     scaled_errors = math.sqrt(horizon + 1.0) * (state.estimates - model.true_param)
     baseline = centralized_estimate_from_means(model, state.obs_shifts + state.obs_sums / t)
     scaled_baseline = math.sqrt(t) * (baseline - model.true_param)
-    disagreement, error_norms, gain_gap, grammian_gap = records
-    return [
-        TrialMetrics(
-            times=grid.copy(),
-            disagreement=disagreement[r].copy(),
-            error_norms=error_norms[r].copy(),
-            gain_gap=gain_gap[r].copy(),
-            grammian_gap=grammian_gap[r].copy(),
-            terminal_scaled_errors=scaled_errors[r].copy(),
-            terminal_scaled_error_centralized=scaled_baseline[r].copy(),
-            terminal_gain_gap=float(gain_gap[r, -1]),
-        )
-        for r in range(bank)
-    ]
+    return (*records, scaled_errors, scaled_baseline)
 
 
 def run_trial(
@@ -318,14 +309,16 @@ def run_trial(
     init: tuple | None = None,
 ) -> TrialMetrics:
     """Run one trial to the horizon; deterministic in ``seed``."""
-    return _run_bank(model, top, schedule, horizon, checkpoint_grid, [seed], init)[0]
+    grid = np.asarray(checkpoint_grid, dtype=np.int64)
+    rows = [result[0] for result in _run_bank(model, top, schedule, horizon, grid, [seed], init)]
+    # the TrialMetrics fields in order; rows[2] is the gain gap
+    return TrialMetrics(grid.copy(), *rows, terminal_gain_gap=float(rows[2][-1]))
 
 
-def estimate_scaled_covariance(trials: list[TrialMetrics], agent: int) -> np.ndarray:
-    """Across-trial sample covariance of one agent's terminal scaled error."""
-    if len(trials) < 2:
-        raise ValueError(f"need at least 2 trials to estimate a covariance, got {len(trials)}")
-    errors = np.stack([trial.terminal_scaled_errors[agent] for trial in trials])
+def estimate_scaled_covariance(errors) -> np.ndarray:
+    """Across-trial sample covariance of scaled errors: (R, M) to (M, M)."""
+    if len(errors) < 2:
+        raise ValueError(f"need at least 2 trials to estimate a covariance, got {len(errors)}")
     return np.atleast_2d(np.cov(errors, rowvar=False, ddof=1))
 
 
@@ -355,10 +348,6 @@ def worker_count(requested: int, banks: int, cpus: int) -> int:
     return max(1, min(requested or cpus, banks, cpus))
 
 
-def _bank_worker(payload):
-    return _run_bank(*payload)
-
-
 def run_experiment(config) -> ExperimentReport:
     """Run the configured Monte Carlo experiment and aggregate its report.
 
@@ -381,37 +370,29 @@ def run_experiment(config) -> ExperimentReport:
         for i in range(0, len(seeds), TRIALS_PER_BANK)
     ]
     workers = worker_count(config.parallelism, len(payloads), os.cpu_count() or 1)
-    trials: list[TrialMetrics] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for bank in pool.map(_bank_worker, payloads):
-                trials.extend(bank)
+            banks = list(pool.map(_run_bank, *zip(*payloads)))
     else:
-        for payload in payloads:
-            trials.extend(_bank_worker(payload))
-    return _aggregate(config, grid, trials)
+        banks = [_run_bank(*payload) for payload in payloads]
+    return _aggregate(config, grid, [np.concatenate(parts) for parts in zip(*banks)])
 
 
-def _aggregate(config, grid: np.ndarray, trials: list[TrialMetrics]) -> ExperimentReport:
+def _aggregate(config, grid: np.ndarray, results: list[np.ndarray]) -> ExperimentReport:
+    """The report of the trial-stacked arrays that :func:`_run_bank` returns."""
+    trial_disagreement, trial_error, trial_gain, trial_grammian, scaled, baseline = results
     model: ObservationModel = config.model
     summary = model._centralized
-    n = model.num_agents
+    num_trials, n, m = scaled.shape
     target = np.array(summary.asymptotic_cov)
     target_norm = float(np.linalg.norm(target))
 
-    trial_disagreement = np.stack([tr.disagreement for tr in trials])
-    trial_error = np.stack([tr.error_norms for tr in trials])
-    trial_gain = np.stack([tr.gain_gap for tr in trials])
-    trial_grammian = np.stack([tr.grammian_gap for tr in trials])
-    terminal_gain = np.array([tr.terminal_gain_gap for tr in trials])
-
-    if len(trials) >= 2:
-        empirical = np.stack([estimate_scaled_covariance(trials, agent) for agent in range(n)])
-        baseline_stack = np.stack([tr.terminal_scaled_error_centralized for tr in trials])
-        centralized_cov = np.atleast_2d(np.cov(baseline_stack, rowvar=False, ddof=1))
+    if num_trials >= 2:
+        empirical = np.stack([estimate_scaled_covariance(scaled[:, agent]) for agent in range(n)])
+        centralized_cov = estimate_scaled_covariance(baseline)
     else:
-        empirical = np.full((n, model.param_dim, model.param_dim), np.nan)
-        centralized_cov = np.full((model.param_dim, model.param_dim), np.nan)
+        empirical = np.full((n, m, m), np.nan)
+        centralized_cov = np.full((m, m), np.nan)
     gaps = np.array([np.linalg.norm(cov - target) / target_norm for cov in empirical])
     centralized_gap = float(np.linalg.norm(centralized_cov - target) / target_norm)
 
@@ -428,17 +409,16 @@ def _aggregate(config, grid: np.ndarray, trials: list[TrialMetrics]) -> Experime
     consistency = np.array([safe_slope(median_error[:, agent]) for agent in range(n)])
 
     ks_pvalues = None
-    if config.run_ks_test and len(trials) >= 2:
-        scaled = np.stack([tr.terminal_scaled_errors for tr in trials])  # (R, N, M)
-        ks_pvalues = np.empty((n, model.param_dim))
+    if config.run_ks_test and num_trials >= 2:
+        ks_pvalues = np.empty((n, m))
         for agent in range(n):
-            for coord in range(model.param_dim):
+            for coord in range(m):
                 std = math.sqrt(target[coord, coord])
                 ks_pvalues[agent, coord] = _ks.ks_normal_pvalue(scaled[:, agent, coord], std)
 
     optimal_norm = float(max(np.linalg.norm(k) for k in summary.optimal_gains))
     return ExperimentReport(
-        num_trials=len(trials),
+        num_trials=num_trials,
         horizon=config.horizon,
         master_seed=config.master_seed,
         checkpoint_times=grid,
@@ -446,7 +426,7 @@ def _aggregate(config, grid: np.ndarray, trials: list[TrialMetrics]) -> Experime
         trial_error_norms=trial_error,
         trial_gain_gap=trial_gain,
         trial_grammian_gap=trial_grammian,
-        terminal_gain_gap=terminal_gain,
+        terminal_gain_gap=trial_gain[:, -1],
         empirical_scaled_cov=empirical,
         target_cov=target,
         rel_frobenius_gap=gaps,

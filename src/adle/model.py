@@ -161,7 +161,6 @@ class ObservationModel:
             arr.setflags(write=False)
         return SimpleNamespace(
             max_dim=max_dim,
-            obs_dims=np.array(self.obs_dims),
             sensing=sensing,
             noise_factor=factor,
             noise_weight=weight,

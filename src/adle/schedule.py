@@ -16,7 +16,9 @@ finite).  Asymptotic efficiency further pins ``tau1 = 1`` and ``a = 1``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -122,6 +124,15 @@ def checkpoint_grid(horizon: int, start: int = 10, per_decade: int = 8) -> np.nd
         mark *= ratio
     points.append(horizon)
     return np.array(points, dtype=np.int64)
+
+
+def checkpoint_bound(horizon: int, start: int = 10, per_decade: int = 8) -> int:
+    """An upper bound on ``len(checkpoint_grid(horizon, start, per_decade))``,
+    without building the grid: the smaller of the steps from ``start`` to
+    ``horizon`` and ``per_decade * log10((horizon + 0.5) / start) + 2``.
+    Exact for integers beyond the float range."""
+    decades = Fraction(math.log10(2 * horizon + 1) - math.log10(2 * start))
+    return min(horizon - start + 1, math.floor(per_decade * decades) + 2)
 
 
 def recursion_trace(

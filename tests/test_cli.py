@@ -281,6 +281,8 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
           "topology": {"base": [], "nodes": 1}}, "model: sensing[0] has no columns"),
         ({"checkpoints": {"per_decade": 10**17}},
          "checkpoints.per_decade: 100000000000000000 exceeds the horizon 200"),
+        ({"horizon": 10**6, "num_trials": 10**9, "checkpoints": {"per_decade": 10**6}},
+         "checkpoints: 1000000000 trials x up to 999991 checkpoints need 61034606933 MiB"),
     ],
     ids=["fit_window_abc", "acceptance_tol_x", "checkpoints_int", "horizon_true", "horizon_2_7",
          "num_trials_true", "init_estimate_length", "run_ks_test_quoted_false",
@@ -290,7 +292,7 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
          "topology_edge_fraction", "topology_edge_mapping", "topology_node_count",
          "output_dir_list", "init_sample_cov_negative", "init_grammian_indefinite",
          "init_grammian_asymmetric", "model_preset_unknown_key", "model_no_columns",
-         "checkpoints_per_decade_huge"],
+         "checkpoints_per_decade_huge", "checkpoint_records_beyond_memory"],
 )
 def test_malformed_value_is_a_collected_validation_error(tmp_path, capsys, override, message):
     path = write_scenario(tmp_path, **override)

@@ -36,7 +36,7 @@ from adle.network import (
     path_graph,
     sample_laplacian,
 )
-from adle.schedule import WeightSchedule, recursion_trace
+from adle.schedule import WeightSchedule, checkpoint_bound, recursion_trace
 from conftest import make_ragged_model
 
 
@@ -72,6 +72,19 @@ def test_checkpoint_grid_rejects_a_ratio_that_rounds_to_one():
     # 10 ** (1 / 10**17) is 1.0 in floating point: the grid would never grow
     with pytest.raises(ValueError, match="per_decade"):
         checkpoint_grid(100, 10, 10**17)
+
+
+@pytest.mark.parametrize("horizon, start, per_decade", [
+    (10, 10, 1), (11, 10, 8), (99, 1, 3), (100, 10, 8), (101, 7, 100), (5_000, 13, 7),
+    (12_345, 2, 16), (10**5, 10, 1_000), (20_000, 10, 20_000), (10**6, 50, 33),
+])
+def test_checkpoint_bound_is_at_least_the_grid_size(horizon, start, per_decade):
+    size = len(checkpoint_grid(horizon, start, per_decade))
+    assert size <= checkpoint_bound(horizon, start, per_decade) <= horizon - start + 1
+
+
+def test_checkpoint_bound_takes_integers_beyond_the_float_range():
+    assert checkpoint_bound(10**400, 10**399, 10**400) == 9 * 10**399 + 1
 
 
 # ----------------------------------------------------------------- trials
@@ -121,42 +134,23 @@ def test_trajectory_checkpointed_every_step_ends_where_run_trial_ends(ring_model
 
 
 def test_scaled_covariance_of_identical_trials_is_zero():
-    stub = TrialMetrics(
-        times=np.array([1]), disagreement=np.zeros(1), error_norms=np.zeros((1, 2)),
-        gain_gap=np.zeros(1), grammian_gap=np.zeros(1),
-        terminal_scaled_errors=np.array([[1.0, 2.0], [0.5, -1.0]]),
-        terminal_scaled_error_centralized=np.zeros(2), terminal_gain_gap=0.0,
-    )
-    cov = estimate_scaled_covariance([stub, stub, stub], agent=1)
+    errors = np.array([[1.0, 2.0], [0.5, -1.0]])
+    cov = estimate_scaled_covariance(np.stack([errors, errors, errors])[:, 1])
     assert np.array_equal(cov, np.zeros((2, 2)))
 
 
 def test_scaled_covariance_requires_two_trials():
-    stub = TrialMetrics(
-        times=np.array([1]), disagreement=np.zeros(1), error_norms=np.zeros((1, 1)),
-        gain_gap=np.zeros(1), grammian_gap=np.zeros(1),
-        terminal_scaled_errors=np.zeros((1, 1)),
-        terminal_scaled_error_centralized=np.zeros(1), terminal_gain_gap=0.0,
-    )
     with pytest.raises(ValueError):
-        estimate_scaled_covariance([stub], agent=0)
+        estimate_scaled_covariance(np.zeros((1, 1)))
 
 
 def test_scaled_covariance_recovers_known_covariance():
     rng = np.random.default_rng(10)
     true_cov = np.array([[2.0, 0.7, 0.0], [0.7, 1.5, -0.3], [0.0, -0.3, 0.8]])
     factor = np.linalg.cholesky(true_cov)
-    trials = []
     num = 4_000
     draws = rng.standard_normal((num, 3)) @ factor.T
-    for r in range(num):
-        trials.append(TrialMetrics(
-            times=np.array([1]), disagreement=np.zeros(1), error_norms=np.zeros((1, 1)),
-            gain_gap=np.zeros(1), grammian_gap=np.zeros(1),
-            terminal_scaled_errors=draws[r][None, :],
-            terminal_scaled_error_centralized=np.zeros(3), terminal_gain_gap=0.0,
-        ))
-    estimate = estimate_scaled_covariance(trials, agent=0)
+    estimate = estimate_scaled_covariance(draws)
     tolerance = 4.0 * np.sqrt(2.0 / num) * np.linalg.norm(true_cov)
     assert np.linalg.norm(estimate - true_cov) <= tolerance
 
@@ -505,7 +499,16 @@ def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
     with pytest.raises(ValueError, match="shape"):
         kernel.advance(x, g, shifts, sums, outer, 0, q0, sensing, obs, 0, 8,
                        weights, top, draws[:, :, :-1].copy())
+    with pytest.raises(ValueError, match="observations must be a float64 array"):
+        kernel.advance(x, g, shifts, sums, outer, 0, q0, sensing, obs.astype(np.float32), 0, 8,
+                       weights, top, draws)
+    frozen = x.copy()
+    frozen.setflags(write=False)
+    with pytest.raises(ValueError, match="writable"):
+        kernel.advance(frozen, g, shifts, sums, outer, 0, q0, sensing, obs, 0, 8,
+                       weights, top, draws)
     assert np.array_equal(x, np.zeros_like(x))  # nothing ran
+    assert np.array_equal(frozen, np.zeros_like(x))
 
 
 def test_numpy_fallback_runs_experiment_like_the_kernel(
