@@ -6,8 +6,11 @@ block in a single call, applying the same four updates as
 use with the system C compiler and cached under the package's
 ``__pycache__`` (or a private temporary directory when that is not
 writable), keyed by a hash of the source and the compile command.
-:func:`load` returns ``None`` when no compiler or library is available;
-callers then fall back to the numpy round.
+The library holds one entry point per lane width (trials advanced side
+by side in one vector); the CPU it loads on picks the widest it runs,
+and every width gives the same bits.  :func:`load` returns ``None`` when
+no compiler or library is available; callers then fall back to the
+numpy round.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 #: fused multiply-adds: results are then bit-stable across machines of
 #: one architecture.
 COMPILE = ("gcc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: Lane widths of the entry points ``adle_advance_bank_<L>``: baseline,
+#: AVX2 and AVX-512F.
+WIDTHS = (1, 4, 8)
 
 _log = logging.getLogger(__name__)
 
@@ -71,16 +78,23 @@ def _build() -> Path:
 
 
 class BankKernel:
-    """The loaded library; :meth:`advance` checks every array before the call,
+    """The loaded library, with an entry point bound for every lane width
+    this CPU runs.  Banks advance ``lanes`` trials side by side, the widest
+    width (``adle_lanes``); a bank of one trial runs on one lane, its
+    cheapest width.  :meth:`advance` checks every array before the call,
     which receives their data addresses."""
 
     def __init__(self, lib: ctypes.CDLL):
-        fn = lib.adle_advance_bank
+        lib.adle_lanes.argtypes = []
+        lib.adle_lanes.restype = ctypes.c_int
+        self.lanes = lib.adle_lanes()
         i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        fn.argtypes = [i64] * 8 + [ptr] * 9 + [i64] + [ptr] * 3
-        fn.restype = ctypes.c_int
+        self._fns = {}
+        for width in WIDTHS[:WIDTHS.index(self.lanes) + 1]:
+            fn = self._fns[width] = lib[f"adle_advance_bank_{width}"]
+            fn.argtypes = [i64] * 8 + [ptr] * 9 + [i64] + [ptr] * 3
+            fn.restype = ctypes.c_int
         self._lib = lib
-        self._fn = fn
 
     def advance(self, estimates, grammians, shifts, sums, outer_sums, count: int, q0, sensing,
                 observations, start: int, stop: int, weights, top: TopologyModel, active) -> None:
@@ -127,13 +141,14 @@ class BankKernel:
         if active is not None:
             _check(active, "active", np.bool_, (bank, steps, top.base.num_edges))
 
-        failure = np.zeros(2, dtype=np.int64)
-        status = self._fn(bank, n, m, mx, steps, start, stop, count,
-                          *(arr.ctypes.data for arr, _ in expected.values()),
-                          top.base.num_edges, top.edge_array.ctypes.data,
-                          None if active is None else active.ctypes.data, failure.ctypes.data)
+        failure = (ctypes.c_int64 * 2)()  # a numpy array's .ctypes.data costs about 1.5 µs
+        fn = self._fns[1 if bank == 1 else self.lanes]
+        status = fn(bank, n, m, mx, steps, start, stop, count,
+                    *(arr.ctypes.data for arr, _ in expected.values()),
+                    top.base.num_edges, top.edge_array.ctypes.data,
+                    None if active is None else active.ctypes.data, failure)
         if status == 1:
-            raise TrialDiverged(int(failure[0]), int(failure[1]), TrialDiverged.SINGULAR)
+            raise TrialDiverged(failure[0], failure[1], TrialDiverged.SINGULAR)
         if status != 0:
             raise MemoryError("bank-step kernel could not allocate its work space")
 
@@ -158,8 +173,10 @@ def _check(arr, name: str, dtype, shape):
 def load() -> BankKernel | None:
     """The compiled kernel, built on first use; ``None`` when unavailable."""
     try:
-        return BankKernel(ctypes.CDLL(str(_build())))
+        kernel = BankKernel(ctypes.CDLL(str(_build())))
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         _log.warning("compiled bank-step kernel unavailable, using the numpy round: %s", detail)
         return None
+    _log.debug("compiled bank-step kernel runs %d trial lanes", kernel.lanes)
+    return kernel

@@ -105,7 +105,9 @@ _TEXT = (None, lambda v: isinstance(v, str), "must be a string")
 #: Every top-level scenario key and every key of its mapping sections.
 _TOP = {
     "schema": (None, lambda v: v == SCHEMA, f"expected {SCHEMA!r}"),
-    "horizon": _COUNT, "num_trials": _COUNT, "master_seed": _NATURAL, "parallelism": _NATURAL,
+    # the checkpoint grid and the kernel's step counts are int64
+    "horizon": (_int, lambda v: 1 <= v <= 2**63 - 1, f"must lie in [1, {2**63 - 1}]"),
+    "num_trials": _COUNT, "master_seed": _NATURAL, "parallelism": _NATURAL,
     "fit_window": (_real, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
     "output_dir": _TEXT,
     "require_efficiency": _FLAG, "run_ks_test": _FLAG, "cap_consensus_weight": _FLAG,

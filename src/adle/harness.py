@@ -239,7 +239,7 @@ def trajectory(
         noise = np.stack(
             [_unit_variance_draws(rng, model.noise, (steps, n, mx)) for rng in rngs]
         )
-        obs_block = stacked.sensed_truth + (stacked.noise_factor @ noise[..., None])[..., 0]
+        obs_block = _observations(stacked, noise)
         del noise
         weights = schedule.block(block_start, steps)
         while state.step < block_start + steps:
@@ -249,6 +249,17 @@ def trajectory(
             if state.step == grid[pointer]:
                 yield state.step, state
                 pointer += 1
+
+
+def _observations(stacked, noise: np.ndarray) -> np.ndarray:
+    """Observations ``sensed_truth + noise_factor @ z`` of a (R, S, N, mx)
+    block of unit-variance draws ``z``, the product summed one factor
+    column at a time, left to right: no (R, S, N, mx, mx) temporary."""
+    factor = stacked.noise_factor
+    acc = factor[..., 0] * noise[..., :1]
+    for j in range(1, noise.shape[-1]):
+        acc += factor[..., j] * noise[..., j:j + 1]
+    return stacked.sensed_truth + acc
 
 
 def _run_bank(
@@ -557,14 +568,15 @@ def write_report(
             + [f"err_agent_{i}" for i in range(n_agents)]
             + ["gain_gap", "grammian_gap"]
         )
-        for trial in range(report.num_trials):
-            for c, t in enumerate(report.checkpoint_times):
-                writer.writerow(
-                    [trial, int(t), _fmt(report.trial_disagreement[trial, c])]
-                    + [_fmt(v) for v in report.trial_error_norms[trial, c]]
-                    + [_fmt(report.trial_gain_gap[trial, c]),
-                       _fmt(report.trial_grammian_gap[trial, c])]
-                )
+        # tolist() gives Python ints and floats, whose repr is _fmt's
+        times = report.checkpoint_times.tolist()
+        columns = (report.trial_disagreement, report.trial_error_norms, report.trial_gain_gap,
+                   report.trial_grammian_gap)
+        for trial, rows in enumerate(zip(*(column.tolist() for column in columns))):
+            writer.writerows(
+                [trial, t, repr(disagreement), *map(repr, errors), repr(gain), repr(grammian)]
+                for t, disagreement, errors, gain, grammian in zip(times, *rows)
+            )
 
     for agent in range(n_agents):
         _write_matrix(

@@ -322,6 +322,25 @@ def test_overrides_are_validated_with_the_file(tmp_path, capsys, flags, message,
         parse_config(path, {"master_seed": -1, "num_trials": 0, "horizon": 5})
 
 
+@pytest.mark.parametrize("horizon", [10**400, 2**63], ids=["beyond_float", "beyond_int64"])
+@pytest.mark.parametrize("validate_only", [True, False], ids=["validate_only", "run"])
+def test_a_horizon_beyond_int64_is_a_collected_validation_error(tmp_path, capsys, horizon,
+                                                               validate_only):
+    # the checkpoint grid and the kernel's step counts are int64
+    path = write_scenario(tmp_path, horizon=horizon, num_trials=2)
+    with pytest.raises(ValidationError) as info:
+        parse_config(path)
+    assert info.value.errors == [f"horizon: must lie in [1, {2**63 - 1}], got {horizon}"]
+    argv = ["--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--validate-only"] * validate_only) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid scenario configuration" in err
+    assert err.count("\n  - ") == 1 and "horizon: must lie in" in err
+    assert main(["--config", str(write_scenario(tmp_path, horizon=200)), "--horizon",
+                 str(horizon), "--validate-only"]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_list_output_dir_is_rejected_before_the_run(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("ADLE_OUT_DIR", raising=False)
     monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import ctypes
+import copy
 import dataclasses
 import logging
 import pickle
@@ -432,7 +433,7 @@ def _block(model, top, schedule, steps, seed, bank=3):
     draws = harness._draw_topology_block(top, rngs, steps)
     noise = np.stack([_unit_variance_draws(rng, model.noise, (steps, model.num_agents,
                                                                stacked.max_dim)) for rng in rngs])
-    obs = stacked.sensed_truth + (stacked.noise_factor @ noise[..., None])[..., 0]
+    obs = harness._observations(stacked, noise)
     weights = np.array([[float(rate(t)) for t in range(steps)]
                         for rate in (schedule.alpha, schedule.beta, schedule.gamma)])
     return draws, obs, weights
@@ -467,6 +468,69 @@ def test_kernel_matches_numpy_round_over_ten_thousand_steps(case):
 
     for got, want in zip(compiled, (x, g, shifts, sums, outer)):
         assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def _every_width():
+    """The kernel set to each lane width this CPU runs, one lane first."""
+    kernel = _kernel.load()
+    assert kernel is not None, "the C compiler should be available to the test suite"
+    kernels = []
+    for width in _kernel.WIDTHS[:_kernel.WIDTHS.index(kernel.lanes) + 1]:
+        kernels.append(copy.copy(kernel))
+        kernels[-1].lanes = width
+    return kernels
+
+
+def _same_bits(states):
+    for state in states[1:]:
+        for got, want in zip(state, states[0]):
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bank", [3, 61, 64])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_every_lane_width_matches_one_lane_bit_for_bit(case, bank):
+    model, top, schedule, init = KERNEL_CASES[case]
+    steps = 10_000
+    draws, obs, weights = _block(model, top, schedule, steps, seed=len(case), bank=bank)
+    sensing = model._stacked.sensing
+    states = []
+    for kernel in _every_width():
+        state, q0 = _bank_state(model, init, bank)
+        kernel.advance(*state, 0, q0, sensing, obs, 0, 3_000, weights, top, draws)
+        kernel.advance(*state, 3_000, q0, sensing, obs, 3_000, steps, weights, top, draws)
+        states.append(state)
+    _same_bits(states)
+
+
+def test_every_lane_width_names_the_same_singular_trial():
+    # With alpha = beta = 0 the Grammians stay put and gamma = 1, 2, ...
+    # per step, so a trial whose Grammian is -gamma_s I meets a zero pivot
+    # at block step s: trials 9 and 10 at step 2, trial 2 at step 4.  The
+    # earliest step wins, then the first trial at it, across lane groups.
+    model, top, schedule, _ = KERNEL_CASES["bernoulli"]
+    bank, steps = 11, 8
+    draws, obs, _ = _block(model, top, schedule, steps, seed=0, bank=bank)
+    weights = np.zeros((3, steps))
+    weights[2] = np.arange(1.0, steps + 1)
+    states = []
+    for kernel in _every_width():
+        state, q0 = _bank_state(model, None, bank)
+        state[1][:] = np.eye(model.param_dim)
+        for trial, s in ((9, 2), (10, 2), (2, 4)):
+            state[1][trial] = -weights[2, s] * np.eye(model.param_dim)
+        with pytest.raises(TrialDiverged) as info:
+            kernel.advance(*state, 40, q0, model._stacked.sensing, obs, 0, steps, weights, top,
+                           draws)
+        assert (info.value.trial, info.value.step) == (9, 42)
+        states.append(state)
+    _same_bits(states)
+    for trial, folded in ((9, 2), (10, 2), (2, 4), (0, steps)):
+        # a failed trial stops before its failing step's observation
+        total = np.zeros_like(obs[trial, 0])
+        for s in range(folded):
+            total = total + obs[trial, s]
+        assert np.array_equal(states[0][3][trial], total)
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
@@ -537,6 +601,19 @@ def test_missing_compiler_warns_once_and_returns_none(monkeypatch, tmp_path, cap
         _kernel.load.cache_clear()
     assert len(caplog.records) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_load_names_its_lane_width_once(caplog):
+    _kernel.load.cache_clear()
+    try:
+        with caplog.at_level(logging.DEBUG, logger=_kernel.__name__):
+            kernel = _kernel.load()
+            assert _kernel.load() is kernel
+    finally:
+        _kernel.load.cache_clear()
+    assert kernel.lanes in _kernel.WIDTHS
+    assert [r.getMessage() for r in caplog.records] == [
+        f"compiled bank-step kernel runs {kernel.lanes} trial lanes"]
 
 
 def test_concurrent_builds_leave_one_loadable_library(monkeypatch, tmp_path):
