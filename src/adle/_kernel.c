@@ -2,9 +2,10 @@
  * ``estimator._advance`` plus the moment update, for a whole bank of
  * trials over one segment of a draw block.
  *
- * Every array is C-contiguous float64 (int64 for edges, one byte per
- * flag for active) with the shapes the Python loader checks; this file
- * trusts them.
+ * ``struct adle_bank`` holds the sizes and the array addresses, set once
+ * by the Python loader; every array is C-contiguous float64 (int64 for
+ * edges, one byte per flag for active) with the shapes the loader
+ * checks, and this file trusts them.
  *
  *   x         (bank, n, m)         estimates, updated in place
  *   g         (bank, n, m, m)      Grammians, updated in place
@@ -13,11 +14,17 @@
  *   outer     (bank, n, mx, mx)    sum of (y - shift)(y - shift)'
  *   q0        (n, mx, mx)          sample covariance before any observation
  *   h         (n, mx, m)           padded sensing matrices
- *   obs       (bank, steps, n, mx) observations of the draw block
+ *   truth     (n, mx)              sensed truth H theta
+ *   factor    (n, mx, mx)          noise factors
+ *   noise     (bank, steps, n, mx) unit-variance draws of the block
  *   w         (3, steps)           alpha, beta, gamma of each block step
  *   edges     (num_edges, 2)       base-graph edges
  *   active    (bank, steps, num_edges)  active-edge masks; NULL: all active
  *   failure   (2,)                 trial and step of a singular gain solve
+ *
+ * Each step forms its observations from the noise as
+ * ``harness._observations`` does: y = truth + sum_j factor[., j] z_j,
+ * the products summed left to right, so the bits are the same.
  *
  * Trial lanes.  A vector of LANES doubles carries one trial per lane,
  * and every lane performs exactly the scalar operations of its own
@@ -29,14 +36,14 @@
  * The bank is cut into groups of LANES trials (the last group padded
  * with dead lanes).  Lane groups are the outer loop and steps the inner
  * one: a group's state is gathered into lane-major scratch once per
- * call and scattered back once, while each step's observations and
- * active-edge masks are read in place, strided by trial.  Partial
- * pivoting picks each lane's pivot by compare-and-blend, and a
- * masked-off edge or a dead lane keeps its value by select, never by
- * adding zero (-0.0 + 0.0 is +0.0).  A trial whose gain solve meets a
- * zero pivot stops there; the others go on, so that ``failure`` ends up
- * naming the earliest such step (and the first trial at it), as a
- * round-by-round bank would meet it.
+ * call and scattered back once, while each step's noise and active-edge
+ * masks are read in place, strided by trial.  Partial pivoting picks
+ * each lane's pivot by compare-and-blend, and a masked-off edge or a
+ * dead lane keeps its value by select, never by adding zero
+ * (-0.0 + 0.0 is +0.0).  A trial whose gain solve meets a zero pivot
+ * stops there; the others go on, so that ``failure`` ends up naming the
+ * earliest such step (and the first trial at it), as a round-by-round
+ * bank would meet it.
  */
 
 /* This file includes itself once per lane width: read without LANES it
@@ -48,6 +55,16 @@
 #include <string.h>
 
 enum { OK = 0, SINGULAR = 1, NO_MEMORY = 2 };
+
+/* Mirrored field for field by ``_kernel._BankArgs`` in the loader. */
+struct adle_bank {
+    int64_t bank, n, m, mx, steps, num_edges;
+    double *x, *g, *shift, *sums, *outer;
+    const double *q0, *h, *truth, *factor, *noise, *w;
+    const int64_t *edges;
+    const uint8_t *active;
+    int64_t failure[2];
+};
 
 #define CAT_(a, b) a##b
 #define CAT(a, b) CAT_(a, b)
@@ -310,19 +327,20 @@ static void NAME(scatter)(int64_t width, int l, const V *lanes, double *trial)
         trial[q] = LANE(lanes[q], l);
 }
 
-int NAME(adle_advance_bank)(int64_t bank, int64_t n, int64_t m, int64_t mx, int64_t steps,
-                            int64_t start, int64_t stop, int64_t count,
-                            double *x, double *g, double *shift, double *sums, double *outer,
-                            const double *q0, const double *h, const double *obs,
-                            const double *w, int64_t num_edges, const int64_t *edges,
-                            const uint8_t *active, int64_t *failure)
+int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, int64_t count)
 {
+    const int64_t bank = b->bank, n = b->n, m = b->m, mx = b->mx, steps = b->steps;
+    const int64_t num_edges = b->num_edges, *edges = b->edges;
+    const double *q0 = b->q0, *h = b->h, *truth = b->truth, *factor = b->factor;
+    const double *noise = b->noise, *w = b->w;
+    const uint8_t *active = b->active;
+    int64_t *failure = b->failure;
     const int64_t mm = m * m;
     /* the bank state arrays, each with ``width`` doubles per trial */
-    double *const state[5] = {x, g, shift, sums, outer};
+    double *const state[5] = {b->x, b->g, b->shift, b->sums, b->outer};
     const int64_t width[5] = {n * m, n * mm, n * mx, n * mx, n * mx * mx};
     const int64_t vectors = width[0] + width[1] + width[2] + width[3] + width[4]
-                            + 2 * n * m + 2 * n * mm + n * mx  /* innov, gi, cx, cg, y */
+                            + 2 * n * m + 2 * n * mm + 2 * n * mx  /* innov, gi, cx, cg, z, y */
                             + 2 * mx * mx + 2 * m * mx + mm + mx;  /* work */
     const size_t bytes = ((size_t)vectors * sizeof(V) + 63) / 64 * 64;
     V *buf = aligned_alloc(64, bytes);
@@ -338,7 +356,8 @@ int NAME(adle_advance_bank)(int64_t bank, int64_t n, int64_t m, int64_t mx, int6
     V *gi = innov + n * m;           /* (n, m, m) */
     V *cx = gi + n * mm;             /* (n, m) */
     V *cg = cx + n * m;              /* (n, m, m) */
-    V *y = cg + n * mm;              /* (n, mx) */
+    V *z = cg + n * mm;              /* (n, mx) noise */
+    V *y = z + n * mx;               /* (n, mx) observations */
     V *work = y + n * mx;
     int status = OK;
 
@@ -358,7 +377,17 @@ int NAME(adle_advance_bank)(int64_t bank, int64_t n, int64_t m, int64_t mx, int6
             const double alpha = w[s], beta = w[steps + s], gamma = w[2 * steps + s];
             const int64_t c = count + (s - start);
             for (int l = 0; l < LANES; l++)
-                NAME(gather)(n * mx, l, obs + (trial[l] * steps + s) * n * mx, y);
+                NAME(gather)(n * mx, l, noise + (trial[l] * steps + s) * n * mx, z);
+            for (int64_t a = 0; a < n; a++) {
+                const V *za = z + a * mx;
+                for (int64_t i = 0; i < mx; i++) {
+                    const double *f = factor + (a * mx + i) * mx;
+                    V acc = f[0] * za[0];
+                    for (int64_t j = 1; j < mx; j++)
+                        acc += f[j] * za[j];
+                    y[a * mx + i] = truth[a * mx + i] + acc;
+                }
+            }
 
             M singular = {0};
             for (int64_t a = 0; a < n; a++)

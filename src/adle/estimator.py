@@ -165,9 +165,18 @@ def _neighborhood_sums_mat(lap, values):
 
 
 def _max_disagreement(estimates: np.ndarray) -> np.ndarray:
-    """Max over agent pairs of the estimate distance; batched over leading axes."""
-    diffs = estimates[..., :, None, :] - estimates[..., None, :, :]
-    return np.sqrt((diffs**2).sum(axis=-1)).max(axis=(-1, -2))
+    """Max over agent pairs of the estimate distance; batched over leading axes.
+
+    A running max over one agent ``i`` at a time, against the agents
+    after it: no (..., N, N, M) temporary.  Each distance is summed over
+    the last axis as in the all-pairs form, and ``max`` is exact, so the
+    bits are those of the all-pairs max (0 for one agent).
+    """
+    worst = np.zeros(estimates.shape[:-2])
+    for i in range(estimates.shape[-2] - 1):
+        diffs = estimates[..., i + 1:, :] - estimates[..., i:i + 1, :]
+        np.maximum(worst, np.sqrt((diffs**2).sum(axis=-1)).max(axis=-1), out=worst)
+    return worst
 
 
 def _advance(

@@ -14,8 +14,9 @@ stream (topology draws for a block of steps, then observation noise for
 the block), so any single trial is bit-reproducible from its seed alone
 and reports do not depend on the parallelism degree.  A compiled kernel
 (``_kernel.c``) advances a bank from one checkpoint to the next in a
-single call; where it cannot be built, the numpy round
-``estimator._advance`` runs step by step.
+single call, forming each step's observations from the noise; where it
+cannot be built, the numpy round ``estimator._advance`` runs step by
+step on the observations of :func:`_observations`.
 """
 
 from __future__ import annotations
@@ -118,11 +119,17 @@ class StatResult:
     gating: bool = True
 
 
-def _draw_topology_block(top: TopologyModel, rngs, steps: int):
+def _draw_topology_block(top: TopologyModel, rngs, steps: int, out=None):
     """Per-trial active-edge masks for a block of steps, bool (R, steps, E)
-    in trial order; ``None`` when every edge is always active."""
-    masks = [top.draw_active(rng, steps) for rng in rngs]
-    return None if masks[0] is None else np.stack(masks)
+    in trial order, each trial's row drawn into ``out`` when it is given;
+    ``None`` when every edge is always active."""
+    if not top.draws_links:
+        return None
+    if out is None:
+        out = np.empty((len(rngs), steps, top.base.num_edges), dtype=bool)
+    for rng, row in zip(rngs, out):
+        top.draw_active(rng, steps, row)
+    return out
 
 
 def _laplacian_at(top: TopologyModel, active, s: int):
@@ -130,27 +137,28 @@ def _laplacian_at(top: TopologyModel, active, s: int):
     return top.laplacians(None if active is None else active[:, s])
 
 
-def _advance(kernel, state: NetworkState, sensing, observations, start: int, stop: int,
-             weights, top: TopologyModel, active) -> None:
+def _advance(bound, state: NetworkState, stacked, noise, start: int, stop: int, weights,
+             top: TopologyModel, active) -> None:
     """Advance a bank through block steps ``start..stop-1`` in place,
     ``state.step`` included.
 
-    One call of the compiled kernel (see ``_kernel.BankKernel.advance``
-    for the arguments); without it, the numpy round
-    ``estimator._advance`` and the moment update run step by step.
+    One call of ``bound``, the compiled kernel bound to the bank's state
+    and draw buffers (``_kernel.BoundBank``); without it, the numpy round
+    ``estimator._advance`` and the moment update run step by step on the
+    observations :func:`_observations` forms from ``noise``.
     """
+    if bound is not None:
+        bound.advance(state.step, start, stop)
+        state.step += stop - start
+        return
     x, g, shifts, sums, outer = (state.estimates, state.grammians, state.obs_shifts,
                                  state.obs_sums, state.obs_outer_sums)
     q0 = state.initial_sample_covs
-    if kernel is not None:
-        kernel.advance(x, g, shifts, sums, outer, state.step, q0, sensing, observations,
-                       start, stop, weights, top, active)
-        state.step += stop - start
-        return
     for s in range(start, stop):
-        y, lap, count = observations[:, s], _laplacian_at(top, active, s), state.step
+        y = _observations(stacked, noise[:, s])
+        lap, count = _laplacian_at(top, active, s), state.step
         x[...], g[...] = _naming_singular(count, len(x), lambda pick: estimator._advance(
-            x[pick], g[pick], sums[pick], outer[pick], count, q0, sensing,
+            x[pick], g[pick], sums[pick], outer[pick], count, q0, stacked.sensing,
             lap if lap.ndim == 2 else lap[pick], y[pick], *weights[:, s]))
         _fold_observations(shifts, sums, outer, count, y)
         state.step += 1
@@ -207,15 +215,19 @@ def trajectory(
     every step ``t`` of ``grid``.
 
     ``state`` is one :class:`NetworkState` whose arrays carry a leading
-    trial axis; it is advanced in place, so copy what must outlive the
-    next step.  ``init`` holds the optional initial estimate, Grammian
+    trial axis; it is advanced in place, its arrays bound to the kernel
+    once (replace none of them), so copy what must outlive the next
+    step.  ``init`` holds the optional initial estimate, Grammian
     and sample covariance of :func:`initial_network_state`.  Each trial
     consumes only its own stream, in blocks of ``BLOCK_STEPS`` steps:
-    the topology draws of the block, then its observation noise.  A
-    block's draws are consumed in segments that end at grid steps or at
-    the block end; :func:`_advance` runs one segment.  A singular gain
-    solve raises :class:`TrialDiverged` with the trial's place in the
-    bank.
+    the topology draws of the block, then its unit-variance observation
+    noise.  Each trial draws them straight into its row of one mask and
+    one noise buffer, allocated once per trajectory (again only when a
+    short last block changes their length), and the observations are
+    formed from the noise step by step.  A block's draws are consumed in
+    segments that end at grid steps or at the block end; :func:`_advance`
+    runs one segment.  A singular gain solve raises
+    :class:`TrialDiverged` with the trial's place in the bank.
     """
     stacked = model._stacked
     n, mx = model.num_agents, stacked.max_dim
@@ -223,28 +235,38 @@ def trajectory(
     grid = np.asarray(grid, dtype=np.int64)
     if grid.size == 0 or grid[-1] != horizon or np.any(np.diff(grid) <= 0) or grid[0] < 1:
         raise ValueError("checkpoint grid must be strictly increasing and end at the horizon")
+    grid = grid.tolist()
 
     state = initial_network_state(model, *(init if init is not None else (None, None, None)))
     for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
         a = getattr(state, field)
         setattr(state, field, np.tile(a, (len(rngs),) + (1,) * a.ndim))
     kernel = _kernel.load()
+    bound = None if kernel is None else kernel.bind(
+        state.estimates, state.grammians, state.obs_shifts, state.obs_sums,
+        state.obs_outer_sums, state.initial_sample_covs, stacked.sensing, stacked.sensed_truth,
+        stacked.noise_factor, top)
 
+    noise = None
     pointer = 0
     while state.step < horizon:
         block_start = state.step
         steps = min(BLOCK_STEPS, horizon - block_start)
-        active = obs_block = None  # free the previous block before drawing the next
-        active = _draw_topology_block(top, rngs, steps)
-        noise = np.stack(
-            [_unit_variance_draws(rng, model.noise, (steps, n, mx)) for rng in rngs]
-        )
-        obs_block = _observations(stacked, noise)
-        del noise
-        weights = schedule.block(block_start, steps)
-        while state.step < block_start + steps:
-            stop = min(block_start + steps, int(grid[pointer]))
-            _advance(kernel, state, stacked.sensing, obs_block, state.step - block_start,
+        if noise is None or noise.shape[1] != steps:  # the first block or a short last one
+            noise = np.empty((len(rngs), steps, n, mx))
+            active = (np.empty((len(rngs), steps, top.base.num_edges), dtype=bool)
+                      if top.draws_links else None)
+            weights = np.empty((3, steps))
+            if bound is not None:
+                bound.draws(noise, weights, active)
+        _draw_topology_block(top, rngs, steps, active)
+        for rng, row in zip(rngs, noise):
+            _unit_variance_draws(rng, model.noise, row.shape, row)
+        weights[...] = schedule.block(block_start, steps)
+        block_end = block_start + steps
+        while state.step < block_end:
+            stop = min(block_end, grid[pointer])
+            _advance(bound, state, stacked, noise, state.step - block_start,
                      stop - block_start, weights, top, active)
             if state.step == grid[pointer]:
                 yield state.step, state
@@ -252,9 +274,10 @@ def trajectory(
 
 
 def _observations(stacked, noise: np.ndarray) -> np.ndarray:
-    """Observations ``sensed_truth + noise_factor @ z`` of a (R, S, N, mx)
-    block of unit-variance draws ``z``, the product summed one factor
-    column at a time, left to right: no (R, S, N, mx, mx) temporary."""
+    """Observations ``sensed_truth + noise_factor @ z`` of unit-variance
+    draws ``z`` (..., N, mx), the product summed one factor column at a
+    time, left to right: no (..., N, mx, mx) temporary.  The compiled
+    kernel forms each step's observations with these same operations."""
     factor = stacked.noise_factor
     acc = factor[..., 0] * noise[..., :1]
     for j in range(1, noise.shape[-1]):

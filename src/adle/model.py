@@ -236,11 +236,16 @@ def sample_observation(model: ObservationModel, agent: int, rng: np.random.Gener
     return h @ model.true_param + factor @ draw
 
 
-def _unit_variance_draws(rng: np.random.Generator, family: str, shape) -> np.ndarray:
+def _unit_variance_draws(rng: np.random.Generator, family: str, shape, out=None) -> np.ndarray:
+    """Unit-variance draws of ``family``, written into ``out`` when it is given."""
     if family == "gaussian":
-        return rng.standard_normal(shape)
+        return rng.standard_normal(shape, out=out)
     # Laplace with scale 1/sqrt(2) has unit variance.
-    return rng.laplace(0.0, 2.0**-0.5, size=shape)
+    draws = rng.laplace(0.0, 2.0**-0.5, size=shape)
+    if out is None:
+        return draws
+    out[...] = draws
+    return out
 
 
 def centralized_estimate(model: ObservationModel, observations) -> np.ndarray:

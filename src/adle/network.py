@@ -143,15 +143,22 @@ class TopologyModel:
         edges.setflags(write=False)
         return edges
 
-    def draw_active(self, rng: np.random.Generator, steps: int) -> np.ndarray | None:
-        """Active-edge masks of ``steps`` i.i.d. link draws, bool (steps, E);
-        ``None`` under the ``static`` law, which draws nothing."""
+    @property
+    def draws_links(self) -> bool:
+        """Whether the law draws links at all; the ``static`` law does not."""
+        return self.law != "static"
+
+    def draw_active(self, rng: np.random.Generator, steps: int, out=None) -> np.ndarray | None:
+        """Active-edge masks of ``steps`` i.i.d. link draws, bool (steps, E),
+        written into ``out`` when it is given; ``None`` under the
+        ``static`` law, which draws nothing."""
         num_edges = self.base.num_edges
-        if self.law == "static":
+        if not self.draws_links:
             return None
         if self.law == "bernoulli":
-            return rng.random((steps, num_edges)) < self.p
-        return rng.integers(0, num_edges, size=(steps, 1)) == np.arange(num_edges)
+            return np.less(rng.random((steps, num_edges)), self.p, out=out)
+        picks = rng.integers(0, num_edges, size=(steps, 1))
+        return np.equal(picks, np.arange(num_edges), out=out)
 
     def laplacians(self, active: np.ndarray | None) -> np.ndarray:
         """Laplacians of active-edge masks, (..., E) to (..., N, N); ``None``

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adle.errors import ScheduleViolation
-from adle.estimator import initial_network_state
+from adle.estimator import _max_disagreement, initial_network_state
 from adle.harness import run_trial, trajectory
 from adle.model import ObservationModel, _unit_variance_draws, validate_observation_model
 from adle.network import (
@@ -344,6 +344,18 @@ def test_step_diagnostics_report_post_update_state(ring_model, bernoulli_pentago
         spread = max(np.linalg.norm(a - b) for a in x for b in x)
         assert metrics.disagreement[c] == pytest.approx(spread, abs=1e-12)
     assert np.all(np.isfinite(metrics.gain_gap)) and np.all(np.isfinite(metrics.grammian_gap))
+
+
+@pytest.mark.parametrize("agents", [1, 2, 5, 50])
+def test_max_disagreement_is_the_all_pairs_max_bit_for_bit(agents):
+    rng = np.random.default_rng(agents)
+    for shape in [(64, agents, 5), (3, agents, 1), (2, 3, agents, 13)]:
+        for scale in (1e-3, 1.0, 1e8):
+            estimates = scale * rng.standard_normal(shape)
+            diffs = estimates[..., :, None, :] - estimates[..., None, :, :]
+            all_pairs = np.sqrt((diffs**2).sum(axis=-1)).max(axis=(-1, -2))
+            got = _max_disagreement(estimates)
+            assert got.shape == all_pairs.shape and got.tobytes() == all_pairs.tobytes()
 
 
 def test_single_agent_tracks_truth_like_a_running_average():

@@ -355,6 +355,26 @@ def test_previous_block_is_freed_before_the_next_is_drawn(
     assert two_blocks <= 1.1 * one_block, (one_block, two_blocks)
 
 
+def test_one_block_peaks_below_one_point_six_noise_blocks(
+    ring_model, bernoulli_pentagon, ring_schedule
+):
+    # The draws land in one noise buffer and one mask buffer, and the
+    # kernel forms the observations: no stacked or observation block.
+    seeds = [np.random.SeedSequence((4, k)) for k in range(harness.TRIALS_PER_BANK)]
+    harness._run_bank(ring_model, bernoulli_pentagon, ring_schedule, 16, checkpoint_grid(16),
+                      seeds[:1])  # build and load the kernel outside the measurement
+    tracemalloc.start()
+    try:
+        harness._run_bank(ring_model, bernoulli_pentagon, ring_schedule, BLOCK_STEPS,
+                          checkpoint_grid(BLOCK_STEPS), seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    noise_block = 8 * len(seeds) * BLOCK_STEPS * ring_model.num_agents
+    noise_block *= ring_model._stacked.max_dim  # float64 (R, BLOCK_STEPS, N, mx)
+    assert peak < 1.6 * noise_block, peak / noise_block
+
+
 # ----------------------------------------------------------------- link draws
 
 
@@ -427,16 +447,22 @@ KERNEL_CASES = {
 
 
 def _block(model, top, schedule, steps, seed, bank=3):
-    """Draws, observations and weights of one block, in the documented order."""
+    """Link draws, unit-variance noise and weights of one block, in the
+    documented order."""
     rngs = [np.random.default_rng((seed, r)) for r in range(bank)]
-    stacked = model._stacked
     draws = harness._draw_topology_block(top, rngs, steps)
     noise = np.stack([_unit_variance_draws(rng, model.noise, (steps, model.num_agents,
-                                                               stacked.max_dim)) for rng in rngs])
-    obs = harness._observations(stacked, noise)
+                                                               model._stacked.max_dim))
+                      for rng in rngs])
     weights = np.array([[float(rate(t)) for t in range(steps)]
                         for rate in (schedule.alpha, schedule.beta, schedule.gamma)])
-    return draws, obs, weights
+    return draws, noise, weights
+
+
+def _modelled(model):
+    """The padded sensing, sensed truth and noise factors the kernel reads."""
+    stacked = model._stacked
+    return stacked.sensing, stacked.sensed_truth, stacked.noise_factor
 
 
 def _bank_state(model, init, bank=3):
@@ -453,13 +479,14 @@ def test_kernel_matches_numpy_round_over_ten_thousand_steps(case):
     assert kernel is not None, "the C compiler should be available to the test suite"
     model, top, schedule, init = KERNEL_CASES[case]
     steps = 10_000
-    draws, obs, weights = _block(model, top, schedule, steps, seed=len(case))
-    sensing = model._stacked.sensing
+    draws, noise, weights = _block(model, top, schedule, steps, seed=len(case))
+    modelled = _modelled(model)
 
     compiled, q0 = _bank_state(model, init)
-    kernel.advance(*compiled, 0, q0, sensing, obs, 0, 3_000, weights, top, draws)
-    kernel.advance(*compiled, 3_000, q0, sensing, obs, 3_000, steps, weights, top, draws)
+    kernel.advance(*compiled, 0, q0, *modelled, noise, 0, 3_000, weights, top, draws)
+    kernel.advance(*compiled, 3_000, q0, *modelled, noise, 3_000, steps, weights, top, draws)
 
+    obs, sensing = harness._observations(model._stacked, noise), modelled[0]
     (x, g, shifts, sums, outer), _ = _bank_state(model, init)
     for s in range(steps):
         x, g = _advance(x, g, sums, outer, s, q0, sensing,
@@ -492,13 +519,13 @@ def _same_bits(states):
 def test_every_lane_width_matches_one_lane_bit_for_bit(case, bank):
     model, top, schedule, init = KERNEL_CASES[case]
     steps = 10_000
-    draws, obs, weights = _block(model, top, schedule, steps, seed=len(case), bank=bank)
-    sensing = model._stacked.sensing
+    draws, noise, weights = _block(model, top, schedule, steps, seed=len(case), bank=bank)
+    modelled = _modelled(model)
     states = []
     for kernel in _every_width():
         state, q0 = _bank_state(model, init, bank)
-        kernel.advance(*state, 0, q0, sensing, obs, 0, 3_000, weights, top, draws)
-        kernel.advance(*state, 3_000, q0, sensing, obs, 3_000, steps, weights, top, draws)
+        kernel.advance(*state, 0, q0, *modelled, noise, 0, 3_000, weights, top, draws)
+        kernel.advance(*state, 3_000, q0, *modelled, noise, 3_000, steps, weights, top, draws)
         states.append(state)
     _same_bits(states)
 
@@ -510,7 +537,7 @@ def test_every_lane_width_names_the_same_singular_trial():
     # earliest step wins, then the first trial at it, across lane groups.
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
     bank, steps = 11, 8
-    draws, obs, _ = _block(model, top, schedule, steps, seed=0, bank=bank)
+    draws, noise, _ = _block(model, top, schedule, steps, seed=0, bank=bank)
     weights = np.zeros((3, steps))
     weights[2] = np.arange(1.0, steps + 1)
     states = []
@@ -520,11 +547,12 @@ def test_every_lane_width_names_the_same_singular_trial():
         for trial, s in ((9, 2), (10, 2), (2, 4)):
             state[1][trial] = -weights[2, s] * np.eye(model.param_dim)
         with pytest.raises(TrialDiverged) as info:
-            kernel.advance(*state, 40, q0, model._stacked.sensing, obs, 0, steps, weights, top,
+            kernel.advance(*state, 40, q0, *_modelled(model), noise, 0, steps, weights, top,
                            draws)
         assert (info.value.trial, info.value.step) == (9, 42)
         states.append(state)
     _same_bits(states)
+    obs = harness._observations(model._stacked, noise)
     for trial, folded in ((9, 2), (10, 2), (2, 4), (0, steps)):
         # a failed trial stops before its failing step's observation
         total = np.zeros_like(obs[trial, 0])
@@ -533,16 +561,40 @@ def test_every_lane_width_names_the_same_singular_trial():
         assert np.array_equal(states[0][3][trial], total)
 
 
+@pytest.mark.parametrize("noise", ["gaussian", "laplace"])
+@pytest.mark.parametrize("build", [example1_model, make_ragged_model], ids=["example1", "ragged"])
+def test_kernel_forms_the_observations_of_the_numpy_synthesis_bit_for_bit(build, noise):
+    # With alpha = beta = 0 only the moments move, and they fold exactly
+    # the observations the kernel formed from the noise.
+    model = build(noise)
+    top = TopologyModel(path_graph(model.num_agents), "bernoulli", 0.5)
+    bank, steps = 11, 500
+    draws, z, weights = _block(model, top, WeightSchedule(), steps, seed=7, bank=bank)
+    weights[:2] = 0.0
+    obs = harness._observations(model._stacked, z)
+    (_, _, *moments), q0 = _bank_state(model, None, bank)
+    for s in range(steps):
+        _fold_observations(*moments, s, obs[:, s])
+    for kernel in _every_width():
+        state, q0 = _bank_state(model, None, bank)
+        kernel.advance(*state, 0, q0, *_modelled(model), z, 0, steps, weights, top, draws)
+        for got, want in zip(state[2:], moments):
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
 def test_singular_gain_solve_names_the_first_trial_and_its_step(compiled):
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
-    draws, obs, weights = _block(model, top, schedule, 8, seed=0)
+    draws, noise, weights = _block(model, top, schedule, 8, seed=0)
     (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
     g[1:] = -weights[2, 3] * np.eye(model.param_dim)  # G + gamma I = 0 at block step 3
     state = NetworkState(x, g, shifts, sums, outer, q0, 40, model.obs_dims)
-    kernel = _kernel.load() if compiled else None
+    bound = None
+    if compiled:
+        bound = _kernel.load().bind(x, g, shifts, sums, outer, q0, *_modelled(model), top)
+        bound.draws(noise, weights, draws)
     with pytest.raises(TrialDiverged) as info:
-        harness._advance(kernel, state, model._stacked.sensing, obs, 3, 8, weights, top, draws)
+        harness._advance(bound, state, model._stacked, noise, 3, 8, weights, top, draws)
     assert (info.value.trial, info.value.step) == (1, 40)
     assert "singular matrix in the gain solve at step 40" in str(info.value)
 
@@ -551,25 +603,25 @@ def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
     kernel = _kernel.load()
     assert kernel is not None
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
-    draws, obs, weights = _block(model, top, schedule, 8, seed=0)
+    draws, noise, weights = _block(model, top, schedule, 8, seed=0)
     (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
-    sensing = model._stacked.sensing
+    modelled = _modelled(model)
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernel.advance(np.asfortranarray(x), g, shifts, sums, outer, 0, q0, sensing, obs, 0, 8,
+        kernel.advance(np.asfortranarray(x), g, shifts, sums, outer, 0, q0, *modelled, noise, 0,
+                       8, weights, top, draws)
+    with pytest.raises(ValueError, match="shape"):
+        kernel.advance(x, g[:, :-1].copy(), shifts, sums, outer, 0, q0, *modelled, noise, 0, 8,
                        weights, top, draws)
     with pytest.raises(ValueError, match="shape"):
-        kernel.advance(x, g[:, :-1].copy(), shifts, sums, outer, 0, q0, sensing, obs, 0, 8,
-                       weights, top, draws)
-    with pytest.raises(ValueError, match="shape"):
-        kernel.advance(x, g, shifts, sums, outer, 0, q0, sensing, obs, 0, 8,
+        kernel.advance(x, g, shifts, sums, outer, 0, q0, *modelled, noise, 0, 8,
                        weights, top, draws[:, :, :-1].copy())
-    with pytest.raises(ValueError, match="observations must be a float64 array"):
-        kernel.advance(x, g, shifts, sums, outer, 0, q0, sensing, obs.astype(np.float32), 0, 8,
-                       weights, top, draws)
+    with pytest.raises(ValueError, match="noise must be a float64 array"):
+        kernel.advance(x, g, shifts, sums, outer, 0, q0, *modelled, noise.astype(np.float32), 0,
+                       8, weights, top, draws)
     frozen = x.copy()
     frozen.setflags(write=False)
     with pytest.raises(ValueError, match="writable"):
-        kernel.advance(frozen, g, shifts, sums, outer, 0, q0, sensing, obs, 0, 8,
+        kernel.advance(frozen, g, shifts, sums, outer, 0, q0, *modelled, noise, 0, 8,
                        weights, top, draws)
     assert np.array_equal(x, np.zeros_like(x))  # nothing ran
     assert np.array_equal(frozen, np.zeros_like(x))
