@@ -1,16 +1,15 @@
-"""Loader of the compiled bank-step kernel (``_kernel.c``).
+"""Loader of the compiled bank-step kernel (``_kernel.c``), the library's
+one consensus+innovation round.
 
 The kernel advances a whole trial bank through one segment of a draw
-block in a single call, applying the same four updates as
-``estimator._advance`` plus the moment update.  It is compiled on first
-use with the system C compiler and cached under the package's
-``__pycache__`` (or a private temporary directory when that is not
-writable), keyed by a hash of the source and the compile command.
-The library holds one entry point per lane width (trials advanced side
-by side in one vector); the CPU it loads on picks the widest it runs,
-and every width gives the same bits.  :func:`load` returns ``None`` when
-no compiler or library is available; callers then fall back to the
-numpy round.
+block in a single call, forming each step's observations from the
+noise.  It is compiled on first use with the system C compiler and
+cached under the package's ``__pycache__`` (else in one private
+per-user directory under the system temporary directory), keyed by a
+hash of the source and the compile command.  The library holds one
+entry point per lane width (trials advanced side by side in one
+vector); the CPU it loads on picks the widest it runs, and every width
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -20,13 +19,14 @@ import functools
 import hashlib
 import logging
 import os
+import stat
 import subprocess
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .errors import TrialDiverged
+from .errors import AdleError, TrialDiverged
 from .network import TopologyModel
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -51,6 +51,15 @@ def _cache_dir() -> Path:
         pass
     if os.access(cache, os.W_OK):
         return cache
+    # one directory per user, loaded from only while no one else may write to it
+    shared = Path(tempfile.gettempdir()) / f"adle-kernel-{os.getuid()}"
+    try:
+        shared.mkdir(mode=0o700, exist_ok=True)
+        info = shared.lstat()
+        if stat.S_ISDIR(info.st_mode) and info.st_uid == os.getuid() and not info.st_mode & 0o022:
+            return shared
+    except OSError:
+        pass
     return Path(tempfile.mkdtemp(prefix="adle-kernel-"))
 
 
@@ -143,17 +152,6 @@ class BankKernel:
                          **{name: arr.ctypes.data for name, arr in arrays.items()})
         return BoundBank(self._fns[1 if bank == 1 else self.lanes], args, arrays)
 
-    def advance(self, estimates, grammians, shifts, sums, outer_sums, count: int, q0, sensing,
-                sensed_truth, noise_factor, noise, start: int, stop: int, weights,
-                top: TopologyModel, active) -> None:
-        """Bind the bank (:meth:`bind`), then its draws
-        (:meth:`BoundBank.draws`), and advance it through block steps
-        ``start..stop-1`` (:meth:`BoundBank.advance`)."""
-        bound = self.bind(estimates, grammians, shifts, sums, outer_sums, q0, sensing,
-                          sensed_truth, noise_factor, top)
-        bound.draws(noise, weights, active)
-        bound.advance(count, start, stop)
-
 
 class BoundBank:
     """A bank whose arrays are checked and whose addresses are bound:
@@ -225,13 +223,18 @@ def _check(arr, name: str, dtype, shape):
 
 
 @functools.cache
-def load() -> BankKernel | None:
-    """The compiled kernel, built on first use; ``None`` when unavailable."""
+def load() -> BankKernel:
+    """The compiled kernel, built on first use.
+
+    Raises :class:`AdleError` naming the compile command and the
+    compiler's complaint when the library cannot be built or loaded.
+    """
     try:
         kernel = BankKernel(ctypes.CDLL(str(_build())))
     except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", None) or exc
-        _log.warning("compiled bank-step kernel unavailable, using the numpy round: %s", detail)
-        return None
+        detail = (getattr(exc, "stderr", None) or str(exc)).strip()
+        command = " ".join([*COMPILE, "-o", "<library>", str(_SOURCE)])
+        raise AdleError(f"cannot build the compiled bank-step kernel with `{command}`: "
+                        f"{detail}") from exc
     _log.debug("compiled bank-step kernel runs %d trial lanes", kernel.lanes)
     return kernel

@@ -29,6 +29,9 @@ from .schedule import WeightSchedule, checkpoint_bound, validate_schedule
 
 SCHEMA = "adle-scenario/1"
 
+#: libyaml's safe loader where PyYAML has it: same documents, about 8x faster.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -187,7 +190,7 @@ def parse_config(path, overrides=None) -> ScenarioConfig:
     """
     try:
         with open(path) as handle:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=_LOADER)
     except OSError as exc:
         raise ParseError(str(exc.strerror or exc), path=str(path)) from exc
     except yaml.YAMLError as exc:

@@ -18,11 +18,11 @@ keeps its precision when the observations sit far from zero.
 The neighborhoods ``Omega_n(t)`` are read off one freshly sampled
 Laplacian shared by the estimate and Grammian updates.  The gain is
 measurable with respect to the past: it never sees the observation it
-weights.  Kernels accept arbitrary leading batch dimensions so that a
-whole bank of Monte Carlo trials advances with the same code path;
-``_advance`` is the numpy round, the oracle of the compiled bank kernel
-(``_kernel.c``) and its fallback.  :func:`adle.harness.trajectory`
-drives the round and owns the draw order.
+weights.  The round itself runs in the compiled bank kernel
+(``_kernel.c``), driven by :func:`adle.harness.trajectory`, which owns
+the draw order.  This module holds the state layout and numpy kernels
+batched over leading axes (such as a bank's trial axis): those of the
+checkpoint diagnostics, and the consensus products of the numpy oracle.
 """
 
 from __future__ import annotations
@@ -124,20 +124,6 @@ def _sample_cov_from_moments(obs_sum, obs_outer_sum, count: int, initial):
     return obs_outer_sum / count - mean[..., :, None] * mean[..., None, :]
 
 
-def _fold_observations(shifts, sums, outer_sums, count: int, y) -> None:
-    """Fold ``y`` into moments that hold ``count`` observations, in place.
-
-    The first observation (``count == 0``) becomes the shift, so the
-    moments stay centered near the data and ``Q`` keeps its precision
-    far from zero.
-    """
-    if count == 0:
-        shifts[...] = y
-    d = y - shifts
-    sums += d
-    outer_sums += d[..., :, None] * d[..., None, :]
-
-
 def _regularized_inverse(mats: np.ndarray, gamma: float) -> np.ndarray:
     """Inverse of ``mats + gamma I`` on the trailing two axes."""
     k = mats.shape[-1]
@@ -177,41 +163,3 @@ def _max_disagreement(estimates: np.ndarray) -> np.ndarray:
         diffs = estimates[..., i + 1:, :] - estimates[..., i:i + 1, :]
         np.maximum(worst, np.sqrt((diffs**2).sum(axis=-1)).max(axis=-1), out=worst)
     return worst
-
-
-def _advance(
-    estimates,
-    grammians,
-    obs_sums,
-    obs_outer_sums,
-    count: int,
-    initial_sample_covs,
-    sensing_padded,
-    lap,
-    observations,
-    alpha: float,
-    beta: float,
-    gamma: float,
-):
-    """One round in the padded layout from moments that hold ``count``
-    observations; returns the new estimate and Grammian stacks.
-
-    All inputs may carry leading batch dimensions (e.g. a bank of trials).
-    """
-    q = _sample_cov_from_moments(obs_sums, obs_outer_sums, count, initial_sample_covs)
-    dinv = _regularized_inverse(q, gamma)
-    sensing_t = np.swapaxes(sensing_padded, -1, -2)
-    sensing_t_dinv = sensing_t @ dinv                       # (..., N, M, max_dim)
-    gains = _gain_kernel(grammians, gamma, sensing_t_dinv)  # (..., N, M, max_dim)
-
-    residual = observations[..., None] - sensing_padded @ estimates[..., None]
-    innovation = (gains @ residual)[..., 0]
-    new_estimates = estimates - beta * _neighborhood_sums_vec(lap, estimates) + alpha * innovation
-
-    grammian_innovation = sensing_t_dinv @ sensing_padded
-    new_grammians = (
-        grammians
-        - beta * _neighborhood_sums_mat(lap, grammians)
-        + alpha * (grammian_innovation - grammians)
-    )
-    return new_estimates, new_grammians

@@ -12,11 +12,10 @@ Trials are advanced in fixed-size banks by :func:`trajectory`, the one
 driver of the round: each trial still consumes only its own random
 stream (topology draws for a block of steps, then observation noise for
 the block), so any single trial is bit-reproducible from its seed alone
-and reports do not depend on the parallelism degree.  A compiled kernel
-(``_kernel.c``) advances a bank from one checkpoint to the next in a
-single call, forming each step's observations from the noise; where it
-cannot be built, the numpy round ``estimator._advance`` runs step by
-step on the observations of :func:`_observations`.
+and reports do not depend on the parallelism degree.  The compiled
+kernel (``_kernel.c``) is the one round: it advances a bank from one
+checkpoint to the next in a single call, forming each step's
+observations from the noise.
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernel, _ks, estimator
+from . import _kernel, _ks
 from .errors import TrialDiverged
 from .estimator import (
     NetworkState,
-    _fold_observations,
     _gain_kernel,
     _max_disagreement,
     _regularized_inverse,
@@ -133,35 +131,16 @@ def _draw_topology_block(top: TopologyModel, rngs, steps: int, out=None):
 
 
 def _laplacian_at(top: TopologyModel, active, s: int):
-    """Sampled Laplacians for step ``s`` of a block: (R, N, N) or shared (N, N)."""
+    """Sampled Laplacians for step ``s`` of a block: (R, N, N) or shared (N, N).
+    Off the run path, where the kernel reads the masks; the numpy oracle reads it."""
     return top.laplacians(None if active is None else active[:, s])
 
 
-def _advance(bound, state: NetworkState, stacked, noise, start: int, stop: int, weights,
-             top: TopologyModel, active) -> None:
-    """Advance a bank through block steps ``start..stop-1`` in place,
-    ``state.step`` included.
-
-    One call of ``bound``, the compiled kernel bound to the bank's state
-    and draw buffers (``_kernel.BoundBank``); without it, the numpy round
-    ``estimator._advance`` and the moment update run step by step on the
-    observations :func:`_observations` forms from ``noise``.
-    """
-    if bound is not None:
-        bound.advance(state.step, start, stop)
-        state.step += stop - start
-        return
-    x, g, shifts, sums, outer = (state.estimates, state.grammians, state.obs_shifts,
-                                 state.obs_sums, state.obs_outer_sums)
-    q0 = state.initial_sample_covs
-    for s in range(start, stop):
-        y = _observations(stacked, noise[:, s])
-        lap, count = _laplacian_at(top, active, s), state.step
-        x[...], g[...] = _naming_singular(count, len(x), lambda pick: estimator._advance(
-            x[pick], g[pick], sums[pick], outer[pick], count, q0, stacked.sensing,
-            lap if lap.ndim == 2 else lap[pick], y[pick], *weights[:, s]))
-        _fold_observations(shifts, sums, outer, count, y)
-        state.step += 1
+def _advance(bound, state: NetworkState, start: int, stop: int) -> None:
+    """Advance a bank through block steps ``start..stop-1`` in place, ``state.step``
+    included, by one call of its bound kernel (``_kernel.BoundBank``)."""
+    bound.advance(state.step, start, stop)
+    state.step += stop - start
 
 
 def _naming_singular(step: int, bank: int, call):
@@ -241,8 +220,7 @@ def trajectory(
     for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
         a = getattr(state, field)
         setattr(state, field, np.tile(a, (len(rngs),) + (1,) * a.ndim))
-    kernel = _kernel.load()
-    bound = None if kernel is None else kernel.bind(
+    bound = _kernel.load().bind(
         state.estimates, state.grammians, state.obs_shifts, state.obs_sums,
         state.obs_outer_sums, state.initial_sample_covs, stacked.sensing, stacked.sensed_truth,
         stacked.noise_factor, top)
@@ -257,8 +235,7 @@ def trajectory(
             active = (np.empty((len(rngs), steps, top.base.num_edges), dtype=bool)
                       if top.draws_links else None)
             weights = np.empty((3, steps))
-            if bound is not None:
-                bound.draws(noise, weights, active)
+            bound.draws(noise, weights, active)
         _draw_topology_block(top, rngs, steps, active)
         for rng, row in zip(rngs, noise):
             _unit_variance_draws(rng, model.noise, row.shape, row)
@@ -266,23 +243,10 @@ def trajectory(
         block_end = block_start + steps
         while state.step < block_end:
             stop = min(block_end, grid[pointer])
-            _advance(bound, state, stacked, noise, state.step - block_start,
-                     stop - block_start, weights, top, active)
+            _advance(bound, state, state.step - block_start, stop - block_start)
             if state.step == grid[pointer]:
                 yield state.step, state
                 pointer += 1
-
-
-def _observations(stacked, noise: np.ndarray) -> np.ndarray:
-    """Observations ``sensed_truth + noise_factor @ z`` of unit-variance
-    draws ``z`` (..., N, mx), the product summed one factor column at a
-    time, left to right: no (..., N, mx, mx) temporary.  The compiled
-    kernel forms each step's observations with these same operations."""
-    factor = stacked.noise_factor
-    acc = factor[..., 0] * noise[..., :1]
-    for j in range(1, noise.shape[-1]):
-        acc += factor[..., j] * noise[..., j:j + 1]
-    return stacked.sensed_truth + acc
 
 
 def _run_bank(
@@ -403,7 +367,9 @@ def run_experiment(config) -> ExperimentReport:
          seeds[i : i + TRIALS_PER_BANK], init, i)
         for i in range(0, len(seeds), TRIALS_PER_BANK)
     ]
-    workers = worker_count(config.parallelism, len(payloads), os.cpu_count() or 1)
+    # the CPUs this process may run on (``taskset`` and cpusets narrow them)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = worker_count(config.parallelism, len(payloads), cpus or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             banks = list(pool.map(_run_bank, *zip(*payloads)))

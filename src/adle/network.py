@@ -11,7 +11,7 @@ three supported laws are
 
 The law is read here only: :meth:`TopologyModel.draw_active` turns a
 random stream into per-step active-edge masks, which are all that the
-sampled Laplacians, the numpy round and the compiled kernel see.
+sampled Laplacians and the compiled kernel see.
 
 The quantity that matters for convergence is not per-step connectivity
 but the algebraic connectivity (Fiedler value) of the *mean* Laplacian:

@@ -1,11 +1,17 @@
-"""Naive per-agent reference of one consensus+innovation round (test oracle).
+"""Reference rounds of the consensus+innovation recursion (test oracles).
 
-Written agent by agent, with neighbor lists and explicit inverses, from
-the four update equations in the docstring of ``adle.estimator``; each
-right-hand side is read from the time-``t`` state.  The library runs the
-same round on a padded, trial-stacked layout (``estimator._advance`` and
-the compiled kernel, driven by ``harness.trajectory``); the tests check
-that the two agree and check the equations' properties on this oracle.
+Two oracles of the compiled bank kernel, the library's one round:
+
+* the naive per-agent round (:func:`reference_round`), written agent by
+  agent, with neighbor lists and explicit inverses, from the four update
+  equations in the docstring of ``adle.estimator``; each right-hand side
+  is read from the time-``t`` state;
+* the trial-stacked numpy round (:func:`stacked_round`) on the library's
+  padded layout, and :func:`reference_trajectory`, which drives it with
+  the draws and draw order of ``adle.harness.trajectory``.
+
+The tests check that the kernel agrees with both and check the
+equations' properties on the per-agent oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from adle import harness
+from adle.estimator import (
+    _gain_kernel,
+    _neighborhood_sums_mat,
+    _neighborhood_sums_vec,
+    _regularized_inverse,
+    _sample_cov_from_moments,
+    initial_network_state,
+)
+from adle.model import _unit_variance_draws
 
 
 @dataclass
@@ -138,3 +155,116 @@ def reference_round(agents, lap, observations, sensing, schedule, t: int) -> lis
         replace(update_sample_covariance(a, y), estimate=x, grammian_est=g)
         for a, y, x, g in zip(agents, observations, estimates, grammians)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the trial-stacked numpy round
+
+
+def observations(stacked, noise: np.ndarray) -> np.ndarray:
+    """Observations ``sensed_truth + noise_factor @ z`` of unit-variance
+    draws ``z`` (..., N, mx), the product summed one factor column at a
+    time, left to right: no (..., N, mx, mx) temporary.  The compiled
+    kernel forms each step's observations with these same operations."""
+    factor = stacked.noise_factor
+    acc = factor[..., 0] * noise[..., :1]
+    for j in range(1, noise.shape[-1]):
+        acc += factor[..., j] * noise[..., j:j + 1]
+    return stacked.sensed_truth + acc
+
+
+def fold_observations(shifts, sums, outer_sums, count: int, y) -> None:
+    """Fold ``y`` into moments that hold ``count`` observations, in place.
+
+    The first observation (``count == 0``) becomes the shift, so the
+    moments stay centered near the data and ``Q`` keeps its precision
+    far from zero.
+    """
+    if count == 0:
+        shifts[...] = y
+    d = y - shifts
+    sums += d
+    outer_sums += d[..., :, None] * d[..., None, :]
+
+
+def stacked_round(
+    estimates,
+    grammians,
+    obs_sums,
+    obs_outer_sums,
+    count: int,
+    initial_sample_covs,
+    sensing_padded,
+    lap,
+    observations,
+    alpha: float,
+    beta: float,
+    gamma: float,
+):
+    """One round in the padded layout from moments that hold ``count``
+    observations; returns the new estimate and Grammian stacks.
+
+    All inputs may carry leading batch dimensions (e.g. a bank of trials).
+    """
+    q = _sample_cov_from_moments(obs_sums, obs_outer_sums, count, initial_sample_covs)
+    dinv = _regularized_inverse(q, gamma)
+    sensing_t = np.swapaxes(sensing_padded, -1, -2)
+    sensing_t_dinv = sensing_t @ dinv                       # (..., N, M, max_dim)
+    gains = _gain_kernel(grammians, gamma, sensing_t_dinv)  # (..., N, M, max_dim)
+
+    residual = observations[..., None] - sensing_padded @ estimates[..., None]
+    innovation = (gains @ residual)[..., 0]
+    new_estimates = estimates - beta * _neighborhood_sums_vec(lap, estimates) + alpha * innovation
+
+    grammian_innovation = sensing_t_dinv @ sensing_padded
+    new_grammians = (
+        grammians
+        - beta * _neighborhood_sums_mat(lap, grammians)
+        + alpha * (grammian_innovation - grammians)
+    )
+    return new_estimates, new_grammians
+
+
+def stacked_segment(state, stacked, noise, start: int, stop: int, weights, top, active) -> None:
+    """Advance a trial-stacked ``NetworkState`` through block steps
+    ``start..stop-1`` in place with :func:`stacked_round` and the moment
+    update, on the block's unit-variance ``noise`` (R, S, N, mx), its
+    (3, S) ``weights`` and its active-edge masks ``active``.  A singular
+    solve raises ``TrialDiverged`` naming the first trial that fails alone.
+    """
+    x, g, shifts, sums, outer = (state.estimates, state.grammians, state.obs_shifts,
+                                 state.obs_sums, state.obs_outer_sums)
+    q0 = state.initial_sample_covs
+    for s in range(start, stop):
+        y = observations(stacked, noise[:, s])
+        lap, count = harness._laplacian_at(top, active, s), state.step
+        x[...], g[...] = harness._naming_singular(count, len(x), lambda pick: stacked_round(
+            x[pick], g[pick], sums[pick], outer[pick], count, q0, stacked.sensing,
+            lap if lap.ndim == 2 else lap[pick], y[pick], *weights[:, s]))
+        fold_observations(shifts, sums, outer, count, y)
+        state.step += 1
+
+
+def reference_trajectory(model, top, schedule, horizon: int, grid, seeds, init=None):
+    """``harness.trajectory`` on the numpy round: the same per-trial draws
+    in the same order (per block of ``BLOCK_STEPS`` steps, the topology
+    draws, then the noise), advanced by :func:`stacked_segment` one step
+    at a time, yielding ``(t, state)`` at every step ``t`` of ``grid``."""
+    stacked = model._stacked
+    shape = (model.num_agents, stacked.max_dim)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    grid = set(np.asarray(grid).tolist())
+    state = initial_network_state(model, *(init if init is not None else (None, None, None)))
+    for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
+        a = getattr(state, field)
+        setattr(state, field, np.tile(a, (len(rngs),) + (1,) * a.ndim))
+    while state.step < horizon:
+        steps = min(harness.BLOCK_STEPS, horizon - state.step)
+        active = harness._draw_topology_block(top, rngs, steps)
+        noise = np.stack([_unit_variance_draws(rng, model.noise, (steps, *shape))
+                          for rng in rngs])
+        weights = schedule.block(state.step, steps)
+        for s in range(steps):
+            stacked_segment(state, stacked, noise, s, s + 1, weights, top, active)
+            if state.step in grid:
+                yield state.step, state

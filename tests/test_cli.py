@@ -10,9 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import adle
-from adle import harness
+from adle import cli, harness
 from adle.cli import ScenarioConfig, example1_graph, main, parse_config
 from adle.errors import ParseError, ValidationError
+from reference import reference_trajectory
 
 
 #: An explicit two-agent model on the edge [0, 1].
@@ -83,11 +84,15 @@ def test_missing_file_is_a_parse_error(tmp_path):
         parse_config(tmp_path / "nope.yaml")
 
 
-def test_malformed_yaml_is_a_parse_error(tmp_path):
+def test_malformed_yaml_is_a_parse_error(tmp_path, monkeypatch):
     path = tmp_path / "bad.yaml"
-    path.write_text("schema: [unclosed\n")
-    with pytest.raises(ParseError):
-        parse_config(path)
+    for loader in (cli._LOADER, yaml.SafeLoader):  # libyaml's and PyYAML's report alike
+        monkeypatch.setattr(cli, "_LOADER", loader)
+        for text, line in (("schema: [unclosed\n", 2), ("schema: x\nhorizon: 1\n  seed: 2\n", 3)):
+            path.write_text(text)
+            with pytest.raises(ParseError) as info:
+                parse_config(path)
+            assert (info.value.path, info.value.line) == (str(path), line)
 
 
 def test_unknown_top_level_key_rejected(tmp_path):
@@ -212,12 +217,12 @@ def test_singular_gain_solve_names_the_trial_and_step(tmp_path, capsys):
     assert not (outdir / "summary.csv").exists()
 
 
-def test_singular_gain_solve_in_the_numpy_fallback_names_the_trial_and_step(
+def test_singular_gain_solve_in_the_reference_trajectory_names_the_trial_and_step(
     tmp_path, capsys, monkeypatch
 ):
-    # the numpy state rounds differently: its checkpoint diagnostics at
-    # step 13 are the first solve to meet the singular matrix
-    monkeypatch.setattr(harness._kernel, "load", lambda: None)
+    # the oracle's numpy round differs from the kernel in the last bits: its
+    # checkpoint diagnostics at step 13 are the first solve to meet the singular matrix
+    monkeypatch.setattr(harness, "trajectory", reference_trajectory)
     outdir = tmp_path / "out"
     assert main(["--config", str(_singular_scenario(tmp_path)), "--out", str(outdir)]) == 1
     err = capsys.readouterr().err
@@ -354,6 +359,13 @@ def test_a_list_output_dir_is_rejected_before_the_run(tmp_path, capsys, monkeypa
 def test_shipped_scenarios_validate(path, capsys):
     assert main(["--config", str(path), "--validate-only"]) == 0
     assert "configuration OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "demos" / "scenarios")
+                                        .glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_scenarios_load_alike_under_both_loaders(path):
+    text = path.read_text()
+    assert yaml.load(text, Loader=cli._LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 #: Every key of a scenario: the top-level keys, then ``section.key``.

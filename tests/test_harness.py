@@ -2,7 +2,9 @@ import ctypes
 import copy
 import dataclasses
 import logging
+import os
 import pickle
+import stat
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -11,9 +13,9 @@ import numpy as np
 import pytest
 
 from adle import _kernel, harness
-from adle.cli import example1_model
-from adle.errors import TrialDiverged
-from adle.estimator import NetworkState, _advance, _fold_observations, initial_network_state
+from adle.cli import example1_model, main
+from adle.errors import AdleError, TrialDiverged
+from adle.estimator import NetworkState, initial_network_state
 from adle.harness import (
     BLOCK_STEPS,
     AcceptanceThresholds,
@@ -39,6 +41,13 @@ from adle.network import (
 )
 from adle.schedule import WeightSchedule, checkpoint_bound, recursion_trace
 from conftest import make_ragged_model
+from reference import (
+    fold_observations,
+    observations,
+    reference_trajectory,
+    stacked_round,
+    stacked_segment,
+)
 
 
 def small_config(ring_model, bernoulli_pentagon, ring_schedule, **overrides):
@@ -333,6 +342,19 @@ def test_worker_count_is_bounded_by_banks_and_cpus():
     assert worker_count(0, banks=1, cpus=8) == 1
 
 
+def test_workers_are_bounded_by_the_cpus_this_process_may_use(
+    monkeypatch, ring_model, bernoulli_pentagon, ring_schedule
+):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built for one usable CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    config = small_config(ring_model, bernoulli_pentagon, ring_schedule, horizon=200,
+                          num_trials=harness.TRIALS_PER_BANK + 2, parallelism=0)
+    assert run_experiment(config).trial_gain_gap.shape[0] == harness.TRIALS_PER_BANK + 2
+
+
 # ----------------------------------------------------------------- memory
 
 
@@ -465,6 +487,16 @@ def _modelled(model):
     return stacked.sensing, stacked.sensed_truth, stacked.noise_factor
 
 
+def _kernel_advance(kernel, estimates, grammians, shifts, sums, outer_sums, count, q0, sensing,
+                    sensed_truth, noise_factor, noise, start, stop, weights, top, active):
+    """Bind a bank and its draws, then advance it through block steps
+    ``start..stop-1`` from ``count`` folded observations."""
+    bound = kernel.bind(estimates, grammians, shifts, sums, outer_sums, q0, sensing,
+                        sensed_truth, noise_factor, top)
+    bound.draws(noise, weights, active)
+    bound.advance(count, start, stop)
+
+
 def _bank_state(model, init, bank=3):
     net = initial_network_state(model, *(init or (None, None, None)))
     state = [np.tile(a, (bank,) + (1,) * a.ndim)
@@ -476,22 +508,22 @@ def _bank_state(model, init, bank=3):
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_kernel_matches_numpy_round_over_ten_thousand_steps(case):
     kernel = _kernel.load()
-    assert kernel is not None, "the C compiler should be available to the test suite"
     model, top, schedule, init = KERNEL_CASES[case]
     steps = 10_000
     draws, noise, weights = _block(model, top, schedule, steps, seed=len(case))
     modelled = _modelled(model)
 
     compiled, q0 = _bank_state(model, init)
-    kernel.advance(*compiled, 0, q0, *modelled, noise, 0, 3_000, weights, top, draws)
-    kernel.advance(*compiled, 3_000, q0, *modelled, noise, 3_000, steps, weights, top, draws)
+    _kernel_advance(kernel, *compiled, 0, q0, *modelled, noise, 0, 3_000, weights, top, draws)
+    _kernel_advance(kernel, *compiled, 3_000, q0, *modelled, noise, 3_000, steps, weights, top,
+                    draws)
 
-    obs, sensing = harness._observations(model._stacked, noise), modelled[0]
+    obs, sensing = observations(model._stacked, noise), modelled[0]
     (x, g, shifts, sums, outer), _ = _bank_state(model, init)
     for s in range(steps):
-        x, g = _advance(x, g, sums, outer, s, q0, sensing,
-                        harness._laplacian_at(top, draws, s), obs[:, s], *weights[:, s])
-        _fold_observations(shifts, sums, outer, s, obs[:, s])
+        x, g = stacked_round(x, g, sums, outer, s, q0, sensing,
+                             harness._laplacian_at(top, draws, s), obs[:, s], *weights[:, s])
+        fold_observations(shifts, sums, outer, s, obs[:, s])
 
     for got, want in zip(compiled, (x, g, shifts, sums, outer)):
         assert np.max(np.abs(got - want)) <= 1e-10
@@ -500,7 +532,6 @@ def test_kernel_matches_numpy_round_over_ten_thousand_steps(case):
 def _every_width():
     """The kernel set to each lane width this CPU runs, one lane first."""
     kernel = _kernel.load()
-    assert kernel is not None, "the C compiler should be available to the test suite"
     kernels = []
     for width in _kernel.WIDTHS[:_kernel.WIDTHS.index(kernel.lanes) + 1]:
         kernels.append(copy.copy(kernel))
@@ -524,8 +555,9 @@ def test_every_lane_width_matches_one_lane_bit_for_bit(case, bank):
     states = []
     for kernel in _every_width():
         state, q0 = _bank_state(model, init, bank)
-        kernel.advance(*state, 0, q0, *modelled, noise, 0, 3_000, weights, top, draws)
-        kernel.advance(*state, 3_000, q0, *modelled, noise, 3_000, steps, weights, top, draws)
+        _kernel_advance(kernel, *state, 0, q0, *modelled, noise, 0, 3_000, weights, top, draws)
+        _kernel_advance(kernel, *state, 3_000, q0, *modelled, noise, 3_000, steps, weights, top,
+                        draws)
         states.append(state)
     _same_bits(states)
 
@@ -547,12 +579,12 @@ def test_every_lane_width_names_the_same_singular_trial():
         for trial, s in ((9, 2), (10, 2), (2, 4)):
             state[1][trial] = -weights[2, s] * np.eye(model.param_dim)
         with pytest.raises(TrialDiverged) as info:
-            kernel.advance(*state, 40, q0, *_modelled(model), noise, 0, steps, weights, top,
-                           draws)
+            _kernel_advance(kernel, *state, 40, q0, *_modelled(model), noise, 0, steps, weights,
+                            top, draws)
         assert (info.value.trial, info.value.step) == (9, 42)
         states.append(state)
     _same_bits(states)
-    obs = harness._observations(model._stacked, noise)
+    obs = observations(model._stacked, noise)
     for trial, folded in ((9, 2), (10, 2), (2, 4), (0, steps)):
         # a failed trial stops before its failing step's observation
         total = np.zeros_like(obs[trial, 0])
@@ -571,88 +603,98 @@ def test_kernel_forms_the_observations_of_the_numpy_synthesis_bit_for_bit(build,
     bank, steps = 11, 500
     draws, z, weights = _block(model, top, WeightSchedule(), steps, seed=7, bank=bank)
     weights[:2] = 0.0
-    obs = harness._observations(model._stacked, z)
+    obs = observations(model._stacked, z)
     (_, _, *moments), q0 = _bank_state(model, None, bank)
     for s in range(steps):
-        _fold_observations(*moments, s, obs[:, s])
+        fold_observations(*moments, s, obs[:, s])
     for kernel in _every_width():
         state, q0 = _bank_state(model, None, bank)
-        kernel.advance(*state, 0, q0, *_modelled(model), z, 0, steps, weights, top, draws)
+        _kernel_advance(kernel, *state, 0, q0, *_modelled(model), z, 0, steps, weights, top, draws)
         for got, want in zip(state[2:], moments):
             assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
 def test_singular_gain_solve_names_the_first_trial_and_its_step(compiled):
+    # the compiled round, and the numpy round of the oracle
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
     draws, noise, weights = _block(model, top, schedule, 8, seed=0)
     (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
     g[1:] = -weights[2, 3] * np.eye(model.param_dim)  # G + gamma I = 0 at block step 3
     state = NetworkState(x, g, shifts, sums, outer, q0, 40, model.obs_dims)
-    bound = None
-    if compiled:
-        bound = _kernel.load().bind(x, g, shifts, sums, outer, q0, *_modelled(model), top)
-        bound.draws(noise, weights, draws)
     with pytest.raises(TrialDiverged) as info:
-        harness._advance(bound, state, model._stacked, noise, 3, 8, weights, top, draws)
+        if compiled:
+            bound = _kernel.load().bind(x, g, shifts, sums, outer, q0, *_modelled(model), top)
+            bound.draws(noise, weights, draws)
+            harness._advance(bound, state, 3, 8)
+        else:
+            stacked_segment(state, model._stacked, noise, 3, 8, weights, top, draws)
     assert (info.value.trial, info.value.step) == (1, 40)
     assert "singular matrix in the gain solve at step 40" in str(info.value)
 
 
 def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
     kernel = _kernel.load()
-    assert kernel is not None
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
     draws, noise, weights = _block(model, top, schedule, 8, seed=0)
     (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
     modelled = _modelled(model)
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernel.advance(np.asfortranarray(x), g, shifts, sums, outer, 0, q0, *modelled, noise, 0,
-                       8, weights, top, draws)
+        _kernel_advance(kernel, np.asfortranarray(x), g, shifts, sums, outer, 0, q0, *modelled,
+                        noise, 0, 8, weights, top, draws)
     with pytest.raises(ValueError, match="shape"):
-        kernel.advance(x, g[:, :-1].copy(), shifts, sums, outer, 0, q0, *modelled, noise, 0, 8,
-                       weights, top, draws)
+        _kernel_advance(kernel, x, g[:, :-1].copy(), shifts, sums, outer, 0, q0, *modelled, noise,
+                        0, 8, weights, top, draws)
     with pytest.raises(ValueError, match="shape"):
-        kernel.advance(x, g, shifts, sums, outer, 0, q0, *modelled, noise, 0, 8,
-                       weights, top, draws[:, :, :-1].copy())
+        _kernel_advance(kernel, x, g, shifts, sums, outer, 0, q0, *modelled, noise, 0, 8,
+                        weights, top, draws[:, :, :-1].copy())
     with pytest.raises(ValueError, match="noise must be a float64 array"):
-        kernel.advance(x, g, shifts, sums, outer, 0, q0, *modelled, noise.astype(np.float32), 0,
-                       8, weights, top, draws)
+        _kernel_advance(kernel, x, g, shifts, sums, outer, 0, q0, *modelled,
+                        noise.astype(np.float32), 0, 8, weights, top, draws)
     frozen = x.copy()
     frozen.setflags(write=False)
     with pytest.raises(ValueError, match="writable"):
-        kernel.advance(frozen, g, shifts, sums, outer, 0, q0, *modelled, noise, 0, 8,
-                       weights, top, draws)
+        _kernel_advance(kernel, frozen, g, shifts, sums, outer, 0, q0, *modelled, noise, 0, 8,
+                        weights, top, draws)
     assert np.array_equal(x, np.zeros_like(x))  # nothing ran
     assert np.array_equal(frozen, np.zeros_like(x))
 
 
-def test_numpy_fallback_runs_experiment_like_the_kernel(
+def test_reference_trajectory_runs_experiment_like_the_kernel(
     monkeypatch, ring_model, bernoulli_pentagon, ring_schedule
 ):
     config = small_config(ring_model, bernoulli_pentagon, ring_schedule, num_trials=70,
                           horizon=1_500, init_estimate=np.full(5, 0.5), init_sample_cov=1.0)
     compiled = run_experiment(config)
-    monkeypatch.setattr(harness._kernel, "load", lambda: None)
-    fallback = run_experiment(config)
-    assert np.allclose(fallback.trial_error_norms, compiled.trial_error_norms, rtol=0, atol=1e-10)
-    assert np.allclose(fallback.trial_gain_gap, compiled.trial_gain_gap, rtol=0, atol=1e-10)
-    assert np.allclose(fallback.empirical_scaled_cov, compiled.empirical_scaled_cov,
+    monkeypatch.setattr(harness, "trajectory", reference_trajectory)
+    oracle = run_experiment(config)
+    assert np.allclose(oracle.trial_error_norms, compiled.trial_error_norms, rtol=0, atol=1e-10)
+    assert np.allclose(oracle.trial_gain_gap, compiled.trial_gain_gap, rtol=0, atol=1e-10)
+    assert np.allclose(oracle.empirical_scaled_cov, compiled.empirical_scaled_cov,
                        rtol=0, atol=1e-8)
 
 
-def test_missing_compiler_warns_once_and_returns_none(monkeypatch, tmp_path, caplog):
+def test_missing_compiler_is_a_named_error(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(_kernel, "COMPILE", ("adle-no-such-compiler",))
-    monkeypatch.setattr(_kernel, "_cache_dir", lambda: tmp_path)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setattr(_kernel, "_cache_dir", lambda: cache)
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text("schema: adle-scenario/1\nmodel: example1\n"
+                        "topology: {base: example1, law: bernoulli, p: 0.5}\n"
+                        "horizon: 100\nnum_trials: 4\n")
     _kernel.load.cache_clear()
     try:
-        with caplog.at_level(logging.WARNING, logger=_kernel.__name__):
-            assert _kernel.load() is None
-            assert _kernel.load() is None
+        with pytest.raises(AdleError, match="adle-no-such-compiler -o"):
+            _kernel.load()
+        assert main(["--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
     finally:
         _kernel.load.cache_clear()
-    assert len(caplog.records) == 1
-    assert list(tmp_path.iterdir()) == []
+    assert list(cache.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot build the compiled bank-step kernel with")
+    assert "adle-no-such-compiler" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_names_its_lane_width_once(caplog):
@@ -676,3 +718,34 @@ def test_concurrent_builds_leave_one_loadable_library(monkeypatch, tmp_path):
     assert len(paths) == 1
     assert [p.name for p in tmp_path.iterdir()] == [paths.pop().name]
     _kernel.BankKernel(ctypes.CDLL(str(next(tmp_path.iterdir()))))
+
+
+def _unwritable_package_cache(monkeypatch, tmp_path):
+    """Make the package's ``__pycache__`` look unwritable and ``tmp_path`` the
+    system temporary directory; return the per-user cache path there."""
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    return tmp_path / f"adle-kernel-{os.getuid()}"
+
+
+def test_unwritable_package_reuses_one_private_cache_per_user(monkeypatch, tmp_path):
+    shared = _unwritable_package_cache(monkeypatch, tmp_path)
+    assert _kernel._cache_dir() == shared
+    assert _kernel._cache_dir() == shared  # the next process builds nothing new
+    assert stat.S_IMODE(shared.stat().st_mode) == 0o700
+    assert list(tmp_path.iterdir()) == [shared]
+
+
+@pytest.mark.parametrize("kind", ["group_writable", "symlink"])
+def test_a_cache_others_may_write_to_is_not_loaded_from(monkeypatch, tmp_path, kind):
+    shared = _unwritable_package_cache(monkeypatch, tmp_path)
+    if kind == "symlink":
+        (tmp_path / "elsewhere").mkdir(mode=0o700)
+        shared.symlink_to(tmp_path / "elsewhere")
+    else:
+        shared.mkdir()
+        shared.chmod(0o770)
+    private = _kernel._cache_dir()
+    assert private.parent == tmp_path and private.name.startswith("adle-kernel-")
+    assert private != shared and not private.is_symlink()
+    assert stat.S_IMODE(private.stat().st_mode) == 0o700
