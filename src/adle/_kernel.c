@@ -1,6 +1,7 @@
-/* Fused bank-step kernel: the consensus+innovation round of
- * ``estimator._advance`` plus the moment update, for a whole bank of
- * trials over one segment of a draw block.
+/* Fused bank kernel: for a whole bank of trials, the consensus+innovation
+ * round of the numpy oracle ``stacked_round`` (``tests/reference.py``)
+ * plus the moment update over one segment of a draw block, and the
+ * checkpoint records of ``harness._bank_checkpoint``.
  *
  * ``struct adle_bank`` holds the sizes and the array addresses, set once
  * by the Python loader; every array is C-contiguous float64 (int64 for
@@ -20,18 +21,23 @@
  *   w         (3, steps)           alpha, beta, gamma of each block step
  *   edges     (num_edges, 2)       base-graph edges
  *   active    (bank, steps, num_edges)  active-edge masks; NULL: all active
- *   failure   (2,)                 trial and step of a singular gain solve
+ *   theta, kopt, gtarget  (m), (n, m, mx), (m, m): truth, optimal gains, mean Grammian
+ *   scratch   adle_scratch_vectors() lane vectors, 64-byte aligned
+ *   failure   (2,)                 trial and step of a failure
  *
- * Each step forms its observations from the noise as
- * ``harness._observations`` does: y = truth + sum_j factor[., j] z_j,
- * the products summed left to right, so the bits are the same.
+ * Each step forms its observations from the noise as the oracle's
+ * ``observations`` does: y = truth + sum_j factor[., j] z_j, the
+ * products summed left to right, so the bits are the same.  Each
+ * checkpoint sum of squares runs in numpy's pairwise order, so only the
+ * gain gap differs, in its last bits: LAPACK orders its solves its way.
  *
  * Trial lanes.  A vector of LANES doubles carries one trial per lane,
  * and every lane performs exactly the scalar operations of its own
  * trial, in the same order, so the results do not depend on the lane
  * width.  The body below is stamped out once per width: 1 (any CPU), and
- * on x86 4 (AVX2) and 8 (AVX-512F), each as ``adle_advance_bank_<L>``;
- * ``adle_lanes`` names the widest one this CPU runs.
+ * on x86 4 (AVX2) and 8 (AVX-512F), as ``adle_advance_bank_<L>`` and
+ * ``adle_checkpoint_bank_<L>``; ``adle_lanes`` names the widest one
+ * this CPU runs.
  *
  * The bank is cut into groups of LANES trials (the last group padded
  * with dead lanes).  Lane groups are the outer loop and steps the inner
@@ -51,10 +57,9 @@
 #ifndef LANES
 
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
-enum { OK = 0, SINGULAR = 1, NO_MEMORY = 2 };
+enum { OK = 0, SINGULAR = 1, NOT_FINITE = 2 };
 
 /* Mirrored field for field by ``_kernel._BankArgs`` in the loader. */
 struct adle_bank {
@@ -63,8 +68,18 @@ struct adle_bank {
     const double *q0, *h, *truth, *factor, *noise, *w;
     const int64_t *edges;
     const uint8_t *active;
+    const double *theta, *kopt, *gtarget;
+    void *scratch;
     int64_t failure[2];
 };
+
+/* Lane vectors of scratch, allocated once per bank by the loader: the
+ * layout of adle_advance_bank, of which the checkpoint uses a part. */
+int64_t adle_scratch_vectors(const struct adle_bank *b)
+{
+    const int64_t n = b->n, m = b->m, mx = b->mx;
+    return n * (3 * m + 3 * m * m + 4 * mx + mx * mx) + 2 * mx * mx + 2 * m * mx + m * m + mx;
+}
 
 #define CAT_(a, b) a##b
 #define CAT(a, b) CAT_(a, b)
@@ -114,6 +129,7 @@ typedef int64_t M;                   /* a lane mask: all ones or zero */
 #define GREATER(a, b) (-(M)((a) > (b)))
 #define IS_ZERO(a) (-(M)((a) == 0.0))
 #define SAME(i, r) (-(M)((i) == (r)))
+#define IS_NAN(a) (-(M)((a) != (a)))
 
 static inline V NAME(pick)(M on, V a, V b)
 {
@@ -131,6 +147,7 @@ typedef int64_t M __attribute__((vector_size(8 * LANES)));
 #define GREATER(a, b) ((a) > (b))
 #define IS_ZERO(a) ((a) == 0.0)
 #define SAME(i, r) ((i) == (r))
+#define IS_NAN(a) ((a) != (a))
 
 /* a where on, else b, bit for bit */
 static inline V NAME(pick)(M on, V a, V b)
@@ -226,22 +243,19 @@ static M NAME(solve)(int64_t n, int64_t k, V *a, V *b)
     return singular;
 }
 
-/* Gain, innovation and Grammian innovation of one agent from its
- * time-t state: innov = K (y - H x) and gi = H' inv(Q + gamma I) H with
- * K = inv(G + gamma I) H' inv(Q + gamma I).  q0 and h are shared by the
- * lanes.  work holds 2 mx^2 + 2 m mx + m^2 + mx vectors.  Returns the
- * lanes whose solves met a zero pivot. */
-static M NAME(agent_terms)(int64_t m, int64_t mx, int64_t count, double gamma,
-                           const V *x, const V *g, const V *sums, const V *outer,
-                           const double *q0, const double *h, const V *y,
-                           V *innov, V *gi, V *work)
+/* One agent's gain K = inv(G + gamma I) H' inv(Q + gamma I) from its
+ * time-t state, left in work[0, m mx), and gi = H' inv(Q + gamma I) H
+ * unless gi is NULL.  q0 and h are shared by the lanes; work holds
+ * 2 mx^2 + 2 m mx + m^2 vectors.  Returns the lanes with a zero pivot. */
+static M NAME(gain)(int64_t m, int64_t mx, int64_t count, double gamma, const V *g,
+                    const V *sums, const V *outer, const double *q0, const double *h,
+                    V *gi, V *work)
 {
-    V *dq = work;                    /* Q + gamma I, then its factors */
+    V *gain = work;                  /* K, m x mx */
+    V *dq = gain + m * mx;           /* Q + gamma I, then its factors */
     V *dinv = dq + mx * mx;          /* inv(Q + gamma I) */
     V *bt = dinv + mx * mx;          /* H' inv(Q + gamma I), m x mx */
-    V *gain = bt + m * mx;           /* K, m x mx */
-    V *ga = gain + m * mx;           /* G + gamma I, then its factors */
-    V *res = ga + m * m;             /* y - H x */
+    V *ga = bt + m * mx;             /* G + gamma I, then its factors */
     M singular = {0};
 
     if (count == 0) {
@@ -273,7 +287,7 @@ static M NAME(agent_terms)(int64_t m, int64_t mx, int64_t count, double gamma,
             bt[i * mx + j] = s;
         }
     }
-    for (int64_t i = 0; i < m; i++) {
+    for (int64_t i = 0; gi != NULL && i < m; i++) {
         for (int64_t j = 0; j < m; j++) {
             V s = NAME(splat)(0.0);
             for (int64_t k = 0; k < mx; k++)
@@ -285,7 +299,18 @@ static M NAME(agent_terms)(int64_t m, int64_t mx, int64_t count, double gamma,
     memcpy(ga, g, (size_t)(m * m) * sizeof(V));
     for (int64_t i = 0; i < m; i++)
         ga[i * m + i] += gamma;
-    singular |= NAME(solve)(m, mx, ga, gain);
+    return singular | NAME(solve)(m, mx, ga, gain);
+}
+
+/* gain(), then innov = K (y - H x); work holds mx more vectors. */
+static M NAME(agent_terms)(int64_t m, int64_t mx, int64_t count, double gamma,
+                           const V *x, const V *g, const V *sums, const V *outer,
+                           const double *q0, const double *h, const V *y,
+                           V *innov, V *gi, V *work)
+{
+    M singular = NAME(gain)(m, mx, count, gamma, g, sums, outer, q0, h, gi, work);
+    const V *gain = work;
+    V *res = work + 2 * mx * mx + 2 * m * mx + m * m;  /* y - H x */
     for (int64_t k = 0; k < mx; k++) {
         V hx = NAME(splat)(0.0);
         for (int64_t j = 0; j < m; j++)
@@ -327,6 +352,44 @@ static void NAME(scatter)(int64_t width, int l, const V *lanes, double *trial)
         trial[q] = LANE(lanes[q], l);
 }
 
+/* The five bank state fields x, g, shift, sums and outer, the doubles
+ * each holds per trial, and their lane-major copies at the head of the
+ * scratch, which ``rest`` points past. */
+struct NAME(fields) {
+    double *state[5];
+    int64_t width[5];
+    V *lanes[5], *rest;
+};
+
+static struct NAME(fields) NAME(layout)(const struct adle_bank *b)
+{
+    const int64_t n = b->n, m = b->m, mx = b->mx;
+    struct NAME(fields) f = {{b->x, b->g, b->shift, b->sums, b->outer},
+                             {n * m, n * m * m, n * mx, n * mx, n * mx * mx}, {0}, b->scratch};
+    for (int i = 0; i < 5; i++) {
+        f.lanes[i] = f.rest;
+        f.rest += f.width[i];
+    }
+    return f;
+}
+
+/* Gather the trials first, first + 1, ... of one lane group into the
+ * lane-major fields; a dead lane past the bank end reads the last trial.
+ * Returns the live lanes. */
+static M NAME(gather_group)(const struct NAME(fields) *f, int64_t bank, int64_t first,
+                            int64_t trial[LANES])
+{
+    M live;
+    for (int l = 0; l < LANES; l++) {
+        LANE(live, l) = first + l < bank ? -1 : 0;
+        trial[l] = first + l < bank ? first + l : bank - 1;
+    }
+    for (int i = 0; i < 5; i++)
+        for (int l = 0; l < LANES; l++)
+            NAME(gather)(f->width[i], l, f->state[i] + trial[l] * f->width[i], f->lanes[i]);
+    return live;
+}
+
 int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, int64_t count)
 {
     const int64_t bank = b->bank, n = b->n, m = b->m, mx = b->mx, steps = b->steps;
@@ -336,23 +399,10 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
     const uint8_t *active = b->active;
     int64_t *failure = b->failure;
     const int64_t mm = m * m;
-    /* the bank state arrays, each with ``width`` doubles per trial */
-    double *const state[5] = {b->x, b->g, b->shift, b->sums, b->outer};
-    const int64_t width[5] = {n * m, n * mm, n * mx, n * mx, n * mx * mx};
-    const int64_t vectors = width[0] + width[1] + width[2] + width[3] + width[4]
-                            + 2 * n * m + 2 * n * mm + 2 * n * mx  /* innov, gi, cx, cg, z, y */
-                            + 2 * mx * mx + 2 * m * mx + mm + mx;  /* work */
-    const size_t bytes = ((size_t)vectors * sizeof(V) + 63) / 64 * 64;
-    V *buf = aligned_alloc(64, bytes);
-    if (buf == NULL)
-        return NO_MEMORY;
-    V *lane_state[5];
-    lane_state[0] = buf;
-    for (int f = 1; f < 5; f++)
-        lane_state[f] = lane_state[f - 1] + width[f - 1];
-    V *xr = lane_state[0], *gr = lane_state[1];
-    V *shr = lane_state[2], *sr = lane_state[3], *orr = lane_state[4];
-    V *innov = orr + n * mx * mx;    /* (n, m) */
+    const struct NAME(fields) fields = NAME(layout)(b);
+    V *xr = fields.lanes[0], *gr = fields.lanes[1], *shr = fields.lanes[2];
+    V *sr = fields.lanes[3], *orr = fields.lanes[4];
+    V *innov = fields.rest;          /* (n, m) */
     V *gi = innov + n * m;           /* (n, m, m) */
     V *cx = gi + n * mm;             /* (n, m) */
     V *cg = cx + n * m;              /* (n, m, m) */
@@ -362,16 +412,8 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
     int status = OK;
 
     for (int64_t first = 0; first < bank; first += LANES) {
-        /* a dead lane past the bank end reads the last trial's data */
         int64_t trial[LANES];
-        M live;
-        for (int l = 0; l < LANES; l++) {
-            LANE(live, l) = first + l < bank ? -1 : 0;
-            trial[l] = first + l < bank ? first + l : bank - 1;
-        }
-        for (int f = 0; f < 5; f++)
-            for (int l = 0; l < LANES; l++)
-                NAME(gather)(width[f], l, state[f] + trial[l] * width[f], lane_state[f]);
+        M live = NAME(gather_group)(&fields, bank, first, trial);
 
         for (int64_t s = start; s < stop && NAME(any)(live); s++) {
             const double alpha = w[s], beta = w[steps + s], gamma = w[2 * steps + s];
@@ -443,12 +485,118 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
             }
         }
 
-        for (int f = 0; f < 5; f++)
+        for (int i = 0; i < 5; i++)
             for (int l = 0; l < LANES && first + l < bank; l++)
-                NAME(scatter)(width[f], l, lane_state[f], state[f] + trial[l] * width[f]);
+                NAME(scatter)(fields.width[i], l, fields.lanes[i],
+                              fields.state[i] + trial[l] * fields.width[i]);
     }
-    free(buf);
     return status;
+}
+
+static inline V NAME(sqrt)(V v)
+{
+    for (int l = 0; l < LANES; l++)
+        LANE(v, l) = __builtin_sqrt(LANE(v, l));
+    return v;
+}
+
+/* The larger of a and b, NaN where either is, as np.maximum. */
+static inline V NAME(max)(V a, V b)
+{
+    return NAME(pick)(GREATER(b, a) | IS_NAN(b), b, a);
+}
+
+/* Sum of the squares of d[0, k) in the pairwise order of numpy's
+ * add.reduce: eight running sums within blocks of up to 128, halves above. */
+static V NAME(sum_squares)(int64_t k, const V *d)
+{
+    if (k > 128) {
+        const int64_t half = k / 2 - k / 2 % 8;
+        return NAME(sum_squares)(half, d) + NAME(sum_squares)(k - half, d + half);
+    }
+    V s = NAME(splat)(0.0);
+    int64_t i = 0;
+    if (k >= 8) {
+        V r[8] = {0};                /* squares are never -0.0: 0 + r is r */
+        for (; i < k - k % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += d[i + j] * d[i + j];
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < k; i++)
+        s += d[i] * d[i];
+    return s;
+}
+
+/* Write each trial's checkpoint records (disagreement, n error norms,
+ * gain gap, Grammian gap) to the row out + trial * (n + 3).  Name in
+ * ``failure`` the first trial with a non-finite estimate or Grammian
+ * (NOT_FINITE), else with a zero pivot in a gain solve (SINGULAR), else
+ * with a non-finite record (NOT_FINITE).  v - v is NaN unless v is finite. */
+int NAME(adle_checkpoint_bank)(struct adle_bank *b, int64_t count, double gamma, double *out)
+{
+    const int64_t bank = b->bank, n = b->n, m = b->m, mx = b->mx, mm = m * m, stride = n + 3;
+    const struct NAME(fields) fields = NAME(layout)(b);
+    V *work = fields.rest, *d = work + m * mx;  /* differences, past the gain */
+    const V *x = fields.lanes[0], *g = fields.lanes[1];
+    int64_t bad[3] = {-1, -1, -1};   /* the first trial of each failure, by precedence */
+
+    for (int64_t first = 0; first < bank; first += LANES) {
+        int64_t trial[LANES];
+        const M live = NAME(gather_group)(&fields, bank, first, trial);
+        M broken = {0}, singular = {0}, unfit = {0};
+        for (int64_t q = 0; q < n * (m + mm); q++)  /* x, then g */
+            broken |= IS_NAN(x[q] - x[q]);
+
+        V disagreement = NAME(splat)(0.0), gain_gap = NAME(splat)(0.0);
+        for (int64_t i = 0; i < n; i++) {
+            for (int64_t j = i + 1; j < n; j++) {
+                for (int64_t k = 0; k < m; k++)
+                    d[k] = x[j * m + k] - x[i * m + k];
+                disagreement = NAME(max)(disagreement, NAME(sqrt)(NAME(sum_squares)(m, d)));
+            }
+            for (int64_t k = 0; k < m; k++)
+                d[k] = x[i * m + k] - b->theta[k];
+            const V error = NAME(sqrt)(NAME(sum_squares)(m, d));
+            unfit |= IS_NAN(error - error);
+            for (int l = 0; l < LANES && first + l < bank; l++)
+                out[(first + l) * stride + 1 + i] = LANE(error, l);
+
+            singular |= NAME(gain)(m, mx, count, gamma, g + i * mm, fields.lanes[3] + i * mx,
+                                   fields.lanes[4] + i * mx * mx, b->q0 + i * mx * mx,
+                                   b->h + i * mx * m, NULL, work);
+            for (int64_t q = 0; q < m * mx; q++)
+                d[q] = work[q] - b->kopt[i * m * mx + q];
+            gain_gap = NAME(max)(gain_gap, NAME(sqrt)(NAME(sum_squares)(m * mx, d)));
+        }
+        for (int64_t q = 0; q < mm; q++) {
+            V sum = g[q];
+            for (int64_t i = 1; i < n; i++)
+                sum += g[i * mm + q];
+            d[q] = sum / (double)n - b->gtarget[q];
+        }
+        const V grammian_gap = NAME(sqrt)(NAME(sum_squares)(mm, d));
+
+        unfit |= IS_NAN(disagreement - disagreement) | IS_NAN(gain_gap - gain_gap)
+                 | IS_NAN(grammian_gap - grammian_gap);
+        for (int l = 0; l < LANES && first + l < bank; l++) {
+            double *row = out + (first + l) * stride;
+            row[0] = LANE(disagreement, l);
+            row[n + 1] = LANE(gain_gap, l);
+            row[n + 2] = LANE(grammian_gap, l);
+        }
+        const M failed[3] = {broken & live, singular & live, unfit & live};
+        for (int k = 0; k < 3; k++)
+            for (int l = 0; l < LANES && bad[k] < 0; l++)
+                if (LANE(failed[k], l))
+                    bad[k] = first + l;
+    }
+    const int k = bad[0] >= 0 ? 0 : bad[1] >= 0 ? 1 : 2;
+    if (bad[k] < 0)
+        return OK;
+    b->failure[0] = bad[k];
+    b->failure[1] = count;
+    return k == 1 ? SINGULAR : NOT_FINITE;
 }
 
 #undef V
@@ -457,5 +605,6 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
 #undef GREATER
 #undef IS_ZERO
 #undef SAME
+#undef IS_NAN
 
 #endif

@@ -1,10 +1,11 @@
 """Loader of the compiled bank-step kernel (``_kernel.c``), the library's
-one consensus+innovation round.
+one consensus+innovation round and its checkpoint diagnostics.
 
 The kernel advances a whole trial bank through one segment of a draw
 block in a single call, forming each step's observations from the
-noise.  It is compiled on first use with the system C compiler and
-cached under the package's ``__pycache__`` (else in one private
+noise, or writes the bank's checkpoint records; both work in one lane
+scratch buffer allocated once per bound bank.  It is compiled on first
+use with the system C compiler and cached under the package's ``__pycache__`` (else in one private
 per-user directory under the system temporary directory), keyed by a
 hash of the source and the compile command.  The library holds one
 entry point per lane width (trials advanced side by side in one
@@ -33,12 +34,15 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 
 #: No ``-march=native`` and no ``-ffast-math``, and no contraction into
 #: fused multiply-adds: results are then bit-stable across machines of
-#: one architecture.
-COMPILE = ("gcc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: one architecture.  ``-fno-math-errno`` keeps ``sqrt`` one instruction
+#: (its value is the same) and the library free of libm.
+COMPILE = ("gcc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 
-#: Lane widths of the entry points ``adle_advance_bank_<L>``: baseline,
-#: AVX2 and AVX-512F.
+#: Lane widths of the entry points ``adle_advance_bank_<L>`` and
+#: ``adle_checkpoint_bank_<L>``: baseline, AVX2 and AVX-512F.
 WIDTHS = (1, 4, 8)
+
+OK, SINGULAR, NOT_FINITE = 0, 1, 2  # status codes of the entry points
 
 _log = logging.getLogger(__name__)
 
@@ -93,31 +97,34 @@ class _BankArgs(ctypes.Structure):
         [(name, ctypes.c_int64) for name in ("bank", "n", "m", "mx", "steps", "num_edges")]
         + [(name, ctypes.c_void_p) for name in ("x", "g", "shift", "sums", "outer", "q0", "h",
                                                 "truth", "factor", "noise", "w", "edges",
-                                                "active")]
+                                                "active", "theta", "kopt", "gtarget",
+                                                "scratch")]
         + [("failure", ctypes.c_int64 * 2)]
     )
 
 
 class BankKernel:
-    """The loaded library, with an entry point bound for every lane width
-    this CPU runs.  Banks advance ``lanes`` trials side by side, the widest
-    width (``adle_lanes``); a bank of one trial runs on one lane, its
-    cheapest width."""
+    """The loaded library, with its two entry points bound for every lane
+    width this CPU runs.  Banks advance ``lanes`` trials side by side, the
+    widest width (``adle_lanes``); a bank of one trial runs on one lane,
+    its cheapest width."""
 
     def __init__(self, lib: ctypes.CDLL):
-        lib.adle_lanes.argtypes = []
-        lib.adle_lanes.restype = ctypes.c_int
+        i64, bank = ctypes.c_int64, ctypes.POINTER(_BankArgs)
+        lib.adle_lanes.argtypes, lib.adle_lanes.restype = [], ctypes.c_int
+        lib.adle_scratch_vectors.argtypes, lib.adle_scratch_vectors.restype = [bank], i64
         self.lanes = lib.adle_lanes()
-        i64 = ctypes.c_int64
         self._fns = {}
         for width in WIDTHS[:WIDTHS.index(self.lanes) + 1]:
-            fn = self._fns[width] = lib[f"adle_advance_bank_{width}"]
-            fn.argtypes = [ctypes.POINTER(_BankArgs), i64, i64, i64]
-            fn.restype = ctypes.c_int
+            advance, checkpoint = self._fns[width] = (lib[f"adle_advance_bank_{width}"],
+                                                      lib[f"adle_checkpoint_bank_{width}"])
+            advance.argtypes = [bank, i64, i64, i64]
+            checkpoint.argtypes = [bank, i64, ctypes.c_double, ctypes.c_void_p]
+            advance.restype = checkpoint.restype = ctypes.c_int
         self._lib = lib
 
     def bind(self, estimates, grammians, shifts, sums, outer_sums, q0, sensing, sensed_truth,
-             noise_factor, top: TopologyModel) -> "BoundBank":
+             noise_factor, top: TopologyModel, targets: tuple | None = None) -> "BoundBank":
         """Check a bank's state and model arrays once and bind their addresses.
 
         ``estimates`` (R, N, M), ``grammians`` (R, N, M, M) and the moments
@@ -127,7 +134,10 @@ class BankKernel:
         observation, and ``sensing`` (N, max_dim, M), ``sensed_truth``
         (N, max_dim) and ``noise_factor`` (N, max_dim, max_dim) are the
         padded model of ``ObservationModel._stacked``.  The links are
-        those of ``top``.  The returned bank keeps every array alive.
+        those of ``top``.  :meth:`BoundBank.checkpoint` reads ``targets``: the
+        true parameter (M,), the padded optimal gains (N, M, max_dim) and the
+        target mean Grammian (M, M).  The returned bank keeps every array
+        alive, and the lane scratch allocated here for both entry points.
         """
         bank, n, m = _shape_of(estimates, "estimates", 3)
         mx = _shape_of(sensing, "sensing", 3)[1]
@@ -143,6 +153,11 @@ class BankKernel:
             "factor": _check(noise_factor, "noise_factor", np.float64, (n, mx, mx)),
             "edges": top.edge_array,
         }
+        if targets is not None:
+            theta, gains, grammian = targets
+            arrays.update(theta=_check(theta, "true_param", np.float64, (m,)),
+                          kopt=_check(gains, "optimal_gains", np.float64, (n, m, mx)),
+                          gtarget=_check(grammian, "target_grammian", np.float64, (m, m)))
         for arr in (estimates, grammians, shifts, sums, outer_sums):
             if not arr.flags.writeable:
                 raise ValueError("the bank state arrays must be writable")
@@ -150,16 +165,22 @@ class BankKernel:
             raise ValueError(f"topology has {top.base.num_nodes} nodes, state has {n} agents")
         args = _BankArgs(bank=bank, n=n, m=m, mx=mx, num_edges=top.base.num_edges,
                          **{name: arr.ctypes.data for name, arr in arrays.items()})
-        return BoundBank(self._fns[1 if bank == 1 else self.lanes], args, arrays)
+        lanes = 1 if bank == 1 else self.lanes
+        # GCC's vector types assume their 64-byte alignment, which np.empty does not promise
+        size = self._lib.adle_scratch_vectors(ctypes.byref(args)) * lanes * 8
+        raw = np.empty(size + 64, dtype=np.uint8)
+        arrays["scratch"] = raw[-raw.ctypes.data % 64:][:size]
+        args.scratch = arrays["scratch"].ctypes.data
+        return BoundBank(*self._fns[lanes], args, arrays)
 
 
 class BoundBank:
     """A bank whose arrays are checked and whose addresses are bound:
     :meth:`draws` once per draw buffer, then :meth:`advance` once per
-    segment, passing integers only."""
+    segment, passing integers only; :meth:`checkpoint` at any step."""
 
-    def __init__(self, fn, args: _BankArgs, arrays: dict):
-        self._fn, self._args, self._arrays = fn, args, arrays
+    def __init__(self, advance, checkpoint, args: _BankArgs, arrays: dict):
+        self._fn, self._checkpoint, self._args, self._arrays = advance, checkpoint, args, arrays
         self._ref = ctypes.byref(args)
 
     def draws(self, noise, weights, active) -> None:
@@ -198,12 +219,25 @@ class BoundBank:
                              f"{self._args.steps} steps")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        status = self._fn(self._ref, start, stop, count)
-        if status == 1:
+        if self._fn(self._ref, start, stop, count) == SINGULAR:
             failure = self._args.failure
             raise TrialDiverged(failure[0], failure[1], TrialDiverged.SINGULAR)
-        if status != 0:
-            raise MemoryError("bank-step kernel could not allocate its work space")
+
+    def checkpoint(self, count: int, gamma: float) -> np.ndarray:
+        """The (R, N + 3) records of the bank's state, which holds ``count``
+        observations, at ``gamma``: per trial, the disagreement, N error norms,
+        gain gap and Grammian gap.  :class:`TrialDiverged` names ``count`` and
+        the first trial with a non-finite estimate or Grammian, else with a
+        zero pivot in a gain solve, else with a non-finite record."""
+        args = self._args
+        if args.theta is None:
+            raise ValueError("the bank was bound without checkpoint targets")
+        out = np.empty((args.bank, args.n + 3))
+        status = self._checkpoint(self._ref, count, gamma, out.ctypes.data)
+        if status != OK:
+            cause = TrialDiverged.SINGULAR if status == SINGULAR else TrialDiverged.NON_FINITE
+            raise TrialDiverged(args.failure[0], count, cause)
+        return out
 
 
 def _shape_of(arr, name: str, ndim: int) -> tuple[int, ...]:

@@ -18,11 +18,12 @@ keeps its precision when the observations sit far from zero.
 The neighborhoods ``Omega_n(t)`` are read off one freshly sampled
 Laplacian shared by the estimate and Grammian updates.  The gain is
 measurable with respect to the past: it never sees the observation it
-weights.  The round itself runs in the compiled bank kernel
-(``_kernel.c``), driven by :func:`adle.harness.trajectory`, which owns
-the draw order.  This module holds the state layout and numpy kernels
-batched over leading axes (such as a bank's trial axis): those of the
-checkpoint diagnostics, and the consensus products of the numpy oracle.
+weights.  The round and the checkpoint diagnostics run in the compiled
+bank kernel (``_kernel.c``), driven by :func:`adle.harness.trajectory`,
+which owns the draw order.  This module holds the state layout and numpy
+kernels batched over leading axes (such as a bank's trial axis): the
+tests' oracle of the diagnostics (``harness._bank_checkpoint``) and of
+the round (``tests/reference.py``).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ the block), so any single trial is bit-reproducible from its seed alone
 and reports do not depend on the parallelism degree.  The compiled
 kernel (``_kernel.c``) is the one round: it advances a bank from one
 checkpoint to the next in a single call, forming each step's
-observations from the noise.
+observations from the noise, and writes the checkpoint diagnostics.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .estimator import (
     _gain_kernel,
     _max_disagreement,
     _regularized_inverse,
-    _sample_cov_from_moments,
     initial_network_state,
 )
 from .model import ObservationModel, _unit_variance_draws, centralized_estimate_from_means
@@ -143,23 +142,8 @@ def _advance(bound, state: NetworkState, start: int, stop: int) -> None:
     state.step += stop - start
 
 
-def _naming_singular(step: int, bank: int, call):
-    """``call(slice(None))`` on the whole bank.  When one of its solves
-    meets a singular matrix, ``call`` is repeated one trial at a time and
-    :class:`TrialDiverged` names the first trial that fails alone."""
-    try:
-        return call(slice(None))
-    except np.linalg.LinAlgError:
-        for r in range(bank):
-            try:
-                call(slice(r, r + 1))
-            except np.linalg.LinAlgError:
-                raise TrialDiverged(r, step, TrialDiverged.SINGULAR) from None
-        raise
-
-
 def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
-    """Fresh diagnostics at the current time for a whole trial bank."""
+    """A trial bank's diagnostics in numpy: the oracle of ``BoundBank.checkpoint``."""
     dinv = _regularized_inverse(sample_covs, gamma)
     sensing_t = np.swapaxes(model._stacked.sensing, -1, -2)
     gains = _gain_kernel(grammians, gamma, sensing_t @ dinv)
@@ -169,16 +153,6 @@ def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
     disagreement = _max_disagreement(estimates)
     error_norms = np.linalg.norm(estimates - model.true_param, axis=-1)
     return disagreement, error_norms, gain_gap, grammian_gap
-
-
-def _check_finite(step: int, *arrays) -> None:
-    """Raise :class:`TrialDiverged` for the first trial (leading axis) with
-    a non-finite entry in any of ``arrays``."""
-    finite = np.logical_and.reduce(
-        [np.isfinite(a.reshape(len(a), -1)).all(axis=1) for a in arrays]
-    )
-    if not finite.all():
-        raise TrialDiverged(int(np.argmin(finite)), step)
 
 
 def trajectory(
@@ -264,37 +238,34 @@ def _run_bank(
     Returns arrays with a leading trial axis: the checkpoint records
     ``disagreement`` (R, C), ``error_norms`` (R, C, N), ``gain_gap``
     (R, C) and ``grammian_gap`` (R, C), then the terminal scaled errors
-    (R, N, M) and the scaled centralized baseline (R, M).  The
-    diagnostics are taken at each step of ``grid`` along the
-    :func:`trajectory`.  A trial whose state or diagnostics are
-    non-finite there, or whose gain solve meets a singular matrix,
-    raises :class:`TrialDiverged`, naming it by ``first_trial`` plus its
-    place in the bank.
+    (R, N, M) and the scaled centralized baseline (R, M).  The kernel's
+    ``BoundBank.checkpoint`` writes the records from the state that the
+    :func:`trajectory` yields at each step of ``grid``.  A trial whose
+    state or records are non-finite there, or whose gain solve meets a
+    singular matrix, raises :class:`TrialDiverged`, naming it by
+    ``first_trial`` plus its place in the bank.
     """
-    model._optimal_gain_stack  # force validation before the hot loop
-    bank = len(seeds)
-    grid = np.asarray(grid, dtype=np.int64)
-    records = [np.empty((bank, len(grid), *shape)) for shape in ((), (model.num_agents,), (), ())]
+    targets = (model.true_param, model._optimal_gain_stack, model._centralized.grammian_norm)
+    stacked, n = model._stacked, model.num_agents
+    table = np.empty((len(seeds), len(grid), n + 3))
+    bound = None
     try:
         for c, (t, state) in enumerate(trajectory(model, top, schedule, horizon, grid, seeds,
                                                   init)):
-            _check_finite(t, state.estimates, state.grammians)
-            q = _sample_cov_from_moments(state.obs_sums, state.obs_outer_sums, t,
-                                         state.initial_sample_covs)
-            gamma = float(schedule.gamma(t))
-            with np.errstate(over="ignore"):  # an overflow is reported just below
-                diagnostics = _naming_singular(t, bank, lambda pick: _bank_checkpoint(
-                    state.estimates[pick], state.grammians[pick], q[pick], model, gamma))
-            _check_finite(t, *diagnostics)
-            for record, value in zip(records, diagnostics):
-                record[:, c] = value
+            if bound is None:  # the state's arrays stay in place from here on
+                bound = _kernel.load().bind(
+                    state.estimates, state.grammians, state.obs_shifts, state.obs_sums,
+                    state.obs_outer_sums, state.initial_sample_covs, stacked.sensing,
+                    stacked.sensed_truth, stacked.noise_factor, top, targets)
+            table[:, c] = bound.checkpoint(t, float(schedule.gamma(t)))
     except TrialDiverged as exc:
         raise TrialDiverged(first_trial + exc.trial, exc.step, exc.cause) from None
 
     scaled_errors = math.sqrt(horizon + 1.0) * (state.estimates - model.true_param)
     baseline = centralized_estimate_from_means(model, state.obs_shifts + state.obs_sums / t)
     scaled_baseline = math.sqrt(t) * (baseline - model.true_param)
-    return (*records, scaled_errors, scaled_baseline)
+    return (table[..., 0], table[..., 1:n + 1], table[..., n + 1], table[..., n + 2],
+            scaled_errors, scaled_baseline)
 
 
 def run_trial(
@@ -550,22 +521,16 @@ def write_report(
     outdir.mkdir(parents=True, exist_ok=True)
     n_agents = report.empirical_scaled_cov.shape[0]
 
-    with open(outdir / "checkpoints.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["trial", "t", "disagreement"]
-            + [f"err_agent_{i}" for i in range(n_agents)]
-            + ["gain_gap", "grammian_gap"]
-        )
-        # tolist() gives Python ints and floats, whose repr is _fmt's
-        times = report.checkpoint_times.tolist()
-        columns = (report.trial_disagreement, report.trial_error_norms, report.trial_gain_gap,
-                   report.trial_grammian_gap)
-        for trial, rows in enumerate(zip(*(column.tolist() for column in columns))):
-            writer.writerows(
-                [trial, t, repr(disagreement), *map(repr, errors), repr(gain), repr(grammian)]
-                for t, disagreement, errors, gain, grammian in zip(times, *rows)
-            )
+    header = ["trial", "t", "disagreement", *(f"err_agent_{i}" for i in range(n_agents)),
+              "gain_gap", "grammian_gap"]
+    times = report.checkpoint_times.tolist()  # Python ints and floats: repr is _fmt
+    table = np.concatenate([report.trial_disagreement[..., None], report.trial_error_norms,
+                            np.stack([report.trial_gain_gap, report.trial_grammian_gap], -1)], -1)
+    with open(outdir / "checkpoints.csv", "w", newline="") as handle:  # rows end as csv.writer's
+        handle.write(",".join(header) + "\r\n")
+        for trial, rows in enumerate(table):  # one trial's text at a time
+            handle.writelines(f"{trial},{t}," + ",".join(map(repr, row)) + "\r\n"
+                              for t, row in zip(times, rows.tolist()))
 
     for agent in range(n_agents):
         _write_matrix(

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from adle import harness
+from adle.errors import TrialDiverged
 from adle.estimator import (
     _gain_kernel,
     _neighborhood_sums_mat,
@@ -225,6 +226,21 @@ def stacked_round(
     return new_estimates, new_grammians
 
 
+def naming_singular(step: int, bank: int, call):
+    """``call(slice(None))`` on the whole bank.  When one of its solves
+    meets a singular matrix, ``call`` is repeated one trial at a time and
+    :class:`TrialDiverged` names the first trial that fails alone."""
+    try:
+        return call(slice(None))
+    except np.linalg.LinAlgError:
+        for r in range(bank):
+            try:
+                call(slice(r, r + 1))
+            except np.linalg.LinAlgError:
+                raise TrialDiverged(r, step, TrialDiverged.SINGULAR) from None
+        raise
+
+
 def stacked_segment(state, stacked, noise, start: int, stop: int, weights, top, active) -> None:
     """Advance a trial-stacked ``NetworkState`` through block steps
     ``start..stop-1`` in place with :func:`stacked_round` and the moment
@@ -238,7 +254,7 @@ def stacked_segment(state, stacked, noise, start: int, stop: int, weights, top, 
     for s in range(start, stop):
         y = observations(stacked, noise[:, s])
         lap, count = harness._laplacian_at(top, active, s), state.step
-        x[...], g[...] = harness._naming_singular(count, len(x), lambda pick: stacked_round(
+        x[...], g[...] = naming_singular(count, len(x), lambda pick: stacked_round(
             x[pick], g[pick], sums[pick], outer[pick], count, q0, stacked.sensing,
             lap if lap.ndim == 2 else lap[pick], y[pick], *weights[:, s]))
         fold_observations(shifts, sums, outer, count, y)

@@ -1,3 +1,4 @@
+import csv
 import ctypes
 import copy
 import dataclasses
@@ -5,6 +6,7 @@ import logging
 import os
 import pickle
 import stat
+import subprocess
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -15,7 +17,7 @@ import pytest
 from adle import _kernel, harness
 from adle.cli import example1_model, main
 from adle.errors import AdleError, TrialDiverged
-from adle.estimator import NetworkState, initial_network_state
+from adle.estimator import NetworkState, _sample_cov_from_moments, initial_network_state
 from adle.harness import (
     BLOCK_STEPS,
     AcceptanceThresholds,
@@ -329,6 +331,40 @@ def test_write_report_emits_deterministic_csv(tmp_path, ring_model, bernoulli_pe
     assert header == "trial,t,disagreement," + ",".join(
         f"err_agent_{i}" for i in range(5)
     ) + ",gain_gap,grammian_gap"
+
+
+def _checkpoints_by_csv_writer(report, path):
+    """``checkpoints.csv`` as ``csv.writer`` writes it, one cell per value."""
+    n_agents = report.trial_error_norms.shape[-1]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["trial", "t", "disagreement"]
+                        + [f"err_agent_{i}" for i in range(n_agents)]
+                        + ["gain_gap", "grammian_gap"])
+        for trial in range(report.num_trials):
+            for c, t in enumerate(report.checkpoint_times):
+                values = [report.trial_disagreement[trial, c],
+                          *report.trial_error_norms[trial, c],
+                          report.trial_gain_gap[trial, c], report.trial_grammian_gap[trial, c]]
+                writer.writerow([int(trial), int(t), *(repr(float(v)) for v in values)])
+
+
+def test_checkpoints_csv_is_the_csv_writer_bytes(tmp_path, ring_model, bernoulli_pentagon,
+                                                 ring_schedule):
+    report = run_experiment(small_config(ring_model, bernoulli_pentagon, ring_schedule,
+                                         num_trials=3, horizon=300))
+    report.trial_disagreement[0, 1] = np.nan
+    report.trial_error_norms[1, 2, 3] = np.inf
+    report.trial_error_norms[2, 0, 0] = -0.0
+    report.trial_gain_gap[2, 3] = -np.inf
+    report.trial_gain_gap[0, 0] = 1e22
+    report.trial_grammian_gap[1, -1] = 5e-324
+    write_report(report, tmp_path / "out", AcceptanceThresholds())
+    _checkpoints_by_csv_writer(report, tmp_path / "oracle.csv")
+    got = (tmp_path / "out" / "checkpoints.csv").read_bytes()
+    assert got == (tmp_path / "oracle.csv").read_bytes()
+    assert all(cell in got for cell in (b",nan,", b",inf,", b",-0.0,", b",-inf,", b",1e+22,",
+                                        b",5e-324\r\n"))
 
 
 # ----------------------------------------------------------------- workers
@@ -658,6 +694,112 @@ def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
                         weights, top, draws)
     assert np.array_equal(x, np.zeros_like(x))  # nothing ran
     assert np.array_equal(frozen, np.zeros_like(x))
+
+
+def _targets(model):
+    return (model.true_param, model._optimal_gain_stack, model._centralized.grammian_norm)
+
+
+def _advanced_bank(model, top, schedule, init, bank, steps=300):
+    """A bank's state after ``steps`` kernel steps, and its q0."""
+    draws, noise, weights = _block(model, top, schedule, steps, seed=bank, bank=bank)
+    state, q0 = _bank_state(model, init, bank)
+    _kernel_advance(_kernel.load(), *state, 0, q0, *_modelled(model), noise, 0, steps, weights,
+                    top, draws)
+    return state, q0
+
+
+def _checkpoint(kernel, model, top, state, q0, count, gamma):
+    """The kernel's (R, N + 3) records of a bank's state."""
+    return kernel.bind(*state, q0, *_modelled(model), top, _targets(model)).checkpoint(count, gamma)
+
+
+@pytest.mark.parametrize("bank", [3, 61, 64])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_checkpoint_records_match_the_numpy_diagnostics(case, bank):
+    model, top, schedule, init = KERNEL_CASES[case]
+    steps = 300
+    state, q0 = _advanced_bank(model, top, schedule, init, bank, steps)
+    gamma = float(schedule.gamma(steps))
+    x, g, _, sums, outer = state
+    want = harness._bank_checkpoint(x, g, _sample_cov_from_moments(sums, outer, steps, q0),
+                                    model, gamma)
+    records = [_checkpoint(kernel, model, top, state, q0, steps, gamma)
+               for kernel in _every_width()]
+    _same_bits(records)
+    n = model.num_agents
+    got = (records[0][:, 0], records[0][:, 1:n + 1], records[0][:, n + 1], records[0][:, n + 2])
+    for have, expected in zip(got, want):
+        assert np.all(np.isfinite(have)) and have.shape == expected.shape
+        assert np.allclose(have, expected, rtol=1e-12, atol=0)
+    # all but the gain gap (LAPACK solves in its own order) take numpy's arithmetic
+    for have, expected in zip(got[:2] + got[3:], want[:2] + want[3:]):
+        assert have.tobytes() == expected.tobytes()
+
+
+def test_checkpoint_names_the_first_trial_by_precedence():
+    # 1. a non-finite estimate or Grammian, 2. a zero pivot, 3. a non-finite record
+    model, top, schedule, _ = KERNEL_CASES["bernoulli"]
+    steps, bank = 40, 11
+    gamma = float(schedule.gamma(steps))
+    clean, q0 = _advanced_bank(model, top, schedule, None, bank, steps)
+
+    def broken(names):
+        state = [a.copy() for a in clean]
+        if "nan" in names:
+            state[1][9, 2, 1, 1] = np.nan
+        if "singular" in names:
+            state[1][4] = -gamma * np.eye(model.param_dim)  # G + gamma I = 0
+        if "overflow" in names:  # a finite state whose records overflow
+            state[0][2, 0] = 1e300
+        return state
+
+    expected = [(("nan",), 9, TrialDiverged.NON_FINITE),
+                (("singular",), 4, TrialDiverged.SINGULAR),
+                (("overflow",), 2, TrialDiverged.NON_FINITE),
+                (("nan", "singular"), 9, TrialDiverged.NON_FINITE),
+                (("singular", "overflow"), 4, TrialDiverged.SINGULAR),
+                (("nan", "singular", "overflow"), 9, TrialDiverged.NON_FINITE)]
+    for kernel in _every_width():
+        assert np.all(np.isfinite(_checkpoint(kernel, model, top, clean, q0, steps, gamma)))
+        for names, trial, cause in expected:
+            with pytest.raises(TrialDiverged) as info:
+                _checkpoint(kernel, model, top, broken(names), q0, steps, gamma)
+            assert (info.value.trial, info.value.step, info.value.cause) == (trial, steps, cause)
+
+
+def test_checkpoint_needs_its_targets():
+    model, top, _, _ = KERNEL_CASES["bernoulli"]
+    state, q0 = _bank_state(model, None)
+    kernel = _kernel.load()
+    with pytest.raises(ValueError, match="without checkpoint targets"):
+        kernel.bind(*state, q0, *_modelled(model), top).checkpoint(1, 1.0)
+    with pytest.raises(ValueError, match="optimal_gains has shape"):
+        kernel.bind(*state, q0, *_modelled(model), top,
+                    (model.true_param, model._optimal_gain_stack[:, :, :0].copy(),
+                     model._centralized.grammian_norm))
+    records = kernel.bind(*state, q0, *_modelled(model), top, _targets(model)).checkpoint(1, 1.0)
+    assert records.shape == (3, 8) and np.all(records[:, 1:6] == np.sqrt(5.0))  # x = 0, theta = 1
+
+
+def test_lane_scratch_is_aligned_and_sized_by_the_kernel():
+    model, top, _, _ = KERNEL_CASES["ragged"]
+    for bank in (1, 3):
+        state, q0 = _bank_state(model, None, bank)
+        kernel = _kernel.load()
+        bound = kernel.bind(*state, q0, *_modelled(model), top)
+        scratch = bound._arrays["scratch"]
+        lanes = 1 if bank == 1 else kernel.lanes
+        n, m, mx = model.num_agents, model.param_dim, model._stacked.max_dim
+        vectors = n * (3 * m + 3 * m * m + 4 * mx + mx * mx) + 2 * mx * mx + 2 * m * mx + m * m + mx
+        assert scratch.ctypes.data % 64 == 0 and scratch.nbytes == vectors * lanes * 8
+        assert bound._args.scratch == scratch.ctypes.data
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    done = subprocess.run([*_kernel.COMPILE, "-Wall", "-Werror", "-o", str(tmp_path / "k.so"),
+                           str(_kernel._SOURCE)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_reference_trajectory_runs_experiment_like_the_kernel(
