@@ -3,11 +3,13 @@ one consensus+innovation round and its checkpoint diagnostics.
 
 The kernel advances a whole trial bank through one segment of a draw
 block in a single call, forming each step's observations from the
-noise, or writes the bank's checkpoint records; both work in one lane
-scratch buffer allocated once per bound bank.  It is compiled on first
-use with the system C compiler and cached under the package's ``__pycache__`` (else in one private
-per-user directory under the system temporary directory), keyed by a
-hash of the source and the compile command.  The library holds one
+noise, or writes the bank's checkpoint records.  A bank is bound once,
+with its state, model, links and draw buffers (``BankKernel.bind``);
+both entry points then work on it in one lane scratch buffer.  The
+kernel is compiled on first use with the system C compiler and cached
+under the package's ``__pycache__`` (else in one private per-user
+directory under the system temporary directory), keyed by a hash of
+the source and the compile command.  The library holds one
 entry point per lane width (trials advanced side by side in one
 vector); the CPU it loads on picks the widest it runs, and every width
 gives the same bits.
@@ -71,7 +73,10 @@ def _build() -> Path:
     """Compile the kernel unless a library for this source and command exists.
 
     The library is written under a temporary name and renamed into
-    place, so concurrent processes never load a partial file.
+    place, so concurrent processes never load a partial file.  A new
+    library in the package's own ``__pycache__`` removes the libraries of
+    earlier sources there; a shared directory is never pruned, since
+    another checkout's process may be loading from it.
     """
     key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(COMPILE).encode()).hexdigest()[:16]
     cache = _cache_dir()
@@ -87,6 +92,10 @@ def _build() -> Path:
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
+    if cache == _SOURCE.parent / "__pycache__":
+        for stale in cache.glob("_kernel-*.so"):
+            if stale != target:
+                stale.unlink(missing_ok=True)
     return target
 
 
@@ -123,87 +132,64 @@ class BankKernel:
             advance.restype = checkpoint.restype = ctypes.c_int
         self._lib = lib
 
-    def bind(self, estimates, grammians, shifts, sums, outer_sums, q0, sensing, sensed_truth,
-             noise_factor, top: TopologyModel, targets: tuple | None = None) -> "BoundBank":
-        """Check a bank's state and model arrays once and bind their addresses.
+    def bind(self, state, model, top: TopologyModel, noise, weights, active) -> "BoundBank":
+        """Check a bank and its draw buffers once and bind their addresses.
 
-        ``estimates`` (R, N, M), ``grammians`` (R, N, M, M) and the moments
-        ``shifts``, ``sums`` (R, N, max_dim) and ``outer_sums``
-        (R, N, max_dim, max_dim) are the state the kernel updates in place;
-        ``q0`` (N, max_dim, max_dim) is the sample covariance before any
-        observation, and ``sensing`` (N, max_dim, M), ``sensed_truth``
-        (N, max_dim) and ``noise_factor`` (N, max_dim, max_dim) are the
-        padded model of ``ObservationModel._stacked``.  The links are
-        those of ``top``.  :meth:`BoundBank.checkpoint` reads ``targets``: the
-        true parameter (M,), the padded optimal gains (N, M, max_dim) and the
-        target mean Grammian (M, M).  The returned bank keeps every array
-        alive, and the lane scratch allocated here for both entry points.
+        ``state`` is an ``adle.estimator.NetworkState`` whose arrays carry a
+        leading axis of R trials; the kernel updates its estimates,
+        Grammians and moments in place.  ``model`` is the
+        ``ObservationModel`` whose padded sensing, sensed truth and noise
+        factors (``_stacked``) it reads, and ``top`` holds the links.  The
+        draw buffers are ``noise``, the (R, S, N, max_dim) unit-variance
+        draws from which the kernel forms each step's observations,
+        ``weights``, the (3, S) alpha, beta and gamma of the steps, and
+        ``active``, the bool (R, S, E) active-edge masks over
+        ``top.edge_array``, or ``None`` when every edge is always active.
+        Their contents may change between segments; no address may.  The
+        returned bank keeps every array alive, and the lane scratch
+        allocated here for both entry points.
         """
-        bank, n, m = _shape_of(estimates, "estimates", 3)
-        mx = _shape_of(sensing, "sensing", 3)[1]
+        stacked = model._stacked
+        n, m, mx = model.num_agents, model.param_dim, stacked.max_dim
+        bank, steps = _shape_of(state.estimates, "estimates", 3)[0], _shape_of(noise, "noise", 4)[1]
         arrays = {  # in the order of struct adle_bank
-            "x": _check(estimates, "estimates", np.float64, (bank, n, m)),
-            "g": _check(grammians, "grammians", np.float64, (bank, n, m, m)),
-            "shift": _check(shifts, "shifts", np.float64, (bank, n, mx)),
-            "sums": _check(sums, "sums", np.float64, (bank, n, mx)),
-            "outer": _check(outer_sums, "outer_sums", np.float64, (bank, n, mx, mx)),
-            "q0": _check(q0, "q0", np.float64, (n, mx, mx)),
-            "h": _check(sensing, "sensing", np.float64, (n, mx, m)),
-            "truth": _check(sensed_truth, "sensed_truth", np.float64, (n, mx)),
-            "factor": _check(noise_factor, "noise_factor", np.float64, (n, mx, mx)),
+            "x": _check(state.estimates, "estimates", np.float64, (bank, n, m)),
+            "g": _check(state.grammians, "grammians", np.float64, (bank, n, m, m)),
+            "shift": _check(state.obs_shifts, "obs_shifts", np.float64, (bank, n, mx)),
+            "sums": _check(state.obs_sums, "obs_sums", np.float64, (bank, n, mx)),
+            "outer": _check(state.obs_outer_sums, "obs_outer_sums", np.float64, (bank, n, mx, mx)),
+            "q0": _check(state.initial_sample_covs, "initial_sample_covs", np.float64, (n, mx, mx)),
+            "h": stacked.sensing, "truth": stacked.sensed_truth, "factor": stacked.noise_factor,
+            "noise": _check(noise, "noise", np.float64, (bank, steps, n, mx)),
+            "w": _check(weights, "weights", np.float64, (3, steps)),
             "edges": top.edge_array,
+            "active": None if active is None else _check(
+                active, "active", np.bool_, (bank, steps, top.base.num_edges)),
         }
-        if targets is not None:
-            theta, gains, grammian = targets
-            arrays.update(theta=_check(theta, "true_param", np.float64, (m,)),
-                          kopt=_check(gains, "optimal_gains", np.float64, (n, m, mx)),
-                          gtarget=_check(grammian, "target_grammian", np.float64, (m, m)))
-        for arr in (estimates, grammians, shifts, sums, outer_sums):
-            if not arr.flags.writeable:
-                raise ValueError("the bank state arrays must be writable")
+        if not all(arrays[name].flags.writeable for name in ("x", "g", "shift", "sums", "outer")):
+            raise ValueError("the bank state arrays must be writable")
         if top.base.num_nodes != n:
             raise ValueError(f"topology has {top.base.num_nodes} nodes, state has {n} agents")
-        args = _BankArgs(bank=bank, n=n, m=m, mx=mx, num_edges=top.base.num_edges,
-                         **{name: arr.ctypes.data for name, arr in arrays.items()})
+        args = _BankArgs(bank=bank, n=n, m=m, mx=mx, steps=steps, num_edges=top.base.num_edges,
+                         **{name: None if arr is None else arr.ctypes.data
+                            for name, arr in arrays.items()})
         lanes = 1 if bank == 1 else self.lanes
         # GCC's vector types assume their 64-byte alignment, which np.empty does not promise
         size = self._lib.adle_scratch_vectors(ctypes.byref(args)) * lanes * 8
         raw = np.empty(size + 64, dtype=np.uint8)
         arrays["scratch"] = raw[-raw.ctypes.data % 64:][:size]
         args.scratch = arrays["scratch"].ctypes.data
-        return BoundBank(*self._fns[lanes], args, arrays)
+        return BoundBank(*self._fns[lanes], args, arrays, model)
 
 
 class BoundBank:
     """A bank whose arrays are checked and whose addresses are bound:
-    :meth:`draws` once per draw buffer, then :meth:`advance` once per
-    segment, passing integers only; :meth:`checkpoint` at any step."""
+    :meth:`advance` once per segment, passing integers only, and
+    :meth:`checkpoint` at any step."""
 
-    def __init__(self, advance, checkpoint, args: _BankArgs, arrays: dict):
+    def __init__(self, advance, checkpoint, args: _BankArgs, arrays: dict, model):
         self._fn, self._checkpoint, self._args, self._arrays = advance, checkpoint, args, arrays
-        self._ref = ctypes.byref(args)
-
-    def draws(self, noise, weights, active) -> None:
-        """Bind the draw buffers that the next segments read.
-
-        ``noise`` is the (R, S, N, max_dim) block of unit-variance draws
-        from which the kernel forms each step's observations, ``weights``
-        the (3, S) alpha, beta and gamma of its steps, and ``active`` the
-        bool (R, S, E) active-edge masks of ``harness._draw_topology_block``
-        over the edges ``top.edge_array``, or ``None`` when every edge is
-        active at every step.  Their contents may change between segments;
-        their addresses may not.
-        """
-        args = self._args
-        steps = _shape_of(noise, "noise", 4)[1]
-        _check(noise, "noise", np.float64, (args.bank, steps, args.n, args.mx))
-        _check(weights, "weights", np.float64, (3, steps))
-        if active is not None:
-            _check(active, "active", np.bool_, (args.bank, steps, args.num_edges))
-        self._arrays.update(noise=noise, w=weights, active=active)
-        args.steps = steps
-        args.noise, args.w = noise.ctypes.data, weights.ctypes.data
-        args.active = None if active is None else active.ctypes.data
+        self._model, self._ref = model, ctypes.byref(args)
 
     def advance(self, count: int, start: int, stop: int) -> None:
         """Advance the bank through block steps ``start..stop-1`` in place.
@@ -226,12 +212,18 @@ class BoundBank:
     def checkpoint(self, count: int, gamma: float) -> np.ndarray:
         """The (R, N + 3) records of the bank's state, which holds ``count``
         observations, at ``gamma``: per trial, the disagreement, N error norms,
-        gain gap and Grammian gap.  :class:`TrialDiverged` names ``count`` and
-        the first trial with a non-finite estimate or Grammian, else with a
-        zero pivot in a gain solve, else with a non-finite record."""
-        args = self._args
+        gain gap and Grammian gap.  The first call binds the model's true
+        parameter, optimal gains and mean Grammian, so a model that does not
+        validate raises here.  :class:`TrialDiverged` names ``count`` and the
+        first trial with a non-finite estimate or Grammian, else with a zero
+        pivot in a gain solve, else with a non-finite record."""
+        args, model = self._args, self._model
         if args.theta is None:
-            raise ValueError("the bank was bound without checkpoint targets")
+            self._arrays.update(theta=np.ascontiguousarray(model.true_param),
+                                kopt=model._optimal_gain_stack,
+                                gtarget=model._centralized.grammian_norm)
+            args.theta, args.kopt, args.gtarget = (
+                self._arrays[name].ctypes.data for name in ("theta", "kopt", "gtarget"))
         out = np.empty((args.bank, args.n + 3))
         status = self._checkpoint(self._ref, count, gamma, out.ctypes.data)
         if status != OK:

@@ -239,14 +239,19 @@ def parse_config(path, overrides=None) -> ScenarioConfig:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # the size is unknown: no bound
         memory = None
-    if model is not None and memory and {"horizon", "num_trials"} <= settings.keys():
-        trials, count = settings["num_trials"], checkpoint_bound(
-            settings["horizon"], settings["checkpoint_start"], settings["checkpoints_per_decade"])
-        need = trials * count * (model.num_agents + 3) * 8  # bytes of checkpoint records
-        if need > memory:
+    if top is not None and memory and {"horizon", "num_trials"} <= settings.keys():
+        trials, horizon = settings["num_trials"], settings["horizon"]
+        count = checkpoint_bound(horizon, settings["checkpoint_start"],
+                                 settings["checkpoints_per_decade"])
+        records = trials * count * (model.num_agents + 3) * 8  # bytes
+        banks = -(-trials // harness.TRIALS_PER_BANK)
+        workers = harness.worker_count(settings["parallelism"], banks)
+        draws = harness._draw_bytes(model, top, trials, horizon)  # per worker
+        if records + workers * draws > memory:
             errors.append(f"checkpoints: {trials} trials x up to {count} checkpoints need "
-                          f"{need >> 20} MiB of records, more than the {memory >> 20} MiB "
-                          "of physical memory")
+                          f"{records >> 20} MiB of records and {workers} workers x "
+                          f"{draws / 2**20:.1f} MiB of draw buffers, more than "
+                          f"{memory >> 20} MiB of physical memory")
     if errors:
         raise ValidationError(errors)
     return ScenarioConfig(**settings)

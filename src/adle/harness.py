@@ -118,14 +118,14 @@ class StatResult:
 
 def _draw_topology_block(top: TopologyModel, rngs, steps: int, out=None):
     """Per-trial active-edge masks for a block of steps, bool (R, steps, E)
-    in trial order, each trial's row drawn into ``out`` when it is given;
-    ``None`` when every edge is always active."""
+    in trial order, each trial's drawn into the first ``steps`` of its row
+    of ``out`` when it is given; ``None`` when every edge is always active."""
     if not top.draws_links:
         return None
     if out is None:
         out = np.empty((len(rngs), steps, top.base.num_edges), dtype=bool)
     for rng, row in zip(rngs, out):
-        top.draw_active(rng, steps, row)
+        top.draw_active(rng, steps, row[:steps])
     return out
 
 
@@ -155,35 +155,18 @@ def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
     return disagreement, error_norms, gain_gap, grammian_gap
 
 
-def trajectory(
-    model: ObservationModel,
-    top: TopologyModel,
-    schedule: WeightSchedule,
-    horizon: int,
-    grid,
-    seeds,
-    init: tuple | None = None,
-):
-    """Advance a bank of trials, one per seed, and yield ``(t, state)`` at
-    every step ``t`` of ``grid``.
+def _draw_bytes(model: ObservationModel, top: TopologyModel, trials: int, horizon: int) -> int:
+    """Bytes of the noise, mask (none under the static law) and weight
+    buffers that :func:`_walk` allocates for one bank of an experiment."""
+    rows, steps = min(TRIALS_PER_BANK, trials), min(BLOCK_STEPS, horizon)
+    edges = top.base.num_edges if top.draws_links else 0
+    return rows * steps * (model.num_agents * max(model.obs_dims) * 8 + edges) + 3 * steps * 8
 
-    ``state`` is one :class:`NetworkState` whose arrays carry a leading
-    trial axis; it is advanced in place, its arrays bound to the kernel
-    once (replace none of them), so copy what must outlive the next
-    step.  ``init`` holds the optional initial estimate, Grammian
-    and sample covariance of :func:`initial_network_state`.  Each trial
-    consumes only its own stream, in blocks of ``BLOCK_STEPS`` steps:
-    the topology draws of the block, then its unit-variance observation
-    noise.  Each trial draws them straight into its row of one mask and
-    one noise buffer, allocated once per trajectory (again only when a
-    short last block changes their length), and the observations are
-    formed from the noise step by step.  A block's draws are consumed in
-    segments that end at grid steps or at the block end; :func:`_advance`
-    runs one segment.  A singular gain solve raises
-    :class:`TrialDiverged` with the trial's place in the bank.
-    """
-    stacked = model._stacked
-    n, mx = model.num_agents, stacked.max_dim
+
+def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
+    """:func:`trajectory`, yielding ``(t, state, bound)``: ``bound`` is the
+    bank's one ``_kernel.BoundBank``, whose ``checkpoint`` reads ``state``."""
+    n, mx = model.num_agents, model._stacked.max_dim
     rngs = [np.random.default_rng(seed) for seed in seeds]
     grid = np.asarray(grid, dtype=np.int64)
     if grid.size == 0 or grid[-1] != horizon or np.any(np.diff(grid) <= 0) or grid[0] < 1:
@@ -194,33 +177,48 @@ def trajectory(
     for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
         a = getattr(state, field)
         setattr(state, field, np.tile(a, (len(rngs),) + (1,) * a.ndim))
-    bound = _kernel.load().bind(
-        state.estimates, state.grammians, state.obs_shifts, state.obs_sums,
-        state.obs_outer_sums, state.initial_sample_covs, stacked.sensing, stacked.sensed_truth,
-        stacked.noise_factor, top)
+    size = min(BLOCK_STEPS, horizon)  # a short last block fills a prefix of each row
+    noise = np.empty((len(rngs), size, n, mx))
+    active = np.empty((len(rngs), size, top.base.num_edges), bool) if top.draws_links else None
+    weights = np.empty((3, size))
+    bound = _kernel.load().bind(state, model, top, noise, weights, active)
 
-    noise = None
     pointer = 0
     while state.step < horizon:
         block_start = state.step
         steps = min(BLOCK_STEPS, horizon - block_start)
-        if noise is None or noise.shape[1] != steps:  # the first block or a short last one
-            noise = np.empty((len(rngs), steps, n, mx))
-            active = (np.empty((len(rngs), steps, top.base.num_edges), dtype=bool)
-                      if top.draws_links else None)
-            weights = np.empty((3, steps))
-            bound.draws(noise, weights, active)
         _draw_topology_block(top, rngs, steps, active)
         for rng, row in zip(rngs, noise):
-            _unit_variance_draws(rng, model.noise, row.shape, row)
-        weights[...] = schedule.block(block_start, steps)
+            _unit_variance_draws(rng, model.noise, (steps, n, mx), row[:steps])
+        weights[:, :steps] = schedule.block(block_start, steps)
         block_end = block_start + steps
         while state.step < block_end:
             stop = min(block_end, grid[pointer])
             _advance(bound, state, state.step - block_start, stop - block_start)
             if state.step == grid[pointer]:
-                yield state.step, state
+                yield state.step, state, bound
                 pointer += 1
+
+
+def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSchedule,
+               horizon: int, grid, seeds, init: tuple | None = None):
+    """Advance a bank of trials, one per seed, and yield ``(t, state)`` at
+    every step ``t`` of ``grid``.
+
+    ``state`` is one :class:`NetworkState` whose arrays carry a leading
+    trial axis.  It is advanced in place, its arrays bound to the kernel
+    once with the draw buffers (replace none of them), so copy what must
+    outlive the next step.  ``init`` holds the optional initial estimate,
+    Grammian and sample covariance of :func:`initial_network_state`.  Each
+    trial consumes only its own stream, in blocks of ``BLOCK_STEPS`` steps:
+    the topology draws of the block, then its unit-variance noise, each
+    drawn straight into the trial's row of one mask and one noise buffer.
+    The kernel forms the observations from the noise, in segments that end
+    at grid steps or at the block end (:func:`_advance`).  A singular gain
+    solve raises :class:`TrialDiverged` with the trial's place in the bank.
+    """
+    for t, state, _ in _walk(model, top, schedule, horizon, grid, seeds, init):
+        yield t, state
 
 
 def _run_bank(
@@ -238,29 +236,22 @@ def _run_bank(
     Returns arrays with a leading trial axis: the checkpoint records
     ``disagreement`` (R, C), ``error_norms`` (R, C, N), ``gain_gap``
     (R, C) and ``grammian_gap`` (R, C), then the terminal scaled errors
-    (R, N, M) and the scaled centralized baseline (R, M).  The kernel's
-    ``BoundBank.checkpoint`` writes the records from the state that the
-    :func:`trajectory` yields at each step of ``grid``.  A trial whose
-    state or records are non-finite there, or whose gain solve meets a
-    singular matrix, raises :class:`TrialDiverged`, naming it by
-    ``first_trial`` plus its place in the bank.
+    (R, N, M) and the scaled centralized baseline (R, M).  At each step of
+    ``grid``, ``BoundBank.checkpoint`` writes the records of the bank that
+    :func:`_walk` bound.  A trial whose state or records are non-finite
+    there, or whose gain solve meets a singular matrix, raises
+    :class:`TrialDiverged`, naming it by ``first_trial`` plus its place in
+    the bank.
     """
-    targets = (model.true_param, model._optimal_gain_stack, model._centralized.grammian_norm)
-    stacked, n = model._stacked, model.num_agents
+    n = model.num_agents
     table = np.empty((len(seeds), len(grid), n + 3))
-    bound = None
     try:
-        for c, (t, state) in enumerate(trajectory(model, top, schedule, horizon, grid, seeds,
-                                                  init)):
-            if bound is None:  # the state's arrays stay in place from here on
-                bound = _kernel.load().bind(
-                    state.estimates, state.grammians, state.obs_shifts, state.obs_sums,
-                    state.obs_outer_sums, state.initial_sample_covs, stacked.sensing,
-                    stacked.sensed_truth, stacked.noise_factor, top, targets)
+        for c, (t, state, bound) in enumerate(_walk(model, top, schedule, horizon, grid, seeds,
+                                                    init)):
             table[:, c] = bound.checkpoint(t, float(schedule.gamma(t)))
     except TrialDiverged as exc:
         raise TrialDiverged(first_trial + exc.trial, exc.step, exc.cause) from None
-
+    del bound  # free the draw buffers before the terminal errors are formed
     scaled_errors = math.sqrt(horizon + 1.0) * (state.estimates - model.true_param)
     baseline = centralized_estimate_from_means(model, state.obs_shifts + state.obs_sums / t)
     scaled_baseline = math.sqrt(t) * (baseline - model.true_param)
@@ -311,9 +302,13 @@ def fit_decay_slope(times, values, window: float = 0.4) -> float:
     return float(np.polyfit(np.log(t_fit + 1.0), np.log(v_fit), 1)[0])
 
 
-def worker_count(requested: int, banks: int, cpus: int) -> int:
+def worker_count(requested: int, banks: int, cpus: int | None = None) -> int:
     """Worker processes for ``banks`` banks: the request (0 means one per
-    CPU), capped by the number of banks and of CPUs."""
+    CPU), capped by the number of banks and of CPUs, by default those this
+    process may run on (``taskset`` and cpusets narrow them)."""
+    if cpus is None:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     return max(1, min(requested or cpus, banks, cpus))
 
 
@@ -338,9 +333,7 @@ def run_experiment(config) -> ExperimentReport:
          seeds[i : i + TRIALS_PER_BANK], init, i)
         for i in range(0, len(seeds), TRIALS_PER_BANK)
     ]
-    # the CPUs this process may run on (``taskset`` and cpusets narrow them)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = worker_count(config.parallelism, len(payloads), cpus or 1)
+    workers = worker_count(config.parallelism, len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             banks = list(pool.map(_run_bank, *zip(*payloads)))

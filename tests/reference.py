@@ -8,7 +8,9 @@ Two oracles of the compiled bank kernel, the library's one round:
   is read from the time-``t`` state;
 * the trial-stacked numpy round (:func:`stacked_round`) on the library's
   padded layout, and :func:`reference_trajectory`, which drives it with
-  the draws and draw order of ``adle.harness.trajectory``.
+  the draws and draw order of ``adle.harness.trajectory``;
+  :func:`reference_walk` adds the kernel's checkpoint records of its
+  state, as ``adle.harness._walk`` does.
 
 The tests check that the kernel agrees with both and check the
 equations' properties on the per-agent oracle.
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from adle import harness
+from adle import _kernel, harness
 from adle.errors import TrialDiverged
 from adle.estimator import (
     _gain_kernel,
@@ -284,3 +286,20 @@ def reference_trajectory(model, top, schedule, horizon: int, grid, seeds, init=N
             stacked_segment(state, stacked, noise, s, s + 1, weights, top, active)
             if state.step in grid:
                 yield state.step, state
+
+
+def no_draws(state):
+    """An empty block of draw buffers, for a bank bound only to checkpoint."""
+    bank, n, mx = state.obs_sums.shape
+    return np.empty((bank, 0, n, mx)), np.empty((3, 0)), None
+
+
+def reference_walk(model, top, schedule, horizon: int, grid, seeds, init=None):
+    """``harness._walk`` on the numpy round: :func:`reference_trajectory`,
+    yielding ``(t, state, bound)`` with a bank bound once on its state, so
+    that ``bound.checkpoint`` writes the kernel's records of it."""
+    bound = None
+    for t, state in reference_trajectory(model, top, schedule, horizon, grid, seeds, init):
+        if bound is None:  # the oracle's arrays stay in place from here on
+            bound = _kernel.load().bind(state, model, top, *no_draws(state))
+        yield t, state, bound

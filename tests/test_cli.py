@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import adle
 from adle import cli, harness
 from adle.cli import ScenarioConfig, example1_graph, main, parse_config
 from adle.errors import ParseError, ValidationError
-from reference import reference_trajectory
+from reference import reference_walk
 
 
 #: An explicit two-agent model on the edge [0, 1].
@@ -222,12 +223,21 @@ def test_singular_gain_solve_in_the_reference_trajectory_names_the_trial_and_ste
 ):
     # the oracle's numpy round differs from the kernel in the last bits: its
     # checkpoint diagnostics at step 13 are the first solve to meet the singular matrix
-    monkeypatch.setattr(harness, "trajectory", reference_trajectory)
+    monkeypatch.setattr(harness, "_walk", reference_walk)
     outdir = tmp_path / "out"
     assert main(["--config", str(_singular_scenario(tmp_path)), "--out", str(outdir)]) == 1
     err = capsys.readouterr().err
     assert "error: trial 0 diverged: singular matrix in the gain solve at step 13" in err
     assert not (outdir / "summary.csv").exists()
+
+
+def test_ring_smoke_checkpoints_keep_their_bits(tmp_path):
+    # the records come only from the kernel, the draws and repr, with no BLAS,
+    # so these bits hold on every machine of this architecture
+    scenario = Path(__file__).parents[1] / "demos" / "scenarios" / "ring_smoke.yaml"
+    assert main(["--config", str(scenario), "--out", str(tmp_path)]) in (0, 2)
+    assert hashlib.sha256((tmp_path / "checkpoints.csv").read_bytes()).hexdigest() == (
+        "6de0a27861d883c2446a8897a2a65dbe8e716ba761a7ced47deb0af430921d36")
 
 
 def test_module_entry_point_runs_the_command(tmp_path):
@@ -307,6 +317,24 @@ def test_malformed_value_is_a_collected_validation_error(tmp_path, capsys, overr
     assert main(["--config", str(path), "--validate-only"]) == 1
     err = capsys.readouterr().err
     assert "invalid scenario configuration" in err and message in err
+
+
+def test_draw_buffers_beyond_memory_are_a_collected_validation_error(tmp_path, capsys,
+                                                                      monkeypatch):
+    # 4 MiB of memory: one worker's 64 x 1024 steps of noise, masks and weights
+    # (2.8 MiB) fit beside the records of 130 trials (3 banks), two workers' do not
+    sizes, sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}, os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: sizes.get(name) or sysconf(name))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    config = parse_config(write_scenario(tmp_path, num_trials=130, horizon=2085))
+    draws = harness._draw_bytes(config.model, config.topology, 130, 2085)
+    assert draws == 64 * 1024 * (5 * 8 + 5) + 3 * 1024 * 8
+    path = write_scenario(tmp_path, num_trials=130, horizon=2085, parallelism=2)
+    assert main(["--config", str(path), "--validate-only"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid scenario configuration" in err
+    assert ("checkpoints: 130 trials x up to 20 checkpoints need 0 MiB of records and 2 workers "
+            "x 2.8 MiB of draw buffers, more than 4 MiB of physical memory") in err
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -16,7 +16,7 @@ import pytest
 
 from adle import _kernel, harness
 from adle.cli import example1_model, main
-from adle.errors import AdleError, TrialDiverged
+from adle.errors import AdleError, NotPositiveDefinite, TrialDiverged
 from adle.estimator import NetworkState, _sample_cov_from_moments, initial_network_state
 from adle.harness import (
     BLOCK_STEPS,
@@ -42,11 +42,12 @@ from adle.network import (
     sample_laplacian,
 )
 from adle.schedule import WeightSchedule, checkpoint_bound, recursion_trace
-from conftest import make_ragged_model
+from conftest import make_noiseless_ring, make_ragged_model
 from reference import (
     fold_observations,
+    no_draws,
     observations,
-    reference_trajectory,
+    reference_walk,
     stacked_round,
     stacked_segment,
 )
@@ -517,19 +518,15 @@ def _block(model, top, schedule, steps, seed, bank=3):
     return draws, noise, weights
 
 
-def _modelled(model):
-    """The padded sensing, sensed truth and noise factors the kernel reads."""
-    stacked = model._stacked
-    return stacked.sensing, stacked.sensed_truth, stacked.noise_factor
+def _network(model, state, q0, count=0):
+    """The trial-stacked ``NetworkState`` of a bank's arrays."""
+    return NetworkState(*state, q0, count, model.obs_dims)
 
 
-def _kernel_advance(kernel, estimates, grammians, shifts, sums, outer_sums, count, q0, sensing,
-                    sensed_truth, noise_factor, noise, start, stop, weights, top, active):
+def _kernel_advance(kernel, state, count, q0, model, noise, start, stop, weights, top, active):
     """Bind a bank and its draws, then advance it through block steps
     ``start..stop-1`` from ``count`` folded observations."""
-    bound = kernel.bind(estimates, grammians, shifts, sums, outer_sums, q0, sensing,
-                        sensed_truth, noise_factor, top)
-    bound.draws(noise, weights, active)
+    bound = kernel.bind(_network(model, state, q0, count), model, top, noise, weights, active)
     bound.advance(count, start, stop)
 
 
@@ -547,14 +544,12 @@ def test_kernel_matches_numpy_round_over_ten_thousand_steps(case):
     model, top, schedule, init = KERNEL_CASES[case]
     steps = 10_000
     draws, noise, weights = _block(model, top, schedule, steps, seed=len(case))
-    modelled = _modelled(model)
 
     compiled, q0 = _bank_state(model, init)
-    _kernel_advance(kernel, *compiled, 0, q0, *modelled, noise, 0, 3_000, weights, top, draws)
-    _kernel_advance(kernel, *compiled, 3_000, q0, *modelled, noise, 3_000, steps, weights, top,
-                    draws)
+    _kernel_advance(kernel, compiled, 0, q0, model, noise, 0, 3_000, weights, top, draws)
+    _kernel_advance(kernel, compiled, 3_000, q0, model, noise, 3_000, steps, weights, top, draws)
 
-    obs, sensing = observations(model._stacked, noise), modelled[0]
+    obs, sensing = observations(model._stacked, noise), model._stacked.sensing
     (x, g, shifts, sums, outer), _ = _bank_state(model, init)
     for s in range(steps):
         x, g = stacked_round(x, g, sums, outer, s, q0, sensing,
@@ -587,13 +582,11 @@ def test_every_lane_width_matches_one_lane_bit_for_bit(case, bank):
     model, top, schedule, init = KERNEL_CASES[case]
     steps = 10_000
     draws, noise, weights = _block(model, top, schedule, steps, seed=len(case), bank=bank)
-    modelled = _modelled(model)
     states = []
     for kernel in _every_width():
         state, q0 = _bank_state(model, init, bank)
-        _kernel_advance(kernel, *state, 0, q0, *modelled, noise, 0, 3_000, weights, top, draws)
-        _kernel_advance(kernel, *state, 3_000, q0, *modelled, noise, 3_000, steps, weights, top,
-                        draws)
+        _kernel_advance(kernel, state, 0, q0, model, noise, 0, 3_000, weights, top, draws)
+        _kernel_advance(kernel, state, 3_000, q0, model, noise, 3_000, steps, weights, top, draws)
         states.append(state)
     _same_bits(states)
 
@@ -615,8 +608,7 @@ def test_every_lane_width_names_the_same_singular_trial():
         for trial, s in ((9, 2), (10, 2), (2, 4)):
             state[1][trial] = -weights[2, s] * np.eye(model.param_dim)
         with pytest.raises(TrialDiverged) as info:
-            _kernel_advance(kernel, *state, 40, q0, *_modelled(model), noise, 0, steps, weights,
-                            top, draws)
+            _kernel_advance(kernel, state, 40, q0, model, noise, 0, steps, weights, top, draws)
         assert (info.value.trial, info.value.step) == (9, 42)
         states.append(state)
     _same_bits(states)
@@ -645,7 +637,7 @@ def test_kernel_forms_the_observations_of_the_numpy_synthesis_bit_for_bit(build,
         fold_observations(*moments, s, obs[:, s])
     for kernel in _every_width():
         state, q0 = _bank_state(model, None, bank)
-        _kernel_advance(kernel, *state, 0, q0, *_modelled(model), z, 0, steps, weights, top, draws)
+        _kernel_advance(kernel, state, 0, q0, model, z, 0, steps, weights, top, draws)
         for got, want in zip(state[2:], moments):
             assert got.tobytes() == want.tobytes()
 
@@ -660,8 +652,7 @@ def test_singular_gain_solve_names_the_first_trial_and_its_step(compiled):
     state = NetworkState(x, g, shifts, sums, outer, q0, 40, model.obs_dims)
     with pytest.raises(TrialDiverged) as info:
         if compiled:
-            bound = _kernel.load().bind(x, g, shifts, sums, outer, q0, *_modelled(model), top)
-            bound.draws(noise, weights, draws)
+            bound = _kernel.load().bind(state, model, top, noise, weights, draws)
             harness._advance(bound, state, 3, 8)
         else:
             stacked_segment(state, model._stacked, noise, 3, 8, weights, top, draws)
@@ -674,44 +665,39 @@ def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
     draws, noise, weights = _block(model, top, schedule, 8, seed=0)
     (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
-    modelled = _modelled(model)
     with pytest.raises(ValueError, match="C-contiguous"):
-        _kernel_advance(kernel, np.asfortranarray(x), g, shifts, sums, outer, 0, q0, *modelled,
+        _kernel_advance(kernel, [np.asfortranarray(x), g, shifts, sums, outer], 0, q0, model,
                         noise, 0, 8, weights, top, draws)
     with pytest.raises(ValueError, match="shape"):
-        _kernel_advance(kernel, x, g[:, :-1].copy(), shifts, sums, outer, 0, q0, *modelled, noise,
+        _kernel_advance(kernel, [x, g[:, :-1].copy(), shifts, sums, outer], 0, q0, model, noise,
                         0, 8, weights, top, draws)
     with pytest.raises(ValueError, match="shape"):
-        _kernel_advance(kernel, x, g, shifts, sums, outer, 0, q0, *modelled, noise, 0, 8,
+        _kernel_advance(kernel, [x, g, shifts, sums, outer], 0, q0, model, noise, 0, 8,
                         weights, top, draws[:, :, :-1].copy())
     with pytest.raises(ValueError, match="noise must be a float64 array"):
-        _kernel_advance(kernel, x, g, shifts, sums, outer, 0, q0, *modelled,
+        _kernel_advance(kernel, [x, g, shifts, sums, outer], 0, q0, model,
                         noise.astype(np.float32), 0, 8, weights, top, draws)
     frozen = x.copy()
     frozen.setflags(write=False)
     with pytest.raises(ValueError, match="writable"):
-        _kernel_advance(kernel, frozen, g, shifts, sums, outer, 0, q0, *modelled, noise, 0, 8,
+        _kernel_advance(kernel, [frozen, g, shifts, sums, outer], 0, q0, model, noise, 0, 8,
                         weights, top, draws)
     assert np.array_equal(x, np.zeros_like(x))  # nothing ran
     assert np.array_equal(frozen, np.zeros_like(x))
-
-
-def _targets(model):
-    return (model.true_param, model._optimal_gain_stack, model._centralized.grammian_norm)
 
 
 def _advanced_bank(model, top, schedule, init, bank, steps=300):
     """A bank's state after ``steps`` kernel steps, and its q0."""
     draws, noise, weights = _block(model, top, schedule, steps, seed=bank, bank=bank)
     state, q0 = _bank_state(model, init, bank)
-    _kernel_advance(_kernel.load(), *state, 0, q0, *_modelled(model), noise, 0, steps, weights,
-                    top, draws)
+    _kernel_advance(_kernel.load(), state, 0, q0, model, noise, 0, steps, weights, top, draws)
     return state, q0
 
 
 def _checkpoint(kernel, model, top, state, q0, count, gamma):
     """The kernel's (R, N + 3) records of a bank's state."""
-    return kernel.bind(*state, q0, *_modelled(model), top, _targets(model)).checkpoint(count, gamma)
+    network = _network(model, state, q0, count)
+    return kernel.bind(network, model, top, *no_draws(network)).checkpoint(count, gamma)
 
 
 @pytest.mark.parametrize("bank", [3, 61, 64])
@@ -768,17 +754,17 @@ def test_checkpoint_names_the_first_trial_by_precedence():
             assert (info.value.trial, info.value.step, info.value.cause) == (trial, steps, cause)
 
 
-def test_checkpoint_needs_its_targets():
+def test_checkpoint_needs_its_targets(ring_schedule):
+    # a model that does not validate still walks; only its checkpoint needs the targets
+    noiseless, top = make_noiseless_ring(), TopologyModel(cycle_graph(5), "bernoulli", 0.5)
+    walk = (noiseless, top, ring_schedule, 50, [10, 50], [1, 2])
+    assert [t for t, _ in trajectory(*walk)] == [10, 50]
+    t, _, bound = next(harness._walk(*walk))
+    with pytest.raises(NotPositiveDefinite):
+        bound.checkpoint(t, 1.0)
     model, top, _, _ = KERNEL_CASES["bernoulli"]
     state, q0 = _bank_state(model, None)
-    kernel = _kernel.load()
-    with pytest.raises(ValueError, match="without checkpoint targets"):
-        kernel.bind(*state, q0, *_modelled(model), top).checkpoint(1, 1.0)
-    with pytest.raises(ValueError, match="optimal_gains has shape"):
-        kernel.bind(*state, q0, *_modelled(model), top,
-                    (model.true_param, model._optimal_gain_stack[:, :, :0].copy(),
-                     model._centralized.grammian_norm))
-    records = kernel.bind(*state, q0, *_modelled(model), top, _targets(model)).checkpoint(1, 1.0)
+    records = _checkpoint(_kernel.load(), model, top, state, q0, 1, 1.0)
     assert records.shape == (3, 8) and np.all(records[:, 1:6] == np.sqrt(5.0))  # x = 0, theta = 1
 
 
@@ -787,7 +773,8 @@ def test_lane_scratch_is_aligned_and_sized_by_the_kernel():
     for bank in (1, 3):
         state, q0 = _bank_state(model, None, bank)
         kernel = _kernel.load()
-        bound = kernel.bind(*state, q0, *_modelled(model), top)
+        network = _network(model, state, q0)
+        bound = kernel.bind(network, model, top, *no_draws(network))
         scratch = bound._arrays["scratch"]
         lanes = 1 if bank == 1 else kernel.lanes
         n, m, mx = model.num_agents, model.param_dim, model._stacked.max_dim
@@ -808,12 +795,79 @@ def test_reference_trajectory_runs_experiment_like_the_kernel(
     config = small_config(ring_model, bernoulli_pentagon, ring_schedule, num_trials=70,
                           horizon=1_500, init_estimate=np.full(5, 0.5), init_sample_cov=1.0)
     compiled = run_experiment(config)
-    monkeypatch.setattr(harness, "trajectory", reference_trajectory)
+    walks = []
+
+    def oracle_walk(*args):
+        walks.append(args)
+        return reference_walk(*args)
+
+    monkeypatch.setattr(harness, "_walk", oracle_walk)
     oracle = run_experiment(config)
+    assert len(walks) == 2  # both banks ran on the numpy round
     assert np.allclose(oracle.trial_error_norms, compiled.trial_error_norms, rtol=0, atol=1e-10)
     assert np.allclose(oracle.trial_gain_gap, compiled.trial_gain_gap, rtol=0, atol=1e-10)
     assert np.allclose(oracle.empirical_scaled_cov, compiled.empirical_scaled_cov,
                        rtol=0, atol=1e-8)
+
+
+def test_each_bank_is_bound_once(monkeypatch, ring_model, bernoulli_pentagon, ring_schedule):
+    # three banks (64, 64 and 2 trials) over two full blocks and a short one
+    shapes, bind = [], _kernel.BankKernel.bind
+
+    def spy(self, state, model, top, noise, weights, active):
+        shapes.append(noise.shape)
+        return bind(self, state, model, top, noise, weights, active)
+
+    monkeypatch.setattr(_kernel.BankKernel, "bind", spy)
+    run_experiment(small_config(ring_model, bernoulli_pentagon, ring_schedule, num_trials=130,
+                                horizon=2 * BLOCK_STEPS + 37))
+    assert [shape[:2] for shape in shapes] == [(64, BLOCK_STEPS), (64, BLOCK_STEPS),
+                                               (2, BLOCK_STEPS)]
+
+
+@pytest.mark.parametrize("law", ["static", "bernoulli", "gossip"])
+@pytest.mark.parametrize("trials, horizon", [(3, 10), (70, 2 * BLOCK_STEPS + 37)])
+def test_draw_bytes_are_those_of_the_bound_buffers(ring_model, ring_schedule, law, trials,
+                                                   horizon):
+    top = TopologyModel(cycle_graph(5), law, 0.5)
+    seeds = range(min(harness.TRIALS_PER_BANK, trials))
+    _, _, bound = next(harness._walk(ring_model, top, ring_schedule, horizon, [horizon], seeds))
+    buffers = [bound._arrays[name] for name in ("noise", "w", "active")]
+    assert (buffers[2] is None) == (law == "static")
+    assert sum(b.nbytes for b in buffers if b is not None) == harness._draw_bytes(
+        ring_model, top, trials, horizon)
+
+
+def _kernel_source_copy(monkeypatch, tmp_path):
+    """Point the loader at a copy of the kernel source; return its directory."""
+    package = tmp_path / "package"
+    package.mkdir()
+    (package / "_kernel.c").write_bytes(_kernel._SOURCE.read_bytes())
+    monkeypatch.setattr(_kernel, "_SOURCE", package / "_kernel.c")
+    return package
+
+
+def test_a_build_in_the_package_cache_removes_older_libraries(monkeypatch, tmp_path):
+    cache = _kernel_source_copy(monkeypatch, tmp_path) / "__pycache__"
+    cache.mkdir()
+    for name in ("_kernel-0123456789abcdef.so", "_kernel.cpython-311.pyc"):
+        (cache / name).write_bytes(b"")
+    target = _kernel._build()
+    assert target.parent == cache
+    assert sorted(p.name for p in cache.iterdir()) == sorted([target.name,
+                                                              "_kernel.cpython-311.pyc"])
+
+
+def test_a_build_in_the_shared_cache_removes_no_library(monkeypatch, tmp_path):
+    # another checkout's process may be loading its library from there
+    _kernel_source_copy(monkeypatch, tmp_path)
+    shared = _unwritable_package_cache(monkeypatch, tmp_path)
+    shared.mkdir(mode=0o700)
+    (shared / "_kernel-0123456789abcdef.so").write_bytes(b"")
+    target = _kernel._build()
+    assert target.parent == shared
+    assert sorted(p.name for p in shared.iterdir()) == sorted([target.name,
+                                                               "_kernel-0123456789abcdef.so"])
 
 
 def test_missing_compiler_is_a_named_error(monkeypatch, tmp_path, capsys):
