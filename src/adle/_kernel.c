@@ -17,7 +17,8 @@
  *   h         (n, mx, m)           padded sensing matrices
  *   truth     (n, mx)              sensed truth H theta
  *   factor    (n, mx, mx)          noise factors
- *   noise     (bank, steps, n, mx) unit-variance draws of the block
+ *   noise     (bank, window, n, mx) unit-variance draws of a window of
+ *                                  block steps: row s - w0 holds step s
  *   w         (3, steps)           alpha, beta, gamma of each block step
  *   edges     (num_edges, 2)       base-graph edges
  *   active    (bank, steps, num_edges)  active-edge masks; NULL: all active
@@ -43,7 +44,9 @@
  * with dead lanes).  Lane groups are the outer loop and steps the inner
  * one: a group's state is gathered into lane-major scratch once per
  * call and scattered back once, while each step's noise and active-edge
- * masks are read in place, strided by trial.  Partial pivoting picks
+ * masks are read in place, strided by trial (the noise by its window,
+ * the masks by the block).  A call's segment lies inside the noise
+ * window that starts at block step w0.  Partial pivoting picks
  * each lane's pivot by compare-and-blend, and a masked-off edge or a
  * dead lane keeps its value by select, never by adding zero
  * (-0.0 + 0.0 is +0.0).  A trial whose gain solve meets a zero pivot
@@ -63,7 +66,7 @@ enum { OK = 0, SINGULAR = 1, NOT_FINITE = 2 };
 
 /* Mirrored field for field by ``_kernel._BankArgs`` in the loader. */
 struct adle_bank {
-    int64_t bank, n, m, mx, steps, num_edges;
+    int64_t bank, n, m, mx, steps, window, num_edges;
     double *x, *g, *shift, *sums, *outer;
     const double *q0, *h, *truth, *factor, *noise, *w;
     const int64_t *edges;
@@ -390,9 +393,11 @@ static M NAME(gather_group)(const struct NAME(fields) *f, int64_t bank, int64_t 
     return live;
 }
 
-int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, int64_t count)
+int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, int64_t count,
+                            int64_t w0)
 {
     const int64_t bank = b->bank, n = b->n, m = b->m, mx = b->mx, steps = b->steps;
+    const int64_t window = b->window;
     const int64_t num_edges = b->num_edges, *edges = b->edges;
     const double *q0 = b->q0, *h = b->h, *truth = b->truth, *factor = b->factor;
     const double *noise = b->noise, *w = b->w;
@@ -419,7 +424,7 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
             const double alpha = w[s], beta = w[steps + s], gamma = w[2 * steps + s];
             const int64_t c = count + (s - start);
             for (int l = 0; l < LANES; l++)
-                NAME(gather)(n * mx, l, noise + (trial[l] * steps + s) * n * mx, z);
+                NAME(gather)(n * mx, l, noise + (trial[l] * window + s - w0) * n * mx, z);
             for (int64_t a = 0; a < n; a++) {
                 const V *za = z + a * mx;
                 for (int64_t i = 0; i < mx; i++) {

@@ -73,25 +73,25 @@ def _build() -> Path:
     """Compile the kernel unless a library for this source and command exists.
 
     The library is written under a temporary name and renamed into
-    place, so concurrent processes never load a partial file.  A new
-    library in the package's own ``__pycache__`` removes the libraries of
-    earlier sources there; a shared directory is never pruned, since
-    another checkout's process may be loading from it.
+    place, so concurrent processes never load a partial file.  In the
+    package's own ``__pycache__`` the libraries of earlier sources are
+    removed, whether this one was built or found there; a shared
+    directory is never pruned, since another checkout's process may be
+    loading from it.
     """
     key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(COMPILE).encode()).hexdigest()[:16]
     cache = _cache_dir()
     target = cache / f"_kernel-{key}.so"
-    if target.exists():
-        return target
-    fd, partial = tempfile.mkstemp(prefix="_kernel-", suffix=".so.part", dir=cache)
-    os.close(fd)
-    try:
-        subprocess.run([*COMPILE, "-o", partial, str(_SOURCE)], check=True,
-                       capture_output=True, text=True)
-        os.replace(partial, target)
-    finally:
-        if os.path.exists(partial):
-            os.unlink(partial)
+    if not target.exists():
+        fd, partial = tempfile.mkstemp(prefix="_kernel-", suffix=".so.part", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run([*COMPILE, "-o", partial, str(_SOURCE)], check=True,
+                           capture_output=True, text=True)
+            os.replace(partial, target)
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
     if cache == _SOURCE.parent / "__pycache__":
         for stale in cache.glob("_kernel-*.so"):
             if stale != target:
@@ -103,7 +103,8 @@ class _BankArgs(ctypes.Structure):
     """``struct adle_bank`` of ``_kernel.c``, field for field."""
 
     _fields_ = (
-        [(name, ctypes.c_int64) for name in ("bank", "n", "m", "mx", "steps", "num_edges")]
+        [(name, ctypes.c_int64) for name in ("bank", "n", "m", "mx", "steps", "window",
+                                              "num_edges")]
         + [(name, ctypes.c_void_p) for name in ("x", "g", "shift", "sums", "outer", "q0", "h",
                                                 "truth", "factor", "noise", "w", "edges",
                                                 "active", "theta", "kopt", "gtarget",
@@ -127,7 +128,7 @@ class BankKernel:
         for width in WIDTHS[:WIDTHS.index(self.lanes) + 1]:
             advance, checkpoint = self._fns[width] = (lib[f"adle_advance_bank_{width}"],
                                                       lib[f"adle_checkpoint_bank_{width}"])
-            advance.argtypes = [bank, i64, i64, i64]
+            advance.argtypes = [bank, i64, i64, i64, i64]
             checkpoint.argtypes = [bank, i64, ctypes.c_double, ctypes.c_void_p]
             advance.restype = checkpoint.restype = ctypes.c_int
         self._lib = lib
@@ -140,8 +141,9 @@ class BankKernel:
         Grammians and moments in place.  ``model`` is the
         ``ObservationModel`` whose padded sensing, sensed truth and noise
         factors (``_stacked``) it reads, and ``top`` holds the links.  The
-        draw buffers are ``noise``, the (R, S, N, max_dim) unit-variance
-        draws from which the kernel forms each step's observations,
+        draw buffers of a block of S steps are ``noise``, the
+        (R, W, N, max_dim) unit-variance draws of a window of W of its
+        steps, from which the kernel forms each step's observations,
         ``weights``, the (3, S) alpha, beta and gamma of the steps, and
         ``active``, the bool (R, S, E) active-edge masks over
         ``top.edge_array``, or ``None`` when every edge is always active.
@@ -151,7 +153,8 @@ class BankKernel:
         """
         stacked = model._stacked
         n, m, mx = model.num_agents, model.param_dim, stacked.max_dim
-        bank, steps = _shape_of(state.estimates, "estimates", 3)[0], _shape_of(noise, "noise", 4)[1]
+        bank = _shape_of(state.estimates, "estimates", 3)[0]
+        window, steps = _shape_of(noise, "noise", 4)[1], _shape_of(weights, "weights", 2)[1]
         arrays = {  # in the order of struct adle_bank
             "x": _check(state.estimates, "estimates", np.float64, (bank, n, m)),
             "g": _check(state.grammians, "grammians", np.float64, (bank, n, m, m)),
@@ -160,7 +163,7 @@ class BankKernel:
             "outer": _check(state.obs_outer_sums, "obs_outer_sums", np.float64, (bank, n, mx, mx)),
             "q0": _check(state.initial_sample_covs, "initial_sample_covs", np.float64, (n, mx, mx)),
             "h": stacked.sensing, "truth": stacked.sensed_truth, "factor": stacked.noise_factor,
-            "noise": _check(noise, "noise", np.float64, (bank, steps, n, mx)),
+            "noise": _check(noise, "noise", np.float64, (bank, window, n, mx)),
             "w": _check(weights, "weights", np.float64, (3, steps)),
             "edges": top.edge_array,
             "active": None if active is None else _check(
@@ -170,7 +173,8 @@ class BankKernel:
             raise ValueError("the bank state arrays must be writable")
         if top.base.num_nodes != n:
             raise ValueError(f"topology has {top.base.num_nodes} nodes, state has {n} agents")
-        args = _BankArgs(bank=bank, n=n, m=m, mx=mx, steps=steps, num_edges=top.base.num_edges,
+        args = _BankArgs(bank=bank, n=n, m=m, mx=mx, steps=steps, window=window,
+                         num_edges=top.base.num_edges,
                          **{name: None if arr is None else arr.ctypes.data
                             for name, arr in arrays.items()})
         lanes = 1 if bank == 1 else self.lanes
@@ -191,21 +195,23 @@ class BoundBank:
         self._fn, self._checkpoint, self._args, self._arrays = advance, checkpoint, args, arrays
         self._model, self._ref = model, ctypes.byref(args)
 
-    def advance(self, count: int, start: int, stop: int) -> None:
+    def advance(self, count: int, start: int, stop: int, w0: int) -> None:
         """Advance the bank through block steps ``start..stop-1`` in place.
 
         ``count`` observations have been folded into the moments before
-        ``start``.  A zero pivot in a gain solve raises
-        :class:`TrialDiverged` naming the earliest step it met (``count``
-        plus its offset from ``start``) and the first trial, by its place
-        in the bank, that met it there.
+        ``start``.  The noise buffer holds block steps ``w0`` on, one per
+        row, and the segment lies inside it.  A zero pivot in a gain
+        solve raises :class:`TrialDiverged` naming the earliest step it
+        met (``count`` plus its offset from ``start``) and the first
+        trial, by its place in the bank, that met it there.
         """
-        if not 0 <= start <= stop <= self._args.steps:
-            raise ValueError(f"segment [{start}, {stop}) outside a block of "
-                             f"{self._args.steps} steps")
+        steps, window = self._args.steps, self._args.window
+        if not 0 <= w0 <= start <= stop <= min(steps, w0 + window):
+            raise ValueError(f"segment [{start}, {stop}) outside the noise window "
+                             f"[{w0}, {w0 + window}) of a block of {steps} steps")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        if self._fn(self._ref, start, stop, count) == SINGULAR:
+        if self._fn(self._ref, start, stop, count, w0) == SINGULAR:
             failure = self._args.failure
             raise TrialDiverged(failure[0], failure[1], TrialDiverged.SINGULAR)
 

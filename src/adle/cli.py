@@ -235,10 +235,7 @@ def parse_config(path, overrides=None) -> ScenarioConfig:
     if "horizon" in settings and settings["checkpoints_per_decade"] > settings["horizon"]:
         errors.append(f"checkpoints.per_decade: {settings['checkpoints_per_decade']} exceeds "
                       f"the horizon {settings['horizon']}")
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # the size is unknown: no bound
-        memory = None
+    memory, bounded_by = harness._memory_limit()  # None: the size is unknown, no bound
     if top is not None and memory and {"horizon", "num_trials"} <= settings.keys():
         trials, horizon = settings["num_trials"], settings["horizon"]
         count = checkpoint_bound(horizon, settings["checkpoint_start"],
@@ -251,7 +248,7 @@ def parse_config(path, overrides=None) -> ScenarioConfig:
             errors.append(f"checkpoints: {trials} trials x up to {count} checkpoints need "
                           f"{records >> 20} MiB of records and {workers} workers x "
                           f"{draws / 2**20:.1f} MiB of draw buffers, more than "
-                          f"{memory >> 20} MiB of physical memory")
+                          f"{memory >> 20} MiB of {bounded_by}")
     if errors:
         raise ValidationError(errors)
     return ScenarioConfig(**settings)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +48,14 @@ BLOCK_STEPS = 1024
 #: Trials advanced together in one vectorized bank.  Fixed so that
 #: experiment output is independent of the parallelism degree.
 TRIALS_PER_BANK = 64
+
+#: Bytes of a bank's noise buffer, which holds a window of steps of a
+#: block: each trial's noise for a block is one run of its stream, drawn
+#: a window at a time, so outputs do not depend on this size.
+_NOISE_WINDOW_BYTES = 4 << 20
+
+#: The cgroup v2 memory limit of this process's group: bytes, or "max".
+_CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
 
 
 @dataclass(frozen=True)
@@ -135,10 +142,11 @@ def _laplacian_at(top: TopologyModel, active, s: int):
     return top.laplacians(None if active is None else active[:, s])
 
 
-def _advance(bound, state: NetworkState, start: int, stop: int) -> None:
+def _advance(bound, state: NetworkState, start: int, stop: int, w0: int) -> None:
     """Advance a bank through block steps ``start..stop-1`` in place, ``state.step``
-    included, by one call of its bound kernel (``_kernel.BoundBank``)."""
-    bound.advance(state.step, start, stop)
+    included, by one call of its bound kernel (``_kernel.BoundBank``), whose
+    noise window starts at block step ``w0``."""
+    bound.advance(state.step, start, stop, w0)
     state.step += stop - start
 
 
@@ -155,12 +163,37 @@ def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
     return disagreement, error_norms, gain_gap, grammian_gap
 
 
+def _noise_window(rows: int, agents: int, max_dim: int, steps: int) -> int:
+    """Steps of a block of ``steps`` whose float64 (rows, window, agents,
+    max_dim) noise fits in ``_NOISE_WINDOW_BYTES``; at least one."""
+    return max(1, min(steps, _NOISE_WINDOW_BYTES // (rows * agents * max_dim * 8)))
+
+
 def _draw_bytes(model: ObservationModel, top: TopologyModel, trials: int, horizon: int) -> int:
     """Bytes of the noise, mask (none under the static law) and weight
     buffers that :func:`_walk` allocates for one bank of an experiment."""
     rows, steps = min(TRIALS_PER_BANK, trials), min(BLOCK_STEPS, horizon)
+    n, mx = model.num_agents, max(model.obs_dims)
     edges = top.base.num_edges if top.draws_links else 0
-    return rows * steps * (model.num_agents * max(model.obs_dims) * 8 + edges) + 3 * steps * 8
+    noise = rows * _noise_window(rows, n, mx, steps) * n * mx * 8
+    return noise + rows * steps * edges + 3 * steps * 8
+
+
+def _memory_limit() -> tuple[int | None, str]:
+    """Bytes of memory a run may hold, and what sets them: physical memory,
+    or the cgroup's ``memory.max`` where that holds a smaller number;
+    ``None`` where neither is known."""
+    limits = []
+    try:
+        limits.append((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"),
+                       "physical memory"))
+    except (AttributeError, ValueError, OSError):  # the size is unknown
+        pass
+    try:
+        limits.append((int(_CGROUP_MEMORY_MAX.read_text()), "cgroup memory (memory.max)"))
+    except (OSError, ValueError):  # no cgroup v2 limit, or "max"
+        pass
+    return min(limits, default=(None, "memory"))
 
 
 def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
@@ -178,7 +211,8 @@ def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
         a = getattr(state, field)
         setattr(state, field, np.tile(a, (len(rngs),) + (1,) * a.ndim))
     size = min(BLOCK_STEPS, horizon)  # a short last block fills a prefix of each row
-    noise = np.empty((len(rngs), size, n, mx))
+    window = _noise_window(len(rngs), n, mx, size)
+    noise = np.empty((len(rngs), window, n, mx))
     active = np.empty((len(rngs), size, top.base.num_edges), bool) if top.draws_links else None
     weights = np.empty((3, size))
     bound = _kernel.load().bind(state, model, top, noise, weights, active)
@@ -188,16 +222,18 @@ def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
         block_start = state.step
         steps = min(BLOCK_STEPS, horizon - block_start)
         _draw_topology_block(top, rngs, steps, active)
-        for rng, row in zip(rngs, noise):
-            _unit_variance_draws(rng, model.noise, (steps, n, mx), row[:steps])
         weights[:, :steps] = schedule.block(block_start, steps)
-        block_end = block_start + steps
-        while state.step < block_end:
-            stop = min(block_end, grid[pointer])
-            _advance(bound, state, state.step - block_start, stop - block_start)
-            if state.step == grid[pointer]:
-                yield state.step, state, bound
-                pointer += 1
+        for w0 in range(0, steps, window):
+            drawn = min(window, steps - w0)
+            for rng, row in zip(rngs, noise):
+                _unit_variance_draws(rng, model.noise, (drawn, n, mx), row[:drawn])
+            window_end = block_start + w0 + drawn
+            while state.step < window_end:
+                stop = min(window_end, grid[pointer])
+                _advance(bound, state, state.step - block_start, stop - block_start, w0)
+                if state.step == grid[pointer]:
+                    yield state.step, state, bound
+                    pointer += 1
 
 
 def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSchedule,
@@ -213,9 +249,12 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
     trial consumes only its own stream, in blocks of ``BLOCK_STEPS`` steps:
     the topology draws of the block, then its unit-variance noise, each
     drawn straight into the trial's row of one mask and one noise buffer.
-    The kernel forms the observations from the noise, in segments that end
-    at grid steps or at the block end (:func:`_advance`).  A singular gain
-    solve raises :class:`TrialDiverged` with the trial's place in the bank.
+    The noise buffer holds a window of the block's steps, as many as fit in
+    4 MiB (the whole block for small banks), and a block's noise is drawn
+    one window at a time, the same run of the stream as one draw.  The kernel forms the observations from the noise, in segments
+    that end at grid steps, window ends or the block end (:func:`_advance`).
+    A singular gain solve raises :class:`TrialDiverged` with the trial's
+    place in the bank.
     """
     for t, state, _ in _walk(model, top, schedule, horizon, grid, seeds, init):
         yield t, state
@@ -335,11 +374,29 @@ def run_experiment(config) -> ExperimentReport:
     ]
     workers = worker_count(config.parallelism, len(payloads))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             banks = list(pool.map(_run_bank, *zip(*payloads)))
     else:
         banks = [_run_bank(*payload) for payload in payloads]
     return _aggregate(config, grid, [np.concatenate(parts) for parts in zip(*banks)])
+
+
+def _median(values: np.ndarray) -> np.ndarray:
+    """``np.median(values, axis=0)`` bit for bit, by a sort: the middle
+    value, or the mean ``(a + b) / 2`` of the middle two, and NaN wherever
+    a column holds a NaN (which sorts last).  Like ``np.mean`` the sum
+    starts from +0.0, so a -0.0 median reads +0.0.  ``np.median``'s NaN
+    check imports ``numpy.ma`` on its first call, which costs a run more
+    than its medians do."""
+    ordered = np.sort(values, axis=0)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        middle = 0.0 + ordered[half]
+    else:
+        middle = (0.0 + ordered[half - 1] + ordered[half]) / 2
+    return np.where(np.isnan(ordered[-1]), np.nan, middle)
 
 
 def _aggregate(config, grid: np.ndarray, results: list[np.ndarray]) -> ExperimentReport:
@@ -360,8 +417,8 @@ def _aggregate(config, grid: np.ndarray, results: list[np.ndarray]) -> Experimen
     gaps = np.array([np.linalg.norm(cov - target) / target_norm for cov in empirical])
     centralized_gap = float(np.linalg.norm(centralized_cov - target) / target_norm)
 
-    median_disagreement = np.median(trial_disagreement, axis=0)
-    median_error = np.median(trial_error, axis=0)
+    median_disagreement = _median(trial_disagreement)
+    median_error = _median(trial_error)
 
     def safe_slope(values):
         try:
@@ -442,8 +499,8 @@ def evaluate_acceptance(
         ok(report.disagreement_slope, thresholds.disagreement_slope_max),
     ))
 
-    final_error = float(np.median(report.trial_error_norms[:, -1, :]))
-    final_disagreement = float(np.median(report.trial_disagreement[:, -1]))
+    final_error = float(_median(report.trial_error_norms[:, -1, :].ravel()))
+    final_disagreement = float(_median(report.trial_disagreement[:, -1]))
     ratio = final_disagreement / final_error if final_error > 0 else float("inf")
     results.append(StatResult(
         "disagreement_error_ratio", ratio,

@@ -249,6 +249,23 @@ def test_module_entry_point_runs_the_command(tmp_path):
     assert "none.yaml" in done.stderr
 
 
+def test_a_one_worker_run_loads_neither_numpy_ma_nor_multiprocessing(tmp_path):
+    # the medians are sorts, and the process pool is imported only to be built
+    src = str(Path(adle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    path = write_scenario(tmp_path, num_trials=harness.TRIALS_PER_BANK + 2, parallelism=1,
+                          run_ks_test=True)
+    code = ("import sys, adle, adle.cli; from adle import harness; "
+            "config = adle.cli.parse_config(sys.argv[1]); "
+            "harness.write_report(harness.run_experiment(config), sys.argv[2], config.acceptance); "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'] "
+            "or m.split('.')[0] == 'multiprocessing'))")
+    out = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "summary.csv").exists()
+
+
 def test_config_is_a_plain_dataclass_surface(tmp_path):
     config = parse_config(write_scenario(tmp_path))
     assert isinstance(config, ScenarioConfig)
@@ -335,6 +352,25 @@ def test_draw_buffers_beyond_memory_are_a_collected_validation_error(tmp_path, c
     assert "invalid scenario configuration" in err
     assert ("checkpoints: 130 trials x up to 20 checkpoints need 0 MiB of records and 2 workers "
             "x 2.8 MiB of draw buffers, more than 4 MiB of physical memory") in err
+
+
+@pytest.mark.parametrize("content", ["1048576\n", "huge", "max\n", None],
+                         ids=["number", "above_physical", "max", "missing"])
+def test_memory_bound_is_the_smaller_of_physical_memory_and_the_cgroup_limit(
+    tmp_path, capsys, monkeypatch, content
+):
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = tmp_path / "memory.max"
+    if content is not None:
+        limit.write_text(str(2 * physical) if content == "huge" else content)
+    monkeypatch.setattr(harness, "_CGROUP_MEMORY_MAX", limit)
+    bounded = content == "1048576\n"  # 1 MiB: less than one worker's 2.8 MiB of draw buffers
+    assert harness._memory_limit() == ((1 << 20, "cgroup memory (memory.max)") if bounded
+                                       else (physical, "physical memory"))
+    path = write_scenario(tmp_path, num_trials=130, horizon=2085)
+    assert main(["--config", str(path), "--validate-only"]) == (1 if bounded else 0)
+    err = capsys.readouterr().err
+    assert ("more than 1 MiB of cgroup memory (memory.max)" in err) == bounded
 
 
 @pytest.mark.parametrize("flags, message", [

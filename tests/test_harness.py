@@ -1,7 +1,9 @@
+import concurrent.futures
 import csv
 import ctypes
 import copy
 import dataclasses
+import itertools
 import logging
 import os
 import pickle
@@ -47,6 +49,7 @@ from reference import (
     fold_observations,
     no_draws,
     observations,
+    reference_trajectory,
     reference_walk,
     stacked_round,
     stacked_segment,
@@ -368,6 +371,20 @@ def test_checkpoints_csv_is_the_csv_writer_bytes(tmp_path, ring_model, bernoulli
                                         b",5e-324\r\n"))
 
 
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+@pytest.mark.parametrize("trials", [1, 4, 7, 64])
+def test_median_is_numpy_median_bit_for_bit(trials, nan):
+    values = np.random.default_rng(trials).standard_normal((trials, 6, 3))
+    values[:, 3, 2] = -0.0  # np.mean sums from +0.0
+    values[:, 5, 0] = np.where(np.arange(trials) % 2, 0.0, -5e-324)  # halved, -0.0
+    if nan:
+        values[trials // 2, 2, 1] = np.nan
+        values[0, 4] = np.nan
+    assert harness._median(values).tobytes() == np.median(values, axis=0).tobytes()
+    column = values[:, :, 1].ravel()
+    assert harness._median(column).tobytes() == np.median(column).tobytes()
+
+
 # ----------------------------------------------------------------- workers
 
 
@@ -386,7 +403,7 @@ def test_workers_are_bounded_by_the_cpus_this_process_may_use(
         raise AssertionError("a process pool was built for one usable CPU")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     config = small_config(ring_model, bernoulli_pentagon, ring_schedule, horizon=200,
                           num_trials=harness.TRIALS_PER_BANK + 2, parallelism=0)
     assert run_experiment(config).trial_gain_gap.shape[0] == harness.TRIALS_PER_BANK + 2
@@ -432,6 +449,26 @@ def test_one_block_peaks_below_one_point_six_noise_blocks(
     noise_block = 8 * len(seeds) * BLOCK_STEPS * ring_model.num_agents
     noise_block *= ring_model._stacked.max_dim  # float64 (R, BLOCK_STEPS, N, mx)
     assert peak < 1.6 * noise_block, peak / noise_block
+
+
+def test_a_windowed_block_peaks_below_point_four_noise_blocks(
+    monkeypatch, ring_model, bernoulli_pentagon, ring_schedule
+):
+    # with 64-step windows the noise buffer is 1/16 of a block; the masks,
+    # one byte per edge where the noise takes eight, are the most of the rest
+    seeds = [np.random.SeedSequence((4, k)) for k in range(harness.TRIALS_PER_BANK)]
+    harness._run_bank(ring_model, bernoulli_pentagon, ring_schedule, 16, checkpoint_grid(16),
+                      seeds[:1])  # build and load the kernel outside the measurement
+    step_bytes = 8 * len(seeds) * ring_model.num_agents * ring_model._stacked.max_dim
+    monkeypatch.setattr(harness, "_NOISE_WINDOW_BYTES", 64 * step_bytes)
+    tracemalloc.start()
+    try:
+        harness._run_bank(ring_model, bernoulli_pentagon, ring_schedule, BLOCK_STEPS,
+                          checkpoint_grid(BLOCK_STEPS), seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4 * BLOCK_STEPS * step_bytes, peak / (BLOCK_STEPS * step_bytes)
 
 
 # ----------------------------------------------------------------- link draws
@@ -488,6 +525,39 @@ def test_sample_laplacian_is_a_one_step_block(law):
         assert np.array_equal(sampled, laplacian_of(Graph(5, active)))
 
 
+def _snapshots(walk):
+    """Copies of the state arrays of a trajectory (or a walk) at every grid step."""
+    return [(t, [a.copy() for a in (state.estimates, state.grammians, state.obs_shifts,
+                                    state.obs_sums, state.obs_outer_sums)])
+            for t, state, *_ in walk]
+
+
+@pytest.mark.parametrize("window", [1, 37])
+@pytest.mark.parametrize("noise", ["gaussian", "laplace"])
+@pytest.mark.parametrize("law", sorted(DRAW_LAWS))
+def test_noise_windows_keep_the_bits_of_whole_block_draws(monkeypatch, law, noise, window):
+    # across a block boundary into a short last block, with grid steps inside
+    # windows and on their ends: each trial's noise is one run of its stream
+    model, top, schedule = example1_model(noise), DRAW_LAWS[law], WeightSchedule(b=0.5)
+    horizon = BLOCK_STEPS + 50
+    grid = [5, 36, 37, 100, BLOCK_STEPS, BLOCK_STEPS + 1, horizon]
+    seeds = [np.random.SeedSequence((23, k)) for k in range(3)]
+    whole = _snapshots(trajectory(model, top, schedule, horizon, grid, seeds))
+    oracle = _snapshots(reference_trajectory(model, top, schedule, horizon, grid, seeds))
+    step_bytes = 8 * len(seeds) * model.num_agents * model._stacked.max_dim
+    monkeypatch.setattr(harness, "_NOISE_WINDOW_BYTES", window * step_bytes)
+    walk = harness._walk(model, top, schedule, horizon, grid, seeds)
+    first = next(walk)
+    assert first[2]._arrays["noise"].shape[1] == window
+    windowed = _snapshots(itertools.chain([first], walk))
+    assert [t for t, _ in windowed] == [t for t, _ in whole] == [t for t, _ in oracle] == grid
+    for (_, got), (_, want), (_, ref) in zip(windowed, whole, oracle):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        # the moments fold exactly the observations of the draws
+        assert [a.tobytes() for a in got[2:]] == [a.tobytes() for a in ref[2:]]
+        assert max(np.max(np.abs(a - b)) for a, b in zip(got[:2], ref[:2])) <= 1e-10
+
+
 # ----------------------------------------------------------------- compiled kernel
 
 
@@ -527,7 +597,7 @@ def _kernel_advance(kernel, state, count, q0, model, noise, start, stop, weights
     """Bind a bank and its draws, then advance it through block steps
     ``start..stop-1`` from ``count`` folded observations."""
     bound = kernel.bind(_network(model, state, q0, count), model, top, noise, weights, active)
-    bound.advance(count, start, stop)
+    bound.advance(count, start, stop, 0)
 
 
 def _bank_state(model, init, bank=3):
@@ -653,7 +723,7 @@ def test_singular_gain_solve_names_the_first_trial_and_its_step(compiled):
     with pytest.raises(TrialDiverged) as info:
         if compiled:
             bound = _kernel.load().bind(state, model, top, noise, weights, draws)
-            harness._advance(bound, state, 3, 8)
+            harness._advance(bound, state, 3, 8, 0)
         else:
             stacked_segment(state, model._stacked, noise, 3, 8, weights, top, draws)
     assert (info.value.trial, info.value.step) == (1, 40)
@@ -682,6 +752,11 @@ def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
     with pytest.raises(ValueError, match="writable"):
         _kernel_advance(kernel, [frozen, g, shifts, sums, outer], 0, q0, model, noise, 0, 8,
                         weights, top, draws)
+    window = kernel.bind(_network(model, [x, g, shifts, sums, outer], q0), model, top,
+                         noise[:, :4].copy(), weights, draws)  # block steps w0..w0+3
+    for start, stop, w0 in [(2, 6, 0), (3, 6, 4), (6, 9, 5)]:
+        with pytest.raises(ValueError, match="outside the noise window"):
+            window.advance(0, start, stop, w0)
     assert np.array_equal(x, np.zeros_like(x))  # nothing ran
     assert np.array_equal(frozen, np.zeros_like(x))
 
@@ -827,15 +902,21 @@ def test_each_bank_is_bound_once(monkeypatch, ring_model, bernoulli_pentagon, ri
 
 @pytest.mark.parametrize("law", ["static", "bernoulli", "gossip"])
 @pytest.mark.parametrize("trials, horizon", [(3, 10), (70, 2 * BLOCK_STEPS + 37)])
-def test_draw_bytes_are_those_of_the_bound_buffers(ring_model, ring_schedule, law, trials,
-                                                   horizon):
+def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring_schedule, law,
+                                                   trials, horizon):
     top = TopologyModel(cycle_graph(5), law, 0.5)
     seeds = range(min(harness.TRIALS_PER_BANK, trials))
-    _, _, bound = next(harness._walk(ring_model, top, ring_schedule, horizon, [horizon], seeds))
-    buffers = [bound._arrays[name] for name in ("noise", "w", "active")]
-    assert (buffers[2] is None) == (law == "static")
-    assert sum(b.nbytes for b in buffers if b is not None) == harness._draw_bytes(
-        ring_model, top, trials, horizon)
+    for window in (BLOCK_STEPS, 37):  # whole blocks (the 5-agent ring's), then 37-step windows
+        if window != BLOCK_STEPS:
+            monkeypatch.setattr(harness, "_NOISE_WINDOW_BYTES",
+                                window * len(seeds) * ring_model.num_agents * 8)
+        _, _, bound = next(harness._walk(ring_model, top, ring_schedule, horizon, [horizon],
+                                         seeds))
+        buffers = [bound._arrays[name] for name in ("noise", "w", "active")]
+        assert (buffers[2] is None) == (law == "static")
+        assert buffers[0].shape[1] == min(window, horizon)
+        assert sum(b.nbytes for b in buffers if b is not None) == harness._draw_bytes(
+            ring_model, top, trials, horizon)
 
 
 def _kernel_source_copy(monkeypatch, tmp_path):
@@ -854,6 +935,10 @@ def test_a_build_in_the_package_cache_removes_older_libraries(monkeypatch, tmp_p
         (cache / name).write_bytes(b"")
     target = _kernel._build()
     assert target.parent == cache
+    assert sorted(p.name for p in cache.iterdir()) == sorted([target.name,
+                                                              "_kernel.cpython-311.pyc"])
+    (cache / "_kernel-fedcba9876543210.so").write_bytes(b"")  # left by an earlier source
+    assert _kernel._build() == target  # found, not built: the cache is pruned all the same
     assert sorted(p.name for p in cache.iterdir()) == sorted([target.name,
                                                               "_kernel.cpython-311.pyc"])
 
