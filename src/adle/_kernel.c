@@ -21,7 +21,8 @@
  *                                  block steps: row s - w0 holds step s
  *   w         (3, steps)           alpha, beta, gamma of each block step
  *   edges     (num_edges, 2)       base-graph edges
- *   active    (bank, steps, num_edges)  active-edge masks; NULL: all active
+ *   active    (bank, window, num_edges) active-edge masks of the same window
+ *                                  of steps as the noise; NULL: all active
  *   theta, kopt, gtarget  (m), (n, m, mx), (m, m): truth, optimal gains, mean Grammian
  *   scratch   adle_scratch_vectors() lane vectors, 64-byte aligned
  *   failure   (2,)                 trial and step of a failure
@@ -44,12 +45,11 @@
  * with dead lanes).  Lane groups are the outer loop and steps the inner
  * one: a group's state is gathered into lane-major scratch once per
  * call and scattered back once, while each step's noise and active-edge
- * masks are read in place, strided by trial (the noise by its window,
- * the masks by the block).  A call's segment lies inside the noise
- * window that starts at block step w0.  Partial pivoting picks
- * each lane's pivot by compare-and-blend, and a masked-off edge or a
- * dead lane keeps its value by select, never by adding zero
- * (-0.0 + 0.0 is +0.0).  A trial whose gain solve meets a zero pivot
+ * masks are read in place, strided by trial by the window.  A call's
+ * segment lies inside the draw window that starts at block step w0.
+ * Partial pivoting picks each lane's pivot by compare-and-blend, and a
+ * masked-off edge or a dead lane keeps its value by select, never by
+ * adding zero (-0.0 + 0.0 is +0.0).  A trial whose gain solve meets a zero pivot
  * stops there; the others go on, so that ``failure`` ends up naming the
  * earliest such step (and the first trial at it), as a round-by-round
  * bank would meet it.
@@ -64,7 +64,11 @@
 
 enum { OK = 0, SINGULAR = 1, NOT_FINITE = 2 };
 
-/* Mirrored field for field by ``_kernel._BankArgs`` in the loader. */
+/* Mirrored field for field by ``_kernel._BankArgs`` in the loader, which
+ * checks its size and this version: bump the version whenever a field, or
+ * the meaning of one, changes. */
+#define ADLE_LAYOUT 2
+
 struct adle_bank {
     int64_t bank, n, m, mx, steps, window, num_edges;
     double *x, *g, *shift, *sums, *outer;
@@ -75,6 +79,18 @@ struct adle_bank {
     void *scratch;
     int64_t failure[2];
 };
+
+/* The layout version and size of struct adle_bank, which the loader
+ * compares with its own before it binds a bank. */
+int64_t adle_layout(void)
+{
+    return ADLE_LAYOUT;
+}
+
+int64_t adle_bank_bytes(void)
+{
+    return (int64_t)sizeof(struct adle_bank);
+}
 
 /* Lane vectors of scratch, allocated once per bank by the loader: the
  * layout of adle_advance_bank, of which the checkpoint uses a part. */
@@ -461,7 +477,7 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
             for (int64_t k = 0; k < num_edges; k++) {
                 if (active != NULL) {
                     for (int l = 0; l < LANES; l++)
-                        LANE(on, l) = active[(trial[l] * steps + s) * num_edges + k] ? -1 : 0;
+                        LANE(on, l) = active[(trial[l] * window + s - w0) * num_edges + k] ? -1 : 0;
                     if (!NAME(any)(on))
                         continue;
                 }

@@ -9,7 +9,9 @@ both entry points then work on it in one lane scratch buffer.  The
 kernel is compiled on first use with the system C compiler and cached
 under the package's ``__pycache__`` (else in one private per-user
 directory under the system temporary directory), keyed by a hash of
-the source and the compile command.  The library holds one
+the source, as read when this module is imported, and the compile
+command; the loader refuses a library whose ``struct adle_bank`` differs
+from ``_BankArgs``.  The library holds one
 entry point per lane width (trials advanced side by side in one
 vector); the CPU it loads on picks the widest it runs, and every width
 gives the same bits.
@@ -22,6 +24,7 @@ import functools
 import hashlib
 import logging
 import os
+import shutil
 import stat
 import subprocess
 import tempfile
@@ -34,6 +37,9 @@ from .network import TopologyModel
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 
+#: ``ADLE_LAYOUT`` of ``_kernel.c``: the version of ``struct adle_bank``.
+LAYOUT = 2
+
 #: No ``-march=native`` and no ``-ffast-math``, and no contraction into
 #: fused multiply-adds: results are then bit-stable across machines of
 #: one architecture.  ``-fno-math-errno`` keeps ``sqrt`` one instruction
@@ -43,6 +49,11 @@ COMPILE = ("gcc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-err
 #: Lane widths of the entry points ``adle_advance_bank_<L>`` and
 #: ``adle_checkpoint_bank_<L>``: baseline, AVX2 and AVX-512F.
 WIDTHS = (1, 4, 8)
+
+#: The hash of the source this module's ``_BankArgs`` goes with, read once,
+#: at import, so that an edit made later cannot pair a new layout with the
+#: old one.
+_SOURCE_DIGEST = hashlib.sha256(_SOURCE.read_bytes()).digest()
 
 OK, SINGULAR, NOT_FINITE = 0, 1, 2  # status codes of the entry points
 
@@ -72,26 +83,32 @@ def _cache_dir() -> Path:
 def _build() -> Path:
     """Compile the kernel unless a library for this source and command exists.
 
-    The library is written under a temporary name and renamed into
-    place, so concurrent processes never load a partial file.  In the
-    package's own ``__pycache__`` the libraries of earlier sources are
-    removed, whether this one was built or found there; a shared
-    directory is never pruned, since another checkout's process may be
-    loading from it.
+    The library is keyed by the source as read at import.  A build reads
+    the source again and refuses, with an :class:`AdleError`, a source
+    edited since; it compiles the bytes it read in a private directory
+    and renames the library into place, so concurrent processes never
+    load a partial file.  In the package's own ``__pycache__`` the
+    libraries of earlier sources are removed, whether this one was built
+    or found there; a shared directory is never pruned, since another
+    checkout's process may be loading from it.
     """
-    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(COMPILE).encode()).hexdigest()[:16]
+    key = hashlib.sha256(_SOURCE_DIGEST + " ".join(COMPILE).encode()).hexdigest()[:16]
     cache = _cache_dir()
     target = cache / f"_kernel-{key}.so"
     if not target.exists():
-        fd, partial = tempfile.mkstemp(prefix="_kernel-", suffix=".so.part", dir=cache)
-        os.close(fd)
+        source_bytes = _SOURCE.read_bytes()
+        if hashlib.sha256(source_bytes).digest() != _SOURCE_DIGEST:
+            raise AdleError(f"{_SOURCE} changed after {__name__} was imported; "
+                            "restart the process to build the edited kernel")
+        work = Path(tempfile.mkdtemp(prefix="_kernel-", suffix=".build", dir=cache))
         try:
-            subprocess.run([*COMPILE, "-o", partial, str(_SOURCE)], check=True,
+            source = work / _SOURCE.name  # the file includes itself by this name
+            source.write_bytes(source_bytes)
+            subprocess.run([*COMPILE, "-o", str(work / "_kernel.so"), str(source)], check=True,
                            capture_output=True, text=True)
-            os.replace(partial, target)
+            os.replace(work / "_kernel.so", target)
         finally:
-            if os.path.exists(partial):
-                os.unlink(partial)
+            shutil.rmtree(work, ignore_errors=True)
     if cache == _SOURCE.parent / "__pycache__":
         for stale in cache.glob("_kernel-*.so"):
             if stale != target:
@@ -121,6 +138,13 @@ class BankKernel:
 
     def __init__(self, lib: ctypes.CDLL):
         i64, bank = ctypes.c_int64, ctypes.POINTER(_BankArgs)
+        for name in ("adle_layout", "adle_bank_bytes"):
+            lib[name].argtypes, lib[name].restype = [], i64
+        found = (lib.adle_layout(), lib.adle_bank_bytes())
+        if found != (LAYOUT, ctypes.sizeof(_BankArgs)):
+            raise AdleError(f"the compiled kernel's struct adle_bank is layout {found[0]} of "
+                            f"{found[1]} bytes, but the loader's _BankArgs is layout {LAYOUT} "
+                            f"of {ctypes.sizeof(_BankArgs)} bytes")
         lib.adle_lanes.argtypes, lib.adle_lanes.restype = [], ctypes.c_int
         lib.adle_scratch_vectors.argtypes, lib.adle_scratch_vectors.restype = [bank], i64
         self.lanes = lib.adle_lanes()
@@ -145,8 +169,9 @@ class BankKernel:
         (R, W, N, max_dim) unit-variance draws of a window of W of its
         steps, from which the kernel forms each step's observations,
         ``weights``, the (3, S) alpha, beta and gamma of the steps, and
-        ``active``, the bool (R, S, E) active-edge masks over
-        ``top.edge_array``, or ``None`` when every edge is always active.
+        ``active``, the bool (R, W, E) active-edge masks over
+        ``top.edge_array`` of the same window, or ``None`` when every edge
+        is always active.
         Their contents may change between segments; no address may.  The
         returned bank keeps every array alive, and the lane scratch
         allocated here for both entry points.
@@ -167,7 +192,7 @@ class BankKernel:
             "w": _check(weights, "weights", np.float64, (3, steps)),
             "edges": top.edge_array,
             "active": None if active is None else _check(
-                active, "active", np.bool_, (bank, steps, top.base.num_edges)),
+                active, "active", np.bool_, (bank, window, top.base.num_edges)),
         }
         if not all(arrays[name].flags.writeable for name in ("x", "g", "shift", "sums", "outer")):
             raise ValueError("the bank state arrays must be writable")
@@ -199,15 +224,15 @@ class BoundBank:
         """Advance the bank through block steps ``start..stop-1`` in place.
 
         ``count`` observations have been folded into the moments before
-        ``start``.  The noise buffer holds block steps ``w0`` on, one per
-        row, and the segment lies inside it.  A zero pivot in a gain
+        ``start``.  The noise and mask buffers hold block steps ``w0`` on,
+        one per row, and the segment lies inside them.  A zero pivot in a gain
         solve raises :class:`TrialDiverged` naming the earliest step it
         met (``count`` plus its offset from ``start``) and the first
         trial, by its place in the bank, that met it there.
         """
         steps, window = self._args.steps, self._args.window
         if not 0 <= w0 <= start <= stop <= min(steps, w0 + window):
-            raise ValueError(f"segment [{start}, {stop}) outside the noise window "
+            raise ValueError(f"segment [{start}, {stop}) outside the draw window "
                              f"[{w0}, {w0 + window}) of a block of {steps} steps")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
@@ -236,6 +261,12 @@ class BoundBank:
             cause = TrialDiverged.SINGULAR if status == SINGULAR else TrialDiverged.NON_FINITE
             raise TrialDiverged(args.failure[0], count, cause)
         return out
+
+
+def scratch_vectors(n: int, m: int, mx: int) -> int:
+    """``adle_scratch_vectors`` of ``_kernel.c``: the lane vectors of scratch
+    of a bank of ``n`` agents, ``m`` parameters and ``mx`` observations."""
+    return n * (3 * m + 3 * m * m + 4 * mx + mx * mx) + 2 * mx * mx + 2 * m * mx + m * m + mx
 
 
 def _shape_of(arr, name: str, ndim: int) -> tuple[int, ...]:

@@ -235,20 +235,14 @@ def parse_config(path, overrides=None) -> ScenarioConfig:
     if "horizon" in settings and settings["checkpoints_per_decade"] > settings["horizon"]:
         errors.append(f"checkpoints.per_decade: {settings['checkpoints_per_decade']} exceeds "
                       f"the horizon {settings['horizon']}")
-    memory, bounded_by = harness._memory_limit()  # None: the size is unknown, no bound
-    if top is not None and memory and {"horizon", "num_trials"} <= settings.keys():
-        trials, horizon = settings["num_trials"], settings["horizon"]
-        count = checkpoint_bound(horizon, settings["checkpoint_start"],
+    if top is not None and {"horizon", "num_trials"} <= settings.keys():
+        count = checkpoint_bound(settings["horizon"], settings["checkpoint_start"],
                                  settings["checkpoints_per_decade"])
-        records = trials * count * (model.num_agents + 3) * 8  # bytes
-        banks = -(-trials // harness.TRIALS_PER_BANK)
-        workers = harness.worker_count(settings["parallelism"], banks)
-        draws = harness._draw_bytes(model, top, trials, horizon)  # per worker
-        if records + workers * draws > memory:
-            errors.append(f"checkpoints: {trials} trials x up to {count} checkpoints need "
-                          f"{records >> 20} MiB of records and {workers} workers x "
-                          f"{draws / 2**20:.1f} MiB of draw buffers, more than "
-                          f"{memory >> 20} MiB of {bounded_by}")
+        shortfall = harness._memory_shortfall(model, top, settings["num_trials"],
+                                              settings["horizon"], count,
+                                              settings["parallelism"])
+        if shortfall:
+            errors.append(f"checkpoints: {shortfall}")
     if errors:
         raise ValidationError(errors)
     return ScenarioConfig(**settings)

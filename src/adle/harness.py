@@ -49,13 +49,15 @@ BLOCK_STEPS = 1024
 #: experiment output is independent of the parallelism degree.
 TRIALS_PER_BANK = 64
 
-#: Bytes of a bank's noise buffer, which holds a window of steps of a
-#: block: each trial's noise for a block is one run of its stream, drawn
-#: a window at a time, so outputs do not depend on this size.
-_NOISE_WINDOW_BYTES = 4 << 20
+#: Bytes of a bank's noise and link-mask buffers, which hold a window of
+#: steps of a block: each trial's noise and links for a block are runs of
+#: its stream, drawn a window at a time, so outputs do not depend on this size.
+_DRAW_WINDOW_BYTES = 4 << 20
 
-#: The cgroup v2 memory limit of this process's group: bytes, or "max".
-_CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
+#: The cgroup file systems' mount root, and the groups of this process
+#: (``hierarchy:controllers:path`` lines; v2's controllers are empty).
+_CGROUP_ROOT = Path("/sys/fs/cgroup")
+_PROC_CGROUP = Path("/proc/self/cgroup")
 
 
 @dataclass(frozen=True)
@@ -123,16 +125,23 @@ class StatResult:
     gating: bool = True
 
 
-def _draw_topology_block(top: TopologyModel, rngs, steps: int, out=None):
-    """Per-trial active-edge masks for a block of steps, bool (R, steps, E)
-    in trial order, each trial's drawn into the first ``steps`` of its row
-    of ``out`` when it is given; ``None`` when every edge is always active."""
+def _draw_topology_block(top: TopologyModel, rngs, steps: int, out=None, picks=None):
+    """Per-trial link draws of ``steps`` steps in trial order, each trial's
+    drawn into the first ``steps`` of its row of ``out`` when it is given:
+    bool (R, steps, E) active-edge masks or, into an integer ``out`` under
+    the gossip law, the picked edges; ``None`` when every edge is always
+    active.  Given the (R, steps) gossip ``picks``, the masks are expanded
+    from them and ``rngs`` is not read."""
     if not top.draws_links:
         return None
     if out is None:
         out = np.empty((len(rngs), steps, top.base.num_edges), dtype=bool)
+    if picks is not None:
+        top.masks_of_picks(picks, out[:, :steps])
+        return out
+    draw = top.draw_active if out.dtype == np.bool_ else top.draw_picks
     for rng, row in zip(rngs, out):
-        top.draw_active(rng, steps, row[:steps])
+        draw(rng, steps, row[:steps])
     return out
 
 
@@ -145,7 +154,7 @@ def _laplacian_at(top: TopologyModel, active, s: int):
 def _advance(bound, state: NetworkState, start: int, stop: int, w0: int) -> None:
     """Advance a bank through block steps ``start..stop-1`` in place, ``state.step``
     included, by one call of its bound kernel (``_kernel.BoundBank``), whose
-    noise window starts at block step ``w0``."""
+    draw window starts at block step ``w0``."""
     bound.advance(state.step, start, stop, w0)
     state.step += stop - start
 
@@ -163,25 +172,100 @@ def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
     return disagreement, error_norms, gain_gap, grammian_gap
 
 
-def _noise_window(rows: int, agents: int, max_dim: int, steps: int) -> int:
+def _draw_window(rows: int, agents: int, max_dim: int, edges: int, steps: int) -> int:
     """Steps of a block of ``steps`` whose float64 (rows, window, agents,
-    max_dim) noise fits in ``_NOISE_WINDOW_BYTES``; at least one."""
-    return max(1, min(steps, _NOISE_WINDOW_BYTES // (rows * agents * max_dim * 8)))
+    max_dim) noise and bool (rows, window, edges) masks fit in
+    ``_DRAW_WINDOW_BYTES``; at least one."""
+    return max(1, min(steps, _DRAW_WINDOW_BYTES // (rows * (agents * max_dim * 8 + edges))))
 
 
-def _draw_bytes(model: ObservationModel, top: TopologyModel, trials: int, horizon: int) -> int:
-    """Bytes of the noise, mask (none under the static law) and weight
-    buffers that :func:`_walk` allocates for one bank of an experiment."""
+def _pick_dtype(edges: int) -> np.dtype:
+    """The narrowest unsigned dtype of a gossip pick among ``edges`` edges."""
+    return np.min_scalar_type(edges - 1)
+
+
+def _draw_bytes(model: ObservationModel, top: TopologyModel, trials: int,
+                horizon: int) -> dict[str, int]:
+    """Bytes of the buffers that one bank of an experiment holds, by part:
+    the draw window of :func:`_walk` (noise, and masks unless the law is
+    static), the weights, the gossip picks, one trial's link-draw
+    temporary, the kernel's lane scratch at the widest lane width, and
+    the bank's state."""
     rows, steps = min(TRIALS_PER_BANK, trials), min(BLOCK_STEPS, horizon)
-    n, mx = model.num_agents, max(model.obs_dims)
+    n, m, mx = model.num_agents, model.param_dim, max(model.obs_dims)
     edges = top.base.num_edges if top.draws_links else 0
-    noise = rows * _noise_window(rows, n, mx, steps) * n * mx * 8
-    return noise + rows * steps * edges + 3 * steps * 8
+    window = _draw_window(rows, n, mx, edges, steps)
+    gossip = top.law == "gossip"
+    return {
+        "noise window": rows * window * n * mx * 8,
+        "link mask window": rows * window * edges,
+        "weights": 3 * steps * 8,
+        "gossip picks": rows * steps * _pick_dtype(edges).itemsize if gossip else 0,
+        "link draw temporary": steps * 8 if gossip else window * edges * 8,
+        "lane scratch": _kernel.scratch_vectors(n, m, mx) * max(_kernel.WIDTHS) * 8,
+        "bank state": (rows * (m + m * m + 2 * mx + mx * mx) + mx * mx) * n * 8,
+    }
+
+
+def _memory_shortfall(model, top, trials: int, horizon: int, checkpoints: int,
+                      parallelism: int) -> str | None:
+    """Why an experiment does not fit in memory, naming its largest part:
+    the parent process's records of up to ``checkpoints`` checkpoints
+    beside each worker's bank (:func:`_draw_bytes`); ``None`` where it
+    fits, or where the memory size is unknown."""
+    memory, bounded_by = _memory_limit()
+    banks = -(-trials // TRIALS_PER_BANK)
+    workers = worker_count(parallelism, banks)
+    bank = _draw_bytes(model, top, trials, horizon)
+    records = trials * checkpoints * (model.num_agents + 3) * 8
+    parts = {"records": records, **{name: workers * size for name, size in bank.items()}}
+    if memory is None or sum(parts.values()) <= memory:
+        return None
+    largest = max(parts, key=parts.get)
+    return (f"{trials} trials x up to {checkpoints} checkpoints need "
+            f"{records >> 20} MiB of records and {workers} workers x "
+            f"{sum(bank.values()) / 2**20:.1f} MiB of bank buffers, more than "
+            f"{memory >> 20} MiB of {bounded_by}; the largest part is the {largest} "
+            f"({parts[largest] / 2**20:.1f} MiB)")
+
+
+def _cgroup_limits() -> list[tuple[int, str]]:
+    """The numeric memory limits of this process's cgroups, each with its
+    file: v2's ``memory.max`` and v1's ``memory.limit_in_bytes`` of the
+    group that ``/proc/self/cgroup`` names and of each group above it, up
+    to the mount root (a container's own group, where its path is not
+    mounted).  v2's ``max`` is no limit; v1's "unlimited" is a number
+    beyond any machine's memory."""
+    try:
+        lines = _PROC_CGROUP.read_text().splitlines()
+    except OSError:
+        return []
+    limits = []
+    for line in lines:
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        _, controllers, path = fields
+        if not controllers:
+            root, name = _CGROUP_ROOT, "memory.max"
+        elif "memory" in controllers.split(","):
+            root, name = _CGROUP_ROOT / "memory", "memory.limit_in_bytes"
+        else:
+            continue
+        steps = [step for step in path.split("/") if step]
+        for depth in range(len(steps), -1, -1):
+            try:
+                text = (root.joinpath(*steps[:depth]) / name).read_text()
+            except OSError:  # not mounted here, or no limit file
+                continue
+            if text.strip().isdigit():
+                limits.append((int(text), f"cgroup memory ({name})"))
+    return limits
 
 
 def _memory_limit() -> tuple[int | None, str]:
     """Bytes of memory a run may hold, and what sets them: physical memory,
-    or the cgroup's ``memory.max`` where that holds a smaller number;
+    or a cgroup limit where that is a smaller number (:func:`_cgroup_limits`);
     ``None`` where neither is known."""
     limits = []
     try:
@@ -189,11 +273,19 @@ def _memory_limit() -> tuple[int | None, str]:
                        "physical memory"))
     except (AttributeError, ValueError, OSError):  # the size is unknown
         pass
-    try:
-        limits.append((int(_CGROUP_MEMORY_MAX.read_text()), "cgroup memory (memory.max)"))
-    except (OSError, ValueError):  # no cgroup v2 limit, or "max"
-        pass
-    return min(limits, default=(None, "memory"))
+    return min(limits + _cgroup_limits(), default=(None, "memory"), key=lambda limit: limit[0])
+
+
+def _link_streams(rngs, copies, outputs: int) -> None:
+    """Set ``copies`` to each trial's place in its stream, to draw a block's
+    Bernoulli links from a window at a time, while each trial's own
+    generator jumps the ``outputs`` 64-bit outputs of those draws (one per
+    uniform) to where its noise starts.  Both then read the runs of the
+    stream that whole-block draws read, and the trial's generator ends the
+    block where they leave it."""
+    for rng, copy in zip(rngs, copies):
+        copy.bit_generator.state = rng.bit_generator.state
+        rng.bit_generator.advance(int(outputs))  # a numpy integer overflows there
 
 
 def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
@@ -211,20 +303,30 @@ def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
         a = getattr(state, field)
         setattr(state, field, np.tile(a, (len(rngs),) + (1,) * a.ndim))
     size = min(BLOCK_STEPS, horizon)  # a short last block fills a prefix of each row
-    window = _noise_window(len(rngs), n, mx, size)
+    edges = top.base.num_edges if top.draws_links else 0
+    window = _draw_window(len(rngs), n, mx, edges, size)
     noise = np.empty((len(rngs), window, n, mx))
-    active = np.empty((len(rngs), size, top.base.num_edges), bool) if top.draws_links else None
+    active = np.empty((len(rngs), window, edges), bool) if edges else None
+    picks = np.empty((len(rngs), size), _pick_dtype(edges)) if top.law == "gossip" else None
     weights = np.empty((3, size))
     bound = _kernel.load().bind(state, model, top, noise, weights, active)
+    links = ([np.random.Generator(np.random.PCG64(0)) for _ in rngs]
+             if top.law == "bernoulli" else rngs)  # the generators links are drawn from
 
     pointer = 0
     while state.step < horizon:
         block_start = state.step
         steps = min(BLOCK_STEPS, horizon - block_start)
-        _draw_topology_block(top, rngs, steps, active)
+        if picks is not None:  # integers reads a varying count: the whole block first
+            _draw_topology_block(top, rngs, steps, picks)
+        elif top.law == "bernoulli":
+            _link_streams(rngs, links, steps * edges)
         weights[:, :steps] = schedule.block(block_start, steps)
         for w0 in range(0, steps, window):
             drawn = min(window, steps - w0)
+            if edges:
+                _draw_topology_block(top, links, drawn, active,
+                                     None if picks is None else picks[:, w0:w0 + drawn])
             for rng, row in zip(rngs, noise):
                 _unit_variance_draws(rng, model.noise, (drawn, n, mx), row[:drawn])
             window_end = block_start + w0 + drawn
@@ -247,12 +349,15 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
     outlive the next step.  ``init`` holds the optional initial estimate,
     Grammian and sample covariance of :func:`initial_network_state`.  Each
     trial consumes only its own stream, in blocks of ``BLOCK_STEPS`` steps:
-    the topology draws of the block, then its unit-variance noise, each
-    drawn straight into the trial's row of one mask and one noise buffer.
-    The noise buffer holds a window of the block's steps, as many as fit in
-    4 MiB (the whole block for small banks), and a block's noise is drawn
-    one window at a time, the same run of the stream as one draw.  The kernel forms the observations from the noise, in segments
-    that end at grid steps, window ends or the block end (:func:`_advance`).
+    the topology draws of the block, then its unit-variance noise.  The
+    noise and mask buffers hold a window of the block's steps, as many as
+    fit in 4 MiB (the whole block for small banks), and each trial draws
+    into its row of them a window at a time, the same runs of its stream
+    as whole-block draws: Bernoulli links from a copy of its generator
+    while the generator itself jumps to the noise (:func:`_link_streams`),
+    gossip masks from the block's picks, drawn first.  The kernel forms the
+    observations from the noise, in segments that end at grid steps,
+    window ends or the block end (:func:`_advance`).
     A singular gain solve raises :class:`TrialDiverged` with the trial's
     place in the bank.
     """

@@ -157,8 +157,23 @@ class TopologyModel:
             return None
         if self.law == "bernoulli":
             return np.less(rng.random((steps, num_edges)), self.p, out=out)
-        picks = rng.integers(0, num_edges, size=(steps, 1))
-        return np.equal(picks, np.arange(num_edges), out=out)
+        return self.masks_of_picks(self.draw_picks(rng, steps), out)
+
+    def draw_picks(self, rng: np.random.Generator, steps: int, out=None) -> np.ndarray:
+        """The base edges that ``steps`` gossip draws pick, one index per step,
+        written into ``out`` (of any integer dtype that holds ``E - 1``) when
+        it is given.  ``integers`` reads a varying number of outputs of the
+        stream, so a block's picks are drawn in one call."""
+        picks = rng.integers(0, self.base.num_edges, size=steps)
+        if out is None:
+            return picks
+        out[...] = picks
+        return out
+
+    def masks_of_picks(self, picks: np.ndarray, out=None) -> np.ndarray:
+        """One-hot active-edge masks of gossip picks, (...,) to bool (..., E)."""
+        return np.equal(picks[..., None], np.arange(self.base.num_edges, dtype=picks.dtype),
+                        out=out)
 
     def laplacians(self, active: np.ndarray | None) -> np.ndarray:
         """Laplacians of active-edge masks, (..., E) to (..., N, N); ``None``

@@ -263,11 +263,28 @@ def stacked_segment(state, stacked, noise, start: int, stop: int, weights, top, 
         state.step += 1
 
 
+def link_masks(top, rngs, steps: int):
+    """A block's active-edge masks, bool (R, steps, E), each trial's link
+    draws read by hand from its stream in one call; ``None`` under the
+    static law."""
+    if not top.draws_links:
+        return None
+    edges, masks = top.base.num_edges, []
+    for rng in rngs:
+        if top.law == "bernoulli":
+            masks.append(rng.random((steps, edges)) < top.p)
+        else:
+            picks = rng.integers(0, edges, size=steps)
+            masks.append(np.arange(edges) == picks[:, None])
+    return np.stack(masks)
+
+
 def reference_trajectory(model, top, schedule, horizon: int, grid, seeds, init=None):
     """``harness.trajectory`` on the numpy round: the same per-trial draws
-    in the same order (per block of ``BLOCK_STEPS`` steps, the topology
-    draws, then the noise), advanced by :func:`stacked_segment` one step
-    at a time, yielding ``(t, state)`` at every step ``t`` of ``grid``."""
+    in the same order (per block of ``BLOCK_STEPS`` steps, the link draws
+    of the whole block by :func:`link_masks`, then the noise of the whole
+    block), advanced by :func:`stacked_segment` one step at a time,
+    yielding ``(t, state)`` at every step ``t`` of ``grid``."""
     stacked = model._stacked
     shape = (model.num_agents, stacked.max_dim)
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -278,7 +295,7 @@ def reference_trajectory(model, top, schedule, horizon: int, grid, seeds, init=N
         setattr(state, field, np.tile(a, (len(rngs),) + (1,) * a.ndim))
     while state.step < horizon:
         steps = min(harness.BLOCK_STEPS, horizon - state.step)
-        active = harness._draw_topology_block(top, rngs, steps)
+        active = link_masks(top, rngs, steps)
         noise = np.stack([_unit_variance_draws(rng, model.noise, (steps, *shape))
                           for rng in rngs])
         weights = schedule.block(state.step, steps)

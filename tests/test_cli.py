@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -336,41 +337,99 @@ def test_malformed_value_is_a_collected_validation_error(tmp_path, capsys, overr
     assert "invalid scenario configuration" in err and message in err
 
 
+def _physical_memory(monkeypatch, pages):
+    """Make ``os.sysconf`` report ``pages`` pages of 4 KiB."""
+    sizes, sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}, os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: sizes.get(name) or sysconf(name))
+
+
 def test_draw_buffers_beyond_memory_are_a_collected_validation_error(tmp_path, capsys,
                                                                       monkeypatch):
-    # 4 MiB of memory: one worker's 64 x 1024 steps of noise, masks and weights
-    # (2.8 MiB) fit beside the records of 130 trials (3 banks), two workers' do not
-    sizes, sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}, os.sysconf
-    monkeypatch.setattr(os, "sysconf", lambda name: sizes.get(name) or sysconf(name))
+    # 4 MiB of memory: one worker's bank (3.0 MiB, 2.5 of them the 64 x 1024
+    # steps of noise) fits beside the records of 130 trials (3 banks), two do not
+    _physical_memory(monkeypatch, 1024)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config = parse_config(write_scenario(tmp_path, num_trials=130, horizon=2085))
-    draws = harness._draw_bytes(config.model, config.topology, 130, 2085)
-    assert draws == 64 * 1024 * (5 * 8 + 5) + 3 * 1024 * 8
+    parts = harness._draw_bytes(config.model, config.topology, 130, 2085)
+    assert parts == {
+        "noise window": 64 * 1024 * 5 * 8, "link mask window": 64 * 1024 * 5,
+        "weights": 3 * 1024 * 8, "gossip picks": 0, "link draw temporary": 1024 * 5 * 8,
+        "lane scratch": 513 * 8 * 8,  # adle_scratch_vectors at n = m = 5, mx = 1
+        "bank state": (64 * (5 + 25 + 2 + 1) + 1) * 5 * 8}
     path = write_scenario(tmp_path, num_trials=130, horizon=2085, parallelism=2)
     assert main(["--config", str(path), "--validate-only"]) == 1
     err = capsys.readouterr().err
     assert "invalid scenario configuration" in err
-    assert ("checkpoints: 130 trials x up to 20 checkpoints need 0 MiB of records and 2 workers "
-            "x 2.8 MiB of draw buffers, more than 4 MiB of physical memory") in err
+    assert ("checkpoints: 130 trials x up to 20 checkpoints need 0 MiB of records and "
+            "2 workers x 3.0 MiB of bank buffers, more than 4 MiB of physical memory; "
+            "the largest part is the noise window (5.0 MiB)") in err
 
 
-@pytest.mark.parametrize("content", ["1048576\n", "huge", "max\n", None],
-                         ids=["number", "above_physical", "max", "missing"])
+#: Cgroup cases: the lines of /proc/self/cgroup (None: no such file), the
+#: limit files under the mount root, and the file whose 1 MiB binds (None:
+#: physical memory binds).
+CGROUPS = {
+    "number": ("0::/\n", {"memory.max": "1048576\n"}, "memory.max"),
+    "above_physical": ("0::/\n", {"memory.max": "HUGE\n"}, None),
+    "max": ("0::/\n", {"memory.max": "max\n"}, None),
+    "missing": ("0::/\n", {}, None),
+    "no_groups": (None, {"memory.max": "1048576\n"}, None),
+    "nested_v2": ("0::/user.slice/run.scope\n",
+                  {"user.slice/run.scope/memory.max": "max\n",
+                   "user.slice/memory.max": "1048576\n"}, "memory.max"),
+    "nested_v2_unmounted": ("0::/user.slice/run.scope\n", {"memory.max": "1048576\n"},
+                            "memory.max"),
+    "v1": ("12:cpu,cpuacct:/\n4:memory:/process_api/x\n0::/\n",
+           {"memory/process_api/x/memory.limit_in_bytes": "1048576\n"},
+           "memory.limit_in_bytes"),
+    "v1_unlimited": ("4:memory:/process_api/x\n0::/\n",
+                     {"memory/process_api/x/memory.limit_in_bytes": "9223372036854771712\n",
+                      "memory/memory.limit_in_bytes": "9223372036854771712\n"}, None),
+    "v1_unmounted": ("4:memory:/process_api/x\n",
+                     {"memory/memory.limit_in_bytes": "1048576\n"}, "memory.limit_in_bytes"),
+}
+
+
+@pytest.mark.parametrize("case", list(CGROUPS))
 def test_memory_bound_is_the_smaller_of_physical_memory_and_the_cgroup_limit(
-    tmp_path, capsys, monkeypatch, content
+    tmp_path, capsys, monkeypatch, case
 ):
+    lines, files, binding = CGROUPS[case]
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    limit = tmp_path / "memory.max"
-    if content is not None:
-        limit.write_text(str(2 * physical) if content == "huge" else content)
-    monkeypatch.setattr(harness, "_CGROUP_MEMORY_MAX", limit)
-    bounded = content == "1048576\n"  # 1 MiB: less than one worker's 2.8 MiB of draw buffers
-    assert harness._memory_limit() == ((1 << 20, "cgroup memory (memory.max)") if bounded
+    root = tmp_path / "cgroup"
+    for name, content in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(content.replace("HUGE", str(2 * physical)))
+    if lines is not None:
+        (tmp_path / "proc_cgroup").write_text(lines)
+    monkeypatch.setattr(harness, "_CGROUP_ROOT", root)
+    monkeypatch.setattr(harness, "_PROC_CGROUP", tmp_path / "proc_cgroup")
+    bound = f"cgroup memory ({binding})"  # 1 MiB: less than one worker's 3.0 MiB bank
+    assert harness._memory_limit() == ((1 << 20, bound) if binding
                                        else (physical, "physical memory"))
     path = write_scenario(tmp_path, num_trials=130, horizon=2085)
-    assert main(["--config", str(path), "--validate-only"]) == (1 if bounded else 0)
+    assert main(["--config", str(path), "--validate-only"]) == (1 if binding else 0)
     err = capsys.readouterr().err
-    assert ("more than 1 MiB of cgroup memory (memory.max)" in err) == bounded
+    assert (f"more than 1 MiB of {bound}" in err) == bool(binding)
+
+
+def test_an_oversized_scenario_fails_validation_before_it_allocates(tmp_path, capsys,
+                                                                     monkeypatch):
+    # 2 MiB of memory, less than one bank's 3.0 MiB, of which the noise window
+    # alone (2.5 MiB) would take more than the whole call may
+    _physical_memory(monkeypatch, 512)
+    path = write_scenario(tmp_path, num_trials=64, horizon=5000)
+    tracemalloc.start()
+    try:
+        status = main(["--config", str(path), "--validate-only"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert status == 1 and "invalid scenario configuration" in err
+    assert ("more than 2 MiB of physical memory; the largest part is the noise window "
+            "(2.5 MiB)") in err
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -9,8 +9,10 @@ import os
 import pickle
 import stat
 import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,6 +49,7 @@ from adle.schedule import WeightSchedule, checkpoint_bound, recursion_trace
 from conftest import make_noiseless_ring, make_ragged_model
 from reference import (
     fold_observations,
+    link_masks,
     no_draws,
     observations,
     reference_trajectory,
@@ -412,6 +415,12 @@ def test_workers_are_bounded_by_the_cpus_this_process_may_use(
 # ----------------------------------------------------------------- memory
 
 
+def _step_bytes(model, top, rows):
+    """Bytes of one step of a bank's draw window: its noise and masks."""
+    edges = top.base.num_edges if top.draws_links else 0
+    return rows * (model.num_agents * model._stacked.max_dim * 8 + edges)
+
+
 def test_previous_block_is_freed_before_the_next_is_drawn(
     ring_model, bernoulli_pentagon, ring_schedule
 ):
@@ -454,13 +463,12 @@ def test_one_block_peaks_below_one_point_six_noise_blocks(
 def test_a_windowed_block_peaks_below_point_four_noise_blocks(
     monkeypatch, ring_model, bernoulli_pentagon, ring_schedule
 ):
-    # with 64-step windows the noise buffer is 1/16 of a block; the masks,
-    # one byte per edge where the noise takes eight, are the most of the rest
+    # with 64-step windows the noise and mask buffers hold 1/16 of a block
     seeds = [np.random.SeedSequence((4, k)) for k in range(harness.TRIALS_PER_BANK)]
     harness._run_bank(ring_model, bernoulli_pentagon, ring_schedule, 16, checkpoint_grid(16),
                       seeds[:1])  # build and load the kernel outside the measurement
-    step_bytes = 8 * len(seeds) * ring_model.num_agents * ring_model._stacked.max_dim
-    monkeypatch.setattr(harness, "_NOISE_WINDOW_BYTES", 64 * step_bytes)
+    monkeypatch.setattr(harness, "_DRAW_WINDOW_BYTES",
+                        64 * _step_bytes(ring_model, bernoulli_pentagon, len(seeds)))
     tracemalloc.start()
     try:
         harness._run_bank(ring_model, bernoulli_pentagon, ring_schedule, BLOCK_STEPS,
@@ -468,7 +476,40 @@ def test_a_windowed_block_peaks_below_point_four_noise_blocks(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.4 * BLOCK_STEPS * step_bytes, peak / (BLOCK_STEPS * step_bytes)
+    noise_step = 8 * len(seeds) * ring_model.num_agents * ring_model._stacked.max_dim
+    assert peak < 0.4 * BLOCK_STEPS * noise_step, peak / (BLOCK_STEPS * noise_step)
+
+
+def _circulant50():
+    """The 50-agent, 100-edge circulant of the ``ring50_bernoulli`` benchmark:
+    agent n senses a cyclic sum of three of five entries and links to n +- 1
+    and n +- 7, each link on with probability 0.5."""
+    sensing = []
+    for n in range(50):
+        row = np.zeros((1, 5))
+        row[0, [(n - 1) % 5, n % 5, (n + 1) % 5]] = 1.0
+        sensing.append(row)
+    model = ObservationModel(tuple(sensing), (np.eye(1),) * 50, np.ones(5))
+    edges = {tuple(sorted((i, (i + k) % 50))) for k in (1, 7) for i in range(50)}
+    return model, TopologyModel(Graph(50, tuple(edges)), "bernoulli", 0.5)
+
+
+def test_a_ring50_bank_peaks_below_one_point_six_draw_windows():
+    # 131-step windows of noise and masks (4.2 MB), where whole-block masks
+    # alone took 6.6 MB and the bank peaked at 13.3 MB
+    model, top = _circulant50()
+    schedule = WeightSchedule(b=0.25)  # 1 / max_degree
+    seeds = [np.random.SeedSequence((4, k)) for k in range(harness.TRIALS_PER_BANK)]
+    harness._run_bank(model, top, schedule, 16, checkpoint_grid(16),
+                      seeds[:1])  # build and load the kernel outside the measurement
+    tracemalloc.start()
+    try:
+        harness._run_bank(model, top, schedule, BLOCK_STEPS, checkpoint_grid(BLOCK_STEPS), seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert harness._draw_window(len(seeds), 50, 1, 100, BLOCK_STEPS) == 131
+    assert peak < 1.6 * harness._DRAW_WINDOW_BYTES, peak / harness._DRAW_WINDOW_BYTES
 
 
 # ----------------------------------------------------------------- link draws
@@ -490,17 +531,15 @@ def test_block_masks_are_the_link_draws_read_by_hand(law, steps):
     if law == "static":
         assert masks is None
         return
-    expected = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        if law == "bernoulli":
-            expected.append(rng.random((steps, top.base.num_edges)) < top.p)
-        else:
-            picks = rng.integers(0, top.base.num_edges, size=steps)
-            expected.append(np.arange(top.base.num_edges) == picks[:, None])
-    assert masks.dtype == np.bool_ and np.array_equal(masks, np.stack(expected))
+    expected = link_masks(top, [np.random.default_rng(s) for s in seeds], steps)
+    assert masks.dtype == np.bool_ and np.array_equal(masks, expected)
     if law == "gossip":  # a one-hot mask gathers its edge's Laplacian bit for bit
         picks = masks.argmax(axis=-1)
+        narrow = np.empty((len(seeds), steps), harness._pick_dtype(top.base.num_edges))
+        harness._draw_topology_block(top, [np.random.default_rng(s) for s in seeds], steps,
+                                     narrow)
+        assert narrow.dtype == np.uint8 and np.array_equal(narrow, picks)
+        assert np.array_equal(top.masks_of_picks(narrow), masks)
         for s in (0, steps - 1):
             gathered = top.edge_laplacians[picks[:, s]]
             assert harness._laplacian_at(top, masks, s).tobytes() == gathered.tobytes()
@@ -537,18 +576,22 @@ def _snapshots(walk):
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
 def test_noise_windows_keep_the_bits_of_whole_block_draws(monkeypatch, law, noise, window):
     # across a block boundary into a short last block, with grid steps inside
-    # windows and on their ends: each trial's noise is one run of its stream
+    # windows and on their ends: each trial's links and noise are runs of its stream
     model, top, schedule = example1_model(noise), DRAW_LAWS[law], WeightSchedule(b=0.5)
     horizon = BLOCK_STEPS + 50
     grid = [5, 36, 37, 100, BLOCK_STEPS, BLOCK_STEPS + 1, horizon]
     seeds = [np.random.SeedSequence((23, k)) for k in range(3)]
     whole = _snapshots(trajectory(model, top, schedule, horizon, grid, seeds))
     oracle = _snapshots(reference_trajectory(model, top, schedule, horizon, grid, seeds))
-    step_bytes = 8 * len(seeds) * model.num_agents * model._stacked.max_dim
-    monkeypatch.setattr(harness, "_NOISE_WINDOW_BYTES", window * step_bytes)
+    monkeypatch.setattr(harness, "_DRAW_WINDOW_BYTES", window * _step_bytes(model, top, 3))
     walk = harness._walk(model, top, schedule, horizon, grid, seeds)
     first = next(walk)
-    assert first[2]._arrays["noise"].shape[1] == window
+    arrays = first[2]._arrays
+    assert arrays["noise"].shape[:2] == (len(seeds), window)
+    if law == "static":
+        assert arrays["active"] is None
+    else:
+        assert arrays["active"].shape == (len(seeds), window, top.base.num_edges)
     windowed = _snapshots(itertools.chain([first], walk))
     assert [t for t, _ in windowed] == [t for t, _ in whole] == [t for t, _ in oracle] == grid
     for (_, got), (_, want), (_, ref) in zip(windowed, whole, oracle):
@@ -752,10 +795,13 @@ def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
     with pytest.raises(ValueError, match="writable"):
         _kernel_advance(kernel, [frozen, g, shifts, sums, outer], 0, q0, model, noise, 0, 8,
                         weights, top, draws)
+    with pytest.raises(ValueError, match="active has shape"):  # masks of another window
+        kernel.bind(_network(model, [x, g, shifts, sums, outer], q0), model, top,
+                    noise[:, :4].copy(), weights, draws)
     window = kernel.bind(_network(model, [x, g, shifts, sums, outer], q0), model, top,
-                         noise[:, :4].copy(), weights, draws)  # block steps w0..w0+3
+                         noise[:, :4].copy(), weights, draws[:, :4].copy())  # steps w0..w0+3
     for start, stop, w0 in [(2, 6, 0), (3, 6, 4), (6, 9, 5)]:
-        with pytest.raises(ValueError, match="outside the noise window"):
+        with pytest.raises(ValueError, match="outside the draw window"):
             window.advance(0, start, stop, w0)
     assert np.array_equal(x, np.zeros_like(x))  # nothing ran
     assert np.array_equal(frozen, np.zeros_like(x))
@@ -906,17 +952,45 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
                                                    trials, horizon):
     top = TopologyModel(cycle_graph(5), law, 0.5)
     seeds = range(min(harness.TRIALS_PER_BANK, trials))
+    draw, draws = harness._draw_topology_block, []
+
+    def spy(top, rngs, steps, out=None, picks=None):  # the buffer drawn into, a call's peak
+        if picks is not None:  # gossip masks expanded from the picks: no draw
+            return draw(top, rngs, steps, out, picks)
+        tracemalloc.start()
+        try:
+            draw(top, rngs, steps, out)
+            draws.append((out, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(harness, "_draw_topology_block", spy)
     for window in (BLOCK_STEPS, 37):  # whole blocks (the 5-agent ring's), then 37-step windows
         if window != BLOCK_STEPS:
-            monkeypatch.setattr(harness, "_NOISE_WINDOW_BYTES",
-                                window * len(seeds) * ring_model.num_agents * 8)
-        _, _, bound = next(harness._walk(ring_model, top, ring_schedule, horizon, [horizon],
-                                         seeds))
-        buffers = [bound._arrays[name] for name in ("noise", "w", "active")]
-        assert (buffers[2] is None) == (law == "static")
-        assert buffers[0].shape[1] == min(window, horizon)
-        assert sum(b.nbytes for b in buffers if b is not None) == harness._draw_bytes(
-            ring_model, top, trials, horizon)
+            monkeypatch.setattr(harness, "_DRAW_WINDOW_BYTES",
+                                window * _step_bytes(ring_model, top, len(seeds)))
+        draws.clear()
+        walk = harness._walk(ring_model, top, ring_schedule, horizon, [horizon], seeds)
+        _, _, bound = next(walk)
+        parts = harness._draw_bytes(ring_model, top, trials, horizon)
+        arrays = dict(bound._arrays)
+        assert arrays["noise"].shape[1] == min(window, horizon)
+        assert (arrays["active"] is None) == (law == "static")
+        # the lane scratch at the widest width; the model's arrays are not the bank's
+        lanes = 1 if len(seeds) == 1 else _kernel.load().lanes
+        widest = arrays.pop("scratch").nbytes // lanes * max(_kernel.WIDTHS)
+        bound_bytes = sum(arrays[name].nbytes for name in arrays
+                          if arrays[name] is not None and name not in ("h", "truth", "factor",
+                                                                       "edges"))
+        assert widest + bound_bytes == sum(parts.values()) - parts["gossip picks"] - parts[
+            "link draw temporary"]
+        assert widest == parts["lane scratch"]
+        # the picks buffer, and one trial's temporary in a call that draws links
+        picks = {out.nbytes for out, _ in draws if out.dtype != np.bool_}
+        assert picks == ({parts["gossip picks"]} if law == "gossip" else set())
+        peak = max((peak for _, peak in draws), default=0)
+        assert parts["link draw temporary"] <= peak < parts["link draw temporary"] + 4096
+        walk.close()
 
 
 def _kernel_source_copy(monkeypatch, tmp_path):
@@ -976,6 +1050,41 @@ def test_missing_compiler_is_a_named_error(monkeypatch, tmp_path, capsys):
     assert err.startswith("error: cannot build the compiled bank-step kernel with")
     assert "adle-no-such-compiler" in err and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_a_library_of_another_layout_is_refused_not_bound(tmp_path):
+    # a loader whose _BankArgs has one field more than struct adle_bank
+    script = (
+        "import ctypes\n"
+        "from adle import _kernel\n"
+        "class Wider(ctypes.Structure):\n"
+        "    _fields_ = [*_kernel._BankArgs._fields_, ('extra', ctypes.c_int64)]\n"
+        "_kernel._BankArgs = Wider\n"
+        "_kernel.load()\n"
+    )
+    src = str(Path(_kernel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    size = ctypes.sizeof(_kernel._BankArgs)
+    assert done.returncode == 1, (done.returncode, done.stderr)  # an exception, not a signal
+    assert done.stderr.splitlines()[-1] == (
+        f"adle.errors.AdleError: the compiled kernel's struct adle_bank is layout "
+        f"{_kernel.LAYOUT} of {size} bytes, but the loader's _BankArgs is layout "
+        f"{_kernel.LAYOUT} of {size + 8} bytes")
+
+
+def test_the_kernel_source_is_read_once_at_import(monkeypatch, tmp_path):
+    # an edit after import changes not the library's key, and is not built
+    copy = _kernel_source_copy(monkeypatch, tmp_path)
+    built = _kernel._build()
+    (copy / "_kernel.c").write_bytes(b"#error edited after import\n")
+    assert _kernel._build() == built
+    _kernel.BankKernel(ctypes.CDLL(str(built)))
+    built.unlink()
+    with pytest.raises(AdleError, match="_kernel.c changed after adle._kernel was imported"):
+        _kernel._build()
+    assert not built.exists()
 
 
 def test_load_names_its_lane_width_once(caplog):
