@@ -29,8 +29,21 @@ from .schedule import WeightSchedule, checkpoint_bound, validate_schedule
 
 SCHEMA = "adle-scenario/1"
 
-#: libyaml's safe loader where PyYAML has it: same documents, about 8x faster.
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+class _LOADER(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """libyaml's safe loader where PyYAML has it (same documents, about 8x
+    faster), refusing a key given twice in one mapping; a key merged in by
+    ``<<`` may still be given."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                name = self.construct_object(key)
+                if name in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {name!r}", key.start_mark)
+                seen.add(name)
+        return super().construct_mapping(node, deep)
 
 
 @dataclass(frozen=True)

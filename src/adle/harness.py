@@ -125,24 +125,17 @@ class StatResult:
     gating: bool = True
 
 
-def _draw_topology_block(top: TopologyModel, rngs, steps: int, out=None, picks=None):
-    """Per-trial link draws of ``steps`` steps in trial order, each trial's
-    drawn into the first ``steps`` of its row of ``out`` when it is given:
-    bool (R, steps, E) active-edge masks or, into an integer ``out`` under
-    the gossip law, the picked edges; ``None`` when every edge is always
-    active.  Given the (R, steps) gossip ``picks``, the masks are expanded
-    from them and ``rngs`` is not read."""
-    if not top.draws_links:
-        return None
-    if out is None:
-        out = np.empty((len(rngs), steps, top.base.num_edges), dtype=bool)
-    if picks is not None:
-        top.masks_of_picks(picks, out[:, :steps])
-        return out
-    draw = top.draw_active if out.dtype == np.bool_ else top.draw_picks
-    for rng, row in zip(rngs, out):
-        draw(rng, steps, row[:steps])
-    return out
+def _draw_topology_block(top: TopologyModel, draws: list, rngs, scratch, steps: int, w0: int,
+                         out) -> None:
+    """Fill ``out``, bool (R, window, E), with the masks of block steps
+    ``w0..w0 + window - 1`` by each trial's ``fill`` in ``draws``; at the
+    block's first window, first replace ``draws`` with the trials' link
+    draws of its ``steps`` steps (:meth:`TopologyModel.link_draws`)."""
+    if w0 == 0:
+        draws.clear()  # the previous block's go first
+        draws.extend(map(top.link_draws, rngs, [steps] * len(rngs), scratch))
+    for fill, row in zip(draws, out):
+        fill(w0, row)
 
 
 def _laplacian_at(top: TopologyModel, active, s: int):
@@ -179,29 +172,20 @@ def _draw_window(rows: int, agents: int, max_dim: int, edges: int, steps: int) -
     return max(1, min(steps, _DRAW_WINDOW_BYTES // (rows * (agents * max_dim * 8 + edges))))
 
 
-def _pick_dtype(edges: int) -> np.dtype:
-    """The narrowest unsigned dtype of a gossip pick among ``edges`` edges."""
-    return np.min_scalar_type(edges - 1)
-
-
 def _draw_bytes(model: ObservationModel, top: TopologyModel, trials: int,
                 horizon: int) -> dict[str, int]:
     """Bytes of the buffers that one bank of an experiment holds, by part:
-    the draw window of :func:`_walk` (noise, and masks unless the law is
-    static), the weights, the gossip picks, one trial's link-draw
-    temporary, the kernel's lane scratch at the widest lane width, and
-    the bank's state."""
+    the noise window of :func:`_walk`, its link draws
+    (:meth:`TopologyModel.link_draw_bytes`), the weights, the kernel's
+    lane scratch at the widest lane width, and the bank's state."""
     rows, steps = min(TRIALS_PER_BANK, trials), min(BLOCK_STEPS, horizon)
     n, m, mx = model.num_agents, model.param_dim, max(model.obs_dims)
     edges = top.base.num_edges if top.draws_links else 0
     window = _draw_window(rows, n, mx, edges, steps)
-    gossip = top.law == "gossip"
     return {
         "noise window": rows * window * n * mx * 8,
-        "link mask window": rows * window * edges,
+        **top.link_draw_bytes(rows, steps, window),
         "weights": 3 * steps * 8,
-        "gossip picks": rows * steps * _pick_dtype(edges).itemsize if gossip else 0,
-        "link draw temporary": steps * 8 if gossip else window * edges * 8,
         "lane scratch": _kernel.scratch_vectors(n, m, mx) * max(_kernel.WIDTHS) * 8,
         "bank state": (rows * (m + m * m + 2 * mx + mx * mx) + mx * mx) * n * 8,
     }
@@ -210,14 +194,15 @@ def _draw_bytes(model: ObservationModel, top: TopologyModel, trials: int,
 def _memory_shortfall(model, top, trials: int, horizon: int, checkpoints: int,
                       parallelism: int) -> str | None:
     """Why an experiment does not fit in memory, naming its largest part:
-    the parent process's records of up to ``checkpoints`` checkpoints
-    beside each worker's bank (:func:`_draw_bytes`); ``None`` where it
-    fits, or where the memory size is unknown."""
+    the parent process's records of up to ``checkpoints`` checkpoints, with
+    the sorted copy of their error norms that :func:`_median` makes, beside
+    each worker's bank (:func:`_draw_bytes`); ``None`` where it fits, or
+    where the memory size is unknown."""
     memory, bounded_by = _memory_limit()
     banks = -(-trials // TRIALS_PER_BANK)
     workers = worker_count(parallelism, banks)
     bank = _draw_bytes(model, top, trials, horizon)
-    records = trials * checkpoints * (model.num_agents + 3) * 8
+    records = trials * checkpoints * (2 * model.num_agents + 3) * 8
     parts = {"records": records, **{name: workers * size for name, size in bank.items()}}
     if memory is None or sum(parts.values()) <= memory:
         return None
@@ -276,18 +261,6 @@ def _memory_limit() -> tuple[int | None, str]:
     return min(limits + _cgroup_limits(), default=(None, "memory"), key=lambda limit: limit[0])
 
 
-def _link_streams(rngs, copies, outputs: int) -> None:
-    """Set ``copies`` to each trial's place in its stream, to draw a block's
-    Bernoulli links from a window at a time, while each trial's own
-    generator jumps the ``outputs`` 64-bit outputs of those draws (one per
-    uniform) to where its noise starts.  Both then read the runs of the
-    stream that whole-block draws read, and the trial's generator ends the
-    block where they leave it."""
-    for rng, copy in zip(rngs, copies):
-        copy.bit_generator.state = rng.bit_generator.state
-        rng.bit_generator.advance(int(outputs))  # a numpy integer overflows there
-
-
 def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
     """:func:`trajectory`, yielding ``(t, state, bound)``: ``bound`` is the
     bank's one ``_kernel.BoundBank``, whose ``checkpoint`` reads ``state``."""
@@ -307,26 +280,21 @@ def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
     window = _draw_window(len(rngs), n, mx, edges, size)
     noise = np.empty((len(rngs), window, n, mx))
     active = np.empty((len(rngs), window, edges), bool) if edges else None
-    picks = np.empty((len(rngs), size), _pick_dtype(edges)) if top.law == "gossip" else None
     weights = np.empty((3, size))
     bound = _kernel.load().bind(state, model, top, noise, weights, active)
-    links = ([np.random.Generator(np.random.PCG64(0)) for _ in rngs]
-             if top.law == "bernoulli" else rngs)  # the generators links are drawn from
+    # each trial's scratch generator, and its link draws of the block (TopologyModel.link_draws)
+    scratch = [np.random.Generator(np.random.PCG64(0)) for _ in rngs] if edges else None
+    draws = []
 
     pointer = 0
     while state.step < horizon:
         block_start = state.step
         steps = min(BLOCK_STEPS, horizon - block_start)
-        if picks is not None:  # integers reads a varying count: the whole block first
-            _draw_topology_block(top, rngs, steps, picks)
-        elif top.law == "bernoulli":
-            _link_streams(rngs, links, steps * edges)
         weights[:, :steps] = schedule.block(block_start, steps)
         for w0 in range(0, steps, window):
             drawn = min(window, steps - w0)
             if edges:
-                _draw_topology_block(top, links, drawn, active,
-                                     None if picks is None else picks[:, w0:w0 + drawn])
+                _draw_topology_block(top, draws, rngs, scratch, steps, w0, active[:, :drawn])
             for rng, row in zip(rngs, noise):
                 _unit_variance_draws(rng, model.noise, (drawn, n, mx), row[:drawn])
             window_end = block_start + w0 + drawn
@@ -353,9 +321,9 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
     noise and mask buffers hold a window of the block's steps, as many as
     fit in 4 MiB (the whole block for small banks), and each trial draws
     into its row of them a window at a time, the same runs of its stream
-    as whole-block draws: Bernoulli links from a copy of its generator
-    while the generator itself jumps to the noise (:func:`_link_streams`),
-    gossip masks from the block's picks, drawn first.  The kernel forms the
+    as whole-block draws: its link draws start at the block's first window
+    and leave its generator where the noise starts
+    (:meth:`TopologyModel.link_draws`).  The kernel forms the
     observations from the noise, in segments that end at grid steps,
     window ends or the block end (:func:`_advance`).
     A singular gain solve raises :class:`TrialDiverged` with the trial's
@@ -482,10 +450,25 @@ def run_experiment(config) -> ExperimentReport:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            banks = list(pool.map(_run_bank, *zip(*payloads)))
+            results = _stack_banks(pool.map(_run_bank, *zip(*payloads)), config.num_trials)
     else:
-        banks = [_run_bank(*payload) for payload in payloads]
-    return _aggregate(config, grid, [np.concatenate(parts) for parts in zip(*banks)])
+        results = _stack_banks(map(_run_bank, *zip(*payloads)), config.num_trials)
+    return _aggregate(config, grid, results)
+
+
+def _stack_banks(banks, trials: int) -> list[np.ndarray]:
+    """The trial-stacked results of ``banks`` in trial order, each bank's
+    copied into one array per result as it arrives and then dropped, so
+    that the records are held once."""
+    results, start = None, 0
+    for bank in banks:
+        if results is None:
+            results = [np.empty((trials, *part.shape[1:])) for part in bank]
+        for result, part in zip(results, bank):
+            result[start:start + len(part)] = part
+        start += len(bank[0])
+        del bank  # before the next bank is run
+    return results
 
 
 def _median(values: np.ndarray) -> np.ndarray:
@@ -570,72 +553,45 @@ def _aggregate(config, grid: np.ndarray, results: list[np.ndarray]) -> Experimen
 def evaluate_acceptance(
     report: ExperimentReport, thresholds: AcceptanceThresholds
 ) -> list[StatResult]:
-    """Score the report against the acceptance tolerances.
+    """Score the report against the acceptance tolerances, one row per
+    statistic: its value passes where it is finite and on the required
+    side of its bound.
 
     The Kolmogorov-Smirnov row, when present, is diagnostic only: with
     many coordinates tested at a fixed significance an occasional small
     p-value is expected, so it never gates the overall verdict.
     """
-    results: list[StatResult] = []
-
-    def ok(value, bound):
-        return bool(np.isfinite(value)) and value <= bound
-
-    gap_max = float(np.max(report.rel_frobenius_gap))
-    results.append(StatResult(
-        "efficiency_gap_max", gap_max, f"<= {thresholds.efficiency_tol}",
-        ok(gap_max, thresholds.efficiency_tol),
-    ))
-
-    slope_min = float(np.min(report.consistency_decay))
-    slope_max = float(np.max(report.consistency_decay))
-    results.append(StatResult(
-        "consistency_slope_min", slope_min, f">= {thresholds.consistency_slope_min}",
-        bool(np.isfinite(slope_min)) and slope_min >= thresholds.consistency_slope_min,
-    ))
-    results.append(StatResult(
-        "consistency_slope_max", slope_max, f"<= {thresholds.consistency_slope_max}",
-        ok(slope_max, thresholds.consistency_slope_max),
-    ))
-
-    results.append(StatResult(
-        "disagreement_slope", report.disagreement_slope,
-        f"<= {thresholds.disagreement_slope_max}",
-        ok(report.disagreement_slope, thresholds.disagreement_slope_max),
-    ))
-
+    t = thresholds
     final_error = float(_median(report.trial_error_norms[:, -1, :].ravel()))
     final_disagreement = float(_median(report.trial_disagreement[:, -1]))
-    ratio = final_disagreement / final_error if final_error > 0 else float("inf")
-    results.append(StatResult(
-        "disagreement_error_ratio", ratio,
-        f"<= {thresholds.disagreement_error_ratio_max}",
-        ok(ratio, thresholds.disagreement_error_ratio_max),
-    ))
-
-    gain_budget = thresholds.gain_rel_tol * report.optimal_gain_norm
-    fraction = float(np.mean(report.terminal_gain_gap <= gain_budget))
-    results.append(StatResult(
-        "gain_pass_fraction", fraction, f">= {thresholds.gain_pass_fraction_min}",
-        fraction >= thresholds.gain_pass_fraction_min,
-    ))
-
+    gain_budget = t.gain_rel_tol * report.optimal_gain_norm
     # Finite-horizon sanity: the distributed covariance can exceed the
     # benchmark but should never undercut it beyond sampling noise.
     trace_tol = 4.0 * math.sqrt(2.0 / max(report.num_trials, 1)) * float(np.trace(report.target_cov))
     min_trace = float(min(np.trace(cov) for cov in report.empirical_scaled_cov))
-    margin = min_trace - (float(np.trace(report.centralized_scaled_cov)) - trace_tol)
-    results.append(StatResult(
-        "paired_trace_margin", margin, ">= 0",
-        bool(np.isfinite(margin)) and margin >= 0.0,
-    ))
-
+    rows = [  # (name, value, relation, bound)
+        ("efficiency_gap_max", float(np.max(report.rel_frobenius_gap)), "<=", t.efficiency_tol),
+        ("consistency_slope_min", float(np.min(report.consistency_decay)), ">=",
+         t.consistency_slope_min),
+        ("consistency_slope_max", float(np.max(report.consistency_decay)), "<=",
+         t.consistency_slope_max),
+        ("disagreement_slope", report.disagreement_slope, "<=", t.disagreement_slope_max),
+        ("disagreement_error_ratio", final_disagreement / final_error if final_error > 0
+         else float("inf"), "<=", t.disagreement_error_ratio_max),
+        ("gain_pass_fraction", float(np.mean(report.terminal_gain_gap <= gain_budget)), ">=",
+         t.gain_pass_fraction_min),
+        ("paired_trace_margin", min_trace - (float(np.trace(report.centralized_scaled_cov))
+                                             - trace_tol), ">=", 0),
+    ]
     if report.ks_pvalues is not None:
-        min_p = float(np.min(report.ks_pvalues))
-        results.append(StatResult(
-            "ks_min_pvalue", min_p, f">= {thresholds.ks_significance} (diagnostic)",
-            min_p >= thresholds.ks_significance, gating=False,
-        ))
+        rows.append(("ks_min_pvalue", float(np.min(report.ks_pvalues)), ">=", t.ks_significance))
+    results = []
+    for name, value, relation, bound in rows:
+        gating = name != "ks_min_pvalue"
+        side = value <= bound if relation == "<=" else value >= bound
+        requirement = f"{relation} {bound}" + ("" if gating else " (diagnostic)")
+        results.append(StatResult(name, value, requirement, bool(np.isfinite(value)) and side,
+                                  gating))
     return results
 
 
@@ -679,11 +635,11 @@ def write_report(
     header = ["trial", "t", "disagreement", *(f"err_agent_{i}" for i in range(n_agents)),
               "gain_gap", "grammian_gap"]
     times = report.checkpoint_times.tolist()  # Python ints and floats: repr is _fmt
-    table = np.concatenate([report.trial_disagreement[..., None], report.trial_error_norms,
-                            np.stack([report.trial_gain_gap, report.trial_grammian_gap], -1)], -1)
     with open(outdir / "checkpoints.csv", "w", newline="") as handle:  # rows end as csv.writer's
         handle.write(",".join(header) + "\r\n")
-        for trial, rows in enumerate(table):  # one trial's text at a time
+        for trial, errors in enumerate(report.trial_error_norms):  # a trial's table at a time
+            rows = np.column_stack([report.trial_disagreement[trial], errors,
+                                    report.trial_gain_gap[trial], report.trial_grammian_gap[trial]])
             handle.writelines(f"{trial},{t}," + ",".join(map(repr, row)) + "\r\n"
                               for t, row in zip(times, rows.tolist()))
 

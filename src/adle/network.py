@@ -9,9 +9,10 @@ three supported laws are
   probability ``p``,
 * ``gossip`` -- exactly one base edge, chosen uniformly, is active.
 
-The law is read here only: :meth:`TopologyModel.draw_active` turns a
-random stream into per-step active-edge masks, which are all that the
-sampled Laplacians and the compiled kernel see.
+The law is read here only: :meth:`TopologyModel.link_draws` turns a
+trial's random stream into per-step active-edge masks, for the harness
+and :func:`sample_laplacian` alike; the masks are all that the sampled
+Laplacians and the compiled kernel see.
 
 The quantity that matters for convergence is not per-step connectivity
 but the algebraic connectivity (Fiedler value) of the *mean* Laplacian:
@@ -148,32 +149,46 @@ class TopologyModel:
         """Whether the law draws links at all; the ``static`` law does not."""
         return self.law != "static"
 
-    def draw_active(self, rng: np.random.Generator, steps: int, out=None) -> np.ndarray | None:
+    def link_draws(self, rng: np.random.Generator, steps: int, scratch: np.random.Generator):
+        """Start one trial's link draws of a block of ``steps`` steps; return
+        its ``fill(w0, out)``, which writes the bool masks of block steps
+        ``w0..w0 + len(out) - 1`` into ``out``, windows in order from 0.
+        ``rng`` (a PCG64 generator) is left where the block's noise starts:
+        gossip picks are drawn here in one ``integers`` call (it reads a
+        varying count of outputs), kept in the narrowest unsigned dtype;
+        Bernoulli uniforms come a window at a time from ``scratch``, given
+        ``rng``'s state, while ``rng`` jumps the ``steps * E`` outputs they
+        take.  Not for the ``static`` law, which draws nothing."""
+        edges = self.base.num_edges
+        if self.law == "gossip":
+            picks = rng.integers(0, edges, size=steps).astype(np.min_scalar_type(edges - 1))
+            span = np.arange(edges, dtype=picks.dtype)
+            return lambda w0, out: np.equal(picks[w0:w0 + len(out), None], span, out=out)
+        scratch.bit_generator.state = rng.bit_generator.state
+        rng.bit_generator.advance(int(steps * edges))  # a numpy integer overflows there
+        return lambda w0, out: np.less(scratch.random(out.shape), self.p, out=out)
+
+    def link_draw_bytes(self, rows: int, steps: int, window: int) -> dict[str, int]:
+        """Bytes of ``rows`` trials' link draws of a block of ``steps`` steps
+        through a ``window``-step mask buffer, by part: the buffer, the
+        gossip picks that :meth:`link_draws` keeps, and the largest
+        temporary of one trial's call (its int64 picks, or one window of
+        uniforms)."""
+        gossip, edges = self.law == "gossip", self.base.num_edges if self.draws_links else 0
+        return {
+            "link mask window": rows * window * edges,
+            "gossip picks": rows * steps * np.min_scalar_type(edges - 1).itemsize if gossip else 0,
+            "link draw temporary": steps * 8 if gossip else window * edges * 8,
+        }
+
+    def draw_active(self, rng: np.random.Generator, steps: int) -> np.ndarray | None:
         """Active-edge masks of ``steps`` i.i.d. link draws, bool (steps, E),
-        written into ``out`` when it is given; ``None`` under the
-        ``static`` law, which draws nothing."""
-        num_edges = self.base.num_edges
+        by one window of :meth:`link_draws`; ``None`` under the ``static``
+        law, which draws nothing."""
         if not self.draws_links:
             return None
-        if self.law == "bernoulli":
-            return np.less(rng.random((steps, num_edges)), self.p, out=out)
-        return self.masks_of_picks(self.draw_picks(rng, steps), out)
-
-    def draw_picks(self, rng: np.random.Generator, steps: int, out=None) -> np.ndarray:
-        """The base edges that ``steps`` gossip draws pick, one index per step,
-        written into ``out`` (of any integer dtype that holds ``E - 1``) when
-        it is given.  ``integers`` reads a varying number of outputs of the
-        stream, so a block's picks are drawn in one call."""
-        picks = rng.integers(0, self.base.num_edges, size=steps)
-        if out is None:
-            return picks
-        out[...] = picks
-        return out
-
-    def masks_of_picks(self, picks: np.ndarray, out=None) -> np.ndarray:
-        """One-hot active-edge masks of gossip picks, (...,) to bool (..., E)."""
-        return np.equal(picks[..., None], np.arange(self.base.num_edges, dtype=picks.dtype),
-                        out=out)
+        fill = self.link_draws(rng, steps, np.random.Generator(np.random.PCG64(0)))
+        return fill(0, np.empty((steps, self.base.num_edges), dtype=bool))
 
     def laplacians(self, active: np.ndarray | None) -> np.ndarray:
         """Laplacians of active-edge masks, (..., E) to (..., N, N); ``None``

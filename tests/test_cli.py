@@ -97,6 +97,28 @@ def test_malformed_yaml_is_a_parse_error(tmp_path, monkeypatch):
             assert (info.value.path, info.value.line) == (str(path), line)
 
 
+def test_a_key_given_twice_is_a_parse_error(tmp_path, capsys):
+    # under the libyaml loader where PyYAML has it, which it has here
+    assert issubclass(cli._LOADER, yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    path = tmp_path / "twice.yaml"
+    head = "schema: adle-scenario/1\nmodel: example1\nnum_trials: 6\n"
+    for text, key in ((head + "horizon: 100\ntopology: {law: static}\nhorizon: 200\n", "horizon"),
+                      (head + "topology:\n  law: static\n  law: gossip\n", "law")):
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            parse_config(path)
+        assert (info.value.path, info.value.line) == (str(path), 6)
+        assert f"found duplicate key {key!r}" in str(info.value)
+        assert main(["--config", str(path), "--validate-only"]) == 1
+        assert f"found duplicate key {key!r}" in capsys.readouterr().err
+    # keys merged in by <<, and a key given beside them, which replaces theirs
+    path.write_text(head + "horizon: 200\nacceptance: {<<: &tol {efficiency_tol: 0.3}}\n"
+                    "topology:\n  <<: {base: example1, law: gossip, p: 0.3}\n  law: bernoulli\n")
+    config = parse_config(path)
+    assert config.acceptance.efficiency_tol == 0.3
+    assert (config.topology.law, config.topology.p) == ("bernoulli", 0.3)
+
+
 def test_unknown_top_level_key_rejected(tmp_path):
     path = write_scenario(tmp_path, horizons=100)
     with pytest.raises(ValidationError) as info:
@@ -315,7 +337,7 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
         ({"checkpoints": {"per_decade": 10**17}},
          "checkpoints.per_decade: 100000000000000000 exceeds the horizon 200"),
         ({"horizon": 10**6, "num_trials": 10**9, "checkpoints": {"per_decade": 10**6}},
-         "checkpoints: 1000000000 trials x up to 999991 checkpoints need 61034606933 MiB"),
+         "checkpoints: 1000000000 trials x up to 999991 checkpoints need 99181236267 MiB"),
     ],
     ids=["fit_window_abc", "acceptance_tol_x", "checkpoints_int", "horizon_true", "horizon_2_7",
          "num_trials_true", "init_estimate_length", "run_ks_test_quoted_false",

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import itertools
 import logging
+import math
 import os
 import pickle
 import stat
@@ -285,6 +286,59 @@ def test_paired_baseline_trace_margin_holds(ring_model, bernoulli_pentagon, ring
     assert stats["paired_trace_margin"].passed
 
 
+def _report_at_bounds(t):
+    """The report fields that acceptance reads, each statistic on its bound."""
+    return SimpleNamespace(
+        rel_frobenius_gap=np.array([t.efficiency_tol]),
+        consistency_decay=np.array([t.consistency_slope_min, t.consistency_slope_max]),
+        disagreement_slope=t.disagreement_slope_max,
+        trial_error_norms=np.ones((20, 3, 2)),
+        trial_disagreement=np.full((20, 3), t.disagreement_error_ratio_max),
+        optimal_gain_norm=1.0, terminal_gain_gap=np.array([0.0] * 19 + [1.0]),  # 19 of 20
+        num_trials=20, target_cov=np.zeros((1, 1)),  # no trace tolerance: margin 1 - 1
+        empirical_scaled_cov=np.ones((2, 1, 1)), centralized_scaled_cov=np.ones((1, 1)),
+        ks_pvalues=np.array([[t.ks_significance]]))
+
+
+#: How to put a value into each acceptance row; a fraction of trials is never
+#: NaN or infinite.
+ROW_VALUES = {
+    "efficiency_gap_max": lambda r, v: setattr(r, "rel_frobenius_gap", np.array([v])),
+    "consistency_slope_min": lambda r, v: setattr(r, "consistency_decay", np.array([v])),
+    "consistency_slope_max": lambda r, v: setattr(r, "consistency_decay", np.array([v])),
+    "disagreement_slope": lambda r, v: setattr(r, "disagreement_slope", v),
+    "disagreement_error_ratio": lambda r, v: r.trial_disagreement.fill(v),
+    "paired_trace_margin": lambda r, v: r.empirical_scaled_cov.fill(v),
+    "ks_min_pvalue": lambda r, v: setattr(r, "ks_pvalues", np.array([[v]])),
+}
+
+
+def test_every_acceptance_row_passes_at_its_bound_and_fails_off_the_reals():
+    t = AcceptanceThresholds()
+    stats = evaluate_acceptance(_report_at_bounds(t), t)
+    assert [(s.name, s.value, s.requirement, s.passed, s.gating) for s in stats] == [
+        ("efficiency_gap_max", 0.2, "<= 0.2", True, True),
+        ("consistency_slope_min", -0.6, ">= -0.6", True, True),
+        ("consistency_slope_max", -0.4, "<= -0.4", True, True),
+        ("disagreement_slope", -0.3, "<= -0.3", True, True),
+        ("disagreement_error_ratio", 0.1, "<= 0.1", True, True),
+        ("gain_pass_fraction", 0.95, ">= 0.95", True, True),
+        ("paired_trace_margin", 0.0, ">= 0", True, True),
+        ("ks_min_pvalue", 0.01, ">= 0.01 (diagnostic)", True, False),
+    ]
+    for name, put in ROW_VALUES.items():
+        for value in (math.nan, math.inf, -math.inf):
+            report = _report_at_bounds(t)
+            put(report, value)
+            stat = {s.name: s for s in evaluate_acceptance(report, t)}[name]
+            assert stat.value == value or math.isnan(stat.value) and math.isnan(value), name
+            assert not stat.passed, (name, value)
+    report = _report_at_bounds(t)  # past its bound, the KS row fails without gating
+    report.ks_pvalues[:] = 0.0
+    assert [(s.name, s.passed, s.gating) for s in evaluate_acceptance(report, t)
+            if not s.passed or not s.gating] == [("ks_min_pvalue", False, False)]
+
+
 def test_ks_pvalues_present_when_requested(ring_model, bernoulli_pentagon, ring_schedule):
     config = small_config(ring_model, bernoulli_pentagon, ring_schedule, run_ks_test=True)
     report = run_experiment(config)
@@ -512,6 +566,34 @@ def test_a_ring50_bank_peaks_below_one_point_six_draw_windows():
     assert peak < 1.6 * harness._DRAW_WINDOW_BYTES, peak / harness._DRAW_WINDOW_BYTES
 
 
+def test_checkpoint_records_are_held_once(tmp_path, ring_model, ring_schedule):
+    # four banks of a static ring with a checkpoint at most steps: 7.5 MiB of
+    # records against one bank's 1.6 MiB of buffers; the run holds its records
+    # once, beside _median's sorted copy of the error norms, as validation
+    # counts them, and the report writer formats them one trial at a time
+    config = small_config(ring_model, TopologyModel(cycle_graph(5), "static"), ring_schedule,
+                          num_trials=256, horizon=600, checkpoint_start=1,
+                          checkpoints_per_decade=600)
+    grid = checkpoint_grid(config.horizon, 1, 600)
+    records = config.num_trials * len(grid) * (ring_model.num_agents + 3) * 8
+    counted = config.num_trials * len(grid) * (2 * ring_model.num_agents + 3) * 8
+    bank = sum(harness._draw_bytes(ring_model, config.topology, 256, config.horizon).values())
+    run_experiment(SimpleNamespace(**{**vars(config), "num_trials": 2, "horizon": 20}))  # warm
+    tracemalloc.start()
+    try:
+        report = run_experiment(config)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        write_report(report, tmp_path, AcceptanceThresholds())
+        write_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == 478 and records == 478 * 256 * 64
+    assert run_peak < min(1.7 * records, counted + bank), run_peak / records
+    assert write_peak < 0.1 * records, write_peak / records
+
+
 # ----------------------------------------------------------------- link draws
 
 
@@ -522,27 +604,54 @@ DRAW_LAWS = {
 }
 
 
+def _windowed_masks(top, rngs, steps, window):
+    """A block's active-edge masks, bool (R, steps, E), drawn through
+    ``harness._draw_topology_block`` a ``window`` of steps at a time."""
+    masks = np.empty((len(rngs), steps, top.base.num_edges), bool)
+    scratch, draws = [np.random.Generator(np.random.PCG64(0)) for _ in rngs], []
+    for w0 in range(0, steps, window):
+        harness._draw_topology_block(top, draws, rngs, scratch, steps, w0,
+                                     masks[:, w0:w0 + window])
+    return masks
+
+
 @pytest.mark.parametrize("steps", [BLOCK_STEPS, 37], ids=["full_block", "short_block"])
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
 def test_block_masks_are_the_link_draws_read_by_hand(law, steps):
     top = DRAW_LAWS[law]
     seeds = [np.random.SeedSequence((19, k)) for k in range(3)]
-    masks = harness._draw_topology_block(top, [np.random.default_rng(s) for s in seeds], steps)
-    if law == "static":
-        assert masks is None
-        return
     expected = link_masks(top, [np.random.default_rng(s) for s in seeds], steps)
-    assert masks.dtype == np.bool_ and np.array_equal(masks, expected)
+    if law == "static":
+        assert expected is None and top.draw_active(np.random.default_rng(seeds[0]), steps) is None
+        return
+    masks = _windowed_masks(top, [np.random.default_rng(s) for s in seeds], steps, steps)
+    assert np.array_equal(masks, expected)
+    assert np.array_equal([top.draw_active(np.random.default_rng(s), steps) for s in seeds],
+                          expected)
     if law == "gossip":  # a one-hot mask gathers its edge's Laplacian bit for bit
         picks = masks.argmax(axis=-1)
-        narrow = np.empty((len(seeds), steps), harness._pick_dtype(top.base.num_edges))
-        harness._draw_topology_block(top, [np.random.default_rng(s) for s in seeds], steps,
-                                     narrow)
-        assert narrow.dtype == np.uint8 and np.array_equal(narrow, picks)
-        assert np.array_equal(top.masks_of_picks(narrow), masks)
         for s in (0, steps - 1):
             gathered = top.edge_laplacians[picks[:, s]]
             assert harness._laplacian_at(top, masks, s).tobytes() == gathered.tobytes()
+
+
+@pytest.mark.parametrize("steps", [BLOCK_STEPS, 50], ids=["full_block", "short_last_block"])
+@pytest.mark.parametrize("window", [1, 37, BLOCK_STEPS], ids=["1", "37", "whole"])
+@pytest.mark.parametrize("law", ["bernoulli", "gossip"])
+def test_link_windows_are_whole_block_draws(law, window, steps):
+    # two blocks, then the noise that follows them: each trial's link draws of a
+    # block are one run of its stream, and leave its generator where one
+    # whole-block draw leaves it
+    top = DRAW_LAWS[law]
+    seeds = [np.random.SeedSequence((29, k)) for k in range(3)]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    hand = [np.random.default_rng(s) for s in seeds]
+    for block in (BLOCK_STEPS, steps):
+        masks = _windowed_masks(top, rngs, block, window)
+        assert np.array_equal(masks, link_masks(top, hand, block))
+        assert ([rng.bit_generator.state for rng in rngs]
+                == [rng.bit_generator.state for rng in hand])
+        assert [rng.random() for rng in rngs] == [rng.random() for rng in hand]
 
 
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
@@ -550,7 +659,8 @@ def test_sample_laplacian_is_a_one_step_block(law):
     top = DRAW_LAWS[law]
     edges = top.base.edges
     for seed in range(20):
-        one_step = harness._draw_topology_block(top, [np.random.default_rng(seed)], 1)
+        one_step = (_windowed_masks(top, [np.random.default_rng(seed)], 1, 1)
+                    if top.draws_links else None)
         expected = harness._laplacian_at(top, one_step, 0).reshape(5, 5)
         sampled = sample_laplacian(top, np.random.default_rng(seed))
         assert np.array_equal(sampled, expected)
@@ -622,7 +732,7 @@ def _block(model, top, schedule, steps, seed, bank=3):
     """Link draws, unit-variance noise and weights of one block, in the
     documented order."""
     rngs = [np.random.default_rng((seed, r)) for r in range(bank)]
-    draws = harness._draw_topology_block(top, rngs, steps)
+    draws = link_masks(top, rngs, steps)
     noise = np.stack([_unit_variance_draws(rng, model.noise, (steps, model.num_agents,
                                                                model._stacked.max_dim))
                       for rng in rngs])
@@ -952,24 +1062,30 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
                                                    trials, horizon):
     top = TopologyModel(cycle_graph(5), law, 0.5)
     seeds = range(min(harness.TRIALS_PER_BANK, trials))
-    draw, draws = harness._draw_topology_block, []
+    link_draws, held, peaks = TopologyModel.link_draws, [], []
 
-    def spy(top, rngs, steps, out=None, picks=None):  # the buffer drawn into, a call's peak
-        if picks is not None:  # gossip masks expanded from the picks: no draw
-            return draw(top, rngs, steps, out, picks)
+    def traced(call):  # a call's result, and the bytes it leaves allocated; its peak to peaks
         tracemalloc.start()
         try:
-            draw(top, rngs, steps, out)
-            draws.append((out, tracemalloc.get_traced_memory()[1]))
+            result = call()
+            left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        peaks.append(peak)
+        return result, left
 
-    monkeypatch.setattr(harness, "_draw_topology_block", spy)
+    def spy(self, rng, steps, scratch):  # a trial's link draws of a block, and their fills
+        fill, left = traced(lambda: link_draws(self, rng, steps, scratch))
+        held.append(left)
+        return lambda w0, out: traced(lambda: fill(w0, out))[0]
+
+    monkeypatch.setattr(TopologyModel, "link_draws", spy)
     for window in (BLOCK_STEPS, 37):  # whole blocks (the 5-agent ring's), then 37-step windows
         if window != BLOCK_STEPS:
             monkeypatch.setattr(harness, "_DRAW_WINDOW_BYTES",
                                 window * _step_bytes(ring_model, top, len(seeds)))
-        draws.clear()
+        held.clear()
+        peaks.clear()
         walk = harness._walk(ring_model, top, ring_schedule, horizon, [horizon], seeds)
         _, _, bound = next(walk)
         parts = harness._draw_bytes(ring_model, top, trials, horizon)
@@ -985,10 +1101,11 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
         assert widest + bound_bytes == sum(parts.values()) - parts["gossip picks"] - parts[
             "link draw temporary"]
         assert widest == parts["lane scratch"]
-        # the picks buffer, and one trial's temporary in a call that draws links
-        picks = {out.nbytes for out, _ in draws if out.dtype != np.bool_}
-        assert picks == ({parts["gossip picks"]} if law == "gossip" else set())
-        peak = max((peak for _, peak in draws), default=0)
+        # a block's draws hold its picks; a call's peak is one trial's temporary
+        assert len(held) == (0 if law == "static" else len(seeds) * -(-horizon // BLOCK_STEPS))
+        block = sum(held[:len(seeds)])
+        assert parts["gossip picks"] <= block < parts["gossip picks"] + 512 * len(seeds)
+        peak = max(peaks, default=0)
         assert parts["link draw temporary"] <= peak < parts["link draw temporary"] + 4096
         walk.close()
 

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import adle
 from adle.errors import NotMeanConnected
 from adle.network import (
     Graph,
@@ -170,3 +174,15 @@ def test_jensen_direction_for_fiedler_value(pentagon):
     sampled = [fiedler_value(sample_laplacian(top, rng)) for _ in range(2000)]
     tol = 4 * np.std(sampled) / np.sqrt(len(sampled))
     assert fiedler_value(mean_laplacian(top)) >= np.mean(sampled) - tol
+
+
+def test_the_link_law_is_read_in_network_only():
+    # the harness, the kernel's loader and the CLI see only the masks of TopologyModel.link_draws
+    def reads_law(path):
+        return any(isinstance(node, ast.Attribute) and node.attr == "law"
+                   for node in ast.walk(ast.parse(path.read_text())))
+
+    package = Path(adle.__file__).parent
+    assert reads_law(package / "network.py")
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if path.name != "network.py" and reads_law(path)] == []
