@@ -26,7 +26,6 @@ import logging
 import os
 import shutil
 import stat
-import subprocess
 import tempfile
 from pathlib import Path
 
@@ -80,6 +79,10 @@ def _cache_dir() -> Path:
     return Path(tempfile.mkdtemp(prefix="adle-kernel-"))
 
 
+class _CompileFailed(Exception):
+    """The compiler ran and failed; the message is its complaint."""
+
+
 def _build() -> Path:
     """Compile the kernel unless a library for this source and command exists.
 
@@ -96,6 +99,8 @@ def _build() -> Path:
     cache = _cache_dir()
     target = cache / f"_kernel-{key}.so"
     if not target.exists():
+        import subprocess  # the compiler is the only process the library starts
+
         source_bytes = _SOURCE.read_bytes()
         if hashlib.sha256(source_bytes).digest() != _SOURCE_DIGEST:
             raise AdleError(f"{_SOURCE} changed after {__name__} was imported; "
@@ -104,8 +109,10 @@ def _build() -> Path:
         try:
             source = work / _SOURCE.name  # the file includes itself by this name
             source.write_bytes(source_bytes)
-            subprocess.run([*COMPILE, "-o", str(work / "_kernel.so"), str(source)], check=True,
-                           capture_output=True, text=True)
+            done = subprocess.run([*COMPILE, "-o", str(work / "_kernel.so"), str(source)],
+                                  capture_output=True, text=True)
+            if done.returncode != 0:
+                raise _CompileFailed(done.stderr or f"exit status {done.returncode}")
             os.replace(work / "_kernel.so", target)
         finally:
             shutil.rmtree(work, ignore_errors=True)
@@ -294,8 +301,8 @@ def load() -> BankKernel:
     """
     try:
         kernel = BankKernel(ctypes.CDLL(str(_build())))
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = (getattr(exc, "stderr", None) or str(exc)).strip()
+    except (OSError, _CompileFailed) as exc:
+        detail = str(exc).strip()
         command = " ".join([*COMPILE, "-o", "<library>", str(_SOURCE)])
         raise AdleError(f"cannot build the compiled bank-step kernel with `{command}`: "
                         f"{detail}") from exc

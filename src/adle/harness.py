@@ -52,7 +52,9 @@ TRIALS_PER_BANK = 64
 #: Bytes of a bank's noise and link-mask buffers, which hold a window of
 #: steps of a block: each trial's noise and links for a block are runs of
 #: its stream, drawn a window at a time, so outputs do not depend on this size.
-_DRAW_WINDOW_BYTES = 4 << 20
+#: Each further window costs one kernel call and one draw call per trial:
+#: at 1 MiB that is a few percent of the run time, at 256 KiB about a tenth.
+_DRAW_WINDOW_BYTES = 1 << 20
 
 #: The cgroup file systems' mount root, and the groups of this process
 #: (``hierarchy:controllers:path`` lines; v2's controllers are empty).
@@ -319,7 +321,7 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
     trial consumes only its own stream, in blocks of ``BLOCK_STEPS`` steps:
     the topology draws of the block, then its unit-variance noise.  The
     noise and mask buffers hold a window of the block's steps, as many as
-    fit in 4 MiB (the whole block for small banks), and each trial draws
+    fit in 1 MiB (the whole block for small banks), and each trial draws
     into its row of them a window at a time, the same runs of its stream
     as whole-block draws: its link draws start at the block's first window
     and leave its generator where the noise starts

@@ -149,21 +149,27 @@ class TopologyModel:
         """Whether the law draws links at all; the ``static`` law does not."""
         return self.law != "static"
 
-    def link_draws(self, rng: np.random.Generator, steps: int, scratch: np.random.Generator):
+    def link_draws(self, rng: np.random.Generator, steps: int,
+                   scratch: np.random.Generator | None = None):
         """Start one trial's link draws of a block of ``steps`` steps; return
         its ``fill(w0, out)``, which writes the bool masks of block steps
         ``w0..w0 + len(out) - 1`` into ``out``, windows in order from 0.
         ``rng`` (a PCG64 generator) is left where the block's noise starts:
         gossip picks are drawn here in one ``integers`` call (it reads a
         varying count of outputs), kept in the narrowest unsigned dtype;
-        Bernoulli uniforms come a window at a time from ``scratch``, given
-        ``rng``'s state, while ``rng`` jumps the ``steps * E`` outputs they
-        take.  Not for the ``static`` law, which draws nothing."""
+        Bernoulli uniforms come a window at a time from ``scratch`` (a
+        PCG64 generator), set to ``rng``'s state, while ``rng`` jumps the
+        ``steps * E`` outputs they take; without ``scratch`` they are
+        drawn here from ``rng`` at once, the same outputs, and their
+        masks kept.  Not for the ``static`` law, which draws nothing."""
         edges = self.base.num_edges
         if self.law == "gossip":
             picks = rng.integers(0, edges, size=steps).astype(np.min_scalar_type(edges - 1))
             span = np.arange(edges, dtype=picks.dtype)
             return lambda w0, out: np.equal(picks[w0:w0 + len(out), None], span, out=out)
+        if scratch is None:
+            masks = rng.random((steps, edges)) < self.p
+            return lambda w0, out: np.copyto(out, masks[w0:w0 + len(out)])
         scratch.bit_generator.state = rng.bit_generator.state
         rng.bit_generator.advance(int(steps * edges))  # a numpy integer overflows there
         return lambda w0, out: np.less(scratch.random(out.shape), self.p, out=out)
@@ -187,8 +193,9 @@ class TopologyModel:
         law, which draws nothing."""
         if not self.draws_links:
             return None
-        fill = self.link_draws(rng, steps, np.random.Generator(np.random.PCG64(0)))
-        return fill(0, np.empty((steps, self.base.num_edges), dtype=bool))
+        out = np.empty((steps, self.base.num_edges), dtype=bool)
+        self.link_draws(rng, steps)(0, out)
+        return out
 
     def laplacians(self, active: np.ndarray | None) -> np.ndarray:
         """Laplacians of active-edge masks, (..., E) to (..., N, N); ``None``

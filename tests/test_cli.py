@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import adle
-from adle import cli, harness
+from adle import _kernel, cli, harness
 from adle.cli import ScenarioConfig, example1_graph, main, parse_config
 from adle.errors import ParseError, ValidationError
 from reference import reference_walk
@@ -273,7 +273,9 @@ def test_module_entry_point_runs_the_command(tmp_path):
 
 
 def test_a_one_worker_run_loads_neither_numpy_ma_nor_multiprocessing(tmp_path):
-    # the medians are sorts, and the process pool is imported only to be built
+    # the medians are sorts, the process pool is imported only to be built, and
+    # subprocess only to compile the kernel, which this process has built
+    _kernel._build()
     src = str(Path(adle.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     path = write_scenario(tmp_path, num_trials=harness.TRIALS_PER_BANK + 2, parallelism=1,
@@ -282,7 +284,7 @@ def test_a_one_worker_run_loads_neither_numpy_ma_nor_multiprocessing(tmp_path):
             "config = adle.cli.parse_config(sys.argv[1]); "
             "harness.write_report(harness.run_experiment(config), sys.argv[2], config.acceptance); "
             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'] "
-            "or m.split('.')[0] == 'multiprocessing'))")
+            "or m.split('.')[0] in ('multiprocessing', 'subprocess')))")
     out = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -367,15 +369,17 @@ def _physical_memory(monkeypatch, pages):
 
 def test_draw_buffers_beyond_memory_are_a_collected_validation_error(tmp_path, capsys,
                                                                       monkeypatch):
-    # 4 MiB of memory: one worker's bank (3.0 MiB, 2.5 of them the 64 x 1024
-    # steps of noise) fits beside the records of 130 trials (3 banks), two do not
-    _physical_memory(monkeypatch, 1024)
+    # 2 MiB of memory: one worker's bank (1.1 MiB, 0.9 of them the 64 x 364
+    # steps of the noise window) fits beside the records of 130 trials (3 banks),
+    # two do not
+    _physical_memory(monkeypatch, 512)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config = parse_config(write_scenario(tmp_path, num_trials=130, horizon=2085))
     parts = harness._draw_bytes(config.model, config.topology, 130, 2085)
+    assert harness._draw_window(64, 5, 1, 5, 1024) == 364
     assert parts == {
-        "noise window": 64 * 1024 * 5 * 8, "link mask window": 64 * 1024 * 5,
-        "weights": 3 * 1024 * 8, "gossip picks": 0, "link draw temporary": 1024 * 5 * 8,
+        "noise window": 64 * 364 * 5 * 8, "link mask window": 64 * 364 * 5,
+        "weights": 3 * 1024 * 8, "gossip picks": 0, "link draw temporary": 364 * 5 * 8,
         "lane scratch": 513 * 8 * 8,  # adle_scratch_vectors at n = m = 5, mx = 1
         "bank state": (64 * (5 + 25 + 2 + 1) + 1) * 5 * 8}
     path = write_scenario(tmp_path, num_trials=130, horizon=2085, parallelism=2)
@@ -383,8 +387,8 @@ def test_draw_buffers_beyond_memory_are_a_collected_validation_error(tmp_path, c
     err = capsys.readouterr().err
     assert "invalid scenario configuration" in err
     assert ("checkpoints: 130 trials x up to 20 checkpoints need 0 MiB of records and "
-            "2 workers x 3.0 MiB of bank buffers, more than 4 MiB of physical memory; "
-            "the largest part is the noise window (5.0 MiB)") in err
+            "2 workers x 1.1 MiB of bank buffers, more than 2 MiB of physical memory; "
+            "the largest part is the noise window (1.8 MiB)") in err
 
 
 #: Cgroup cases: the lines of /proc/self/cgroup (None: no such file), the
@@ -426,7 +430,7 @@ def test_memory_bound_is_the_smaller_of_physical_memory_and_the_cgroup_limit(
         (tmp_path / "proc_cgroup").write_text(lines)
     monkeypatch.setattr(harness, "_CGROUP_ROOT", root)
     monkeypatch.setattr(harness, "_PROC_CGROUP", tmp_path / "proc_cgroup")
-    bound = f"cgroup memory ({binding})"  # 1 MiB: less than one worker's 3.0 MiB bank
+    bound = f"cgroup memory ({binding})"  # 1 MiB: less than one worker's 1.1 MiB bank
     assert harness._memory_limit() == ((1 << 20, bound) if binding
                                        else (physical, "physical memory"))
     path = write_scenario(tmp_path, num_trials=130, horizon=2085)
@@ -437,9 +441,9 @@ def test_memory_bound_is_the_smaller_of_physical_memory_and_the_cgroup_limit(
 
 def test_an_oversized_scenario_fails_validation_before_it_allocates(tmp_path, capsys,
                                                                      monkeypatch):
-    # 2 MiB of memory, less than one bank's 3.0 MiB, of which the noise window
-    # alone (2.5 MiB) would take more than the whole call may
-    _physical_memory(monkeypatch, 512)
+    # 1 MiB of memory, less than one bank's 1.1 MiB, of which the noise window
+    # alone (0.9 MiB) would take more than the whole call may
+    _physical_memory(monkeypatch, 256)
     path = write_scenario(tmp_path, num_trials=64, horizon=5000)
     tracemalloc.start()
     try:
@@ -449,9 +453,9 @@ def test_an_oversized_scenario_fails_validation_before_it_allocates(tmp_path, ca
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert status == 1 and "invalid scenario configuration" in err
-    assert ("more than 2 MiB of physical memory; the largest part is the noise window "
-            "(2.5 MiB)") in err
-    assert peak < 1 << 20, peak
+    assert ("more than 1 MiB of physical memory; the largest part is the noise window "
+            "(0.9 MiB)") in err
+    assert peak < 1 << 19, peak
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -548,9 +548,9 @@ def _circulant50():
     return model, TopologyModel(Graph(50, tuple(edges)), "bernoulli", 0.5)
 
 
-def test_a_ring50_bank_peaks_below_one_point_six_draw_windows():
-    # 131-step windows of noise and masks (4.2 MB), where whole-block masks
-    # alone took 6.6 MB and the bank peaked at 13.3 MB
+def test_a_ring50_bank_peaks_below_three_point_two_megabytes():
+    # 32-step windows of noise and masks (1.0 MB), where 131-step windows
+    # (4.2 MB) peaked at 6.1 MB and whole-block masks at 13.3 MB
     model, top = _circulant50()
     schedule = WeightSchedule(b=0.25)  # 1 / max_degree
     seeds = [np.random.SeedSequence((4, k)) for k in range(harness.TRIALS_PER_BANK)]
@@ -562,13 +562,13 @@ def test_a_ring50_bank_peaks_below_one_point_six_draw_windows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert harness._draw_window(len(seeds), 50, 1, 100, BLOCK_STEPS) == 131
-    assert peak < 1.6 * harness._DRAW_WINDOW_BYTES, peak / harness._DRAW_WINDOW_BYTES
+    assert harness._draw_window(len(seeds), 50, 1, 100, BLOCK_STEPS) == 32
+    assert peak < 3.2e6, peak
 
 
 def test_checkpoint_records_are_held_once(tmp_path, ring_model, ring_schedule):
     # four banks of a static ring with a checkpoint at most steps: 7.5 MiB of
-    # records against one bank's 1.6 MiB of buffers; the run holds its records
+    # records against one bank's 1.1 MiB of buffers; the run holds its records
     # once, beside _median's sorted copy of the error norms, as validation
     # counts them, and the report writer formats them one trial at a time
     config = small_config(ring_model, TopologyModel(cycle_graph(5), "static"), ring_schedule,
@@ -1052,8 +1052,10 @@ def test_each_bank_is_bound_once(monkeypatch, ring_model, bernoulli_pentagon, ri
     monkeypatch.setattr(_kernel.BankKernel, "bind", spy)
     run_experiment(small_config(ring_model, bernoulli_pentagon, ring_schedule, num_trials=130,
                                 horizon=2 * BLOCK_STEPS + 37))
-    assert [shape[:2] for shape in shapes] == [(64, BLOCK_STEPS), (64, BLOCK_STEPS),
-                                               (2, BLOCK_STEPS)]
+    # a full bank's window is a part of a block, a two-trial bank's the whole block
+    full, two = (harness._draw_window(rows, 5, 1, 5, BLOCK_STEPS) for rows in (64, 2))
+    assert full < BLOCK_STEPS == two
+    assert [shape[:2] for shape in shapes] == [(64, full), (64, full), (2, two)]
 
 
 @pytest.mark.parametrize("law", ["static", "bernoulli", "gossip"])
@@ -1080,17 +1082,21 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
         return lambda w0, out: traced(lambda: fill(w0, out))[0]
 
     monkeypatch.setattr(TopologyModel, "link_draws", spy)
-    for window in (BLOCK_STEPS, 37):  # whole blocks (the 5-agent ring's), then 37-step windows
-        if window != BLOCK_STEPS:
-            monkeypatch.setattr(harness, "_DRAW_WINDOW_BYTES",
-                                window * _step_bytes(ring_model, top, len(seeds)))
+    step, steps = _step_bytes(ring_model, top, len(seeds)), min(BLOCK_STEPS, horizon)
+    edges = top.base.num_edges if top.draws_links else 0
+    # the library's windows (whole blocks for 3 trials, a part of a block for 64), then
+    # 37-step windows
+    for size in (harness._DRAW_WINDOW_BYTES, 37 * step):
+        monkeypatch.setattr(harness, "_DRAW_WINDOW_BYTES", size)
+        window = harness._draw_window(len(seeds), 5, 1, edges, steps)
+        assert window == steps or window * step <= size < (window + 1) * step
         held.clear()
         peaks.clear()
         walk = harness._walk(ring_model, top, ring_schedule, horizon, [horizon], seeds)
         _, _, bound = next(walk)
         parts = harness._draw_bytes(ring_model, top, trials, horizon)
         arrays = dict(bound._arrays)
-        assert arrays["noise"].shape[1] == min(window, horizon)
+        assert arrays["noise"].shape[1] == window
         assert (arrays["active"] is None) == (law == "static")
         # the lane scratch at the widest width; the model's arrays are not the bank's
         lanes = 1 if len(seeds) == 1 else _kernel.load().lanes
