@@ -1,6 +1,6 @@
 /* Fused bank kernel: for a whole bank of trials, the consensus+innovation
  * round of the numpy oracle ``stacked_round`` (``tests/reference.py``)
- * plus the moment update over one segment of a draw block, and the
+ * plus the moment update over one segment of a draw window, and the
  * checkpoint records of ``harness._bank_checkpoint``.
  *
  * ``struct adle_bank`` holds the sizes and the array addresses, set once
@@ -18,11 +18,11 @@
  *   truth     (n, mx)              sensed truth H theta
  *   factor    (n, mx, mx)          noise factors
  *   noise     (bank, window, n, mx) unit-variance draws of a window of
- *                                  block steps: row s - w0 holds step s
- *   w         (3, steps)           alpha, beta, gamma of each block step
+ *                                  steps: row s holds window step s
+ *   w         (3, window)          alpha, beta, gamma of each window step
  *   edges     (num_edges, 2)       base-graph edges
  *   active    (bank, window, num_edges) active-edge masks of the same window
- *                                  of steps as the noise; NULL: all active
+ *                                  of steps; NULL: all active
  *   theta, kopt, gtarget  (m), (n, m, mx), (m, m): truth, optimal gains, mean Grammian
  *   scratch   adle_scratch_vectors() lane vectors, 64-byte aligned
  *   failure   (2,)                 trial and step of a failure
@@ -46,7 +46,7 @@
  * one: a group's state is gathered into lane-major scratch once per
  * call and scattered back once, while each step's noise and active-edge
  * masks are read in place, strided by trial by the window.  A call's
- * segment lies inside the draw window that starts at block step w0.
+ * segment lies inside the window, in steps counted from its first.
  * Partial pivoting picks each lane's pivot by compare-and-blend, and a
  * masked-off edge or a dead lane keeps its value by select, never by
  * adding zero (-0.0 + 0.0 is +0.0).  A trial whose gain solve meets a zero pivot
@@ -67,10 +67,10 @@ enum { OK = 0, SINGULAR = 1, NOT_FINITE = 2 };
 /* Mirrored field for field by ``_kernel._BankArgs`` in the loader, which
  * checks its size and this version: bump the version whenever a field, or
  * the meaning of one, changes. */
-#define ADLE_LAYOUT 2
+#define ADLE_LAYOUT 3
 
 struct adle_bank {
-    int64_t bank, n, m, mx, steps, window, num_edges;
+    int64_t bank, n, m, mx, window, num_edges;
     double *x, *g, *shift, *sums, *outer;
     const double *q0, *h, *truth, *factor, *noise, *w;
     const int64_t *edges;
@@ -409,11 +409,9 @@ static M NAME(gather_group)(const struct NAME(fields) *f, int64_t bank, int64_t 
     return live;
 }
 
-int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, int64_t count,
-                            int64_t w0)
+int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, int64_t count)
 {
-    const int64_t bank = b->bank, n = b->n, m = b->m, mx = b->mx, steps = b->steps;
-    const int64_t window = b->window;
+    const int64_t bank = b->bank, n = b->n, m = b->m, mx = b->mx, window = b->window;
     const int64_t num_edges = b->num_edges, *edges = b->edges;
     const double *q0 = b->q0, *h = b->h, *truth = b->truth, *factor = b->factor;
     const double *noise = b->noise, *w = b->w;
@@ -437,10 +435,10 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
         M live = NAME(gather_group)(&fields, bank, first, trial);
 
         for (int64_t s = start; s < stop && NAME(any)(live); s++) {
-            const double alpha = w[s], beta = w[steps + s], gamma = w[2 * steps + s];
+            const double alpha = w[s], beta = w[window + s], gamma = w[2 * window + s];
             const int64_t c = count + (s - start);
             for (int l = 0; l < LANES; l++)
-                NAME(gather)(n * mx, l, noise + (trial[l] * window + s - w0) * n * mx, z);
+                NAME(gather)(n * mx, l, noise + (trial[l] * window + s) * n * mx, z);
             for (int64_t a = 0; a < n; a++) {
                 const V *za = z + a * mx;
                 for (int64_t i = 0; i < mx; i++) {
@@ -477,7 +475,7 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
             for (int64_t k = 0; k < num_edges; k++) {
                 if (active != NULL) {
                     for (int l = 0; l < LANES; l++)
-                        LANE(on, l) = active[(trial[l] * window + s - w0) * num_edges + k] ? -1 : 0;
+                        LANE(on, l) = active[(trial[l] * window + s) * num_edges + k] ? -1 : 0;
                     if (!NAME(any)(on))
                         continue;
                 }

@@ -2,7 +2,7 @@
 one consensus+innovation round and its checkpoint diagnostics.
 
 The kernel advances a whole trial bank through one segment of a draw
-block in a single call, forming each step's observations from the
+window in a single call, forming each step's observations from the
 noise, or writes the bank's checkpoint records.  A bank is bound once,
 with its state, model, links and draw buffers (``BankKernel.bind``);
 both entry points then work on it in one lane scratch buffer.  The
@@ -37,7 +37,7 @@ from .network import TopologyModel
 _SOURCE = Path(__file__).with_name("_kernel.c")
 
 #: ``ADLE_LAYOUT`` of ``_kernel.c``: the version of ``struct adle_bank``.
-LAYOUT = 2
+LAYOUT = 3
 
 #: No ``-march=native`` and no ``-ffast-math``, and no contraction into
 #: fused multiply-adds: results are then bit-stable across machines of
@@ -127,8 +127,7 @@ class _BankArgs(ctypes.Structure):
     """``struct adle_bank`` of ``_kernel.c``, field for field."""
 
     _fields_ = (
-        [(name, ctypes.c_int64) for name in ("bank", "n", "m", "mx", "steps", "window",
-                                              "num_edges")]
+        [(name, ctypes.c_int64) for name in ("bank", "n", "m", "mx", "window", "num_edges")]
         + [(name, ctypes.c_void_p) for name in ("x", "g", "shift", "sums", "outer", "q0", "h",
                                                 "truth", "factor", "noise", "w", "edges",
                                                 "active", "theta", "kopt", "gtarget",
@@ -159,7 +158,7 @@ class BankKernel:
         for width in WIDTHS[:WIDTHS.index(self.lanes) + 1]:
             advance, checkpoint = self._fns[width] = (lib[f"adle_advance_bank_{width}"],
                                                       lib[f"adle_checkpoint_bank_{width}"])
-            advance.argtypes = [bank, i64, i64, i64, i64]
+            advance.argtypes = [bank, i64, i64, i64]
             checkpoint.argtypes = [bank, i64, ctypes.c_double, ctypes.c_void_p]
             advance.restype = checkpoint.restype = ctypes.c_int
         self._lib = lib
@@ -172,21 +171,19 @@ class BankKernel:
         Grammians and moments in place.  ``model`` is the
         ``ObservationModel`` whose padded sensing, sensed truth and noise
         factors (``_stacked``) it reads, and ``top`` holds the links.  The
-        draw buffers of a block of S steps are ``noise``, the
-        (R, W, N, max_dim) unit-variance draws of a window of W of its
-        steps, from which the kernel forms each step's observations,
-        ``weights``, the (3, S) alpha, beta and gamma of the steps, and
-        ``active``, the bool (R, W, E) active-edge masks over
-        ``top.edge_array`` of the same window, or ``None`` when every edge
-        is always active.
+        draw buffers hold a window of W steps: ``noise``, the
+        (R, W, N, max_dim) unit-variance draws from which the kernel forms
+        each step's observations, ``weights``, the (3, W) alpha, beta and
+        gamma of the steps, and ``active``, the bool (R, W, E) active-edge
+        masks over ``top.edge_array``, or ``None`` when every edge is
+        always active.
         Their contents may change between segments; no address may.  The
         returned bank keeps every array alive, and the lane scratch
         allocated here for both entry points.
         """
         stacked = model._stacked
         n, m, mx = model.num_agents, model.param_dim, stacked.max_dim
-        bank = _shape_of(state.estimates, "estimates", 3)[0]
-        window, steps = _shape_of(noise, "noise", 4)[1], _shape_of(weights, "weights", 2)[1]
+        bank, window = _shape_of(noise, "noise", 4)[:2]
         arrays = {  # in the order of struct adle_bank
             "x": _check(state.estimates, "estimates", np.float64, (bank, n, m)),
             "g": _check(state.grammians, "grammians", np.float64, (bank, n, m, m)),
@@ -196,7 +193,7 @@ class BankKernel:
             "q0": _check(state.initial_sample_covs, "initial_sample_covs", np.float64, (n, mx, mx)),
             "h": stacked.sensing, "truth": stacked.sensed_truth, "factor": stacked.noise_factor,
             "noise": _check(noise, "noise", np.float64, (bank, window, n, mx)),
-            "w": _check(weights, "weights", np.float64, (3, steps)),
+            "w": _check(weights, "weights", np.float64, (3, window)),
             "edges": top.edge_array,
             "active": None if active is None else _check(
                 active, "active", np.bool_, (bank, window, top.base.num_edges)),
@@ -205,8 +202,7 @@ class BankKernel:
             raise ValueError("the bank state arrays must be writable")
         if top.base.num_nodes != n:
             raise ValueError(f"topology has {top.base.num_nodes} nodes, state has {n} agents")
-        args = _BankArgs(bank=bank, n=n, m=m, mx=mx, steps=steps, window=window,
-                         num_edges=top.base.num_edges,
+        args = _BankArgs(bank=bank, n=n, m=m, mx=mx, window=window, num_edges=top.base.num_edges,
                          **{name: None if arr is None else arr.ctypes.data
                             for name, arr in arrays.items()})
         lanes = 1 if bank == 1 else self.lanes
@@ -227,23 +223,22 @@ class BoundBank:
         self._fn, self._checkpoint, self._args, self._arrays = advance, checkpoint, args, arrays
         self._model, self._ref = model, ctypes.byref(args)
 
-    def advance(self, count: int, start: int, stop: int, w0: int) -> None:
-        """Advance the bank through block steps ``start..stop-1`` in place.
+    def advance(self, count: int, start: int, stop: int) -> None:
+        """Advance the bank in place through steps ``start..stop-1`` of its
+        draw window: those rows of its noise, masks and weights.
 
         ``count`` observations have been folded into the moments before
-        ``start``.  The noise and mask buffers hold block steps ``w0`` on,
-        one per row, and the segment lies inside them.  A zero pivot in a gain
-        solve raises :class:`TrialDiverged` naming the earliest step it
-        met (``count`` plus its offset from ``start``) and the first
-        trial, by its place in the bank, that met it there.
+        ``start``.  A zero pivot in a gain solve raises
+        :class:`TrialDiverged` naming the earliest step it met (``count``
+        plus its offset from ``start``) and the first trial, by its place
+        in the bank, that met it there.
         """
-        steps, window = self._args.steps, self._args.window
-        if not 0 <= w0 <= start <= stop <= min(steps, w0 + window):
-            raise ValueError(f"segment [{start}, {stop}) outside the draw window "
-                             f"[{w0}, {w0 + window}) of a block of {steps} steps")
+        window = self._args.window
+        if not 0 <= start <= stop <= window:
+            raise ValueError(f"segment [{start}, {stop}) outside the draw window [0, {window})")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        if self._fn(self._ref, start, stop, count, w0) == SINGULAR:
+        if self._fn(self._ref, start, stop, count) == SINGULAR:
             failure = self._args.failure
             raise TrialDiverged(failure[0], failure[1], TrialDiverged.SINGULAR)
 

@@ -20,7 +20,6 @@ observations from the noise, and writes the checkpoint diagnostics.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -146,11 +145,11 @@ def _laplacian_at(top: TopologyModel, active, s: int):
     return top.laplacians(None if active is None else active[:, s])
 
 
-def _advance(bound, state: NetworkState, start: int, stop: int, w0: int) -> None:
-    """Advance a bank through block steps ``start..stop-1`` in place, ``state.step``
-    included, by one call of its bound kernel (``_kernel.BoundBank``), whose
-    draw window starts at block step ``w0``."""
-    bound.advance(state.step, start, stop, w0)
+def _advance(bound, state: NetworkState, start: int, stop: int) -> None:
+    """Advance a bank through steps ``start..stop-1`` of its draw window in
+    place, ``state.step`` included, by one call of its bound kernel
+    (``_kernel.BoundBank``)."""
+    bound.advance(state.step, start, stop)
     state.step += stop - start
 
 
@@ -187,7 +186,7 @@ def _draw_bytes(model: ObservationModel, top: TopologyModel, trials: int,
     return {
         "noise window": rows * window * n * mx * 8,
         **top.link_draw_bytes(rows, steps, window),
-        "weights": 3 * steps * 8,
+        "weights": 3 * window * 8,
         "lane scratch": _kernel.scratch_vectors(n, m, mx) * max(_kernel.WIDTHS) * 8,
         "bank state": (rows * (m + m * m + 2 * mx + mx * mx) + mx * mx) * n * 8,
     }
@@ -277,32 +276,30 @@ def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
     for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
         a = getattr(state, field)
         setattr(state, field, np.tile(a, (len(rngs),) + (1,) * a.ndim))
-    size = min(BLOCK_STEPS, horizon)  # a short last block fills a prefix of each row
     edges = top.base.num_edges if top.draws_links else 0
-    window = _draw_window(len(rngs), n, mx, edges, size)
-    noise = np.empty((len(rngs), window, n, mx))
+    window = _draw_window(len(rngs), n, mx, edges, min(BLOCK_STEPS, horizon))
+    noise = np.empty((len(rngs), window, n, mx))  # a short window fills a prefix of each row
     active = np.empty((len(rngs), window, edges), bool) if edges else None
-    weights = np.empty((3, size))
+    weights = np.empty((3, window))
     bound = _kernel.load().bind(state, model, top, noise, weights, active)
-    # each trial's scratch generator, and its link draws of the block (TopologyModel.link_draws)
-    scratch = [np.random.Generator(np.random.PCG64(0)) for _ in rngs] if edges else None
+    # each trial's scratch generator, if any, and its link draws of the block
+    scratch = [top.link_scratch() for _ in rngs]
     draws = []
 
     pointer = 0
     while state.step < horizon:
         block_start = state.step
         steps = min(BLOCK_STEPS, horizon - block_start)
-        weights[:, :steps] = schedule.block(block_start, steps)
         for w0 in range(0, steps, window):
-            drawn = min(window, steps - w0)
+            drawn, window_start = min(window, steps - w0), block_start + w0
+            weights[:, :drawn] = schedule.block(window_start, drawn)
             if edges:
                 _draw_topology_block(top, draws, rngs, scratch, steps, w0, active[:, :drawn])
             for rng, row in zip(rngs, noise):
                 _unit_variance_draws(rng, model.noise, (drawn, n, mx), row[:drawn])
-            window_end = block_start + w0 + drawn
-            while state.step < window_end:
-                stop = min(window_end, grid[pointer])
-                _advance(bound, state, state.step - block_start, stop - block_start, w0)
+            while state.step < window_start + drawn:
+                stop = min(window_start + drawn, grid[pointer])
+                _advance(bound, state, state.step - window_start, stop - window_start)
                 if state.step == grid[pointer]:
                     yield state.step, state, bound
                     pointer += 1
@@ -325,9 +322,10 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
     into its row of them a window at a time, the same runs of its stream
     as whole-block draws: its link draws start at the block's first window
     and leave its generator where the noise starts
-    (:meth:`TopologyModel.link_draws`).  The kernel forms the
-    observations from the noise, in segments that end at grid steps,
-    window ends or the block end (:func:`_advance`).
+    (:meth:`TopologyModel.link_draws`).  The window's weights are written
+    beside them, and the kernel, which sees only the window, forms the
+    observations from the noise in segments that end at grid steps or
+    window ends (:func:`_advance`).
     A singular gain solve raises :class:`TrialDiverged` with the trial's
     place in the bank.
     """
@@ -609,12 +607,15 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _row(fields) -> str:
+    """One CSV row as ``csv.writer`` writes fields that need no quoting."""
+    return ",".join(fields) + "\r\n"
+
+
 def _write_matrix(path: Path, matrix: np.ndarray, header: str):
     with open(path, "w", newline="") as handle:
         handle.write(f"# {header}\n")
-        writer = csv.writer(handle)
-        for row in np.atleast_2d(matrix):
-            writer.writerow([_fmt(v) for v in row])
+        handle.writelines(_row(map(_fmt, row)) for row in np.atleast_2d(matrix))
 
 
 def write_report(
@@ -637,12 +638,12 @@ def write_report(
     header = ["trial", "t", "disagreement", *(f"err_agent_{i}" for i in range(n_agents)),
               "gain_gap", "grammian_gap"]
     times = report.checkpoint_times.tolist()  # Python ints and floats: repr is _fmt
-    with open(outdir / "checkpoints.csv", "w", newline="") as handle:  # rows end as csv.writer's
-        handle.write(",".join(header) + "\r\n")
+    with open(outdir / "checkpoints.csv", "w", newline="") as handle:
+        handle.write(_row(header))
         for trial, errors in enumerate(report.trial_error_norms):  # a trial's table at a time
             rows = np.column_stack([report.trial_disagreement[trial], errors,
                                     report.trial_gain_gap[trial], report.trial_grammian_gap[trial]])
-            handle.writelines(f"{trial},{t}," + ",".join(map(repr, row)) + "\r\n"
+            handle.writelines(_row([str(trial), str(t), *map(repr, row)])
                               for t, row in zip(times, rows.tolist()))
 
     for agent in range(n_agents):
@@ -662,12 +663,11 @@ def write_report(
                       "KS p-values per agent (rows) and coordinate (columns)")
 
     stats = evaluate_acceptance(report, thresholds)
+    summary = [["statistic", "value", "requirement", "passed"],
+               *([name, str(getattr(report, name)), "", ""]
+                 for name in ("master_seed", "num_trials", "horizon")),
+               *([stat.name, _fmt(stat.value), stat.requirement, _fmt(stat.passed)]
+                 for stat in stats)]
     with open(outdir / "summary.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["statistic", "value", "requirement", "passed"])
-        writer.writerow(["master_seed", str(report.master_seed), "", ""])
-        writer.writerow(["num_trials", str(report.num_trials), "", ""])
-        writer.writerow(["horizon", str(report.horizon), "", ""])
-        for stat in stats:
-            writer.writerow([stat.name, _fmt(stat.value), stat.requirement, _fmt(stat.passed)])
+        handle.writelines(map(_row, summary))
     return stats

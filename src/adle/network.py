@@ -157,8 +157,8 @@ class TopologyModel:
         ``rng`` (a PCG64 generator) is left where the block's noise starts:
         gossip picks are drawn here in one ``integers`` call (it reads a
         varying count of outputs), kept in the narrowest unsigned dtype;
-        Bernoulli uniforms come a window at a time from ``scratch`` (a
-        PCG64 generator), set to ``rng``'s state, while ``rng`` jumps the
+        Bernoulli uniforms come a window at a time from ``scratch``
+        (:meth:`link_scratch`), set to ``rng``'s state, while ``rng`` jumps the
         ``steps * E`` outputs they take; without ``scratch`` they are
         drawn here from ``rng`` at once, the same outputs, and their
         masks kept.  Not for the ``static`` law, which draws nothing."""
@@ -173,6 +173,11 @@ class TopologyModel:
         scratch.bit_generator.state = rng.bit_generator.state
         rng.bit_generator.advance(int(steps * edges))  # a numpy integer overflows there
         return lambda w0, out: np.less(scratch.random(out.shape), self.p, out=out)
+
+    def link_scratch(self) -> np.random.Generator | None:
+        """A trial's scratch generator for :meth:`link_draws`: a PCG64 one
+        under the ``bernoulli`` law, which reads it, else ``None``."""
+        return np.random.Generator(np.random.PCG64(0)) if self.law == "bernoulli" else None
 
     def link_draw_bytes(self, rows: int, steps: int, window: int) -> dict[str, int]:
         """Bytes of ``rows`` trials' link draws of a block of ``steps`` steps

@@ -3,11 +3,13 @@ import csv
 import ctypes
 import copy
 import dataclasses
+import hashlib
 import itertools
 import logging
 import math
 import os
 import pickle
+import re
 import stat
 import subprocess
 import sys
@@ -394,10 +396,13 @@ def test_write_report_emits_deterministic_csv(tmp_path, ring_model, bernoulli_pe
     ) + ",gain_gap,grammian_gap"
 
 
-def _checkpoints_by_csv_writer(report, path):
-    """``checkpoints.csv`` as ``csv.writer`` writes it, one cell per value."""
+def _report_by_csv_writer(report, stats, got, oracle):
+    """The files of ``write_report`` as ``csv.writer`` writes them, one cell
+    per value, into ``oracle``; a matrix file's ``#`` header line is the
+    one written into ``got``."""
     n_agents = report.trial_error_norms.shape[-1]
-    with open(path, "w", newline="") as handle:
+    oracle.mkdir()
+    with open(oracle / "checkpoints.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["trial", "t", "disagreement"]
                         + [f"err_agent_{i}" for i in range(n_agents)]
@@ -408,24 +413,50 @@ def _checkpoints_by_csv_writer(report, path):
                           *report.trial_error_norms[trial, c],
                           report.trial_gain_gap[trial, c], report.trial_grammian_gap[trial, c]]
                 writer.writerow([int(trial), int(t), *(repr(float(v)) for v in values)])
+    matrices = {f"covariance_agent_{agent}.csv": cov
+                for agent, cov in enumerate(report.empirical_scaled_cov)}
+    matrices.update({"covariance_target.csv": report.target_cov,
+                     "covariance_centralized.csv": report.centralized_scaled_cov,
+                     "ks_pvalues.csv": report.ks_pvalues})
+    for name, matrix in matrices.items():
+        with open(oracle / name, "w", newline="") as handle:
+            handle.write((got / name).read_text().splitlines(keepends=True)[0])
+            csv.writer(handle).writerows([repr(float(v)) for v in row] for row in matrix)
+    with open(oracle / "summary.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["statistic", "value", "requirement", "passed"])
+        for name in ("master_seed", "num_trials", "horizon"):
+            writer.writerow([name, getattr(report, name), "", ""])
+        for stat in stats:
+            writer.writerow([stat.name, repr(float(stat.value)), stat.requirement,
+                             "true" if stat.passed else "false"])
 
 
 def test_checkpoints_csv_is_the_csv_writer_bytes(tmp_path, ring_model, bernoulli_pentagon,
                                                  ring_schedule):
+    # and so is every other file of the report
     report = run_experiment(small_config(ring_model, bernoulli_pentagon, ring_schedule,
-                                         num_trials=3, horizon=300))
+                                         num_trials=3, horizon=300, run_ks_test=True))
     report.trial_disagreement[0, 1] = np.nan
     report.trial_error_norms[1, 2, 3] = np.inf
     report.trial_error_norms[2, 0, 0] = -0.0
     report.trial_gain_gap[2, 3] = -np.inf
     report.trial_gain_gap[0, 0] = 1e22
     report.trial_grammian_gap[1, -1] = 5e-324
-    write_report(report, tmp_path / "out", AcceptanceThresholds())
-    _checkpoints_by_csv_writer(report, tmp_path / "oracle.csv")
+    report.empirical_scaled_cov[1, 0, 2] = np.nan
+    report.centralized_scaled_cov[0, 0] = -0.0
+    stats = write_report(report, tmp_path / "out", AcceptanceThresholds())
+    _report_by_csv_writer(report, stats, tmp_path / "out", tmp_path / "oracle")
+    names = sorted(path.name for path in (tmp_path / "out").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "oracle").iterdir())
+    assert len(names) == 10 and "ks_pvalues.csv" in names
+    for name in names:
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
     got = (tmp_path / "out" / "checkpoints.csv").read_bytes()
-    assert got == (tmp_path / "oracle.csv").read_bytes()
     assert all(cell in got for cell in (b",nan,", b",inf,", b",-0.0,", b",-inf,", b",1e+22,",
                                         b",5e-324\r\n"))
+    assert b",nan," in (tmp_path / "out" / "covariance_agent_1.csv").read_bytes()
+    assert any(not stat.passed for stat in stats) and any(stat.passed for stat in stats)
 
 
 @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
@@ -608,7 +639,7 @@ def _windowed_masks(top, rngs, steps, window):
     """A block's active-edge masks, bool (R, steps, E), drawn through
     ``harness._draw_topology_block`` a ``window`` of steps at a time."""
     masks = np.empty((len(rngs), steps, top.base.num_edges), bool)
-    scratch, draws = [np.random.Generator(np.random.PCG64(0)) for _ in rngs], []
+    scratch, draws = [top.link_scratch() for _ in rngs], []
     for w0 in range(0, steps, window):
         harness._draw_topology_block(top, draws, rngs, scratch, steps, w0,
                                      masks[:, w0:w0 + window])
@@ -674,6 +705,24 @@ def test_sample_laplacian_is_a_one_step_block(law):
         assert np.array_equal(sampled, laplacian_of(Graph(5, active)))
 
 
+@pytest.mark.parametrize("law", sorted(DRAW_LAWS))
+def test_only_a_bernoulli_walk_builds_scratch_generators(monkeypatch, ring_model, ring_schedule,
+                                                         law):
+    # gossip picks and static links read no scratch generator, so none is built;
+    # the trials' own come from np.random.default_rng, which the spy does not see
+    built, generator = [], np.random.Generator
+
+    def spy(*args):
+        built.append(args)
+        return generator(*args)
+
+    monkeypatch.setattr(np.random, "Generator", spy)
+    seeds = [np.random.SeedSequence((31, k)) for k in range(3)]
+    horizon = BLOCK_STEPS + 50
+    list(harness._walk(ring_model, DRAW_LAWS[law], ring_schedule, horizon, [horizon], seeds))
+    assert len(built) == (len(seeds) if law == "bernoulli" else 0)
+
+
 def _snapshots(walk):
     """Copies of the state arrays of a trajectory (or a walk) at every grid step."""
     return [(t, [a.copy() for a in (state.estimates, state.grammians, state.obs_shifts,
@@ -698,6 +747,7 @@ def test_noise_windows_keep_the_bits_of_whole_block_draws(monkeypatch, law, nois
     first = next(walk)
     arrays = first[2]._arrays
     assert arrays["noise"].shape[:2] == (len(seeds), window)
+    assert arrays["w"].shape == (3, window)
     if law == "static":
         assert arrays["active"] is None
     else:
@@ -747,10 +797,10 @@ def _network(model, state, q0, count=0):
 
 
 def _kernel_advance(kernel, state, count, q0, model, noise, start, stop, weights, top, active):
-    """Bind a bank and its draws, then advance it through block steps
-    ``start..stop-1`` from ``count`` folded observations."""
+    """Bind a bank and its draws, one window of steps, then advance it
+    through steps ``start..stop-1`` from ``count`` folded observations."""
     bound = kernel.bind(_network(model, state, q0, count), model, top, noise, weights, active)
-    bound.advance(count, start, stop, 0)
+    bound.advance(count, start, stop)
 
 
 def _bank_state(model, init, bank=3):
@@ -876,7 +926,7 @@ def test_singular_gain_solve_names_the_first_trial_and_its_step(compiled):
     with pytest.raises(TrialDiverged) as info:
         if compiled:
             bound = _kernel.load().bind(state, model, top, noise, weights, draws)
-            harness._advance(bound, state, 3, 8, 0)
+            harness._advance(bound, state, 3, 8)
         else:
             stacked_segment(state, model._stacked, noise, 3, 8, weights, top, draws)
     assert (info.value.trial, info.value.step) == (1, 40)
@@ -905,14 +955,17 @@ def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
     with pytest.raises(ValueError, match="writable"):
         _kernel_advance(kernel, [frozen, g, shifts, sums, outer], 0, q0, model, noise, 0, 8,
                         weights, top, draws)
+    network = _network(model, [x, g, shifts, sums, outer], q0)
     with pytest.raises(ValueError, match="active has shape"):  # masks of another window
-        kernel.bind(_network(model, [x, g, shifts, sums, outer], q0), model, top,
-                    noise[:, :4].copy(), weights, draws)
-    window = kernel.bind(_network(model, [x, g, shifts, sums, outer], q0), model, top,
-                         noise[:, :4].copy(), weights, draws[:, :4].copy())  # steps w0..w0+3
-    for start, stop, w0 in [(2, 6, 0), (3, 6, 4), (6, 9, 5)]:
-        with pytest.raises(ValueError, match="outside the draw window"):
-            window.advance(0, start, stop, w0)
+        kernel.bind(network, model, top, noise[:, :4].copy(), weights[:, :4].copy(), draws)
+    with pytest.raises(ValueError, match=r"weights has shape \(3, 8\), expected \(3, 4\)"):
+        kernel.bind(network, model, top, noise[:, :4].copy(), weights, draws[:, :4].copy())
+    window = kernel.bind(network, model, top, noise[:, :4].copy(), weights[:, :4].copy(),
+                         draws[:, :4].copy())  # a 4-step window: segments lie in [0, 4)
+    for start, stop in [(2, 6), (-1, 2), (3, 5), (5, 5), (3, 2)]:
+        with pytest.raises(ValueError, match=r"outside the draw window \[0, 4\)"):
+            window.advance(0, start, stop)
+    window.advance(0, 4, 4)  # an empty segment at the window's end
     assert np.array_equal(x, np.zeros_like(x))  # nothing ran
     assert np.array_equal(frozen, np.zeros_like(x))
 
@@ -1081,9 +1134,12 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
         held.append(left)
         return lambda w0, out: traced(lambda: fill(w0, out))[0]
 
-    monkeypatch.setattr(TopologyModel, "link_draws", spy)
     step, steps = _step_bytes(ring_model, top, len(seeds)), min(BLOCK_STEPS, horizon)
     edges = top.base.num_edges if top.draws_links else 0
+    if edges:  # a process's first draws leave one-off allocations: make them untraced
+        fill = top.link_draws(np.random.default_rng(0), steps, top.link_scratch())
+        fill(0, np.empty((1, edges), bool))
+    monkeypatch.setattr(TopologyModel, "link_draws", spy)
     # the library's windows (whole blocks for 3 trials, a part of a block for 64), then
     # 37-step windows
     for size in (harness._DRAW_WINDOW_BYTES, 37 * step):
@@ -1195,6 +1251,28 @@ def test_a_library_of_another_layout_is_refused_not_bound(tmp_path):
         f"adle.errors.AdleError: the compiled kernel's struct adle_bank is layout "
         f"{_kernel.LAYOUT} of {size} bytes, but the loader's _BankArgs is layout "
         f"{_kernel.LAYOUT} of {size + 8} bytes")
+
+
+def test_a_library_of_layout_two_is_refused(monkeypatch, tmp_path):
+    # the same struct adle_bank under the previous version number
+    source = _kernel._SOURCE.read_bytes().replace(b"#define ADLE_LAYOUT 3\n",
+                                                  b"#define ADLE_LAYOUT 2\n")
+    (_kernel_source_copy(monkeypatch, tmp_path) / "_kernel.c").write_bytes(source)
+    monkeypatch.setattr(_kernel, "_SOURCE_DIGEST", hashlib.sha256(source).digest())
+    size = ctypes.sizeof(_kernel._BankArgs)
+    with pytest.raises(AdleError, match=re.escape(
+            f"struct adle_bank is layout 2 of {size} bytes, but the loader's _BankArgs is "
+            f"layout 3 of {size} bytes")):
+        _kernel.BankKernel(ctypes.CDLL(str(_kernel._build())))
+
+
+def test_bank_args_are_struct_adle_bank_field_for_field():
+    # the size and version checks cannot see two fields of one type swapped
+    body = re.search(r"struct adle_bank \{(.*?)\};", _kernel._SOURCE.read_text(), re.S)[1]
+    fields = [(name, star == "*") for star, name in re.findall(r"(\*?)(\w+)(?:\[\d+\])?\s*[,;]",
+                                                                body)]
+    assert fields == [(name, kind is ctypes.c_void_p) for name, kind in _kernel._BankArgs._fields_]
+    assert "steps" not in dict(fields)
 
 
 def test_the_kernel_source_is_read_once_at_import(monkeypatch, tmp_path):
