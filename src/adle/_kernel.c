@@ -1,7 +1,8 @@
 /* Fused bank kernel: for a whole bank of trials, the consensus+innovation
  * round of the numpy oracle ``stacked_round`` (``tests/reference.py``)
  * plus the moment update over one segment of a draw window, and the
- * checkpoint records of ``harness._bank_checkpoint``.
+ * checkpoint records of ``harness._bank_checkpoint``.  The trials' random
+ * streams, which fill the draw windows, are here too (see Random streams).
  *
  * ``struct adle_bank`` holds the sizes and the array addresses, set once
  * by the Python loader; every array is C-contiguous float64 (int64 for
@@ -59,6 +60,8 @@
  * is the shared part below, with LANES the body after #else. */
 #ifndef LANES
 
+#include <stdbool.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -134,6 +137,174 @@ int adle_lanes(void)
         return __builtin_cpu_supports("avx512f") ? 8 : 4;
 #endif
     return 1;
+}
+
+/* Random streams.  struct adle_stream is numpy's PCG64 state with its
+ * carried half-word: a stream seeded with the words of
+ * SeedSequence.generate_state(4, uint64) draws exactly what
+ * np.random.default_rng draws, since the draws below are numpy's own C
+ * distributions (libnpyrandom.a, linked into this library) called on it.
+ * The loader allocates a bank's states 16-byte aligned.  The link law is
+ * not read here: the masks below are uniforms compared with a given p. */
+typedef __uint128_t u128;
+
+struct adle_stream {
+    u128 state, inc;
+    int32_t has_half;   /* numpy's has_uint32 and uinteger: the upper half */
+    uint32_t half;      /* of an output whose lower half was drawn alone */
+};
+
+/* numpy/random/bitgen.h, and the distributions of numpy/random/distributions.h
+ * that are used (that header includes Python.h) */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+void random_standard_normal_fill(bitgen_t *, ptrdiff_t, double *);
+double random_laplace(bitgen_t *, double, double);
+uint64_t random_bounded_uint64(bitgen_t *, uint64_t, uint64_t, uint64_t, bool);
+
+#define PCG_MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
+
+/* PCG64's XSL-RR output of the next state */
+static inline uint64_t next64(struct adle_stream *s)
+{
+    const u128 state = s->state = s->state * PCG_MULT + s->inc;
+    const uint64_t folded = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    const unsigned rot = (unsigned)(state >> 122);
+    return (folded >> rot) | (folded << ((64 - rot) & 63));
+}
+
+static inline double to_unit(uint64_t bits)
+{
+    return (double)(bits >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static uint64_t next_uint64(void *s)
+{
+    return next64(s);
+}
+
+static uint32_t next_uint32(void *st)
+{
+    struct adle_stream *s = st;
+    if (s->has_half) {
+        s->has_half = 0;
+        return s->half;
+    }
+    const uint64_t next = next64(s);
+    s->has_half = 1;
+    s->half = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double next_double(void *s)
+{
+    return to_unit(next64(s));
+}
+
+#define BITGEN(s) {(s), next_uint64, next_uint32, next_double, next_uint64}
+
+int64_t adle_stream_bytes(void)
+{
+    return (int64_t)sizeof(struct adle_stream);
+}
+
+/* The entry points below work on a bank of `rows` streams, consecutive in
+ * memory, and write stream r's draws at out + r * stride (in bytes). */
+
+/* PCG64's seeding of each stream from two 128-bit words, given as four
+ * 64-bit ones, high half first */
+void adle_seed(struct adle_stream *s, int64_t rows, const uint64_t *words)
+{
+    for (int64_t r = 0; r < rows; r++, words += 4) {
+        s[r].state = 0;
+        s[r].inc = ((((u128)words[2] << 64) | words[3]) << 1) | 1;
+        next64(&s[r]);
+        s[r].state += ((u128)words[0] << 64) | words[1];
+        next64(&s[r]);
+        s[r].has_half = 0;
+        s[r].half = 0;
+    }
+}
+
+/* Jump delta = high * 2^64 + low outputs ahead, as PCG64.advance does,
+ * which also drops the carried half-word. */
+void adle_advance(struct adle_stream *s, int64_t rows, uint64_t high, uint64_t low)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        u128 delta = ((u128)high << 64) | low, mult = PCG_MULT, plus = s[r].inc;
+        u128 acc_mult = 1, acc_plus = 0;
+        for (; delta; delta >>= 1) {
+            if (delta & 1) {
+                acc_mult *= mult;
+                acc_plus = acc_plus * mult + plus;
+            }
+            plus *= mult + 1;
+            mult *= mult;
+        }
+        s[r].state = acc_mult * s[r].state + acc_plus;
+        s[r].has_half = 0;
+        s[r].half = 0;
+    }
+}
+
+#define ROW(type, r) ((type *)((char *)out + (r) * stride))
+
+void adle_normals(struct adle_stream *s, int64_t rows, int64_t count, double *out, int64_t stride)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        bitgen_t gen = BITGEN(&s[r]);
+        random_standard_normal_fill(&gen, count, ROW(double, r));
+    }
+}
+
+void adle_laplace(struct adle_stream *s, int64_t rows, int64_t count, double loc, double scale,
+                  double *out, int64_t stride)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        bitgen_t gen = BITGEN(&s[r]);
+        for (int64_t i = 0; i < count; i++)
+            ROW(double, r)[i] = random_laplace(&gen, loc, scale);
+    }
+}
+
+/* Generator.integers(off, off + range + 1, count), each stored in the low
+ * `size` bytes of its int64 (1, 2, 4 or 8) */
+void adle_bounded(struct adle_stream *s, int64_t rows, uint64_t off, uint64_t range,
+                  int64_t count, void *out, int64_t stride, int64_t size)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        bitgen_t gen = BITGEN(&s[r]);
+        for (int64_t i = 0; i < count; i++) {
+            const uint64_t value = random_bounded_uint64(&gen, off, range, 0, false);
+            if (size == 1)
+                ROW(uint8_t, r)[i] = (uint8_t)value;
+            else if (size == 2)
+                ROW(uint16_t, r)[i] = (uint16_t)value;
+            else if (size == 4)
+                ROW(uint32_t, r)[i] = (uint32_t)value;
+            else
+                ROW(uint64_t, r)[i] = value;
+        }
+    }
+}
+
+/* Generator.random(count) < p, without the uniforms: one flag per output */
+void adle_below(struct adle_stream *s, int64_t rows, int64_t count, double p, uint8_t *out,
+                int64_t stride)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        struct adle_stream local = s[r];
+        uint8_t *flags = ROW(uint8_t, r);
+        for (int64_t i = 0; i < count; i++)
+            flags[i] = to_unit(next64(&local)) < p;
+        s[r].state = local.state;
+    }
 }
 
 #else /* the body, once per lane width */

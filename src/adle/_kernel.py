@@ -1,28 +1,32 @@
-"""Loader of the compiled bank-step kernel (``_kernel.c``), the library's
-one consensus+innovation round and its checkpoint diagnostics.
+"""Loader of the compiled library (``_kernel.c``): the bank-step kernel,
+the library's one consensus+innovation round and its checkpoint
+diagnostics, and the trials' random streams.
 
 The kernel advances a whole trial bank through one segment of a draw
 window in a single call, forming each step's observations from the
 noise, or writes the bank's checkpoint records.  A bank is bound once,
 with its state, model, links and draw buffers (``BankKernel.bind``);
-both entry points then work on it in one lane scratch buffer.  The
-kernel is compiled on first use with the system C compiler and cached
-under the package's ``__pycache__`` (else in one private per-user
-directory under the system temporary directory), keyed by a hash of
-the source, as read when this module is imported, and the compile
-command; the loader refuses a library whose ``struct adle_bank`` differs
-from ``_BankArgs``.  The library holds one
-entry point per lane width (trials advanced side by side in one
-vector); the CPU it loads on picks the widest it runs, and every width
-gives the same bits.
+both entry points then work on it in one lane scratch buffer.
+:class:`Streams` are a bank's PCG64 streams, drawn by numpy's own C
+distributions, which the library links from numpy's static
+``libnpyrandom.a``.  The library is compiled on first use with the
+system C compiler and cached under the package's ``__pycache__`` (else
+in one private per-user directory under the system temporary directory,
+else in a directory of its own that is removed once the library is
+loaded), keyed by a hash of the source, as read when this module is
+imported, the compile command and numpy's version; the loader refuses a
+library whose ``struct adle_bank`` differs from ``_BankArgs``.  The
+library holds one entry point per lane width (trials advanced side by
+side in one vector); the CPU it loads on picks the widest it runs, and
+every width gives the same bits.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import logging
+import operator
 import os
 import shutil
 import stat
@@ -32,17 +36,25 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AdleError, TrialDiverged
-from .network import TopologyModel
+
+try:  # hashlib would load OpenSSL, several MB, for one digest
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
+
+#: numpy's static library of its C distributions, linked into the library;
+#: found beside ``numpy.random`` without importing it.
+NPYRANDOM = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
 
 #: ``ADLE_LAYOUT`` of ``_kernel.c``: the version of ``struct adle_bank``.
 LAYOUT = 3
 
 #: No ``-march=native`` and no ``-ffast-math``, and no contraction into
 #: fused multiply-adds: results are then bit-stable across machines of
-#: one architecture.  ``-fno-math-errno`` keeps ``sqrt`` one instruction
-#: (its value is the same) and the library free of libm.
+#: one architecture.  ``-fno-math-errno`` keeps the kernel's ``sqrt`` one
+#: instruction (its value is the same); numpy's distributions need libm.
 COMPILE = ("gcc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 
 #: Lane widths of the entry points ``adle_advance_bank_<L>`` and
@@ -52,11 +64,15 @@ WIDTHS = (1, 4, 8)
 #: The hash of the source this module's ``_BankArgs`` goes with, read once,
 #: at import, so that an edit made later cannot pair a new layout with the
 #: old one.
-_SOURCE_DIGEST = hashlib.sha256(_SOURCE.read_bytes()).digest()
+_SOURCE_DIGEST = sha256(_SOURCE.read_bytes()).digest()
 
 OK, SINGULAR, NOT_FINITE = 0, 1, 2  # status codes of the entry points
 
 _log = logging.getLogger(__name__)
+
+
+#: Suffix of a cache directory made for one process; :func:`load` removes it.
+_PRIVATE = ".private"
 
 
 def _cache_dir() -> Path:
@@ -76,17 +92,30 @@ def _cache_dir() -> Path:
             return shared
     except OSError:
         pass
-    return Path(tempfile.mkdtemp(prefix="adle-kernel-"))
+    return Path(tempfile.mkdtemp(prefix="adle-kernel-", suffix=_PRIVATE))
+
+
+def _command(output, source) -> list[str]:
+    """The compile command of the library ``output`` from ``source``."""
+    return [*COMPILE, "-o", str(output), str(source), str(NPYRANDOM), "-lm"]
 
 
 class _CompileFailed(Exception):
-    """The compiler ran and failed; the message is its complaint."""
+    """The library cannot be compiled: the message is the compiler's complaint,
+    or names the missing input."""
+
+
+def _cache_key() -> str:
+    """The library's key: the source as read at import, the compile
+    command, numpy's static library among its inputs, and numpy's version."""
+    command = " ".join([*_command("", ""), np.__version__])
+    return sha256(_SOURCE_DIGEST + command.encode()).hexdigest()[:16]
 
 
 def _build() -> Path:
     """Compile the kernel unless a library for this source and command exists.
 
-    The library is keyed by the source as read at import.  A build reads
+    The library is keyed by :func:`_cache_key`.  A build reads
     the source again and refuses, with an :class:`AdleError`, a source
     edited since; it compiles the bytes it read in a private directory
     and renames the library into place, so concurrent processes never
@@ -95,22 +124,23 @@ def _build() -> Path:
     or found there; a shared directory is never pruned, since another
     checkout's process may be loading from it.
     """
-    key = hashlib.sha256(_SOURCE_DIGEST + " ".join(COMPILE).encode()).hexdigest()[:16]
     cache = _cache_dir()
-    target = cache / f"_kernel-{key}.so"
+    target = cache / f"_kernel-{_cache_key()}.so"
     if not target.exists():
         import subprocess  # the compiler is the only process the library starts
 
         source_bytes = _SOURCE.read_bytes()
-        if hashlib.sha256(source_bytes).digest() != _SOURCE_DIGEST:
+        if sha256(source_bytes).digest() != _SOURCE_DIGEST:
             raise AdleError(f"{_SOURCE} changed after {__name__} was imported; "
                             "restart the process to build the edited kernel")
+        if not NPYRANDOM.is_file():
+            raise _CompileFailed(f"numpy's static library {NPYRANDOM} is missing")
         work = Path(tempfile.mkdtemp(prefix="_kernel-", suffix=".build", dir=cache))
         try:
             source = work / _SOURCE.name  # the file includes itself by this name
             source.write_bytes(source_bytes)
-            done = subprocess.run([*COMPILE, "-o", str(work / "_kernel.so"), str(source)],
-                                  capture_output=True, text=True)
+            done = subprocess.run(_command(work / "_kernel.so", source), capture_output=True,
+                                  text=True)
             if done.returncode != 0:
                 raise _CompileFailed(done.stderr or f"exit status {done.returncode}")
             os.replace(work / "_kernel.so", target)
@@ -136,34 +166,57 @@ class _BankArgs(ctypes.Structure):
     )
 
 
+_I64, _U64, _F64, _PTR = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p
+_BANK = ctypes.POINTER(_BankArgs)
+
+#: The library's entry points, with their argument and result types.
+SIGNATURES = {
+    "adle_layout": ([], _I64), "adle_bank_bytes": ([], _I64), "adle_lanes": ([], ctypes.c_int),
+    "adle_scratch_vectors": ([_BANK], _I64), "adle_stream_bytes": ([], _I64),
+    "adle_seed": ([_PTR, _I64, _PTR], None), "adle_advance": ([_PTR, _I64, _U64, _U64], None),
+    "adle_normals": ([_PTR, _I64, _I64, _PTR, _I64], None),
+    "adle_laplace": ([_PTR, _I64, _I64, _F64, _F64, _PTR, _I64], None),
+    "adle_bounded": ([_PTR, _I64, _U64, _U64, _I64, _PTR, _I64, _I64], None),
+    "adle_below": ([_PTR, _I64, _I64, _F64, _PTR, _I64], None),
+    **{f"adle_advance_bank_{width}": ([_BANK, _I64, _I64, _I64], ctypes.c_int)
+       for width in WIDTHS},
+    **{f"adle_checkpoint_bank_{width}": ([_BANK, _I64, _F64, _PTR], ctypes.c_int)
+       for width in WIDTHS},
+}
+
+_WIDE = ("adle_advance_bank_", "adle_checkpoint_bank_")  # one entry point per lane width
+
+
+def _bind(lib: ctypes.CDLL, name: str):
+    """The entry point ``name`` of ``lib``, typed by :data:`SIGNATURES`.  It
+    is looked up by ``getattr``, which ctypes caches, so that later lookups
+    get the typed function: ``lib[name]`` makes a new one each time."""
+    fn = getattr(lib, name)
+    fn.argtypes, fn.restype = SIGNATURES[name]
+    return fn
+
+
 class BankKernel:
-    """The loaded library, with its two entry points bound for every lane
-    width this CPU runs.  Banks advance ``lanes`` trials side by side, the
-    widest width (``adle_lanes``); a bank of one trial runs on one lane,
-    its cheapest width."""
+    """The loaded library, its entry points typed, the bank-step ones for
+    every lane width this CPU runs.  Banks advance ``lanes`` trials side by
+    side, the widest width (``adle_lanes``); a bank of one trial runs on
+    one lane, its cheapest width."""
 
     def __init__(self, lib: ctypes.CDLL):
-        i64, bank = ctypes.c_int64, ctypes.POINTER(_BankArgs)
-        for name in ("adle_layout", "adle_bank_bytes"):
-            lib[name].argtypes, lib[name].restype = [], i64
+        for name in SIGNATURES:
+            if not name.startswith(_WIDE):
+                _bind(lib, name)
         found = (lib.adle_layout(), lib.adle_bank_bytes())
         if found != (LAYOUT, ctypes.sizeof(_BankArgs)):
             raise AdleError(f"the compiled kernel's struct adle_bank is layout {found[0]} of "
                             f"{found[1]} bytes, but the loader's _BankArgs is layout {LAYOUT} "
                             f"of {ctypes.sizeof(_BankArgs)} bytes")
-        lib.adle_lanes.argtypes, lib.adle_lanes.restype = [], ctypes.c_int
-        lib.adle_scratch_vectors.argtypes, lib.adle_scratch_vectors.restype = [bank], i64
-        self.lanes = lib.adle_lanes()
-        self._fns = {}
-        for width in WIDTHS[:WIDTHS.index(self.lanes) + 1]:
-            advance, checkpoint = self._fns[width] = (lib[f"adle_advance_bank_{width}"],
-                                                      lib[f"adle_checkpoint_bank_{width}"])
-            advance.argtypes = [bank, i64, i64, i64]
-            checkpoint.argtypes = [bank, i64, ctypes.c_double, ctypes.c_void_p]
-            advance.restype = checkpoint.restype = ctypes.c_int
+        self.lanes, self.stream_bytes = lib.adle_lanes(), lib.adle_stream_bytes()
+        self._fns = {width: tuple(_bind(lib, f"{base}{width}") for base in _WIDE)
+                     for width in WIDTHS[:WIDTHS.index(self.lanes) + 1]}
         self._lib = lib
 
-    def bind(self, state, model, top: TopologyModel, noise, weights, active) -> "BoundBank":
+    def bind(self, state, model, top, noise, weights, active) -> "BoundBank":
         """Check a bank and its draw buffers once and bind their addresses.
 
         ``state`` is an ``adle.estimator.NetworkState`` whose arrays carry a
@@ -265,6 +318,150 @@ class BoundBank:
         return out
 
 
+class Streams:
+    """A bank of random streams: numpy's PCG64 in the compiled library,
+    which draws from them by numpy's own C distributions, so that stream
+    ``r`` of ``Streams(seeds)`` draws exactly what
+    ``np.random.default_rng(seeds[r])`` draws.  The draws have
+    ``Generator``'s method names and arguments, and each draws ``size``
+    from every stream: its result has a leading axis of R streams.
+
+    A seed is a non-negative int or a sequence of them, seeded as numpy's
+    ``SeedSequence`` seeds it (:func:`_seed_words`), or an object with
+    ``generate_state``, such as a ``SeedSequence``, whose four 64-bit
+    words seed its stream.
+    """
+
+    __slots__ = ("_lib", "_states", "_ptr")
+
+    def __init__(self, seeds):
+        kernel = load()
+        size = len(seeds) * kernel.stream_bytes
+        raw = np.empty(size + 16, np.uint8)  # __uint128_t wants 16-byte alignment
+        self._states = raw[-raw.ctypes.data % 16:][:size].reshape(len(seeds), -1)
+        self._lib, self._ptr = kernel._lib, self._states.ctypes.data
+        words = np.array([seed.generate_state(4, np.uint64) if hasattr(seed, "generate_state")
+                          else _seed_words(seed) for seed in seeds], np.uint64)
+        self._lib.adle_seed(self._ptr, len(seeds), words.ctypes.data)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    @property
+    def state(self) -> bytes:
+        """The streams' PCG64 states and carried half-words; assign the
+        state of a bank as large to resume there."""
+        return self._states.tobytes()
+
+    @state.setter
+    def state(self, value: bytes) -> None:
+        self._states.reshape(-1)[:] = np.frombuffer(value, np.uint8)
+
+    def advance(self, delta: int) -> None:
+        """Jump every stream ``delta`` outputs, modulo 2**128, dropping a
+        carried half-word, as ``Generator.bit_generator.advance`` does."""
+        delta = operator.index(delta) % (1 << 128)
+        self._lib.adle_advance(self._ptr, len(self), delta >> 64, delta & (1 << 64) - 1)
+
+    def standard_normal(self, size=None, out=None) -> np.ndarray:
+        """Standard normal draws, into ``out`` if it is given."""
+        out = self._out(size, out, np.float64)
+        self._lib.adle_normals(self._ptr, len(self), out[0].size, out.ctypes.data, out.strides[0])
+        return out
+
+    def laplace(self, loc=0.0, scale=1.0, size=None, out=None) -> np.ndarray:
+        """Laplace draws, into ``out`` if it is given (``Generator.laplace``
+        takes no ``out``)."""
+        out = self._out(size, out, np.float64)
+        self._lib.adle_laplace(self._ptr, len(self), out[0].size, loc, scale, out.ctypes.data,
+                               out.strides[0])
+        return out
+
+    def integers(self, low: int, high: int, size=None) -> np.ndarray:
+        """The values of ``Generator.integers(low, high, size)``, in the
+        smallest dtype of ``low`` and ``high - 1`` (``np.min_scalar_type``),
+        so that a block of a bank's picks needs no int64 temporary."""
+        if high <= low:
+            raise ValueError("high <= low")
+        dtype = np.result_type(np.min_scalar_type(low), np.min_scalar_type(high - 1))
+        out = np.empty(self._shape(size), dtype)
+        self._lib.adle_bounded(self._ptr, len(self), low, high - 1 - low, out[0].size,
+                               out.ctypes.data, out.strides[0], dtype.itemsize)
+        return out
+
+    def below(self, p: float, out: np.ndarray) -> np.ndarray:
+        """Every stream's ``Generator.random(out.shape[1:]) < p``, into a bool
+        ``out``, without the uniforms."""
+        out = self._out(out.shape[1:], out, np.bool_)
+        self._lib.adle_below(self._ptr, len(self), out[0].size, p, out.ctypes.data, out.strides[0])
+        return out
+
+    def _shape(self, size) -> tuple[int, ...]:
+        """The shape of ``size`` draws of every stream."""
+        if size is None:
+            return (len(self),)
+        try:
+            return (len(self), operator.index(size))
+        except TypeError:
+            return (len(self), *size)
+
+    def _out(self, size, out, dtype) -> np.ndarray:
+        """``out``, checked to hold ``size`` draws of ``dtype`` from every
+        stream, each stream's in a C-contiguous row; else a new array."""
+        if out is None:
+            return np.empty(self._shape(size), dtype)
+        if not isinstance(out, np.ndarray) or out.shape != self._shape(size):
+            raise ValueError(f"out must be an array of shape {self._shape(size)}")
+        _check(out[0], "a row of out", dtype, out.shape[1:])
+        return out
+
+
+def _seed_words(entropy) -> list[int]:
+    """``np.random.SeedSequence(entropy).generate_state(4, np.uint64)``, here:
+    the entropy's 32-bit words (each int's, low word first) hash-mixed into
+    a pool of four, from which eight 32-bit words are drawn and paired."""
+    mask = 0xFFFFFFFF
+
+    def words(value) -> list[int]:
+        try:
+            value = operator.index(value)
+        except TypeError:  # a sequence
+            return [word for item in value for word in words(item)]
+        if value < 0:
+            raise ValueError(f"seed entropy must be non-negative, got {value}")
+        return [value >> shift & mask for shift in range(0, max(value.bit_length(), 1), 32)]
+
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & mask
+        value = value * const & mask
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & mask
+        return result ^ result >> 16
+
+    entropy = words(entropy)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(value))
+    const, state = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & mask
+        value = value * const & mask
+        state.append(value ^ value >> 16)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
 def scratch_vectors(n: int, m: int, mx: int) -> int:
     """``adle_scratch_vectors`` of ``_kernel.c``: the lane vectors of scratch
     of a bank of ``n`` agents, ``m`` parameters and ``mx`` observations."""
@@ -295,10 +492,15 @@ def load() -> BankKernel:
     compiler's complaint when the library cannot be built or loaded.
     """
     try:
-        kernel = BankKernel(ctypes.CDLL(str(_build())))
+        library = _build()
+        try:
+            kernel = BankKernel(ctypes.CDLL(str(library)))
+        finally:
+            if library.parent.name.endswith(_PRIVATE):  # loaded, or never to be
+                shutil.rmtree(library.parent, ignore_errors=True)
     except (OSError, _CompileFailed) as exc:
         detail = str(exc).strip()
-        command = " ".join([*COMPILE, "-o", "<library>", str(_SOURCE)])
+        command = " ".join(_command("<library>", _SOURCE))
         raise AdleError(f"cannot build the compiled bank-step kernel with `{command}`: "
                         f"{detail}") from exc
     _log.debug("compiled bank-step kernel runs %d trial lanes", kernel.lanes)

@@ -129,14 +129,13 @@ class StatResult:
 def _draw_topology_block(top: TopologyModel, draws: list, rngs, scratch, steps: int, w0: int,
                          out) -> None:
     """Fill ``out``, bool (R, window, E), with the masks of block steps
-    ``w0..w0 + window - 1`` by each trial's ``fill`` in ``draws``; at the
-    block's first window, first replace ``draws`` with the trials' link
-    draws of its ``steps`` steps (:meth:`TopologyModel.link_draws`)."""
+    ``w0..w0 + window - 1`` by the fill in ``draws``; at the block's first
+    window, first replace it with the link draws of the block's ``steps``
+    steps from the bank's streams ``rngs`` (:meth:`TopologyModel.link_draws`)."""
     if w0 == 0:
         draws.clear()  # the previous block's go first
-        draws.extend(map(top.link_draws, rngs, [steps] * len(rngs), scratch))
-    for fill, row in zip(draws, out):
-        fill(w0, row)
+        draws.append(top.link_draws(rngs, steps, scratch))
+    draws[0](w0, out)
 
 
 def _laplacian_at(top: TopologyModel, active, s: int):
@@ -266,7 +265,7 @@ def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
     """:func:`trajectory`, yielding ``(t, state, bound)``: ``bound`` is the
     bank's one ``_kernel.BoundBank``, whose ``checkpoint`` reads ``state``."""
     n, mx = model.num_agents, model._stacked.max_dim
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = _kernel.Streams(seeds)
     grid = np.asarray(grid, dtype=np.int64)
     if grid.size == 0 or grid[-1] != horizon or np.any(np.diff(grid) <= 0) or grid[0] < 1:
         raise ValueError("checkpoint grid must be strictly increasing and end at the horizon")
@@ -282,9 +281,8 @@ def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
     active = np.empty((len(rngs), window, edges), bool) if edges else None
     weights = np.empty((3, window))
     bound = _kernel.load().bind(state, model, top, noise, weights, active)
-    # each trial's scratch generator, if any, and its link draws of the block
-    scratch = [top.link_scratch() for _ in rngs]
-    draws = []
+    scratch = top.link_scratch(len(rngs))  # the bank's scratch streams, if its law reads any
+    draws = []  # the bank's link draws of the block
 
     pointer = 0
     while state.step < horizon:
@@ -295,8 +293,7 @@ def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
             weights[:, :drawn] = schedule.block(window_start, drawn)
             if edges:
                 _draw_topology_block(top, draws, rngs, scratch, steps, w0, active[:, :drawn])
-            for rng, row in zip(rngs, noise):
-                _unit_variance_draws(rng, model.noise, (drawn, n, mx), row[:drawn])
+            _unit_variance_draws(rngs, model.noise, (drawn, n, mx), noise[:, :drawn])
             while state.step < window_start + drawn:
                 stop = min(window_start + drawn, grid[pointer])
                 _advance(bound, state, state.step - window_start, stop - window_start)
@@ -315,17 +312,18 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
     once with the draw buffers (replace none of them), so copy what must
     outlive the next step.  ``init`` holds the optional initial estimate,
     Grammian and sample covariance of :func:`initial_network_state`.  Each
-    trial consumes only its own stream, in blocks of ``BLOCK_STEPS`` steps:
-    the topology draws of the block, then its unit-variance noise.  The
-    noise and mask buffers hold a window of the block's steps, as many as
-    fit in 1 MiB (the whole block for small banks), and each trial draws
-    into its row of them a window at a time, the same runs of its stream
-    as whole-block draws: its link draws start at the block's first window
-    and leave its generator where the noise starts
-    (:meth:`TopologyModel.link_draws`).  The window's weights are written
-    beside them, and the kernel, which sees only the window, forms the
-    observations from the noise in segments that end at grid steps or
-    window ends (:func:`_advance`).
+    trial consumes only its own stream, the one
+    ``np.random.default_rng(seed)`` draws (one ``_kernel.Streams`` bank
+    for the trials), in blocks of ``BLOCK_STEPS`` steps: the topology
+    draws of the block, then its unit-variance noise.  The noise and mask
+    buffers hold a window of the block's steps, as many as fit in 1 MiB
+    (the whole block for small banks), and each trial draws into its row
+    of them a window at a time, the same runs of its stream as whole-block
+    draws: its link draws start at the block's first window and leave its
+    stream where the noise starts (:meth:`TopologyModel.link_draws`).  The
+    window's weights are written beside them, and the kernel, which sees
+    only the window, forms the observations from the noise in segments that
+    end at grid steps or window ends (:func:`_advance`).
     A singular gain solve raises :class:`TrialDiverged` with the trial's
     place in the bank.
     """
@@ -432,14 +430,14 @@ def run_experiment(config) -> ExperimentReport:
     ``checkpoint_start``, ``checkpoints_per_decade``, ``parallelism``,
     ``fit_window``, ``run_ks_test``, and the optional ``init_*`` values);
     see :class:`adle.cli.ScenarioConfig`.  Trials are reproducible in
-    isolation: trial ``k`` always uses the stream derived from
-    ``(master_seed, k)``.
+    isolation: trial ``k`` always uses the stream seeded by
+    ``(master_seed, k)``, that of ``np.random.default_rng((master_seed, k))``.
     """
     if config.num_trials < 1:
         raise ValueError("num_trials must be >= 1")
     grid = checkpoint_grid(config.horizon, config.checkpoint_start, config.checkpoints_per_decade)
     init = (config.init_estimate, config.init_grammian, config.init_sample_cov)
-    seeds = [np.random.SeedSequence((config.master_seed, k)) for k in range(config.num_trials)]
+    seeds = [(config.master_seed, k) for k in range(config.num_trials)]
     payloads = [
         (config.model, config.topology, config.schedule, config.horizon, grid,
          seeds[i : i + TRIALS_PER_BANK], init, i)

@@ -228,24 +228,26 @@ def validate_observation_model(model: ObservationModel) -> CentralizedSummary:
     )
 
 
-def sample_observation(model: ObservationModel, agent: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``y_agent = H_agent @ theta + noise`` with covariance ``R_agent``."""
+def sample_observation(model: ObservationModel, agent: int, rng) -> np.ndarray:
+    """Draw ``y_agent = H_agent @ theta + noise`` with covariance ``R_agent``
+    from ``rng``, a numpy ``Generator``."""
     h = model.sensing[agent]
     factor = model._noise_factors[agent]
     draw = _unit_variance_draws(rng, model.noise, h.shape[0])
     return h @ model.true_param + factor @ draw
 
 
-def _unit_variance_draws(rng: np.random.Generator, family: str, shape, out=None) -> np.ndarray:
-    """Unit-variance draws of ``family``, written into ``out`` when it is given."""
+def _unit_variance_draws(rng, family: str, shape, out=None) -> np.ndarray:
+    """Unit-variance draws of ``family`` from ``rng``, a numpy ``Generator``
+    or a bank of ``adle._kernel.Streams`` (``shape`` from each stream),
+    written into ``out`` when it is given; a ``Generator`` takes an ``out``
+    of Gaussian draws only."""
     if family == "gaussian":
         return rng.standard_normal(shape, out=out)
     # Laplace with scale 1/sqrt(2) has unit variance.
-    draws = rng.laplace(0.0, 2.0**-0.5, size=shape)
     if out is None:
-        return draws
-    out[...] = draws
-    return out
+        return rng.laplace(0.0, 2.0**-0.5, size=shape)
+    return rng.laplace(0.0, 2.0**-0.5, size=shape, out=out)
 
 
 def centralized_estimate(model: ObservationModel, observations) -> np.ndarray:

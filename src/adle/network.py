@@ -10,9 +10,10 @@ three supported laws are
 * ``gossip`` -- exactly one base edge, chosen uniformly, is active.
 
 The law is read here only: :meth:`TopologyModel.link_draws` turns a
-trial's random stream into per-step active-edge masks, for the harness
-and :func:`sample_laplacian` alike; the masks are all that the sampled
-Laplacians and the compiled kernel see.
+bank's random streams, or one trial's generator, into per-step
+active-edge masks, for the harness and :func:`sample_laplacian` alike;
+the masks are all that the sampled Laplacians and the compiled kernel
+see.
 
 The quantity that matters for convergence is not per-step connectivity
 but the algebraic connectivity (Fiedler value) of the *mean* Laplacian:
@@ -28,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._kernel import Streams
 from .errors import NotMeanConnected
 
 LINK_LAWS = ("static", "bernoulli", "gossip")
@@ -149,53 +151,57 @@ class TopologyModel:
         """Whether the law draws links at all; the ``static`` law does not."""
         return self.law != "static"
 
-    def link_draws(self, rng: np.random.Generator, steps: int,
-                   scratch: np.random.Generator | None = None):
-        """Start one trial's link draws of a block of ``steps`` steps; return
-        its ``fill(w0, out)``, which writes the bool masks of block steps
-        ``w0..w0 + len(out) - 1`` into ``out``, windows in order from 0.
-        ``rng`` (a PCG64 generator) is left where the block's noise starts:
+    def link_draws(self, rng, steps: int, scratch=None):
+        """Start the link draws of a block of ``steps`` steps from ``rng``,
+        one trial's numpy ``Generator`` or a bank of trials'
+        ``adle._kernel.Streams``; return their ``fill(w0, out)``, which
+        writes the bool masks of block steps ``w0..w0 + window - 1`` into
+        ``out``, (window, E) or (R, window, E), windows in order from 0.
+        ``rng`` (PCG64 either way) is left where the block's noise starts:
         gossip picks are drawn here in one ``integers`` call (it reads a
         varying count of outputs), kept in the narrowest unsigned dtype;
-        Bernoulli uniforms come a window at a time from ``scratch``
-        (:meth:`link_scratch`), set to ``rng``'s state, while ``rng`` jumps the
-        ``steps * E`` outputs they take; without ``scratch`` they are
-        drawn here from ``rng`` at once, the same outputs, and their
-        masks kept.  Not for the ``static`` law, which draws nothing."""
+        Bernoulli masks come a window at a time from ``scratch``
+        (:meth:`link_scratch`), set to the bank's state, while the bank
+        jumps the ``steps * E`` outputs they take; a ``Generator``, with no
+        ``scratch``, draws them here at once, the same outputs, and they are
+        kept.  Not for the ``static`` law, which draws nothing."""
         edges = self.base.num_edges
         if self.law == "gossip":
-            picks = rng.integers(0, edges, size=steps).astype(np.min_scalar_type(edges - 1))
+            # a bank's Streams draw them in that dtype; a Generator, as int64
+            picks = rng.integers(0, edges, size=steps).astype(np.min_scalar_type(edges - 1),
+                                                               copy=False)
             span = np.arange(edges, dtype=picks.dtype)
-            return lambda w0, out: np.equal(picks[w0:w0 + len(out), None], span, out=out)
+            return lambda w0, out: np.equal(picks[..., w0:w0 + out.shape[-2], None], span,
+                                            out=out)
         if scratch is None:
             masks = rng.random((steps, edges)) < self.p
-            return lambda w0, out: np.copyto(out, masks[w0:w0 + len(out)])
-        scratch.bit_generator.state = rng.bit_generator.state
-        rng.bit_generator.advance(int(steps * edges))  # a numpy integer overflows there
-        return lambda w0, out: np.less(scratch.random(out.shape), self.p, out=out)
+            return lambda w0, out: np.copyto(out, masks[..., w0:w0 + out.shape[-2], :])
+        scratch.state = rng.state
+        rng.advance(steps * edges)
+        return lambda w0, out: scratch.below(self.p, out)
 
-    def link_scratch(self) -> np.random.Generator | None:
-        """A trial's scratch generator for :meth:`link_draws`: a PCG64 one
-        under the ``bernoulli`` law, which reads it, else ``None``."""
-        return np.random.Generator(np.random.PCG64(0)) if self.law == "bernoulli" else None
+    def link_scratch(self, rows: int) -> Streams | None:
+        """The scratch streams of a bank of ``rows`` trials for
+        :meth:`link_draws` under the ``bernoulli`` law, which reads them,
+        else ``None``."""
+        return Streams([0] * rows) if self.law == "bernoulli" else None
 
     def link_draw_bytes(self, rows: int, steps: int, window: int) -> dict[str, int]:
         """Bytes of ``rows`` trials' link draws of a block of ``steps`` steps
-        through a ``window``-step mask buffer, by part: the buffer, the
-        gossip picks that :meth:`link_draws` keeps, and the largest
-        temporary of one trial's call (its int64 picks, or one window of
-        uniforms)."""
+        through a ``window``-step mask buffer, by part: the buffer, and the
+        gossip picks that :meth:`link_draws` keeps.  A bank's ``Streams``
+        write both in place, with no temporary."""
         gossip, edges = self.law == "gossip", self.base.num_edges if self.draws_links else 0
         return {
             "link mask window": rows * window * edges,
             "gossip picks": rows * steps * np.min_scalar_type(edges - 1).itemsize if gossip else 0,
-            "link draw temporary": steps * 8 if gossip else window * edges * 8,
         }
 
-    def draw_active(self, rng: np.random.Generator, steps: int) -> np.ndarray | None:
-        """Active-edge masks of ``steps`` i.i.d. link draws, bool (steps, E),
-        by one window of :meth:`link_draws`; ``None`` under the ``static``
-        law, which draws nothing."""
+    def draw_active(self, rng, steps: int) -> np.ndarray | None:
+        """Active-edge masks of ``steps`` i.i.d. link draws from ``rng``, a
+        numpy ``Generator``, bool (steps, E), by one window of
+        :meth:`link_draws`; ``None`` under the ``static`` law, which draws
+        nothing."""
         if not self.draws_links:
             return None
         out = np.empty((steps, self.base.num_edges), dtype=bool)
@@ -230,10 +236,11 @@ def validate_mean_connectivity(top: TopologyModel) -> float:
     return value
 
 
-def sample_laplacian(top: TopologyModel, rng: np.random.Generator) -> np.ndarray:
+def sample_laplacian(top: TopologyModel, rng) -> np.ndarray:
     """One i.i.d. draw of the communication Laplacian, from a one-step
-    :meth:`TopologyModel.draw_active` mask.  Under the ``static`` law it is
-    the read-only base Laplacian (cached storage); copy before mutating.
+    :meth:`TopologyModel.draw_active` mask of ``rng``, a numpy ``Generator``.
+    Under the ``static`` law it is the read-only base Laplacian (cached
+    storage); copy before mutating.
     """
     active = top.draw_active(rng, 1)
     return top.laplacians(None if active is None else active[0])

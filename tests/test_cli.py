@@ -273,8 +273,10 @@ def test_module_entry_point_runs_the_command(tmp_path):
 
 
 def test_a_one_worker_run_loads_neither_numpy_ma_nor_multiprocessing(tmp_path):
-    # the medians are sorts, the process pool is imported only to be built, and
-    # subprocess only to compile the kernel, which this process has built
+    # the medians are sorts, the process pool is imported only to be built,
+    # subprocess only to compile the kernel, which this process has built, the
+    # trials draw from the kernel's streams, not numpy.random, and the kernel's
+    # source is hashed without hashlib (OpenSSL)
     _kernel._build()
     src = str(Path(adle.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -283,8 +285,9 @@ def test_a_one_worker_run_loads_neither_numpy_ma_nor_multiprocessing(tmp_path):
     code = ("import sys, adle, adle.cli; from adle import harness; "
             "config = adle.cli.parse_config(sys.argv[1]); "
             "harness.write_report(harness.run_experiment(config), sys.argv[2], config.acceptance); "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'] "
-            "or m.split('.')[0] in ('multiprocessing', 'subprocess')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['numpy', 'ma'], "
+            "['numpy', 'random']) or m.split('.')[0] in ('multiprocessing', 'subprocess', "
+            "'hashlib', '_hashlib')))")
     out = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -379,7 +382,7 @@ def test_draw_buffers_beyond_memory_are_a_collected_validation_error(tmp_path, c
     assert harness._draw_window(64, 5, 1, 5, 1024) == 364
     assert parts == {
         "noise window": 64 * 364 * 5 * 8, "link mask window": 64 * 364 * 5,
-        "weights": 3 * 364 * 8, "gossip picks": 0, "link draw temporary": 364 * 5 * 8,
+        "weights": 3 * 364 * 8, "gossip picks": 0,
         "lane scratch": 513 * 8 * 8,  # adle_scratch_vectors at n = m = 5, mx = 1
         "bank state": (64 * (5 + 25 + 2 + 1) + 1) * 5 * 8}
     path = write_scenario(tmp_path, num_trials=130, horizon=2085, parallelism=2)

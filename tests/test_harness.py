@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from adle import _kernel, harness
+from adle import _kernel, harness, network
 from adle.cli import example1_model, main
 from adle.errors import AdleError, NotPositiveDefinite, TrialDiverged
 from adle.estimator import NetworkState, _sample_cov_from_moments, initial_network_state
@@ -636,10 +636,11 @@ DRAW_LAWS = {
 
 
 def _windowed_masks(top, rngs, steps, window):
-    """A block's active-edge masks, bool (R, steps, E), drawn through
-    ``harness._draw_topology_block`` a ``window`` of steps at a time."""
+    """A block's active-edge masks, bool (R, steps, E), drawn from a bank's
+    streams (``_kernel.Streams``) through ``harness._draw_topology_block`` a
+    ``window`` of steps at a time."""
     masks = np.empty((len(rngs), steps, top.base.num_edges), bool)
-    scratch, draws = [top.link_scratch() for _ in rngs], []
+    scratch, draws = top.link_scratch(len(rngs)), []
     for w0 in range(0, steps, window):
         harness._draw_topology_block(top, draws, rngs, scratch, steps, w0,
                                      masks[:, w0:w0 + window])
@@ -655,7 +656,7 @@ def test_block_masks_are_the_link_draws_read_by_hand(law, steps):
     if law == "static":
         assert expected is None and top.draw_active(np.random.default_rng(seeds[0]), steps) is None
         return
-    masks = _windowed_masks(top, [np.random.default_rng(s) for s in seeds], steps, steps)
+    masks = _windowed_masks(top, _kernel.Streams(seeds), steps, steps)
     assert np.array_equal(masks, expected)
     assert np.array_equal([top.draw_active(np.random.default_rng(s), steps) for s in seeds],
                           expected)
@@ -671,18 +672,20 @@ def test_block_masks_are_the_link_draws_read_by_hand(law, steps):
 @pytest.mark.parametrize("law", ["bernoulli", "gossip"])
 def test_link_windows_are_whole_block_draws(law, window, steps):
     # two blocks, then the noise that follows them: each trial's link draws of a
-    # block are one run of its stream, and leave its generator where one
-    # whole-block draw leaves it
+    # block are one run of its stream, and leave it where one whole-block draw
+    # of numpy's generator leaves that
     top = DRAW_LAWS[law]
     seeds = [np.random.SeedSequence((29, k)) for k in range(3)]
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = _kernel.Streams(seeds)
     hand = [np.random.default_rng(s) for s in seeds]
     for block in (BLOCK_STEPS, steps):
         masks = _windowed_masks(top, rngs, block, window)
         assert np.array_equal(masks, link_masks(top, hand, block))
-        assert ([rng.bit_generator.state for rng in rngs]
-                == [rng.bit_generator.state for rng in hand])
-        assert [rng.random() for rng in rngs] == [rng.random() for rng in hand]
+        assert rngs.standard_normal(2).tolist() == [rng.standard_normal(2).tolist()
+                                                    for rng in hand]
+        if law == "gossip":  # three picks carry a half-word into the next block's
+            assert rngs.integers(0, 3, 3).tolist() == [rng.integers(0, 3, 3).tolist()
+                                                       for rng in hand]
 
 
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
@@ -690,7 +693,7 @@ def test_sample_laplacian_is_a_one_step_block(law):
     top = DRAW_LAWS[law]
     edges = top.base.edges
     for seed in range(20):
-        one_step = (_windowed_masks(top, [np.random.default_rng(seed)], 1, 1)
+        one_step = (_windowed_masks(top, _kernel.Streams([seed]), 1, 1)
                     if top.draws_links else None)
         expected = harness._laplacian_at(top, one_step, 0).reshape(5, 5)
         sampled = sample_laplacian(top, np.random.default_rng(seed))
@@ -708,19 +711,19 @@ def test_sample_laplacian_is_a_one_step_block(law):
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
 def test_only_a_bernoulli_walk_builds_scratch_generators(monkeypatch, ring_model, ring_schedule,
                                                          law):
-    # gossip picks and static links read no scratch generator, so none is built;
-    # the trials' own come from np.random.default_rng, which the spy does not see
-    built, generator = [], np.random.Generator
+    # gossip picks and static links read no scratch streams, so none are built;
+    # the trials' own are built in the harness, which the spy does not see
+    built, streams = [], network.Streams
 
     def spy(*args):
         built.append(args)
-        return generator(*args)
+        return streams(*args)
 
-    monkeypatch.setattr(np.random, "Generator", spy)
+    monkeypatch.setattr(network, "Streams", spy)
     seeds = [np.random.SeedSequence((31, k)) for k in range(3)]
     horizon = BLOCK_STEPS + 50
     list(harness._walk(ring_model, DRAW_LAWS[law], ring_schedule, horizon, [horizon], seeds))
-    assert len(built) == (len(seeds) if law == "bernoulli" else 0)
+    assert built == ([([0] * len(seeds),)] if law == "bernoulli" else [])
 
 
 def _snapshots(walk):
@@ -1129,7 +1132,7 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
         peaks.append(peak)
         return result, left
 
-    def spy(self, rng, steps, scratch):  # a trial's link draws of a block, and their fills
+    def spy(self, rng, steps, scratch):  # a bank's link draws of a block, and their fills
         fill, left = traced(lambda: link_draws(self, rng, steps, scratch))
         held.append(left)
         return lambda w0, out: traced(lambda: fill(w0, out))[0]
@@ -1137,8 +1140,8 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
     step, steps = _step_bytes(ring_model, top, len(seeds)), min(BLOCK_STEPS, horizon)
     edges = top.base.num_edges if top.draws_links else 0
     if edges:  # a process's first draws leave one-off allocations: make them untraced
-        fill = top.link_draws(np.random.default_rng(0), steps, top.link_scratch())
-        fill(0, np.empty((1, edges), bool))
+        fill = top.link_draws(_kernel.Streams([0]), steps, top.link_scratch(1))
+        fill(0, np.empty((1, 1, edges), bool))
     monkeypatch.setattr(TopologyModel, "link_draws", spy)
     # the library's windows (whole blocks for 3 trials, a part of a block for 64), then
     # 37-step windows
@@ -1160,15 +1163,14 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
         bound_bytes = sum(arrays[name].nbytes for name in arrays
                           if arrays[name] is not None and name not in ("h", "truth", "factor",
                                                                        "edges"))
-        assert widest + bound_bytes == sum(parts.values()) - parts["gossip picks"] - parts[
-            "link draw temporary"]
+        assert widest + bound_bytes == sum(parts.values()) - parts["gossip picks"]
         assert widest == parts["lane scratch"]
-        # a block's draws hold its picks; a call's peak is one trial's temporary
-        assert len(held) == (0 if law == "static" else len(seeds) * -(-horizon // BLOCK_STEPS))
-        block = sum(held[:len(seeds)])
-        assert parts["gossip picks"] <= block < parts["gossip picks"] + 512 * len(seeds)
+        # a block's draws hold its picks, drawn in place like the masks
+        assert len(held) == (0 if law == "static" else -(-horizon // BLOCK_STEPS))
+        block = held[0] if held else 0
+        assert parts["gossip picks"] <= block < parts["gossip picks"] + 4096
         peak = max(peaks, default=0)
-        assert parts["link draw temporary"] <= peak < parts["link draw temporary"] + 4096
+        assert peak < parts["gossip picks"] + 4096
         walk.close()
 
 
@@ -1229,6 +1231,53 @@ def test_missing_compiler_is_a_named_error(monkeypatch, tmp_path, capsys):
     assert err.startswith("error: cannot build the compiled bank-step kernel with")
     assert "adle-no-such-compiler" in err and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_missing_static_library_is_a_named_error(monkeypatch, tmp_path, capsys):
+    missing = tmp_path / "numpy" / "random" / "lib" / "libnpyrandom.a"
+    monkeypatch.setattr(_kernel, "NPYRANDOM", missing)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setattr(_kernel, "_cache_dir", lambda: cache)
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text("schema: adle-scenario/1\nmodel: example1\n"
+                        "topology: {base: example1, law: gossip}\nhorizon: 100\nnum_trials: 4\n")
+    _kernel.load.cache_clear()
+    try:
+        with pytest.raises(AdleError, match=re.escape(f"{missing} -lm`: numpy's static library")):
+            _kernel.load()
+        assert main(["--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    finally:
+        _kernel.load.cache_clear()
+    assert list(cache.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot build the compiled bank-step kernel with `gcc ")
+    assert f"{missing} is missing" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_cache_key_covers_numpy(monkeypatch, tmp_path):
+    # a library linked from another numpy's distributions is another library
+    key = _kernel._cache_key()
+    monkeypatch.setattr(_kernel, "NPYRANDOM", tmp_path / "libnpyrandom.a")
+    moved = _kernel._cache_key()
+    monkeypatch.setattr(_kernel.np, "__version__", "0.0.0")
+    assert len({key, moved, _kernel._cache_key()}) == 3
+
+
+def test_every_entry_point_keeps_its_declared_types():
+    # ctypes makes a new function at each lib[name], so types set on one did not
+    # stick: lib.adle_bank_bytes.restype was c_int
+    kernel = _kernel.load()
+    widths = [f"{base}{width}" for base in _kernel._WIDE for width in _kernel.WIDTHS
+              if width > kernel.lanes]
+    bound = [name for name in _kernel.SIGNATURES if name not in widths]
+    assert sorted(kernel._fns) == [width for width in _kernel.WIDTHS if width <= kernel.lanes]
+    for name in bound:
+        fn = getattr(kernel._lib, name)
+        assert [list(fn.argtypes), fn.restype] == list(_kernel.SIGNATURES[name]), name
+    assert kernel._lib.adle_bank_bytes.restype is ctypes.c_int64
+    assert kernel._lib.adle_bank_bytes() == ctypes.sizeof(_kernel._BankArgs)
 
 
 def test_a_library_of_another_layout_is_refused_not_bound(tmp_path):
@@ -1340,3 +1389,20 @@ def test_a_cache_others_may_write_to_is_not_loaded_from(monkeypatch, tmp_path, k
     assert private.parent == tmp_path and private.name.startswith("adle-kernel-")
     assert private != shared and not private.is_symlink()
     assert stat.S_IMODE(private.stat().st_mode) == 0o700
+
+
+def test_a_private_build_directory_is_removed_once_loaded(monkeypatch, tmp_path):
+    # neither the package's cache nor a shared one may be used: the process
+    # builds in a directory of its own, and leaves none behind in /tmp
+    shared = _unwritable_package_cache(monkeypatch, tmp_path)
+    shared.mkdir()
+    shared.chmod(0o770)
+    _kernel.load.cache_clear()
+    try:
+        kernel = _kernel.load()
+    finally:
+        _kernel.load.cache_clear()
+    assert list(tmp_path.iterdir()) == [shared] and list(shared.iterdir()) == []
+    assert _kernel.Streams([3]).standard_normal(2).tolist() == [
+        np.random.default_rng(3).standard_normal(2).tolist()]
+    assert kernel.lanes in _kernel.WIDTHS
