@@ -322,9 +322,8 @@ class Streams:
     """A bank of random streams: numpy's PCG64 in the compiled library,
     which draws from them by numpy's own C distributions, so that stream
     ``r`` of ``Streams(seeds)`` draws exactly what
-    ``np.random.default_rng(seeds[r])`` draws.  The draws have
-    ``Generator``'s method names and arguments, and each draws ``size``
-    from every stream: its result has a leading axis of R streams.
+    ``np.random.default_rng(seeds[r])`` draws.  Each draw writes every
+    stream's draws into its row of ``out``, one C-contiguous row per stream.
 
     A seed is a non-negative int or a sequence of them, seeded as numpy's
     ``SeedSequence`` seeds it (:func:`_seed_words`), or an object with
@@ -335,27 +334,27 @@ class Streams:
     __slots__ = ("_lib", "_states", "_ptr")
 
     def __init__(self, seeds):
-        kernel = load()
-        size = len(seeds) * kernel.stream_bytes
-        raw = np.empty(size + 16, np.uint8)  # __uint128_t wants 16-byte alignment
-        self._states = raw[-raw.ctypes.data % 16:][:size].reshape(len(seeds), -1)
-        self._lib, self._ptr = kernel._lib, self._states.ctypes.data
+        self._alloc(len(seeds))
         words = np.array([seed.generate_state(4, np.uint64) if hasattr(seed, "generate_state")
                           else _seed_words(seed) for seed in seeds], np.uint64)
         self._lib.adle_seed(self._ptr, len(seeds), words.ctypes.data)
 
+    def _alloc(self, rows: int) -> None:
+        kernel = load()
+        size = rows * kernel.stream_bytes
+        raw = np.empty(size + 16, np.uint8)  # __uint128_t wants 16-byte alignment
+        self._states = raw[-raw.ctypes.data % 16:][:size].reshape(rows, -1)
+        self._lib, self._ptr = kernel._lib, self._states.ctypes.data
+
     def __len__(self) -> int:
         return len(self._states)
 
-    @property
-    def state(self) -> bytes:
-        """The streams' PCG64 states and carried half-words; assign the
-        state of a bank as large to resume there."""
-        return self._states.tobytes()
-
-    @state.setter
-    def state(self, value: bytes) -> None:
-        self._states.reshape(-1)[:] = np.frombuffer(value, np.uint8)
+    def copy(self) -> "Streams":
+        """An unseeded bank at this one's states and carried half-words."""
+        twin = Streams.__new__(Streams)
+        twin._alloc(len(self))
+        twin._states[...] = self._states
+        return twin
 
     def advance(self, delta: int) -> None:
         """Jump every stream ``delta`` outputs, modulo 2**128, dropping a
@@ -363,57 +362,45 @@ class Streams:
         delta = operator.index(delta) % (1 << 128)
         self._lib.adle_advance(self._ptr, len(self), delta >> 64, delta & (1 << 64) - 1)
 
-    def standard_normal(self, size=None, out=None) -> np.ndarray:
-        """Standard normal draws, into ``out`` if it is given."""
-        out = self._out(size, out, np.float64)
+    def normals(self, out: np.ndarray) -> np.ndarray:
+        """Every stream's ``Generator.standard_normal``, into float64 ``out``."""
+        self._check_out(out, np.float64)
         self._lib.adle_normals(self._ptr, len(self), out[0].size, out.ctypes.data, out.strides[0])
         return out
 
-    def laplace(self, loc=0.0, scale=1.0, size=None, out=None) -> np.ndarray:
-        """Laplace draws, into ``out`` if it is given (``Generator.laplace``
-        takes no ``out``)."""
-        out = self._out(size, out, np.float64)
-        self._lib.adle_laplace(self._ptr, len(self), out[0].size, loc, scale, out.ctypes.data,
+    def laplace(self, scale: float, out: np.ndarray) -> np.ndarray:
+        """Every stream's ``Generator.laplace(0, scale)``, into float64 ``out``."""
+        self._check_out(out, np.float64)
+        self._lib.adle_laplace(self._ptr, len(self), out[0].size, 0.0, scale, out.ctypes.data,
                                out.strides[0])
         return out
 
-    def integers(self, low: int, high: int, size=None) -> np.ndarray:
-        """The values of ``Generator.integers(low, high, size)``, in the
-        smallest dtype of ``low`` and ``high - 1`` (``np.min_scalar_type``),
-        so that a block of a bank's picks needs no int64 temporary."""
-        if high <= low:
-            raise ValueError("high <= low")
-        dtype = np.result_type(np.min_scalar_type(low), np.min_scalar_type(high - 1))
-        out = np.empty(self._shape(size), dtype)
-        self._lib.adle_bounded(self._ptr, len(self), low, high - 1 - low, out[0].size,
-                               out.ctypes.data, out.strides[0], dtype.itemsize)
+    def picks(self, high: int, out: np.ndarray) -> np.ndarray:
+        """Every stream's ``Generator.integers(0, high)``, into an unsigned
+        ``out`` that holds ``high - 1``, so that a block of picks needs no
+        int64 temporary."""
+        if high < 1:
+            raise ValueError(f"high must be at least 1, got {high}")
+        if not (isinstance(out, np.ndarray) and out.dtype.kind == "u" and out.dtype.isnative
+                and high - 1 <= np.iinfo(out.dtype).max):
+            raise ValueError(f"out must be an unsigned integer array that holds {high - 1}")
+        self._check_out(out, out.dtype)
+        self._lib.adle_bounded(self._ptr, len(self), 0, high - 1, out[0].size, out.ctypes.data,
+                               out.strides[0], out.itemsize)
         return out
 
     def below(self, p: float, out: np.ndarray) -> np.ndarray:
         """Every stream's ``Generator.random(out.shape[1:]) < p``, into a bool
         ``out``, without the uniforms."""
-        out = self._out(out.shape[1:], out, np.bool_)
+        self._check_out(out, np.bool_)
         self._lib.adle_below(self._ptr, len(self), out[0].size, p, out.ctypes.data, out.strides[0])
         return out
 
-    def _shape(self, size) -> tuple[int, ...]:
-        """The shape of ``size`` draws of every stream."""
-        if size is None:
-            return (len(self),)
-        try:
-            return (len(self), operator.index(size))
-        except TypeError:
-            return (len(self), *size)
-
-    def _out(self, size, out, dtype) -> np.ndarray:
-        """``out``, checked to hold ``size`` draws of ``dtype`` from every
-        stream, each stream's in a C-contiguous row; else a new array."""
-        if out is None:
-            return np.empty(self._shape(size), dtype)
-        if not isinstance(out, np.ndarray) or out.shape != self._shape(size):
-            raise ValueError(f"out must be an array of shape {self._shape(size)}")
+    def _check_out(self, out, dtype) -> None:
+        """Refuse an ``out`` that is not one C-contiguous ``dtype`` row per stream."""
+        if not isinstance(out, np.ndarray) or out.ndim < 2 or len(out) != len(self):
+            raise ValueError(f"out must be an array of {len(self)} rows, one per stream")
         _check(out[0], "a row of out", dtype, out.shape[1:])
-        return out
 
 
 def _seed_words(entropy) -> list[int]:

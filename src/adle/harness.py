@@ -51,8 +51,9 @@ TRIALS_PER_BANK = 64
 #: Bytes of a bank's noise and link-mask buffers, which hold a window of
 #: steps of a block: each trial's noise and links for a block are runs of
 #: its stream, drawn a window at a time, so outputs do not depend on this size.
-#: Each further window costs one kernel call and one draw call per trial:
-#: at 1 MiB that is a few percent of the run time, at 256 KiB about a tenth.
+#: Each further window costs one kernel call and one call per draw layer for
+#: the whole bank: at 1 MiB that is a few percent of the run time, at 256 KiB
+#: about a tenth.
 _DRAW_WINDOW_BYTES = 1 << 20
 
 #: The cgroup file systems' mount root, and the groups of this process
@@ -126,15 +127,14 @@ class StatResult:
     gating: bool = True
 
 
-def _draw_topology_block(top: TopologyModel, draws: list, rngs, scratch, steps: int, w0: int,
-                         out) -> None:
+def _draw_topology_block(top: TopologyModel, draws: list, rngs, steps: int, w0: int, out) -> None:
     """Fill ``out``, bool (R, window, E), with the masks of block steps
     ``w0..w0 + window - 1`` by the fill in ``draws``; at the block's first
     window, first replace it with the link draws of the block's ``steps``
     steps from the bank's streams ``rngs`` (:meth:`TopologyModel.link_draws`)."""
     if w0 == 0:
         draws.clear()  # the previous block's go first
-        draws.append(top.link_draws(rngs, steps, scratch))
+        draws.append(top.link_draws(rngs, steps))
     draws[0](w0, out)
 
 
@@ -281,7 +281,6 @@ def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
     active = np.empty((len(rngs), window, edges), bool) if edges else None
     weights = np.empty((3, window))
     bound = _kernel.load().bind(state, model, top, noise, weights, active)
-    scratch = top.link_scratch(len(rngs))  # the bank's scratch streams, if its law reads any
     draws = []  # the bank's link draws of the block
 
     pointer = 0
@@ -292,8 +291,8 @@ def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
             drawn, window_start = min(window, steps - w0), block_start + w0
             weights[:, :drawn] = schedule.block(window_start, drawn)
             if edges:
-                _draw_topology_block(top, draws, rngs, scratch, steps, w0, active[:, :drawn])
-            _unit_variance_draws(rngs, model.noise, (drawn, n, mx), noise[:, :drawn])
+                _draw_topology_block(top, draws, rngs, steps, w0, active[:, :drawn])
+            _unit_variance_draws(rngs, model.noise, noise[:, :drawn])
             while state.step < window_start + drawn:
                 stop = min(window_start + drawn, grid[pointer])
                 _advance(bound, state, state.step - window_start, stop - window_start)
@@ -314,18 +313,18 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
     Grammian and sample covariance of :func:`initial_network_state`.  Each
     trial consumes only its own stream, the one
     ``np.random.default_rng(seed)`` draws (one ``_kernel.Streams`` bank
-    for the trials), in blocks of ``BLOCK_STEPS`` steps: the topology
-    draws of the block, then its unit-variance noise.  The noise and mask
-    buffers hold a window of the block's steps, as many as fit in 1 MiB
-    (the whole block for small banks), and each trial draws into its row
-    of them a window at a time, the same runs of its stream as whole-block
-    draws: its link draws start at the block's first window and leave its
-    stream where the noise starts (:meth:`TopologyModel.link_draws`).  The
-    window's weights are written beside them, and the kernel, which sees
-    only the window, forms the observations from the noise in segments that
-    end at grid steps or window ends (:func:`_advance`).
-    A singular gain solve raises :class:`TrialDiverged` with the trial's
-    place in the bank.
+    for the trials, seeded once), in blocks of ``BLOCK_STEPS`` steps: the
+    topology draws of the block, then its unit-variance noise.  The noise
+    and mask buffers hold a window of the block's steps, as many as fit in
+    1 MiB (the whole block for small banks), drawn in one call per layer
+    for the whole bank, each trial's row the same run of its stream as a
+    whole-block draw: the link draws start at the block's first window and
+    leave each stream where its noise starts (:meth:`TopologyModel.link_draws`).
+    The window's weights are written beside them, and the kernel, which
+    sees only the window, forms the observations from the noise in segments
+    that end at grid steps or window ends (:func:`_advance`).  A singular
+    gain solve raises :class:`TrialDiverged` with the trial's place in the
+    bank.
     """
     for t, state, _ in _walk(model, top, schedule, horizon, grid, seeds, init):
         yield t, state

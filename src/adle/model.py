@@ -230,24 +230,20 @@ def validate_observation_model(model: ObservationModel) -> CentralizedSummary:
 
 def sample_observation(model: ObservationModel, agent: int, rng) -> np.ndarray:
     """Draw ``y_agent = H_agent @ theta + noise`` with covariance ``R_agent``
-    from ``rng``, a numpy ``Generator``."""
+    from ``rng``, a numpy ``Generator``: its unit-variance draws of the
+    model's family, the outputs :func:`_unit_variance_draws` gives a row."""
     h = model.sensing[agent]
-    factor = model._noise_factors[agent]
-    draw = _unit_variance_draws(rng, model.noise, h.shape[0])
-    return h @ model.true_param + factor @ draw
+    draw = (rng.standard_normal(len(h)) if model.noise == "gaussian"
+            else rng.laplace(0.0, 2.0**-0.5, len(h)))
+    return h @ model.true_param + model._noise_factors[agent] @ draw
 
 
-def _unit_variance_draws(rng, family: str, shape, out=None) -> np.ndarray:
-    """Unit-variance draws of ``family`` from ``rng``, a numpy ``Generator``
-    or a bank of ``adle._kernel.Streams`` (``shape`` from each stream),
-    written into ``out`` when it is given; a ``Generator`` takes an ``out``
-    of Gaussian draws only."""
+def _unit_variance_draws(streams, family: str, out: np.ndarray) -> np.ndarray:
+    """Unit-variance draws of ``family`` into ``out``, each stream's of the
+    bank ``streams`` (``adle._kernel.Streams``) into its row."""
     if family == "gaussian":
-        return rng.standard_normal(shape, out=out)
-    # Laplace with scale 1/sqrt(2) has unit variance.
-    if out is None:
-        return rng.laplace(0.0, 2.0**-0.5, size=shape)
-    return rng.laplace(0.0, 2.0**-0.5, size=shape, out=out)
+        return streams.normals(out)
+    return streams.laplace(2.0**-0.5, out)  # Laplace with scale 1/sqrt(2) has unit variance
 
 
 def centralized_estimate(model: ObservationModel, observations) -> np.ndarray:

@@ -10,10 +10,10 @@ three supported laws are
 * ``gossip`` -- exactly one base edge, chosen uniformly, is active.
 
 The law is read here only: :meth:`TopologyModel.link_draws` turns a
-bank's random streams, or one trial's generator, into per-step
-active-edge masks, for the harness and :func:`sample_laplacian` alike;
-the masks are all that the sampled Laplacians and the compiled kernel
-see.
+bank's random streams into per-step active-edge masks for the harness,
+and :meth:`TopologyModel.draw_active` turns one numpy ``Generator`` into
+the same masks for :func:`sample_laplacian`; the masks are all that the
+sampled Laplacians and the compiled kernel see.
 
 The quantity that matters for convergence is not per-step connectivity
 but the algebraic connectivity (Fiedler value) of the *mean* Laplacian:
@@ -29,7 +29,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernel import Streams
 from .errors import NotMeanConnected
 
 LINK_LAWS = ("static", "bernoulli", "gossip")
@@ -151,62 +150,50 @@ class TopologyModel:
         """Whether the law draws links at all; the ``static`` law does not."""
         return self.law != "static"
 
-    def link_draws(self, rng, steps: int, scratch=None):
-        """Start the link draws of a block of ``steps`` steps from ``rng``,
-        one trial's numpy ``Generator`` or a bank of trials'
-        ``adle._kernel.Streams``; return their ``fill(w0, out)``, which
-        writes the bool masks of block steps ``w0..w0 + window - 1`` into
-        ``out``, (window, E) or (R, window, E), windows in order from 0.
-        ``rng`` (PCG64 either way) is left where the block's noise starts:
-        gossip picks are drawn here in one ``integers`` call (it reads a
-        varying count of outputs), kept in the narrowest unsigned dtype;
-        Bernoulli masks come a window at a time from ``scratch``
-        (:meth:`link_scratch`), set to the bank's state, while the bank
-        jumps the ``steps * E`` outputs they take; a ``Generator``, with no
-        ``scratch``, draws them here at once, the same outputs, and they are
-        kept.  Not for the ``static`` law, which draws nothing."""
+    def link_draws(self, streams, steps: int):
+        """Start the link draws of a block of ``steps`` steps from
+        ``streams``, a bank of trials' ``adle._kernel.Streams``; return
+        their ``fill(w0, out)``, which writes the bool (R, window, E) masks
+        of block steps ``w0..w0 + window - 1`` into ``out``, windows in
+        order from 0.  The bank is left where the block's noise starts:
+        gossip picks are drawn here, kept in the narrowest unsigned dtype
+        (they read a varying count of outputs); Bernoulli masks come a
+        window at a time from an unseeded copy of the bank
+        (``Streams.copy``), while the bank jumps the ``steps * E`` outputs
+        they take.  Not for the ``static`` law, which draws nothing."""
         edges = self.base.num_edges
         if self.law == "gossip":
-            # a bank's Streams draw them in that dtype; a Generator, as int64
-            picks = rng.integers(0, edges, size=steps).astype(np.min_scalar_type(edges - 1),
-                                                               copy=False)
+            picks = streams.picks(edges, np.empty((len(streams), steps),
+                                                  np.min_scalar_type(edges - 1)))
             span = np.arange(edges, dtype=picks.dtype)
-            return lambda w0, out: np.equal(picks[..., w0:w0 + out.shape[-2], None], span,
-                                            out=out)
-        if scratch is None:
-            masks = rng.random((steps, edges)) < self.p
-            return lambda w0, out: np.copyto(out, masks[..., w0:w0 + out.shape[-2], :])
-        scratch.state = rng.state
-        rng.advance(steps * edges)
-        return lambda w0, out: scratch.below(self.p, out)
-
-    def link_scratch(self, rows: int) -> Streams | None:
-        """The scratch streams of a bank of ``rows`` trials for
-        :meth:`link_draws` under the ``bernoulli`` law, which reads them,
-        else ``None``."""
-        return Streams([0] * rows) if self.law == "bernoulli" else None
+            return lambda w0, out: np.equal(picks[:, w0:w0 + out.shape[1], None], span, out=out)
+        masks = streams.copy()
+        streams.advance(steps * edges)
+        return lambda w0, out: masks.below(self.p, out)
 
     def link_draw_bytes(self, rows: int, steps: int, window: int) -> dict[str, int]:
         """Bytes of ``rows`` trials' link draws of a block of ``steps`` steps
-        through a ``window``-step mask buffer, by part: the buffer, and the
-        gossip picks that :meth:`link_draws` keeps.  A bank's ``Streams``
-        write both in place, with no temporary."""
+        through a ``window``-step mask buffer, by part: the buffer, and what
+        :meth:`link_draws` keeps: the gossip picks, or the Bernoulli copy of
+        the bank's streams (``adle_stream_bytes``, 48 a trial)."""
         gossip, edges = self.law == "gossip", self.base.num_edges if self.draws_links else 0
         return {
             "link mask window": rows * window * edges,
             "gossip picks": rows * steps * np.min_scalar_type(edges - 1).itemsize if gossip else 0,
+            "mask streams": rows * 48 if self.law == "bernoulli" else 0,
         }
 
     def draw_active(self, rng, steps: int) -> np.ndarray | None:
         """Active-edge masks of ``steps`` i.i.d. link draws from ``rng``, a
-        numpy ``Generator``, bool (steps, E), by one window of
-        :meth:`link_draws`; ``None`` under the ``static`` law, which draws
-        nothing."""
+        numpy ``Generator``, bool (steps, E): the outputs that a bank's
+        stream gives its row by :meth:`link_draws`.  ``None`` under the
+        ``static`` law, which draws nothing."""
         if not self.draws_links:
             return None
-        out = np.empty((steps, self.base.num_edges), dtype=bool)
-        self.link_draws(rng, steps)(0, out)
-        return out
+        edges = self.base.num_edges
+        if self.law == "gossip":
+            return np.arange(edges) == rng.integers(0, edges, steps)[:, None]
+        return rng.random((steps, edges)) < self.p
 
     def laplacians(self, active: np.ndarray | None) -> np.ndarray:
         """Laplacians of active-edge masks, (..., E) to (..., N, N); ``None``

@@ -32,7 +32,6 @@ from adle.estimator import (
     _sample_cov_from_moments,
     initial_network_state,
 )
-from adle.model import _unit_variance_draws
 
 
 @dataclass
@@ -263,6 +262,14 @@ def stacked_segment(state, stacked, noise, start: int, stop: int, weights, top, 
         state.step += 1
 
 
+def unit_variance_draws(rng, family: str, shape) -> np.ndarray:
+    """Unit-variance draws of ``family`` from ``rng``, a numpy ``Generator``:
+    standard normals, or Laplace draws of scale 1/sqrt(2)."""
+    if family == "gaussian":
+        return rng.standard_normal(shape)
+    return rng.laplace(0.0, 2.0**-0.5, shape)
+
+
 def link_masks(top, rngs, steps: int):
     """A block's active-edge masks, bool (R, steps, E), each trial's link
     draws read by hand from its stream in one call; ``None`` under the
@@ -296,7 +303,7 @@ def reference_trajectory(model, top, schedule, horizon: int, grid, seeds, init=N
     while state.step < horizon:
         steps = min(harness.BLOCK_STEPS, horizon - state.step)
         active = link_masks(top, rngs, steps)
-        noise = np.stack([_unit_variance_draws(rng, model.noise, (steps, *shape))
+        noise = np.stack([unit_variance_draws(rng, model.noise, (steps, *shape))
                           for rng in rngs])
         weights = schedule.block(state.step, steps)
         for s in range(steps):

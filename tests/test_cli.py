@@ -382,7 +382,7 @@ def test_draw_buffers_beyond_memory_are_a_collected_validation_error(tmp_path, c
     assert harness._draw_window(64, 5, 1, 5, 1024) == 364
     assert parts == {
         "noise window": 64 * 364 * 5 * 8, "link mask window": 64 * 364 * 5,
-        "weights": 3 * 364 * 8, "gossip picks": 0,
+        "weights": 3 * 364 * 8, "gossip picks": 0, "mask streams": 64 * 48,
         "lane scratch": 513 * 8 * 8,  # adle_scratch_vectors at n = m = 5, mx = 1
         "bank state": (64 * (5 + 25 + 2 + 1) + 1) * 5 * 8}
     path = write_scenario(tmp_path, num_trials=130, horizon=2085, parallelism=2)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from adle.errors import ScheduleViolation
 from adle.estimator import _max_disagreement, initial_network_state
 from adle.harness import run_trial, trajectory
-from adle.model import ObservationModel, _unit_variance_draws, validate_observation_model
+from adle.model import ObservationModel, validate_observation_model
 from adle.network import (
     Graph,
     TopologyModel,
@@ -24,6 +24,7 @@ from reference import (
     compute_gain,
     fresh_agent,
     reference_round,
+    unit_variance_draws,
     update_estimates,
     update_grammian,
     update_sample_covariance,
@@ -276,7 +277,7 @@ def test_trajectory_step_matches_reference_round(case, ring_model, ring_schedule
             uniforms = rng.random((steps, len(edges)))
         elif case == "gossip_ragged_init":
             picks = rng.integers(0, len(edges), size=steps)
-        noise = _unit_variance_draws(rng, model.noise, (steps, n, max(model.obs_dims)))
+        noise = unit_variance_draws(rng, model.noise, (steps, n, max(model.obs_dims)))
         for t in range(steps):
             if case == "static":
                 active = edges

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from adle import _kernel, harness, network
+from adle import _kernel, harness
 from adle.cli import example1_model, main
 from adle.errors import AdleError, NotPositiveDefinite, TrialDiverged
 from adle.estimator import NetworkState, _sample_cov_from_moments, initial_network_state
@@ -39,7 +39,7 @@ from adle.harness import (
     worker_count,
     write_report,
 )
-from adle.model import ObservationModel, _unit_variance_draws
+from adle.model import ObservationModel
 from adle.network import (
     Graph,
     TopologyModel,
@@ -59,6 +59,7 @@ from reference import (
     reference_walk,
     stacked_round,
     stacked_segment,
+    unit_variance_draws,
 )
 
 
@@ -640,10 +641,9 @@ def _windowed_masks(top, rngs, steps, window):
     streams (``_kernel.Streams``) through ``harness._draw_topology_block`` a
     ``window`` of steps at a time."""
     masks = np.empty((len(rngs), steps, top.base.num_edges), bool)
-    scratch, draws = top.link_scratch(len(rngs)), []
+    draws = []
     for w0 in range(0, steps, window):
-        harness._draw_topology_block(top, draws, rngs, scratch, steps, w0,
-                                     masks[:, w0:w0 + window])
+        harness._draw_topology_block(top, draws, rngs, steps, w0, masks[:, w0:w0 + window])
     return masks
 
 
@@ -681,11 +681,11 @@ def test_link_windows_are_whole_block_draws(law, window, steps):
     for block in (BLOCK_STEPS, steps):
         masks = _windowed_masks(top, rngs, block, window)
         assert np.array_equal(masks, link_masks(top, hand, block))
-        assert rngs.standard_normal(2).tolist() == [rng.standard_normal(2).tolist()
-                                                    for rng in hand]
+        assert rngs.normals(np.empty((3, 2))).tolist() == [rng.standard_normal(2).tolist()
+                                                           for rng in hand]
         if law == "gossip":  # three picks carry a half-word into the next block's
-            assert rngs.integers(0, 3, 3).tolist() == [rng.integers(0, 3, 3).tolist()
-                                                       for rng in hand]
+            assert rngs.picks(3, np.empty((3, 3), np.uint8)).tolist() == [
+                rng.integers(0, 3, 3).tolist() for rng in hand]
 
 
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
@@ -711,19 +711,27 @@ def test_sample_laplacian_is_a_one_step_block(law):
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
 def test_only_a_bernoulli_walk_builds_scratch_generators(monkeypatch, ring_model, ring_schedule,
                                                          law):
-    # gossip picks and static links read no scratch streams, so none are built;
-    # the trials' own are built in the harness, which the spy does not see
-    built, streams = [], network.Streams
+    # a walk seeds each of its R trials' streams once, under every law; only
+    # Bernoulli masks read scratch streams, an unseeded copy of the bank per block
+    seeded, copies, copy = [], [], _kernel.Streams.copy
+    lib = _kernel.load()._lib
+    seed = lib.adle_seed
 
-    def spy(*args):
-        built.append(args)
-        return streams(*args)
+    def spy_seed(states, rows, words):
+        seeded.append(rows)
+        return seed(states, rows, words)
 
-    monkeypatch.setattr(network, "Streams", spy)
+    def spy_copy(self):
+        copies.append(len(self))
+        return copy(self)
+
+    monkeypatch.setattr(lib, "adle_seed", spy_seed)
+    monkeypatch.setattr(_kernel.Streams, "copy", spy_copy)
     seeds = [np.random.SeedSequence((31, k)) for k in range(3)]
     horizon = BLOCK_STEPS + 50
     list(harness._walk(ring_model, DRAW_LAWS[law], ring_schedule, horizon, [horizon], seeds))
-    assert built == ([([0] * len(seeds),)] if law == "bernoulli" else [])
+    assert seeded == [len(seeds)]
+    assert copies == ([len(seeds)] * 2 if law == "bernoulli" else [])
 
 
 def _snapshots(walk):
@@ -786,8 +794,8 @@ def _block(model, top, schedule, steps, seed, bank=3):
     documented order."""
     rngs = [np.random.default_rng((seed, r)) for r in range(bank)]
     draws = link_masks(top, rngs, steps)
-    noise = np.stack([_unit_variance_draws(rng, model.noise, (steps, model.num_agents,
-                                                               model._stacked.max_dim))
+    noise = np.stack([unit_variance_draws(rng, model.noise, (steps, model.num_agents,
+                                                             model._stacked.max_dim))
                       for rng in rngs])
     weights = np.array([[float(rate(t)) for t in range(steps)]
                         for rate in (schedule.alpha, schedule.beta, schedule.gamma)])
@@ -1132,15 +1140,15 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
         peaks.append(peak)
         return result, left
 
-    def spy(self, rng, steps, scratch):  # a bank's link draws of a block, and their fills
-        fill, left = traced(lambda: link_draws(self, rng, steps, scratch))
+    def spy(self, rng, steps):  # a bank's link draws of a block, and their fills
+        fill, left = traced(lambda: link_draws(self, rng, steps))
         held.append(left)
         return lambda w0, out: traced(lambda: fill(w0, out))[0]
 
     step, steps = _step_bytes(ring_model, top, len(seeds)), min(BLOCK_STEPS, horizon)
     edges = top.base.num_edges if top.draws_links else 0
     if edges:  # a process's first draws leave one-off allocations: make them untraced
-        fill = top.link_draws(_kernel.Streams([0]), steps, top.link_scratch(1))
+        fill = top.link_draws(_kernel.Streams([0]), steps)
         fill(0, np.empty((1, 1, edges), bool))
     monkeypatch.setattr(TopologyModel, "link_draws", spy)
     # the library's windows (whole blocks for 3 trials, a part of a block for 64), then
@@ -1163,14 +1171,18 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
         bound_bytes = sum(arrays[name].nbytes for name in arrays
                           if arrays[name] is not None and name not in ("h", "truth", "factor",
                                                                        "edges"))
-        assert widest + bound_bytes == sum(parts.values()) - parts["gossip picks"]
+        kept = parts["gossip picks"] + parts["mask streams"]  # held by the block's draws
+        assert widest + bound_bytes == sum(parts.values()) - kept
         assert widest == parts["lane scratch"]
-        # a block's draws hold its picks, drawn in place like the masks
+        # a block's draws hold its picks, drawn in place like the masks, or its copy of
+        # the streams
         assert len(held) == (0 if law == "static" else -(-horizon // BLOCK_STEPS))
         block = held[0] if held else 0
-        assert parts["gossip picks"] <= block < parts["gossip picks"] + 4096
+        assert parts["mask streams"] == (len(seeds) * _kernel.load().stream_bytes
+                                         if law == "bernoulli" else 0)
+        assert kept <= block < kept + 4096
         peak = max(peaks, default=0)
-        assert peak < parts["gossip picks"] + 4096
+        assert peak < kept + 4096
         walk.close()
 
 
@@ -1403,6 +1415,6 @@ def test_a_private_build_directory_is_removed_once_loaded(monkeypatch, tmp_path)
     finally:
         _kernel.load.cache_clear()
     assert list(tmp_path.iterdir()) == [shared] and list(shared.iterdir()) == []
-    assert _kernel.Streams([3]).standard_normal(2).tolist() == [
+    assert _kernel.Streams([3]).normals(np.empty((1, 2))).tolist() == [
         np.random.default_rng(3).standard_normal(2).tolist()]
     assert kernel.lanes in _kernel.WIDTHS

@@ -186,3 +186,32 @@ def test_the_link_law_is_read_in_network_only():
     assert reads_law(package / "network.py")
     assert [path.name for path in sorted(package.glob("*.py"))
             if path.name != "network.py" and reads_law(path)] == []
+
+
+def test_generators_are_drawn_from_in_the_public_helpers_only():
+    # a run draws from a bank of Streams by adle's own names; a numpy Generator's
+    # are called only where the public helpers draw from the caller's generator
+    names = {"random", "integers", "standard_normal"}
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope, self.found = module, ["<module>"], []
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Attribute) and node.func.attr in names:
+                self.found.append((self.module, self.scope[-1], node.func.attr))
+            self.generic_visit(node)
+
+    found = []
+    for path in sorted(Path(adle.__file__).parent.glob("*.py")):
+        calls = Calls(path.name)
+        calls.visit(ast.parse(path.read_text()))
+        found += calls.found
+    assert sorted(found) == [("model.py", "sample_observation", "standard_normal"),
+                             ("network.py", "draw_active", "integers"),
+                             ("network.py", "draw_active", "random")]
