@@ -1,8 +1,8 @@
 /* Fused bank kernel: for a whole bank of trials, the consensus+innovation
  * round of the numpy oracle ``stacked_round`` (``tests/reference.py``)
  * plus the moment update over one segment of a draw window, and the
- * checkpoint records of ``harness._bank_checkpoint``.  The trials' random
- * streams, which fill the draw windows, are here too (see Random streams).
+ * checkpoint records of ``harness._bank_checkpoint`` at its last step.
+ * The trials' random streams, which fill the windows, are here too.
  *
  * ``struct adle_bank`` holds the sizes and the array addresses, set once
  * by the Python loader; every array is C-contiguous float64 (int64 for
@@ -20,7 +20,7 @@
  *   factor    (n, mx, mx)          noise factors
  *   noise     (bank, window, n, mx) unit-variance draws of a window of
  *                                  steps: row s holds window step s
- *   w         (3, window)          alpha, beta, gamma of each window step
+ *   w         (3, window + 1)      alpha, beta, gamma of window steps 0..window
  *   edges     (num_edges, 2)       base-graph edges
  *   active    (bank, window, num_edges) active-edge masks of the same window
  *                                  of steps; NULL: all active
@@ -38,21 +38,20 @@
  * and every lane performs exactly the scalar operations of its own
  * trial, in the same order, so the results do not depend on the lane
  * width.  The body below is stamped out once per width: 1 (any CPU), and
- * on x86 4 (AVX2) and 8 (AVX-512F), as ``adle_advance_bank_<L>`` and
- * ``adle_checkpoint_bank_<L>``; ``adle_lanes`` names the widest one
- * this CPU runs.
+ * on x86 4 (AVX2) and 8 (AVX-512F), as ``adle_advance_bank_<L>``;
+ * ``adle_lanes`` names the widest one this CPU runs.
  *
  * The bank is cut into groups of LANES trials (the last group padded
  * with dead lanes).  Lane groups are the outer loop and steps the inner
  * one: a group's state is gathered into lane-major scratch once per
- * call and scattered back once, while each step's noise and active-edge
- * masks are read in place, strided by trial by the window.  A call's
- * segment lies inside the window, in steps counted from its first.
+ * call, its records are read from there, and it is scattered back once,
+ * while each step's noise and masks are read in place, strided by trial
+ * by the window.  A segment lies inside the window, in steps from its first.
  * Partial pivoting picks each lane's pivot by compare-and-blend, and a
  * masked-off edge or a dead lane keeps its value by select, never by
- * adding zero (-0.0 + 0.0 is +0.0).  A trial whose gain solve meets a zero pivot
- * stops there; the others go on, so that ``failure`` ends up naming the
- * earliest such step (and the first trial at it), as a round-by-round
+ * adding zero (-0.0 + 0.0 is +0.0).  A trial whose gain solve meets a
+ * zero pivot stops there while the others go on, so that ``failure``
+ * names the earliest such step and its first trial, as a round-by-round
  * bank would meet it.
  */
 
@@ -70,7 +69,7 @@ enum { OK = 0, SINGULAR = 1, NOT_FINITE = 2 };
 /* Mirrored field for field by ``_kernel._BankArgs`` in the loader, which
  * checks its size and this version: bump the version whenever a field, or
  * the meaning of one, changes. */
-#define ADLE_LAYOUT 3
+#define ADLE_LAYOUT 4
 
 struct adle_bank {
     int64_t bank, n, m, mx, window, num_edges;
@@ -96,7 +95,7 @@ int64_t adle_bank_bytes(void)
 }
 
 /* Lane vectors of scratch, allocated once per bank by the loader: the
- * layout of adle_advance_bank, of which the checkpoint uses a part. */
+ * layout of adle_advance_bank, of which its records reuse a part. */
 int64_t adle_scratch_vectors(const struct adle_bank *b)
 {
     const int64_t n = b->n, m = b->m, mx = b->mx;
@@ -532,12 +531,14 @@ static void NAME(edge_sums)(int64_t width, int64_t i, int64_t j, M on, const V *
 /* Copy one trial's ``width`` doubles into lane ``l`` of ``lanes``, and back. */
 static void NAME(gather)(int64_t width, int l, const double *trial, V *lanes)
 {
+    (void)l;                         /* unread at one lane */
     for (int64_t q = 0; q < width; q++)
         LANE(lanes[q], l) = trial[q];
 }
 
 static void NAME(scatter)(int64_t width, int l, const V *lanes, double *trial)
 {
+    (void)l;
     for (int64_t q = 0; q < width; q++)
         trial[q] = LANE(lanes[q], l);
 }
@@ -563,24 +564,108 @@ static struct NAME(fields) NAME(layout)(const struct adle_bank *b)
     return f;
 }
 
-/* Gather the trials first, first + 1, ... of one lane group into the
- * lane-major fields; a dead lane past the bank end reads the last trial.
- * Returns the live lanes. */
-static M NAME(gather_group)(const struct NAME(fields) *f, int64_t bank, int64_t first,
-                            int64_t trial[LANES])
+static inline V NAME(sqrt)(V v)
 {
-    M live;
-    for (int l = 0; l < LANES; l++) {
-        LANE(live, l) = first + l < bank ? -1 : 0;
-        trial[l] = first + l < bank ? first + l : bank - 1;
-    }
-    for (int i = 0; i < 5; i++)
-        for (int l = 0; l < LANES; l++)
-            NAME(gather)(f->width[i], l, f->state[i] + trial[l] * f->width[i], f->lanes[i]);
-    return live;
+    for (int l = 0; l < LANES; l++)
+        LANE(v, l) = __builtin_sqrt(LANE(v, l));
+    return v;
 }
 
-int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, int64_t count)
+/* The larger of a and b, NaN where either is, as np.maximum. */
+static inline V NAME(max)(V a, V b)
+{
+    return NAME(pick)(GREATER(b, a) | IS_NAN(b), b, a);
+}
+
+/* Sum of the squares of d[0, k) in the pairwise order of numpy's
+ * add.reduce: eight running sums within blocks of up to 128, halves above. */
+static V NAME(sum_squares)(int64_t k, const V *d)
+{
+    if (k > 128) {
+        const int64_t half = k / 2 - k / 2 % 8;
+        return NAME(sum_squares)(half, d) + NAME(sum_squares)(k - half, d + half);
+    }
+    V s = NAME(splat)(0.0);
+    int64_t i = 0;
+    if (k >= 8) {
+        V r[8] = {0};                /* squares are never -0.0: 0 + r is r */
+        for (; i < k - k % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += d[i + j] * d[i + j];
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < k; i++)
+        s += d[i] * d[i];
+    return s;
+}
+
+/* Write the records (disagreement, n error norms, gain gap, Grammian gap)
+ * of lane group ``first``, at ``count`` observations, to its live trials'
+ * rows out + trial * (n + 3); where still unset, bad[0..2] take its first
+ * trial with a non-finite estimate or Grammian, with a zero pivot in a
+ * gain solve, and with a non-finite record.  v - v is NaN unless v is finite. */
+static void NAME(records)(const struct adle_bank *b, const struct NAME(fields) *f,
+                          int64_t first, int64_t count, double gamma, M live, double *out,
+                          int64_t bad[3])
+{
+    const int64_t bank = b->bank, n = b->n, m = b->m, mx = b->mx, mm = m * m, stride = n + 3;
+    V *work = f->rest, *d = work + m * mx;  /* differences, past the gain */
+    const V *x = f->lanes[0], *g = f->lanes[1];
+    M broken = {0}, singular = {0}, unfit = {0};
+    for (int64_t q = 0; q < n * (m + mm); q++)  /* x, then g */
+        broken |= IS_NAN(x[q] - x[q]);
+
+    V disagreement = NAME(splat)(0.0), gain_gap = NAME(splat)(0.0);
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t j = i + 1; j < n; j++) {
+            for (int64_t k = 0; k < m; k++)
+                d[k] = x[j * m + k] - x[i * m + k];
+            disagreement = NAME(max)(disagreement, NAME(sqrt)(NAME(sum_squares)(m, d)));
+        }
+        for (int64_t k = 0; k < m; k++)
+            d[k] = x[i * m + k] - b->theta[k];
+        const V error = NAME(sqrt)(NAME(sum_squares)(m, d));
+        unfit |= IS_NAN(error - error);
+        for (int l = 0; l < LANES && first + l < bank; l++)
+            out[(first + l) * stride + 1 + i] = LANE(error, l);
+
+        singular |= NAME(gain)(m, mx, count, gamma, g + i * mm, f->lanes[3] + i * mx,
+                               f->lanes[4] + i * mx * mx, b->q0 + i * mx * mx,
+                               b->h + i * mx * m, NULL, work);
+        for (int64_t q = 0; q < m * mx; q++)
+            d[q] = work[q] - b->kopt[i * m * mx + q];
+        gain_gap = NAME(max)(gain_gap, NAME(sqrt)(NAME(sum_squares)(m * mx, d)));
+    }
+    for (int64_t q = 0; q < mm; q++) {
+        V sum = g[q];
+        for (int64_t i = 1; i < n; i++)
+            sum += g[i * mm + q];
+        d[q] = sum / (double)n - b->gtarget[q];
+    }
+    const V grammian_gap = NAME(sqrt)(NAME(sum_squares)(mm, d));
+
+    unfit |= IS_NAN(disagreement - disagreement) | IS_NAN(gain_gap - gain_gap)
+             | IS_NAN(grammian_gap - grammian_gap);
+    for (int l = 0; l < LANES && first + l < bank; l++) {
+        double *row = out + (first + l) * stride;
+        row[0] = LANE(disagreement, l);
+        row[n + 1] = LANE(gain_gap, l);
+        row[n + 2] = LANE(grammian_gap, l);
+    }
+    const M failed[3] = {broken & live, singular & live, unfit & live};
+    for (int k = 0; k < 3; k++)
+        for (int l = 0; l < LANES && bad[k] < 0; l++)
+            if (LANE(failed[k], l))
+                bad[k] = first + l;
+}
+
+/* Advance the bank through window steps start..stop-1 from ``count``
+ * observations; then, unless ``out`` is NULL, write each lane group's
+ * records at step count + stop - start, with gamma w[2][stop].  A zero
+ * pivot met advancing wins (SINGULAR); else ``failure`` names the records'
+ * step and their first failure by the precedence of bad[]. */
+int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, int64_t count,
+                            double *out)
 {
     const int64_t bank = b->bank, n = b->n, m = b->m, mx = b->mx, window = b->window;
     const int64_t num_edges = b->num_edges, *edges = b->edges;
@@ -588,7 +673,7 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
     const double *noise = b->noise, *w = b->w;
     const uint8_t *active = b->active;
     int64_t *failure = b->failure;
-    const int64_t mm = m * m;
+    const int64_t mm = m * m, row = window + 1;  /* the weight rows' stride */
     const struct NAME(fields) fields = NAME(layout)(b);
     V *xr = fields.lanes[0], *gr = fields.lanes[1], *shr = fields.lanes[2];
     V *sr = fields.lanes[3], *orr = fields.lanes[4];
@@ -600,13 +685,23 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
     V *y = z + n * mx;               /* (n, mx) observations */
     V *work = y + n * mx;
     int status = OK;
+    int64_t bad[3] = {-1, -1, -1};   /* the first trial of each records failure */
 
     for (int64_t first = 0; first < bank; first += LANES) {
         int64_t trial[LANES];
-        M live = NAME(gather_group)(&fields, bank, first, trial);
+        M group;                     /* the trials in the bank; a dead lane reads the last */
+        for (int l = 0; l < LANES; l++) {
+            LANE(group, l) = first + l < bank ? -1 : 0;
+            trial[l] = first + l < bank ? first + l : bank - 1;
+        }
+        for (int i = 0; i < 5; i++)
+            for (int l = 0; l < LANES; l++)
+                NAME(gather)(fields.width[i], l, fields.state[i] + trial[l] * fields.width[i],
+                             fields.lanes[i]);
+        M live = group;
 
         for (int64_t s = start; s < stop && NAME(any)(live); s++) {
-            const double alpha = w[s], beta = w[window + s], gamma = w[2 * window + s];
+            const double alpha = w[s], beta = w[row + s], gamma = w[2 * row + s];
             const int64_t c = count + (s - start);
             for (int l = 0; l < LANES; l++)
                 NAME(gather)(n * mx, l, noise + (trial[l] * window + s) * n * mx, z);
@@ -675,117 +770,19 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
             }
         }
 
+        if (out != NULL)
+            NAME(records)(b, &fields, first, count + stop - start, w[2 * row + stop], group, out,
+                          bad);
         for (int i = 0; i < 5; i++)
             for (int l = 0; l < LANES && first + l < bank; l++)
                 NAME(scatter)(fields.width[i], l, fields.lanes[i],
                               fields.state[i] + trial[l] * fields.width[i]);
     }
-    return status;
-}
-
-static inline V NAME(sqrt)(V v)
-{
-    for (int l = 0; l < LANES; l++)
-        LANE(v, l) = __builtin_sqrt(LANE(v, l));
-    return v;
-}
-
-/* The larger of a and b, NaN where either is, as np.maximum. */
-static inline V NAME(max)(V a, V b)
-{
-    return NAME(pick)(GREATER(b, a) | IS_NAN(b), b, a);
-}
-
-/* Sum of the squares of d[0, k) in the pairwise order of numpy's
- * add.reduce: eight running sums within blocks of up to 128, halves above. */
-static V NAME(sum_squares)(int64_t k, const V *d)
-{
-    if (k > 128) {
-        const int64_t half = k / 2 - k / 2 % 8;
-        return NAME(sum_squares)(half, d) + NAME(sum_squares)(k - half, d + half);
-    }
-    V s = NAME(splat)(0.0);
-    int64_t i = 0;
-    if (k >= 8) {
-        V r[8] = {0};                /* squares are never -0.0: 0 + r is r */
-        for (; i < k - k % 8; i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += d[i + j] * d[i + j];
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-    }
-    for (; i < k; i++)
-        s += d[i] * d[i];
-    return s;
-}
-
-/* Write each trial's checkpoint records (disagreement, n error norms,
- * gain gap, Grammian gap) to the row out + trial * (n + 3).  Name in
- * ``failure`` the first trial with a non-finite estimate or Grammian
- * (NOT_FINITE), else with a zero pivot in a gain solve (SINGULAR), else
- * with a non-finite record (NOT_FINITE).  v - v is NaN unless v is finite. */
-int NAME(adle_checkpoint_bank)(struct adle_bank *b, int64_t count, double gamma, double *out)
-{
-    const int64_t bank = b->bank, n = b->n, m = b->m, mx = b->mx, mm = m * m, stride = n + 3;
-    const struct NAME(fields) fields = NAME(layout)(b);
-    V *work = fields.rest, *d = work + m * mx;  /* differences, past the gain */
-    const V *x = fields.lanes[0], *g = fields.lanes[1];
-    int64_t bad[3] = {-1, -1, -1};   /* the first trial of each failure, by precedence */
-
-    for (int64_t first = 0; first < bank; first += LANES) {
-        int64_t trial[LANES];
-        const M live = NAME(gather_group)(&fields, bank, first, trial);
-        M broken = {0}, singular = {0}, unfit = {0};
-        for (int64_t q = 0; q < n * (m + mm); q++)  /* x, then g */
-            broken |= IS_NAN(x[q] - x[q]);
-
-        V disagreement = NAME(splat)(0.0), gain_gap = NAME(splat)(0.0);
-        for (int64_t i = 0; i < n; i++) {
-            for (int64_t j = i + 1; j < n; j++) {
-                for (int64_t k = 0; k < m; k++)
-                    d[k] = x[j * m + k] - x[i * m + k];
-                disagreement = NAME(max)(disagreement, NAME(sqrt)(NAME(sum_squares)(m, d)));
-            }
-            for (int64_t k = 0; k < m; k++)
-                d[k] = x[i * m + k] - b->theta[k];
-            const V error = NAME(sqrt)(NAME(sum_squares)(m, d));
-            unfit |= IS_NAN(error - error);
-            for (int l = 0; l < LANES && first + l < bank; l++)
-                out[(first + l) * stride + 1 + i] = LANE(error, l);
-
-            singular |= NAME(gain)(m, mx, count, gamma, g + i * mm, fields.lanes[3] + i * mx,
-                                   fields.lanes[4] + i * mx * mx, b->q0 + i * mx * mx,
-                                   b->h + i * mx * m, NULL, work);
-            for (int64_t q = 0; q < m * mx; q++)
-                d[q] = work[q] - b->kopt[i * m * mx + q];
-            gain_gap = NAME(max)(gain_gap, NAME(sqrt)(NAME(sum_squares)(m * mx, d)));
-        }
-        for (int64_t q = 0; q < mm; q++) {
-            V sum = g[q];
-            for (int64_t i = 1; i < n; i++)
-                sum += g[i * mm + q];
-            d[q] = sum / (double)n - b->gtarget[q];
-        }
-        const V grammian_gap = NAME(sqrt)(NAME(sum_squares)(mm, d));
-
-        unfit |= IS_NAN(disagreement - disagreement) | IS_NAN(gain_gap - gain_gap)
-                 | IS_NAN(grammian_gap - grammian_gap);
-        for (int l = 0; l < LANES && first + l < bank; l++) {
-            double *row = out + (first + l) * stride;
-            row[0] = LANE(disagreement, l);
-            row[n + 1] = LANE(gain_gap, l);
-            row[n + 2] = LANE(grammian_gap, l);
-        }
-        const M failed[3] = {broken & live, singular & live, unfit & live};
-        for (int k = 0; k < 3; k++)
-            for (int l = 0; l < LANES && bad[k] < 0; l++)
-                if (LANE(failed[k], l))
-                    bad[k] = first + l;
-    }
     const int k = bad[0] >= 0 ? 0 : bad[1] >= 0 ? 1 : 2;
-    if (bad[k] < 0)
-        return OK;
-    b->failure[0] = bad[k];
-    b->failure[1] = count;
+    if (status != OK || bad[k] < 0)
+        return status;
+    failure[0] = bad[k];
+    failure[1] = count + stop - start;
     return k == 1 ? SINGULAR : NOT_FINITE;
 }
 

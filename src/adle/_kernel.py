@@ -4,9 +4,9 @@ diagnostics, and the trials' random streams.
 
 The kernel advances a whole trial bank through one segment of a draw
 window in a single call, forming each step's observations from the
-noise, or writes the bank's checkpoint records.  A bank is bound once,
-with its state, model, links and draw buffers (``BankKernel.bind``);
-both entry points then work on it in one lane scratch buffer.
+noise, and, where asked, writes the bank's checkpoint records at the
+segment's last step.  A bank is bound once, with its state, model, links
+and draw buffers (``BankKernel.bind``), and one lane scratch buffer.
 :class:`Streams` are a bank's PCG64 streams, drawn by numpy's own C
 distributions, which the library links from numpy's static
 ``libnpyrandom.a``.  The library is compiled on first use with the
@@ -49,7 +49,7 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 NPYRANDOM = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
 
 #: ``ADLE_LAYOUT`` of ``_kernel.c``: the version of ``struct adle_bank``.
-LAYOUT = 3
+LAYOUT = 4
 
 #: No ``-march=native`` and no ``-ffast-math``, and no contraction into
 #: fused multiply-adds: results are then bit-stable across machines of
@@ -57,8 +57,8 @@ LAYOUT = 3
 #: instruction (its value is the same); numpy's distributions need libm.
 COMPILE = ("gcc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 
-#: Lane widths of the entry points ``adle_advance_bank_<L>`` and
-#: ``adle_checkpoint_bank_<L>``: baseline, AVX2 and AVX-512F.
+#: Lane widths of the entry points ``adle_advance_bank_<L>``: baseline,
+#: AVX2 and AVX-512F.
 WIDTHS = (1, 4, 8)
 
 #: The hash of the source this module's ``_BankArgs`` goes with, read once,
@@ -178,13 +178,11 @@ SIGNATURES = {
     "adle_laplace": ([_PTR, _I64, _I64, _F64, _F64, _PTR, _I64], None),
     "adle_bounded": ([_PTR, _I64, _U64, _U64, _I64, _PTR, _I64, _I64], None),
     "adle_below": ([_PTR, _I64, _I64, _F64, _PTR, _I64], None),
-    **{f"adle_advance_bank_{width}": ([_BANK, _I64, _I64, _I64], ctypes.c_int)
-       for width in WIDTHS},
-    **{f"adle_checkpoint_bank_{width}": ([_BANK, _I64, _F64, _PTR], ctypes.c_int)
+    **{f"adle_advance_bank_{width}": ([_BANK, _I64, _I64, _I64, _PTR], ctypes.c_int)
        for width in WIDTHS},
 }
 
-_WIDE = ("adle_advance_bank_", "adle_checkpoint_bank_")  # one entry point per lane width
+_WIDE = "adle_advance_bank_"  # one entry point per lane width
 
 
 def _bind(lib: ctypes.CDLL, name: str):
@@ -212,7 +210,7 @@ class BankKernel:
                             f"{found[1]} bytes, but the loader's _BankArgs is layout {LAYOUT} "
                             f"of {ctypes.sizeof(_BankArgs)} bytes")
         self.lanes, self.stream_bytes = lib.adle_lanes(), lib.adle_stream_bytes()
-        self._fns = {width: tuple(_bind(lib, f"{base}{width}") for base in _WIDE)
+        self._fns = {width: _bind(lib, f"{_WIDE}{width}")
                      for width in WIDTHS[:WIDTHS.index(self.lanes) + 1]}
         self._lib = lib
 
@@ -226,13 +224,14 @@ class BankKernel:
         factors (``_stacked``) it reads, and ``top`` holds the links.  The
         draw buffers hold a window of W steps: ``noise``, the
         (R, W, N, max_dim) unit-variance draws from which the kernel forms
-        each step's observations, ``weights``, the (3, W) alpha, beta and
-        gamma of the steps, and ``active``, the bool (R, W, E) active-edge
-        masks over ``top.edge_array``, or ``None`` when every edge is
-        always active.
+        each step's observations, ``weights``, the (3, W + 1) alpha, beta
+        and gamma of the steps and of the step after them (the gamma of
+        records at the window's end), and ``active``, the bool (R, W, E)
+        active-edge masks over ``top.edge_array``, or ``None`` when every
+        edge is always active.
         Their contents may change between segments; no address may.  The
         returned bank keeps every array alive, and the lane scratch
-        allocated here for both entry points.
+        allocated here.
         """
         stacked = model._stacked
         n, m, mx = model.num_agents, model.param_dim, stacked.max_dim
@@ -246,7 +245,7 @@ class BankKernel:
             "q0": _check(state.initial_sample_covs, "initial_sample_covs", np.float64, (n, mx, mx)),
             "h": stacked.sensing, "truth": stacked.sensed_truth, "factor": stacked.noise_factor,
             "noise": _check(noise, "noise", np.float64, (bank, window, n, mx)),
-            "w": _check(weights, "weights", np.float64, (3, window)),
+            "w": _check(weights, "weights", np.float64, (3, window + 1)),
             "edges": top.edge_array,
             "active": None if active is None else _check(
                 active, "active", np.bool_, (bank, window, top.base.num_edges)),
@@ -264,58 +263,49 @@ class BankKernel:
         raw = np.empty(size + 64, dtype=np.uint8)
         arrays["scratch"] = raw[-raw.ctypes.data % 64:][:size]
         args.scratch = arrays["scratch"].ctypes.data
-        return BoundBank(*self._fns[lanes], args, arrays, model)
+        return BoundBank(self._fns[lanes], args, arrays, model)
 
 
 class BoundBank:
     """A bank whose arrays are checked and whose addresses are bound:
-    :meth:`advance` once per segment, passing integers only, and
-    :meth:`checkpoint` at any step."""
+    :meth:`advance` once per segment."""
 
-    def __init__(self, advance, checkpoint, args: _BankArgs, arrays: dict, model):
-        self._fn, self._checkpoint, self._args, self._arrays = advance, checkpoint, args, arrays
+    def __init__(self, advance, args: _BankArgs, arrays: dict, model):
+        self._fn, self._args, self._arrays = advance, args, arrays
         self._model, self._ref = model, ctypes.byref(args)
 
-    def advance(self, count: int, start: int, stop: int) -> None:
+    def advance(self, count: int, start: int, stop: int, out: np.ndarray | None = None) -> None:
         """Advance the bank in place through steps ``start..stop-1`` of its
-        draw window: those rows of its noise, masks and weights.
-
-        ``count`` observations have been folded into the moments before
-        ``start``.  A zero pivot in a gain solve raises
-        :class:`TrialDiverged` naming the earliest step it met (``count``
-        plus its offset from ``start``) and the first trial, by its place
-        in the bank, that met it there.
+        draw window, ``count`` observations folded before ``start``; then,
+        given a float64 (R, N + 3) ``out``, write into it each trial's records
+        at step ``count + stop - start``, at the gamma of weight column
+        ``stop``: the disagreement, N error norms, gain gap and Grammian gap.
+        The first such call binds the model's true parameter, optimal gains
+        and mean Grammian, so a model that does not validate raises there.
+        :class:`TrialDiverged` names a trial by its place in the bank: the
+        first at the earliest zero pivot met advancing, else, at the
+        records' step, the first with a non-finite estimate or Grammian,
+        else with a zero pivot in a gain solve, else with a non-finite record.
         """
-        window = self._args.window
-        if not 0 <= start <= stop <= window:
-            raise ValueError(f"segment [{start}, {stop}) outside the draw window [0, {window})")
+        args = self._args
+        if not 0 <= start <= stop <= args.window:
+            raise ValueError(f"segment [{start}, {stop}) outside the draw window "
+                             f"[0, {args.window})")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        if self._fn(self._ref, start, stop, count) == SINGULAR:
-            failure = self._args.failure
-            raise TrialDiverged(failure[0], failure[1], TrialDiverged.SINGULAR)
-
-    def checkpoint(self, count: int, gamma: float) -> np.ndarray:
-        """The (R, N + 3) records of the bank's state, which holds ``count``
-        observations, at ``gamma``: per trial, the disagreement, N error norms,
-        gain gap and Grammian gap.  The first call binds the model's true
-        parameter, optimal gains and mean Grammian, so a model that does not
-        validate raises here.  :class:`TrialDiverged` names ``count`` and the
-        first trial with a non-finite estimate or Grammian, else with a zero
-        pivot in a gain solve, else with a non-finite record."""
-        args, model = self._args, self._model
-        if args.theta is None:
-            self._arrays.update(theta=np.ascontiguousarray(model.true_param),
-                                kopt=model._optimal_gain_stack,
-                                gtarget=model._centralized.grammian_norm)
-            args.theta, args.kopt, args.gtarget = (
-                self._arrays[name].ctypes.data for name in ("theta", "kopt", "gtarget"))
-        out = np.empty((args.bank, args.n + 3))
-        status = self._checkpoint(self._ref, count, gamma, out.ctypes.data)
+        if out is not None:
+            _check(out, "out", np.float64, (args.bank, args.n + 3))
+            if args.theta is None:
+                model = self._model
+                self._arrays.update(theta=np.ascontiguousarray(model.true_param),
+                                    kopt=model._optimal_gain_stack,
+                                    gtarget=model._centralized.grammian_norm)
+                args.theta, args.kopt, args.gtarget = (
+                    self._arrays[name].ctypes.data for name in ("theta", "kopt", "gtarget"))
+        status = self._fn(self._ref, start, stop, count, None if out is None else out.ctypes.data)
         if status != OK:
             cause = TrialDiverged.SINGULAR if status == SINGULAR else TrialDiverged.NON_FINITE
-            raise TrialDiverged(args.failure[0], count, cause)
-        return out
+            raise TrialDiverged(args.failure[0], args.failure[1], cause)
 
 
 class Streams:
@@ -334,6 +324,8 @@ class Streams:
     __slots__ = ("_lib", "_states", "_ptr")
 
     def __init__(self, seeds):
+        if not len(seeds):
+            raise ValueError("a bank of streams needs at least one seed")
         self._alloc(len(seeds))
         words = np.array([seed.generate_state(4, np.uint64) if hasattr(seed, "generate_state")
                           else _seed_words(seed) for seed in seeds], np.uint64)

@@ -13,9 +13,9 @@ driver of the round: each trial still consumes only its own random
 stream (topology draws for a block of steps, then observation noise for
 the block), so any single trial is bit-reproducible from its seed alone
 and reports do not depend on the parallelism degree.  The compiled
-kernel (``_kernel.c``) is the one round: it advances a bank from one
-checkpoint to the next in a single call, forming each step's
-observations from the noise, and writes the checkpoint diagnostics.
+kernel (``_kernel.c``) is the one round: one call advances a bank from
+one checkpoint to the next, forming each step's observations from the
+noise, and writes the checkpoint diagnostics of the step it ends on.
 """
 
 from __future__ import annotations
@@ -144,16 +144,16 @@ def _laplacian_at(top: TopologyModel, active, s: int):
     return top.laplacians(None if active is None else active[:, s])
 
 
-def _advance(bound, state: NetworkState, start: int, stop: int) -> None:
+def _advance(bound, state: NetworkState, start: int, stop: int, out=None) -> None:
     """Advance a bank through steps ``start..stop-1`` of its draw window in
-    place, ``state.step`` included, by one call of its bound kernel
-    (``_kernel.BoundBank``)."""
-    bound.advance(state.step, start, stop)
+    place, ``state.step`` included, by one call of its ``_kernel.BoundBank``,
+    which writes the records of its last step into ``out`` unless ``None``."""
+    bound.advance(state.step, start, stop, out)
     state.step += stop - start
 
 
 def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
-    """A trial bank's diagnostics in numpy: the oracle of ``BoundBank.checkpoint``."""
+    """A trial bank's records in numpy: the oracle of those ``BoundBank.advance`` writes."""
     dinv = _regularized_inverse(sample_covs, gamma)
     sensing_t = np.swapaxes(model._stacked.sensing, -1, -2)
     gains = _gain_kernel(grammians, gamma, sensing_t @ dinv)
@@ -185,7 +185,7 @@ def _draw_bytes(model: ObservationModel, top: TopologyModel, trials: int,
     return {
         "noise window": rows * window * n * mx * 8,
         **top.link_draw_bytes(rows, steps, window),
-        "weights": 3 * window * 8,
+        "weights": 3 * (window + 1) * 8,
         "lane scratch": _kernel.scratch_vectors(n, m, mx) * max(_kernel.WIDTHS) * 8,
         "bank state": (rows * (m + m * m + 2 * mx + mx * mx) + mx * mx) * n * 8,
     }
@@ -261,9 +261,9 @@ def _memory_limit() -> tuple[int | None, str]:
     return min(limits + _cgroup_limits(), default=(None, "memory"), key=lambda limit: limit[0])
 
 
-def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
-    """:func:`trajectory`, yielding ``(t, state, bound)``: ``bound`` is the
-    bank's one ``_kernel.BoundBank``, whose ``checkpoint`` reads ``state``."""
+def _walk(model, top, schedule, horizon: int, grid, seeds, init=None, records=None):
+    """:func:`trajectory`; the call that ends on grid step ``grid[c]`` writes
+    the bank's records there into ``records[c]`` unless ``records`` is ``None``."""
     n, mx = model.num_agents, model._stacked.max_dim
     rngs = _kernel.Streams(seeds)
     grid = np.asarray(grid, dtype=np.int64)
@@ -279,7 +279,7 @@ def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
     window = _draw_window(len(rngs), n, mx, edges, min(BLOCK_STEPS, horizon))
     noise = np.empty((len(rngs), window, n, mx))  # a short window fills a prefix of each row
     active = np.empty((len(rngs), window, edges), bool) if edges else None
-    weights = np.empty((3, window))
+    weights = np.empty((3, window + 1))  # and the step after the window, for records there
     bound = _kernel.load().bind(state, model, top, noise, weights, active)
     draws = []  # the bank's link draws of the block
 
@@ -289,15 +289,16 @@ def _walk(model, top, schedule, horizon: int, grid, seeds, init=None):
         steps = min(BLOCK_STEPS, horizon - block_start)
         for w0 in range(0, steps, window):
             drawn, window_start = min(window, steps - w0), block_start + w0
-            weights[:, :drawn] = schedule.block(window_start, drawn)
+            weights[:, :drawn + 1] = schedule.block(window_start, drawn + 1)
             if edges:
                 _draw_topology_block(top, draws, rngs, steps, w0, active[:, :drawn])
             _unit_variance_draws(rngs, model.noise, noise[:, :drawn])
             while state.step < window_start + drawn:
                 stop = min(window_start + drawn, grid[pointer])
-                _advance(bound, state, state.step - window_start, stop - window_start)
+                out = None if records is None or stop != grid[pointer] else records[pointer]
+                _advance(bound, state, state.step - window_start, stop - window_start, out)
                 if state.step == grid[pointer]:
-                    yield state.step, state, bound
+                    yield state.step, state
                     pointer += 1
 
 
@@ -324,10 +325,9 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
     sees only the window, forms the observations from the noise in segments
     that end at grid steps or window ends (:func:`_advance`).  A singular
     gain solve raises :class:`TrialDiverged` with the trial's place in the
-    bank.
+    bank; empty ``seeds`` raise ``ValueError``.
     """
-    for t, state, _ in _walk(model, top, schedule, horizon, grid, seeds, init):
-        yield t, state
+    yield from _walk(model, top, schedule, horizon, grid, seeds, init)
 
 
 def _run_bank(
@@ -345,22 +345,21 @@ def _run_bank(
     Returns arrays with a leading trial axis: the checkpoint records
     ``disagreement`` (R, C), ``error_norms`` (R, C, N), ``gain_gap``
     (R, C) and ``grammian_gap`` (R, C), then the terminal scaled errors
-    (R, N, M) and the scaled centralized baseline (R, M).  At each step of
-    ``grid``, ``BoundBank.checkpoint`` writes the records of the bank that
-    :func:`_walk` bound.  A trial whose state or records are non-finite
-    there, or whose gain solve meets a singular matrix, raises
-    :class:`TrialDiverged`, naming it by ``first_trial`` plus its place in
-    the bank.
+    (R, N, M) and the scaled centralized baseline (R, M).  The kernel call of
+    :func:`_walk` that ends on each step of ``grid`` writes the bank's
+    records there, into a (C, R, N + 3) table.  A trial whose state or
+    records are non-finite there, or whose gain solve meets a singular
+    matrix, raises :class:`TrialDiverged`, naming it by ``first_trial``
+    plus its place in the bank.
     """
     n = model.num_agents
-    table = np.empty((len(seeds), len(grid), n + 3))
-    try:
-        for c, (t, state, bound) in enumerate(_walk(model, top, schedule, horizon, grid, seeds,
-                                                    init)):
-            table[:, c] = bound.checkpoint(t, float(schedule.gamma(t)))
+    records = np.empty((len(grid), len(seeds), n + 3))
+    try:  # the walk, once exhausted, frees its draw buffers before the terminal errors
+        for t, state in _walk(model, top, schedule, horizon, grid, seeds, init, records):
+            pass
     except TrialDiverged as exc:
         raise TrialDiverged(first_trial + exc.trial, exc.step, exc.cause) from None
-    del bound  # free the draw buffers before the terminal errors are formed
+    table = records.swapaxes(0, 1)
     scaled_errors = math.sqrt(horizon + 1.0) * (state.estimates - model.true_param)
     baseline = centralized_estimate_from_means(model, state.obs_shifts + state.obs_sums / t)
     scaled_baseline = math.sqrt(t) * (baseline - model.true_param)

@@ -312,18 +312,26 @@ def reference_trajectory(model, top, schedule, horizon: int, grid, seeds, init=N
                 yield state.step, state
 
 
-def no_draws(state):
-    """An empty block of draw buffers, for a bank bound only to checkpoint."""
+def no_draws(state, gamma=1.0):
+    """An empty window of draw buffers, for a bank bound only to write its
+    records by zero-step advances: their gamma, the weights' one column, is
+    ``gamma``."""
     bank, n, mx = state.obs_sums.shape
-    return np.empty((bank, 0, n, mx)), np.empty((3, 0)), None
+    return np.empty((bank, 0, n, mx)), np.array([[0.0], [0.0], [gamma]]), None
 
 
-def reference_walk(model, top, schedule, horizon: int, grid, seeds, init=None):
+def reference_walk(model, top, schedule, horizon: int, grid, seeds, init=None, records=None):
     """``harness._walk`` on the numpy round: :func:`reference_trajectory`,
-    yielding ``(t, state, bound)`` with a bank bound once on its state, so
-    that ``bound.checkpoint`` writes the kernel's records of it."""
+    whose state at grid step ``grid[c]`` a bank bound once on it writes the
+    kernel's records of into ``records[c]``, by a zero-step advance, unless
+    ``records`` is ``None``."""
     bound = None
-    for t, state in reference_trajectory(model, top, schedule, horizon, grid, seeds, init):
-        if bound is None:  # the oracle's arrays stay in place from here on
-            bound = _kernel.load().bind(state, model, top, *no_draws(state))
-        yield t, state, bound
+    for c, (t, state) in enumerate(reference_trajectory(model, top, schedule, horizon, grid,
+                                                        seeds, init)):
+        if records is not None:
+            if bound is None:  # the oracle's arrays stay in place from here on
+                noise, weights, active = no_draws(state)
+                bound = _kernel.load().bind(state, model, top, noise, weights, active)
+            weights[2, 0] = schedule.gamma(t)
+            bound.advance(t, 0, 0, records[c])
+        yield t, state

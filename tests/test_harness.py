@@ -734,6 +734,18 @@ def test_only_a_bernoulli_walk_builds_scratch_generators(monkeypatch, ring_model
     assert copies == ([len(seeds)] * 2 if law == "bernoulli" else [])
 
 
+def _binds(monkeypatch) -> list:
+    """The banks that ``BankKernel.bind`` returns from here on, in order."""
+    banks, bind = [], _kernel.BankKernel.bind
+
+    def spy(self, *args):
+        banks.append(bind(self, *args))
+        return banks[-1]
+
+    monkeypatch.setattr(_kernel.BankKernel, "bind", spy)
+    return banks
+
+
 def _snapshots(walk):
     """Copies of the state arrays of a trajectory (or a walk) at every grid step."""
     return [(t, [a.copy() for a in (state.estimates, state.grammians, state.obs_shifts,
@@ -754,11 +766,12 @@ def test_noise_windows_keep_the_bits_of_whole_block_draws(monkeypatch, law, nois
     whole = _snapshots(trajectory(model, top, schedule, horizon, grid, seeds))
     oracle = _snapshots(reference_trajectory(model, top, schedule, horizon, grid, seeds))
     monkeypatch.setattr(harness, "_DRAW_WINDOW_BYTES", window * _step_bytes(model, top, 3))
+    banks = _binds(monkeypatch)
     walk = harness._walk(model, top, schedule, horizon, grid, seeds)
     first = next(walk)
-    arrays = first[2]._arrays
+    arrays = banks[0]._arrays
     assert arrays["noise"].shape[:2] == (len(seeds), window)
-    assert arrays["w"].shape == (3, window)
+    assert arrays["w"].shape == (3, window + 1)
     if law == "static":
         assert arrays["active"] is None
     else:
@@ -770,6 +783,35 @@ def test_noise_windows_keep_the_bits_of_whole_block_draws(monkeypatch, law, nois
         # the moments fold exactly the observations of the draws
         assert [a.tobytes() for a in got[2:]] == [a.tobytes() for a in ref[2:]]
         assert max(np.max(np.abs(a - b)) for a, b in zip(got[:2], ref[:2])) <= 1e-10
+
+
+def test_a_trajectory_of_no_seeds_is_refused_by_name(ring_model, bernoulli_pentagon,
+                                                     ring_schedule):
+    walk = trajectory(ring_model, bernoulli_pentagon, ring_schedule, 20, [10, 20], seeds=[])
+    with pytest.raises(ValueError, match="^a bank of streams needs at least one seed$"):
+        next(walk)
+
+
+@pytest.mark.parametrize("window", [1, 37])
+@pytest.mark.parametrize("law", sorted(DRAW_LAWS))
+def test_run_trial_records_keep_their_bits_in_any_window(monkeypatch, ring_schedule, law, window):
+    # the records of a call that ends on a window's end read gamma from the
+    # weights' column after the window: grid steps on window ends (37, 74, 1024,
+    # 1061), inside windows, on a block's end and beyond it
+    model, top = example1_model(), DRAW_LAWS[law]
+    horizon = BLOCK_STEPS + 50
+    grid = [1, 5, 36, 37, 38, 74, 100, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1,
+            BLOCK_STEPS + 37, horizon]
+    library = run_trial(model, top, ring_schedule, horizon, grid, seed=(17, 3))
+    monkeypatch.setattr(harness, "_DRAW_WINDOW_BYTES", window * _step_bytes(model, top, 1))
+    banks = _binds(monkeypatch)
+    windowed = run_trial(model, top, ring_schedule, horizon, grid, seed=(17, 3))
+    assert banks[0]._arrays["noise"].shape[1] == window < BLOCK_STEPS
+    for field in ("disagreement", "error_norms", "gain_gap", "grammian_gap",
+                  "terminal_scaled_errors", "terminal_scaled_error_centralized"):
+        got, want = getattr(windowed, field), getattr(library, field)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+    assert np.all(np.isfinite(windowed.error_norms))
 
 
 # ----------------------------------------------------------------- compiled kernel
@@ -791,13 +833,13 @@ KERNEL_CASES = {
 
 def _block(model, top, schedule, steps, seed, bank=3):
     """Link draws, unit-variance noise and weights of one block, in the
-    documented order."""
+    documented order, and the weights of the step after it."""
     rngs = [np.random.default_rng((seed, r)) for r in range(bank)]
     draws = link_masks(top, rngs, steps)
     noise = np.stack([unit_variance_draws(rng, model.noise, (steps, model.num_agents,
                                                              model._stacked.max_dim))
                       for rng in rngs])
-    weights = np.array([[float(rate(t)) for t in range(steps)]
+    weights = np.array([[float(rate(t)) for t in range(steps + 1)]
                         for rate in (schedule.alpha, schedule.beta, schedule.gamma)])
     return draws, noise, weights
 
@@ -807,11 +849,13 @@ def _network(model, state, q0, count=0):
     return NetworkState(*state, q0, count, model.obs_dims)
 
 
-def _kernel_advance(kernel, state, count, q0, model, noise, start, stop, weights, top, active):
+def _kernel_advance(kernel, state, count, q0, model, noise, start, stop, weights, top, active,
+                    out=None):
     """Bind a bank and its draws, one window of steps, then advance it
-    through steps ``start..stop-1`` from ``count`` folded observations."""
+    through steps ``start..stop-1`` from ``count`` folded observations,
+    writing the records of its last step into ``out`` unless ``None``."""
     bound = kernel.bind(_network(model, state, q0, count), model, top, noise, weights, active)
-    bound.advance(count, start, stop)
+    bound.advance(count, start, stop, out)
 
 
 def _bank_state(model, init, bank=3):
@@ -883,8 +927,8 @@ def test_every_lane_width_names_the_same_singular_trial():
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
     bank, steps = 11, 8
     draws, noise, _ = _block(model, top, schedule, steps, seed=0, bank=bank)
-    weights = np.zeros((3, steps))
-    weights[2] = np.arange(1.0, steps + 1)
+    weights = np.zeros((3, steps + 1))
+    weights[2] = np.arange(1.0, steps + 2)
     states = []
     for kernel in _every_width():
         state, q0 = _bank_state(model, None, bank)
@@ -903,6 +947,20 @@ def test_every_lane_width_names_the_same_singular_trial():
         for s in range(folded):
             total = total + obs[trial, s]
         assert np.array_equal(states[0][3][trial], total)
+    # with records asked for, trial 0's non-finite estimate names the records'
+    # step, 48, unless a zero pivot met while advancing comes first
+    for kernel in _every_width():
+        for pivot, expected in ((False, (0, 48, TrialDiverged.NON_FINITE)),
+                                (True, (9, 42, TrialDiverged.SINGULAR))):
+            state, q0 = _bank_state(model, None, bank)
+            state[1][:] = np.eye(model.param_dim)
+            if pivot:
+                state[1][9] = -weights[2, 2] * np.eye(model.param_dim)
+            state[0][0, 3, 1] = np.nan
+            with pytest.raises(TrialDiverged) as info:
+                _kernel_advance(kernel, state, 40, q0, model, noise, 0, steps, weights, top, draws,
+                                np.empty((bank, model.num_agents + 3)))
+            assert (info.value.trial, info.value.step, info.value.cause) == expected
 
 
 @pytest.mark.parametrize("noise", ["gaussian", "laplace"])
@@ -968,10 +1026,10 @@ def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
                         weights, top, draws)
     network = _network(model, [x, g, shifts, sums, outer], q0)
     with pytest.raises(ValueError, match="active has shape"):  # masks of another window
-        kernel.bind(network, model, top, noise[:, :4].copy(), weights[:, :4].copy(), draws)
-    with pytest.raises(ValueError, match=r"weights has shape \(3, 8\), expected \(3, 4\)"):
+        kernel.bind(network, model, top, noise[:, :4].copy(), weights[:, :5].copy(), draws)
+    with pytest.raises(ValueError, match=r"weights has shape \(3, 9\), expected \(3, 5\)"):
         kernel.bind(network, model, top, noise[:, :4].copy(), weights, draws[:, :4].copy())
-    window = kernel.bind(network, model, top, noise[:, :4].copy(), weights[:, :4].copy(),
+    window = kernel.bind(network, model, top, noise[:, :4].copy(), weights[:, :5].copy(),
                          draws[:, :4].copy())  # a 4-step window: segments lie in [0, 4)
     for start, stop in [(2, 6), (-1, 2), (3, 5), (5, 5), (3, 2)]:
         with pytest.raises(ValueError, match=r"outside the draw window \[0, 4\)"):
@@ -990,9 +1048,12 @@ def _advanced_bank(model, top, schedule, init, bank, steps=300):
 
 
 def _checkpoint(kernel, model, top, state, q0, count, gamma):
-    """The kernel's (R, N + 3) records of a bank's state."""
+    """The kernel's (R, N + 3) records of a bank's state, which a zero-step
+    advance writes."""
     network = _network(model, state, q0, count)
-    return kernel.bind(network, model, top, *no_draws(network)).checkpoint(count, gamma)
+    out = np.full((len(state[0]), model.num_agents + 3), np.nan)
+    kernel.bind(network, model, top, *no_draws(network, gamma)).advance(count, 0, 0, out)
+    return out
 
 
 @pytest.mark.parametrize("bank", [3, 61, 64])
@@ -1050,17 +1111,20 @@ def test_checkpoint_names_the_first_trial_by_precedence():
 
 
 def test_checkpoint_needs_its_targets(ring_schedule):
-    # a model that does not validate still walks; only its checkpoint needs the targets
+    # a model that does not validate still walks; only its records need the targets
     noiseless, top = make_noiseless_ring(), TopologyModel(cycle_graph(5), "bernoulli", 0.5)
     walk = (noiseless, top, ring_schedule, 50, [10, 50], [1, 2])
     assert [t for t, _ in trajectory(*walk)] == [10, 50]
-    t, _, bound = next(harness._walk(*walk))
     with pytest.raises(NotPositiveDefinite):
-        bound.checkpoint(t, 1.0)
+        next(harness._walk(*walk, records=np.empty((2, 2, 8))))
     model, top, _, _ = KERNEL_CASES["bernoulli"]
-    state, q0 = _bank_state(model, None)
-    records = _checkpoint(_kernel.load(), model, top, state, q0, 1, 1.0)
-    assert records.shape == (3, 8) and np.all(records[:, 1:6] == np.sqrt(5.0))  # x = 0, theta = 1
+    for kernel in _every_width():
+        state, q0 = _bank_state(noiseless, None)
+        with pytest.raises(NotPositiveDefinite):
+            _checkpoint(kernel, noiseless, top, state, q0, 1, 1.0)
+        state, q0 = _bank_state(model, None)
+        records = _checkpoint(kernel, model, top, state, q0, 1, 1.0)
+        assert records.shape == (3, 8) and np.all(records[:, 1:6] == np.sqrt(5.0))  # x = 0
 
 
 def test_lane_scratch_is_aligned_and_sized_by_the_kernel():
@@ -1079,8 +1143,9 @@ def test_lane_scratch_is_aligned_and_sized_by_the_kernel():
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
-    done = subprocess.run([*_kernel.COMPILE, "-Wall", "-Werror", "-o", str(tmp_path / "k.so"),
-                           str(_kernel._SOURCE)], capture_output=True, text=True)
+    done = subprocess.run([*_kernel.COMPILE, "-Wall", "-Wextra", "-Werror", "-o",
+                           str(tmp_path / "k.so"), str(_kernel._SOURCE)],
+                          capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 
@@ -1151,6 +1216,7 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
         fill = top.link_draws(_kernel.Streams([0]), steps)
         fill(0, np.empty((1, 1, edges), bool))
     monkeypatch.setattr(TopologyModel, "link_draws", spy)
+    banks = _binds(monkeypatch)
     # the library's windows (whole blocks for 3 trials, a part of a block for 64), then
     # 37-step windows
     for size in (harness._DRAW_WINDOW_BYTES, 37 * step):
@@ -1159,8 +1225,10 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
         assert window == steps or window * step <= size < (window + 1) * step
         held.clear()
         peaks.clear()
+        banks.clear()
         walk = harness._walk(ring_model, top, ring_schedule, horizon, [horizon], seeds)
-        _, _, bound = next(walk)
+        next(walk)
+        bound, = banks
         parts = harness._draw_bytes(ring_model, top, trials, horizon)
         arrays = dict(bound._arrays)
         assert arrays["noise"].shape[1] == window
@@ -1281,8 +1349,8 @@ def test_every_entry_point_keeps_its_declared_types():
     # ctypes makes a new function at each lib[name], so types set on one did not
     # stick: lib.adle_bank_bytes.restype was c_int
     kernel = _kernel.load()
-    widths = [f"{base}{width}" for base in _kernel._WIDE for width in _kernel.WIDTHS
-              if width > kernel.lanes]
+    widths = [f"{_kernel._WIDE}{width}" for width in _kernel.WIDTHS if width > kernel.lanes]
+    assert not [name for name in _kernel.SIGNATURES if "checkpoint" in name]
     bound = [name for name in _kernel.SIGNATURES if name not in widths]
     assert sorted(kernel._fns) == [width for width in _kernel.WIDTHS if width <= kernel.lanes]
     for name in bound:
@@ -1315,16 +1383,18 @@ def test_a_library_of_another_layout_is_refused_not_bound(tmp_path):
 
 
 def test_a_library_of_layout_two_is_refused(monkeypatch, tmp_path):
-    # the same struct adle_bank under the previous version number
-    source = _kernel._SOURCE.read_bytes().replace(b"#define ADLE_LAYOUT 3\n",
-                                                  b"#define ADLE_LAYOUT 2\n")
-    (_kernel_source_copy(monkeypatch, tmp_path) / "_kernel.c").write_bytes(source)
-    monkeypatch.setattr(_kernel, "_SOURCE_DIGEST", hashlib.sha256(source).digest())
-    size = ctypes.sizeof(_kernel._BankArgs)
-    with pytest.raises(AdleError, match=re.escape(
-            f"struct adle_bank is layout 2 of {size} bytes, but the loader's _BankArgs is "
-            f"layout 3 of {size} bytes")):
-        _kernel.BankKernel(ctypes.CDLL(str(_kernel._build())))
+    # the same struct adle_bank under earlier version numbers; at layout 3 the
+    # weights held no column for the step after the window
+    current, size = _kernel._SOURCE.read_bytes(), ctypes.sizeof(_kernel._BankArgs)
+    package = _kernel_source_copy(monkeypatch, tmp_path)
+    for old in (2, 3):
+        source = current.replace(b"#define ADLE_LAYOUT 4\n", b"#define ADLE_LAYOUT %d\n" % old)
+        (package / "_kernel.c").write_bytes(source)
+        monkeypatch.setattr(_kernel, "_SOURCE_DIGEST", hashlib.sha256(source).digest())
+        with pytest.raises(AdleError, match=re.escape(
+                f"struct adle_bank is layout {old} of {size} bytes, but the loader's _BankArgs "
+                f"is layout 4 of {size} bytes")):
+            _kernel.BankKernel(ctypes.CDLL(str(_kernel._build())))
 
 
 def test_bank_args_are_struct_adle_bank_field_for_field():

@@ -47,6 +47,13 @@ def test_seeds_are_entropy_or_seed_sequences():
         _kernel.Streams([(1, -2)])
 
 
+def test_an_empty_bank_is_refused_by_name():
+    # not numpy's "cannot reshape array of size 0" from the state allocation
+    for seeds in ([], (), range(0)):
+        with pytest.raises(ValueError, match="^a bank of streams needs at least one seed$"):
+            _kernel.Streams(seeds)
+
+
 @pytest.mark.parametrize("family", ["normal", "laplace"])
 def test_noise_windows_are_numpy_draws(family):
     # windows of 1 and 37 steps and a whole block, into the rows of a wider buffer
