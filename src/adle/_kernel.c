@@ -144,7 +144,7 @@ int adle_lanes(void)
  * np.random.default_rng draws, since the draws below are numpy's own C
  * distributions (libnpyrandom.a, linked into this library) called on it.
  * The loader allocates a bank's states 16-byte aligned.  The link law is
- * not read here: the masks below are uniforms compared with a given p. */
+ * not read here: masks are uniforms compared with a given p, or picks. */
 typedef __uint128_t u128;
 
 struct adle_stream {
@@ -262,33 +262,28 @@ void adle_normals(struct adle_stream *s, int64_t rows, int64_t count, double *ou
     }
 }
 
-void adle_laplace(struct adle_stream *s, int64_t rows, int64_t count, double loc, double scale,
-                  double *out, int64_t stride)
+void adle_laplace(struct adle_stream *s, int64_t rows, int64_t count, double scale, double *out,
+                  int64_t stride)
 {
     for (int64_t r = 0; r < rows; r++) {
         bitgen_t gen = BITGEN(&s[r]);
         for (int64_t i = 0; i < count; i++)
-            ROW(double, r)[i] = random_laplace(&gen, loc, scale);
+            ROW(double, r)[i] = random_laplace(&gen, 0.0, scale);
     }
 }
 
-/* Generator.integers(off, off + range + 1, count), each stored in the low
- * `size` bytes of its int64 (1, 2, 4 or 8) */
-void adle_bounded(struct adle_stream *s, int64_t rows, uint64_t off, uint64_t range,
-                  int64_t count, void *out, int64_t stride, int64_t size)
+/* Generator.integers(0, edges, count), each pick written as a one-hot row
+ * of `edges` flags, or only drawn where out is NULL */
+void adle_picks(struct adle_stream *s, int64_t rows, int64_t count, int64_t edges, uint8_t *out,
+                int64_t stride)
 {
     for (int64_t r = 0; r < rows; r++) {
         bitgen_t gen = BITGEN(&s[r]);
+        uint8_t *flags = out ? memset(ROW(uint8_t, r), 0, (size_t)(count * edges)) : NULL;
         for (int64_t i = 0; i < count; i++) {
-            const uint64_t value = random_bounded_uint64(&gen, off, range, 0, false);
-            if (size == 1)
-                ROW(uint8_t, r)[i] = (uint8_t)value;
-            else if (size == 2)
-                ROW(uint16_t, r)[i] = (uint16_t)value;
-            else if (size == 4)
-                ROW(uint32_t, r)[i] = (uint32_t)value;
-            else
-                ROW(uint64_t, r)[i] = value;
+            const uint64_t pick = random_bounded_uint64(&gen, 0, (uint64_t)edges - 1, 0, false);
+            if (flags)
+                flags[i * edges + pick] = 1;
         }
     }
 }

@@ -15,10 +15,11 @@ in one private per-user directory under the system temporary directory,
 else in a directory of its own that is removed once the library is
 loaded), keyed by a hash of the source, as read when this module is
 imported, the compile command and numpy's version; the loader refuses a
-library whose ``struct adle_bank`` differs from ``_BankArgs``.  The
-library holds one entry point per lane width (trials advanced side by
-side in one vector); the CPU it loads on picks the widest it runs, and
-every width gives the same bits.
+library whose ``struct adle_bank`` differs from ``_BankArgs`` or whose
+``struct adle_stream`` is not ``STREAM_BYTES``.  The library holds one
+entry point per lane width (trials advanced side by side in one vector);
+the CPU it loads on picks the widest it runs, and every width gives the
+same bits.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ NPYRANDOM = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
 
 #: ``ADLE_LAYOUT`` of ``_kernel.c``: the version of ``struct adle_bank``.
 LAYOUT = 4
+
+#: Bytes of a ``struct adle_stream`` of ``_kernel.c``: one stream's state.
+STREAM_BYTES = 48
 
 #: No ``-march=native`` and no ``-ffast-math``, and no contraction into
 #: fused multiply-adds: results are then bit-stable across machines of
@@ -175,8 +179,8 @@ SIGNATURES = {
     "adle_scratch_vectors": ([_BANK], _I64), "adle_stream_bytes": ([], _I64),
     "adle_seed": ([_PTR, _I64, _PTR], None), "adle_advance": ([_PTR, _I64, _U64, _U64], None),
     "adle_normals": ([_PTR, _I64, _I64, _PTR, _I64], None),
-    "adle_laplace": ([_PTR, _I64, _I64, _F64, _F64, _PTR, _I64], None),
-    "adle_bounded": ([_PTR, _I64, _U64, _U64, _I64, _PTR, _I64, _I64], None),
+    "adle_laplace": ([_PTR, _I64, _I64, _F64, _PTR, _I64], None),
+    "adle_picks": ([_PTR, _I64, _I64, _I64, _PTR, _I64], None),
     "adle_below": ([_PTR, _I64, _I64, _F64, _PTR, _I64], None),
     **{f"adle_advance_bank_{width}": ([_BANK, _I64, _I64, _I64, _PTR], ctypes.c_int)
        for width in WIDTHS},
@@ -209,7 +213,10 @@ class BankKernel:
             raise AdleError(f"the compiled kernel's struct adle_bank is layout {found[0]} of "
                             f"{found[1]} bytes, but the loader's _BankArgs is layout {LAYOUT} "
                             f"of {ctypes.sizeof(_BankArgs)} bytes")
-        self.lanes, self.stream_bytes = lib.adle_lanes(), lib.adle_stream_bytes()
+        if lib.adle_stream_bytes() != STREAM_BYTES:
+            raise AdleError(f"the compiled kernel's struct adle_stream is {lib.adle_stream_bytes()}"
+                            f" bytes, but the loader's STREAM_BYTES is {STREAM_BYTES}")
+        self.lanes = lib.adle_lanes()
         self._fns = {width: _bind(lib, f"{_WIDE}{width}")
                      for width in WIDTHS[:WIDTHS.index(self.lanes) + 1]}
         self._lib = lib
@@ -235,7 +242,9 @@ class BankKernel:
         """
         stacked = model._stacked
         n, m, mx = model.num_agents, model.param_dim, stacked.max_dim
-        bank, window = _shape_of(noise, "noise", 4)[:2]
+        if not isinstance(noise, np.ndarray) or noise.ndim != 4:
+            raise ValueError("noise must be a 4-d array")
+        bank, window = noise.shape[:2]
         arrays = {  # in the order of struct adle_bank
             "x": _check(state.estimates, "estimates", np.float64, (bank, n, m)),
             "g": _check(state.grammians, "grammians", np.float64, (bank, n, m, m)),
@@ -332,11 +341,10 @@ class Streams:
         self._lib.adle_seed(self._ptr, len(seeds), words.ctypes.data)
 
     def _alloc(self, rows: int) -> None:
-        kernel = load()
-        size = rows * kernel.stream_bytes
+        size = rows * STREAM_BYTES
         raw = np.empty(size + 16, np.uint8)  # __uint128_t wants 16-byte alignment
         self._states = raw[-raw.ctypes.data % 16:][:size].reshape(rows, -1)
-        self._lib, self._ptr = kernel._lib, self._states.ctypes.data
+        self._lib, self._ptr = load()._lib, self._states.ctypes.data
 
     def __len__(self) -> int:
         return len(self._states)
@@ -363,23 +371,25 @@ class Streams:
     def laplace(self, scale: float, out: np.ndarray) -> np.ndarray:
         """Every stream's ``Generator.laplace(0, scale)``, into float64 ``out``."""
         self._check_out(out, np.float64)
-        self._lib.adle_laplace(self._ptr, len(self), out[0].size, 0.0, scale, out.ctypes.data,
+        self._lib.adle_laplace(self._ptr, len(self), out[0].size, scale, out.ctypes.data,
                                out.strides[0])
         return out
 
-    def picks(self, high: int, out: np.ndarray) -> np.ndarray:
-        """Every stream's ``Generator.integers(0, high)``, into an unsigned
-        ``out`` that holds ``high - 1``, so that a block of picks needs no
-        int64 temporary."""
-        if high < 1:
-            raise ValueError(f"high must be at least 1, got {high}")
-        if not (isinstance(out, np.ndarray) and out.dtype.kind == "u" and out.dtype.isnative
-                and high - 1 <= np.iinfo(out.dtype).max):
-            raise ValueError(f"out must be an unsigned integer array that holds {high - 1}")
-        self._check_out(out, out.dtype)
-        self._lib.adle_bounded(self._ptr, len(self), 0, high - 1, out[0].size, out.ctypes.data,
-                               out.strides[0], out.itemsize)
+    def picks(self, edges: int, out: np.ndarray) -> np.ndarray:
+        """Every stream's ``Generator.integers(0, edges, steps)`` as one-hot
+        rows of ``edges >= 1`` flags, into a bool (R, steps, edges) ``out``."""
+        self._check_out(out, np.bool_)
+        if edges < 1 or out.shape[2:] != (edges,):
+            raise ValueError(f"out must be a (rows, steps, edges) array for edges >= 1, got "
+                             f"edges {edges} and shape {out.shape}")
+        self._lib.adle_picks(self._ptr, len(self), out.shape[1], edges, out.ctypes.data,
+                             out.strides[0])
         return out
+
+    def skip_picks(self, edges: int, steps: int) -> None:
+        """Draw every stream's next ``steps`` picks of :meth:`picks` and drop
+        them: a pick reads a varying count of outputs, so there is no jump."""
+        self._lib.adle_picks(self._ptr, len(self), steps, edges, None, 0)
 
     def below(self, p: float, out: np.ndarray) -> np.ndarray:
         """Every stream's ``Generator.random(out.shape[1:]) < p``, into a bool
@@ -445,12 +455,6 @@ def scratch_vectors(n: int, m: int, mx: int) -> int:
     """``adle_scratch_vectors`` of ``_kernel.c``: the lane vectors of scratch
     of a bank of ``n`` agents, ``m`` parameters and ``mx`` observations."""
     return n * (3 * m + 3 * m * m + 4 * mx + mx * mx) + 2 * mx * mx + 2 * m * mx + m * m + mx
-
-
-def _shape_of(arr, name: str, ndim: int) -> tuple[int, ...]:
-    if not isinstance(arr, np.ndarray) or arr.ndim != ndim:
-        raise ValueError(f"{name} must be a {ndim}-d array")
-    return arr.shape
 
 
 def _check(arr, name: str, dtype, shape):

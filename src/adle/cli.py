@@ -115,6 +115,8 @@ def _edges(raw) -> tuple[tuple[int, int], ...]:
 _REAL, _ARRAY, _AS_IS = (_real, None, ""), (_array, None, ""), (None, None, "")
 _COUNT = (_int, lambda v: v >= 1, "must be >= 1")
 _NATURAL = (_int, lambda v: v >= 0, "must be >= 0")
+_TOLERANCE = (_real, lambda v: v >= 0.0, "must be >= 0")
+_FRACTION = (_real, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _FLAG = (None, lambda v: isinstance(v, bool), "must be true or false")
 _TEXT = (None, lambda v: isinstance(v, str), "must be a string")
 
@@ -136,8 +138,10 @@ _SECTIONS = {
               "sensing": _AS_IS, "noise_cov": _AS_IS, "true_param": _AS_IS, "noise": _TEXT},
     "topology": {"base": (_edges, None, ""), "nodes": _COUNT, "law": _TEXT, "p": _REAL},
     "schedule": dict.fromkeys((f.name for f in fields(WeightSchedule)), _REAL),
-    "acceptance": dict.fromkeys(
-        (f.name for f in fields(harness.AcceptanceThresholds)), _REAL),
+    "acceptance": {**dict.fromkeys((f.name for f in fields(harness.AcceptanceThresholds)), _REAL),
+                   "efficiency_tol": _TOLERANCE, "disagreement_error_ratio_max": _TOLERANCE,
+                   "gain_rel_tol": _TOLERANCE, "gain_pass_fraction_min": _FRACTION,
+                   "ks_significance": _FRACTION},
 }
 _REQUIRED = ("schema", "horizon", "num_trials")
 _ERRORS = (AdleError, ValueError, TypeError, OverflowError)

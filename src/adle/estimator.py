@@ -84,6 +84,11 @@ def initial_network_state(
     """
     stacked = model._stacked
     n, m, mx = model.num_agents, model.param_dim, stacked.max_dim
+    sizes = [("estimate", estimate, m), ("grammian", grammian, m * m)]
+    sizes += [("sample_cov", sample_cov, d * d) for d in model.obs_dims if np.ndim(sample_cov)]
+    for name, value, size in sizes:
+        if value is not None and np.size(value) != size:  # reshape's error names neither
+            raise ValueError(f"{name} has {np.size(value)} entries, expected {size}")
     x0 = np.zeros(m) if estimate is None else np.asarray(estimate, dtype=float).reshape(m)
     g0 = np.zeros((m, m)) if grammian is None else np.asarray(grammian, dtype=float).reshape(m, m)
     q0 = np.zeros((n, mx, mx))

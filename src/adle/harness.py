@@ -129,13 +129,13 @@ class StatResult:
 
 def _draw_topology_block(top: TopologyModel, draws: list, rngs, steps: int, w0: int, out) -> None:
     """Fill ``out``, bool (R, window, E), with the masks of block steps
-    ``w0..w0 + window - 1`` by the fill in ``draws``; at the block's first
-    window, first replace it with the link draws of the block's ``steps``
-    steps from the bank's streams ``rngs`` (:meth:`TopologyModel.link_draws`)."""
+    ``w0..w0 + window - 1``, windows in order, by the fill in ``draws``; at
+    the block's first window, first replace it with the link draws of the
+    block's ``steps`` steps from the bank's streams ``rngs`` (:meth:`TopologyModel.link_draws`)."""
     if w0 == 0:
         draws.clear()  # the previous block's go first
         draws.append(top.link_draws(rngs, steps))
-    draws[0](w0, out)
+    draws[0](out)
 
 
 def _laplacian_at(top: TopologyModel, active, s: int):
@@ -175,16 +175,17 @@ def _draw_window(rows: int, agents: int, max_dim: int, edges: int, steps: int) -
 def _draw_bytes(model: ObservationModel, top: TopologyModel, trials: int,
                 horizon: int) -> dict[str, int]:
     """Bytes of the buffers that one bank of an experiment holds, by part:
-    the noise window of :func:`_walk`, its link draws
-    (:meth:`TopologyModel.link_draw_bytes`), the weights, the kernel's
-    lane scratch at the widest lane width, and the bank's state."""
+    the noise and link mask windows of :func:`_walk`, the copy of its streams
+    that a block's :meth:`TopologyModel.link_draws` hold, the weights, the
+    kernel's lane scratch at the widest lane width, and the bank's state."""
     rows, steps = min(TRIALS_PER_BANK, trials), min(BLOCK_STEPS, horizon)
     n, m, mx = model.num_agents, model.param_dim, max(model.obs_dims)
     edges = top.base.num_edges if top.draws_links else 0
     window = _draw_window(rows, n, mx, edges, steps)
     return {
         "noise window": rows * window * n * mx * 8,
-        **top.link_draw_bytes(rows, steps, window),
+        "link mask window": rows * window * edges,
+        "link streams": rows * _kernel.STREAM_BYTES if top.draws_links else 0,
         "weights": 3 * (window + 1) * 8,
         "lane scratch": _kernel.scratch_vectors(n, m, mx) * max(_kernel.WIDTHS) * 8,
         "bank state": (rows * (m + m * m + 2 * mx + mx * mx) + mx * mx) * n * 8,
@@ -319,8 +320,8 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
     and mask buffers hold a window of the block's steps, as many as fit in
     1 MiB (the whole block for small banks), drawn in one call per layer
     for the whole bank, each trial's row the same run of its stream as a
-    whole-block draw: the link draws start at the block's first window and
-    leave each stream where its noise starts (:meth:`TopologyModel.link_draws`).
+    whole-block draw: the link draws, from a copy of the bank, start at the block's
+    first window and leave each stream where its noise starts (:meth:`TopologyModel.link_draws`).
     The window's weights are written beside them, and the kernel, which
     sees only the window, forms the observations from the noise in segments
     that end at grid steps or window ends (:func:`_advance`).  A singular

@@ -11,7 +11,8 @@ three supported laws are
 
 The law is read here only: :meth:`TopologyModel.link_draws` turns a
 bank's random streams into per-step active-edge masks for the harness,
-and :meth:`TopologyModel.draw_active` turns one numpy ``Generator`` into
+a window at a time from a copy of the bank under either law, and
+:meth:`TopologyModel.draw_active` turns one numpy ``Generator`` into
 the same masks for :func:`sample_laplacian`; the masks are all that the
 sampled Laplacians and the compiled kernel see.
 
@@ -153,35 +154,19 @@ class TopologyModel:
     def link_draws(self, streams, steps: int):
         """Start the link draws of a block of ``steps`` steps from
         ``streams``, a bank of trials' ``adle._kernel.Streams``; return
-        their ``fill(w0, out)``, which writes the bool (R, window, E) masks
-        of block steps ``w0..w0 + window - 1`` into ``out``, windows in
-        order from 0.  The bank is left where the block's noise starts:
-        gossip picks are drawn here, kept in the narrowest unsigned dtype
-        (they read a varying count of outputs); Bernoulli masks come a
-        window at a time from an unseeded copy of the bank
-        (``Streams.copy``), while the bank jumps the ``steps * E`` outputs
-        they take.  Not for the ``static`` law, which draws nothing."""
-        edges = self.base.num_edges
+        their ``fill(out)``, which writes the bool (R, window, E) masks of
+        the block's next ``window`` steps into ``out``.  Under either law
+        the masks come from an unseeded copy of the bank (``Streams.copy``)
+        while the bank moves to where the block's noise starts: it jumps
+        the ``steps * E`` Bernoulli uniforms, and draws and drops the gossip
+        picks, which read a varying count of outputs.  Not for the
+        ``static`` law, which draws nothing."""
+        edges, links = self.base.num_edges, streams.copy()
         if self.law == "gossip":
-            picks = streams.picks(edges, np.empty((len(streams), steps),
-                                                  np.min_scalar_type(edges - 1)))
-            span = np.arange(edges, dtype=picks.dtype)
-            return lambda w0, out: np.equal(picks[:, w0:w0 + out.shape[1], None], span, out=out)
-        masks = streams.copy()
+            streams.skip_picks(edges, steps)
+            return lambda out: links.picks(edges, out)
         streams.advance(steps * edges)
-        return lambda w0, out: masks.below(self.p, out)
-
-    def link_draw_bytes(self, rows: int, steps: int, window: int) -> dict[str, int]:
-        """Bytes of ``rows`` trials' link draws of a block of ``steps`` steps
-        through a ``window``-step mask buffer, by part: the buffer, and what
-        :meth:`link_draws` keeps: the gossip picks, or the Bernoulli copy of
-        the bank's streams (``adle_stream_bytes``, 48 a trial)."""
-        gossip, edges = self.law == "gossip", self.base.num_edges if self.draws_links else 0
-        return {
-            "link mask window": rows * window * edges,
-            "gossip picks": rows * steps * np.min_scalar_type(edges - 1).itemsize if gossip else 0,
-            "mask streams": rows * 48 if self.law == "bernoulli" else 0,
-        }
+        return lambda out: links.below(self.p, out)
 
     def draw_active(self, rng, steps: int) -> np.ndarray | None:
         """Active-edge masks of ``steps`` i.i.d. link draws from ``rng``, a

@@ -310,7 +310,10 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
         ({"horizon": True}, "horizon: must be an integer, got True"),
         ({"horizon": 2.7}, "horizon: must be an integer, got 2.7"),
         ({"num_trials": True}, "num_trials: must be an integer, got True"),
-        ({"init": {"estimate": [1.0, 2.0]}}, "init: cannot reshape array of size 2"),
+        ({"init": {"estimate": [1.0, 2.0]}}, "init: estimate has 2 entries, expected 5"),
+        ({"init": {"grammian": np.eye(2).tolist()}}, "init: grammian has 4 entries, expected 25"),
+        ({"init": {"sample_cov": np.eye(2).tolist()}},
+         "init: sample_cov has 4 entries, expected 1"),
         ({"run_ks_test": "false"}, "run_ks_test: must be true or false, got 'false'"),
         ({"require_efficiency": "no"}, "require_efficiency: must be true or false, got 'no'"),
         ({"cap_consensus_weight": "false"},
@@ -320,6 +323,15 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
          "init.estimate: must be finite, got [nan, 0.0, 0.0, 0.0, 0.0]"),
         ({"acceptance": {"efficiency_tol": float("nan")}},
          "acceptance.efficiency_tol: must be finite, got nan"),
+        # a threshold out of range would make its gating row always pass (or never)
+        ({"acceptance": {"gain_pass_fraction_min": -1}},
+         "acceptance.gain_pass_fraction_min: must lie in [0, 1], got -1.0"),
+        ({"acceptance": {"ks_significance": 1.5}},
+         "acceptance.ks_significance: must lie in [0, 1], got 1.5"),
+        ({"acceptance": {"efficiency_tol": -0.1}}, "acceptance.efficiency_tol: must be >= 0, got -0.1"),
+        ({"acceptance": {"disagreement_error_ratio_max": -1}},
+         "acceptance.disagreement_error_ratio_max: must be >= 0, got -1.0"),
+        ({"acceptance": {"gain_rel_tol": -0.05}}, "acceptance.gain_rel_tol: must be >= 0, got -0.05"),
         ({"model": {**TWO_AGENTS, "sensing": [[[float("nan"), 0.0]], [[0.0, 1.0]]]}},
          "model: sensing[0] has a non-finite entry"),
         ({"model": {**TWO_AGENTS, "noise_cov": [[[float("nan")]], [[1.0]]]}},
@@ -345,9 +357,13 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
          "checkpoints: 1000000000 trials x up to 999991 checkpoints need 99181236267 MiB"),
     ],
     ids=["fit_window_abc", "acceptance_tol_x", "checkpoints_int", "horizon_true", "horizon_2_7",
-         "num_trials_true", "init_estimate_length", "run_ks_test_quoted_false",
+         "num_trials_true", "init_estimate_length", "init_grammian_size", "init_sample_cov_size",
+         "run_ks_test_quoted_false",
          "require_efficiency_quoted_no", "cap_consensus_weight_quoted_false",
-         "schedule_gamma0_inf", "init_estimate_nan", "acceptance_tol_nan", "model_sensing_nan",
+         "schedule_gamma0_inf", "init_estimate_nan", "acceptance_tol_nan",
+         "acceptance_gain_pass_fraction_negative", "acceptance_ks_significance_above_one",
+         "acceptance_efficiency_tol_negative", "acceptance_disagreement_ratio_negative",
+         "acceptance_gain_rel_tol_negative", "model_sensing_nan",
          "model_noise_cov_nan", "model_true_param_inf", "topology_edge_inf",
          "topology_edge_fraction", "topology_edge_mapping", "topology_node_count",
          "output_dir_list", "init_sample_cov_negative", "init_grammian_indefinite",
@@ -382,7 +398,7 @@ def test_draw_buffers_beyond_memory_are_a_collected_validation_error(tmp_path, c
     assert harness._draw_window(64, 5, 1, 5, 1024) == 364
     assert parts == {
         "noise window": 64 * 364 * 5 * 8, "link mask window": 64 * 364 * 5,
-        "weights": 3 * 365 * 8, "gossip picks": 0, "mask streams": 64 * 48,
+        "link streams": 64 * 48, "weights": 3 * 365 * 8,
         "lane scratch": 513 * 8 * 8,  # adle_scratch_vectors at n = m = 5, mx = 1
         "bank state": (64 * (5 + 25 + 2 + 1) + 1) * 5 * 8}
     path = write_scenario(tmp_path, num_trials=130, horizon=2085, parallelism=2)

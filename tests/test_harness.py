@@ -684,7 +684,7 @@ def test_link_windows_are_whole_block_draws(law, window, steps):
         assert rngs.normals(np.empty((3, 2))).tolist() == [rng.standard_normal(2).tolist()
                                                            for rng in hand]
         if law == "gossip":  # three picks carry a half-word into the next block's
-            assert rngs.picks(3, np.empty((3, 3), np.uint8)).tolist() == [
+            assert rngs.picks(3, np.empty((3, 3, 3), bool)).argmax(axis=-1).tolist() == [
                 rng.integers(0, 3, 3).tolist() for rng in hand]
 
 
@@ -709,10 +709,11 @@ def test_sample_laplacian_is_a_one_step_block(law):
 
 
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
-def test_only_a_bernoulli_walk_builds_scratch_generators(monkeypatch, ring_model, ring_schedule,
-                                                         law):
-    # a walk seeds each of its R trials' streams once, under every law; only
-    # Bernoulli masks read scratch streams, an unseeded copy of the bank per block
+def test_a_walk_seeds_once_and_draws_links_from_a_copy_per_block(monkeypatch, ring_model,
+                                                                 ring_schedule, law):
+    # a walk seeds each of its R trials' streams once, under every law; the
+    # masks of either drawing law read scratch streams, an unseeded copy of
+    # the bank per block
     seeded, copies, copy = [], [], _kernel.Streams.copy
     lib = _kernel.load()._lib
     seed = lib.adle_seed
@@ -731,7 +732,7 @@ def test_only_a_bernoulli_walk_builds_scratch_generators(monkeypatch, ring_model
     horizon = BLOCK_STEPS + 50
     list(harness._walk(ring_model, DRAW_LAWS[law], ring_schedule, horizon, [horizon], seeds))
     assert seeded == [len(seeds)]
-    assert copies == ([len(seeds)] * 2 if law == "bernoulli" else [])
+    assert copies == ([] if law == "static" else [len(seeds)] * 2)
 
 
 def _binds(monkeypatch) -> list:
@@ -1208,13 +1209,13 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
     def spy(self, rng, steps):  # a bank's link draws of a block, and their fills
         fill, left = traced(lambda: link_draws(self, rng, steps))
         held.append(left)
-        return lambda w0, out: traced(lambda: fill(w0, out))[0]
+        return lambda out: traced(lambda: fill(out))[0]
 
     step, steps = _step_bytes(ring_model, top, len(seeds)), min(BLOCK_STEPS, horizon)
     edges = top.base.num_edges if top.draws_links else 0
     if edges:  # a process's first draws leave one-off allocations: make them untraced
         fill = top.link_draws(_kernel.Streams([0]), steps)
-        fill(0, np.empty((1, 1, edges), bool))
+        fill(np.empty((1, 1, edges), bool))
     monkeypatch.setattr(TopologyModel, "link_draws", spy)
     banks = _binds(monkeypatch)
     # the library's windows (whole blocks for 3 trials, a part of a block for 64), then
@@ -1239,15 +1240,14 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
         bound_bytes = sum(arrays[name].nbytes for name in arrays
                           if arrays[name] is not None and name not in ("h", "truth", "factor",
                                                                        "edges"))
-        kept = parts["gossip picks"] + parts["mask streams"]  # held by the block's draws
+        kept = parts["link streams"]  # held by the block's draws
         assert widest + bound_bytes == sum(parts.values()) - kept
         assert widest == parts["lane scratch"]
-        # a block's draws hold its picks, drawn in place like the masks, or its copy of
-        # the streams
+        # a block's draws hold only their copy of the streams under either law: gossip
+        # picks, like the masks, are drawn in place and not held
         assert len(held) == (0 if law == "static" else -(-horizon // BLOCK_STEPS))
         block = held[0] if held else 0
-        assert parts["mask streams"] == (len(seeds) * _kernel.load().stream_bytes
-                                         if law == "bernoulli" else 0)
+        assert kept == (0 if law == "static" else len(seeds) * _kernel.STREAM_BYTES)
         assert kept <= block < kept + 4096
         peak = max(peaks, default=0)
         assert peak < kept + 4096
@@ -1395,6 +1395,16 @@ def test_a_library_of_layout_two_is_refused(monkeypatch, tmp_path):
                 f"struct adle_bank is layout {old} of {size} bytes, but the loader's _BankArgs "
                 f"is layout 4 of {size} bytes")):
             _kernel.BankKernel(ctypes.CDLL(str(_kernel._build())))
+
+
+def test_a_library_of_another_stream_size_is_refused(monkeypatch):
+    # Streams allocates STREAM_BYTES a stream, which the library's draws must not pass
+    lib = ctypes.CDLL(str(_kernel._build()))
+    _kernel.BankKernel(lib)
+    monkeypatch.setattr(_kernel, "STREAM_BYTES", 40)
+    with pytest.raises(AdleError, match=re.escape(
+            "struct adle_stream is 48 bytes, but the loader's STREAM_BYTES is 40")):
+        _kernel.BankKernel(lib)
 
 
 def test_bank_args_are_struct_adle_bank_field_for_field():

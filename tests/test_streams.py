@@ -41,8 +41,8 @@ def test_seeds_are_entropy_or_seed_sequences():
     seeds = [7, [1, [2, 3]], list(range(9)), 2**100 + 5,
              np.random.SeedSequence(5, spawn_key=(2,))]
     streams = _kernel.Streams(seeds)
-    assert streams.picks(2**40, np.empty((5, 4), np.uint64)).tolist() == [
-        np.random.default_rng(seed).integers(0, 2**40, 4).tolist() for seed in seeds]
+    assert streams.normals(np.empty((5, 4))).tolist() == [
+        np.random.default_rng(seed).standard_normal(4).tolist() for seed in seeds]
     with pytest.raises(ValueError, match="non-negative"):
         _kernel.Streams([(1, -2)])
 
@@ -81,36 +81,57 @@ def test_bernoulli_masks_across_the_block_jump():
         fill = top.link_draws(streams, steps)
         masks = np.empty((3, steps, 7), bool)
         for w0 in range(0, steps, 37):
-            fill(w0, masks[:, w0:w0 + 37])
+            fill(masks[:, w0:w0 + 37])
         assert np.array_equal(masks, [rng.random((steps, 7)) < 0.3 for rng in generators])
         _same_next_draw(streams, generators)
 
 
+def _states(streams) -> list[tuple[int, ...]]:
+    """Each stream's PCG64 state and increment, and its carried half-word's flag and value."""
+    rows = [bytes(row) for row in streams._states]
+    return [(int.from_bytes(row[:16], "little"), int.from_bytes(row[16:32], "little"),
+             *np.frombuffer(row[32:40], np.uint32).tolist()) for row in rows]
+
+
+def _numpy_states(generators) -> list[tuple[int, ...]]:
+    """:func:`_states` of numpy generators."""
+    return [(state["state"]["state"], state["state"]["inc"], state["has_uint32"],
+             state["uinteger"]) for state in (rng.bit_generator.state for rng in generators)]
+
+
 def test_gossip_picks_carry_the_half_word_until_an_advance():
-    # each pick draws a half-word: 37 picks carry one into the next block's
-    # picks, and 37 + 1024 one into the advance, which drops it, as numpy's does
+    # each pick draws a half-word: the bank skips a block's picks, 37 of them
+    # carrying one into the next block's, and 37 + 1024 one into the advance,
+    # which drops it, as numpy's does; a copy draws them again, 1 and 37 steps
+    # at a time
     top = TopologyModel(cycle_graph(5), "gossip")
     streams, generators = _pairs()
-    for steps in (37, BLOCK_STEPS):
+    for steps, window in ((37, 1), (BLOCK_STEPS, 37)):
         masks = np.empty((3, steps, 5), bool)
-        top.link_draws(streams, steps)(0, masks)
+        fill = top.link_draws(streams, steps)
+        for w0 in range(0, steps, window):
+            fill(masks[:, w0:w0 + window])
         picks = [rng.integers(0, 5, size=steps) for rng in generators]
         assert np.array_equal(masks.argmax(axis=-1), picks)
         assert masks.sum(axis=-1).tolist() == [[1] * steps] * 3
+        assert _states(streams) == _numpy_states(generators)
+    assert _states(streams)[0][2] == 1  # 37 + 1024 half-words: one carried
     streams.advance(3)
     for rng in generators:
         rng.bit_generator.advance(3)
-    assert streams.picks(5, np.empty((3, 3), np.uint8)).tolist() == [
+    assert _states(streams) == _numpy_states(generators)
+    assert streams.picks(5, np.empty((3, 3, 5), bool)).argmax(axis=-1).tolist() == [
         rng.integers(0, 5, 3).tolist() for rng in generators]
     _same_next_draw(streams, generators)
-    # picks are the same values in every unsigned dtype that holds them
-    for high, dtypes in [(5, (np.uint8, np.uint16, np.uint64)), (300, (np.uint16, np.uint32)),
-                         (2**40, (np.uint64,))]:
-        for dtype in dtypes:
-            streams, generators = _pairs(start=high)
-            assert streams.picks(high, np.empty((3, 7), dtype)).tolist() == [
-                rng.integers(0, high, 7).tolist() for rng in generators]
-            _same_next_draw(streams, generators)
+    # picks of other edge counts, and their skips
+    for high in (2, 300):
+        streams, generators = _pairs(start=high)
+        twin = streams.copy()
+        assert twin.picks(high, np.empty((3, 7, high), bool)).argmax(axis=-1).tolist() == [
+            rng.integers(0, high, 7).tolist() for rng in generators]
+        streams.skip_picks(high, 7)
+        assert _states(streams) == _states(twin) == _numpy_states(generators)
+        _same_next_draw(streams, generators)
 
 
 @pytest.mark.parametrize("law", ["bernoulli", "gossip"])
@@ -119,7 +140,7 @@ def test_a_one_edge_graph(law):
     top = TopologyModel(Graph(2, ((0, 1),)), law, 0.5)
     streams, generators = _pairs()
     masks = np.empty((3, 40, 1), bool)
-    top.link_draws(streams, 40)(0, masks)
+    top.link_draws(streams, 40)(masks)
     assert np.array_equal(masks, [top.draw_active(rng, 40) for rng in generators])
     _same_next_draw(streams, generators)
 
@@ -135,15 +156,16 @@ def test_draws_refuse_an_out_that_is_not_one_row_per_stream():
             streams.laplace(1.0, out)
     with pytest.raises(ValueError, match="bool"):
         streams.below(0.5, np.empty((2, 4)))
-    with pytest.raises(ValueError, match="at least 1"):
-        streams.picks(0, np.empty((2, 2), np.uint8))
-    # adle_bounded would store the low bytes of a pick that does not fit
-    for high, dtype in [(5, np.int64), (5, np.int8), (5, np.float64), (257, np.uint8),
-                        (2**16 + 1, np.uint16), (5, np.dtype(">u2"))]:
-        with pytest.raises(ValueError, match=f"unsigned integer array that holds {high - 1}"):
-            streams.picks(high, np.empty((2, 2), dtype))
-    with pytest.raises(ValueError, match="C-contiguous"):
-        streams.picks(5, np.empty((2, 8), np.uint8)[:, ::2])
+    # adle_picks writes a row of `edges` flags per step, one of them at the pick
+    with pytest.raises(ValueError, match=r"for edges >= 1, got edges 0 and shape \(2, 2, 0\)"):
+        streams.picks(0, np.empty((2, 2, 0), bool))
+    for out, message in [(np.empty((2, 3, 5), np.uint8), "bool"),
+                         (np.empty((2, 15), bool), r"edges 5 and shape \(2, 15\)"),
+                         (np.empty((2, 3, 4), bool), r"edges 5 and shape \(2, 3, 4\)"),
+                         (np.empty((2, 3, 5, 1), bool), r"edges 5 and shape \(2, 3, 5, 1\)"),
+                         (np.empty((2, 6, 5), bool)[:, ::2], "C-contiguous")]:
+        with pytest.raises(ValueError, match=message):
+            streams.picks(5, out)
     _same_next_draw(streams, [np.random.default_rng(1), np.random.default_rng(2)])
 
 
