@@ -1,13 +1,13 @@
 /* Fused bank kernel: for a whole bank of trials, the consensus+innovation
  * round of the numpy oracle ``stacked_round`` (``tests/reference.py``)
- * plus the moment update over one segment of a draw window, and the
+ * plus the moment update over one segment of a block of steps, each step's
+ * noise and links drawn from the trials' random streams, and the
  * checkpoint records of ``harness._bank_checkpoint`` at its last step.
- * The trials' random streams, which fill the windows, are here too.
  *
- * ``struct adle_bank`` holds the sizes and the array addresses, set once
- * by the Python loader; every array is C-contiguous float64 (int64 for
- * edges, one byte per flag for active) with the shapes the loader
- * checks, and this file trusts them.
+ * ``struct adle_bank`` holds the sizes, what to draw and the array
+ * addresses, set once by the Python loader; every array is C-contiguous
+ * float64 (int64 for edges) with the shapes the loader checks, and this
+ * file trusts them.
  *
  *   x         (bank, n, m)         estimates, updated in place
  *   g         (bank, n, m, m)      Grammians, updated in place
@@ -18,21 +18,24 @@
  *   h         (n, mx, m)           padded sensing matrices
  *   truth     (n, mx)              sensed truth H theta
  *   factor    (n, mx, mx)          noise factors
- *   noise     (bank, window, n, mx) unit-variance draws of a window of
- *                                  steps: row s holds window step s
- *   w         (3, window + 1)      alpha, beta, gamma of window steps 0..window
+ *   w         (3, block + 1)       alpha, beta, gamma of block steps 0..block
  *   edges     (num_edges, 2)       base-graph edges
- *   active    (bank, window, num_edges) active-edge masks of the same window
- *                                  of steps; NULL: all active
+ *   streams   (bank)               each trial's stream, which draws its noise
+ *   link_streams (bank)            each trial's stream of the block's links
  *   theta, kopt, gtarget  (m), (n, m, mx), (m, m): truth, optimal gains, mean Grammian
  *   scratch   adle_scratch_vectors() lane vectors, 64-byte aligned
  *   failure   (2,)                 trial and step of a failure
  *
- * Each step forms its observations from the noise as the oracle's
- * ``observations`` does: y = truth + sum_j factor[., j] z_j, the
- * products summed left to right, so the bits are the same.  Each
- * checkpoint sum of squares runs in numpy's pairwise order, so only the
- * gain gap differs, in its last bits: LAPACK orders its solves its way.
+ * At each step every trial draws n mx unit-variance values from its
+ * stream, standard normals or Laplace draws of scale ``laplace`` (0:
+ * normals), and its links from its link stream: ``links`` says which
+ * (NO_LINKS: none, every edge on; BELOW: one uniform per edge, on below
+ * p; PICK: one edge picked).  The link law is not read here.  The
+ * observations are y = truth + sum_j factor[., j] z_j, formed as the
+ * oracle's ``observations`` forms them, the products summed left to
+ * right, so the bits are the same.  Each checkpoint sum of squares runs in
+ * numpy's pairwise order, so only the gain gap differs, in its last bits:
+ * LAPACK orders its solves its way.
  *
  * Trial lanes.  A vector of LANES doubles carries one trial per lane,
  * and every lane performs exactly the scalar operations of its own
@@ -42,17 +45,18 @@
  * ``adle_lanes`` names the widest one this CPU runs.
  *
  * The bank is cut into groups of LANES trials (the last group padded
- * with dead lanes).  Lane groups are the outer loop and steps the inner
- * one: a group's state is gathered into lane-major scratch once per
- * call, its records are read from there, and it is scattered back once,
- * while each step's noise and masks are read in place, strided by trial
- * by the window.  A segment lies inside the window, in steps from its first.
- * Partial pivoting picks each lane's pivot by compare-and-blend, and a
- * masked-off edge or a dead lane keeps its value by select, never by
- * adding zero (-0.0 + 0.0 is +0.0).  A trial whose gain solve meets a
- * zero pivot stops there while the others go on, so that ``failure``
- * names the earliest such step and its first trial, as a round-by-round
- * bank would meet it.
+ * with dead lanes, which draw nothing and reread the last trial's noise).
+ * Lane groups are the outer loop and steps the inner one: a group's state
+ * is gathered into lane-major scratch once per call, its records are read
+ * from there, and it is scattered back once, while each step's draws are
+ * made one lane at a time into a draw temporary at the head of the scratch
+ * and gathered into their lane.  A segment lies inside the block, in steps
+ * from its first.  Partial pivoting picks each lane's pivot by
+ * compare-and-blend, and a masked-off edge or a dead lane keeps its value
+ * by select, never by adding zero (-0.0 + 0.0 is +0.0).  A trial whose
+ * gain solve meets a zero pivot stops there while the others go on, so
+ * that ``failure`` names the earliest such step and its first trial, as a
+ * round-by-round bank would meet it.
  */
 
 /* This file includes itself once per lane width: read without LANES it
@@ -65,86 +69,14 @@
 #include <string.h>
 
 enum { OK = 0, SINGULAR = 1, NOT_FINITE = 2 };
-
-/* Mirrored field for field by ``_kernel._BankArgs`` in the loader, which
- * checks its size and this version: bump the version whenever a field, or
- * the meaning of one, changes. */
-#define ADLE_LAYOUT 4
-
-struct adle_bank {
-    int64_t bank, n, m, mx, window, num_edges;
-    double *x, *g, *shift, *sums, *outer;
-    const double *q0, *h, *truth, *factor, *noise, *w;
-    const int64_t *edges;
-    const uint8_t *active;
-    const double *theta, *kopt, *gtarget;
-    void *scratch;
-    int64_t failure[2];
-};
-
-/* The layout version and size of struct adle_bank, which the loader
- * compares with its own before it binds a bank. */
-int64_t adle_layout(void)
-{
-    return ADLE_LAYOUT;
-}
-
-int64_t adle_bank_bytes(void)
-{
-    return (int64_t)sizeof(struct adle_bank);
-}
-
-/* Lane vectors of scratch, allocated once per bank by the loader: the
- * layout of adle_advance_bank, of which its records reuse a part. */
-int64_t adle_scratch_vectors(const struct adle_bank *b)
-{
-    const int64_t n = b->n, m = b->m, mx = b->mx;
-    return n * (3 * m + 3 * m * m + 4 * mx + mx * mx) + 2 * mx * mx + 2 * m * mx + m * m + mx;
-}
-
-#define CAT_(a, b) a##b
-#define CAT(a, b) CAT_(a, b)
-#define NAME(base) CAT(base, CAT(_, LANES))
-
-#define LANES 1
-#include "_kernel.c"
-#undef LANES
-
-#if defined(__x86_64__) || defined(__i386__)
-#pragma GCC push_options
-#pragma GCC target("avx2")
-#define LANES 4
-#include "_kernel.c"
-#undef LANES
-#pragma GCC pop_options
-
-#pragma GCC push_options
-#pragma GCC target("avx512f")
-#define LANES 8
-#include "_kernel.c"
-#undef LANES
-#pragma GCC pop_options
-#endif
-
-/* The widest lane width whose instructions this CPU (and its operating
- * system) supports; every narrower width runs too. */
-int adle_lanes(void)
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2"))
-        return __builtin_cpu_supports("avx512f") ? 8 : 4;
-#endif
-    return 1;
-}
+enum { NO_LINKS = 0, BELOW = 1, PICK = 2 };
 
 /* Random streams.  struct adle_stream is numpy's PCG64 state with its
  * carried half-word: a stream seeded with the words of
  * SeedSequence.generate_state(4, uint64) draws exactly what
  * np.random.default_rng draws, since the draws below are numpy's own C
  * distributions (libnpyrandom.a, linked into this library) called on it.
- * The loader allocates a bank's states 16-byte aligned.  The link law is
- * not read here: masks are uniforms compared with a given p, or picks. */
+ * The loader allocates a bank's states 16-byte aligned. */
 typedef __uint128_t u128;
 
 struct adle_stream {
@@ -178,11 +110,6 @@ static inline uint64_t next64(struct adle_stream *s)
     return (folded >> rot) | (folded << ((64 - rot) & 63));
 }
 
-static inline double to_unit(uint64_t bits)
-{
-    return (double)(bits >> 11) * (1.0 / 9007199254740992.0);
-}
-
 static uint64_t next_uint64(void *s)
 {
     return next64(s);
@@ -201,6 +128,11 @@ static uint32_t next_uint32(void *st)
     return (uint32_t)next;
 }
 
+static inline double to_unit(uint64_t bits)
+{
+    return (double)(bits >> 11) * (1.0 / 9007199254740992.0);
+}
+
 static double next_double(void *s)
 {
     return to_unit(next64(s));
@@ -208,13 +140,38 @@ static double next_double(void *s)
 
 #define BITGEN(s) {(s), next_uint64, next_uint32, next_double, next_uint64}
 
+/* count unit-variance draws into out: Generator.standard_normal, or at a
+ * scale laplace > 0 Generator.laplace(0, laplace) */
+static void unit_draws(struct adle_stream *s, int64_t count, double laplace, double *out)
+{
+    bitgen_t gen = BITGEN(s);
+    if (laplace == 0.0)
+        random_standard_normal_fill(&gen, count, out);
+    else
+        for (int64_t i = 0; i < count; i++)
+            out[i] = random_laplace(&gen, 0.0, laplace);
+}
+
+/* Generator.random() < p, without the uniform */
+static inline bool below(struct adle_stream *s, double p)
+{
+    return to_unit(next64(s)) < p;
+}
+
+/* Generator.integers(0, edges) */
+static inline int64_t pick_edge(struct adle_stream *s, int64_t edges)
+{
+    bitgen_t gen = BITGEN(s);
+    return (int64_t)random_bounded_uint64(&gen, 0, (uint64_t)edges - 1, 0, false);
+}
+
 int64_t adle_stream_bytes(void)
 {
     return (int64_t)sizeof(struct adle_stream);
 }
 
 /* The entry points below work on a bank of `rows` streams, consecutive in
- * memory, and write stream r's draws at out + r * stride (in bytes). */
+ * memory. */
 
 /* PCG64's seeding of each stream from two 128-bit words, given as four
  * 64-bit ones, high half first */
@@ -252,53 +209,86 @@ void adle_advance(struct adle_stream *s, int64_t rows, uint64_t high, uint64_t l
     }
 }
 
-#define ROW(type, r) ((type *)((char *)out + (r) * stride))
-
-void adle_normals(struct adle_stream *s, int64_t rows, int64_t count, double *out, int64_t stride)
+/* Draw and drop each stream's next count picks of one of `edges`: a pick
+ * reads a varying count of outputs, so there is no jump. */
+void adle_skip_picks(struct adle_stream *s, int64_t rows, int64_t count, int64_t edges)
 {
-    for (int64_t r = 0; r < rows; r++) {
-        bitgen_t gen = BITGEN(&s[r]);
-        random_standard_normal_fill(&gen, count, ROW(double, r));
-    }
-}
-
-void adle_laplace(struct adle_stream *s, int64_t rows, int64_t count, double scale, double *out,
-                  int64_t stride)
-{
-    for (int64_t r = 0; r < rows; r++) {
-        bitgen_t gen = BITGEN(&s[r]);
+    for (int64_t r = 0; r < rows; r++)
         for (int64_t i = 0; i < count; i++)
-            ROW(double, r)[i] = random_laplace(&gen, 0.0, scale);
-    }
+            pick_edge(&s[r], edges);
 }
 
-/* Generator.integers(0, edges, count), each pick written as a one-hot row
- * of `edges` flags, or only drawn where out is NULL */
-void adle_picks(struct adle_stream *s, int64_t rows, int64_t count, int64_t edges, uint8_t *out,
-                int64_t stride)
+/* Mirrored field for field by ``_kernel._BankArgs`` in the loader, which
+ * checks its size and this version: bump the version whenever a field, or
+ * the meaning of one, changes. */
+#define ADLE_LAYOUT 5
+
+struct adle_bank {
+    int64_t bank, n, m, mx, block, num_edges, links;
+    double p, laplace;
+    double *x, *g, *shift, *sums, *outer;
+    const double *q0, *h, *truth, *factor, *w;
+    const int64_t *edges;
+    struct adle_stream *streams, *link_streams;
+    const double *theta, *kopt, *gtarget;
+    void *scratch;
+    int64_t failure[2];
+};
+
+/* The layout version and size of struct adle_bank, which the loader
+ * compares with its own before it binds a bank. */
+int64_t adle_layout(void)
 {
-    for (int64_t r = 0; r < rows; r++) {
-        bitgen_t gen = BITGEN(&s[r]);
-        uint8_t *flags = out ? memset(ROW(uint8_t, r), 0, (size_t)(count * edges)) : NULL;
-        for (int64_t i = 0; i < count; i++) {
-            const uint64_t pick = random_bounded_uint64(&gen, 0, (uint64_t)edges - 1, 0, false);
-            if (flags)
-                flags[i * edges + pick] = 1;
-        }
-    }
+    return ADLE_LAYOUT;
 }
 
-/* Generator.random(count) < p, without the uniforms: one flag per output */
-void adle_below(struct adle_stream *s, int64_t rows, int64_t count, double p, uint8_t *out,
-                int64_t stride)
+int64_t adle_bank_bytes(void)
 {
-    for (int64_t r = 0; r < rows; r++) {
-        struct adle_stream local = s[r];
-        uint8_t *flags = ROW(uint8_t, r);
-        for (int64_t i = 0; i < count; i++)
-            flags[i] = to_unit(next64(&local)) < p;
-        s[r].state = local.state;
-    }
+    return (int64_t)sizeof(struct adle_bank);
+}
+
+/* Lane vectors of scratch, allocated once per bank by the loader: the
+ * layout of adle_advance_bank, of which its records reuse a part. */
+int64_t adle_scratch_vectors(const struct adle_bank *b)
+{
+    const int64_t n = b->n, m = b->m, mx = b->mx;
+    return n * (3 * m + 3 * m * m + 5 * mx + mx * mx) + 2 * mx * mx + 2 * m * mx + m * m + mx;
+}
+
+#define CAT_(a, b) a##b
+#define CAT(a, b) CAT_(a, b)
+#define NAME(base) CAT(base, CAT(_, LANES))
+
+#define LANES 1
+#include "_kernel.c"
+#undef LANES
+
+#if defined(__x86_64__) || defined(__i386__)
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#define LANES 4
+#include "_kernel.c"
+#undef LANES
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx512f")
+#define LANES 8
+#include "_kernel.c"
+#undef LANES
+#pragma GCC pop_options
+#endif
+
+/* The widest lane width whose instructions this CPU (and its operating
+ * system) supports; every narrower width runs too. */
+int adle_lanes(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        return __builtin_cpu_supports("avx512f") ? 8 : 4;
+#endif
+    return 1;
 }
 
 #else /* the body, once per lane width */
@@ -539,8 +529,8 @@ static void NAME(scatter)(int64_t width, int l, const V *lanes, double *trial)
 }
 
 /* The five bank state fields x, g, shift, sums and outer, the doubles
- * each holds per trial, and their lane-major copies at the head of the
- * scratch, which ``rest`` points past. */
+ * each holds per trial, and their lane-major copies in the scratch, after
+ * its head of n mx vectors, the draw temporary; ``rest`` points past them. */
 struct NAME(fields) {
     double *state[5];
     int64_t width[5];
@@ -551,7 +541,8 @@ static struct NAME(fields) NAME(layout)(const struct adle_bank *b)
 {
     const int64_t n = b->n, m = b->m, mx = b->mx;
     struct NAME(fields) f = {{b->x, b->g, b->shift, b->sums, b->outer},
-                             {n * m, n * m * m, n * mx, n * mx, n * mx * mx}, {0}, b->scratch};
+                             {n * m, n * m * m, n * mx, n * mx, n * mx * mx}, {0},
+                             (V *)b->scratch + n * mx};
     for (int i = 0; i < 5; i++) {
         f.lanes[i] = f.rest;
         f.rest += f.width[i];
@@ -654,22 +645,24 @@ static void NAME(records)(const struct adle_bank *b, const struct NAME(fields) *
                 bad[k] = first + l;
 }
 
-/* Advance the bank through window steps start..stop-1 from ``count``
- * observations; then, unless ``out`` is NULL, write each lane group's
- * records at step count + stop - start, with gamma w[2][stop].  A zero
- * pivot met advancing wins (SINGULAR); else ``failure`` names the records'
- * step and their first failure by the precedence of bad[]. */
+/* Advance the bank through block steps start..stop-1 from ``count``
+ * observations, drawing each step's noise and links; then, unless ``out``
+ * is NULL, write each lane group's records at step count + stop - start,
+ * with gamma w[2][stop].  A zero pivot met advancing wins (SINGULAR); else
+ * ``failure`` names the records' step and their first failure by the
+ * precedence of bad[]. */
 int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, int64_t count,
                             double *out)
 {
-    const int64_t bank = b->bank, n = b->n, m = b->m, mx = b->mx, window = b->window;
+    const int64_t bank = b->bank, n = b->n, m = b->m, mx = b->mx, links = b->links;
     const int64_t num_edges = b->num_edges, *edges = b->edges;
-    const double *q0 = b->q0, *h = b->h, *truth = b->truth, *factor = b->factor;
-    const double *noise = b->noise, *w = b->w;
-    const uint8_t *active = b->active;
+    const double *q0 = b->q0, *h = b->h, *truth = b->truth, *factor = b->factor, *w = b->w;
+    struct adle_stream *streams = b->streams, *link_streams = b->link_streams;
     int64_t *failure = b->failure;
-    const int64_t mm = m * m, row = window + 1;  /* the weight rows' stride */
+    const int64_t mm = m * m, row = b->block + 1;  /* the weight rows' stride */
     const struct NAME(fields) fields = NAME(layout)(b);
+    /* a lane's draws end where the state copies start, so an overrun shows */
+    double *draw = (double *)fields.lanes[0] - n * mx;
     V *xr = fields.lanes[0], *gr = fields.lanes[1], *shr = fields.lanes[2];
     V *sr = fields.lanes[3], *orr = fields.lanes[4];
     V *innov = fields.rest;          /* (n, m) */
@@ -698,8 +691,11 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
         for (int64_t s = start; s < stop && NAME(any)(live); s++) {
             const double alpha = w[s], beta = w[row + s], gamma = w[2 * row + s];
             const int64_t c = count + (s - start);
-            for (int l = 0; l < LANES; l++)
-                NAME(gather)(n * mx, l, noise + (trial[l] * window + s) * n * mx, z);
+            for (int l = 0; l < LANES; l++) {
+                if (first + l < bank)  /* a dead lane rereads the last trial's draws */
+                    unit_draws(&streams[first + l], n * mx, b->laplace, draw);
+                NAME(gather)(n * mx, l, draw, z);
+            }
             for (int64_t a = 0; a < n; a++) {
                 const V *za = z + a * mx;
                 for (int64_t i = 0; i < mx; i++) {
@@ -732,14 +728,18 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
 
             memset(cx, 0, (size_t)(n * m) * sizeof(V));
             memset(cg, 0, (size_t)(n * mm) * sizeof(V));
-            M on = NAME(splat_index)(-1);
+            M on = NAME(splat_index)(-1), picked = on;  /* a dead lane picks no edge */
+            for (int l = 0; links == PICK && l < LANES && first + l < bank; l++)
+                LANE(picked, l) = pick_edge(&link_streams[first + l], num_edges);
             for (int64_t k = 0; k < num_edges; k++) {
-                if (active != NULL) {
+                if (links == BELOW)
                     for (int l = 0; l < LANES; l++)
-                        LANE(on, l) = active[(trial[l] * window + s) * num_edges + k] ? -1 : 0;
-                    if (!NAME(any)(on))
-                        continue;
-                }
+                        LANE(on, l) = first + l < bank && below(&link_streams[first + l], b->p)
+                                      ? -1 : 0;
+                else if (links == PICK)
+                    on = SAME(picked, NAME(splat_index)(k));
+                if (!NAME(any)(on))
+                    continue;
                 NAME(edge_sums)(m, edges[2 * k], edges[2 * k + 1], on, xr, cx);
                 NAME(edge_sums)(mm, edges[2 * k], edges[2 * k + 1], on, gr, cg);
             }

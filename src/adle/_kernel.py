@@ -2,11 +2,12 @@
 the library's one consensus+innovation round and its checkpoint
 diagnostics, and the trials' random streams.
 
-The kernel advances a whole trial bank through one segment of a draw
-window in a single call, forming each step's observations from the
-noise, and, where asked, writes the bank's checkpoint records at the
-segment's last step.  A bank is bound once, with its state, model, links
-and draw buffers (``BankKernel.bind``), and one lane scratch buffer.
+The kernel advances a whole trial bank through one segment of a block
+of steps in a single call, drawing each step's noise and links from the
+trials' streams and forming the observations from the noise, and, where
+asked, writes the bank's checkpoint records at the segment's last step.
+A bank is bound once, with its state, model, links, streams and the
+block's weights (``BankKernel.bind``), and one lane scratch buffer.
 :class:`Streams` are a bank's PCG64 streams, drawn by numpy's own C
 distributions, which the library links from numpy's static
 ``libnpyrandom.a``.  The library is compiled on first use with the
@@ -37,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AdleError, TrialDiverged
+from .model import _LAPLACE_SCALE
 
 try:  # hashlib would load OpenSSL, several MB, for one digest
     from _sha256 import sha256
@@ -50,7 +52,7 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 NPYRANDOM = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
 
 #: ``ADLE_LAYOUT`` of ``_kernel.c``: the version of ``struct adle_bank``.
-LAYOUT = 4
+LAYOUT = 5
 
 #: Bytes of a ``struct adle_stream`` of ``_kernel.c``: one stream's state.
 STREAM_BYTES = 48
@@ -161,16 +163,18 @@ class _BankArgs(ctypes.Structure):
     """``struct adle_bank`` of ``_kernel.c``, field for field."""
 
     _fields_ = (
-        [(name, ctypes.c_int64) for name in ("bank", "n", "m", "mx", "window", "num_edges")]
+        [(name, ctypes.c_int64) for name in ("bank", "n", "m", "mx", "block", "num_edges",
+                                             "links")]
+        + [("p", ctypes.c_double), ("laplace", ctypes.c_double)]
         + [(name, ctypes.c_void_p) for name in ("x", "g", "shift", "sums", "outer", "q0", "h",
-                                                "truth", "factor", "noise", "w", "edges",
-                                                "active", "theta", "kopt", "gtarget",
+                                                "truth", "factor", "w", "edges", "streams",
+                                                "link_streams", "theta", "kopt", "gtarget",
                                                 "scratch")]
         + [("failure", ctypes.c_int64 * 2)]
     )
 
 
-_I64, _U64, _F64, _PTR = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p
+_I64, _U64, _PTR = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
 _BANK = ctypes.POINTER(_BankArgs)
 
 #: The library's entry points, with their argument and result types.
@@ -178,10 +182,7 @@ SIGNATURES = {
     "adle_layout": ([], _I64), "adle_bank_bytes": ([], _I64), "adle_lanes": ([], ctypes.c_int),
     "adle_scratch_vectors": ([_BANK], _I64), "adle_stream_bytes": ([], _I64),
     "adle_seed": ([_PTR, _I64, _PTR], None), "adle_advance": ([_PTR, _I64, _U64, _U64], None),
-    "adle_normals": ([_PTR, _I64, _I64, _PTR, _I64], None),
-    "adle_laplace": ([_PTR, _I64, _I64, _F64, _PTR, _I64], None),
-    "adle_picks": ([_PTR, _I64, _I64, _I64, _PTR, _I64], None),
-    "adle_below": ([_PTR, _I64, _I64, _F64, _PTR, _I64], None),
+    "adle_skip_picks": ([_PTR, _I64, _I64, _I64], None),
     **{f"adle_advance_bank_{width}": ([_BANK, _I64, _I64, _I64, _PTR], ctypes.c_int)
        for width in WIDTHS},
 }
@@ -221,30 +222,31 @@ class BankKernel:
                      for width in WIDTHS[:WIDTHS.index(self.lanes) + 1]}
         self._lib = lib
 
-    def bind(self, state, model, top, noise, weights, active) -> "BoundBank":
-        """Check a bank and its draw buffers once and bind their addresses.
+    def bind(self, state, model, top, streams, links, weights) -> "BoundBank":
+        """Check a bank, its streams and its weights once and bind their addresses.
 
         ``state`` is an ``adle.estimator.NetworkState`` whose arrays carry a
         leading axis of R trials; the kernel updates its estimates,
         Grammians and moments in place.  ``model`` is the
         ``ObservationModel`` whose padded sensing, sensed truth and noise
-        factors (``_stacked``) it reads, and ``top`` holds the links.  The
-        draw buffers hold a window of W steps: ``noise``, the
-        (R, W, N, max_dim) unit-variance draws from which the kernel forms
-        each step's observations, ``weights``, the (3, W + 1) alpha, beta
-        and gamma of the steps and of the step after them (the gamma of
-        records at the window's end), and ``active``, the bool (R, W, E)
-        active-edge masks over ``top.edge_array``, or ``None`` when every
-        edge is always active.
-        Their contents may change between segments; no address may.  The
-        returned bank keeps every array alive, and the lane scratch
-        allocated here.
+        factors (``_stacked``) it reads, and whose family it draws, and
+        ``top`` holds the links and what the kernel draws of them
+        (``TopologyModel.kernel_links``).  ``streams`` and ``links`` are
+        banks of R :class:`Streams`: at each step the kernel draws each
+        trial's unit-variance noise from its row of ``streams`` and its
+        links from its row of ``links``.  ``weights`` holds the alpha, beta
+        and gamma of a block of B steps and of the step after it (the gamma
+        of records at the block's end), float64 (3, B + 1).  Their contents
+        may change between segments; no address may.  The returned bank
+        keeps every array alive, and the lane scratch allocated here.
         """
         stacked = model._stacked
-        n, m, mx = model.num_agents, model.param_dim, stacked.max_dim
-        if not isinstance(noise, np.ndarray) or noise.ndim != 4:
-            raise ValueError("noise must be a 4-d array")
-        bank, window = noise.shape[:2]
+        n, m, mx, bank = model.num_agents, model.param_dim, stacked.max_dim, len(streams)
+        if not isinstance(weights, np.ndarray) or weights.ndim != 2:
+            raise ValueError("weights must be a 2-d array")
+        for name, bank_of in (("streams", streams), ("links", links)):
+            if not isinstance(bank_of, Streams) or len(bank_of) != bank:
+                raise ValueError(f"{name} must be a bank of {bank} Streams, one per trial")
         arrays = {  # in the order of struct adle_bank
             "x": _check(state.estimates, "estimates", np.float64, (bank, n, m)),
             "g": _check(state.grammians, "grammians", np.float64, (bank, n, m, m)),
@@ -253,19 +255,17 @@ class BankKernel:
             "outer": _check(state.obs_outer_sums, "obs_outer_sums", np.float64, (bank, n, mx, mx)),
             "q0": _check(state.initial_sample_covs, "initial_sample_covs", np.float64, (n, mx, mx)),
             "h": stacked.sensing, "truth": stacked.sensed_truth, "factor": stacked.noise_factor,
-            "noise": _check(noise, "noise", np.float64, (bank, window, n, mx)),
-            "w": _check(weights, "weights", np.float64, (3, window + 1)),
-            "edges": top.edge_array,
-            "active": None if active is None else _check(
-                active, "active", np.bool_, (bank, window, top.base.num_edges)),
+            "w": _check(weights, "weights", np.float64, (3, weights.shape[1])),
+            "edges": top.edge_array, "streams": streams._states, "link_streams": links._states,
         }
         if not all(arrays[name].flags.writeable for name in ("x", "g", "shift", "sums", "outer")):
             raise ValueError("the bank state arrays must be writable")
         if top.base.num_nodes != n:
             raise ValueError(f"topology has {top.base.num_nodes} nodes, state has {n} agents")
-        args = _BankArgs(bank=bank, n=n, m=m, mx=mx, window=window, num_edges=top.base.num_edges,
-                         **{name: None if arr is None else arr.ctypes.data
-                            for name, arr in arrays.items()})
+        args = _BankArgs(bank=bank, n=n, m=m, mx=mx, block=weights.shape[1] - 1,
+                         num_edges=top.base.num_edges, links=top.kernel_links, p=top.p,
+                         laplace=0.0 if model.noise == "gaussian" else _LAPLACE_SCALE,
+                         **{name: arr.ctypes.data for name, arr in arrays.items()})
         lanes = 1 if bank == 1 else self.lanes
         # GCC's vector types assume their 64-byte alignment, which np.empty does not promise
         size = self._lib.adle_scratch_vectors(ctypes.byref(args)) * lanes * 8
@@ -285,10 +285,11 @@ class BoundBank:
 
     def advance(self, count: int, start: int, stop: int, out: np.ndarray | None = None) -> None:
         """Advance the bank in place through steps ``start..stop-1`` of its
-        draw window, ``count`` observations folded before ``start``; then,
-        given a float64 (R, N + 3) ``out``, write into it each trial's records
-        at step ``count + stop - start``, at the gamma of weight column
-        ``stop``: the disagreement, N error norms, gain gap and Grammian gap.
+        block, drawing each step's noise and links, ``count`` observations
+        folded before ``start``; then, given a float64 (R, N + 3) ``out``,
+        write into it each trial's records at step ``count + stop - start``,
+        at the gamma of weight column ``stop``: the disagreement, N error
+        norms, gain gap and Grammian gap.
         The first such call binds the model's true parameter, optimal gains
         and mean Grammian, so a model that does not validate raises there.
         :class:`TrialDiverged` names a trial by its place in the bank: the
@@ -297,9 +298,8 @@ class BoundBank:
         else with a zero pivot in a gain solve, else with a non-finite record.
         """
         args = self._args
-        if not 0 <= start <= stop <= args.window:
-            raise ValueError(f"segment [{start}, {stop}) outside the draw window "
-                             f"[0, {args.window})")
+        if not 0 <= start <= stop <= args.block:
+            raise ValueError(f"segment [{start}, {stop}) outside the block [0, {args.block})")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         if out is not None:
@@ -319,10 +319,9 @@ class BoundBank:
 
 class Streams:
     """A bank of random streams: numpy's PCG64 in the compiled library,
-    which draws from them by numpy's own C distributions, so that stream
-    ``r`` of ``Streams(seeds)`` draws exactly what
-    ``np.random.default_rng(seeds[r])`` draws.  Each draw writes every
-    stream's draws into its row of ``out``, one C-contiguous row per stream.
+    from which the kernel draws by numpy's own C distributions, so that
+    stream ``r`` of ``Streams(seeds)`` draws exactly what
+    ``np.random.default_rng(seeds[r])`` draws (``BankKernel.bind``).
 
     A seed is a non-negative int or a sequence of them, seeded as numpy's
     ``SeedSequence`` seeds it (:func:`_seed_words`), or an object with
@@ -349,12 +348,14 @@ class Streams:
     def __len__(self) -> int:
         return len(self._states)
 
-    def copy(self) -> "Streams":
-        """An unseeded bank at this one's states and carried half-words."""
-        twin = Streams.__new__(Streams)
-        twin._alloc(len(self))
-        twin._states[...] = self._states
-        return twin
+    def copy(self, out: "Streams | None" = None) -> "Streams":
+        """This bank's states and carried half-words, in ``out``, a bank of
+        as many streams, or in a new unseeded bank."""
+        if out is None:
+            out = Streams.__new__(Streams)
+            out._alloc(len(self))
+        out._states[...] = self._states
+        return out
 
     def advance(self, delta: int) -> None:
         """Jump every stream ``delta`` outputs, modulo 2**128, dropping a
@@ -362,47 +363,11 @@ class Streams:
         delta = operator.index(delta) % (1 << 128)
         self._lib.adle_advance(self._ptr, len(self), delta >> 64, delta & (1 << 64) - 1)
 
-    def normals(self, out: np.ndarray) -> np.ndarray:
-        """Every stream's ``Generator.standard_normal``, into float64 ``out``."""
-        self._check_out(out, np.float64)
-        self._lib.adle_normals(self._ptr, len(self), out[0].size, out.ctypes.data, out.strides[0])
-        return out
-
-    def laplace(self, scale: float, out: np.ndarray) -> np.ndarray:
-        """Every stream's ``Generator.laplace(0, scale)``, into float64 ``out``."""
-        self._check_out(out, np.float64)
-        self._lib.adle_laplace(self._ptr, len(self), out[0].size, scale, out.ctypes.data,
-                               out.strides[0])
-        return out
-
-    def picks(self, edges: int, out: np.ndarray) -> np.ndarray:
-        """Every stream's ``Generator.integers(0, edges, steps)`` as one-hot
-        rows of ``edges >= 1`` flags, into a bool (R, steps, edges) ``out``."""
-        self._check_out(out, np.bool_)
-        if edges < 1 or out.shape[2:] != (edges,):
-            raise ValueError(f"out must be a (rows, steps, edges) array for edges >= 1, got "
-                             f"edges {edges} and shape {out.shape}")
-        self._lib.adle_picks(self._ptr, len(self), out.shape[1], edges, out.ctypes.data,
-                             out.strides[0])
-        return out
-
     def skip_picks(self, edges: int, steps: int) -> None:
-        """Draw every stream's next ``steps`` picks of :meth:`picks` and drop
-        them: a pick reads a varying count of outputs, so there is no jump."""
-        self._lib.adle_picks(self._ptr, len(self), steps, edges, None, 0)
-
-    def below(self, p: float, out: np.ndarray) -> np.ndarray:
-        """Every stream's ``Generator.random(out.shape[1:]) < p``, into a bool
-        ``out``, without the uniforms."""
-        self._check_out(out, np.bool_)
-        self._lib.adle_below(self._ptr, len(self), out[0].size, p, out.ctypes.data, out.strides[0])
-        return out
-
-    def _check_out(self, out, dtype) -> None:
-        """Refuse an ``out`` that is not one C-contiguous ``dtype`` row per stream."""
-        if not isinstance(out, np.ndarray) or out.ndim < 2 or len(out) != len(self):
-            raise ValueError(f"out must be an array of {len(self)} rows, one per stream")
-        _check(out[0], "a row of out", dtype, out.shape[1:])
+        """Draw every stream's next ``steps`` picks of
+        ``Generator.integers(0, edges)`` and drop them: a pick reads a
+        varying count of outputs, so there is no jump."""
+        self._lib.adle_skip_picks(self._ptr, len(self), steps, edges)
 
 
 def _seed_words(entropy) -> list[int]:
@@ -454,7 +419,7 @@ def _seed_words(entropy) -> list[int]:
 def scratch_vectors(n: int, m: int, mx: int) -> int:
     """``adle_scratch_vectors`` of ``_kernel.c``: the lane vectors of scratch
     of a bank of ``n`` agents, ``m`` parameters and ``mx`` observations."""
-    return n * (3 * m + 3 * m * m + 4 * mx + mx * mx) + 2 * mx * mx + 2 * m * mx + m * m + mx
+    return n * (3 * m + 3 * m * m + 5 * mx + mx * mx) + 2 * mx * mx + 2 * m * mx + m * m + mx
 
 
 def _check(arr, name: str, dtype, shape):

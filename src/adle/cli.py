@@ -197,6 +197,17 @@ def _topology(spec: dict, model: ObservationModel | None) -> TopologyModel | Non
     return topology
 
 
+def _schedule(spec: dict, settings: dict) -> WeightSchedule:
+    schedule = validate_schedule(WeightSchedule(**spec),
+                                 require_efficiency=settings["require_efficiency"])
+    try:  # the powers (t + 1) ** tau grow with t: the run's last weights are its largest
+        schedule.block(settings.get("horizon", 0), 1)
+    except OverflowError:
+        raise ValueError(f"the weights overflow the float range by step "
+                         f"{settings['horizon']}") from None
+    return schedule
+
+
 def parse_config(path, overrides=None) -> ScenarioConfig:
     """Load and fully validate a scenario file.
 
@@ -236,8 +247,7 @@ def parse_config(path, overrides=None) -> ScenarioConfig:
 
     model = settings["model"] = build("model", _model)
     top = settings["topology"] = build("topology", lambda spec: _topology(spec, model))
-    schedule = build("schedule", lambda spec: validate_schedule(
-        WeightSchedule(**spec), require_efficiency=settings["require_efficiency"]))
+    schedule = build("schedule", lambda spec: _schedule(spec, settings))
     if schedule is not None and top is not None and settings["cap_consensus_weight"]:
         max_degree = int(top.base.degrees().max())
         if max_degree > 0 and schedule.b > 1.0 / max_degree:

@@ -14,8 +14,9 @@ stream (topology draws for a block of steps, then observation noise for
 the block), so any single trial is bit-reproducible from its seed alone
 and reports do not depend on the parallelism degree.  The compiled
 kernel (``_kernel.c``) is the one round: one call advances a bank from
-one checkpoint to the next, forming each step's observations from the
-noise, and writes the checkpoint diagnostics of the step it ends on.
+one checkpoint to the next, drawing each step's noise and links and
+forming the observations from the noise, and writes the checkpoint
+diagnostics of the step it ends on.
 """
 
 from __future__ import annotations
@@ -36,25 +37,20 @@ from .estimator import (
     _regularized_inverse,
     initial_network_state,
 )
-from .model import ObservationModel, _unit_variance_draws, centralized_estimate_from_means
+from .model import ObservationModel, centralized_estimate_from_means
+# the Generator draw of the noise that the kernel draws; here only for bench/tracing.py to time
+from .model import _unit_variance_draws  # noqa: F401
 from .network import TopologyModel
 from .schedule import WeightSchedule, checkpoint_grid
 
-#: Steps simulated between random-draw refills; part of the documented
-#: per-trial draw order (topology block, then noise block).
+#: Steps of a block, whose link draws each trial's stream skips before its
+#: noise; part of the documented per-trial draw order (topology block, then
+#: noise block).
 BLOCK_STEPS = 1024
 
 #: Trials advanced together in one vectorized bank.  Fixed so that
 #: experiment output is independent of the parallelism degree.
 TRIALS_PER_BANK = 64
-
-#: Bytes of a bank's noise and link-mask buffers, which hold a window of
-#: steps of a block: each trial's noise and links for a block are runs of
-#: its stream, drawn a window at a time, so outputs do not depend on this size.
-#: Each further window costs one kernel call and one call per draw layer for
-#: the whole bank: at 1 MiB that is a few percent of the run time, at 256 KiB
-#: about a tenth.
-_DRAW_WINDOW_BYTES = 1 << 20
 
 #: The cgroup file systems' mount root, and the groups of this process
 #: (``hierarchy:controllers:path`` lines; v2's controllers are empty).
@@ -127,25 +123,21 @@ class StatResult:
     gating: bool = True
 
 
-def _draw_topology_block(top: TopologyModel, draws: list, rngs, steps: int, w0: int, out) -> None:
-    """Fill ``out``, bool (R, window, E), with the masks of block steps
-    ``w0..w0 + window - 1``, windows in order, by the fill in ``draws``; at
-    the block's first window, first replace it with the link draws of the
-    block's ``steps`` steps from the bank's streams ``rngs`` (:meth:`TopologyModel.link_draws`)."""
-    if w0 == 0:
-        draws.clear()  # the previous block's go first
-        draws.append(top.link_draws(rngs, steps))
-    draws[0](out)
+def _draw_topology_block(top: TopologyModel, rngs, links, steps: int) -> None:
+    """Start the link draws of a block of ``steps`` steps: ``links`` takes the
+    states of the bank's streams ``rngs``, which move past the block's link
+    outputs (:meth:`TopologyModel.link_draws`)."""
+    top.link_draws(rngs, links, steps)
 
 
 def _laplacian_at(top: TopologyModel, active, s: int):
     """Sampled Laplacians for step ``s`` of a block: (R, N, N) or shared (N, N).
-    Off the run path, where the kernel reads the masks; the numpy oracle reads it."""
+    Off the run path, where the kernel draws the links; the numpy oracle reads it."""
     return top.laplacians(None if active is None else active[:, s])
 
 
 def _advance(bound, state: NetworkState, start: int, stop: int, out=None) -> None:
-    """Advance a bank through steps ``start..stop-1`` of its draw window in
+    """Advance a bank through steps ``start..stop-1`` of its block in
     place, ``state.step`` included, by one call of its ``_kernel.BoundBank``,
     which writes the records of its last step into ``out`` unless ``None``."""
     bound.advance(state.step, start, stop, out)
@@ -165,28 +157,17 @@ def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
     return disagreement, error_norms, gain_gap, grammian_gap
 
 
-def _draw_window(rows: int, agents: int, max_dim: int, edges: int, steps: int) -> int:
-    """Steps of a block of ``steps`` whose float64 (rows, window, agents,
-    max_dim) noise and bool (rows, window, edges) masks fit in
-    ``_DRAW_WINDOW_BYTES``; at least one."""
-    return max(1, min(steps, _DRAW_WINDOW_BYTES // (rows * (agents * max_dim * 8 + edges))))
-
-
 def _draw_bytes(model: ObservationModel, top: TopologyModel, trials: int,
                 horizon: int) -> dict[str, int]:
     """Bytes of the buffers that one bank of an experiment holds, by part:
-    the noise and link mask windows of :func:`_walk`, the copy of its streams
-    that a block's :meth:`TopologyModel.link_draws` hold, the weights, the
-    kernel's lane scratch at the widest lane width, and the bank's state."""
+    the streams of :func:`_walk` and their copy for the links, the block's
+    weights, the kernel's lane scratch at the widest lane width, and the
+    bank's state."""
     rows, steps = min(TRIALS_PER_BANK, trials), min(BLOCK_STEPS, horizon)
     n, m, mx = model.num_agents, model.param_dim, max(model.obs_dims)
-    edges = top.base.num_edges if top.draws_links else 0
-    window = _draw_window(rows, n, mx, edges, steps)
     return {
-        "noise window": rows * window * n * mx * 8,
-        "link mask window": rows * window * edges,
-        "link streams": rows * _kernel.STREAM_BYTES if top.draws_links else 0,
-        "weights": 3 * (window + 1) * 8,
+        "streams": 2 * rows * _kernel.STREAM_BYTES,
+        "weights": 3 * (steps + 1) * 8,
         "lane scratch": _kernel.scratch_vectors(n, m, mx) * max(_kernel.WIDTHS) * 8,
         "bank state": (rows * (m + m * m + 2 * mx + mx * mx) + mx * mx) * n * 8,
     }
@@ -196,14 +177,16 @@ def _memory_shortfall(model, top, trials: int, horizon: int, checkpoints: int,
                       parallelism: int) -> str | None:
     """Why an experiment does not fit in memory, naming its largest part:
     the parent process's records of up to ``checkpoints`` checkpoints, with
-    the sorted copy of their error norms that :func:`_median` makes, beside
-    each worker's bank (:func:`_draw_bytes`); ``None`` where it fits, or
-    where the memory size is unknown."""
+    the sorted copy of their error norms and the three (checkpoints, N)
+    temporaries that :func:`_median` makes, and the terminal scaled errors
+    and baseline, beside each worker's bank (:func:`_draw_bytes`); ``None``
+    where it fits, or where the memory size is unknown."""
     memory, bounded_by = _memory_limit()
     banks = -(-trials // TRIALS_PER_BANK)
     workers = worker_count(parallelism, banks)
     bank = _draw_bytes(model, top, trials, horizon)
-    records = trials * checkpoints * (2 * model.num_agents + 3) * 8
+    n, m = model.num_agents, model.param_dim
+    records = (trials * (checkpoints * (2 * n + 3) + (n + 1) * m) + 3 * checkpoints * n) * 8
     parts = {"records": records, **{name: workers * size for name, size in bank.items()}}
     if memory is None or sum(parts.values()) <= memory:
         return None
@@ -263,9 +246,11 @@ def _memory_limit() -> tuple[int | None, str]:
 
 
 def _walk(model, top, schedule, horizon: int, grid, seeds, init=None, records=None):
-    """:func:`trajectory`; the call that ends on grid step ``grid[c]`` writes
-    the bank's records there into ``records[c]`` unless ``records`` is ``None``."""
-    n, mx = model.num_agents, model._stacked.max_dim
+    """:func:`trajectory`: the bank, bound once with its streams, their copy
+    for the links and a block's weights, advances in segments that end at
+    grid steps and block ends; the call that ends on grid step ``grid[c]``
+    writes the bank's records there into ``records[c]`` unless ``records``
+    is ``None``."""
     rngs = _kernel.Streams(seeds)
     grid = np.asarray(grid, dtype=np.int64)
     if grid.size == 0 or grid[-1] != horizon or np.any(np.diff(grid) <= 0) or grid[0] < 1:
@@ -276,31 +261,24 @@ def _walk(model, top, schedule, horizon: int, grid, seeds, init=None, records=No
     for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
         a = getattr(state, field)
         setattr(state, field, np.tile(a, (len(rngs),) + (1,) * a.ndim))
-    edges = top.base.num_edges if top.draws_links else 0
-    window = _draw_window(len(rngs), n, mx, edges, min(BLOCK_STEPS, horizon))
-    noise = np.empty((len(rngs), window, n, mx))  # a short window fills a prefix of each row
-    active = np.empty((len(rngs), window, edges), bool) if edges else None
-    weights = np.empty((3, window + 1))  # and the step after the window, for records there
-    bound = _kernel.load().bind(state, model, top, noise, weights, active)
-    draws = []  # the bank's link draws of the block
+    links = rngs.copy()  # the bank's streams at each block's start, for its links
+    weights = np.empty((3, min(BLOCK_STEPS, horizon) + 1))  # and the step after the block
+    bound = _kernel.load().bind(state, model, top, rngs, links, weights)
 
     pointer = 0
     while state.step < horizon:
         block_start = state.step
         steps = min(BLOCK_STEPS, horizon - block_start)
-        for w0 in range(0, steps, window):
-            drawn, window_start = min(window, steps - w0), block_start + w0
-            weights[:, :drawn + 1] = schedule.block(window_start, drawn + 1)
-            if edges:
-                _draw_topology_block(top, draws, rngs, steps, w0, active[:, :drawn])
-            _unit_variance_draws(rngs, model.noise, noise[:, :drawn])
-            while state.step < window_start + drawn:
-                stop = min(window_start + drawn, grid[pointer])
-                out = None if records is None or stop != grid[pointer] else records[pointer]
-                _advance(bound, state, state.step - window_start, stop - window_start, out)
-                if state.step == grid[pointer]:
-                    yield state.step, state
-                    pointer += 1
+        weights[:, :steps + 1] = schedule.block(block_start, steps + 1)
+        if top.draws_links:
+            _draw_topology_block(top, rngs, links, steps)
+        while state.step < block_start + steps:
+            stop = min(block_start + steps, grid[pointer])
+            out = None if records is None or stop != grid[pointer] else records[pointer]
+            _advance(bound, state, state.step - block_start, stop - block_start, out)
+            if state.step == grid[pointer]:
+                yield state.step, state
+                pointer += 1
 
 
 def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSchedule,
@@ -310,23 +288,21 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
 
     ``state`` is one :class:`NetworkState` whose arrays carry a leading
     trial axis.  It is advanced in place, its arrays bound to the kernel
-    once with the draw buffers (replace none of them), so copy what must
-    outlive the next step.  ``init`` holds the optional initial estimate,
-    Grammian and sample covariance of :func:`initial_network_state`.  Each
-    trial consumes only its own stream, the one
+    once with the streams and weights (replace none of them), so copy what
+    must outlive the next step.  ``init`` holds the optional initial
+    estimate, Grammian and sample covariance of :func:`initial_network_state`.
+    Each trial consumes only its own stream, the one
     ``np.random.default_rng(seed)`` draws (one ``_kernel.Streams`` bank
     for the trials, seeded once), in blocks of ``BLOCK_STEPS`` steps: the
-    topology draws of the block, then its unit-variance noise.  The noise
-    and mask buffers hold a window of the block's steps, as many as fit in
-    1 MiB (the whole block for small banks), drawn in one call per layer
-    for the whole bank, each trial's row the same run of its stream as a
-    whole-block draw: the link draws, from a copy of the bank, start at the block's
-    first window and leave each stream where its noise starts (:meth:`TopologyModel.link_draws`).
-    The window's weights are written beside them, and the kernel, which
-    sees only the window, forms the observations from the noise in segments
-    that end at grid steps or window ends (:func:`_advance`).  A singular
-    gain solve raises :class:`TrialDiverged` with the trial's place in the
-    bank; empty ``seeds`` raise ``ValueError``.
+    topology draws of the block, then its unit-variance noise.  At a
+    block's start a copy of the bank takes its states, from which the
+    kernel draws the block's links, while each stream moves to where its
+    noise starts (:meth:`TopologyModel.link_draws`), and the block's
+    weights are written.  The kernel then draws each step's links and noise
+    itself and forms the observations, in segments that end at grid steps
+    or block ends (:func:`_advance`).  A singular gain solve raises
+    :class:`TrialDiverged` with the trial's place in the bank; empty
+    ``seeds`` raise ``ValueError``.
     """
     yield from _walk(model, top, schedule, horizon, grid, seeds, init)
 
@@ -355,7 +331,7 @@ def _run_bank(
     """
     n = model.num_agents
     records = np.empty((len(grid), len(seeds), n + 3))
-    try:  # the walk, once exhausted, frees its draw buffers before the terminal errors
+    try:  # the walk, once exhausted, frees its bound buffers before the terminal errors
         for t, state in _walk(model, top, schedule, horizon, grid, seeds, init, records):
             pass
     except TrialDiverged as exc:

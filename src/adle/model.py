@@ -25,6 +25,9 @@ from .errors import NotGloballyObservable, NotPositiveDefinite
 
 NOISE_FAMILIES = ("gaussian", "laplace")
 
+#: The scale of a unit-variance Laplace draw, whose variance is 2 scale**2.
+_LAPLACE_SCALE = 2.0**-0.5
+
 #: Normalized Grammians whose smallest eigenvalue falls below this times
 #: the largest are treated as singular.
 OBSERVABILITY_RTOL = 1e-12
@@ -230,20 +233,19 @@ def validate_observation_model(model: ObservationModel) -> CentralizedSummary:
 
 def sample_observation(model: ObservationModel, agent: int, rng) -> np.ndarray:
     """Draw ``y_agent = H_agent @ theta + noise`` with covariance ``R_agent``
-    from ``rng``, a numpy ``Generator``: its unit-variance draws of the
-    model's family, the outputs :func:`_unit_variance_draws` gives a row."""
+    from ``rng``, a numpy ``Generator``, by :func:`_unit_variance_draws`."""
     h = model.sensing[agent]
-    draw = (rng.standard_normal(len(h)) if model.noise == "gaussian"
-            else rng.laplace(0.0, 2.0**-0.5, len(h)))
+    draw = _unit_variance_draws(rng, model.noise, len(h))
     return h @ model.true_param + model._noise_factors[agent] @ draw
 
 
-def _unit_variance_draws(streams, family: str, out: np.ndarray) -> np.ndarray:
-    """Unit-variance draws of ``family`` into ``out``, each stream's of the
-    bank ``streams`` (``adle._kernel.Streams``) into its row."""
+def _unit_variance_draws(rng, family: str, size) -> np.ndarray:
+    """``size`` unit-variance draws of ``family`` from ``rng``, a numpy
+    ``Generator``: the draws that the compiled kernel makes of a trial's
+    stream at each step, ``n * max_dim`` of them."""
     if family == "gaussian":
-        return streams.normals(out)
-    return streams.laplace(2.0**-0.5, out)  # Laplace with scale 1/sqrt(2) has unit variance
+        return rng.standard_normal(size)
+    return rng.laplace(0.0, _LAPLACE_SCALE, size)
 
 
 def centralized_estimate(model: ObservationModel, observations) -> np.ndarray:

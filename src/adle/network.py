@@ -9,12 +9,11 @@ three supported laws are
   probability ``p``,
 * ``gossip`` -- exactly one base edge, chosen uniformly, is active.
 
-The law is read here only: :meth:`TopologyModel.link_draws` turns a
-bank's random streams into per-step active-edge masks for the harness,
-a window at a time from a copy of the bank under either law, and
-:meth:`TopologyModel.draw_active` turns one numpy ``Generator`` into
-the same masks for :func:`sample_laplacian`; the masks are all that the
-sampled Laplacians and the compiled kernel see.
+The law is read here only: :attr:`TopologyModel.kernel_links` tells the
+compiled kernel what to draw at each step for a trial's links, from the
+copy of the bank that :meth:`TopologyModel.link_draws` starts each block
+with, and :meth:`TopologyModel.draw_active` turns one numpy ``Generator``
+into the same active-edge masks for :func:`sample_laplacian`.
 
 The quantity that matters for convergence is not per-step connectivity
 but the algebraic connectivity (Fiedler value) of the *mean* Laplacian:
@@ -151,28 +150,33 @@ class TopologyModel:
         """Whether the law draws links at all; the ``static`` law does not."""
         return self.law != "static"
 
-    def link_draws(self, streams, steps: int):
+    @property
+    def kernel_links(self) -> int:
+        """What the compiled kernel draws of each trial's links at each step
+        (``links`` of its ``struct adle_bank``): 0, nothing; 1, a uniform
+        per edge, the edge on below ``p``; 2, one of the E edges."""
+        return {"static": 0, "bernoulli": 1, "gossip": 2}[self.law]
+
+    def link_draws(self, streams, links, steps: int) -> None:
         """Start the link draws of a block of ``steps`` steps from
-        ``streams``, a bank of trials' ``adle._kernel.Streams``; return
-        their ``fill(out)``, which writes the bool (R, window, E) masks of
-        the block's next ``window`` steps into ``out``.  Under either law
-        the masks come from an unseeded copy of the bank (``Streams.copy``)
-        while the bank moves to where the block's noise starts: it jumps
-        the ``steps * E`` Bernoulli uniforms, and draws and drops the gossip
-        picks, which read a varying count of outputs.  Not for the
-        ``static`` law, which draws nothing."""
-        edges, links = self.base.num_edges, streams.copy()
+        ``streams``, a bank of trials' ``adle._kernel.Streams``: ``links``,
+        a bank of as many, takes its states (``Streams.copy``), from which
+        the kernel draws the block's links, while the bank moves to where
+        the block's noise starts: it jumps the ``steps * E`` Bernoulli
+        uniforms, and draws and drops the gossip picks, which read a varying
+        count of outputs.  Not for the ``static`` law, which draws nothing."""
+        streams.copy(links)
         if self.law == "gossip":
-            streams.skip_picks(edges, steps)
-            return lambda out: links.picks(edges, out)
-        streams.advance(steps * edges)
-        return lambda out: links.below(self.p, out)
+            streams.skip_picks(self.base.num_edges, steps)
+        else:
+            streams.advance(steps * self.base.num_edges)
 
     def draw_active(self, rng, steps: int) -> np.ndarray | None:
         """Active-edge masks of ``steps`` i.i.d. link draws from ``rng``, a
-        numpy ``Generator``, bool (steps, E): the outputs that a bank's
-        stream gives its row by :meth:`link_draws`.  ``None`` under the
-        ``static`` law, which draws nothing."""
+        numpy ``Generator``, bool (steps, E): the links that the kernel draws
+        from a trial's link stream, a block's from its start
+        (:meth:`link_draws`).  ``None`` under the ``static`` law, which
+        draws nothing."""
         if not self.draws_links:
             return None
         edges = self.base.num_edges

@@ -46,3 +46,17 @@ def make_ragged_model(noise: str = "gaussian") -> ObservationModel:
     sensing = (np.eye(2), np.array([[1.0, 1.0]]), np.array([[0.0, 1.0]]))
     noise_cov = (np.array([[1.0, 0.3], [0.3, 2.0]]), np.eye(1), np.array([[0.5]]))
     return ObservationModel(sensing, noise_cov, np.array([1.0, -2.0]), noise=noise)
+
+
+def stream_states(states) -> list[tuple[int, ...]]:
+    """Each stream's PCG64 state and increment, and its carried half-word's
+    flag and value, of a bank's states (``_kernel.Streams._states``)."""
+    rows = [bytes(row) for row in states]
+    return [(int.from_bytes(row[:16], "little"), int.from_bytes(row[16:32], "little"),
+             *np.frombuffer(row[32:40], np.uint32).tolist()) for row in rows]
+
+
+def numpy_states(generators) -> list[tuple[int, ...]]:
+    """:func:`stream_states` of numpy generators."""
+    return [(state["state"]["state"], state["state"]["inc"], state["has_uint32"],
+             state["uinteger"]) for state in (rng.bit_generator.state for rng in generators)]

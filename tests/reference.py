@@ -313,11 +313,11 @@ def reference_trajectory(model, top, schedule, horizon: int, grid, seeds, init=N
 
 
 def no_draws(state, gamma=1.0):
-    """An empty window of draw buffers, for a bank bound only to write its
-    records by zero-step advances: their gamma, the weights' one column, is
-    ``gamma``."""
-    bank, n, mx = state.obs_sums.shape
-    return np.empty((bank, 0, n, mx)), np.array([[0.0], [0.0], [gamma]]), None
+    """Streams, link streams and a block of no steps, for a bank bound only
+    to write its records by zero-step advances, which draw nothing: their
+    gamma, the weights' one column, is ``gamma``."""
+    streams = _kernel.Streams(range(len(state.obs_sums)))
+    return streams, streams.copy(), np.array([[0.0], [0.0], [gamma]])
 
 
 def reference_walk(model, top, schedule, horizon: int, grid, seeds, init=None, records=None):
@@ -330,8 +330,8 @@ def reference_walk(model, top, schedule, horizon: int, grid, seeds, init=None, r
                                                         seeds, init)):
         if records is not None:
             if bound is None:  # the oracle's arrays stay in place from here on
-                noise, weights, active = no_draws(state)
-                bound = _kernel.load().bind(state, model, top, noise, weights, active)
+                streams, links, weights = no_draws(state)
+                bound = _kernel.load().bind(state, model, top, streams, links, weights)
             weights[2, 0] = schedule.gamma(t)
             bound.advance(t, 0, 0, records[c])
         yield t, state

@@ -319,6 +319,8 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
         ({"cap_consensus_weight": "false"},
          "cap_consensus_weight: must be true or false, got 'false'"),
         ({"schedule": {"gamma0": float("inf")}}, "schedule.gamma0: must be finite, got inf"),
+        ({"schedule": {"tau_gamma": 2000}},
+         "schedule: the weights overflow the float range by step 200"),
         ({"init": {"estimate": [float("nan"), 0.0, 0.0, 0.0, 0.0]}},
          "init.estimate: must be finite, got [nan, 0.0, 0.0, 0.0, 0.0]"),
         ({"acceptance": {"efficiency_tol": float("nan")}},
@@ -354,13 +356,14 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
         ({"checkpoints": {"per_decade": 10**17}},
          "checkpoints.per_decade: 100000000000000000 exceeds the horizon 200"),
         ({"horizon": 10**6, "num_trials": 10**9, "checkpoints": {"per_decade": 10**6}},
-         "checkpoints: 1000000000 trials x up to 999991 checkpoints need 99181236267 MiB"),
+         "checkpoints: 1000000000 trials x up to 999991 checkpoints need 99181465263 MiB"),
     ],
     ids=["fit_window_abc", "acceptance_tol_x", "checkpoints_int", "horizon_true", "horizon_2_7",
          "num_trials_true", "init_estimate_length", "init_grammian_size", "init_sample_cov_size",
          "run_ks_test_quoted_false",
          "require_efficiency_quoted_no", "cap_consensus_weight_quoted_false",
-         "schedule_gamma0_inf", "init_estimate_nan", "acceptance_tol_nan",
+         "schedule_gamma0_inf", "schedule_tau_gamma_overflow", "init_estimate_nan",
+         "acceptance_tol_nan",
          "acceptance_gain_pass_fraction_negative", "acceptance_ks_significance_above_one",
          "acceptance_efficiency_tol_negative", "acceptance_disagreement_ratio_negative",
          "acceptance_gain_rel_tol_negative", "model_sensing_nan",
@@ -388,26 +391,23 @@ def _physical_memory(monkeypatch, pages):
 
 def test_draw_buffers_beyond_memory_are_a_collected_validation_error(tmp_path, capsys,
                                                                       monkeypatch):
-    # 2 MiB of memory: one worker's bank (1.1 MiB, 0.9 of them the 64 x 364
-    # steps of the noise window) fits beside the records of 130 trials (3 banks),
-    # two do not
-    _physical_memory(monkeypatch, 512)
+    # 774 pages of 4 KiB: one worker's bank (0.14 MiB, most of it the bank
+    # state) fits beside the records of 1300 trials (21 banks), two do not
+    _physical_memory(monkeypatch, 774)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    config = parse_config(write_scenario(tmp_path, num_trials=130, horizon=2085))
-    parts = harness._draw_bytes(config.model, config.topology, 130, 2085)
-    assert harness._draw_window(64, 5, 1, 5, 1024) == 364
+    config = parse_config(write_scenario(tmp_path, num_trials=1300, horizon=2085))
+    parts = harness._draw_bytes(config.model, config.topology, 1300, 2085)
     assert parts == {
-        "noise window": 64 * 364 * 5 * 8, "link mask window": 64 * 364 * 5,
-        "link streams": 64 * 48, "weights": 3 * 365 * 8,
-        "lane scratch": 513 * 8 * 8,  # adle_scratch_vectors at n = m = 5, mx = 1
+        "streams": 2 * 64 * 48, "weights": 3 * 1025 * 8,
+        "lane scratch": 518 * 8 * 8,  # adle_scratch_vectors at n = m = 5, mx = 1
         "bank state": (64 * (5 + 25 + 2 + 1) + 1) * 5 * 8}
-    path = write_scenario(tmp_path, num_trials=130, horizon=2085, parallelism=2)
+    path = write_scenario(tmp_path, num_trials=1300, horizon=2085, parallelism=2)
     assert main(["--config", str(path), "--validate-only"]) == 1
     err = capsys.readouterr().err
     assert "invalid scenario configuration" in err
-    assert ("checkpoints: 130 trials x up to 20 checkpoints need 0 MiB of records and "
-            "2 workers x 1.1 MiB of bank buffers, more than 2 MiB of physical memory; "
-            "the largest part is the noise window (1.8 MiB)") in err
+    assert ("checkpoints: 1300 trials x up to 20 checkpoints need 2 MiB of records and "
+            "2 workers x 0.1 MiB of bank buffers, more than 3 MiB of physical memory; "
+            "the largest part is the records (2.9 MiB)") in err
 
 
 #: Cgroup cases: the lines of /proc/self/cgroup (None: no such file), the
@@ -449,10 +449,10 @@ def test_memory_bound_is_the_smaller_of_physical_memory_and_the_cgroup_limit(
         (tmp_path / "proc_cgroup").write_text(lines)
     monkeypatch.setattr(harness, "_CGROUP_ROOT", root)
     monkeypatch.setattr(harness, "_PROC_CGROUP", tmp_path / "proc_cgroup")
-    bound = f"cgroup memory ({binding})"  # 1 MiB: less than one worker's 1.1 MiB bank
+    bound = f"cgroup memory ({binding})"  # 1 MiB: less than 1300 trials' 2.9 MiB of records
     assert harness._memory_limit() == ((1 << 20, bound) if binding
                                        else (physical, "physical memory"))
-    path = write_scenario(tmp_path, num_trials=130, horizon=2085)
+    path = write_scenario(tmp_path, num_trials=1300, horizon=2085)
     assert main(["--config", str(path), "--validate-only"]) == (1 if binding else 0)
     err = capsys.readouterr().err
     assert (f"more than 1 MiB of {bound}" in err) == bool(binding)
@@ -460,10 +460,11 @@ def test_memory_bound_is_the_smaller_of_physical_memory_and_the_cgroup_limit(
 
 def test_an_oversized_scenario_fails_validation_before_it_allocates(tmp_path, capsys,
                                                                      monkeypatch):
-    # 1 MiB of memory, less than one bank's 1.1 MiB, of which the noise window
-    # alone (0.9 MiB) would take more than the whole call may
+    # 1 MiB of memory, less than the records of 64 trials checkpointed at
+    # every step of 5000, which alone would take more than the whole call may
     _physical_memory(monkeypatch, 256)
-    path = write_scenario(tmp_path, num_trials=64, horizon=5000)
+    path = write_scenario(tmp_path, num_trials=64, horizon=5000,
+                          checkpoints={"start": 1, "per_decade": 5000})
     tracemalloc.start()
     try:
         status = main(["--config", str(path), "--validate-only"])
@@ -472,8 +473,9 @@ def test_an_oversized_scenario_fails_validation_before_it_allocates(tmp_path, ca
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert status == 1 and "invalid scenario configuration" in err
-    assert ("more than 1 MiB of physical memory; the largest part is the noise window "
-            "(0.9 MiB)") in err
+    assert ("64 trials x up to 5000 checkpoints need 32 MiB of records and 1 workers x "
+            "0.1 MiB of bank buffers, more than 1 MiB of physical memory; the largest part is "
+            "the records (32.3 MiB)") in err
     assert peak < 1 << 19, peak
 
 

@@ -49,7 +49,7 @@ from adle.network import (
     sample_laplacian,
 )
 from adle.schedule import WeightSchedule, checkpoint_bound, recursion_trace
-from conftest import make_noiseless_ring, make_ragged_model
+from conftest import make_noiseless_ring, make_ragged_model, numpy_states, stream_states
 from reference import (
     fold_observations,
     link_masks,
@@ -501,12 +501,6 @@ def test_workers_are_bounded_by_the_cpus_this_process_may_use(
 # ----------------------------------------------------------------- memory
 
 
-def _step_bytes(model, top, rows):
-    """Bytes of one step of a bank's draw window: its noise and masks."""
-    edges = top.base.num_edges if top.draws_links else 0
-    return rows * (model.num_agents * model._stacked.max_dim * 8 + edges)
-
-
 def test_previous_block_is_freed_before_the_next_is_drawn(
     ring_model, bernoulli_pentagon, ring_schedule
 ):
@@ -529,8 +523,8 @@ def test_previous_block_is_freed_before_the_next_is_drawn(
 def test_one_block_peaks_below_one_point_six_noise_blocks(
     ring_model, bernoulli_pentagon, ring_schedule
 ):
-    # The draws land in one noise buffer and one mask buffer, and the
-    # kernel forms the observations: no stacked or observation block.
+    # The kernel draws each step's noise and links into its lane scratch and
+    # forms the observations: no noise, mask, stacked or observation block.
     seeds = [np.random.SeedSequence((4, k)) for k in range(harness.TRIALS_PER_BANK)]
     harness._run_bank(ring_model, bernoulli_pentagon, ring_schedule, 16, checkpoint_grid(16),
                       seeds[:1])  # build and load the kernel outside the measurement
@@ -547,14 +541,13 @@ def test_one_block_peaks_below_one_point_six_noise_blocks(
 
 
 def test_a_windowed_block_peaks_below_point_four_noise_blocks(
-    monkeypatch, ring_model, bernoulli_pentagon, ring_schedule
+    ring_model, bernoulli_pentagon, ring_schedule
 ):
-    # with 64-step windows the noise and mask buffers hold 1/16 of a block
+    # the kernel draws each step's noise and masks itself: the bank holds no
+    # window of them, not even one of 64 steps, 1/16 of a block
     seeds = [np.random.SeedSequence((4, k)) for k in range(harness.TRIALS_PER_BANK)]
     harness._run_bank(ring_model, bernoulli_pentagon, ring_schedule, 16, checkpoint_grid(16),
                       seeds[:1])  # build and load the kernel outside the measurement
-    monkeypatch.setattr(harness, "_DRAW_WINDOW_BYTES",
-                        64 * _step_bytes(ring_model, bernoulli_pentagon, len(seeds)))
     tracemalloc.start()
     try:
         harness._run_bank(ring_model, bernoulli_pentagon, ring_schedule, BLOCK_STEPS,
@@ -581,8 +574,9 @@ def _circulant50():
 
 
 def test_a_ring50_bank_peaks_below_three_point_two_megabytes():
-    # 32-step windows of noise and masks (1.0 MB), where 131-step windows
-    # (4.2 MB) peaked at 6.1 MB and whole-block masks at 13.3 MB
+    # the kernel draws each step's noise and masks: 1.8 MB, where 32-step
+    # windows of them (1.0 MB) peaked at 2.7 MB, 131-step windows (4.2 MB) at
+    # 6.1 MB and whole-block masks at 13.3 MB
     model, top = _circulant50()
     schedule = WeightSchedule(b=0.25)  # 1 / max_degree
     seeds = [np.random.SeedSequence((4, k)) for k in range(harness.TRIALS_PER_BANK)]
@@ -594,21 +588,22 @@ def test_a_ring50_bank_peaks_below_three_point_two_megabytes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert harness._draw_window(len(seeds), 50, 1, 100, BLOCK_STEPS) == 32
     assert peak < 3.2e6, peak
 
 
 def test_checkpoint_records_are_held_once(tmp_path, ring_model, ring_schedule):
     # four banks of a static ring with a checkpoint at most steps: 7.5 MiB of
-    # records against one bank's 1.1 MiB of buffers; the run holds its records
-    # once, beside _median's sorted copy of the error norms, as validation
-    # counts them, and the report writer formats them one trial at a time
+    # records against one bank's 0.13 MiB of buffers; the run holds its records
+    # once, beside _median's sorted copy of the error norms and its temporaries
+    # and the terminal scaled errors, as validation counts them, and the report
+    # writer formats them one trial at a time
     config = small_config(ring_model, TopologyModel(cycle_graph(5), "static"), ring_schedule,
                           num_trials=256, horizon=600, checkpoint_start=1,
                           checkpoints_per_decade=600)
     grid = checkpoint_grid(config.horizon, 1, 600)
     records = config.num_trials * len(grid) * (ring_model.num_agents + 3) * 8
-    counted = config.num_trials * len(grid) * (2 * ring_model.num_agents + 3) * 8
+    n, m = ring_model.num_agents, ring_model.param_dim
+    counted = (config.num_trials * (len(grid) * (2 * n + 3) + (n + 1) * m) + 3 * len(grid) * n) * 8
     bank = sum(harness._draw_bytes(ring_model, config.topology, 256, config.horizon).values())
     run_experiment(SimpleNamespace(**{**vars(config), "num_trials": 2, "horizon": 20}))  # warm
     tracemalloc.start()
@@ -636,56 +631,67 @@ DRAW_LAWS = {
 }
 
 
-def _windowed_masks(top, rngs, steps, window):
-    """A block's active-edge masks, bool (R, steps, E), drawn from a bank's
-    streams (``_kernel.Streams``) through ``harness._draw_topology_block`` a
-    ``window`` of steps at a time."""
-    masks = np.empty((len(rngs), steps, top.base.num_edges), bool)
-    draws = []
-    for w0 in range(0, steps, window):
-        harness._draw_topology_block(top, draws, rngs, steps, w0, masks[:, w0:w0 + window])
-    return masks
+def _segmented(horizon, window, grid=()):
+    """A checkpoint grid that cuts a walk of ``horizon`` steps into segments
+    of at most ``window`` steps, with ``grid``'s steps among its own."""
+    return sorted({*grid, *range(window, horizon, window), horizon})
 
 
 @pytest.mark.parametrize("steps", [BLOCK_STEPS, 37], ids=["full_block", "short_block"])
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
 def test_block_masks_are_the_link_draws_read_by_hand(law, steps):
+    # a block's link draws start from the bank's states, from which the kernel
+    # draws the masks, and leave each stream where numpy's whole-block draw of
+    # them leaves its generator
     top = DRAW_LAWS[law]
     seeds = [np.random.SeedSequence((19, k)) for k in range(3)]
-    expected = link_masks(top, [np.random.default_rng(s) for s in seeds], steps)
+    hand = [np.random.default_rng(s) for s in seeds]
+    expected = link_masks(top, hand, steps)
     if law == "static":
         assert expected is None and top.draw_active(np.random.default_rng(seeds[0]), steps) is None
         return
-    masks = _windowed_masks(top, _kernel.Streams(seeds), steps, steps)
-    assert np.array_equal(masks, expected)
+    rngs = _kernel.Streams(seeds)
+    links = _kernel.Streams([0] * 3)
+    harness._draw_topology_block(top, rngs, links, steps)
+    assert stream_states(links._states) == stream_states(_kernel.Streams(seeds)._states)
+    assert stream_states(rngs._states) == numpy_states(hand)
     assert np.array_equal([top.draw_active(np.random.default_rng(s), steps) for s in seeds],
                           expected)
     if law == "gossip":  # a one-hot mask gathers its edge's Laplacian bit for bit
-        picks = masks.argmax(axis=-1)
+        picks = expected.argmax(axis=-1)
         for s in (0, steps - 1):
             gathered = top.edge_laplacians[picks[:, s]]
-            assert harness._laplacian_at(top, masks, s).tobytes() == gathered.tobytes()
+            assert harness._laplacian_at(top, expected, s).tobytes() == gathered.tobytes()
 
 
 @pytest.mark.parametrize("steps", [BLOCK_STEPS, 50], ids=["full_block", "short_last_block"])
 @pytest.mark.parametrize("window", [1, 37, BLOCK_STEPS], ids=["1", "37", "whole"])
 @pytest.mark.parametrize("law", ["bernoulli", "gossip"])
-def test_link_windows_are_whole_block_draws(law, window, steps):
-    # two blocks, then the noise that follows them: each trial's link draws of a
-    # block are one run of its stream, and leave it where one whole-block draw
-    # of numpy's generator leaves that
-    top = DRAW_LAWS[law]
+def test_link_windows_are_whole_block_draws(monkeypatch, law, window, steps):
+    # two blocks, the kernel drawing each step's links in segments of at most
+    # `window` steps: each trial's link draws of a block are one run of its
+    # stream, which the walk follows as the oracle's whole-block masks, and its
+    # streams end where whole-block draws of numpy's generators leave them
+    model, top, schedule = example1_model(), DRAW_LAWS[law], WeightSchedule(b=0.5)
+    horizon = BLOCK_STEPS + steps
+    grid = _segmented(horizon, window, [BLOCK_STEPS])
     seeds = [np.random.SeedSequence((29, k)) for k in range(3)]
-    rngs = _kernel.Streams(seeds)
+    banks = _binds(monkeypatch)
+    walked = _snapshots(harness._walk(model, top, schedule, horizon, grid, seeds))
+    oracle = _snapshots(reference_trajectory(model, top, schedule, horizon, grid, seeds))
+    assert [t for t, _ in walked] == [t for t, _ in oracle] == grid
+    for (_, got), (_, want) in zip(walked, oracle):
+        assert max(np.max(np.abs(a - b)) for a, b in zip(got[:2], want[:2])) <= 1e-10
     hand = [np.random.default_rng(s) for s in seeds]
     for block in (BLOCK_STEPS, steps):
-        masks = _windowed_masks(top, rngs, block, window)
-        assert np.array_equal(masks, link_masks(top, hand, block))
-        assert rngs.normals(np.empty((3, 2))).tolist() == [rng.standard_normal(2).tolist()
-                                                           for rng in hand]
-        if law == "gossip":  # three picks carry a half-word into the next block's
-            assert rngs.picks(3, np.empty((3, 3, 3), bool)).argmax(axis=-1).tolist() == [
-                rng.integers(0, 3, 3).tolist() for rng in hand]
+        links = copy.deepcopy(hand)
+        link_masks(top, links, block)
+        link_masks(top, hand, block)
+        for rng in hand:
+            unit_variance_draws(rng, model.noise, (block, 5, 1))
+    arrays = banks[0]._arrays
+    assert stream_states(arrays["link_streams"]) == numpy_states(links)
+    assert stream_states(arrays["streams"]) == numpy_states(hand)
 
 
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
@@ -693,8 +699,7 @@ def test_sample_laplacian_is_a_one_step_block(law):
     top = DRAW_LAWS[law]
     edges = top.base.edges
     for seed in range(20):
-        one_step = (_windowed_masks(top, _kernel.Streams([seed]), 1, 1)
-                    if top.draws_links else None)
+        one_step = link_masks(top, [np.random.default_rng(seed)], 1)
         expected = harness._laplacian_at(top, one_step, 0).reshape(5, 5)
         sampled = sample_laplacian(top, np.random.default_rng(seed))
         assert np.array_equal(sampled, expected)
@@ -711,10 +716,10 @@ def test_sample_laplacian_is_a_one_step_block(law):
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
 def test_a_walk_seeds_once_and_draws_links_from_a_copy_per_block(monkeypatch, ring_model,
                                                                  ring_schedule, law):
-    # a walk seeds each of its R trials' streams once, under every law; the
-    # masks of either drawing law read scratch streams, an unseeded copy of
-    # the bank per block
-    seeded, copies, copy = [], [], _kernel.Streams.copy
+    # a walk seeds each of its R trials' streams once, under every law, and
+    # allocates one unseeded bank for the links, which takes the bank's
+    # states at each block's start under either drawing law
+    seeded, copies, copy_streams = [], [], _kernel.Streams.copy
     lib = _kernel.load()._lib
     seed = lib.adle_seed
 
@@ -722,9 +727,9 @@ def test_a_walk_seeds_once_and_draws_links_from_a_copy_per_block(monkeypatch, ri
         seeded.append(rows)
         return seed(states, rows, words)
 
-    def spy_copy(self):
-        copies.append(len(self))
-        return copy(self)
+    def spy_copy(self, out=None):
+        copies.append((len(self), out is None))
+        return copy_streams(self, out)
 
     monkeypatch.setattr(lib, "adle_seed", spy_seed)
     monkeypatch.setattr(_kernel.Streams, "copy", spy_copy)
@@ -732,7 +737,7 @@ def test_a_walk_seeds_once_and_draws_links_from_a_copy_per_block(monkeypatch, ri
     horizon = BLOCK_STEPS + 50
     list(harness._walk(ring_model, DRAW_LAWS[law], ring_schedule, horizon, [horizon], seeds))
     assert seeded == [len(seeds)]
-    assert copies == ([] if law == "static" else [len(seeds)] * 2)
+    assert copies == [(len(seeds), True)] + ([] if law == "static" else [(len(seeds), False)] * 2)
 
 
 def _binds(monkeypatch) -> list:
@@ -758,28 +763,24 @@ def _snapshots(walk):
 @pytest.mark.parametrize("noise", ["gaussian", "laplace"])
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
 def test_noise_windows_keep_the_bits_of_whole_block_draws(monkeypatch, law, noise, window):
-    # across a block boundary into a short last block, with grid steps inside
-    # windows and on their ends: each trial's links and noise are runs of its stream
+    # across a block boundary into a short last block, in segments of at most
+    # `window` steps, with grid steps inside them and on their ends: each trial's
+    # links and noise are runs of its stream, which the bank holds no buffer of
     model, top, schedule = example1_model(noise), DRAW_LAWS[law], WeightSchedule(b=0.5)
     horizon = BLOCK_STEPS + 50
     grid = [5, 36, 37, 100, BLOCK_STEPS, BLOCK_STEPS + 1, horizon]
     seeds = [np.random.SeedSequence((23, k)) for k in range(3)]
     whole = _snapshots(trajectory(model, top, schedule, horizon, grid, seeds))
     oracle = _snapshots(reference_trajectory(model, top, schedule, horizon, grid, seeds))
-    monkeypatch.setattr(harness, "_DRAW_WINDOW_BYTES", window * _step_bytes(model, top, 3))
     banks = _binds(monkeypatch)
-    walk = harness._walk(model, top, schedule, horizon, grid, seeds)
-    first = next(walk)
+    walk = harness._walk(model, top, schedule, horizon, _segmented(horizon, window, grid), seeds)
+    segmented = [(t, state) for t, state in _snapshots(walk) if t in grid]
     arrays = banks[0]._arrays
-    assert arrays["noise"].shape[:2] == (len(seeds), window)
-    assert arrays["w"].shape == (3, window + 1)
-    if law == "static":
-        assert arrays["active"] is None
-    else:
-        assert arrays["active"].shape == (len(seeds), window, top.base.num_edges)
-    windowed = _snapshots(itertools.chain([first], walk))
-    assert [t for t, _ in windowed] == [t for t, _ in whole] == [t for t, _ in oracle] == grid
-    for (_, got), (_, want), (_, ref) in zip(windowed, whole, oracle):
+    assert sorted(arrays) == ["edges", "factor", "g", "h", "link_streams", "outer", "q0",
+                              "scratch", "shift", "streams", "sums", "truth", "w", "x"]
+    assert arrays["w"].shape == (3, BLOCK_STEPS + 1)
+    assert [t for t, _ in segmented] == [t for t, _ in whole] == [t for t, _ in oracle] == grid
+    for (_, got), (_, want), (_, ref) in zip(segmented, whole, oracle):
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         # the moments fold exactly the observations of the draws
         assert [a.tobytes() for a in got[2:]] == [a.tobytes() for a in ref[2:]]
@@ -795,24 +796,42 @@ def test_a_trajectory_of_no_seeds_is_refused_by_name(ring_model, bernoulli_penta
 
 @pytest.mark.parametrize("window", [1, 37])
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
-def test_run_trial_records_keep_their_bits_in_any_window(monkeypatch, ring_schedule, law, window):
-    # the records of a call that ends on a window's end read gamma from the
-    # weights' column after the window: grid steps on window ends (37, 74, 1024,
-    # 1061), inside windows, on a block's end and beyond it
+def test_run_trial_records_keep_their_bits_in_any_window(ring_schedule, law, window):
+    # records at a step keep their bits however segments of at most `window`
+    # steps cut the walk; those of a call that ends on a block's end read gamma
+    # from the weights' column after the block: grid steps on segment ends
+    # (37, 74, 1024, 1061), inside segments, on a block's end and beyond it
     model, top = example1_model(), DRAW_LAWS[law]
     horizon = BLOCK_STEPS + 50
     grid = [1, 5, 36, 37, 38, 74, 100, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1,
             BLOCK_STEPS + 37, horizon]
     library = run_trial(model, top, ring_schedule, horizon, grid, seed=(17, 3))
-    monkeypatch.setattr(harness, "_DRAW_WINDOW_BYTES", window * _step_bytes(model, top, 1))
-    banks = _binds(monkeypatch)
-    windowed = run_trial(model, top, ring_schedule, horizon, grid, seed=(17, 3))
-    assert banks[0]._arrays["noise"].shape[1] == window < BLOCK_STEPS
-    for field in ("disagreement", "error_norms", "gain_gap", "grammian_gap",
-                  "terminal_scaled_errors", "terminal_scaled_error_centralized"):
-        got, want = getattr(windowed, field), getattr(library, field)
+    dense = _segmented(horizon, window, grid)
+    segmented = run_trial(model, top, ring_schedule, horizon, dense, seed=(17, 3))
+    rows = [dense.index(t) for t in grid]
+    for field in ("disagreement", "error_norms", "gain_gap", "grammian_gap"):
+        got, want = getattr(segmented, field)[rows], getattr(library, field)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
-    assert np.all(np.isfinite(windowed.error_norms))
+    for field in ("terminal_scaled_errors", "terminal_scaled_error_centralized"):
+        assert getattr(segmented, field).tobytes() == getattr(library, field).tobytes(), field
+    assert np.all(np.isfinite(segmented.error_norms))
+
+
+@pytest.mark.parametrize("noise", ["gaussian", "laplace"])
+@pytest.mark.parametrize("law", sorted(DRAW_LAWS))
+def test_padding_lanes_never_draw(law, noise):
+    # the dead lanes of a partial lane group draw nothing, across a block's end:
+    # the group's last trial is bit for bit that trial run alone, in a bank of
+    # one, in all but the centralized baseline, a numpy product over the bank
+    model, top, schedule = example1_model(noise), DRAW_LAWS[law], WeightSchedule(b=0.5)
+    horizon = BLOCK_STEPS + 40
+    grid = np.array([10, BLOCK_STEPS, horizon])
+    for bank in (7, 61):
+        seeds = [(41, k) for k in range(bank)]
+        together = harness._run_bank(model, top, schedule, horizon, grid, seeds)
+        alone = harness._run_bank(model, top, schedule, horizon, grid, seeds[-1:])
+        for got, want in zip(together[:5], alone):
+            assert got[-1].tobytes() == want[0].tobytes()
 
 
 # ----------------------------------------------------------------- compiled kernel
@@ -832,17 +851,28 @@ KERNEL_CASES = {
 }
 
 
+def _weights(schedule, steps):
+    """The (3, steps + 1) weights of a block of ``steps`` steps and of the step after it."""
+    return np.array([[float(rate(t)) for t in range(steps + 1)]
+                     for rate in (schedule.alpha, schedule.beta, schedule.gamma)])
+
+
+def _streams(seed, bank=3):
+    """The streams of a bank of trials seeded ``(seed, r)``, and a copy of them
+    from which the kernel draws the links."""
+    streams = _kernel.Streams([(seed, r) for r in range(bank)])
+    return streams, streams.copy()
+
+
 def _block(model, top, schedule, steps, seed, bank=3):
-    """Link draws, unit-variance noise and weights of one block, in the
-    documented order, and the weights of the step after it."""
-    rngs = [np.random.default_rng((seed, r)) for r in range(bank)]
-    draws = link_masks(top, rngs, steps)
-    noise = np.stack([unit_variance_draws(rng, model.noise, (steps, model.num_agents,
-                                                             model._stacked.max_dim))
-                      for rng in rngs])
-    weights = np.array([[float(rate(t)) for t in range(steps + 1)]
-                        for rate in (schedule.alpha, schedule.beta, schedule.gamma)])
-    return draws, noise, weights
+    """A block's link masks and unit-variance noise, each read by hand from a
+    fresh numpy generator of each trial that :func:`_streams` seeds, as the
+    kernel draws them from the copy and from the bank, and its weights."""
+    draws = link_masks(top, [np.random.default_rng((seed, r)) for r in range(bank)], steps)
+    noise = np.stack([unit_variance_draws(np.random.default_rng((seed, r)), model.noise,
+                                          (steps, model.num_agents, model._stacked.max_dim))
+                      for r in range(bank)])
+    return draws, noise, _weights(schedule, steps)
 
 
 def _network(model, state, q0, count=0):
@@ -850,12 +880,13 @@ def _network(model, state, q0, count=0):
     return NetworkState(*state, q0, count, model.obs_dims)
 
 
-def _kernel_advance(kernel, state, count, q0, model, noise, start, stop, weights, top, active,
+def _kernel_advance(kernel, state, count, q0, model, streams, start, stop, weights, top,
                     out=None):
-    """Bind a bank and its draws, one window of steps, then advance it
-    through steps ``start..stop-1`` from ``count`` folded observations,
-    writing the records of its last step into ``out`` unless ``None``."""
-    bound = kernel.bind(_network(model, state, q0, count), model, top, noise, weights, active)
+    """Bind a bank to ``streams``, its streams and their copy for the links
+    (:func:`_streams`), and the weights of a block, then advance it through
+    steps ``start..stop-1`` from ``count`` folded observations, writing the
+    records of its last step into ``out`` unless ``None``."""
+    bound = kernel.bind(_network(model, state, q0, count), model, top, *streams, weights)
     bound.advance(count, start, stop, out)
 
 
@@ -875,8 +906,9 @@ def test_kernel_matches_numpy_round_over_ten_thousand_steps(case):
     draws, noise, weights = _block(model, top, schedule, steps, seed=len(case))
 
     compiled, q0 = _bank_state(model, init)
-    _kernel_advance(kernel, compiled, 0, q0, model, noise, 0, 3_000, weights, top, draws)
-    _kernel_advance(kernel, compiled, 3_000, q0, model, noise, 3_000, steps, weights, top, draws)
+    streams = _streams(len(case))
+    _kernel_advance(kernel, compiled, 0, q0, model, streams, 0, 3_000, weights, top)
+    _kernel_advance(kernel, compiled, 3_000, q0, model, streams, 3_000, steps, weights, top)
 
     obs, sensing = observations(model._stacked, noise), model._stacked.sensing
     (x, g, shifts, sums, outer), _ = _bank_state(model, init)
@@ -910,12 +942,13 @@ def _same_bits(states):
 def test_every_lane_width_matches_one_lane_bit_for_bit(case, bank):
     model, top, schedule, init = KERNEL_CASES[case]
     steps = 10_000
-    draws, noise, weights = _block(model, top, schedule, steps, seed=len(case), bank=bank)
+    weights = _weights(schedule, steps)
     states = []
     for kernel in _every_width():
         state, q0 = _bank_state(model, init, bank)
-        _kernel_advance(kernel, state, 0, q0, model, noise, 0, 3_000, weights, top, draws)
-        _kernel_advance(kernel, state, 3_000, q0, model, noise, 3_000, steps, weights, top, draws)
+        streams = _streams(len(case), bank)
+        _kernel_advance(kernel, state, 0, q0, model, streams, 0, 3_000, weights, top)
+        _kernel_advance(kernel, state, 3_000, q0, model, streams, 3_000, steps, weights, top)
         states.append(state)
     _same_bits(states)
 
@@ -927,7 +960,7 @@ def test_every_lane_width_names_the_same_singular_trial():
     # earliest step wins, then the first trial at it, across lane groups.
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
     bank, steps = 11, 8
-    draws, noise, _ = _block(model, top, schedule, steps, seed=0, bank=bank)
+    _, noise, _ = _block(model, top, schedule, steps, seed=0, bank=bank)
     weights = np.zeros((3, steps + 1))
     weights[2] = np.arange(1.0, steps + 2)
     states = []
@@ -937,7 +970,8 @@ def test_every_lane_width_names_the_same_singular_trial():
         for trial, s in ((9, 2), (10, 2), (2, 4)):
             state[1][trial] = -weights[2, s] * np.eye(model.param_dim)
         with pytest.raises(TrialDiverged) as info:
-            _kernel_advance(kernel, state, 40, q0, model, noise, 0, steps, weights, top, draws)
+            _kernel_advance(kernel, state, 40, q0, model, _streams(0, bank), 0, steps, weights,
+                            top)
         assert (info.value.trial, info.value.step) == (9, 42)
         states.append(state)
     _same_bits(states)
@@ -959,8 +993,8 @@ def test_every_lane_width_names_the_same_singular_trial():
                 state[1][9] = -weights[2, 2] * np.eye(model.param_dim)
             state[0][0, 3, 1] = np.nan
             with pytest.raises(TrialDiverged) as info:
-                _kernel_advance(kernel, state, 40, q0, model, noise, 0, steps, weights, top, draws,
-                                np.empty((bank, model.num_agents + 3)))
+                _kernel_advance(kernel, state, 40, q0, model, _streams(0, bank), 0, steps,
+                                weights, top, np.empty((bank, model.num_agents + 3)))
             assert (info.value.trial, info.value.step, info.value.cause) == expected
 
 
@@ -968,11 +1002,11 @@ def test_every_lane_width_names_the_same_singular_trial():
 @pytest.mark.parametrize("build", [example1_model, make_ragged_model], ids=["example1", "ragged"])
 def test_kernel_forms_the_observations_of_the_numpy_synthesis_bit_for_bit(build, noise):
     # With alpha = beta = 0 only the moments move, and they fold exactly
-    # the observations the kernel formed from the noise.
+    # the observations the kernel formed from numpy's draws of its streams.
     model = build(noise)
     top = TopologyModel(path_graph(model.num_agents), "bernoulli", 0.5)
     bank, steps = 11, 500
-    draws, z, weights = _block(model, top, WeightSchedule(), steps, seed=7, bank=bank)
+    _, z, weights = _block(model, top, WeightSchedule(), steps, seed=7, bank=bank)
     weights[:2] = 0.0
     obs = observations(model._stacked, z)
     (_, _, *moments), q0 = _bank_state(model, None, bank)
@@ -980,7 +1014,7 @@ def test_kernel_forms_the_observations_of_the_numpy_synthesis_bit_for_bit(build,
         fold_observations(*moments, s, obs[:, s])
     for kernel in _every_width():
         state, q0 = _bank_state(model, None, bank)
-        _kernel_advance(kernel, state, 0, q0, model, z, 0, steps, weights, top, draws)
+        _kernel_advance(kernel, state, 0, q0, model, _streams(7, bank), 0, steps, weights, top)
         for got, want in zip(state[2:], moments):
             assert got.tobytes() == want.tobytes()
 
@@ -995,7 +1029,7 @@ def test_singular_gain_solve_names_the_first_trial_and_its_step(compiled):
     state = NetworkState(x, g, shifts, sums, outer, q0, 40, model.obs_dims)
     with pytest.raises(TrialDiverged) as info:
         if compiled:
-            bound = _kernel.load().bind(state, model, top, noise, weights, draws)
+            bound = _kernel.load().bind(state, model, top, *_streams(0), weights)
             harness._advance(bound, state, 3, 8)
         else:
             stacked_segment(state, model._stacked, noise, 3, 8, weights, top, draws)
@@ -1006,45 +1040,46 @@ def test_singular_gain_solve_names_the_first_trial_and_its_step(compiled):
 def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
     kernel = _kernel.load()
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
-    draws, noise, weights = _block(model, top, schedule, 8, seed=0)
+    weights, streams = _weights(schedule, 8), _streams(0)
     (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
     with pytest.raises(ValueError, match="C-contiguous"):
         _kernel_advance(kernel, [np.asfortranarray(x), g, shifts, sums, outer], 0, q0, model,
-                        noise, 0, 8, weights, top, draws)
+                        streams, 0, 8, weights, top)
     with pytest.raises(ValueError, match="shape"):
-        _kernel_advance(kernel, [x, g[:, :-1].copy(), shifts, sums, outer], 0, q0, model, noise,
-                        0, 8, weights, top, draws)
-    with pytest.raises(ValueError, match="shape"):
-        _kernel_advance(kernel, [x, g, shifts, sums, outer], 0, q0, model, noise, 0, 8,
-                        weights, top, draws[:, :, :-1].copy())
-    with pytest.raises(ValueError, match="noise must be a float64 array"):
-        _kernel_advance(kernel, [x, g, shifts, sums, outer], 0, q0, model,
-                        noise.astype(np.float32), 0, 8, weights, top, draws)
+        _kernel_advance(kernel, [x, g[:, :-1].copy(), shifts, sums, outer], 0, q0, model,
+                        streams, 0, 8, weights, top)
+    for other, name in (((streams[0], _kernel.Streams([1, 2])), "links"),
+                        ((np.zeros((3, 6)), streams[1]), "streams")):
+        with pytest.raises(ValueError, match=f"^{name} must be a bank of 3 Streams, one per trial"):
+            _kernel_advance(kernel, [x, g, shifts, sums, outer], 0, q0, model, other, 0, 8,
+                            weights, top)
+    for bad, message in ((weights[0], "weights must be a 2-d array"),
+                         (weights.astype(np.float32), "weights must be a float64 array"),
+                         (weights[:2].copy(), r"weights has shape \(2, 9\), expected \(3, 9\)")):
+        with pytest.raises(ValueError, match=message):
+            _kernel_advance(kernel, [x, g, shifts, sums, outer], 0, q0, model, streams, 0, 8,
+                            bad, top)
     frozen = x.copy()
     frozen.setflags(write=False)
     with pytest.raises(ValueError, match="writable"):
-        _kernel_advance(kernel, [frozen, g, shifts, sums, outer], 0, q0, model, noise, 0, 8,
-                        weights, top, draws)
+        _kernel_advance(kernel, [frozen, g, shifts, sums, outer], 0, q0, model, streams, 0, 8,
+                        weights, top)
     network = _network(model, [x, g, shifts, sums, outer], q0)
-    with pytest.raises(ValueError, match="active has shape"):  # masks of another window
-        kernel.bind(network, model, top, noise[:, :4].copy(), weights[:, :5].copy(), draws)
-    with pytest.raises(ValueError, match=r"weights has shape \(3, 9\), expected \(3, 5\)"):
-        kernel.bind(network, model, top, noise[:, :4].copy(), weights, draws[:, :4].copy())
-    window = kernel.bind(network, model, top, noise[:, :4].copy(), weights[:, :5].copy(),
-                         draws[:, :4].copy())  # a 4-step window: segments lie in [0, 4)
+    block = kernel.bind(network, model, top, *streams, weights[:, :5].copy())  # a 4-step block
     for start, stop in [(2, 6), (-1, 2), (3, 5), (5, 5), (3, 2)]:
-        with pytest.raises(ValueError, match=r"outside the draw window \[0, 4\)"):
-            window.advance(0, start, stop)
-    window.advance(0, 4, 4)  # an empty segment at the window's end
+        with pytest.raises(ValueError, match=r"outside the block \[0, 4\)"):
+            block.advance(0, start, stop)
+    block.advance(0, 4, 4)  # an empty segment at the block's end
     assert np.array_equal(x, np.zeros_like(x))  # nothing ran
     assert np.array_equal(frozen, np.zeros_like(x))
+    assert stream_states(streams[0]._states) == stream_states(_streams(0)[0]._states)  # no draw
 
 
 def _advanced_bank(model, top, schedule, init, bank, steps=300):
     """A bank's state after ``steps`` kernel steps, and its q0."""
-    draws, noise, weights = _block(model, top, schedule, steps, seed=bank, bank=bank)
     state, q0 = _bank_state(model, init, bank)
-    _kernel_advance(_kernel.load(), state, 0, q0, model, noise, 0, steps, weights, top, draws)
+    _kernel_advance(_kernel.load(), state, 0, q0, model, _streams(bank, bank), 0, steps,
+                    _weights(schedule, steps), top)
     return state, q0
 
 
@@ -1137,10 +1172,19 @@ def test_lane_scratch_is_aligned_and_sized_by_the_kernel():
         bound = kernel.bind(network, model, top, *no_draws(network))
         scratch = bound._arrays["scratch"]
         lanes = 1 if bank == 1 else kernel.lanes
-        n, m, mx = model.num_agents, model.param_dim, model._stacked.max_dim
-        vectors = n * (3 * m + 3 * m * m + 4 * mx + mx * mx) + 2 * mx * mx + 2 * m * mx + m * m + mx
+        vectors = _kernel.scratch_vectors(model.num_agents, model.param_dim,
+                                          model._stacked.max_dim)
         assert scratch.ctypes.data % 64 == 0 and scratch.nbytes == vectors * lanes * 8
         assert bound._args.scratch == scratch.ctypes.data
+
+
+def test_the_scratch_formula_is_the_kernels():
+    # the memory bound's mirror of adle_scratch_vectors, over agents, parameters
+    # and observation dimensions below, at and above the parameters'
+    lib = _kernel.load()._lib
+    for n, m, mx in itertools.product((1, 2, 5, 50), (1, 2, 5), (1, 2, 3, 7)):
+        args = _kernel._BankArgs(n=n, m=m, mx=mx)
+        assert _kernel.scratch_vectors(n, m, mx) == lib.adle_scratch_vectors(ctypes.byref(args))
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
@@ -1172,20 +1216,19 @@ def test_reference_trajectory_runs_experiment_like_the_kernel(
 
 
 def test_each_bank_is_bound_once(monkeypatch, ring_model, bernoulli_pentagon, ring_schedule):
-    # three banks (64, 64 and 2 trials) over two full blocks and a short one
+    # three banks (64, 64 and 2 trials) over two full blocks and a short one,
+    # each bound with the weights of a whole block
     shapes, bind = [], _kernel.BankKernel.bind
 
-    def spy(self, state, model, top, noise, weights, active):
-        shapes.append(noise.shape)
-        return bind(self, state, model, top, noise, weights, active)
+    def spy(self, state, model, top, streams, links, weights):
+        shapes.append((len(streams), len(links), weights.shape))
+        return bind(self, state, model, top, streams, links, weights)
 
     monkeypatch.setattr(_kernel.BankKernel, "bind", spy)
     run_experiment(small_config(ring_model, bernoulli_pentagon, ring_schedule, num_trials=130,
                                 horizon=2 * BLOCK_STEPS + 37))
-    # a full bank's window is a part of a block, a two-trial bank's the whole block
-    full, two = (harness._draw_window(rows, 5, 1, 5, BLOCK_STEPS) for rows in (64, 2))
-    assert full < BLOCK_STEPS == two
-    assert [shape[:2] for shape in shapes] == [(64, full), (64, full), (2, two)]
+    block = (3, BLOCK_STEPS + 1)
+    assert shapes == [(64, 64, block), (64, 64, block), (2, 2, block)]
 
 
 @pytest.mark.parametrize("law", ["static", "bernoulli", "gossip"])
@@ -1196,62 +1239,38 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
     seeds = range(min(harness.TRIALS_PER_BANK, trials))
     link_draws, held, peaks = TopologyModel.link_draws, [], []
 
-    def traced(call):  # a call's result, and the bytes it leaves allocated; its peak to peaks
+    def spy(self, streams, links, steps):  # a block's link draws: what they keep, and their peak
         tracemalloc.start()
         try:
-            result = call()
+            link_draws(self, streams, links, steps)
             left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        peaks.append(peak)
-        return result, left
-
-    def spy(self, rng, steps):  # a bank's link draws of a block, and their fills
-        fill, left = traced(lambda: link_draws(self, rng, steps))
         held.append(left)
-        return lambda out: traced(lambda: fill(out))[0]
+        peaks.append(peak)
 
-    step, steps = _step_bytes(ring_model, top, len(seeds)), min(BLOCK_STEPS, horizon)
-    edges = top.base.num_edges if top.draws_links else 0
-    if edges:  # a process's first draws leave one-off allocations: make them untraced
-        fill = top.link_draws(_kernel.Streams([0]), steps)
-        fill(np.empty((1, 1, edges), bool))
+    if top.draws_links:  # a process's first draws leave one-off allocations: make them untraced
+        top.link_draws(_kernel.Streams([0]), _kernel.Streams([0]), 1)
     monkeypatch.setattr(TopologyModel, "link_draws", spy)
     banks = _binds(monkeypatch)
-    # the library's windows (whole blocks for 3 trials, a part of a block for 64), then
-    # 37-step windows
-    for size in (harness._DRAW_WINDOW_BYTES, 37 * step):
-        monkeypatch.setattr(harness, "_DRAW_WINDOW_BYTES", size)
-        window = harness._draw_window(len(seeds), 5, 1, edges, steps)
-        assert window == steps or window * step <= size < (window + 1) * step
-        held.clear()
-        peaks.clear()
-        banks.clear()
-        walk = harness._walk(ring_model, top, ring_schedule, horizon, [horizon], seeds)
-        next(walk)
-        bound, = banks
-        parts = harness._draw_bytes(ring_model, top, trials, horizon)
-        arrays = dict(bound._arrays)
-        assert arrays["noise"].shape[1] == window
-        assert (arrays["active"] is None) == (law == "static")
-        # the lane scratch at the widest width; the model's arrays are not the bank's
-        lanes = 1 if len(seeds) == 1 else _kernel.load().lanes
-        widest = arrays.pop("scratch").nbytes // lanes * max(_kernel.WIDTHS)
-        bound_bytes = sum(arrays[name].nbytes for name in arrays
-                          if arrays[name] is not None and name not in ("h", "truth", "factor",
-                                                                       "edges"))
-        kept = parts["link streams"]  # held by the block's draws
-        assert widest + bound_bytes == sum(parts.values()) - kept
-        assert widest == parts["lane scratch"]
-        # a block's draws hold only their copy of the streams under either law: gossip
-        # picks, like the masks, are drawn in place and not held
-        assert len(held) == (0 if law == "static" else -(-horizon // BLOCK_STEPS))
-        block = held[0] if held else 0
-        assert kept == (0 if law == "static" else len(seeds) * _kernel.STREAM_BYTES)
-        assert kept <= block < kept + 4096
-        peak = max(peaks, default=0)
-        assert peak < kept + 4096
-        walk.close()
+    walk = harness._walk(ring_model, top, ring_schedule, horizon, [horizon], seeds)
+    next(walk)
+    bound, = banks
+    parts = harness._draw_bytes(ring_model, top, trials, horizon)
+    arrays = dict(bound._arrays)
+    assert arrays["w"].shape == (3, min(BLOCK_STEPS, horizon) + 1)
+    # the lane scratch at the widest width; the model's arrays are not the bank's
+    lanes = 1 if len(seeds) == 1 else _kernel.load().lanes
+    widest = arrays.pop("scratch").nbytes // lanes * max(_kernel.WIDTHS)
+    bound_bytes = sum(arrays[name].nbytes for name in arrays
+                      if name not in ("h", "truth", "factor", "edges"))
+    assert widest + bound_bytes == sum(parts.values())
+    assert widest == parts["lane scratch"]
+    assert arrays["streams"].nbytes + arrays["link_streams"].nbytes == parts["streams"]
+    # a block's link draws copy the bank into the bound link streams and keep nothing
+    assert len(held) == (0 if law == "static" else -(-horizon // BLOCK_STEPS))
+    assert max(held + peaks, default=0) < 4096
+    walk.close()
 
 
 def _kernel_source_copy(monkeypatch, tmp_path):
@@ -1384,16 +1403,17 @@ def test_a_library_of_another_layout_is_refused_not_bound(tmp_path):
 
 def test_a_library_of_layout_two_is_refused(monkeypatch, tmp_path):
     # the same struct adle_bank under earlier version numbers; at layout 3 the
-    # weights held no column for the step after the window
+    # weights held no column for the step after the window, and at layout 4 the
+    # kernel read its noise and links from draw windows
     current, size = _kernel._SOURCE.read_bytes(), ctypes.sizeof(_kernel._BankArgs)
     package = _kernel_source_copy(monkeypatch, tmp_path)
-    for old in (2, 3):
-        source = current.replace(b"#define ADLE_LAYOUT 4\n", b"#define ADLE_LAYOUT %d\n" % old)
+    for old in (2, 3, 4):
+        source = current.replace(b"#define ADLE_LAYOUT 5\n", b"#define ADLE_LAYOUT %d\n" % old)
         (package / "_kernel.c").write_bytes(source)
         monkeypatch.setattr(_kernel, "_SOURCE_DIGEST", hashlib.sha256(source).digest())
         with pytest.raises(AdleError, match=re.escape(
                 f"struct adle_bank is layout {old} of {size} bytes, but the loader's _BankArgs "
-                f"is layout 4 of {size} bytes")):
+                f"is layout 5 of {size} bytes")):
             _kernel.BankKernel(ctypes.CDLL(str(_kernel._build())))
 
 
@@ -1495,6 +1515,6 @@ def test_a_private_build_directory_is_removed_once_loaded(monkeypatch, tmp_path)
     finally:
         _kernel.load.cache_clear()
     assert list(tmp_path.iterdir()) == [shared] and list(shared.iterdir()) == []
-    assert _kernel.Streams([3]).normals(np.empty((1, 2))).tolist() == [
-        np.random.default_rng(3).standard_normal(2).tolist()]
+    assert stream_states(_kernel.Streams([3])._states) == numpy_states(
+        [np.random.default_rng(3)])
     assert kernel.lanes in _kernel.WIDTHS

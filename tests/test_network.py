@@ -177,7 +177,8 @@ def test_jensen_direction_for_fiedler_value(pentagon):
 
 
 def test_the_link_law_is_read_in_network_only():
-    # the harness, the kernel's loader and the CLI see only the masks of TopologyModel.link_draws
+    # the harness, the kernel's loader and the CLI see only TopologyModel's link_draws and
+    # kernel_links
     def reads_law(path):
         return any(isinstance(node, ast.Attribute) and node.attr == "law"
                    for node in ast.walk(ast.parse(path.read_text())))
@@ -212,6 +213,6 @@ def test_generators_are_drawn_from_in_the_public_helpers_only():
         calls = Calls(path.name)
         calls.visit(ast.parse(path.read_text()))
         found += calls.found
-    assert sorted(found) == [("model.py", "sample_observation", "standard_normal"),
+    assert sorted(found) == [("model.py", "_unit_variance_draws", "standard_normal"),
                              ("network.py", "draw_active", "integers"),
                              ("network.py", "draw_active", "random")]

@@ -5,10 +5,12 @@ directory (``COMPILE``'s flags but its optimization level; the library's
 own build is untouched) and runs this file as a script in a subprocess
 that preloads their runtimes.  The
 script drives every entry point over the shapes where an index can go
-one past: partial lane groups, one-step and odd draw windows with grid
-steps on their ends, ragged observation dimensions, zero-step records
-calls, the failure paths, strided stream rows and skipped picks.  A sanitizer report
-fails the test.
+one past, and checks that a partial lane group's last trial is itself
+run alone: partial lane groups, one-step and odd segments with grid steps
+on their ends, the kernel's noise and link draws under every link law
+and noise family, across a block's end too, ragged observation
+dimensions, zero-step records calls, the failure paths and skipped
+picks.  A sanitizer report fails the test.
 """
 
 import copy
@@ -60,8 +62,8 @@ def test_the_kernel_runs_clean_under_address_and_undefined_behavior_sanitizers(t
 
 
 #: ``_run_bank`` calls of :func:`_drive`: eight models and links, four banks,
-#: three windows, and a run across a block's end per link law.
-EXPECTED_RUNS = 8 * 4 * 3 + 3
+#: three grids, and a run across a block's end per link law and noise family.
+EXPECTED_RUNS = 8 * 4 * 3 + 3 * 2
 
 
 def _drive(library: str) -> None:
@@ -82,23 +84,26 @@ def _drive(library: str) -> None:
              for law in ("static", "bernoulli", "gossip") for noise in ("gaussian", "laplace")]
     cases += [(make_ragged_model(), TopologyModel(path_graph(3), "bernoulli", 0.7)),
               (make_ragged_model("laplace"), TopologyModel(path_graph(3), "gossip"))]
-    default = harness._DRAW_WINDOW_BYTES
+    # segments of 1 step, of 37 steps, and ending on grid steps 1, 36, 37, 74 and 80
+    grids = (np.arange(1, 81), np.array([37, 74, 80]), np.array([1, 36, 37, 74, 80]))
     for model, top in cases:
-        edges = top.base.num_edges if top.draws_links else 0
         for bank in (1, 7, 61, 64):
-            step = bank * (model.num_agents * model._stacked.max_dim * 8 + edges)
             seeds = [(bank, k) for k in range(bank)]
-            for window in (1, 37, None):  # grid steps on the window ends 1, 37, 74 and 80
-                harness._DRAW_WINDOW_BYTES = default if window is None else window * step
-                harness._run_bank(model, top, schedule, 80, np.array([1, 36, 37, 74, 80]),
-                                  seeds)
+            for grid in grids:
+                results = harness._run_bank(model, top, schedule, 80, grid, seeds)
                 runs += 1
-        harness._DRAW_WINDOW_BYTES = default
+            # no dead lane draws and no lane writes past its draws: the last trial
+            # is bit for bit itself run alone (but for the numpy baseline)
+            alone = harness._run_bank(model, top, schedule, 80, grids[-1], seeds[-1:])
+            assert all(got[-1].tobytes() == want[0].tobytes()
+                       for got, want in zip(results[:5], alone)), (bank, top.law)
     for law in ("static", "bernoulli", "gossip"):  # across a block's end, into a short block
-        top, horizon = TopologyModel(cycle_graph(5), law, 0.5), harness.BLOCK_STEPS + 40
-        harness._run_bank(example1_model(), top, schedule, horizon,
-                          np.array([harness.BLOCK_STEPS, horizon]), [(3, k) for k in range(7)])
-        runs += 1
+        for noise in ("gaussian", "laplace"):
+            top, horizon = TopologyModel(cycle_graph(5), law, 0.5), harness.BLOCK_STEPS + 40
+            harness._run_bank(example1_model(noise), top, schedule, horizon,
+                              np.array([harness.BLOCK_STEPS, horizon]),
+                              [(3, k) for k in range(7)])
+            runs += 1
 
     # zero-step records calls, at every width, clean and on each failure path
     model, top = example1_model(), TopologyModel(cycle_graph(5), "bernoulli", 0.5)
@@ -125,9 +130,9 @@ def _drive(library: str) -> None:
                 state.grammians[bank - 2] = -np.eye(m)  # G + gamma I = 0 at gamma = 1
             if "overflow" in breaks:
                 state.estimates[bank - 3, 0] = 1e300
-            noise = np.empty((bank, 0, n, 1))
-            bound = wide.bind(state, model, top, noise, np.array([[0.0], [0.0], [1.0]]),
-                              np.empty((bank, 0, top.base.num_edges), bool))
+            streams = _kernel.Streams(range(bank))
+            bound = wide.bind(state, model, top, streams, streams.copy(),
+                              np.array([[0.0], [0.0], [1.0]]))
             out = np.empty((bank, n + 3))
             try:
                 bound.advance(3, 0, 0, out)
@@ -141,26 +146,21 @@ def _drive(library: str) -> None:
         weights[2] = np.arange(1.0, steps + 2)  # gamma 3 at step 2 meets -3 I
         state = bank_state(bank)
         state.grammians[bank - 1] = -3.0 * np.eye(m)
-        bound = wide.bind(state, model, top, np.zeros((bank, steps, n, 1)), weights,
-                          np.ones((bank, steps, top.base.num_edges), bool))
+        streams = _kernel.Streams(range(bank))
+        bound = wide.bind(state, model, top, streams, streams.copy(), weights)
         try:
             bound.advance(40, 0, steps, np.empty((bank, n + 3)))
             raise AssertionError("no zero pivot met")
         except TrialDiverged as exc:
             assert (exc.trial, exc.step, exc.cause) == (bank - 1, 42, TrialDiverged.SINGULAR)
 
-    # every stream entry point, into strided rows at a buffer's start and at its end
+    # the stream entry points: a jump, copies, and skipped picks
     streams = _kernel.Streams([(5, k) for k in range(3)])
     streams.advance(2**70 + 3)
-    twin = streams.copy()
+    streams.copy(streams.copy())
     for count in (1, 37):
-        for offset in (0, 3):
-            streams.normals(np.empty((3, count + 3))[:, offset:offset + count])
-            streams.laplace(0.5, np.empty((3, count + 3))[:, offset:offset + count])
-            twin.below(0.3, np.empty((3, count + 3), bool)[:, offset:offset + count])
-            for edges in (1, 5):  # one edge draws nothing
-                streams.skip_picks(edges, count)
-                twin.picks(edges, np.empty((3, count + 3, edges), bool)[:, offset:offset + count])
+        for edges in (1, 5):  # one edge draws nothing
+            streams.skip_picks(edges, count)
     print("clean", runs)
 
 

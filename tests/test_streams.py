@@ -1,7 +1,7 @@
 """The trials' random streams (``_kernel.Streams``) against numpy's own
-``SeedSequence`` and ``default_rng``: the same seed words, the same draws,
-and the same next draw after them; and the public helpers, which draw
-from a numpy ``Generator`` directly, against that generator read by hand."""
+``SeedSequence`` and ``default_rng``: the same seed words, the same states
+and the same draws, which the kernel makes; and the public helpers, which
+draw from a numpy ``Generator`` directly, against that generator read by hand."""
 
 import json
 
@@ -9,10 +9,18 @@ import numpy as np
 import pytest
 
 from adle import _kernel
-from adle.harness import BLOCK_STEPS
-from adle.model import sample_observation
-from adle.network import Graph, TopologyModel, cycle_graph, laplacian_of, sample_laplacian
-from conftest import make_ragged_model
+from adle.harness import BLOCK_STEPS, trajectory
+from adle.model import ObservationModel, sample_observation
+from adle.network import (
+    Graph,
+    TopologyModel,
+    cycle_graph,
+    laplacian_of,
+    path_graph,
+    sample_laplacian,
+)
+from adle.schedule import WeightSchedule
+from conftest import make_ragged_model, numpy_states, stream_states
 
 SEED_PARTS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**33]
 
@@ -21,11 +29,6 @@ def _pairs(count=3, start=0):
     """A bank of ``count`` streams and the numpy generators of the same seeds."""
     seeds = [np.random.SeedSequence((41, start + k)) for k in range(count)]
     return _kernel.Streams(seeds), [np.random.default_rng(seed) for seed in seeds]
-
-
-def _same_next_draw(streams, generators):
-    assert streams.normals(np.empty((len(streams), 2))).tolist() == [
-        rng.standard_normal(2).tolist() for rng in generators]
 
 
 @pytest.mark.parametrize("first", SEED_PARTS)
@@ -41,8 +44,8 @@ def test_seeds_are_entropy_or_seed_sequences():
     seeds = [7, [1, [2, 3]], list(range(9)), 2**100 + 5,
              np.random.SeedSequence(5, spawn_key=(2,))]
     streams = _kernel.Streams(seeds)
-    assert streams.normals(np.empty((5, 4))).tolist() == [
-        np.random.default_rng(seed).standard_normal(4).tolist() for seed in seeds]
+    assert stream_states(streams._states) == numpy_states(
+        [np.random.default_rng(seed) for seed in seeds])
     with pytest.raises(ValueError, match="non-negative"):
         _kernel.Streams([(1, -2)])
 
@@ -55,83 +58,67 @@ def test_an_empty_bank_is_refused_by_name():
 
 
 @pytest.mark.parametrize("family", ["normal", "laplace"])
-def test_noise_windows_are_numpy_draws(family):
-    # windows of 1 and 37 steps and a whole block, into the rows of a wider buffer
-    streams, generators = _pairs()
-    shape = (5, 2)
-    buffer = np.empty((3, BLOCK_STEPS + 3, *shape))
-    for steps in (1, 37, BLOCK_STEPS):
-        out = buffer[:, :steps]
-        if family == "normal":
-            assert streams.normals(out) is out
-            expected = [rng.standard_normal((steps, *shape)) for rng in generators]
-        else:
-            assert streams.laplace(2.0**-0.5, out) is out
-            expected = [rng.laplace(0.0, 2.0**-0.5, (steps, *shape)) for rng in generators]
-        assert out.tobytes() == np.stack(expected).tobytes()
-        _same_next_draw(streams, generators)
+def test_the_kernels_noise_is_numpys_draws(family):
+    # a zero truth and identity noise factors make each trial's first
+    # observation, its moments' shift, its stream's first n * max_dim draws bit
+    # for bit, in a bank whose last lane group is partial; the padded
+    # coordinate of a ragged agent draws too, and observes zero
+    noise = "gaussian" if family == "normal" else "laplace"
+    seeds = [np.random.SeedSequence((43, k)) for k in range(7)]
+    for sensing in ((np.eye(2),) * 3, make_ragged_model().sensing):
+        dims = [len(h) for h in sensing]
+        model = ObservationModel(sensing, tuple(np.eye(d) for d in dims), np.zeros(2), noise)
+        _, state = next(trajectory(model, TopologyModel(path_graph(3)), WeightSchedule(), 1,
+                                   [1], seeds))
+        for shifts, seed in zip(state.obs_shifts, seeds):
+            rng = np.random.default_rng(seed)
+            draws = (rng.standard_normal(6) if noise == "gaussian"
+                     else rng.laplace(0.0, 2.0**-0.5, 6)).reshape(3, 2)
+            expected = np.where(np.arange(2) < np.array(dims)[:, None], draws, 0.0)
+            assert shifts.tobytes() == expected.tobytes()
 
 
 def test_bernoulli_masks_across_the_block_jump():
-    # a copy of the bank draws the block's masks a window at a time while the
-    # bank jumps the S * E uniforms they take
+    # a copy of the bank takes its states, from which the kernel draws the
+    # block's masks, while the bank jumps the S * E uniforms they take
     top = TopologyModel(cycle_graph(7), "bernoulli", 0.3)
     streams, generators = _pairs()
+    links = _kernel.Streams([0] * 3)
     for steps in (BLOCK_STEPS, 50):
-        fill = top.link_draws(streams, steps)
-        masks = np.empty((3, steps, 7), bool)
-        for w0 in range(0, steps, 37):
-            fill(masks[:, w0:w0 + 37])
-        assert np.array_equal(masks, [rng.random((steps, 7)) < 0.3 for rng in generators])
-        _same_next_draw(streams, generators)
-
-
-def _states(streams) -> list[tuple[int, ...]]:
-    """Each stream's PCG64 state and increment, and its carried half-word's flag and value."""
-    rows = [bytes(row) for row in streams._states]
-    return [(int.from_bytes(row[:16], "little"), int.from_bytes(row[16:32], "little"),
-             *np.frombuffer(row[32:40], np.uint32).tolist()) for row in rows]
-
-
-def _numpy_states(generators) -> list[tuple[int, ...]]:
-    """:func:`_states` of numpy generators."""
-    return [(state["state"]["state"], state["state"]["inc"], state["has_uint32"],
-             state["uinteger"]) for state in (rng.bit_generator.state for rng in generators)]
+        start = numpy_states(generators)
+        top.link_draws(streams, links, steps)
+        for rng in generators:
+            rng.random((steps, 7))
+        assert stream_states(links._states) == start
+        assert stream_states(streams._states) == numpy_states(generators)
 
 
 def test_gossip_picks_carry_the_half_word_until_an_advance():
     # each pick draws a half-word: the bank skips a block's picks, 37 of them
     # carrying one into the next block's, and 37 + 1024 one into the advance,
-    # which drops it, as numpy's does; a copy draws them again, 1 and 37 steps
-    # at a time
+    # which drops it, as numpy's does; the copy starts where the bank did
     top = TopologyModel(cycle_graph(5), "gossip")
     streams, generators = _pairs()
-    for steps, window in ((37, 1), (BLOCK_STEPS, 37)):
-        masks = np.empty((3, steps, 5), bool)
-        fill = top.link_draws(streams, steps)
-        for w0 in range(0, steps, window):
-            fill(masks[:, w0:w0 + window])
-        picks = [rng.integers(0, 5, size=steps) for rng in generators]
-        assert np.array_equal(masks.argmax(axis=-1), picks)
-        assert masks.sum(axis=-1).tolist() == [[1] * steps] * 3
-        assert _states(streams) == _numpy_states(generators)
-    assert _states(streams)[0][2] == 1  # 37 + 1024 half-words: one carried
+    links = _kernel.Streams([0] * 3)
+    for steps in (37, BLOCK_STEPS):
+        start = numpy_states(generators)
+        top.link_draws(streams, links, steps)
+        for rng in generators:
+            rng.integers(0, 5, size=steps)
+        assert stream_states(links._states) == start
+        assert stream_states(streams._states) == numpy_states(generators)
+    assert stream_states(streams._states)[0][2] == 1  # 37 + 1024 half-words: one carried
     streams.advance(3)
     for rng in generators:
         rng.bit_generator.advance(3)
-    assert _states(streams) == _numpy_states(generators)
-    assert streams.picks(5, np.empty((3, 3, 5), bool)).argmax(axis=-1).tolist() == [
-        rng.integers(0, 5, 3).tolist() for rng in generators]
-    _same_next_draw(streams, generators)
-    # picks of other edge counts, and their skips
+    assert stream_states(streams._states) == numpy_states(generators)
+    # skips of other edge counts
     for high in (2, 300):
         streams, generators = _pairs(start=high)
-        twin = streams.copy()
-        assert twin.picks(high, np.empty((3, 7, high), bool)).argmax(axis=-1).tolist() == [
-            rng.integers(0, high, 7).tolist() for rng in generators]
         streams.skip_picks(high, 7)
-        assert _states(streams) == _states(twin) == _numpy_states(generators)
-        _same_next_draw(streams, generators)
+        for rng in generators:
+            rng.integers(0, high, 7)
+        assert stream_states(streams._states) == numpy_states(generators)
 
 
 @pytest.mark.parametrize("law", ["bernoulli", "gossip"])
@@ -139,34 +126,13 @@ def test_a_one_edge_graph(law):
     # one edge: gossip picks it every step without drawing
     top = TopologyModel(Graph(2, ((0, 1),)), law, 0.5)
     streams, generators = _pairs()
-    masks = np.empty((3, 40, 1), bool)
-    top.link_draws(streams, 40)(masks)
-    assert np.array_equal(masks, [top.draw_active(rng, 40) for rng in generators])
-    _same_next_draw(streams, generators)
-
-
-def test_draws_refuse_an_out_that_is_not_one_row_per_stream():
-    streams = _kernel.Streams([1, 2])
-    for out, message in [(np.empty((3, 4)), "2 rows"), (np.empty(2), "2 rows"),
-                         (np.empty((2, 4), np.float32), "float64"),
-                         (np.empty((2, 8))[:, ::2], "C-contiguous")]:
-        with pytest.raises(ValueError, match=message):
-            streams.normals(out)
-        with pytest.raises(ValueError, match=message):
-            streams.laplace(1.0, out)
-    with pytest.raises(ValueError, match="bool"):
-        streams.below(0.5, np.empty((2, 4)))
-    # adle_picks writes a row of `edges` flags per step, one of them at the pick
-    with pytest.raises(ValueError, match=r"for edges >= 1, got edges 0 and shape \(2, 2, 0\)"):
-        streams.picks(0, np.empty((2, 2, 0), bool))
-    for out, message in [(np.empty((2, 3, 5), np.uint8), "bool"),
-                         (np.empty((2, 15), bool), r"edges 5 and shape \(2, 15\)"),
-                         (np.empty((2, 3, 4), bool), r"edges 5 and shape \(2, 3, 4\)"),
-                         (np.empty((2, 3, 5, 1), bool), r"edges 5 and shape \(2, 3, 5, 1\)"),
-                         (np.empty((2, 6, 5), bool)[:, ::2], "C-contiguous")]:
-        with pytest.raises(ValueError, match=message):
-            streams.picks(5, out)
-    _same_next_draw(streams, [np.random.default_rng(1), np.random.default_rng(2)])
+    links = streams.copy()
+    top.link_draws(streams, links, 40)
+    for rng in generators:
+        top.draw_active(rng, 40)
+    assert stream_states(streams._states) == numpy_states(generators)
+    if law == "gossip":
+        assert stream_states(streams._states) == stream_states(links._states)
 
 
 # ----------------------------------------------------------------- public helpers
