@@ -1,8 +1,9 @@
 /* Fused bank kernel: for a whole bank of trials, the consensus+innovation
  * round of the numpy oracle ``stacked_round`` (``tests/reference.py``)
- * plus the moment update over one segment of a block of steps, each step's
- * noise and links drawn from the trials' random streams, and the
- * checkpoint records of ``harness._bank_checkpoint`` at its last step.
+ * plus the moment update over one segment of steps, each step's weights
+ * computed from the schedule and its noise and links drawn from the
+ * trials' random streams, and the checkpoint records of
+ * ``harness._bank_checkpoint`` at its last step.
  *
  * ``struct adle_bank`` holds the sizes, what to draw and the array
  * addresses, set once by the Python loader; every array is C-contiguous
@@ -18,7 +19,6 @@
  *   h         (n, mx, m)           padded sensing matrices
  *   truth     (n, mx)              sensed truth H theta
  *   factor    (n, mx, mx)          noise factors
- *   w         (3, block + 1)       alpha, beta, gamma of block steps 0..block
  *   edges     (num_edges, 2)       base-graph edges
  *   streams   (bank)               each trial's stream, which draws its noise
  *   link_streams (bank)            each trial's stream of the block's links
@@ -26,7 +26,10 @@
  *   scratch   adle_scratch_vectors() lane vectors, 64-byte aligned
  *   failure   (2,)                 trial and step of a failure
  *
- * At each step every trial draws n mx unit-variance values from its
+ * The weights of step t (observations folded) are alpha, beta and gamma =
+ * scale[k] / pow(t + 1.0, tau[k]): libm's pow, which Python's float power
+ * calls, so they are ``WeightSchedule.alpha(t)`` and the others bit for
+ * bit.  At each step every trial draws n mx unit-variance values from its
  * stream, standard normals or Laplace draws of scale ``laplace`` (0:
  * normals), and its links from its link stream: ``links`` says which
  * (NO_LINKS: none, every edge on; BELOW: one uniform per edge, on below
@@ -50,8 +53,7 @@
  * is gathered into lane-major scratch once per call, its records are read
  * from there, and it is scattered back once, while each step's draws are
  * made one lane at a time into a draw temporary at the head of the scratch
- * and gathered into their lane.  A segment lies inside the block, in steps
- * from its first.  Partial pivoting picks each lane's pivot by
+ * and gathered into their lane.  Partial pivoting picks each lane's pivot by
  * compare-and-blend, and a masked-off edge or a dead lane keeps its value
  * by select, never by adding zero (-0.0 + 0.0 is +0.0).  A trial whose
  * gain solve meets a zero pivot stops there while the others go on, so
@@ -63,6 +65,7 @@
  * is the shared part below, with LANES the body after #else. */
 #ifndef LANES
 
+#include <math.h>
 #include <stdbool.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -221,13 +224,14 @@ void adle_skip_picks(struct adle_stream *s, int64_t rows, int64_t count, int64_t
 /* Mirrored field for field by ``_kernel._BankArgs`` in the loader, which
  * checks its size and this version: bump the version whenever a field, or
  * the meaning of one, changes. */
-#define ADLE_LAYOUT 5
+#define ADLE_LAYOUT 6
 
 struct adle_bank {
-    int64_t bank, n, m, mx, block, num_edges, links;
+    int64_t bank, n, m, mx, num_edges, links;
     double p, laplace;
+    double scale[3], tau[3];
     double *x, *g, *shift, *sums, *outer;
-    const double *q0, *h, *truth, *factor, *w;
+    const double *q0, *h, *truth, *factor;
     const int64_t *edges;
     struct adle_stream *streams, *link_streams;
     const double *theta, *kopt, *gtarget;
@@ -245,6 +249,12 @@ int64_t adle_layout(void)
 int64_t adle_bank_bytes(void)
 {
     return (int64_t)sizeof(struct adle_bank);
+}
+
+/* Weight k of step t: alpha, beta or gamma, scale[k] / (t + 1)^tau[k] */
+static inline double weight(const struct adle_bank *b, int k, int64_t t)
+{
+    return b->scale[k] / pow((double)t + 1.0, b->tau[k]);
 }
 
 /* Lane vectors of scratch, allocated once per bank by the loader: the
@@ -586,15 +596,15 @@ static V NAME(sum_squares)(int64_t k, const V *d)
 }
 
 /* Write the records (disagreement, n error norms, gain gap, Grammian gap)
- * of lane group ``first``, at ``count`` observations, to its live trials'
+ * of lane group ``first``, at step ``count``, to its live trials'
  * rows out + trial * (n + 3); where still unset, bad[0..2] take its first
  * trial with a non-finite estimate or Grammian, with a zero pivot in a
  * gain solve, and with a non-finite record.  v - v is NaN unless v is finite. */
 static void NAME(records)(const struct adle_bank *b, const struct NAME(fields) *f,
-                          int64_t first, int64_t count, double gamma, M live, double *out,
-                          int64_t bad[3])
+                          int64_t first, int64_t count, M live, double *out, int64_t bad[3])
 {
     const int64_t bank = b->bank, n = b->n, m = b->m, mx = b->mx, mm = m * m, stride = n + 3;
+    const double gamma = weight(b, 2, count);
     V *work = f->rest, *d = work + m * mx;  /* differences, past the gain */
     const V *x = f->lanes[0], *g = f->lanes[1];
     M broken = {0}, singular = {0}, unfit = {0};
@@ -645,21 +655,19 @@ static void NAME(records)(const struct adle_bank *b, const struct NAME(fields) *
                 bad[k] = first + l;
 }
 
-/* Advance the bank through block steps start..stop-1 from ``count``
- * observations, drawing each step's noise and links; then, unless ``out``
- * is NULL, write each lane group's records at step count + stop - start,
- * with gamma w[2][stop].  A zero pivot met advancing wins (SINGULAR); else
- * ``failure`` names the records' step and their first failure by the
- * precedence of bad[]. */
-int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, int64_t count,
-                            double *out)
+/* Advance the bank through steps start..stop-1, ``start`` observations
+ * folded, drawing each step's noise and links; then, unless ``out`` is
+ * NULL, write each lane group's records at step stop.  A zero pivot met
+ * advancing wins (SINGULAR); else ``failure`` names the records' step and
+ * their first failure by the precedence of bad[]. */
+int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, double *out)
 {
     const int64_t bank = b->bank, n = b->n, m = b->m, mx = b->mx, links = b->links;
     const int64_t num_edges = b->num_edges, *edges = b->edges;
-    const double *q0 = b->q0, *h = b->h, *truth = b->truth, *factor = b->factor, *w = b->w;
+    const double *q0 = b->q0, *h = b->h, *truth = b->truth, *factor = b->factor;
     struct adle_stream *streams = b->streams, *link_streams = b->link_streams;
     int64_t *failure = b->failure;
-    const int64_t mm = m * m, row = b->block + 1;  /* the weight rows' stride */
+    const int64_t mm = m * m;
     const struct NAME(fields) fields = NAME(layout)(b);
     /* a lane's draws end where the state copies start, so an overrun shows */
     double *draw = (double *)fields.lanes[0] - n * mx;
@@ -689,8 +697,7 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
         M live = group;
 
         for (int64_t s = start; s < stop && NAME(any)(live); s++) {
-            const double alpha = w[s], beta = w[row + s], gamma = w[2 * row + s];
-            const int64_t c = count + (s - start);
+            const double alpha = weight(b, 0, s), beta = weight(b, 1, s), gamma = weight(b, 2, s);
             for (int l = 0; l < LANES; l++) {
                 if (first + l < bank)  /* a dead lane rereads the last trial's draws */
                     unit_draws(&streams[first + l], n * mx, b->laplace, draw);
@@ -709,7 +716,7 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
 
             M singular = {0};
             for (int64_t a = 0; a < n; a++)
-                singular |= NAME(agent_terms)(m, mx, c, gamma, xr + a * m, gr + a * mm,
+                singular |= NAME(agent_terms)(m, mx, s, gamma, xr + a * m, gr + a * mm,
                                               sr + a * mx, orr + a * mx * mx, q0 + a * mx * mx,
                                               h + a * mx * m, y + a * mx, innov + a * m,
                                               gi + a * mm, work);
@@ -718,9 +725,9 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
                 int l = 0;
                 while (!LANE(singular, l))
                     l++;
-                if (status == OK || c < failure[1]) {
+                if (status == OK || s < failure[1]) {
                     failure[0] = first + l;
-                    failure[1] = c;
+                    failure[1] = s;
                 }
                 status = SINGULAR;
                 live &= ~singular;
@@ -752,7 +759,7 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
             for (int64_t a = 0; a < n; a++) {
                 const V *ya = y + a * mx;
                 V *sh = shr + a * mx, *su = sr + a * mx, *ou = orr + a * mx * mx;
-                if (c == 0)
+                if (s == 0)
                     for (int64_t i = 0; i < mx; i++)
                         sh[i] = NAME(pick)(live, ya[i], sh[i]);
                 for (int64_t i = 0; i < mx; i++) {
@@ -766,8 +773,7 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
         }
 
         if (out != NULL)
-            NAME(records)(b, &fields, first, count + stop - start, w[2 * row + stop], group, out,
-                          bad);
+            NAME(records)(b, &fields, first, stop, group, out, bad);
         for (int i = 0; i < 5; i++)
             for (int l = 0; l < LANES && first + l < bank; l++)
                 NAME(scatter)(fields.width[i], l, fields.lanes[i],
@@ -777,7 +783,7 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, in
     if (status != OK || bad[k] < 0)
         return status;
     failure[0] = bad[k];
-    failure[1] = count + stop - start;
+    failure[1] = stop;
     return k == 1 ? SINGULAR : NOT_FINITE;
 }
 

@@ -2,12 +2,13 @@
 the library's one consensus+innovation round and its checkpoint
 diagnostics, and the trials' random streams.
 
-The kernel advances a whole trial bank through one segment of a block
-of steps in a single call, drawing each step's noise and links from the
-trials' streams and forming the observations from the noise, and, where
-asked, writes the bank's checkpoint records at the segment's last step.
-A bank is bound once, with its state, model, links, streams and the
-block's weights (``BankKernel.bind``), and one lane scratch buffer.
+The kernel advances a whole trial bank through one segment of steps in a
+single call, computing each step's weights from the schedule, drawing
+its noise and links from the trials' streams and forming the
+observations from the noise, and, where asked, writes the bank's
+checkpoint records at the segment's last step.  A bank is bound once,
+with its state, model, links, schedule and streams
+(``BankKernel.bind``), and one lane scratch buffer.
 :class:`Streams` are a bank's PCG64 streams, drawn by numpy's own C
 distributions, which the library links from numpy's static
 ``libnpyrandom.a``.  The library is compiled on first use with the
@@ -52,7 +53,7 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 NPYRANDOM = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
 
 #: ``ADLE_LAYOUT`` of ``_kernel.c``: the version of ``struct adle_bank``.
-LAYOUT = 5
+LAYOUT = 6
 
 #: Bytes of a ``struct adle_stream`` of ``_kernel.c``: one stream's state.
 STREAM_BYTES = 48
@@ -163,11 +164,11 @@ class _BankArgs(ctypes.Structure):
     """``struct adle_bank`` of ``_kernel.c``, field for field."""
 
     _fields_ = (
-        [(name, ctypes.c_int64) for name in ("bank", "n", "m", "mx", "block", "num_edges",
-                                             "links")]
+        [(name, ctypes.c_int64) for name in ("bank", "n", "m", "mx", "num_edges", "links")]
         + [("p", ctypes.c_double), ("laplace", ctypes.c_double)]
+        + [("scale", ctypes.c_double * 3), ("tau", ctypes.c_double * 3)]
         + [(name, ctypes.c_void_p) for name in ("x", "g", "shift", "sums", "outer", "q0", "h",
-                                                "truth", "factor", "w", "edges", "streams",
+                                                "truth", "factor", "edges", "streams",
                                                 "link_streams", "theta", "kopt", "gtarget",
                                                 "scratch")]
         + [("failure", ctypes.c_int64 * 2)]
@@ -183,7 +184,7 @@ SIGNATURES = {
     "adle_scratch_vectors": ([_BANK], _I64), "adle_stream_bytes": ([], _I64),
     "adle_seed": ([_PTR, _I64, _PTR], None), "adle_advance": ([_PTR, _I64, _U64, _U64], None),
     "adle_skip_picks": ([_PTR, _I64, _I64, _I64], None),
-    **{f"adle_advance_bank_{width}": ([_BANK, _I64, _I64, _I64, _PTR], ctypes.c_int)
+    **{f"adle_advance_bank_{width}": ([_BANK, _I64, _I64, _PTR], ctypes.c_int)
        for width in WIDTHS},
 }
 
@@ -222,28 +223,26 @@ class BankKernel:
                      for width in WIDTHS[:WIDTHS.index(self.lanes) + 1]}
         self._lib = lib
 
-    def bind(self, state, model, top, streams, links, weights) -> "BoundBank":
-        """Check a bank, its streams and its weights once and bind their addresses.
+    def bind(self, state, model, top, schedule, streams, links) -> "BoundBank":
+        """Check a bank and its streams once and bind their addresses.
 
         ``state`` is an ``adle.estimator.NetworkState`` whose arrays carry a
         leading axis of R trials; the kernel updates its estimates,
         Grammians and moments in place.  ``model`` is the
         ``ObservationModel`` whose padded sensing, sensed truth and noise
-        factors (``_stacked``) it reads, and whose family it draws, and
+        factors (``_stacked``) it reads, and whose family it draws,
         ``top`` holds the links and what the kernel draws of them
-        (``TopologyModel.kernel_links``).  ``streams`` and ``links`` are
-        banks of R :class:`Streams`: at each step the kernel draws each
-        trial's unit-variance noise from its row of ``streams`` and its
-        links from its row of ``links``.  ``weights`` holds the alpha, beta
-        and gamma of a block of B steps and of the step after it (the gamma
-        of records at the block's end), float64 (3, B + 1).  Their contents
-        may change between segments; no address may.  The returned bank
-        keeps every array alive, and the lane scratch allocated here.
+        (``TopologyModel.kernel_links``), and ``schedule`` is the
+        ``WeightSchedule`` whose alpha, beta and gamma the kernel computes
+        at each step.  ``streams`` and ``links`` are banks of R
+        :class:`Streams`: at each step the kernel draws each trial's
+        unit-variance noise from its row of ``streams`` and its links from
+        its row of ``links``.  Their contents may change between segments;
+        no address may.  The returned bank keeps every array alive, and
+        the lane scratch allocated here.
         """
         stacked = model._stacked
         n, m, mx, bank = model.num_agents, model.param_dim, stacked.max_dim, len(streams)
-        if not isinstance(weights, np.ndarray) or weights.ndim != 2:
-            raise ValueError("weights must be a 2-d array")
         for name, bank_of in (("streams", streams), ("links", links)):
             if not isinstance(bank_of, Streams) or len(bank_of) != bank:
                 raise ValueError(f"{name} must be a bank of {bank} Streams, one per trial")
@@ -255,16 +254,17 @@ class BankKernel:
             "outer": _check(state.obs_outer_sums, "obs_outer_sums", np.float64, (bank, n, mx, mx)),
             "q0": _check(state.initial_sample_covs, "initial_sample_covs", np.float64, (n, mx, mx)),
             "h": stacked.sensing, "truth": stacked.sensed_truth, "factor": stacked.noise_factor,
-            "w": _check(weights, "weights", np.float64, (3, weights.shape[1])),
             "edges": top.edge_array, "streams": streams._states, "link_streams": links._states,
         }
         if not all(arrays[name].flags.writeable for name in ("x", "g", "shift", "sums", "outer")):
             raise ValueError("the bank state arrays must be writable")
         if top.base.num_nodes != n:
             raise ValueError(f"topology has {top.base.num_nodes} nodes, state has {n} agents")
-        args = _BankArgs(bank=bank, n=n, m=m, mx=mx, block=weights.shape[1] - 1,
-                         num_edges=top.base.num_edges, links=top.kernel_links, p=top.p,
+        args = _BankArgs(bank=bank, n=n, m=m, mx=mx, num_edges=top.base.num_edges,
+                         links=top.kernel_links, p=top.p,
                          laplace=0.0 if model.noise == "gaussian" else _LAPLACE_SCALE,
+                         scale=(schedule.a, schedule.b, schedule.gamma0),
+                         tau=(schedule.tau1, schedule.tau2, schedule.tau_gamma),
                          **{name: arr.ctypes.data for name, arr in arrays.items()})
         lanes = 1 if bank == 1 else self.lanes
         # GCC's vector types assume their 64-byte alignment, which np.empty does not promise
@@ -283,13 +283,12 @@ class BoundBank:
         self._fn, self._args, self._arrays = advance, args, arrays
         self._model, self._ref = model, ctypes.byref(args)
 
-    def advance(self, count: int, start: int, stop: int, out: np.ndarray | None = None) -> None:
-        """Advance the bank in place through steps ``start..stop-1`` of its
-        block, drawing each step's noise and links, ``count`` observations
-        folded before ``start``; then, given a float64 (R, N + 3) ``out``,
-        write into it each trial's records at step ``count + stop - start``,
-        at the gamma of weight column ``stop``: the disagreement, N error
-        norms, gain gap and Grammian gap.
+    def advance(self, start: int, stop: int, out: np.ndarray | None = None) -> None:
+        """Advance the bank in place through steps ``start..stop-1``,
+        ``start`` the observations folded, at each step's weights, drawing
+        its noise and links; then, given a float64 (R, N + 3) ``out``,
+        write into it each trial's records at step ``stop``: the
+        disagreement, N error norms, gain gap and Grammian gap.
         The first such call binds the model's true parameter, optimal gains
         and mean Grammian, so a model that does not validate raises there.
         :class:`TrialDiverged` names a trial by its place in the bank: the
@@ -298,10 +297,8 @@ class BoundBank:
         else with a zero pivot in a gain solve, else with a non-finite record.
         """
         args = self._args
-        if not 0 <= start <= stop <= args.block:
-            raise ValueError(f"segment [{start}, {stop}) outside the block [0, {args.block})")
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        if not 0 <= start <= stop < 2**63:  # int64 steps
+            raise ValueError(f"segment [{start}, {stop}) needs 0 <= start <= stop < 2**63")
         if out is not None:
             _check(out, "out", np.float64, (args.bank, args.n + 3))
             if args.theta is None:
@@ -311,7 +308,7 @@ class BoundBank:
                                     gtarget=model._centralized.grammian_norm)
                 args.theta, args.kopt, args.gtarget = (
                     self._arrays[name].ctypes.data for name in ("theta", "kopt", "gtarget"))
-        status = self._fn(self._ref, start, stop, count, None if out is None else out.ctypes.data)
+        status = self._fn(self._ref, start, stop, None if out is None else out.ctypes.data)
         if status != OK:
             cause = TrialDiverged.SINGULAR if status == SINGULAR else TrialDiverged.NON_FINITE
             raise TrialDiverged(args.failure[0], args.failure[1], cause)

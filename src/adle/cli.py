@@ -200,8 +200,8 @@ def _topology(spec: dict, model: ObservationModel | None) -> TopologyModel | Non
 def _schedule(spec: dict, settings: dict) -> WeightSchedule:
     schedule = validate_schedule(WeightSchedule(**spec),
                                  require_efficiency=settings["require_efficiency"])
-    try:  # the powers (t + 1) ** tau grow with t: the run's last weights are its largest
-        schedule.block(settings.get("horizon", 0), 1)
+    try:  # the powers (t + 1) ** tau grow with t and tau: the run's last is the largest
+        (settings.get("horizon", 0) + 1.0) ** max(schedule.tau1, schedule.tau2, schedule.tau_gamma)
     except OverflowError:
         raise ValueError(f"the weights overflow the float range by step "
                          f"{settings['horizon']}") from None
@@ -265,8 +265,7 @@ def parse_config(path, overrides=None) -> ScenarioConfig:
     if top is not None and {"horizon", "num_trials"} <= settings.keys():
         count = checkpoint_bound(settings["horizon"], settings["checkpoint_start"],
                                  settings["checkpoints_per_decade"])
-        shortfall = harness._memory_shortfall(model, top, settings["num_trials"],
-                                              settings["horizon"], count,
+        shortfall = harness._memory_shortfall(model, settings["num_trials"], count,
                                               settings["parallelism"])
         if shortfall:
             errors.append(f"checkpoints: {shortfall}")

@@ -14,9 +14,9 @@ stream (topology draws for a block of steps, then observation noise for
 the block), so any single trial is bit-reproducible from its seed alone
 and reports do not depend on the parallelism degree.  The compiled
 kernel (``_kernel.c``) is the one round: one call advances a bank from
-one checkpoint to the next, drawing each step's noise and links and
-forming the observations from the noise, and writes the checkpoint
-diagnostics of the step it ends on.
+one checkpoint to the next, computing each step's weights, drawing its
+noise and links and forming the observations from the noise, and writes
+the checkpoint diagnostics of the step it ends on.
 """
 
 from __future__ import annotations
@@ -136,12 +136,12 @@ def _laplacian_at(top: TopologyModel, active, s: int):
     return top.laplacians(None if active is None else active[:, s])
 
 
-def _advance(bound, state: NetworkState, start: int, stop: int, out=None) -> None:
-    """Advance a bank through steps ``start..stop-1`` of its block in
-    place, ``state.step`` included, by one call of its ``_kernel.BoundBank``,
-    which writes the records of its last step into ``out`` unless ``None``."""
-    bound.advance(state.step, start, stop, out)
-    state.step += stop - start
+def _advance(bound, state: NetworkState, stop: int, out=None) -> None:
+    """Advance a bank in place from ``state.step`` to step ``stop``,
+    ``state.step`` included, by one call of its ``_kernel.BoundBank``,
+    which writes the records of step ``stop`` into ``out`` unless ``None``."""
+    bound.advance(state.step, stop, out)
+    state.step = stop
 
 
 def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
@@ -157,24 +157,20 @@ def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
     return disagreement, error_norms, gain_gap, grammian_gap
 
 
-def _draw_bytes(model: ObservationModel, top: TopologyModel, trials: int,
-                horizon: int) -> dict[str, int]:
+def _draw_bytes(model: ObservationModel, trials: int) -> dict[str, int]:
     """Bytes of the buffers that one bank of an experiment holds, by part:
-    the streams of :func:`_walk` and their copy for the links, the block's
-    weights, the kernel's lane scratch at the widest lane width, and the
-    bank's state."""
-    rows, steps = min(TRIALS_PER_BANK, trials), min(BLOCK_STEPS, horizon)
+    the streams of :func:`_walk` and their copy for the links, the kernel's
+    lane scratch at the widest lane width, and the bank's state."""
+    rows = min(TRIALS_PER_BANK, trials)
     n, m, mx = model.num_agents, model.param_dim, max(model.obs_dims)
     return {
         "streams": 2 * rows * _kernel.STREAM_BYTES,
-        "weights": 3 * (steps + 1) * 8,
         "lane scratch": _kernel.scratch_vectors(n, m, mx) * max(_kernel.WIDTHS) * 8,
         "bank state": (rows * (m + m * m + 2 * mx + mx * mx) + mx * mx) * n * 8,
     }
 
 
-def _memory_shortfall(model, top, trials: int, horizon: int, checkpoints: int,
-                      parallelism: int) -> str | None:
+def _memory_shortfall(model, trials: int, checkpoints: int, parallelism: int) -> str | None:
     """Why an experiment does not fit in memory, naming its largest part:
     the parent process's records of up to ``checkpoints`` checkpoints, with
     the sorted copy of their error norms and the three (checkpoints, N)
@@ -184,7 +180,7 @@ def _memory_shortfall(model, top, trials: int, horizon: int, checkpoints: int,
     memory, bounded_by = _memory_limit()
     banks = -(-trials // TRIALS_PER_BANK)
     workers = worker_count(parallelism, banks)
-    bank = _draw_bytes(model, top, trials, horizon)
+    bank = _draw_bytes(model, trials)
     n, m = model.num_agents, model.param_dim
     records = (trials * (checkpoints * (2 * n + 3) + (n + 1) * m) + 3 * checkpoints * n) * 8
     parts = {"records": records, **{name: workers * size for name, size in bank.items()}}
@@ -246,8 +242,8 @@ def _memory_limit() -> tuple[int | None, str]:
 
 
 def _walk(model, top, schedule, horizon: int, grid, seeds, init=None, records=None):
-    """:func:`trajectory`: the bank, bound once with its streams, their copy
-    for the links and a block's weights, advances in segments that end at
+    """:func:`trajectory`: the bank, bound once with its schedule, its
+    streams and their copy for the links, advances in segments that end at
     grid steps and block ends; the call that ends on grid step ``grid[c]``
     writes the bank's records there into ``records[c]`` unless ``records``
     is ``None``."""
@@ -262,20 +258,17 @@ def _walk(model, top, schedule, horizon: int, grid, seeds, init=None, records=No
         a = getattr(state, field)
         setattr(state, field, np.tile(a, (len(rngs),) + (1,) * a.ndim))
     links = rngs.copy()  # the bank's streams at each block's start, for its links
-    weights = np.empty((3, min(BLOCK_STEPS, horizon) + 1))  # and the step after the block
-    bound = _kernel.load().bind(state, model, top, rngs, links, weights)
+    bound = _kernel.load().bind(state, model, top, schedule, rngs, links)
 
     pointer = 0
     while state.step < horizon:
-        block_start = state.step
-        steps = min(BLOCK_STEPS, horizon - block_start)
-        weights[:, :steps + 1] = schedule.block(block_start, steps + 1)
+        block_end = min(state.step + BLOCK_STEPS, horizon)
         if top.draws_links:
-            _draw_topology_block(top, rngs, links, steps)
-        while state.step < block_start + steps:
-            stop = min(block_start + steps, grid[pointer])
+            _draw_topology_block(top, rngs, links, block_end - state.step)
+        while state.step < block_end:
+            stop = min(block_end, grid[pointer])
             out = None if records is None or stop != grid[pointer] else records[pointer]
-            _advance(bound, state, state.step - block_start, stop - block_start, out)
+            _advance(bound, state, stop, out)
             if state.step == grid[pointer]:
                 yield state.step, state
                 pointer += 1
@@ -288,8 +281,8 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
 
     ``state`` is one :class:`NetworkState` whose arrays carry a leading
     trial axis.  It is advanced in place, its arrays bound to the kernel
-    once with the streams and weights (replace none of them), so copy what
-    must outlive the next step.  ``init`` holds the optional initial
+    once with the streams (replace none of them), so copy what must
+    outlive the next step.  ``init`` holds the optional initial
     estimate, Grammian and sample covariance of :func:`initial_network_state`.
     Each trial consumes only its own stream, the one
     ``np.random.default_rng(seed)`` draws (one ``_kernel.Streams`` bank
@@ -297,10 +290,10 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
     topology draws of the block, then its unit-variance noise.  At a
     block's start a copy of the bank takes its states, from which the
     kernel draws the block's links, while each stream moves to where its
-    noise starts (:meth:`TopologyModel.link_draws`), and the block's
-    weights are written.  The kernel then draws each step's links and noise
-    itself and forms the observations, in segments that end at grid steps
-    or block ends (:func:`_advance`).  A singular gain solve raises
+    noise starts (:meth:`TopologyModel.link_draws`).  The kernel then
+    computes each step's weights from ``schedule``, draws its links and
+    noise itself and forms the observations, in segments that end at grid
+    steps or block ends (:func:`_advance`).  A singular gain solve raises
     :class:`TrialDiverged` with the trial's place in the bank; empty
     ``seeds`` raise ``ValueError``.
     """

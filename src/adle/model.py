@@ -275,9 +275,9 @@ def centralized_estimate_from_means(model: ObservationModel, means: np.ndarray) 
     """Vectorized baseline estimate from per-agent observation means.
 
     ``means`` has shape ``(..., N, max_dim)`` in the padded layout of
-    ``model._stacked``; returns estimates of shape ``(..., M)``.
+    ``model._stacked``; returns estimates of shape ``(..., M)``.  The sums
+    run in a fixed order, so each estimate's bits do not depend on the
+    leading shape (``einsum`` and ``@`` pick their order by it).
     """
-    stacked = model._stacked
-    summary = model._centralized
-    weighted = np.einsum("nxm,...nx->...m", stacked.noise_weight, means)
-    return weighted @ summary.asymptotic_cov
+    weighted = (model._stacked.noise_weight * means[..., None]).sum(axis=(-3, -2))
+    return (weighted[..., :, None] * model._centralized.asymptotic_cov).sum(axis=-2)

@@ -53,18 +53,6 @@ class WeightSchedule:
         """Inverse-regularization level at step ``t``; positive, decaying to 0."""
         return self.gamma0 / (np.asarray(t) + 1.0) ** self.tau_gamma
 
-    def block(self, start: int, steps: int) -> np.ndarray:
-        """Rows alpha, beta, gamma at steps ``start .. start+steps-1``: (3, steps).
-
-        Evaluated in Python floats, which equal the per-step values of
-        :meth:`alpha`, :meth:`beta` and :meth:`gamma` bit for bit; numpy's
-        array power can differ from them in the last bit.
-        """
-        return np.array([
-            [c / (u + 1.0) ** e for u in range(start, start + steps)]
-            for c, e in ((self.a, self.tau1), (self.b, self.tau2), (self.gamma0, self.tau_gamma))
-        ])
-
     @property
     def separation_slack(self) -> float:
         """Slack of the time-scale separation inequality; must be positive."""

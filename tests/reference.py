@@ -242,12 +242,25 @@ def naming_singular(step: int, bank: int, call):
         raise
 
 
+def weights(schedule, start: int, steps: int) -> np.ndarray:
+    """The oracle's weights: rows alpha, beta, gamma of ``schedule`` at
+    steps ``start .. start+steps-1``, (3, steps), in Python floats, which
+    equal the per-step values of ``WeightSchedule.alpha`` and the others
+    bit for bit; numpy's array power can differ from them in the last bit."""
+    return np.array([
+        [c / (u + 1.0) ** e for u in range(start, start + steps)]
+        for c, e in ((schedule.a, schedule.tau1), (schedule.b, schedule.tau2),
+                     (schedule.gamma0, schedule.tau_gamma))
+    ])
+
+
 def stacked_segment(state, stacked, noise, start: int, stop: int, weights, top, active) -> None:
     """Advance a trial-stacked ``NetworkState`` through block steps
     ``start..stop-1`` in place with :func:`stacked_round` and the moment
     update, on the block's unit-variance ``noise`` (R, S, N, mx), its
-    (3, S) ``weights`` and its active-edge masks ``active``.  A singular
-    solve raises ``TrialDiverged`` naming the first trial that fails alone.
+    (3, S) ``weights`` (:func:`weights`) and its active-edge masks
+    ``active``.  A singular solve raises ``TrialDiverged`` naming the
+    first trial that fails alone.
     """
     x, g, shifts, sums, outer = (state.estimates, state.grammians, state.obs_shifts,
                                  state.obs_sums, state.obs_outer_sums)
@@ -305,33 +318,30 @@ def reference_trajectory(model, top, schedule, horizon: int, grid, seeds, init=N
         active = link_masks(top, rngs, steps)
         noise = np.stack([unit_variance_draws(rng, model.noise, (steps, *shape))
                           for rng in rngs])
-        weights = schedule.block(state.step, steps)
+        block = weights(schedule, state.step, steps)
         for s in range(steps):
-            stacked_segment(state, stacked, noise, s, s + 1, weights, top, active)
+            stacked_segment(state, stacked, noise, s, s + 1, block, top, active)
             if state.step in grid:
                 yield state.step, state
 
 
-def no_draws(state, gamma=1.0):
-    """Streams, link streams and a block of no steps, for a bank bound only
-    to write its records by zero-step advances, which draw nothing: their
-    gamma, the weights' one column, is ``gamma``."""
+def no_draws(state):
+    """Streams and link streams for a bank bound only to write its records
+    by zero-step advances, which draw nothing."""
     streams = _kernel.Streams(range(len(state.obs_sums)))
-    return streams, streams.copy(), np.array([[0.0], [0.0], [gamma]])
+    return streams, streams.copy()
 
 
 def reference_walk(model, top, schedule, horizon: int, grid, seeds, init=None, records=None):
     """``harness._walk`` on the numpy round: :func:`reference_trajectory`,
     whose state at grid step ``grid[c]`` a bank bound once on it writes the
-    kernel's records of into ``records[c]``, by a zero-step advance, unless
-    ``records`` is ``None``."""
+    kernel's records of into ``records[c]``, by a zero-step advance at the
+    schedule's gamma, unless ``records`` is ``None``."""
     bound = None
     for c, (t, state) in enumerate(reference_trajectory(model, top, schedule, horizon, grid,
                                                         seeds, init)):
         if records is not None:
             if bound is None:  # the oracle's arrays stay in place from here on
-                streams, links, weights = no_draws(state)
-                bound = _kernel.load().bind(state, model, top, streams, links, weights)
-            weights[2, 0] = schedule.gamma(t)
-            bound.advance(t, 0, 0, records[c])
+                bound = _kernel.load().bind(state, model, top, schedule, *no_draws(state))
+            bound.advance(t, t, records[c])
         yield t, state

@@ -391,14 +391,14 @@ def _physical_memory(monkeypatch, pages):
 
 def test_draw_buffers_beyond_memory_are_a_collected_validation_error(tmp_path, capsys,
                                                                       monkeypatch):
-    # 774 pages of 4 KiB: one worker's bank (0.14 MiB, most of it the bank
+    # 774 pages of 4 KiB: one worker's bank (0.12 MiB, most of it the bank
     # state) fits beside the records of 1300 trials (21 banks), two do not
     _physical_memory(monkeypatch, 774)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config = parse_config(write_scenario(tmp_path, num_trials=1300, horizon=2085))
-    parts = harness._draw_bytes(config.model, config.topology, 1300, 2085)
+    parts = harness._draw_bytes(config.model, 1300)
     assert parts == {
-        "streams": 2 * 64 * 48, "weights": 3 * 1025 * 8,
+        "streams": 2 * 64 * 48,
         "lane scratch": 518 * 8 * 8,  # adle_scratch_vectors at n = m = 5, mx = 1
         "bank state": (64 * (5 + 25 + 2 + 1) + 1) * 5 * 8}
     path = write_scenario(tmp_path, num_trials=1300, horizon=2085, parallelism=2)

@@ -60,6 +60,7 @@ from reference import (
     stacked_round,
     stacked_segment,
     unit_variance_draws,
+    weights,
 )
 
 
@@ -372,6 +373,19 @@ def test_divergence_names_the_trial_and_checkpoint(ring_model, bernoulli_pentago
     assert (copy.trial, copy.step, str(copy)) == (trial, step, str(info.value))
 
 
+def test_weights_beyond_the_float_range_end_in_a_named_divergence(ring_model,
+                                                                 bernoulli_pentagon):
+    # a config built in code, which validation never saw: from step 1 on,
+    # (t + 1)**2000 overflows, gamma is 0 and Q + gamma I, one observation's
+    # sample covariance, is zero
+    config = small_config(ring_model, bernoulli_pentagon, WeightSchedule(tau_gamma=2000.0),
+                          horizon=200, num_trials=3)
+    with pytest.raises(TrialDiverged) as info:
+        run_experiment(config)
+    assert (info.value.trial, info.value.step, info.value.cause) == (0, 1, TrialDiverged.SINGULAR)
+    assert "trial 0 diverged: singular matrix in the gain solve at step 1" in str(info.value)
+
+
 # ----------------------------------------------------------------- reports
 
 
@@ -604,7 +618,7 @@ def test_checkpoint_records_are_held_once(tmp_path, ring_model, ring_schedule):
     records = config.num_trials * len(grid) * (ring_model.num_agents + 3) * 8
     n, m = ring_model.num_agents, ring_model.param_dim
     counted = (config.num_trials * (len(grid) * (2 * n + 3) + (n + 1) * m) + 3 * len(grid) * n) * 8
-    bank = sum(harness._draw_bytes(ring_model, config.topology, 256, config.horizon).values())
+    bank = sum(harness._draw_bytes(ring_model, 256).values())
     run_experiment(SimpleNamespace(**{**vars(config), "num_trials": 2, "horizon": 20}))  # warm
     tracemalloc.start()
     try:
@@ -775,10 +789,8 @@ def test_noise_windows_keep_the_bits_of_whole_block_draws(monkeypatch, law, nois
     banks = _binds(monkeypatch)
     walk = harness._walk(model, top, schedule, horizon, _segmented(horizon, window, grid), seeds)
     segmented = [(t, state) for t, state in _snapshots(walk) if t in grid]
-    arrays = banks[0]._arrays
-    assert sorted(arrays) == ["edges", "factor", "g", "h", "link_streams", "outer", "q0",
-                              "scratch", "shift", "streams", "sums", "truth", "w", "x"]
-    assert arrays["w"].shape == (3, BLOCK_STEPS + 1)
+    assert sorted(banks[0]._arrays) == ["edges", "factor", "g", "h", "link_streams", "outer",
+                                        "q0", "scratch", "shift", "streams", "sums", "truth", "x"]
     assert [t for t, _ in segmented] == [t for t, _ in whole] == [t for t, _ in oracle] == grid
     for (_, got), (_, want), (_, ref) in zip(segmented, whole, oracle):
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -798,8 +810,8 @@ def test_a_trajectory_of_no_seeds_is_refused_by_name(ring_model, bernoulli_penta
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
 def test_run_trial_records_keep_their_bits_in_any_window(ring_schedule, law, window):
     # records at a step keep their bits however segments of at most `window`
-    # steps cut the walk; those of a call that ends on a block's end read gamma
-    # from the weights' column after the block: grid steps on segment ends
+    # steps cut the walk; those of a call that ends on a block's end take the
+    # gamma of the step after the block: grid steps on segment ends
     # (37, 74, 1024, 1061), inside segments, on a block's end and beyond it
     model, top = example1_model(), DRAW_LAWS[law]
     horizon = BLOCK_STEPS + 50
@@ -822,7 +834,7 @@ def test_run_trial_records_keep_their_bits_in_any_window(ring_schedule, law, win
 def test_padding_lanes_never_draw(law, noise):
     # the dead lanes of a partial lane group draw nothing, across a block's end:
     # the group's last trial is bit for bit that trial run alone, in a bank of
-    # one, in all but the centralized baseline, a numpy product over the bank
+    # one, the centralized baseline too
     model, top, schedule = example1_model(noise), DRAW_LAWS[law], WeightSchedule(b=0.5)
     horizon = BLOCK_STEPS + 40
     grid = np.array([10, BLOCK_STEPS, horizon])
@@ -830,7 +842,8 @@ def test_padding_lanes_never_draw(law, noise):
         seeds = [(41, k) for k in range(bank)]
         together = harness._run_bank(model, top, schedule, horizon, grid, seeds)
         alone = harness._run_bank(model, top, schedule, horizon, grid, seeds[-1:])
-        for got, want in zip(together[:5], alone):
+        assert len(together) == len(alone) == 6
+        for got, want in zip(together, alone):
             assert got[-1].tobytes() == want[0].tobytes()
 
 
@@ -851,12 +864,6 @@ KERNEL_CASES = {
 }
 
 
-def _weights(schedule, steps):
-    """The (3, steps + 1) weights of a block of ``steps`` steps and of the step after it."""
-    return np.array([[float(rate(t)) for t in range(steps + 1)]
-                     for rate in (schedule.alpha, schedule.beta, schedule.gamma)])
-
-
 def _streams(seed, bank=3):
     """The streams of a bank of trials seeded ``(seed, r)``, and a copy of them
     from which the kernel draws the links."""
@@ -864,15 +871,15 @@ def _streams(seed, bank=3):
     return streams, streams.copy()
 
 
-def _block(model, top, schedule, steps, seed, bank=3):
+def _block(model, top, steps, seed, bank=3):
     """A block's link masks and unit-variance noise, each read by hand from a
     fresh numpy generator of each trial that :func:`_streams` seeds, as the
-    kernel draws them from the copy and from the bank, and its weights."""
+    kernel draws them from the copy and from the bank."""
     draws = link_masks(top, [np.random.default_rng((seed, r)) for r in range(bank)], steps)
     noise = np.stack([unit_variance_draws(np.random.default_rng((seed, r)), model.noise,
                                           (steps, model.num_agents, model._stacked.max_dim))
                       for r in range(bank)])
-    return draws, noise, _weights(schedule, steps)
+    return draws, noise
 
 
 def _network(model, state, q0, count=0):
@@ -880,14 +887,13 @@ def _network(model, state, q0, count=0):
     return NetworkState(*state, q0, count, model.obs_dims)
 
 
-def _kernel_advance(kernel, state, count, q0, model, streams, start, stop, weights, top,
-                    out=None):
-    """Bind a bank to ``streams``, its streams and their copy for the links
-    (:func:`_streams`), and the weights of a block, then advance it through
-    steps ``start..stop-1`` from ``count`` folded observations, writing the
-    records of its last step into ``out`` unless ``None``."""
-    bound = kernel.bind(_network(model, state, q0, count), model, top, *streams, weights)
-    bound.advance(count, start, stop, out)
+def _kernel_advance(kernel, state, q0, model, top, schedule, streams, start, stop, out=None):
+    """Bind a bank to ``schedule`` and ``streams``, its streams and their
+    copy for the links (:func:`_streams`), then advance it through steps
+    ``start..stop-1``, writing the records of step ``stop`` into ``out``
+    unless ``None``."""
+    bound = kernel.bind(_network(model, state, q0, start), model, top, schedule, *streams)
+    bound.advance(start, stop, out)
 
 
 def _bank_state(model, init, bank=3):
@@ -903,18 +909,19 @@ def test_kernel_matches_numpy_round_over_ten_thousand_steps(case):
     kernel = _kernel.load()
     model, top, schedule, init = KERNEL_CASES[case]
     steps = 10_000
-    draws, noise, weights = _block(model, top, schedule, steps, seed=len(case))
+    draws, noise = _block(model, top, steps, seed=len(case))
 
     compiled, q0 = _bank_state(model, init)
     streams = _streams(len(case))
-    _kernel_advance(kernel, compiled, 0, q0, model, streams, 0, 3_000, weights, top)
-    _kernel_advance(kernel, compiled, 3_000, q0, model, streams, 3_000, steps, weights, top)
+    _kernel_advance(kernel, compiled, q0, model, top, schedule, streams, 0, 3_000)
+    _kernel_advance(kernel, compiled, q0, model, top, schedule, streams, 3_000, steps)
 
     obs, sensing = observations(model._stacked, noise), model._stacked.sensing
     (x, g, shifts, sums, outer), _ = _bank_state(model, init)
+    rates = weights(schedule, 0, steps)
     for s in range(steps):
         x, g = stacked_round(x, g, sums, outer, s, q0, sensing,
-                             harness._laplacian_at(top, draws, s), obs[:, s], *weights[:, s])
+                             harness._laplacian_at(top, draws, s), obs[:, s], *rates[:, s])
         fold_observations(shifts, sums, outer, s, obs[:, s])
 
     for got, want in zip(compiled, (x, g, shifts, sums, outer)):
@@ -942,36 +949,34 @@ def _same_bits(states):
 def test_every_lane_width_matches_one_lane_bit_for_bit(case, bank):
     model, top, schedule, init = KERNEL_CASES[case]
     steps = 10_000
-    weights = _weights(schedule, steps)
     states = []
     for kernel in _every_width():
         state, q0 = _bank_state(model, init, bank)
         streams = _streams(len(case), bank)
-        _kernel_advance(kernel, state, 0, q0, model, streams, 0, 3_000, weights, top)
-        _kernel_advance(kernel, state, 3_000, q0, model, streams, 3_000, steps, weights, top)
+        _kernel_advance(kernel, state, q0, model, top, schedule, streams, 0, 3_000)
+        _kernel_advance(kernel, state, q0, model, top, schedule, streams, 3_000, steps)
         states.append(state)
     _same_bits(states)
 
 
 def test_every_lane_width_names_the_same_singular_trial():
-    # With alpha = beta = 0 the Grammians stay put and gamma = 1, 2, ...
-    # per step, so a trial whose Grammian is -gamma_s I meets a zero pivot
-    # at block step s: trials 9 and 10 at step 2, trial 2 at step 4.  The
+    # With alpha = beta = 0 the Grammians stay put and gamma_s = 1 / (s + 1),
+    # so a trial whose Grammian is -gamma_s I meets a zero pivot at step s:
+    # trials 9 and 10 at step 42, trial 2 at step 44, from step 40.  The
     # earliest step wins, then the first trial at it, across lane groups.
-    model, top, schedule, _ = KERNEL_CASES["bernoulli"]
+    model, top, _, _ = KERNEL_CASES["bernoulli"]
+    schedule = WeightSchedule(a=0.0, b=0.0, tau_gamma=1.0)
     bank, steps = 11, 8
-    _, noise, _ = _block(model, top, schedule, steps, seed=0, bank=bank)
-    weights = np.zeros((3, steps + 1))
-    weights[2] = np.arange(1.0, steps + 2)
+    _, noise = _block(model, top, steps, seed=0, bank=bank)
     states = []
     for kernel in _every_width():
         state, q0 = _bank_state(model, None, bank)
         state[1][:] = np.eye(model.param_dim)
-        for trial, s in ((9, 2), (10, 2), (2, 4)):
-            state[1][trial] = -weights[2, s] * np.eye(model.param_dim)
+        for trial, s in ((9, 42), (10, 42), (2, 44)):
+            state[1][trial] = -(1.0 / (s + 1.0)) * np.eye(model.param_dim)
         with pytest.raises(TrialDiverged) as info:
-            _kernel_advance(kernel, state, 40, q0, model, _streams(0, bank), 0, steps, weights,
-                            top)
+            _kernel_advance(kernel, state, q0, model, top, schedule, _streams(0, bank), 40,
+                            40 + steps)
         assert (info.value.trial, info.value.step) == (9, 42)
         states.append(state)
     _same_bits(states)
@@ -990,11 +995,11 @@ def test_every_lane_width_names_the_same_singular_trial():
             state, q0 = _bank_state(model, None, bank)
             state[1][:] = np.eye(model.param_dim)
             if pivot:
-                state[1][9] = -weights[2, 2] * np.eye(model.param_dim)
+                state[1][9] = -(1.0 / 43.0) * np.eye(model.param_dim)
             state[0][0, 3, 1] = np.nan
             with pytest.raises(TrialDiverged) as info:
-                _kernel_advance(kernel, state, 40, q0, model, _streams(0, bank), 0, steps,
-                                weights, top, np.empty((bank, model.num_agents + 3)))
+                _kernel_advance(kernel, state, q0, model, top, schedule, _streams(0, bank), 40,
+                                40 + steps, np.empty((bank, model.num_agents + 3)))
             assert (info.value.trial, info.value.step, info.value.cause) == expected
 
 
@@ -1006,15 +1011,15 @@ def test_kernel_forms_the_observations_of_the_numpy_synthesis_bit_for_bit(build,
     model = build(noise)
     top = TopologyModel(path_graph(model.num_agents), "bernoulli", 0.5)
     bank, steps = 11, 500
-    _, z, weights = _block(model, top, WeightSchedule(), steps, seed=7, bank=bank)
-    weights[:2] = 0.0
+    _, z = _block(model, top, steps, seed=7, bank=bank)
     obs = observations(model._stacked, z)
     (_, _, *moments), q0 = _bank_state(model, None, bank)
     for s in range(steps):
         fold_observations(*moments, s, obs[:, s])
     for kernel in _every_width():
         state, q0 = _bank_state(model, None, bank)
-        _kernel_advance(kernel, state, 0, q0, model, _streams(7, bank), 0, steps, weights, top)
+        _kernel_advance(kernel, state, q0, model, top, WeightSchedule(a=0.0, b=0.0),
+                        _streams(7, bank), 0, steps)
         for got, want in zip(state[2:], moments):
             assert got.tobytes() == want.tobytes()
 
@@ -1023,16 +1028,17 @@ def test_kernel_forms_the_observations_of_the_numpy_synthesis_bit_for_bit(build,
 def test_singular_gain_solve_names_the_first_trial_and_its_step(compiled):
     # the compiled round, and the numpy round of the oracle
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
-    draws, noise, weights = _block(model, top, schedule, 8, seed=0)
+    draws, noise = _block(model, top, 5, seed=0)
+    rates = weights(schedule, 40, 5)
     (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
-    g[1:] = -weights[2, 3] * np.eye(model.param_dim)  # G + gamma I = 0 at block step 3
+    g[1:] = -rates[2, 0] * np.eye(model.param_dim)  # G + gamma I = 0 at step 40
     state = NetworkState(x, g, shifts, sums, outer, q0, 40, model.obs_dims)
     with pytest.raises(TrialDiverged) as info:
         if compiled:
-            bound = _kernel.load().bind(state, model, top, *_streams(0), weights)
-            harness._advance(bound, state, 3, 8)
+            bound = _kernel.load().bind(state, model, top, schedule, *_streams(0))
+            harness._advance(bound, state, 45)
         else:
-            stacked_segment(state, model._stacked, noise, 3, 8, weights, top, draws)
+            stacked_segment(state, model._stacked, noise, 0, 5, rates, top, draws)
     assert (info.value.trial, info.value.step) == (1, 40)
     assert "singular matrix in the gain solve at step 40" in str(info.value)
 
@@ -1040,36 +1046,31 @@ def test_singular_gain_solve_names_the_first_trial_and_its_step(compiled):
 def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
     kernel = _kernel.load()
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
-    weights, streams = _weights(schedule, 8), _streams(0)
+    streams = _streams(0)
     (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
     with pytest.raises(ValueError, match="C-contiguous"):
-        _kernel_advance(kernel, [np.asfortranarray(x), g, shifts, sums, outer], 0, q0, model,
-                        streams, 0, 8, weights, top)
+        _kernel_advance(kernel, [np.asfortranarray(x), g, shifts, sums, outer], q0, model, top,
+                        schedule, streams, 0, 8)
     with pytest.raises(ValueError, match="shape"):
-        _kernel_advance(kernel, [x, g[:, :-1].copy(), shifts, sums, outer], 0, q0, model,
-                        streams, 0, 8, weights, top)
+        _kernel_advance(kernel, [x, g[:, :-1].copy(), shifts, sums, outer], q0, model, top,
+                        schedule, streams, 0, 8)
     for other, name in (((streams[0], _kernel.Streams([1, 2])), "links"),
                         ((np.zeros((3, 6)), streams[1]), "streams")):
         with pytest.raises(ValueError, match=f"^{name} must be a bank of 3 Streams, one per trial"):
-            _kernel_advance(kernel, [x, g, shifts, sums, outer], 0, q0, model, other, 0, 8,
-                            weights, top)
-    for bad, message in ((weights[0], "weights must be a 2-d array"),
-                         (weights.astype(np.float32), "weights must be a float64 array"),
-                         (weights[:2].copy(), r"weights has shape \(2, 9\), expected \(3, 9\)")):
-        with pytest.raises(ValueError, match=message):
-            _kernel_advance(kernel, [x, g, shifts, sums, outer], 0, q0, model, streams, 0, 8,
-                            bad, top)
+            _kernel_advance(kernel, [x, g, shifts, sums, outer], q0, model, top, schedule, other,
+                            0, 8)
     frozen = x.copy()
     frozen.setflags(write=False)
     with pytest.raises(ValueError, match="writable"):
-        _kernel_advance(kernel, [frozen, g, shifts, sums, outer], 0, q0, model, streams, 0, 8,
-                        weights, top)
+        _kernel_advance(kernel, [frozen, g, shifts, sums, outer], q0, model, top, schedule,
+                        streams, 0, 8)
     network = _network(model, [x, g, shifts, sums, outer], q0)
-    block = kernel.bind(network, model, top, *streams, weights[:, :5].copy())  # a 4-step block
-    for start, stop in [(2, 6), (-1, 2), (3, 5), (5, 5), (3, 2)]:
-        with pytest.raises(ValueError, match=r"outside the block \[0, 4\)"):
-            block.advance(0, start, stop)
-    block.advance(0, 4, 4)  # an empty segment at the block's end
+    bound = kernel.bind(network, model, top, schedule, *streams)
+    for start, stop in [(-1, 2), (3, 2), (0, 2**63), (2**64, 2**64 + 1)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"segment [{start}, {stop}) needs 0 <= start <= stop < 2**63")):
+            bound.advance(start, stop)
+    bound.advance(2**52, 2**52)  # an empty segment
     assert np.array_equal(x, np.zeros_like(x))  # nothing ran
     assert np.array_equal(frozen, np.zeros_like(x))
     assert stream_states(streams[0]._states) == stream_states(_streams(0)[0]._states)  # no draw
@@ -1078,17 +1079,17 @@ def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
 def _advanced_bank(model, top, schedule, init, bank, steps=300):
     """A bank's state after ``steps`` kernel steps, and its q0."""
     state, q0 = _bank_state(model, init, bank)
-    _kernel_advance(_kernel.load(), state, 0, q0, model, _streams(bank, bank), 0, steps,
-                    _weights(schedule, steps), top)
+    _kernel_advance(_kernel.load(), state, q0, model, top, schedule, _streams(bank, bank), 0,
+                    steps)
     return state, q0
 
 
-def _checkpoint(kernel, model, top, state, q0, count, gamma):
-    """The kernel's (R, N + 3) records of a bank's state, which a zero-step
-    advance writes."""
+def _checkpoint(kernel, model, top, state, q0, count, schedule):
+    """The kernel's (R, N + 3) records of a bank's state at step ``count``,
+    which a zero-step advance writes at the schedule's gamma there."""
     network = _network(model, state, q0, count)
     out = np.full((len(state[0]), model.num_agents + 3), np.nan)
-    kernel.bind(network, model, top, *no_draws(network, gamma)).advance(count, 0, 0, out)
+    kernel.bind(network, model, top, schedule, *no_draws(network)).advance(count, count, out)
     return out
 
 
@@ -1102,7 +1103,7 @@ def test_checkpoint_records_match_the_numpy_diagnostics(case, bank):
     x, g, _, sums, outer = state
     want = harness._bank_checkpoint(x, g, _sample_cov_from_moments(sums, outer, steps, q0),
                                     model, gamma)
-    records = [_checkpoint(kernel, model, top, state, q0, steps, gamma)
+    records = [_checkpoint(kernel, model, top, state, q0, steps, schedule)
                for kernel in _every_width()]
     _same_bits(records)
     n = model.num_agents
@@ -1139,10 +1140,10 @@ def test_checkpoint_names_the_first_trial_by_precedence():
                 (("singular", "overflow"), 4, TrialDiverged.SINGULAR),
                 (("nan", "singular", "overflow"), 9, TrialDiverged.NON_FINITE)]
     for kernel in _every_width():
-        assert np.all(np.isfinite(_checkpoint(kernel, model, top, clean, q0, steps, gamma)))
+        assert np.all(np.isfinite(_checkpoint(kernel, model, top, clean, q0, steps, schedule)))
         for names, trial, cause in expected:
             with pytest.raises(TrialDiverged) as info:
-                _checkpoint(kernel, model, top, broken(names), q0, steps, gamma)
+                _checkpoint(kernel, model, top, broken(names), q0, steps, schedule)
             assert (info.value.trial, info.value.step, info.value.cause) == (trial, steps, cause)
 
 
@@ -1157,9 +1158,9 @@ def test_checkpoint_needs_its_targets(ring_schedule):
     for kernel in _every_width():
         state, q0 = _bank_state(noiseless, None)
         with pytest.raises(NotPositiveDefinite):
-            _checkpoint(kernel, noiseless, top, state, q0, 1, 1.0)
+            _checkpoint(kernel, noiseless, top, state, q0, 1, ring_schedule)
         state, q0 = _bank_state(model, None)
-        records = _checkpoint(kernel, model, top, state, q0, 1, 1.0)
+        records = _checkpoint(kernel, model, top, state, q0, 1, ring_schedule)
         assert records.shape == (3, 8) and np.all(records[:, 1:6] == np.sqrt(5.0))  # x = 0
 
 
@@ -1169,7 +1170,7 @@ def test_lane_scratch_is_aligned_and_sized_by_the_kernel():
         state, q0 = _bank_state(model, None, bank)
         kernel = _kernel.load()
         network = _network(model, state, q0)
-        bound = kernel.bind(network, model, top, *no_draws(network))
+        bound = kernel.bind(network, model, top, WeightSchedule(), *no_draws(network))
         scratch = bound._arrays["scratch"]
         lanes = 1 if bank == 1 else kernel.lanes
         vectors = _kernel.scratch_vectors(model.num_agents, model.param_dim,
@@ -1217,18 +1218,17 @@ def test_reference_trajectory_runs_experiment_like_the_kernel(
 
 def test_each_bank_is_bound_once(monkeypatch, ring_model, bernoulli_pentagon, ring_schedule):
     # three banks (64, 64 and 2 trials) over two full blocks and a short one,
-    # each bound with the weights of a whole block
+    # each bound with the experiment's schedule
     shapes, bind = [], _kernel.BankKernel.bind
 
-    def spy(self, state, model, top, streams, links, weights):
-        shapes.append((len(streams), len(links), weights.shape))
-        return bind(self, state, model, top, streams, links, weights)
+    def spy(self, state, model, top, schedule, streams, links):
+        shapes.append((len(streams), len(links), schedule))
+        return bind(self, state, model, top, schedule, streams, links)
 
     monkeypatch.setattr(_kernel.BankKernel, "bind", spy)
     run_experiment(small_config(ring_model, bernoulli_pentagon, ring_schedule, num_trials=130,
                                 horizon=2 * BLOCK_STEPS + 37))
-    block = (3, BLOCK_STEPS + 1)
-    assert shapes == [(64, 64, block), (64, 64, block), (2, 2, block)]
+    assert shapes == [(64, 64, ring_schedule), (64, 64, ring_schedule), (2, 2, ring_schedule)]
 
 
 @pytest.mark.parametrize("law", ["static", "bernoulli", "gossip"])
@@ -1256,9 +1256,8 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
     walk = harness._walk(ring_model, top, ring_schedule, horizon, [horizon], seeds)
     next(walk)
     bound, = banks
-    parts = harness._draw_bytes(ring_model, top, trials, horizon)
+    parts = harness._draw_bytes(ring_model, trials)
     arrays = dict(bound._arrays)
-    assert arrays["w"].shape == (3, min(BLOCK_STEPS, horizon) + 1)
     # the lane scratch at the widest width; the model's arrays are not the bank's
     lanes = 1 if len(seeds) == 1 else _kernel.load().lanes
     widest = arrays.pop("scratch").nbytes // lanes * max(_kernel.WIDTHS)
@@ -1403,17 +1402,18 @@ def test_a_library_of_another_layout_is_refused_not_bound(tmp_path):
 
 def test_a_library_of_layout_two_is_refused(monkeypatch, tmp_path):
     # the same struct adle_bank under earlier version numbers; at layout 3 the
-    # weights held no column for the step after the window, and at layout 4 the
-    # kernel read its noise and links from draw windows
+    # weights held no column for the step after the window, at layout 4 the
+    # kernel read its noise and links from draw windows, and at layout 5 its
+    # weights from a block's buffer
     current, size = _kernel._SOURCE.read_bytes(), ctypes.sizeof(_kernel._BankArgs)
     package = _kernel_source_copy(monkeypatch, tmp_path)
-    for old in (2, 3, 4):
-        source = current.replace(b"#define ADLE_LAYOUT 5\n", b"#define ADLE_LAYOUT %d\n" % old)
+    for old in (2, 3, 4, 5):
+        source = current.replace(b"#define ADLE_LAYOUT 6\n", b"#define ADLE_LAYOUT %d\n" % old)
         (package / "_kernel.c").write_bytes(source)
         monkeypatch.setattr(_kernel, "_SOURCE_DIGEST", hashlib.sha256(source).digest())
         with pytest.raises(AdleError, match=re.escape(
                 f"struct adle_bank is layout {old} of {size} bytes, but the loader's _BankArgs "
-                f"is layout 5 of {size} bytes")):
+                f"is layout 6 of {size} bytes")):
             _kernel.BankKernel(ctypes.CDLL(str(_kernel._build())))
 
 

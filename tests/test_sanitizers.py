@@ -9,8 +9,8 @@ one past, and checks that a partial lane group's last trial is itself
 run alone: partial lane groups, one-step and odd segments with grid steps
 on their ends, the kernel's noise and link draws under every link law
 and noise family, across a block's end too, ragged observation
-dimensions, zero-step records calls, the failure paths and skipped
-picks.  A sanitizer report fails the test.
+dimensions, zero-step records calls, the failure paths, a segment past
+step 2**31 and skipped picks.  A sanitizer report fails the test.
 """
 
 import copy
@@ -131,28 +131,34 @@ def _drive(library: str) -> None:
             if "overflow" in breaks:
                 state.estimates[bank - 3, 0] = 1e300
             streams = _kernel.Streams(range(bank))
-            bound = wide.bind(state, model, top, streams, streams.copy(),
-                              np.array([[0.0], [0.0], [1.0]]))
+            bound = wide.bind(state, model, top, WeightSchedule(tau_gamma=0.0), streams,
+                              streams.copy())
             out = np.empty((bank, n + 3))
             try:
-                bound.advance(3, 0, 0, out)
+                bound.advance(3, 3, out)
                 assert not breaks
             except TrialDiverged:
                 assert breaks
 
         # a zero pivot met while advancing, in a partial lane group, with records asked for
         bank, steps = 11, 8
-        weights = np.zeros((3, steps + 1))
-        weights[2] = np.arange(1.0, steps + 2)  # gamma 3 at step 2 meets -3 I
         state = bank_state(bank)
-        state.grammians[bank - 1] = -3.0 * np.eye(m)
+        state.grammians[bank - 1] = -0.25 * np.eye(m)  # gamma 1 / 4 at step 3 meets -I / 4
         streams = _kernel.Streams(range(bank))
-        bound = wide.bind(state, model, top, streams, streams.copy(), weights)
+        bound = wide.bind(state, model, top, WeightSchedule(a=0.0, b=0.0, tau_gamma=1.0),
+                          streams, streams.copy())
         try:
-            bound.advance(40, 0, steps, np.empty((bank, n + 3)))
+            bound.advance(0, steps, np.empty((bank, n + 3)))
             raise AssertionError("no zero pivot met")
         except TrialDiverged as exc:
-            assert (exc.trial, exc.step, exc.cause) == (bank - 1, 42, TrialDiverged.SINGULAR)
+            assert (exc.trial, exc.step, exc.cause) == (bank - 1, 3, TrialDiverged.SINGULAR)
+        # a segment past step 2**31, with records
+        start = 2**31 + 5
+        bound = wide.bind(bank_state(7), model, top, schedule, _kernel.Streams(range(7)),
+                          _kernel.Streams(range(7)))
+        out = np.empty((7, n + 3))
+        bound.advance(start, start + 37, out)
+        assert np.all(np.isfinite(out))
 
     # the stream entry points: a jump, copies, and skipped picks
     streams = _kernel.Streams([(5, k) for k in range(3)])

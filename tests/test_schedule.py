@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+from adle import _kernel
 from adle.errors import InvalidExponent, ScheduleViolation
+from adle.estimator import NetworkState
 from adle.harness import BLOCK_STEPS
+from adle.model import ObservationModel
+from adle.network import Graph, TopologyModel
 from adle.schedule import (
     WeightSchedule,
     deterministic_recursion_oracle,
     recursion_trace,
     validate_schedule,
 )
+from reference import fold_observations, observations, stacked_round, weights
 
 
 def test_alpha_direct_values():
@@ -44,12 +49,33 @@ def test_gamma_values_monotone_positive_vanishing():
     ids=["default", "capped_ring", "efficiency", "consistency_only"],
 )
 def test_block_equals_per_step_values_bit_for_bit(schedule):
-    start, steps = 3 * BLOCK_STEPS + 17, 2 * BLOCK_STEPS
-    per_step = np.array([[float(rate(u)) for u in range(start, start + steps)]
-                         for rate in (schedule.alpha, schedule.beta, schedule.gamma)])
-    block = schedule.block(start, steps)
-    assert block.shape == (3, steps)
-    assert np.array_equal(block, per_step)
+    # The kernel computes each step's weights itself, at block ends and far
+    # beyond them: one-step segments from steps around a block's end and up
+    # to 2**52 equal the oracle's round at Python-float weights bit for bit.
+    # Two agents on one edge observe the scalar parameter, so every solve of
+    # the round is one division, as numpy's is, and a weight one bit off shows.
+    model = ObservationModel((np.array([[1.0]]), np.array([[2.0]])),
+                             (np.eye(1), np.array([[0.5]])), np.array([0.3]))
+    top, stacked, bank = TopologyModel(Graph(2, ((0, 1),)), "static"), model._stacked, 3
+    for start in (0, BLOCK_STEPS - 1, BLOCK_STEPS, 10**6, 2**40, 2**52):
+        rng = np.random.default_rng(start % 997)
+        sums = rng.standard_normal((bank, 2, 1)) * start**0.5
+        state = [rng.standard_normal((bank, 2, 1)), 1.0 + rng.random((bank, 2, 1, 1)),
+                 rng.standard_normal((bank, 2, 1)), sums,
+                 sums[..., None] ** 2 / max(start, 1) + start * (1.0 + rng.random((bank, 2, 1, 1)))]
+        q0, (x, g, shifts, moments, outer) = np.ones((2, 1, 1)), [a.copy() for a in state]
+        streams = _kernel.Streams([(start, r) for r in range(bank)])
+        _kernel.load().bind(NetworkState(*state, q0, start, model.obs_dims), model, top,
+                            schedule, streams, streams.copy()).advance(start, start + 1)
+
+        noise = np.stack([np.random.default_rng((start, r)).standard_normal((2, 1))
+                          for r in range(bank)])
+        y = observations(stacked, noise)
+        x, g = stacked_round(x, g, moments, outer, start, q0, stacked.sensing,
+                             top.laplacians(None), y, *weights(schedule, start, 1)[:, 0])
+        fold_observations(shifts, moments, outer, start, y)
+        for got, want in zip(state, (x, g, shifts, moments, outer)):
+            assert got.tobytes() == want.tobytes(), start
 
 
 def test_validate_accepts_defaults_with_expected_slack():
