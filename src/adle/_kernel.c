@@ -5,10 +5,10 @@
  * trials' random streams, and the checkpoint records of
  * ``harness._bank_checkpoint`` at its last step.
  *
- * ``struct adle_bank`` holds the sizes, what to draw and the array
- * addresses, set once by the Python loader; every array is C-contiguous
- * float64 (int64 for edges) with the shapes the loader checks, and this
- * file trusts them.
+ * ``struct adle_bank`` holds the sizes, the horizon and block length,
+ * what to draw and the array addresses, set once by the Python loader;
+ * every array is C-contiguous float64 (int64 for edges) with the shapes
+ * the loader checks, and this file trusts them.
  *
  *   x         (bank, n, m)         estimates, updated in place
  *   g         (bank, n, m, m)      Grammians, updated in place
@@ -21,7 +21,7 @@
  *   factor    (n, mx, mx)          noise factors
  *   edges     (num_edges, 2)       base-graph edges
  *   streams   (bank)               each trial's stream, which draws its noise
- *   link_streams (bank)            each trial's stream of the block's links
+ *   link_streams (bank)            each trial's link stream, which draws its links
  *   theta, kopt, gtarget  (m), (n, m, mx), (m, m): truth, optimal gains, mean Grammian
  *   scratch   adle_scratch_vectors() lane vectors, 64-byte aligned
  *   failure   (2,)                 trial and step of a failure
@@ -33,7 +33,11 @@
  * stream, standard normals or Laplace draws of scale ``laplace`` (0:
  * normals), and its links from its link stream: ``links`` says which
  * (NO_LINKS: none, every edge on; BELOW: one uniform per edge, on below
- * p; PICK: one edge picked).  The link law is not read here.  The
+ * p; PICK: one edge picked).  The link law is not read here.  Where
+ * links are drawn, a block starts at each step s that ``block`` divides:
+ * each trial's link stream takes its stream's state, and the stream moves
+ * past the block's links, min(block, horizon - s) steps of them, so that
+ * a trial's stream holds a block's links, then the block's noise.  The
  * observations are y = truth + sum_j factor[., j] z_j, formed as the
  * oracle's ``observations`` forms them, the products summed left to
  * right, so the bits are the same.  Each checkpoint sum of squares runs in
@@ -173,11 +177,9 @@ int64_t adle_stream_bytes(void)
     return (int64_t)sizeof(struct adle_stream);
 }
 
-/* The entry points below work on a bank of `rows` streams, consecutive in
- * memory. */
-
-/* PCG64's seeding of each stream from two 128-bit words, given as four
- * 64-bit ones, high half first */
+/* PCG64's seeding of each of a bank of `rows` streams, consecutive in
+ * memory, from two 128-bit words, given as four 64-bit ones, high half
+ * first */
 void adle_seed(struct adle_stream *s, int64_t rows, const uint64_t *words)
 {
     for (int64_t r = 0; r < rows; r++, words += 4) {
@@ -191,43 +193,31 @@ void adle_seed(struct adle_stream *s, int64_t rows, const uint64_t *words)
     }
 }
 
-/* Jump delta = high * 2^64 + low outputs ahead, as PCG64.advance does,
- * which also drops the carried half-word. */
-void adle_advance(struct adle_stream *s, int64_t rows, uint64_t high, uint64_t low)
+/* Jump delta outputs ahead, as PCG64.advance does, which also drops the
+ * carried half-word. */
+static void jump(struct adle_stream *s, uint64_t delta)
 {
-    for (int64_t r = 0; r < rows; r++) {
-        u128 delta = ((u128)high << 64) | low, mult = PCG_MULT, plus = s[r].inc;
-        u128 acc_mult = 1, acc_plus = 0;
-        for (; delta; delta >>= 1) {
-            if (delta & 1) {
-                acc_mult *= mult;
-                acc_plus = acc_plus * mult + plus;
-            }
-            plus *= mult + 1;
-            mult *= mult;
+    u128 mult = PCG_MULT, plus = s->inc, acc_mult = 1, acc_plus = 0;
+    for (; delta; delta >>= 1) {
+        if (delta & 1) {
+            acc_mult *= mult;
+            acc_plus = acc_plus * mult + plus;
         }
-        s[r].state = acc_mult * s[r].state + acc_plus;
-        s[r].has_half = 0;
-        s[r].half = 0;
+        plus *= mult + 1;
+        mult *= mult;
     }
-}
-
-/* Draw and drop each stream's next count picks of one of `edges`: a pick
- * reads a varying count of outputs, so there is no jump. */
-void adle_skip_picks(struct adle_stream *s, int64_t rows, int64_t count, int64_t edges)
-{
-    for (int64_t r = 0; r < rows; r++)
-        for (int64_t i = 0; i < count; i++)
-            pick_edge(&s[r], edges);
+    s->state = acc_mult * s->state + acc_plus;
+    s->has_half = 0;
+    s->half = 0;
 }
 
 /* Mirrored field for field by ``_kernel._BankArgs`` in the loader, which
  * checks its size and this version: bump the version whenever a field, or
  * the meaning of one, changes. */
-#define ADLE_LAYOUT 6
+#define ADLE_LAYOUT 7
 
 struct adle_bank {
-    int64_t bank, n, m, mx, num_edges, links;
+    int64_t bank, n, m, mx, num_edges, links, horizon, block;
     double p, laplace;
     double scale[3], tau[3];
     double *x, *g, *shift, *sums, *outer;
@@ -255,6 +245,23 @@ int64_t adle_bank_bytes(void)
 static inline double weight(const struct adle_bank *b, int k, int64_t t)
 {
     return b->scale[k] / pow((double)t + 1.0, b->tau[k]);
+}
+
+/* Start the link draws of trial r's block at step s, a multiple of the
+ * block length: its link stream takes its stream's state, and the stream
+ * moves past the block's links, min(block, horizon - s) steps of them: it
+ * jumps their E uniforms a step (BELOW), or draws and drops their picks
+ * (PICK), which read a varying count of outputs. */
+static void start_block(const struct adle_bank *b, int64_t r, int64_t s)
+{
+    struct adle_stream *stream = &b->streams[r];
+    const int64_t steps = b->horizon - s < b->block ? b->horizon - s : b->block;
+    b->link_streams[r] = *stream;
+    if (b->links == PICK)
+        for (int64_t i = 0; i < steps; i++)
+            pick_edge(stream, b->num_edges);
+    else
+        jump(stream, (uint64_t)(steps * b->num_edges));
 }
 
 /* Lane vectors of scratch, allocated once per bank by the loader: the
@@ -698,6 +705,9 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, do
 
         for (int64_t s = start; s < stop && NAME(any)(live); s++) {
             const double alpha = weight(b, 0, s), beta = weight(b, 1, s), gamma = weight(b, 2, s);
+            if (links != NO_LINKS && s % b->block == 0)
+                for (int l = 0; l < LANES && first + l < bank; l++)
+                    start_block(b, first + l, s);
             for (int l = 0; l < LANES; l++) {
                 if (first + l < bank)  /* a dead lane rereads the last trial's draws */
                     unit_draws(&streams[first + l], n * mx, b->laplace, draw);

@@ -3,12 +3,13 @@ the library's one consensus+innovation round and its checkpoint
 diagnostics, and the trials' random streams.
 
 The kernel advances a whole trial bank through one segment of steps in a
-single call, computing each step's weights from the schedule, drawing
-its noise and links from the trials' streams and forming the
-observations from the noise, and, where asked, writes the bank's
-checkpoint records at the segment's last step.  A bank is bound once,
-with its state, model, links, schedule and streams
-(``BankKernel.bind``), and one lane scratch buffer.
+single call, computing each step's weights from the schedule, starting
+each block's link draws, drawing each step's noise and links from the
+trials' streams and forming the observations from the noise, and, where
+asked, writes the bank's checkpoint records at the segment's last step.
+A bank is bound once, with its state, model, links, schedule, streams
+and horizon (``BankKernel.bind``), its link streams and one lane
+scratch buffer.
 :class:`Streams` are a bank's PCG64 streams, drawn by numpy's own C
 distributions, which the library links from numpy's static
 ``libnpyrandom.a``.  The library is compiled on first use with the
@@ -53,7 +54,12 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 NPYRANDOM = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
 
 #: ``ADLE_LAYOUT`` of ``_kernel.c``: the version of ``struct adle_bank``.
-LAYOUT = 6
+LAYOUT = 7
+
+#: Steps of a block, at whose start the kernel moves each trial's stream
+#: past the block's link draws (``block`` of ``struct adle_bank``): part of
+#: the documented per-trial draw order, a block's links, then its noise.
+BLOCK_STEPS = 1024
 
 #: Bytes of a ``struct adle_stream`` of ``_kernel.c``: one stream's state.
 STREAM_BYTES = 48
@@ -164,7 +170,8 @@ class _BankArgs(ctypes.Structure):
     """``struct adle_bank`` of ``_kernel.c``, field for field."""
 
     _fields_ = (
-        [(name, ctypes.c_int64) for name in ("bank", "n", "m", "mx", "num_edges", "links")]
+        [(name, ctypes.c_int64) for name in ("bank", "n", "m", "mx", "num_edges", "links",
+                                             "horizon", "block")]
         + [("p", ctypes.c_double), ("laplace", ctypes.c_double)]
         + [("scale", ctypes.c_double * 3), ("tau", ctypes.c_double * 3)]
         + [(name, ctypes.c_void_p) for name in ("x", "g", "shift", "sums", "outer", "q0", "h",
@@ -175,15 +182,14 @@ class _BankArgs(ctypes.Structure):
     )
 
 
-_I64, _U64, _PTR = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
+_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 _BANK = ctypes.POINTER(_BankArgs)
 
 #: The library's entry points, with their argument and result types.
 SIGNATURES = {
     "adle_layout": ([], _I64), "adle_bank_bytes": ([], _I64), "adle_lanes": ([], ctypes.c_int),
     "adle_scratch_vectors": ([_BANK], _I64), "adle_stream_bytes": ([], _I64),
-    "adle_seed": ([_PTR, _I64, _PTR], None), "adle_advance": ([_PTR, _I64, _U64, _U64], None),
-    "adle_skip_picks": ([_PTR, _I64, _I64, _I64], None),
+    "adle_seed": ([_PTR, _I64, _PTR], None),
     **{f"adle_advance_bank_{width}": ([_BANK, _I64, _I64, _PTR], ctypes.c_int)
        for width in WIDTHS},
 }
@@ -223,7 +229,7 @@ class BankKernel:
                      for width in WIDTHS[:WIDTHS.index(self.lanes) + 1]}
         self._lib = lib
 
-    def bind(self, state, model, top, schedule, streams, links) -> "BoundBank":
+    def bind(self, state, model, top, schedule, streams, horizon: int) -> "BoundBank":
         """Check a bank and its streams once and bind their addresses.
 
         ``state`` is an ``adle.estimator.NetworkState`` whose arrays carry a
@@ -234,18 +240,24 @@ class BankKernel:
         ``top`` holds the links and what the kernel draws of them
         (``TopologyModel.kernel_links``), and ``schedule`` is the
         ``WeightSchedule`` whose alpha, beta and gamma the kernel computes
-        at each step.  ``streams`` and ``links`` are banks of R
-        :class:`Streams`: at each step the kernel draws each trial's
-        unit-variance noise from its row of ``streams`` and its links from
-        its row of ``links``.  Their contents may change between segments;
-        no address may.  The returned bank keeps every array alive, and
-        the lane scratch allocated here.
+        at each step.  ``streams`` is a bank of R :class:`Streams`, from
+        which the kernel draws each trial's unit-variance noise, and
+        ``horizon`` the step no segment goes beyond.  Each trial's link
+        stream, allocated here as a copy of its stream, takes the stream's
+        state at each block's start, of ``BLOCK_STEPS`` steps or up to the
+        horizon, while the stream moves past the block's links; the kernel
+        draws each step's links from it.  The arrays' contents may change
+        between segments; no address may.  The returned bank keeps every
+        array alive, and the link streams and lane scratch allocated here.
         """
         stacked = model._stacked
         n, m, mx, bank = model.num_agents, model.param_dim, stacked.max_dim, len(streams)
-        for name, bank_of in (("streams", streams), ("links", links)):
-            if not isinstance(bank_of, Streams) or len(bank_of) != bank:
-                raise ValueError(f"{name} must be a bank of {bank} Streams, one per trial")
+        if not isinstance(streams, Streams):
+            raise ValueError(f"streams must be a bank of {bank} Streams, one per trial")
+        if not 0 <= horizon < 2**63:  # an int64 step
+            raise ValueError(f"horizon {horizon} needs 0 <= horizon < 2**63")
+        links = _aligned(streams._states.nbytes, 16).reshape(streams._states.shape)
+        links[...] = streams._states
         arrays = {  # in the order of struct adle_bank
             "x": _check(state.estimates, "estimates", np.float64, (bank, n, m)),
             "g": _check(state.grammians, "grammians", np.float64, (bank, n, m, m)),
@@ -254,14 +266,14 @@ class BankKernel:
             "outer": _check(state.obs_outer_sums, "obs_outer_sums", np.float64, (bank, n, mx, mx)),
             "q0": _check(state.initial_sample_covs, "initial_sample_covs", np.float64, (n, mx, mx)),
             "h": stacked.sensing, "truth": stacked.sensed_truth, "factor": stacked.noise_factor,
-            "edges": top.edge_array, "streams": streams._states, "link_streams": links._states,
+            "edges": top.edge_array, "streams": streams._states, "link_streams": links,
         }
         if not all(arrays[name].flags.writeable for name in ("x", "g", "shift", "sums", "outer")):
             raise ValueError("the bank state arrays must be writable")
         if top.base.num_nodes != n:
             raise ValueError(f"topology has {top.base.num_nodes} nodes, state has {n} agents")
         args = _BankArgs(bank=bank, n=n, m=m, mx=mx, num_edges=top.base.num_edges,
-                         links=top.kernel_links, p=top.p,
+                         links=top.kernel_links, horizon=horizon, block=BLOCK_STEPS, p=top.p,
                          laplace=0.0 if model.noise == "gaussian" else _LAPLACE_SCALE,
                          scale=(schedule.a, schedule.b, schedule.gamma0),
                          tau=(schedule.tau1, schedule.tau2, schedule.tau_gamma),
@@ -269,8 +281,7 @@ class BankKernel:
         lanes = 1 if bank == 1 else self.lanes
         # GCC's vector types assume their 64-byte alignment, which np.empty does not promise
         size = self._lib.adle_scratch_vectors(ctypes.byref(args)) * lanes * 8
-        raw = np.empty(size + 64, dtype=np.uint8)
-        arrays["scratch"] = raw[-raw.ctypes.data % 64:][:size]
+        arrays["scratch"] = _aligned(size, 64)
         args.scratch = arrays["scratch"].ctypes.data
         return BoundBank(self._fns[lanes], args, arrays, model)
 
@@ -286,7 +297,8 @@ class BoundBank:
     def advance(self, start: int, stop: int, out: np.ndarray | None = None) -> None:
         """Advance the bank in place through steps ``start..stop-1``,
         ``start`` the observations folded, at each step's weights, drawing
-        its noise and links; then, given a float64 (R, N + 3) ``out``,
+        its noise and links, the block's links first at a block's start;
+        then, given a float64 (R, N + 3) ``out``,
         write into it each trial's records at step ``stop``: the
         disagreement, N error norms, gain gap and Grammian gap.
         The first such call binds the model's true parameter, optimal gains
@@ -295,10 +307,13 @@ class BoundBank:
         first at the earliest zero pivot met advancing, else, at the
         records' step, the first with a non-finite estimate or Grammian,
         else with a zero pivot in a gain solve, else with a non-finite record.
+        A segment that ends beyond the bound horizon raises ``ValueError``.
         """
         args = self._args
         if not 0 <= start <= stop < 2**63:  # int64 steps
             raise ValueError(f"segment [{start}, {stop}) needs 0 <= start <= stop < 2**63")
+        if stop > args.horizon:
+            raise ValueError(f"segment [{start}, {stop}) ends beyond the horizon {args.horizon}")
         if out is not None:
             _check(out, "out", np.float64, (args.bank, args.n + 3))
             if args.theta is None:
@@ -326,45 +341,19 @@ class Streams:
     words seed its stream.
     """
 
-    __slots__ = ("_lib", "_states", "_ptr")
+    __slots__ = ("_states",)
 
     def __init__(self, seeds):
         if not len(seeds):
             raise ValueError("a bank of streams needs at least one seed")
-        self._alloc(len(seeds))
         words = np.array([seed.generate_state(4, np.uint64) if hasattr(seed, "generate_state")
                           else _seed_words(seed) for seed in seeds], np.uint64)
-        self._lib.adle_seed(self._ptr, len(seeds), words.ctypes.data)
-
-    def _alloc(self, rows: int) -> None:
-        size = rows * STREAM_BYTES
-        raw = np.empty(size + 16, np.uint8)  # __uint128_t wants 16-byte alignment
-        self._states = raw[-raw.ctypes.data % 16:][:size].reshape(rows, -1)
-        self._lib, self._ptr = load()._lib, self._states.ctypes.data
+        # __uint128_t wants 16-byte alignment
+        self._states = _aligned(len(seeds) * STREAM_BYTES, 16).reshape(len(seeds), -1)
+        load()._lib.adle_seed(self._states.ctypes.data, len(seeds), words.ctypes.data)
 
     def __len__(self) -> int:
         return len(self._states)
-
-    def copy(self, out: "Streams | None" = None) -> "Streams":
-        """This bank's states and carried half-words, in ``out``, a bank of
-        as many streams, or in a new unseeded bank."""
-        if out is None:
-            out = Streams.__new__(Streams)
-            out._alloc(len(self))
-        out._states[...] = self._states
-        return out
-
-    def advance(self, delta: int) -> None:
-        """Jump every stream ``delta`` outputs, modulo 2**128, dropping a
-        carried half-word, as ``Generator.bit_generator.advance`` does."""
-        delta = operator.index(delta) % (1 << 128)
-        self._lib.adle_advance(self._ptr, len(self), delta >> 64, delta & (1 << 64) - 1)
-
-    def skip_picks(self, edges: int, steps: int) -> None:
-        """Draw every stream's next ``steps`` picks of
-        ``Generator.integers(0, edges)`` and drop them: a pick reads a
-        varying count of outputs, so there is no jump."""
-        self._lib.adle_skip_picks(self._ptr, len(self), steps, edges)
 
 
 def _seed_words(entropy) -> list[int]:
@@ -377,6 +366,9 @@ def _seed_words(entropy) -> list[int]:
         try:
             value = operator.index(value)
         except TypeError:  # a sequence
+            if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+                raise TypeError(f"a seed must be a non-negative int, a sequence of them or a "
+                                f"SeedSequence, got {entropy!r}") from None
             return [word for item in value for word in words(item)]
         if value < 0:
             raise ValueError(f"seed entropy must be non-negative, got {value}")
@@ -411,6 +403,12 @@ def _seed_words(entropy) -> list[int]:
         value = value * const & mask
         state.append(value ^ value >> 16)
     return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _aligned(size: int, alignment: int) -> np.ndarray:
+    """An uninitialized buffer of ``size`` bytes whose address ``alignment`` divides."""
+    raw = np.empty(size + alignment, np.uint8)
+    return raw[-raw.ctypes.data % alignment:][:size]
 
 
 def scratch_vectors(n: int, m: int, mx: int) -> int:

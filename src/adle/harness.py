@@ -14,9 +14,10 @@ stream (topology draws for a block of steps, then observation noise for
 the block), so any single trial is bit-reproducible from its seed alone
 and reports do not depend on the parallelism degree.  The compiled
 kernel (``_kernel.c``) is the one round: one call advances a bank from
-one checkpoint to the next, computing each step's weights, drawing its
-noise and links and forming the observations from the noise, and writes
-the checkpoint diagnostics of the step it ends on.
+one checkpoint to the next, computing each step's weights, starting each
+block's link draws, drawing each step's noise and links and forming the
+observations from the noise, and writes the checkpoint diagnostics of
+the step it ends on.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ from .model import _unit_variance_draws  # noqa: F401
 from .network import TopologyModel
 from .schedule import WeightSchedule, checkpoint_grid
 
-#: Steps of a block, whose link draws each trial's stream skips before its
-#: noise; part of the documented per-trial draw order (topology block, then
-#: noise block).
-BLOCK_STEPS = 1024
+#: Steps of a block, whose link draws each trial's stream holds before its
+#: noise (``_kernel.BLOCK_STEPS``, which the kernel reads).
+BLOCK_STEPS = _kernel.BLOCK_STEPS
 
 #: Trials advanced together in one vectorized bank.  Fixed so that
 #: experiment output is independent of the parallelism degree.
@@ -123,11 +123,12 @@ class StatResult:
     gating: bool = True
 
 
-def _draw_topology_block(top: TopologyModel, rngs, links, steps: int) -> None:
-    """Start the link draws of a block of ``steps`` steps: ``links`` takes the
-    states of the bank's streams ``rngs``, which move past the block's link
-    outputs (:meth:`TopologyModel.link_draws`)."""
-    top.link_draws(rngs, links, steps)
+def _draw_topology_block(top: TopologyModel, rng, steps: int):
+    """A block's active-edge masks drawn from ``rng``, a numpy ``Generator``
+    (:meth:`TopologyModel.draw_active`).  No library call makes it, since
+    the kernel starts each block's link draws itself: here only for
+    bench/tracing.py to time."""
+    return top.draw_active(rng, steps)
 
 
 def _laplacian_at(top: TopologyModel, active, s: int):
@@ -159,8 +160,9 @@ def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
 
 def _draw_bytes(model: ObservationModel, trials: int) -> dict[str, int]:
     """Bytes of the buffers that one bank of an experiment holds, by part:
-    the streams of :func:`_walk` and their copy for the links, the kernel's
-    lane scratch at the widest lane width, and the bank's state."""
+    the streams of :func:`_walk` and the link streams that its bound bank
+    holds, the kernel's lane scratch at the widest lane width, and the
+    bank's state."""
     rows = min(TRIALS_PER_BANK, trials)
     n, m, mx = model.num_agents, model.param_dim, max(model.obs_dims)
     return {
@@ -241,37 +243,36 @@ def _memory_limit() -> tuple[int | None, str]:
     return min(limits + _cgroup_limits(), default=(None, "memory"), key=lambda limit: limit[0])
 
 
-def _walk(model, top, schedule, horizon: int, grid, seeds, init=None, records=None):
-    """:func:`trajectory`: the bank, bound once with its schedule, its
-    streams and their copy for the links, advances in segments that end at
-    grid steps and block ends; the call that ends on grid step ``grid[c]``
-    writes the bank's records there into ``records[c]`` unless ``records``
-    is ``None``."""
-    rngs = _kernel.Streams(seeds)
-    grid = np.asarray(grid, dtype=np.int64)
+def _grid_steps(grid, horizon: int) -> np.ndarray:
+    """The checkpoint grid as int64 steps, refused unless they are integers,
+    strictly increasing from 1 and end at the horizon."""
+    grid = np.asarray(grid)
+    if grid.dtype.kind == "f":
+        fractional = grid[~(np.isfinite(grid) & (grid == np.floor(grid)))]
+        if fractional.size:
+            raise ValueError(f"checkpoint grid steps must be integers, got {fractional[0]!s}")
+    grid = grid.astype(np.int64)
     if grid.size == 0 or grid[-1] != horizon or np.any(np.diff(grid) <= 0) or grid[0] < 1:
         raise ValueError("checkpoint grid must be strictly increasing and end at the horizon")
-    grid = grid.tolist()
+    return grid
+
+
+def _walk(model, top, schedule, horizon: int, grid, seeds, init=None, records=None):
+    """:func:`trajectory`: the bank, bound once with its schedule, its
+    streams and the horizon, advances in one segment per grid step; the
+    call that ends on grid step ``grid[c]`` writes the bank's records there
+    into ``records[c]`` unless ``records`` is ``None``."""
+    rngs = _kernel.Streams(seeds)
+    grid = _grid_steps(grid, horizon).tolist()
 
     state = initial_network_state(model, *(init if init is not None else (None, None, None)))
     for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
         a = getattr(state, field)
         setattr(state, field, np.tile(a, (len(rngs),) + (1,) * a.ndim))
-    links = rngs.copy()  # the bank's streams at each block's start, for its links
-    bound = _kernel.load().bind(state, model, top, schedule, rngs, links)
-
-    pointer = 0
-    while state.step < horizon:
-        block_end = min(state.step + BLOCK_STEPS, horizon)
-        if top.draws_links:
-            _draw_topology_block(top, rngs, links, block_end - state.step)
-        while state.step < block_end:
-            stop = min(block_end, grid[pointer])
-            out = None if records is None or stop != grid[pointer] else records[pointer]
-            _advance(bound, state, stop, out)
-            if state.step == grid[pointer]:
-                yield state.step, state
-                pointer += 1
+    bound = _kernel.load().bind(state, model, top, schedule, rngs, horizon)
+    for c, stop in enumerate(grid):
+        _advance(bound, state, stop, None if records is None else records[c])
+        yield stop, state
 
 
 def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSchedule,
@@ -287,15 +288,15 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
     Each trial consumes only its own stream, the one
     ``np.random.default_rng(seed)`` draws (one ``_kernel.Streams`` bank
     for the trials, seeded once), in blocks of ``BLOCK_STEPS`` steps: the
-    topology draws of the block, then its unit-variance noise.  At a
-    block's start a copy of the bank takes its states, from which the
-    kernel draws the block's links, while each stream moves to where its
-    noise starts (:meth:`TopologyModel.link_draws`).  The kernel then
-    computes each step's weights from ``schedule``, draws its links and
-    noise itself and forms the observations, in segments that end at grid
-    steps or block ends (:func:`_advance`).  A singular gain solve raises
-    :class:`TrialDiverged` with the trial's place in the bank; empty
-    ``seeds`` raise ``ValueError``.
+    topology draws of the block, then its unit-variance noise.  The kernel
+    starts each block itself: the trial's link stream takes its stream's
+    state, from which it draws the block's links, while the stream moves
+    to where the block's noise starts.  It computes each step's weights
+    from ``schedule``, draws its links and noise and forms the
+    observations, in one segment per grid step (:func:`_advance`).  A
+    singular gain solve raises :class:`TrialDiverged` with the trial's
+    place in the bank; empty ``seeds`` and a grid whose steps are not
+    integers raise ``ValueError``.
     """
     yield from _walk(model, top, schedule, horizon, grid, seeds, init)
 
@@ -347,10 +348,10 @@ def run_trial(
     init: tuple | None = None,
 ) -> TrialMetrics:
     """Run one trial to the horizon; deterministic in ``seed``."""
-    grid = np.asarray(checkpoint_grid, dtype=np.int64)
+    grid = _grid_steps(checkpoint_grid, horizon)
     rows = [result[0] for result in _run_bank(model, top, schedule, horizon, grid, [seed], init)]
     # the TrialMetrics fields in order; rows[2] is the gain gap
-    return TrialMetrics(grid.copy(), *rows, terminal_gain_gap=float(rows[2][-1]))
+    return TrialMetrics(grid, *rows, terminal_gain_gap=float(rows[2][-1]))
 
 
 def estimate_scaled_covariance(errors) -> np.ndarray:

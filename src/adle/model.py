@@ -91,6 +91,8 @@ class ObservationModel:
         if m == 0:
             raise ValueError("sensing[0] has no columns")
         for n, (h, r) in enumerate(zip(sensing, noise_cov)):
+            if h.shape[0] == 0:
+                raise ValueError(f"sensing[{n}] has no rows")
             if h.shape[1] != m:
                 raise ValueError(f"sensing[{n}] has {h.shape[1]} columns, expected {m}")
             if r.shape != (h.shape[0], h.shape[0]):

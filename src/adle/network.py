@@ -11,9 +11,9 @@ three supported laws are
 
 The law is read here only: :attr:`TopologyModel.kernel_links` tells the
 compiled kernel what to draw at each step for a trial's links, from the
-copy of the bank that :meth:`TopologyModel.link_draws` starts each block
-with, and :meth:`TopologyModel.draw_active` turns one numpy ``Generator``
-into the same active-edge masks for :func:`sample_laplacian`.
+link stream that takes the trial's stream's state at each block's start,
+and :meth:`TopologyModel.draw_active` turns one numpy ``Generator`` into
+the same active-edge masks for :func:`sample_laplacian`.
 
 The quantity that matters for convergence is not per-step connectivity
 but the algebraic connectivity (Fiedler value) of the *mean* Laplacian:
@@ -153,30 +153,19 @@ class TopologyModel:
     @property
     def kernel_links(self) -> int:
         """What the compiled kernel draws of each trial's links at each step
-        (``links`` of its ``struct adle_bank``): 0, nothing; 1, a uniform
-        per edge, the edge on below ``p``; 2, one of the E edges."""
+        (``links`` of its ``struct adle_bank``): 0, nothing, and no block
+        starts; 1, a uniform per edge, the edge on below ``p``; 2, one of
+        the E edges.  At a block's start the kernel moves the trial's
+        stream past the block's links: it jumps the Bernoulli uniforms, and
+        draws and drops the gossip picks, which read a varying count of
+        outputs."""
         return {"static": 0, "bernoulli": 1, "gossip": 2}[self.law]
-
-    def link_draws(self, streams, links, steps: int) -> None:
-        """Start the link draws of a block of ``steps`` steps from
-        ``streams``, a bank of trials' ``adle._kernel.Streams``: ``links``,
-        a bank of as many, takes its states (``Streams.copy``), from which
-        the kernel draws the block's links, while the bank moves to where
-        the block's noise starts: it jumps the ``steps * E`` Bernoulli
-        uniforms, and draws and drops the gossip picks, which read a varying
-        count of outputs.  Not for the ``static`` law, which draws nothing."""
-        streams.copy(links)
-        if self.law == "gossip":
-            streams.skip_picks(self.base.num_edges, steps)
-        else:
-            streams.advance(steps * self.base.num_edges)
 
     def draw_active(self, rng, steps: int) -> np.ndarray | None:
         """Active-edge masks of ``steps`` i.i.d. link draws from ``rng``, a
         numpy ``Generator``, bool (steps, E): the links that the kernel draws
-        from a trial's link stream, a block's from its start
-        (:meth:`link_draws`).  ``None`` under the ``static`` law, which
-        draws nothing."""
+        from a trial's link stream, a block's from its start.  ``None``
+        under the ``static`` law, which draws nothing."""
         if not self.draws_links:
             return None
         edges = self.base.num_edges

@@ -18,6 +18,7 @@ equations' properties on the per-agent oracle.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +33,8 @@ from adle.estimator import (
     _sample_cov_from_moments,
     initial_network_state,
 )
+from adle.schedule import WeightSchedule
+from conftest import numpy_states, stream_states
 
 
 @dataclass
@@ -299,6 +302,61 @@ def link_masks(top, rngs, steps: int):
     return np.stack(masks)
 
 
+def whole_block_draws(model, top, generators, horizon: int):
+    """A walk's draws of its trials' streams, to ``horizon``, made of numpy
+    ``generators``, one per trial, each block's in one call each: where
+    links are drawn, a copy of each generator takes its state at the
+    block's start and draws the block's masks, which the generator draws
+    too; the generator then draws the block's noise.  Yields each block's
+    end and the copies there, the kernel's link streams, which start as
+    copies of the streams."""
+    shape = (model.num_agents, model._stacked.max_dim)
+    links = copy.deepcopy(generators)
+    for start in range(0, horizon, harness.BLOCK_STEPS):
+        steps = min(harness.BLOCK_STEPS, horizon - start)
+        if top.draws_links:
+            links = copy.deepcopy(generators)
+            link_masks(top, links, steps)
+            link_masks(top, generators, steps)
+        for rng in generators:
+            unit_variance_draws(rng, model.noise, (steps, *shape))
+        yield start + steps, links
+
+
+def tiled_state(model, bank: int, init=None):
+    """The initial ``NetworkState`` of ``model``, from the optional ``init`` of
+    ``initial_network_state``, with a leading axis of ``bank`` trials."""
+    state = initial_network_state(model, *(init if init is not None else (None, None, None)))
+    for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
+        a = getattr(state, field)
+        setattr(state, field, np.tile(a, (bank,) + (1,) * a.ndim))
+    return state
+
+
+def check_block_ends(model, top, seeds, horizon: int, windows=(1, 37)):
+    """Walk a bank of ``model``'s trials, one per seed, bound at its initial
+    state with the horizon, to ``horizon`` by ``BoundBank.advance`` in
+    segments of at most each of ``windows`` steps that end at every block's
+    end too; check that at each block's end its streams and link streams
+    stand where :func:`whole_block_draws` leaves numpy's generators and
+    their copies.  Returns those ends, with the streams' and link streams'
+    states (``conftest.stream_states``)."""
+    for window in windows:
+        bound = _kernel.load().bind(tiled_state(model, len(seeds)), model, top,
+                                    WeightSchedule(), _kernel.Streams(seeds), horizon)
+        ends = []
+        for start in range(0, horizon, harness.BLOCK_STEPS):
+            end = min(start + harness.BLOCK_STEPS, horizon)
+            for s in range(start, end, window):
+                bound.advance(s, min(s + window, end))
+            ends.append((end, stream_states(bound._arrays["streams"]),
+                         stream_states(bound._arrays["link_streams"])))
+        generators = [np.random.default_rng(seed) for seed in seeds]
+        assert ends == [(end, numpy_states(generators), numpy_states(links))
+                        for end, links in whole_block_draws(model, top, generators, horizon)]
+    return ends
+
+
 def reference_trajectory(model, top, schedule, horizon: int, grid, seeds, init=None):
     """``harness.trajectory`` on the numpy round: the same per-trial draws
     in the same order (per block of ``BLOCK_STEPS`` steps, the link draws
@@ -309,10 +367,7 @@ def reference_trajectory(model, top, schedule, horizon: int, grid, seeds, init=N
     shape = (model.num_agents, stacked.max_dim)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     grid = set(np.asarray(grid).tolist())
-    state = initial_network_state(model, *(init if init is not None else (None, None, None)))
-    for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
-        a = getattr(state, field)
-        setattr(state, field, np.tile(a, (len(rngs),) + (1,) * a.ndim))
+    state = tiled_state(model, len(rngs), init)
     while state.step < horizon:
         steps = min(harness.BLOCK_STEPS, horizon - state.step)
         active = link_masks(top, rngs, steps)
@@ -326,10 +381,9 @@ def reference_trajectory(model, top, schedule, horizon: int, grid, seeds, init=N
 
 
 def no_draws(state):
-    """Streams and link streams for a bank bound only to write its records
-    by zero-step advances, which draw nothing."""
-    streams = _kernel.Streams(range(len(state.obs_sums)))
-    return streams, streams.copy()
+    """Streams for a bank bound only to write its records by zero-step
+    advances, which draw nothing."""
+    return _kernel.Streams(range(len(state.obs_sums)))
 
 
 def reference_walk(model, top, schedule, horizon: int, grid, seeds, init=None, records=None):
@@ -342,6 +396,7 @@ def reference_walk(model, top, schedule, horizon: int, grid, seeds, init=None, r
                                                         seeds, init)):
         if records is not None:
             if bound is None:  # the oracle's arrays stay in place from here on
-                bound = _kernel.load().bind(state, model, top, schedule, *no_draws(state))
+                bound = _kernel.load().bind(state, model, top, schedule, no_draws(state),
+                                            horizon)
             bound.advance(t, t, records[c])
         yield t, state

@@ -9,7 +9,9 @@ import logging
 import math
 import os
 import pickle
+import platform
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -51,6 +53,7 @@ from adle.network import (
 from adle.schedule import WeightSchedule, checkpoint_bound, recursion_trace
 from conftest import make_noiseless_ring, make_ragged_model, numpy_states, stream_states
 from reference import (
+    check_block_ends,
     fold_observations,
     link_masks,
     no_draws,
@@ -61,6 +64,7 @@ from reference import (
     stacked_segment,
     unit_variance_draws,
     weights,
+    whole_block_draws,
 )
 
 
@@ -654,23 +658,19 @@ def _segmented(horizon, window, grid=()):
 @pytest.mark.parametrize("steps", [BLOCK_STEPS, 37], ids=["full_block", "short_block"])
 @pytest.mark.parametrize("law", sorted(DRAW_LAWS))
 def test_block_masks_are_the_link_draws_read_by_hand(law, steps):
-    # a block's link draws start from the bank's states, from which the kernel
-    # draws the masks, and leave each stream where numpy's whole-block draw of
-    # them leaves its generator
+    # the masks of a block are those of numpy's whole-block draw; the kernel's
+    # block of `steps` steps after a full one, in segments of 1 and 37 steps,
+    # starts its link streams from the streams' states, and leaves both where
+    # numpy's whole-block draws leave a copy of each generator and the generator
     top = DRAW_LAWS[law]
     seeds = [np.random.SeedSequence((19, k)) for k in range(3)]
-    hand = [np.random.default_rng(s) for s in seeds]
-    expected = link_masks(top, hand, steps)
+    expected = link_masks(top, [np.random.default_rng(s) for s in seeds], steps)
+    masks = [top.draw_active(np.random.default_rng(s), steps) for s in seeds]
+    check_block_ends(example1_model(), top, seeds, BLOCK_STEPS + steps)
     if law == "static":
-        assert expected is None and top.draw_active(np.random.default_rng(seeds[0]), steps) is None
+        assert expected is None and masks == [None] * 3
         return
-    rngs = _kernel.Streams(seeds)
-    links = _kernel.Streams([0] * 3)
-    harness._draw_topology_block(top, rngs, links, steps)
-    assert stream_states(links._states) == stream_states(_kernel.Streams(seeds)._states)
-    assert stream_states(rngs._states) == numpy_states(hand)
-    assert np.array_equal([top.draw_active(np.random.default_rng(s), steps) for s in seeds],
-                          expected)
+    assert np.array_equal(masks, expected)
     if law == "gossip":  # a one-hot mask gathers its edge's Laplacian bit for bit
         picks = expected.argmax(axis=-1)
         for s in (0, steps - 1):
@@ -731,27 +731,33 @@ def test_sample_laplacian_is_a_one_step_block(law):
 def test_a_walk_seeds_once_and_draws_links_from_a_copy_per_block(monkeypatch, ring_model,
                                                                  ring_schedule, law):
     # a walk seeds each of its R trials' streams once, under every law, and
-    # allocates one unseeded bank for the links, which takes the bank's
-    # states at each block's start under either drawing law
-    seeded, copies, copy_streams = [], [], _kernel.Streams.copy
-    lib = _kernel.load()._lib
+    # binds one bank of link streams, which takes the streams' states at each
+    # block's start under either drawing law: at the end of a full block and
+    # of a short last one, in segments of 1 and 37 steps, the streams and link
+    # streams stand where numpy's whole-block draws leave the generators and
+    # their copies (under the static law the link streams stay as bound)
+    seeded, lib = [], _kernel.load()._lib
     seed = lib.adle_seed
 
     def spy_seed(states, rows, words):
         seeded.append(rows)
         return seed(states, rows, words)
 
-    def spy_copy(self, out=None):
-        copies.append((len(self), out is None))
-        return copy_streams(self, out)
-
     monkeypatch.setattr(lib, "adle_seed", spy_seed)
-    monkeypatch.setattr(_kernel.Streams, "copy", spy_copy)
-    seeds = [np.random.SeedSequence((31, k)) for k in range(3)]
+    banks = _binds(monkeypatch)
+    top, seeds = DRAW_LAWS[law], [np.random.SeedSequence((31, k)) for k in range(3)]
     horizon = BLOCK_STEPS + 50
-    list(harness._walk(ring_model, DRAW_LAWS[law], ring_schedule, horizon, [horizon], seeds))
-    assert seeded == [len(seeds)]
-    assert copies == [(len(seeds), True)] + ([] if law == "static" else [(len(seeds), False)] * 2)
+    for window in (1, 37):
+        seeded.clear()
+        grid = _segmented(horizon, window, [BLOCK_STEPS])
+        ends = [(t, stream_states(banks[-1]._arrays["streams"]),
+                 stream_states(banks[-1]._arrays["link_streams"]))
+                for t, _ in harness._walk(ring_model, top, ring_schedule, horizon, grid, seeds)
+                if t in (BLOCK_STEPS, horizon)]
+        assert seeded == [len(seeds)]
+        generators = [np.random.default_rng(s) for s in seeds]
+        assert ends == [(end, numpy_states(generators), numpy_states(links))
+                        for end, links in whole_block_draws(ring_model, top, generators, horizon)]
 
 
 def _binds(monkeypatch) -> list:
@@ -797,6 +803,22 @@ def test_noise_windows_keep_the_bits_of_whole_block_draws(monkeypatch, law, nois
         # the moments fold exactly the observations of the draws
         assert [a.tobytes() for a in got[2:]] == [a.tobytes() for a in ref[2:]]
         assert max(np.max(np.abs(a - b)) for a, b in zip(got[:2], ref[:2])) <= 1e-10
+
+
+def test_a_non_integral_checkpoint_grid_is_refused_by_name(ring_model, bernoulli_pentagon,
+                                                            ring_schedule):
+    # not cast to int64, where 10.7 recorded step 10, and 19.9999 read as a grid
+    # that does not end at the horizon; integral floats are steps
+    for grid, value in (([10.7, 20], "10.7"), ([10, 19.9999], "19.9999"), ([5, np.nan, 20], "nan")):
+        message = f"^checkpoint grid steps must be integers, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            run_trial(ring_model, bernoulli_pentagon, ring_schedule, 20, grid, seed=3)
+        with pytest.raises(ValueError, match=message):
+            next(trajectory(ring_model, bernoulli_pentagon, ring_schedule, 20, grid, [3]))
+    floats = run_trial(ring_model, bernoulli_pentagon, ring_schedule, 20, [10.0, 20.0], seed=3)
+    ints = run_trial(ring_model, bernoulli_pentagon, ring_schedule, 20, [10, 20], seed=3)
+    assert floats.times.dtype == np.int64 and floats.times.tolist() == [10, 20]
+    assert floats.error_norms.tobytes() == ints.error_norms.tobytes()
 
 
 def test_a_trajectory_of_no_seeds_is_refused_by_name(ring_model, bernoulli_pentagon,
@@ -865,21 +887,32 @@ KERNEL_CASES = {
 
 
 def _streams(seed, bank=3):
-    """The streams of a bank of trials seeded ``(seed, r)``, and a copy of them
-    from which the kernel draws the links."""
-    streams = _kernel.Streams([(seed, r) for r in range(bank)])
-    return streams, streams.copy()
+    """The streams of a bank of trials seeded ``(seed, r)``."""
+    return _kernel.Streams([(seed, r) for r in range(bank)])
 
 
-def _block(model, top, steps, seed, bank=3):
-    """A block's link masks and unit-variance noise, each read by hand from a
-    fresh numpy generator of each trial that :func:`_streams` seeds, as the
-    kernel draws them from the copy and from the bank."""
-    draws = link_masks(top, [np.random.default_rng((seed, r)) for r in range(bank)], steps)
-    noise = np.stack([unit_variance_draws(np.random.default_rng((seed, r)), model.noise,
-                                          (steps, model.num_agents, model._stacked.max_dim))
-                      for r in range(bank)])
-    return draws, noise
+def _block(model, top, steps, seed, bank=3, start=0):
+    """The link masks and unit-variance noise of steps ``start..start +
+    steps - 1`` of a bank bound with :func:`_streams` at horizon ``start +
+    steps``, read by hand from numpy generators of its trials in the
+    kernel's order: the link streams start as copies of the streams, and at
+    each block's start take their states while the streams draw the
+    block's links; the streams then draw each step's noise."""
+    rngs = [np.random.default_rng((seed, r)) for r in range(bank)]
+    links, draws, noise = copy.deepcopy(rngs), [], []
+    s, stop = start, start + steps
+    while s < stop:
+        end = min(stop, s - s % BLOCK_STEPS + BLOCK_STEPS)
+        if s % BLOCK_STEPS == 0 and top.draws_links:
+            links = copy.deepcopy(rngs)
+            link_masks(top, rngs, end - s)
+        draws.append(link_masks(top, links, end - s))
+        noise.append(np.stack([unit_variance_draws(rng, model.noise, (end - s, model.num_agents,
+                                                                      model._stacked.max_dim))
+                               for rng in rngs]))
+        s = end
+    return (None if draws[0] is None else np.concatenate(draws, axis=1),
+            np.concatenate(noise, axis=1))
 
 
 def _network(model, state, q0, count=0):
@@ -887,13 +920,16 @@ def _network(model, state, q0, count=0):
     return NetworkState(*state, q0, count, model.obs_dims)
 
 
-def _kernel_advance(kernel, state, q0, model, top, schedule, streams, start, stop, out=None):
-    """Bind a bank to ``schedule`` and ``streams``, its streams and their
-    copy for the links (:func:`_streams`), then advance it through steps
-    ``start..stop-1``, writing the records of step ``stop`` into ``out``
-    unless ``None``."""
-    bound = kernel.bind(_network(model, state, q0, start), model, top, schedule, *streams)
-    bound.advance(start, stop, out)
+def _kernel_advance(kernel, state, q0, model, top, schedule, streams, start, *stops, out=None):
+    """Bind a bank to ``schedule``, ``streams`` and the horizon ``stops[-1]``,
+    then advance it from step ``start`` in segments that end at ``stops``,
+    writing the records of the last into ``out`` unless ``None``."""
+    bound = kernel.bind(_network(model, state, q0, start), model, top, schedule, streams,
+                        stops[-1])
+    for stop in stops[:-1]:
+        bound.advance(start, stop)
+        start = stop
+    bound.advance(start, stops[-1], out)
 
 
 def _bank_state(model, init, bank=3):
@@ -912,9 +948,8 @@ def test_kernel_matches_numpy_round_over_ten_thousand_steps(case):
     draws, noise = _block(model, top, steps, seed=len(case))
 
     compiled, q0 = _bank_state(model, init)
-    streams = _streams(len(case))
-    _kernel_advance(kernel, compiled, q0, model, top, schedule, streams, 0, 3_000)
-    _kernel_advance(kernel, compiled, q0, model, top, schedule, streams, 3_000, steps)
+    _kernel_advance(kernel, compiled, q0, model, top, schedule, _streams(len(case)), 0, 3_000,
+                    steps)
 
     obs, sensing = observations(model._stacked, noise), model._stacked.sensing
     (x, g, shifts, sums, outer), _ = _bank_state(model, init)
@@ -952,9 +987,8 @@ def test_every_lane_width_matches_one_lane_bit_for_bit(case, bank):
     states = []
     for kernel in _every_width():
         state, q0 = _bank_state(model, init, bank)
-        streams = _streams(len(case), bank)
-        _kernel_advance(kernel, state, q0, model, top, schedule, streams, 0, 3_000)
-        _kernel_advance(kernel, state, q0, model, top, schedule, streams, 3_000, steps)
+        _kernel_advance(kernel, state, q0, model, top, schedule, _streams(len(case), bank), 0,
+                        3_000, steps)
         states.append(state)
     _same_bits(states)
 
@@ -967,7 +1001,7 @@ def test_every_lane_width_names_the_same_singular_trial():
     model, top, _, _ = KERNEL_CASES["bernoulli"]
     schedule = WeightSchedule(a=0.0, b=0.0, tau_gamma=1.0)
     bank, steps = 11, 8
-    _, noise = _block(model, top, steps, seed=0, bank=bank)
+    _, noise = _block(model, top, steps, seed=0, bank=bank, start=40)
     states = []
     for kernel in _every_width():
         state, q0 = _bank_state(model, None, bank)
@@ -999,7 +1033,7 @@ def test_every_lane_width_names_the_same_singular_trial():
             state[0][0, 3, 1] = np.nan
             with pytest.raises(TrialDiverged) as info:
                 _kernel_advance(kernel, state, q0, model, top, schedule, _streams(0, bank), 40,
-                                40 + steps, np.empty((bank, model.num_agents + 3)))
+                                40 + steps, out=np.empty((bank, model.num_agents + 3)))
             assert (info.value.trial, info.value.step, info.value.cause) == expected
 
 
@@ -1028,14 +1062,14 @@ def test_kernel_forms_the_observations_of_the_numpy_synthesis_bit_for_bit(build,
 def test_singular_gain_solve_names_the_first_trial_and_its_step(compiled):
     # the compiled round, and the numpy round of the oracle
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
-    draws, noise = _block(model, top, 5, seed=0)
+    draws, noise = _block(model, top, 5, seed=0, start=40)
     rates = weights(schedule, 40, 5)
     (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
     g[1:] = -rates[2, 0] * np.eye(model.param_dim)  # G + gamma I = 0 at step 40
     state = NetworkState(x, g, shifts, sums, outer, q0, 40, model.obs_dims)
     with pytest.raises(TrialDiverged) as info:
         if compiled:
-            bound = _kernel.load().bind(state, model, top, schedule, *_streams(0))
+            bound = _kernel.load().bind(state, model, top, schedule, _streams(0), 45)
             harness._advance(bound, state, 45)
         else:
             stacked_segment(state, model._stacked, noise, 0, 5, rates, top, draws)
@@ -1054,18 +1088,16 @@ def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
     with pytest.raises(ValueError, match="shape"):
         _kernel_advance(kernel, [x, g[:, :-1].copy(), shifts, sums, outer], q0, model, top,
                         schedule, streams, 0, 8)
-    for other, name in (((streams[0], _kernel.Streams([1, 2])), "links"),
-                        ((np.zeros((3, 6)), streams[1]), "streams")):
-        with pytest.raises(ValueError, match=f"^{name} must be a bank of 3 Streams, one per trial"):
-            _kernel_advance(kernel, [x, g, shifts, sums, outer], q0, model, top, schedule, other,
-                            0, 8)
+    with pytest.raises(ValueError, match="^streams must be a bank of 3 Streams, one per trial"):
+        _kernel_advance(kernel, [x, g, shifts, sums, outer], q0, model, top, schedule,
+                        np.zeros((3, 6)), 0, 8)
     frozen = x.copy()
     frozen.setflags(write=False)
     with pytest.raises(ValueError, match="writable"):
         _kernel_advance(kernel, [frozen, g, shifts, sums, outer], q0, model, top, schedule,
                         streams, 0, 8)
     network = _network(model, [x, g, shifts, sums, outer], q0)
-    bound = kernel.bind(network, model, top, schedule, *streams)
+    bound = kernel.bind(network, model, top, schedule, streams, 2**52)
     for start, stop in [(-1, 2), (3, 2), (0, 2**63), (2**64, 2**64 + 1)]:
         with pytest.raises(ValueError, match=re.escape(
                 f"segment [{start}, {stop}) needs 0 <= start <= stop < 2**63")):
@@ -1073,7 +1105,28 @@ def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
     bound.advance(2**52, 2**52)  # an empty segment
     assert np.array_equal(x, np.zeros_like(x))  # nothing ran
     assert np.array_equal(frozen, np.zeros_like(x))
-    assert stream_states(streams[0]._states) == stream_states(_streams(0)[0]._states)  # no draw
+    assert stream_states(streams._states) == stream_states(_streams(0)._states)  # no draw
+
+
+def test_a_segment_beyond_the_bound_horizon_is_refused():
+    # the kernel's last block runs to the horizon: a segment past it would
+    # start a block of no steps, or fewer than none
+    model, top, schedule, _ = KERNEL_CASES["gossip"]
+    (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
+    streams, network = _streams(0), _network(model, [x, g, shifts, sums, outer], q0)
+    for horizon in (-1, 2**63, 2**64 + 40):  # not wrapped into the int64 field
+        with pytest.raises(ValueError, match=re.escape(
+                f"horizon {horizon} needs 0 <= horizon < 2**63")):
+            _kernel.load().bind(network, model, top, schedule, streams, horizon)
+    bound = _kernel.load().bind(network, model, top, schedule, streams, 40)
+    for start, stop in [(0, 41), (40, 41), (41, 41), (BLOCK_STEPS, BLOCK_STEPS + 1)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"segment [{start}, {stop}) ends beyond the horizon 40")):
+            bound.advance(start, stop)
+    assert np.array_equal(x, np.zeros_like(x))  # nothing ran
+    assert stream_states(streams._states) == stream_states(_streams(0)._states)  # no draw
+    bound.advance(0, 40)
+    assert np.all(x != 0.0)
 
 
 def _advanced_bank(model, top, schedule, init, bank, steps=300):
@@ -1089,7 +1142,8 @@ def _checkpoint(kernel, model, top, state, q0, count, schedule):
     which a zero-step advance writes at the schedule's gamma there."""
     network = _network(model, state, q0, count)
     out = np.full((len(state[0]), model.num_agents + 3), np.nan)
-    kernel.bind(network, model, top, schedule, *no_draws(network)).advance(count, count, out)
+    kernel.bind(network, model, top, schedule, no_draws(network), count).advance(count, count,
+                                                                                 out)
     return out
 
 
@@ -1170,7 +1224,7 @@ def test_lane_scratch_is_aligned_and_sized_by_the_kernel():
         state, q0 = _bank_state(model, None, bank)
         kernel = _kernel.load()
         network = _network(model, state, q0)
-        bound = kernel.bind(network, model, top, WeightSchedule(), *no_draws(network))
+        bound = kernel.bind(network, model, top, WeightSchedule(), no_draws(network), 0)
         scratch = bound._arrays["scratch"]
         lanes = 1 if bank == 1 else kernel.lanes
         vectors = _kernel.scratch_vectors(model.num_agents, model.param_dim,
@@ -1186,6 +1240,24 @@ def test_the_scratch_formula_is_the_kernels():
     for n, m, mx in itertools.product((1, 2, 5, 50), (1, 2, 5), (1, 2, 3, 7)):
         args = _kernel._BankArgs(n=n, m=m, mx=mx)
         assert _kernel.scratch_vectors(n, m, mx) == lib.adle_scratch_vectors(ctypes.byref(args))
+
+
+def test_the_library_exports_the_typed_entry_points_only():
+    # the loader types every adle_* symbol of the library, and the library
+    # has one for each of them at every lane width it builds on this machine:
+    # a leftover or a stray entry point fails here
+    if shutil.which("nm") is None:
+        pytest.skip("no nm to list the library's symbols")
+    done = subprocess.run(["nm", "-D", "--defined-only", _kernel.load()._lib._name],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    exported = {fields[-1] for fields in map(str.split, done.stdout.splitlines())
+                if fields and fields[-1].startswith("adle_")}
+    x86 = platform.machine().lower() in ("x86_64", "amd64", "i386", "i686")
+    built = _kernel.WIDTHS if x86 else (1,)
+    assert exported == {name for name in _kernel.SIGNATURES
+                        if not name.startswith(_kernel._WIDE) or int(name.rsplit("_", 1)[1]) in built}
+    assert len(exported) == (9 if x86 else 7)
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
@@ -1221,14 +1293,16 @@ def test_each_bank_is_bound_once(monkeypatch, ring_model, bernoulli_pentagon, ri
     # each bound with the experiment's schedule
     shapes, bind = [], _kernel.BankKernel.bind
 
-    def spy(self, state, model, top, schedule, streams, links):
-        shapes.append((len(streams), len(links), schedule))
-        return bind(self, state, model, top, schedule, streams, links)
+    def spy(self, state, model, top, schedule, streams, horizon):
+        shapes.append((len(streams), horizon, schedule))
+        return bind(self, state, model, top, schedule, streams, horizon)
 
     monkeypatch.setattr(_kernel.BankKernel, "bind", spy)
+    horizon = 2 * BLOCK_STEPS + 37
     run_experiment(small_config(ring_model, bernoulli_pentagon, ring_schedule, num_trials=130,
-                                horizon=2 * BLOCK_STEPS + 37))
-    assert shapes == [(64, 64, ring_schedule), (64, 64, ring_schedule), (2, 2, ring_schedule)]
+                                horizon=horizon))
+    assert shapes == [(64, horizon, ring_schedule), (64, horizon, ring_schedule),
+                      (2, horizon, ring_schedule)]
 
 
 @pytest.mark.parametrize("law", ["static", "bernoulli", "gossip"])
@@ -1237,21 +1311,19 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
                                                    trials, horizon):
     top = TopologyModel(cycle_graph(5), law, 0.5)
     seeds = range(min(harness.TRIALS_PER_BANK, trials))
-    link_draws, held, peaks = TopologyModel.link_draws, [], []
+    advance, held, peaks = harness._advance, [], []
 
-    def spy(self, streams, links, steps):  # a block's link draws: what they keep, and their peak
+    def spy(bound, state, stop, out=None):  # a segment with its block starts: what it keeps
         tracemalloc.start()
         try:
-            link_draws(self, streams, links, steps)
+            advance(bound, state, stop, out)
             left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         held.append(left)
         peaks.append(peak)
 
-    if top.draws_links:  # a process's first draws leave one-off allocations: make them untraced
-        top.link_draws(_kernel.Streams([0]), _kernel.Streams([0]), 1)
-    monkeypatch.setattr(TopologyModel, "link_draws", spy)
+    monkeypatch.setattr(harness, "_advance", spy)
     banks = _binds(monkeypatch)
     walk = harness._walk(ring_model, top, ring_schedule, horizon, [horizon], seeds)
     next(walk)
@@ -1266,9 +1338,10 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
     assert widest + bound_bytes == sum(parts.values())
     assert widest == parts["lane scratch"]
     assert arrays["streams"].nbytes + arrays["link_streams"].nbytes == parts["streams"]
-    # a block's link draws copy the bank into the bound link streams and keep nothing
-    assert len(held) == (0 if law == "static" else -(-horizon // BLOCK_STEPS))
-    assert max(held + peaks, default=0) < 4096
+    # one segment, whose block starts copy the streams into the bound link
+    # streams in the kernel, and keeps nothing
+    assert len(held) == 1
+    assert max(held + peaks) < 4096
     walk.close()
 
 
@@ -1403,17 +1476,17 @@ def test_a_library_of_another_layout_is_refused_not_bound(tmp_path):
 def test_a_library_of_layout_two_is_refused(monkeypatch, tmp_path):
     # the same struct adle_bank under earlier version numbers; at layout 3 the
     # weights held no column for the step after the window, at layout 4 the
-    # kernel read its noise and links from draw windows, and at layout 5 its
-    # weights from a block's buffer
+    # kernel read its noise and links from draw windows, at layout 5 its
+    # weights from a block's buffer, and at layout 6 it started no block
     current, size = _kernel._SOURCE.read_bytes(), ctypes.sizeof(_kernel._BankArgs)
     package = _kernel_source_copy(monkeypatch, tmp_path)
-    for old in (2, 3, 4, 5):
-        source = current.replace(b"#define ADLE_LAYOUT 6\n", b"#define ADLE_LAYOUT %d\n" % old)
+    for old in (2, 3, 4, 5, 6):
+        source = current.replace(b"#define ADLE_LAYOUT 7\n", b"#define ADLE_LAYOUT %d\n" % old)
         (package / "_kernel.c").write_bytes(source)
         monkeypatch.setattr(_kernel, "_SOURCE_DIGEST", hashlib.sha256(source).digest())
         with pytest.raises(AdleError, match=re.escape(
                 f"struct adle_bank is layout {old} of {size} bytes, but the loader's _BankArgs "
-                f"is layout 6 of {size} bytes")):
+                f"is layout 7 of {size} bytes")):
             _kernel.BankKernel(ctypes.CDLL(str(_kernel._build())))
 
 

@@ -171,6 +171,16 @@ def test_centralized_estimate_from_means_matches_history_path(ring_model):
     )
 
 
+def test_model_refuses_a_sensing_matrix_with_no_rows():
+    # an agent that observes nothing, named where the model is built, not an
+    # IndexError from the eigenvalues of its 0 x 0 noise covariance
+    for rows in ((np.zeros((0, 2)), np.eye(2)), (np.eye(2), np.zeros((0, 2)))):
+        covs = tuple(np.eye(len(h)) for h in rows)
+        agent = next(n for n, h in enumerate(rows) if len(h) == 0)
+        with pytest.raises(ValueError, match=fr"^sensing\[{agent}\] has no rows$"):
+            ObservationModel(rows, covs, np.zeros(2))
+
+
 def test_model_rejects_dimension_mismatches():
     with pytest.raises(ValueError):
         ObservationModel((np.eye(2),), (np.eye(3),), np.zeros(2))

@@ -177,8 +177,7 @@ def test_jensen_direction_for_fiedler_value(pentagon):
 
 
 def test_the_link_law_is_read_in_network_only():
-    # the harness, the kernel's loader and the CLI see only TopologyModel's link_draws and
-    # kernel_links
+    # the harness, the kernel's loader and the CLI see only TopologyModel's kernel_links
     def reads_law(path):
         return any(isinstance(node, ast.Attribute) and node.attr == "law"
                    for node in ast.walk(ast.parse(path.read_text())))

@@ -8,9 +8,10 @@ script drives every entry point over the shapes where an index can go
 one past, and checks that a partial lane group's last trial is itself
 run alone: partial lane groups, one-step and odd segments with grid steps
 on their ends, the kernel's noise and link draws under every link law
-and noise family, across a block's end too, ragged observation
-dimensions, zero-step records calls, the failure paths, a segment past
-step 2**31 and skipped picks.  A sanitizer report fails the test.
+and noise family, ragged observation dimensions, block starts by
+segments that end at a block's end and that cross it into a short last
+block, on five edges and on one, zero-step records calls, the failure
+paths and a segment past step 2**31.  A sanitizer report fails the test.
 """
 
 import copy
@@ -62,8 +63,9 @@ def test_the_kernel_runs_clean_under_address_and_undefined_behavior_sanitizers(t
 
 
 #: ``_run_bank`` calls of :func:`_drive`: eight models and links, four banks,
-#: three grids, and a run across a block's end per link law and noise family.
-EXPECTED_RUNS = 8 * 4 * 3 + 3 * 2
+#: three grids, and two runs into a short last block per link law and noise
+#: family.
+EXPECTED_RUNS = 8 * 4 * 3 + 3 * 2 * 2
 
 
 def _drive(library: str) -> None:
@@ -72,9 +74,11 @@ def _drive(library: str) -> None:
     from adle import harness
     from adle.cli import example1_model
     from adle.errors import TrialDiverged
-    from adle.network import TopologyModel, cycle_graph, path_graph
+    from adle.model import ObservationModel
+    from adle.network import Graph, TopologyModel, cycle_graph, path_graph
     from adle.schedule import WeightSchedule
     from conftest import make_ragged_model
+    from reference import tiled_state
 
     _kernel._build = lambda: Path(library)
     kernel = _kernel.load()
@@ -97,13 +101,15 @@ def _drive(library: str) -> None:
             alone = harness._run_bank(model, top, schedule, 80, grids[-1], seeds[-1:])
             assert all(got[-1].tobytes() == want[0].tobytes()
                        for got, want in zip(results[:5], alone)), (bank, top.law)
-    for law in ("static", "bernoulli", "gossip"):  # across a block's end, into a short block
+    # into a short last block, by a segment that ends at a block's end and by one across it
+    horizon = harness.BLOCK_STEPS + 40
+    for law in ("static", "bernoulli", "gossip"):
         for noise in ("gaussian", "laplace"):
-            top, horizon = TopologyModel(cycle_graph(5), law, 0.5), harness.BLOCK_STEPS + 40
-            harness._run_bank(example1_model(noise), top, schedule, horizon,
-                              np.array([harness.BLOCK_STEPS, horizon]),
-                              [(3, k) for k in range(7)])
-            runs += 1
+            top = TopologyModel(cycle_graph(5), law, 0.5)
+            for grid in ([harness.BLOCK_STEPS, horizon], [37, horizon]):
+                harness._run_bank(example1_model(noise), top, schedule, horizon, np.array(grid),
+                                  [(3, k) for k in range(7)])
+                runs += 1
 
     # zero-step records calls, at every width, clean and on each failure path
     model, top = example1_model(), TopologyModel(cycle_graph(5), "bernoulli", 0.5)
@@ -111,10 +117,7 @@ def _drive(library: str) -> None:
 
     def bank_state(bank):
         """A bank of ``bank`` zero states whose Grammians are the identity."""
-        state = harness.initial_network_state(model)
-        for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
-            array = getattr(state, field)
-            setattr(state, field, np.tile(array, (bank,) + (1,) * array.ndim))
+        state = tiled_state(model, bank)
         state.grammians[:] = np.eye(m)
         return state
 
@@ -130,9 +133,8 @@ def _drive(library: str) -> None:
                 state.grammians[bank - 2] = -np.eye(m)  # G + gamma I = 0 at gamma = 1
             if "overflow" in breaks:
                 state.estimates[bank - 3, 0] = 1e300
-            streams = _kernel.Streams(range(bank))
-            bound = wide.bind(state, model, top, WeightSchedule(tau_gamma=0.0), streams,
-                              streams.copy())
+            bound = wide.bind(state, model, top, WeightSchedule(tau_gamma=0.0),
+                              _kernel.Streams(range(bank)), 3)
             out = np.empty((bank, n + 3))
             try:
                 bound.advance(3, 3, out)
@@ -144,9 +146,8 @@ def _drive(library: str) -> None:
         bank, steps = 11, 8
         state = bank_state(bank)
         state.grammians[bank - 1] = -0.25 * np.eye(m)  # gamma 1 / 4 at step 3 meets -I / 4
-        streams = _kernel.Streams(range(bank))
         bound = wide.bind(state, model, top, WeightSchedule(a=0.0, b=0.0, tau_gamma=1.0),
-                          streams, streams.copy())
+                          _kernel.Streams(range(bank)), steps)
         try:
             bound.advance(0, steps, np.empty((bank, n + 3)))
             raise AssertionError("no zero pivot met")
@@ -155,18 +156,25 @@ def _drive(library: str) -> None:
         # a segment past step 2**31, with records
         start = 2**31 + 5
         bound = wide.bind(bank_state(7), model, top, schedule, _kernel.Streams(range(7)),
-                          _kernel.Streams(range(7)))
+                          start + 37)
         out = np.empty((7, n + 3))
         bound.advance(start, start + 37, out)
         assert np.all(np.isfinite(out))
 
-    # the stream entry points: a jump, copies, and skipped picks
-    streams = _kernel.Streams([(5, k) for k in range(3)])
-    streams.advance(2**70 + 3)
-    streams.copy(streams.copy())
-    for count in (1, 37):
-        for edges in (1, 5):  # one edge draws nothing
-            streams.skip_picks(edges, count)
+        # block starts by bound advances under both drawing laws, on five edges
+        # and on one (where a pick draws nothing): one-step segments, and one
+        # across a block's end into a short last block, with records
+        pair = ObservationModel((np.ones((1, 1)),) * 2, (np.eye(1),) * 2, np.zeros(1))
+        for other, graph in ((model, cycle_graph(5)), (pair, Graph(2, ((0, 1),)))):
+            for law in ("bernoulli", "gossip"):
+                state = tiled_state(other, 7)
+                bound = wide.bind(state, other, TopologyModel(graph, law, 0.5), schedule,
+                                  _kernel.Streams(range(7)), horizon)
+                for stop in (1, 2, horizon - 3, horizon):
+                    out = np.empty((7, other.num_agents + 3))
+                    bound.advance(state.step, stop, out)
+                    state.step = stop
+                assert np.all(np.isfinite(out))
     print("clean", runs)
 
 

@@ -66,7 +66,7 @@ def test_block_equals_per_step_values_bit_for_bit(schedule):
         q0, (x, g, shifts, moments, outer) = np.ones((2, 1, 1)), [a.copy() for a in state]
         streams = _kernel.Streams([(start, r) for r in range(bank)])
         _kernel.load().bind(NetworkState(*state, q0, start, model.obs_dims), model, top,
-                            schedule, streams, streams.copy()).advance(start, start + 1)
+                            schedule, streams, start + 1).advance(start, start + 1)
 
         noise = np.stack([np.random.default_rng((start, r)).standard_normal((2, 1))
                           for r in range(bank)])

@@ -4,6 +4,7 @@ and the same draws, which the kernel makes; and the public helpers, which
 draw from a numpy ``Generator`` directly, against that generator read by hand."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from adle.model import ObservationModel, sample_observation
 from adle.network import (
     Graph,
     TopologyModel,
+    complete_graph,
     cycle_graph,
     laplacian_of,
     path_graph,
@@ -21,14 +23,9 @@ from adle.network import (
 )
 from adle.schedule import WeightSchedule
 from conftest import make_ragged_model, numpy_states, stream_states
+from reference import check_block_ends
 
 SEED_PARTS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**33]
-
-
-def _pairs(count=3, start=0):
-    """A bank of ``count`` streams and the numpy generators of the same seeds."""
-    seeds = [np.random.SeedSequence((41, start + k)) for k in range(count)]
-    return _kernel.Streams(seeds), [np.random.default_rng(seed) for seed in seeds]
 
 
 @pytest.mark.parametrize("first", SEED_PARTS)
@@ -48,6 +45,15 @@ def test_seeds_are_entropy_or_seed_sequences():
         [np.random.default_rng(seed) for seed in seeds])
     with pytest.raises(ValueError, match="non-negative"):
         _kernel.Streams([(1, -2)])
+
+
+def test_a_seed_of_no_ints_is_refused_by_name():
+    # not "'float' object is not iterable" from inside the seeding
+    for seed in (1.5, (3, 2.0), "7", [4, [None]]):
+        with pytest.raises(TypeError, match=re.escape(
+                "a seed must be a non-negative int, a sequence of them or a SeedSequence, "
+                f"got {seed!r}")):
+            _kernel.Streams([0, seed])
 
 
 def test_an_empty_bank_is_refused_by_name():
@@ -78,61 +84,47 @@ def test_the_kernels_noise_is_numpys_draws(family):
             assert shifts.tobytes() == expected.tobytes()
 
 
+def _scalar_model(agents: int) -> ObservationModel:
+    """``agents`` agents, each observing the scalar parameter with unit noise."""
+    return ObservationModel((np.ones((1, 1)),) * agents, (np.eye(1),) * agents, np.zeros(1))
+
+
+def _seeds(start=0):
+    return [np.random.SeedSequence((41, start + k)) for k in range(3)]
+
+
 def test_bernoulli_masks_across_the_block_jump():
-    # a copy of the bank takes its states, from which the kernel draws the
-    # block's masks, while the bank jumps the S * E uniforms they take
+    # at a block's start each trial's link stream takes its stream's state, from
+    # which the kernel draws the block's masks, while the stream jumps the S * E
+    # uniforms they take: at the end of a full block and of a short last one, in
+    # segments of 1 and 37 steps, both stand where numpy's whole-block draws of
+    # the masks and the noise leave its generators
     top = TopologyModel(cycle_graph(7), "bernoulli", 0.3)
-    streams, generators = _pairs()
-    links = _kernel.Streams([0] * 3)
-    for steps in (BLOCK_STEPS, 50):
-        start = numpy_states(generators)
-        top.link_draws(streams, links, steps)
-        for rng in generators:
-            rng.random((steps, 7))
-        assert stream_states(links._states) == start
-        assert stream_states(streams._states) == numpy_states(generators)
+    check_block_ends(_scalar_model(7), top, _seeds(), BLOCK_STEPS + 50)
 
 
-def test_gossip_picks_carry_the_half_word_until_an_advance():
-    # each pick draws a half-word: the bank skips a block's picks, 37 of them
-    # carrying one into the next block's, and 37 + 1024 one into the advance,
-    # which drops it, as numpy's does; the copy starts where the bank did
+def test_gossip_picks_carry_the_half_word_past_the_noise():
+    # each pick draws a half-word: the stream skips a full block's picks, then
+    # 37 of them, whose last carries one past the block's noise, which draws
+    # whole words, as numpy's does; the link stream ends carrying it too
     top = TopologyModel(cycle_graph(5), "gossip")
-    streams, generators = _pairs()
-    links = _kernel.Streams([0] * 3)
-    for steps in (37, BLOCK_STEPS):
-        start = numpy_states(generators)
-        top.link_draws(streams, links, steps)
-        for rng in generators:
-            rng.integers(0, 5, size=steps)
-        assert stream_states(links._states) == start
-        assert stream_states(streams._states) == numpy_states(generators)
-    assert stream_states(streams._states)[0][2] == 1  # 37 + 1024 half-words: one carried
-    streams.advance(3)
-    for rng in generators:
-        rng.bit_generator.advance(3)
-    assert stream_states(streams._states) == numpy_states(generators)
-    # skips of other edge counts
-    for high in (2, 300):
-        streams, generators = _pairs(start=high)
-        streams.skip_picks(high, 7)
-        for rng in generators:
-            rng.integers(0, high, 7)
-        assert stream_states(streams._states) == numpy_states(generators)
+    (_, streams, links), = check_block_ends(_scalar_model(5), top, _seeds(), BLOCK_STEPS + 37)[1:]
+    assert [state[2] for state in streams + links] == [1] * 6
+    # skips of other edge counts, in a short first block
+    for high, graph in ((2, path_graph(3)), (300, complete_graph(25))):
+        assert graph.num_edges == high
+        top = TopologyModel(graph, "gossip")
+        check_block_ends(_scalar_model(graph.num_nodes), top, _seeds(high), 7)
 
 
 @pytest.mark.parametrize("law", ["bernoulli", "gossip"])
 def test_a_one_edge_graph(law):
-    # one edge: gossip picks it every step without drawing
+    # one edge: gossip picks it every step without drawing, so its link
+    # streams stay where the streams were at the block's start
     top = TopologyModel(Graph(2, ((0, 1),)), law, 0.5)
-    streams, generators = _pairs()
-    links = streams.copy()
-    top.link_draws(streams, links, 40)
-    for rng in generators:
-        top.draw_active(rng, 40)
-    assert stream_states(streams._states) == numpy_states(generators)
-    if law == "gossip":
-        assert stream_states(streams._states) == stream_states(links._states)
+    (_, _, links), = check_block_ends(_scalar_model(2), top, _seeds(), 40)
+    fresh = numpy_states([np.random.default_rng(seed) for seed in _seeds()])
+    assert (links == fresh) == (law == "gossip")
 
 
 # ----------------------------------------------------------------- public helpers
