@@ -44,6 +44,17 @@
  * numpy's pairwise order, so only the gain gap differs, in its last bits:
  * LAPACK orders its solves its way.
  *
+ * The Grammians stay exactly symmetric, and their m^2 work runs on the
+ * upper triangle only: the innovation H' inv(Q + gamma I) H, the consensus
+ * edge sums and the update of G.  The gain solve mirrors G's upper
+ * triangle into G + gamma I.  After its steps, before its records and its
+ * scatter, each lane group copies its upper triangles into the lower ones,
+ * so the bank state and the records hold a whole, symmetric G; the loader
+ * binds no bank whose Grammians are not exactly symmetric.  Where every
+ * sensing entry is 0 or 1 and mx is 1, the whole H' inv(Q + gamma I) H
+ * comes out exactly symmetric, so the upper triangle alone gives the bits
+ * of a round over every entry.
+ *
  * Trial lanes.  A vector of LANES doubles carries one trial per lane,
  * and every lane performs exactly the scalar operations of its own
  * trial, in the same order, so the results do not depend on the lane
@@ -435,8 +446,9 @@ static M NAME(solve)(int64_t n, int64_t k, V *a, V *b)
 }
 
 /* One agent's gain K = inv(G + gamma I) H' inv(Q + gamma I) from its
- * time-t state, left in work[0, m mx), and gi = H' inv(Q + gamma I) H
- * unless gi is NULL.  q0 and h are shared by the lanes; work holds
+ * time-t state, left in work[0, m mx), and the upper triangle of
+ * gi = H' inv(Q + gamma I) H unless gi is NULL.  Only G's upper triangle
+ * is read.  q0 and h are shared by the lanes; work holds
  * 2 mx^2 + 2 m mx + m^2 vectors.  Returns the lanes with a zero pivot. */
 static M NAME(gain)(int64_t m, int64_t mx, int64_t count, double gamma, const V *g,
                     const V *sums, const V *outer, const double *q0, const double *h,
@@ -479,7 +491,7 @@ static M NAME(gain)(int64_t m, int64_t mx, int64_t count, double gamma, const V 
         }
     }
     for (int64_t i = 0; gi != NULL && i < m; i++) {
-        for (int64_t j = 0; j < m; j++) {
+        for (int64_t j = i; j < m; j++) {
             V s = NAME(splat)(0.0);
             for (int64_t k = 0; k < mx; k++)
                 s += bt[i * mx + k] * h[k * m + j];
@@ -487,9 +499,11 @@ static M NAME(gain)(int64_t m, int64_t mx, int64_t count, double gamma, const V 
         }
     }
     memcpy(gain, bt, (size_t)(m * mx) * sizeof(V));
-    memcpy(ga, g, (size_t)(m * m) * sizeof(V));
-    for (int64_t i = 0; i < m; i++)
-        ga[i * m + i] += gamma;
+    for (int64_t i = 0; i < m; i++) {
+        ga[i * m + i] = g[i * m + i] + gamma;
+        for (int64_t j = i + 1; j < m; j++)
+            ga[i * m + j] = ga[j * m + i] = g[i * m + j];
+    }
     return singular | NAME(solve)(m, mx, ga, gain);
 }
 
@@ -517,12 +531,14 @@ static M NAME(agent_terms)(int64_t m, int64_t mx, int64_t count, double gamma,
     return singular;
 }
 
-/* Edge-indexed neighborhood sums: where the edge (i, j) is on, add
- * v_i - v_j to agent i and subtract it from agent j. */
-static void NAME(edge_sums)(int64_t width, int64_t i, int64_t j, M on, const V *v, V *out)
+/* Edge-indexed neighborhood sums of ``width`` values an agent, ``stride``
+ * apart: where the edge (i, j) is on, add v_i - v_j to agent i and
+ * subtract it from agent j. */
+static void NAME(edge_sums)(int64_t stride, int64_t width, int64_t i, int64_t j, M on,
+                            const V *v, V *out)
 {
-    const V *vi = v + i * width, *vj = v + j * width;
-    V *oi = out + i * width, *oj = out + j * width;
+    const V *vi = v + i * stride, *vj = v + j * stride;
+    V *oi = out + i * stride, *oj = out + j * stride;
     for (int64_t q = 0; q < width; q++) {
         V d = vi[q] - vj[q];
         oi[q] = NAME(pick)(on, oi[q] + d, oi[q]);
@@ -744,7 +760,9 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, do
             }
 
             memset(cx, 0, (size_t)(n * m) * sizeof(V));
-            memset(cg, 0, (size_t)(n * mm) * sizeof(V));
+            for (int64_t a = 0; a < n; a++)  /* G's upper triangle, row by row */
+                for (int64_t r = 0; r < m; r++)
+                    memset(cg + a * mm + r * (m + 1), 0, (size_t)(m - r) * sizeof(V));
             M on = NAME(splat_index)(-1), picked = on;  /* a dead lane picks no edge */
             for (int l = 0; links == PICK && l < LANES && first + l < bank; l++)
                 LANE(picked, l) = pick_edge(&link_streams[first + l], num_edges);
@@ -757,14 +775,19 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, do
                     on = SAME(picked, NAME(splat_index)(k));
                 if (!NAME(any)(on))
                     continue;
-                NAME(edge_sums)(m, edges[2 * k], edges[2 * k + 1], on, xr, cx);
-                NAME(edge_sums)(mm, edges[2 * k], edges[2 * k + 1], on, gr, cg);
+                NAME(edge_sums)(m, m, edges[2 * k], edges[2 * k + 1], on, xr, cx);
+                for (int64_t r = 0; r < m; r++)  /* G's upper triangle, row by row */
+                    NAME(edge_sums)(mm, m - r, edges[2 * k], edges[2 * k + 1], on,
+                                    gr + r * (m + 1), cg + r * (m + 1));
             }
 
             for (int64_t q = 0; q < n * m; q++)
                 xr[q] = NAME(pick)(live, xr[q] - beta * cx[q] + alpha * innov[q], xr[q]);
-            for (int64_t q = 0; q < n * mm; q++)
-                gr[q] = NAME(pick)(live, gr[q] - beta * cg[q] + alpha * (gi[q] - gr[q]), gr[q]);
+            for (int64_t a = 0; a < n; a++)  /* G's upper triangle */
+                for (int64_t r = 0; r < m; r++)
+                    for (int64_t q = a * mm + r * (m + 1); q < a * mm + (r + 1) * m; q++)
+                        gr[q] = NAME(pick)(live, gr[q] - beta * cg[q] + alpha * (gi[q] - gr[q]),
+                                           gr[q]);
 
             for (int64_t a = 0; a < n; a++) {
                 const V *ya = y + a * mx;
@@ -782,6 +805,10 @@ int NAME(adle_advance_bank)(struct adle_bank *b, int64_t start, int64_t stop, do
             }
         }
 
+        for (int64_t a = 0; a < n; a++)  /* G's lower triangle, mirrored */
+            for (int64_t r = 1; r < m; r++)
+                for (int64_t c = 0; c < r; c++)
+                    gr[a * mm + r * m + c] = gr[a * mm + c * m + r];
         if (out != NULL)
             NAME(records)(b, &fields, first, stop, group, out, bad);
         for (int i = 0; i < 5; i++)

@@ -234,7 +234,9 @@ class BankKernel:
 
         ``state`` is an ``adle.estimator.NetworkState`` whose arrays carry a
         leading axis of R trials; the kernel updates its estimates,
-        Grammians and moments in place.  ``model`` is the
+        Grammians and moments in place.  Its Grammians must be symmetric
+        bit for bit, else ``ValueError``: the kernel reads and updates
+        their upper triangles and mirrors them.  ``model`` is the
         ``ObservationModel`` whose padded sensing, sensed truth and noise
         factors (``_stacked``) it reads, and whose family it draws,
         ``top`` holds the links and what the kernel draws of them
@@ -247,8 +249,10 @@ class BankKernel:
         state at each block's start, of ``BLOCK_STEPS`` steps or up to the
         horizon, while the stream moves past the block's links; the kernel
         draws each step's links from it.  The arrays' contents may change
-        between segments; no address may.  The returned bank keeps every
-        array alive, and the link streams and lane scratch allocated here.
+        between segments, though each segment reads only the Grammians'
+        upper triangles and mirrors them; no address may.  The returned
+        bank keeps every array alive, and the link streams and lane scratch
+        allocated here.
         """
         stacked = model._stacked
         n, m, mx, bank = model.num_agents, model.param_dim, stacked.max_dim, len(streams)
@@ -270,6 +274,10 @@ class BankKernel:
         }
         if not all(arrays[name].flags.writeable for name in ("x", "g", "shift", "sums", "outer")):
             raise ValueError("the bank state arrays must be writable")
+        bits = arrays["g"].view(np.int64)
+        if not np.array_equal(bits, bits.swapaxes(-1, -2)):
+            raise ValueError("grammians must be exactly symmetric, bit for bit: the kernel "
+                             "reads their upper triangles only")
         if top.base.num_nodes != n:
             raise ValueError(f"topology has {top.base.num_nodes} nodes, state has {n} agents")
         args = _BankArgs(bank=bank, n=n, m=m, mx=mx, num_edges=top.base.num_edges,

@@ -81,6 +81,8 @@ def initial_network_state(
     agent; ``sample_cov`` may be a scalar ``c`` (meaning ``c I``) or a
     square matrix shared by all agents of equal observation dimension.
     Raises ``ValueError`` unless both are symmetric positive semidefinite.
+    The Grammian taken is the exactly symmetric (G + G') / 2, which the
+    kernel needs: bit for bit ``grammian`` itself where that is symmetric.
     """
     stacked = model._stacked
     n, m, mx = model.num_agents, model.param_dim, stacked.max_dim
@@ -104,7 +106,7 @@ def initial_network_state(
             raise ValueError(f"{name} must be symmetric positive semidefinite") from None
     return NetworkState(
         estimates=np.tile(x0, (n, 1)),
-        grammians=np.tile(g0, (n, 1, 1)),
+        grammians=np.tile((g0 + g0.T) / 2, (n, 1, 1)),
         obs_shifts=np.zeros((n, mx)),
         obs_sums=np.zeros((n, mx)),
         obs_outer_sums=np.zeros((n, mx, mx)),

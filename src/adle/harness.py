@@ -281,7 +281,8 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
     every step ``t`` of ``grid``.
 
     ``state`` is one :class:`NetworkState` whose arrays carry a leading
-    trial axis.  It is advanced in place, its arrays bound to the kernel
+    trial axis, and whose Grammians are exactly symmetric at every yield.
+    It is advanced in place, its arrays bound to the kernel
     once with the streams (replace none of them), so copy what must
     outlive the next step.  ``init`` holds the optional initial
     estimate, Grammian and sample covariance of :func:`initial_network_state`.

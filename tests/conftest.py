@@ -48,6 +48,18 @@ def make_ragged_model(noise: str = "gaussian") -> ObservationModel:
     return ObservationModel(sensing, noise_cov, np.array([1.0, -2.0]), noise=noise)
 
 
+def make_random_sensing_model() -> ObservationModel:
+    """Four agents and three parameters, with random (not 0 or 1) sensing
+    entries, observation dimensions 2, 1, 2 and 1 and correlated noise, so
+    that H' inv(Q + gamma I) H is symmetric only up to rounding."""
+    rng = np.random.default_rng(20110301)
+    dims = (2, 1, 2, 1)
+    sensing = tuple(rng.normal(size=(d, 3)) for d in dims)
+    noise_cov = tuple(a @ a.T + 0.5 * np.eye(d)
+                      for a, d in ((rng.normal(size=(d, d)), d) for d in dims))
+    return ObservationModel(sensing, noise_cov, np.array([0.5, -1.0, 2.0]))
+
+
 def stream_states(states) -> list[tuple[int, ...]]:
     """Each stream's PCG64 state and increment, and its carried half-word's
     flag and value, of a bank's states (``_kernel.Streams._states``)."""

@@ -51,7 +51,13 @@ from adle.network import (
     sample_laplacian,
 )
 from adle.schedule import WeightSchedule, checkpoint_bound, recursion_trace
-from conftest import make_noiseless_ring, make_ragged_model, numpy_states, stream_states
+from conftest import (
+    make_noiseless_ring,
+    make_ragged_model,
+    make_random_sensing_model,
+    numpy_states,
+    stream_states,
+)
 from reference import (
     check_block_ends,
     fold_observations,
@@ -883,6 +889,8 @@ KERNEL_CASES = {
                 WeightSchedule(b=0.5), None),
     "init": (make_ragged_model("laplace"), TopologyModel(path_graph(3), "gossip"),
              WeightSchedule(), (np.array([3.0, -1.0]), np.array([[2.0, 0.5], [0.5, 1.0]]), 2.0)),
+    "sensing": (make_random_sensing_model(), TopologyModel(cycle_graph(4), "bernoulli", 0.6),
+                WeightSchedule(b=0.5), None),
 }
 
 
@@ -1216,6 +1224,60 @@ def test_checkpoint_needs_its_targets(ring_schedule):
         state, q0 = _bank_state(model, None)
         records = _checkpoint(kernel, model, top, state, q0, 1, ring_schedule)
         assert records.shape == (3, 8) and np.all(records[:, 1:6] == np.sqrt(5.0))  # x = 0
+
+
+@pytest.mark.parametrize("case", ["ragged", "sensing"])
+def test_grammians_stay_exactly_symmetric_at_every_grid_step(monkeypatch, case):
+    # the kernel updates the upper triangles and mirrors them, at every lane
+    # width, where H' inv(Q + gamma I) H is symmetric only up to rounding
+    model, top, schedule, _ = KERNEL_CASES[case]
+    horizon = BLOCK_STEPS + 40
+    grid = np.array([1, 2, 37, BLOCK_STEPS, horizon])
+    for kernel in _every_width():
+        monkeypatch.setattr(_kernel, "load", lambda: kernel)
+        steps = []
+        for t, state in trajectory(model, top, schedule, horizon, grid, range(11)):
+            g = state.grammians
+            assert g.tobytes() == g.swapaxes(-1, -2).tobytes(), (kernel.lanes, t)
+            steps.append(t)
+        assert steps == grid.tolist()
+        assert np.any(g != 0.0)
+
+
+def test_an_asymmetric_grammian_is_refused_by_bind():
+    model, top, schedule, _ = KERNEL_CASES["sensing"]
+    (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
+    g[:] = np.eye(model.param_dim)
+    g[1, 2, 0, 2] = 1e-300  # its mirror is 0.0
+    with pytest.raises(ValueError, match="^grammians must be exactly symmetric"):
+        _kernel_advance(_kernel.load(), [x, g, shifts, sums, outer], q0, model, top, schedule,
+                        _streams(0), 0, 8)
+    g[1, 2, 2, 0] = 1e-300
+    g[0, 1, 1, 1] = np.nan  # a NaN is its own mirror: the records name it
+    with pytest.raises(TrialDiverged) as info:
+        _kernel_advance(_kernel.load(), [x, g, shifts, sums, outer], q0, model, top, schedule,
+                        _streams(0), 0, 0, out=np.empty((3, model.num_agents + 3)))
+    assert (info.value.trial, info.value.cause) == (0, TrialDiverged.NON_FINITE)
+
+
+def test_a_nearly_symmetric_initial_grammian_runs_on_its_symmetric_part():
+    # asymmetric at 1e-14 relative: it validates, and the bank starts from
+    # (G + G') / 2, the exactly symmetric Grammian
+    model, top, schedule, _ = KERNEL_CASES["sensing"]
+    g0 = np.array([[2.0, 0.5, 0.25], [0.5, 1.0, -0.125], [0.25, -0.125, 3.0]])
+    skewed = g0.copy()
+    skewed[0, 1] *= 1 + 1e-14
+    skewed[2, 1] *= 1 - 3e-14
+    net = initial_network_state(model, grammian=skewed)
+    assert net.grammians.tobytes() == np.tile((skewed + skewed.T) / 2, (4, 1, 1)).tobytes()
+    assert net.grammians.tobytes() == net.grammians.swapaxes(-1, -2).tobytes()
+    assert initial_network_state(model, grammian=g0).grammians.tobytes() == np.tile(
+        g0, (4, 1, 1)).tobytes()  # a symmetric Grammian is taken bit for bit
+    grid = np.array([5, 40])
+    runs = [harness._run_bank(model, top, schedule, 40, grid, [(5, k) for k in range(3)],
+                              (None, g, None)) for g in (skewed, (skewed + skewed.T) / 2)]
+    for got, want in zip(*runs):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_lane_scratch_is_aligned_and_sized_by_the_kernel():

@@ -8,7 +8,8 @@ script drives every entry point over the shapes where an index can go
 one past, and checks that a partial lane group's last trial is itself
 run alone: partial lane groups, one-step and odd segments with grid steps
 on their ends, the kernel's noise and link draws under every link law
-and noise family, ragged observation dimensions, block starts by
+and noise family, ragged observation dimensions, the Grammians' triangle
+loops at three parameters under random sensing, block starts by
 segments that end at a block's end and that cross it into a short last
 block, on five edges and on one, zero-step records calls, the failure
 paths and a segment past step 2**31.  A sanitizer report fails the test.
@@ -62,10 +63,10 @@ def test_the_kernel_runs_clean_under_address_and_undefined_behavior_sanitizers(t
     assert done.stdout.split()[-2:] == ["clean", str(EXPECTED_RUNS)], done.stdout
 
 
-#: ``_run_bank`` calls of :func:`_drive`: eight models and links, four banks,
+#: ``_run_bank`` calls of :func:`_drive`: nine models and links, four banks,
 #: three grids, and two runs into a short last block per link law and noise
 #: family.
-EXPECTED_RUNS = 8 * 4 * 3 + 3 * 2 * 2
+EXPECTED_RUNS = 9 * 4 * 3 + 3 * 2 * 2
 
 
 def _drive(library: str) -> None:
@@ -77,7 +78,7 @@ def _drive(library: str) -> None:
     from adle.model import ObservationModel
     from adle.network import Graph, TopologyModel, cycle_graph, path_graph
     from adle.schedule import WeightSchedule
-    from conftest import make_ragged_model
+    from conftest import make_ragged_model, make_random_sensing_model
     from reference import tiled_state
 
     _kernel._build = lambda: Path(library)
@@ -87,7 +88,8 @@ def _drive(library: str) -> None:
     cases = [(example1_model(noise), TopologyModel(cycle_graph(5), law, 0.5))
              for law in ("static", "bernoulli", "gossip") for noise in ("gaussian", "laplace")]
     cases += [(make_ragged_model(), TopologyModel(path_graph(3), "bernoulli", 0.7)),
-              (make_ragged_model("laplace"), TopologyModel(path_graph(3), "gossip"))]
+              (make_ragged_model("laplace"), TopologyModel(path_graph(3), "gossip")),
+              (make_random_sensing_model(), TopologyModel(cycle_graph(4), "bernoulli", 0.6))]
     # segments of 1 step, of 37 steps, and ending on grid steps 1, 36, 37, 74 and 80
     grids = (np.arange(1, 81), np.array([37, 74, 80]), np.array([1, 36, 37, 74, 80]))
     for model, top in cases:
