@@ -7,10 +7,12 @@ single call, computing each step's weights from the schedule, starting
 each block's link draws, drawing each step's noise and links from the
 trials' streams and forming the observations from the noise, and, where
 asked, writes the bank's checkpoint records at the segment's last step.
-A bank is bound once, with its state, model, links, schedule, streams
-and horizon (``BankKernel.bind``), its link streams and one lane
-scratch buffer.
-:class:`Streams` are a bank's PCG64 streams, drawn by numpy's own C
+A bank is made in one place, ``BankKernel.bind(model, top, schedule,
+seeds, horizon, init)``: its state, tiled over its trials from
+``initial_network_state``, its streams and their link-stream copies and
+one lane scratch buffer, bound once; ``BoundBank.advance(stop, out)``
+runs one segment.  The streams are numpy's PCG64, seeded as
+``np.random.default_rng`` seeds it and drawn by numpy's own C
 distributions, which the library links from numpy's static
 ``libnpyrandom.a``.  The library is compiled on first use with the
 system C compiler and cached under the package's ``__pycache__`` (else
@@ -40,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AdleError, TrialDiverged
+from .estimator import initial_network_state
 from .model import _LAPLACE_SCALE
 
 try:  # hashlib would load OpenSSL, several MB, for one digest
@@ -229,57 +232,48 @@ class BankKernel:
                      for width in WIDTHS[:WIDTHS.index(self.lanes) + 1]}
         self._lib = lib
 
-    def bind(self, state, model, top, schedule, streams, horizon: int) -> "BoundBank":
-        """Check a bank and its streams once and bind their addresses.
+    def bind(self, model, top, schedule, seeds, horizon: int, init=None) -> "BoundBank":
+        """Make a bank of R trials, one per seed, and bind its addresses.
 
-        ``state`` is an ``adle.estimator.NetworkState`` whose arrays carry a
-        leading axis of R trials; the kernel updates its estimates,
-        Grammians and moments in place.  Its Grammians must be symmetric
-        bit for bit, else ``ValueError``: the kernel reads and updates
-        their upper triangles and mirrors them.  ``model`` is the
-        ``ObservationModel`` whose padded sensing, sensed truth and noise
-        factors (``_stacked``) it reads, and whose family it draws,
-        ``top`` holds the links and what the kernel draws of them
-        (``TopologyModel.kernel_links``), and ``schedule`` is the
-        ``WeightSchedule`` whose alpha, beta and gamma the kernel computes
-        at each step.  ``streams`` is a bank of R :class:`Streams`, from
-        which the kernel draws each trial's unit-variance noise, and
-        ``horizon`` the step no segment goes beyond.  Each trial's link
-        stream, allocated here as a copy of its stream, takes the stream's
-        state at each block's start, of ``BLOCK_STEPS`` steps or up to the
-        horizon, while the stream moves past the block's links; the kernel
-        draws each step's links from it.  The arrays' contents may change
-        between segments, though each segment reads only the Grammians'
-        upper triangles and mirrors them; no address may.  The returned
-        bank keeps every array alive, and the link streams and lane scratch
-        allocated here.
+        Trial r's stream draws what ``np.random.default_rng(seeds[r])``
+        draws: a seed is a non-negative int or a sequence of them
+        (:func:`_seed_words`), or has ``generate_state``, as a
+        ``SeedSequence`` has.  The bank's ``state`` is
+        ``initial_network_state(model, *init)`` with a leading axis of R
+        trials, which the kernel updates in place.  The kernel reads
+        ``model``'s padded arrays (``_stacked``) and draws its noise
+        family, draws the links that ``top.kernel_links`` names, computes
+        ``schedule``'s weights at each step, and runs no segment beyond
+        ``horizon``.  Each trial's link stream, a copy of its stream, takes
+        the stream's state at each block's start, of ``BLOCK_STEPS`` steps
+        or up to the horizon, while the stream moves past the block's
+        links.  The state's contents may change between segments, though
+        a segment reads only the Grammians' upper triangles; no address may.
         """
         stacked = model._stacked
-        n, m, mx, bank = model.num_agents, model.param_dim, stacked.max_dim, len(streams)
-        if not isinstance(streams, Streams):
-            raise ValueError(f"streams must be a bank of {bank} Streams, one per trial")
+        n, m, mx, bank = model.num_agents, model.param_dim, stacked.max_dim, len(seeds)
+        if not bank:
+            raise ValueError("a bank of streams needs at least one seed")
         if not 0 <= horizon < 2**63:  # an int64 step
             raise ValueError(f"horizon {horizon} needs 0 <= horizon < 2**63")
-        links = _aligned(streams._states.nbytes, 16).reshape(streams._states.shape)
-        links[...] = streams._states
-        arrays = {  # in the order of struct adle_bank
-            "x": _check(state.estimates, "estimates", np.float64, (bank, n, m)),
-            "g": _check(state.grammians, "grammians", np.float64, (bank, n, m, m)),
-            "shift": _check(state.obs_shifts, "obs_shifts", np.float64, (bank, n, mx)),
-            "sums": _check(state.obs_sums, "obs_sums", np.float64, (bank, n, mx)),
-            "outer": _check(state.obs_outer_sums, "obs_outer_sums", np.float64, (bank, n, mx, mx)),
-            "q0": _check(state.initial_sample_covs, "initial_sample_covs", np.float64, (n, mx, mx)),
-            "h": stacked.sensing, "truth": stacked.sensed_truth, "factor": stacked.noise_factor,
-            "edges": top.edge_array, "streams": streams._states, "link_streams": links,
-        }
-        if not all(arrays[name].flags.writeable for name in ("x", "g", "shift", "sums", "outer")):
-            raise ValueError("the bank state arrays must be writable")
-        bits = arrays["g"].view(np.int64)
-        if not np.array_equal(bits, bits.swapaxes(-1, -2)):
-            raise ValueError("grammians must be exactly symmetric, bit for bit: the kernel "
-                             "reads their upper triangles only")
         if top.base.num_nodes != n:
-            raise ValueError(f"topology has {top.base.num_nodes} nodes, state has {n} agents")
+            raise ValueError(f"topology has {top.base.num_nodes} nodes, model has {n} agents")
+        words = np.array([seed.generate_state(4, np.uint64) if hasattr(seed, "generate_state")
+                          else _seed_words(seed) for seed in seeds], np.uint64)
+        # the streams, then their link streams; __uint128_t wants 16-byte alignment
+        streams = _aligned(2 * bank * STREAM_BYTES, 16).reshape(2, bank, -1)
+        self._lib.adle_seed(streams.ctypes.data, bank, words.ctypes.data)
+        streams[1] = streams[0]
+        state = initial_network_state(model, *(init or ()))
+        for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
+            setattr(state, field, np.repeat(getattr(state, field)[None], bank, axis=0))
+        arrays = {  # in the order of struct adle_bank
+            "x": state.estimates, "g": state.grammians, "shift": state.obs_shifts,
+            "sums": state.obs_sums, "outer": state.obs_outer_sums,
+            "q0": state.initial_sample_covs,
+            "h": stacked.sensing, "truth": stacked.sensed_truth, "factor": stacked.noise_factor,
+            "edges": top.edge_array, "streams": streams[0], "link_streams": streams[1],
+        }
         args = _BankArgs(bank=bank, n=n, m=m, mx=mx, num_edges=top.base.num_edges,
                          links=top.kernel_links, horizon=horizon, block=BLOCK_STEPS, p=top.p,
                          laplace=0.0 if model.noise == "gaussian" else _LAPLACE_SCALE,
@@ -291,24 +285,24 @@ class BankKernel:
         size = self._lib.adle_scratch_vectors(ctypes.byref(args)) * lanes * 8
         arrays["scratch"] = _aligned(size, 64)
         args.scratch = arrays["scratch"].ctypes.data
-        return BoundBank(self._fns[lanes], args, arrays, model)
+        return BoundBank(self._fns[lanes], args, arrays, model, state)
 
 
 class BoundBank:
-    """A bank whose arrays are checked and whose addresses are bound:
+    """A bank whose state is made and whose addresses are bound:
     :meth:`advance` once per segment."""
 
-    def __init__(self, advance, args: _BankArgs, arrays: dict, model):
+    def __init__(self, advance, args: _BankArgs, arrays: dict, model, state):
         self._fn, self._args, self._arrays = advance, args, arrays
-        self._model, self._ref = model, ctypes.byref(args)
+        self._model, self._ref, self.state = model, ctypes.byref(args), state
 
-    def advance(self, start: int, stop: int, out: np.ndarray | None = None) -> None:
-        """Advance the bank in place through steps ``start..stop-1``,
-        ``start`` the observations folded, at each step's weights, drawing
-        its noise and links, the block's links first at a block's start;
-        then, given a float64 (R, N + 3) ``out``,
-        write into it each trial's records at step ``stop``: the
-        disagreement, N error norms, gain gap and Grammian gap.
+    def advance(self, stop: int, out: np.ndarray | None = None) -> None:
+        """Advance the bank in place through steps ``state.step..stop-1``,
+        ``state.step`` the observations folded, at each step's weights,
+        drawing its noise and links, the block's links first at a block's
+        start, and set ``state.step`` to ``stop``; then, given a float64
+        (R, N + 3) ``out``, write into it each trial's records at step
+        ``stop``: the disagreement, N error norms, gain gap and Grammian gap.
         The first such call binds the model's true parameter, optimal gains
         and mean Grammian, so a model that does not validate raises there.
         :class:`TrialDiverged` names a trial by its place in the bank: the
@@ -317,13 +311,16 @@ class BoundBank:
         else with a zero pivot in a gain solve, else with a non-finite record.
         A segment that ends beyond the bound horizon raises ``ValueError``.
         """
-        args = self._args
+        args, start = self._args, self.state.step
         if not 0 <= start <= stop < 2**63:  # int64 steps
             raise ValueError(f"segment [{start}, {stop}) needs 0 <= start <= stop < 2**63")
         if stop > args.horizon:
             raise ValueError(f"segment [{start}, {stop}) ends beyond the horizon {args.horizon}")
         if out is not None:
-            _check(out, "out", np.float64, (args.bank, args.n + 3))
+            shape = (args.bank, args.n + 3)
+            if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                    and out.flags.c_contiguous and out.shape == shape):
+                raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
             if args.theta is None:
                 model = self._model
                 self._arrays.update(theta=np.ascontiguousarray(model.true_param),
@@ -335,33 +332,7 @@ class BoundBank:
         if status != OK:
             cause = TrialDiverged.SINGULAR if status == SINGULAR else TrialDiverged.NON_FINITE
             raise TrialDiverged(args.failure[0], args.failure[1], cause)
-
-
-class Streams:
-    """A bank of random streams: numpy's PCG64 in the compiled library,
-    from which the kernel draws by numpy's own C distributions, so that
-    stream ``r`` of ``Streams(seeds)`` draws exactly what
-    ``np.random.default_rng(seeds[r])`` draws (``BankKernel.bind``).
-
-    A seed is a non-negative int or a sequence of them, seeded as numpy's
-    ``SeedSequence`` seeds it (:func:`_seed_words`), or an object with
-    ``generate_state``, such as a ``SeedSequence``, whose four 64-bit
-    words seed its stream.
-    """
-
-    __slots__ = ("_states",)
-
-    def __init__(self, seeds):
-        if not len(seeds):
-            raise ValueError("a bank of streams needs at least one seed")
-        words = np.array([seed.generate_state(4, np.uint64) if hasattr(seed, "generate_state")
-                          else _seed_words(seed) for seed in seeds], np.uint64)
-        # __uint128_t wants 16-byte alignment
-        self._states = _aligned(len(seeds) * STREAM_BYTES, 16).reshape(len(seeds), -1)
-        load()._lib.adle_seed(self._states.ctypes.data, len(seeds), words.ctypes.data)
-
-    def __len__(self) -> int:
-        return len(self._states)
+        self.state.step = stop
 
 
 def _seed_words(entropy) -> list[int]:
@@ -423,16 +394,6 @@ def scratch_vectors(n: int, m: int, mx: int) -> int:
     """``adle_scratch_vectors`` of ``_kernel.c``: the lane vectors of scratch
     of a bank of ``n`` agents, ``m`` parameters and ``mx`` observations."""
     return n * (3 * m + 3 * m * m + 5 * mx + mx * mx) + 2 * mx * mx + 2 * m * mx + m * m + mx
-
-
-def _check(arr, name: str, dtype, shape):
-    if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
-        raise ValueError(f"{name} must be a {np.dtype(dtype)} array")
-    if not arr.flags.c_contiguous:
-        raise ValueError(f"{name} must be C-contiguous")
-    if arr.shape != shape:
-        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    return arr
 
 
 @functools.cache

@@ -180,7 +180,12 @@ def _read(raw: dict, errors: list[str]) -> dict[str, dict | None]:
 
 
 def _model(spec: dict) -> ObservationModel:
-    model = example1_model(**spec) if spec.pop("preset", None) else ObservationModel(**spec)
+    preset = spec.pop("preset", None)
+    keys = [key for key in ("sensing", "noise_cov", "true_param") if (key in spec) == bool(preset)]
+    if keys:  # example1 sets all three matrices; an explicit model needs all three
+        problem = "not with preset example1" if preset else "missing"
+        raise ValidationError([f"model.{key}: {problem}" for key in keys])
+    model = example1_model(**spec) if preset else ObservationModel(**spec)
     validate_observation_model(model)
     return model
 
@@ -241,6 +246,8 @@ def parse_config(path, overrides=None) -> ScenarioConfig:
     def build(section, make):
         try:
             return None if values[section] is None else make(dict(values[section]))
+        except ValidationError as exc:  # its errors name their keys
+            errors.extend(exc.errors)
         except _ERRORS as exc:
             errors.append(f"{section}: {exc}")
             return None

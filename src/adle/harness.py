@@ -12,9 +12,12 @@ Trials are advanced in fixed-size banks by :func:`trajectory`, the one
 driver of the round: each trial still consumes only its own random
 stream (topology draws for a block of steps, then observation noise for
 the block), so any single trial is bit-reproducible from its seed alone
-and reports do not depend on the parallelism degree.  The compiled
-kernel (``_kernel.c``) is the one round: one call advances a bank from
-one checkpoint to the next, computing each step's weights, starting each
+and reports do not depend on the parallelism degree.  A bank is made in
+one call, ``_kernel.BankKernel.bind(model, top, schedule, seeds,
+horizon, init)``, which seeds its streams and tiles its initial state
+over its trials.  The compiled kernel (``_kernel.c``) is the one round:
+one call, ``BoundBank.advance(stop, out)``, advances a bank from one
+checkpoint to the next, computing each step's weights, starting each
 block's link draws, drawing each step's noise and links and forming the
 observations from the noise, and writes the checkpoint diagnostics of
 the step it ends on.
@@ -31,13 +34,7 @@ import numpy as np
 
 from . import _kernel, _ks
 from .errors import TrialDiverged
-from .estimator import (
-    NetworkState,
-    _gain_kernel,
-    _max_disagreement,
-    _regularized_inverse,
-    initial_network_state,
-)
+from .estimator import _gain_kernel, _max_disagreement, _regularized_inverse
 from .model import ObservationModel, centralized_estimate_from_means
 # the Generator draw of the noise that the kernel draws; here only for bench/tracing.py to time
 from .model import _unit_variance_draws  # noqa: F401
@@ -137,12 +134,12 @@ def _laplacian_at(top: TopologyModel, active, s: int):
     return top.laplacians(None if active is None else active[:, s])
 
 
-def _advance(bound, state: NetworkState, stop: int, out=None) -> None:
-    """Advance a bank in place from ``state.step`` to step ``stop``,
-    ``state.step`` included, by one call of its ``_kernel.BoundBank``,
-    which writes the records of step ``stop`` into ``out`` unless ``None``."""
-    bound.advance(state.step, stop, out)
-    state.step = stop
+def _advance(bound, stop: int, out=None) -> None:
+    """Advance a ``_kernel.BoundBank`` in place from its state's step to
+    step ``stop``, writing the records of step ``stop`` into ``out`` unless
+    ``None``: one kernel call, in a function of its own for bench/tracing.py
+    to time."""
+    bound.advance(stop, out)
 
 
 def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
@@ -160,9 +157,8 @@ def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
 
 def _draw_bytes(model: ObservationModel, trials: int) -> dict[str, int]:
     """Bytes of the buffers that one bank of an experiment holds, by part:
-    the streams of :func:`_walk` and the link streams that its bound bank
-    holds, the kernel's lane scratch at the widest lane width, and the
-    bank's state."""
+    its streams and link streams, the kernel's lane scratch at the widest
+    lane width, and its state."""
     rows = min(TRIALS_PER_BANK, trials)
     n, m, mx = model.num_agents, model.param_dim, max(model.obs_dims)
     return {
@@ -244,9 +240,13 @@ def _memory_limit() -> tuple[int | None, str]:
 
 
 def _grid_steps(grid, horizon: int) -> np.ndarray:
-    """The checkpoint grid as int64 steps, refused unless they are integers,
-    strictly increasing from 1 and end at the horizon."""
+    """The checkpoint grid as int64 steps, refused unless it is a 1-D array
+    of integers or floats whose steps are integers, strictly increasing
+    from 1 and end at the horizon."""
     grid = np.asarray(grid)
+    if grid.ndim != 1 or grid.dtype.kind not in "iuf":  # beyond int64, numpy holds objects
+        raise ValueError(f"checkpoint grid must be a 1-D array of integers or floats, "
+                         f"got a {grid.ndim}-D array of {grid.dtype}")
     if grid.dtype.kind == "f":
         fractional = grid[~(np.isfinite(grid) & (grid == np.floor(grid)))]
         if fractional.size:
@@ -258,21 +258,15 @@ def _grid_steps(grid, horizon: int) -> np.ndarray:
 
 
 def _walk(model, top, schedule, horizon: int, grid, seeds, init=None, records=None):
-    """:func:`trajectory`: the bank, bound once with its schedule, its
-    streams and the horizon, advances in one segment per grid step; the
-    call that ends on grid step ``grid[c]`` writes the bank's records there
-    into ``records[c]`` unless ``records`` is ``None``."""
-    rngs = _kernel.Streams(seeds)
+    """:func:`trajectory`: the bank, made and bound once, advances in one
+    segment per grid step; the call that ends on grid step ``grid[c]``
+    writes the bank's records there into ``records[c]`` unless ``records``
+    is ``None``."""
     grid = _grid_steps(grid, horizon).tolist()
-
-    state = initial_network_state(model, *(init if init is not None else (None, None, None)))
-    for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
-        a = getattr(state, field)
-        setattr(state, field, np.tile(a, (len(rngs),) + (1,) * a.ndim))
-    bound = _kernel.load().bind(state, model, top, schedule, rngs, horizon)
+    bound = _kernel.load().bind(model, top, schedule, seeds, horizon, init)
     for c, stop in enumerate(grid):
-        _advance(bound, state, stop, None if records is None else records[c])
-        yield stop, state
+        _advance(bound, stop, None if records is None else records[c])
+        yield stop, bound.state
 
 
 def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSchedule,
@@ -280,24 +274,26 @@ def trajectory(model: ObservationModel, top: TopologyModel, schedule: WeightSche
     """Advance a bank of trials, one per seed, and yield ``(t, state)`` at
     every step ``t`` of ``grid``.
 
-    ``state`` is one :class:`NetworkState` whose arrays carry a leading
-    trial axis, and whose Grammians are exactly symmetric at every yield.
-    It is advanced in place, its arrays bound to the kernel
-    once with the streams (replace none of them), so copy what must
-    outlive the next step.  ``init`` holds the optional initial
-    estimate, Grammian and sample covariance of :func:`initial_network_state`.
-    Each trial consumes only its own stream, the one
-    ``np.random.default_rng(seed)`` draws (one ``_kernel.Streams`` bank
-    for the trials, seeded once), in blocks of ``BLOCK_STEPS`` steps: the
-    topology draws of the block, then its unit-variance noise.  The kernel
-    starts each block itself: the trial's link stream takes its stream's
-    state, from which it draws the block's links, while the stream moves
-    to where the block's noise starts.  It computes each step's weights
-    from ``schedule``, draws its links and noise and forms the
-    observations, in one segment per grid step (:func:`_advance`).  A
+    ``state`` is the bank's own ``adle.estimator.NetworkState``, the
+    same object at every yield, whose arrays carry a leading trial axis
+    and whose Grammians are exactly symmetric at every yield.  It is
+    advanced in place, its arrays bound to the kernel once (replace none
+    of them), so copy what must outlive the next step.  The bank is made
+    in one call, ``_kernel.BankKernel.bind(model, top, schedule, seeds,
+    horizon, init)``: ``init`` holds the optional initial estimate,
+    Grammian and sample covariance of ``initial_network_state``, from
+    which every trial starts.  Each trial consumes only its own stream,
+    the one ``np.random.default_rng(seed)`` draws, seeded once, in blocks
+    of ``BLOCK_STEPS`` steps: the topology draws of the block, then its
+    unit-variance noise.  The kernel starts each block itself: the
+    trial's link stream takes its stream's state, from which it draws the
+    block's links, while the stream moves to where the block's noise
+    starts.  It computes each step's weights from ``schedule``, draws its
+    links and noise and forms the observations, in one segment per grid
+    step (:func:`_advance`, one ``BoundBank.advance(stop, out)``).  A
     singular gain solve raises :class:`TrialDiverged` with the trial's
-    place in the bank; empty ``seeds`` and a grid whose steps are not
-    integers raise ``ValueError``.
+    place in the bank; empty ``seeds`` and a grid that is not a 1-D array
+    of integral steps raise ``ValueError``.
     """
     yield from _walk(model, top, schedule, horizon, grid, seeds, init)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adle import _kernel
 from adle.cli import example1_graph, example1_model
 from adle.model import ObservationModel
 from adle.network import TopologyModel
@@ -60,9 +61,36 @@ def make_random_sensing_model() -> ObservationModel:
     return ObservationModel(sensing, noise_cov, np.array([0.5, -1.0, 2.0]))
 
 
+#: The ``NetworkState`` arrays that carry a bank's trial axis.
+STATE_FIELDS = ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums")
+
+
+def state_arrays(state) -> list[np.ndarray]:
+    """The trial-stacked arrays of a ``NetworkState``, in :data:`STATE_FIELDS` order."""
+    return [getattr(state, name) for name in STATE_FIELDS]
+
+
+def write_state(bound, arrays, step: int) -> None:
+    """Write ``arrays``, in :data:`STATE_FIELDS` order, into a bound bank's
+    state in place, and set its step."""
+    for target, value in zip(state_arrays(bound.state), arrays):
+        target[...] = value
+    bound.state.step = step
+
+
+def bind_bank(model, top, schedule, seeds, horizon, init=None, state=None, step=0, kernel=None):
+    """A bank made by ``BankKernel.bind`` of ``kernel``, else of the loaded
+    library, at step ``step``: at its initial state, or with the arrays of
+    ``state`` written into it (:func:`write_state`)."""
+    bound = (kernel or _kernel.load()).bind(model, top, schedule, seeds, horizon, init)
+    write_state(bound, () if state is None else state, step)
+    return bound
+
+
 def stream_states(states) -> list[tuple[int, ...]]:
     """Each stream's PCG64 state and increment, and its carried half-word's
-    flag and value, of a bank's states (``_kernel.Streams._states``)."""
+    flag and value, of a bank's states (``BoundBank._arrays["streams"]`` or
+    ``["link_streams"]``)."""
     rows = [bytes(row) for row in states]
     return [(int.from_bytes(row[:16], "little"), int.from_bytes(row[16:32], "little"),
              *np.frombuffer(row[32:40], np.uint32).tolist()) for row in rows]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from adle import _kernel, harness
+from adle import harness
 from adle.errors import TrialDiverged
 from adle.estimator import (
     _gain_kernel,
@@ -34,7 +34,14 @@ from adle.estimator import (
     initial_network_state,
 )
 from adle.schedule import WeightSchedule
-from conftest import numpy_states, stream_states
+from conftest import (
+    STATE_FIELDS,
+    bind_bank,
+    numpy_states,
+    state_arrays,
+    stream_states,
+    write_state,
+)
 
 
 @dataclass
@@ -327,7 +334,7 @@ def tiled_state(model, bank: int, init=None):
     """The initial ``NetworkState`` of ``model``, from the optional ``init`` of
     ``initial_network_state``, with a leading axis of ``bank`` trials."""
     state = initial_network_state(model, *(init if init is not None else (None, None, None)))
-    for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
+    for field in STATE_FIELDS:
         a = getattr(state, field)
         setattr(state, field, np.tile(a, (bank,) + (1,) * a.ndim))
     return state
@@ -342,13 +349,12 @@ def check_block_ends(model, top, seeds, horizon: int, windows=(1, 37)):
     their copies.  Returns those ends, with the streams' and link streams'
     states (``conftest.stream_states``)."""
     for window in windows:
-        bound = _kernel.load().bind(tiled_state(model, len(seeds)), model, top,
-                                    WeightSchedule(), _kernel.Streams(seeds), horizon)
+        bound = bind_bank(model, top, WeightSchedule(), seeds, horizon)
         ends = []
         for start in range(0, horizon, harness.BLOCK_STEPS):
             end = min(start + harness.BLOCK_STEPS, horizon)
             for s in range(start, end, window):
-                bound.advance(s, min(s + window, end))
+                bound.advance(min(s + window, end))
             ends.append((end, stream_states(bound._arrays["streams"]),
                          stream_states(bound._arrays["link_streams"])))
         generators = [np.random.default_rng(seed) for seed in seeds]
@@ -380,23 +386,18 @@ def reference_trajectory(model, top, schedule, horizon: int, grid, seeds, init=N
                 yield state.step, state
 
 
-def no_draws(state):
-    """Streams for a bank bound only to write its records by zero-step
-    advances, which draw nothing."""
-    return _kernel.Streams(range(len(state.obs_sums)))
-
-
 def reference_walk(model, top, schedule, horizon: int, grid, seeds, init=None, records=None):
     """``harness._walk`` on the numpy round: :func:`reference_trajectory`,
-    whose state at grid step ``grid[c]`` a bank bound once on it writes the
-    kernel's records of into ``records[c]``, by a zero-step advance at the
-    schedule's gamma, unless ``records`` is ``None``."""
+    whose state at grid step ``grid[c]`` is written into a bank bound once,
+    which writes the kernel's records of it into ``records[c]`` by a
+    zero-step advance at the schedule's gamma, unless ``records`` is
+    ``None``."""
     bound = None
     for c, (t, state) in enumerate(reference_trajectory(model, top, schedule, horizon, grid,
                                                         seeds, init)):
         if records is not None:
-            if bound is None:  # the oracle's arrays stay in place from here on
-                bound = _kernel.load().bind(state, model, top, schedule, no_draws(state),
-                                            horizon)
-            bound.advance(t, t, records[c])
+            if bound is None:
+                bound = bind_bank(model, top, schedule, seeds, horizon, init)
+            write_state(bound, state_arrays(state), t)
+            bound.advance(t, records[c])
         yield t, state

@@ -351,6 +351,16 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
         ({"init": {"grammian": (np.eye(5) + np.eye(5, k=1)).tolist()}},
          "init: grammian must be symmetric positive semidefinite"),
         ({"model": {"preset": "example1", "foo": 1}}, "model.foo: unknown key"),
+        # named keys, not ObservationModel's or example1_model's signature
+        ({"model": {}}, "model.sensing: missing\n  - model.noise_cov: missing\n"
+                        "  - model.true_param: missing"),
+        ({"model": {"noise_cov": [[[1.0]]], "noise": "laplace"}},
+         "model.sensing: missing\n  - model.true_param: missing"),
+        ({"model": {"preset": "example1", "true_param": [1.0] * 5}},
+         "model.true_param: not with preset example1"),
+        ({"model": {"preset": "example1", **TWO_AGENTS}},
+         "model.sensing: not with preset example1\n  - model.noise_cov: not with preset "
+         "example1\n  - model.true_param: not with preset example1"),
         ({"model": {"sensing": [[[]]], "noise_cov": [[[1.0]]], "true_param": []},
           "topology": {"base": [], "nodes": 1}}, "model: sensing[0] has no columns"),
         ({"checkpoints": {"per_decade": 10**17}},
@@ -370,7 +380,9 @@ def test_config_is_a_plain_dataclass_surface(tmp_path):
          "model_noise_cov_nan", "model_true_param_inf", "topology_edge_inf",
          "topology_edge_fraction", "topology_edge_mapping", "topology_node_count",
          "output_dir_list", "init_sample_cov_negative", "init_grammian_indefinite",
-         "init_grammian_asymmetric", "model_preset_unknown_key", "model_no_columns",
+         "init_grammian_asymmetric", "model_preset_unknown_key", "model_empty",
+         "model_missing_matrices", "model_preset_with_true_param",
+         "model_preset_with_matrices", "model_no_columns",
          "checkpoints_per_decade_huge", "checkpoint_records_beyond_memory"],
 )
 def test_malformed_value_is_a_collected_validation_error(tmp_path, capsys, override, message):

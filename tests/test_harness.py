@@ -26,7 +26,7 @@ import pytest
 from adle import _kernel, harness
 from adle.cli import example1_model, main
 from adle.errors import AdleError, NotPositiveDefinite, TrialDiverged
-from adle.estimator import NetworkState, _sample_cov_from_moments, initial_network_state
+from adle.estimator import _sample_cov_from_moments, initial_network_state
 from adle.harness import (
     BLOCK_STEPS,
     AcceptanceThresholds,
@@ -52,22 +52,24 @@ from adle.network import (
 )
 from adle.schedule import WeightSchedule, checkpoint_bound, recursion_trace
 from conftest import (
+    bind_bank,
     make_noiseless_ring,
     make_ragged_model,
     make_random_sensing_model,
     numpy_states,
+    state_arrays,
     stream_states,
 )
 from reference import (
     check_block_ends,
     fold_observations,
     link_masks,
-    no_draws,
     observations,
     reference_trajectory,
     reference_walk,
     stacked_round,
     stacked_segment,
+    tiled_state,
     unit_variance_draws,
     weights,
     whole_block_draws,
@@ -814,9 +816,16 @@ def test_noise_windows_keep_the_bits_of_whole_block_draws(monkeypatch, law, nois
 def test_a_non_integral_checkpoint_grid_is_refused_by_name(ring_model, bernoulli_pentagon,
                                                             ring_schedule):
     # not cast to int64, where 10.7 recorded step 10, and 19.9999 read as a grid
-    # that does not end at the horizon; integral floats are steps
-    for grid, value in (([10.7, 20], "10.7"), ([10, 19.9999], "19.9999"), ([5, np.nan, 20], "nan")):
-        message = f"^checkpoint grid steps must be integers, got {value}$"
+    # that does not end at the horizon; integral floats are steps.  A grid of
+    # another shape or kind is named too, not numpy's "truth value of an array
+    # ... is ambiguous" or an OverflowError from the cast
+    kind = "must be a 1-D array of integers or floats, got a"
+    for grid, problem in (([10.7, 20], "steps must be integers, got 10.7"),
+                          ([10, 19.9999], "steps must be integers, got 19.9999"),
+                          ([5, np.nan, 20], "steps must be integers, got nan"),
+                          ([[10, 20]], f"{kind} 2-D array of int64"),
+                          ([10, 2**70], f"{kind} 1-D array of object")):
+        message = f"^{re.escape(f'checkpoint grid {problem}')}$"
         with pytest.raises(ValueError, match=message):
             run_trial(ring_model, bernoulli_pentagon, ring_schedule, 20, grid, seed=3)
         with pytest.raises(ValueError, match=message):
@@ -894,14 +903,14 @@ KERNEL_CASES = {
 }
 
 
-def _streams(seed, bank=3):
-    """The streams of a bank of trials seeded ``(seed, r)``."""
-    return _kernel.Streams([(seed, r) for r in range(bank)])
+def _seeds(seed, bank=3):
+    """The seeds of a bank of trials seeded ``(seed, r)``."""
+    return [(seed, r) for r in range(bank)]
 
 
 def _block(model, top, steps, seed, bank=3, start=0):
     """The link masks and unit-variance noise of steps ``start..start +
-    steps - 1`` of a bank bound with :func:`_streams` at horizon ``start +
+    steps - 1`` of a bank of :func:`_seeds` bound at horizon ``start +
     steps``, read by hand from numpy generators of its trials in the
     kernel's order: the link streams start as copies of the streams, and at
     each block's start take their states while the streams draw the
@@ -923,44 +932,27 @@ def _block(model, top, steps, seed, bank=3, start=0):
             np.concatenate(noise, axis=1))
 
 
-def _network(model, state, q0, count=0):
-    """The trial-stacked ``NetworkState`` of a bank's arrays."""
-    return NetworkState(*state, q0, count, model.obs_dims)
-
-
-def _kernel_advance(kernel, state, q0, model, top, schedule, streams, start, *stops, out=None):
-    """Bind a bank to ``schedule``, ``streams`` and the horizon ``stops[-1]``,
-    then advance it from step ``start`` in segments that end at ``stops``,
-    writing the records of the last into ``out`` unless ``None``."""
-    bound = kernel.bind(_network(model, state, q0, start), model, top, schedule, streams,
-                        stops[-1])
+def _kernel_advance(bound, *stops, out=None):
+    """Advance a bank in segments that end at ``stops``, writing the records
+    of the last into ``out`` unless ``None``; return its state's arrays."""
     for stop in stops[:-1]:
-        bound.advance(start, stop)
-        start = stop
-    bound.advance(start, stops[-1], out)
-
-
-def _bank_state(model, init, bank=3):
-    net = initial_network_state(model, *(init or (None, None, None)))
-    state = [np.tile(a, (bank,) + (1,) * a.ndim)
-             for a in (net.estimates, net.grammians, net.obs_shifts, net.obs_sums,
-                       net.obs_outer_sums)]
-    return state, net.initial_sample_covs
+        bound.advance(stop)
+    bound.advance(stops[-1], out)
+    return state_arrays(bound.state)
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_kernel_matches_numpy_round_over_ten_thousand_steps(case):
-    kernel = _kernel.load()
     model, top, schedule, init = KERNEL_CASES[case]
     steps = 10_000
     draws, noise = _block(model, top, steps, seed=len(case))
 
-    compiled, q0 = _bank_state(model, init)
-    _kernel_advance(kernel, compiled, q0, model, top, schedule, _streams(len(case)), 0, 3_000,
-                    steps)
+    compiled = _kernel_advance(bind_bank(model, top, schedule, _seeds(len(case)), steps, init),
+                               3_000, steps)
 
     obs, sensing = observations(model._stacked, noise), model._stacked.sensing
-    (x, g, shifts, sums, outer), _ = _bank_state(model, init)
+    start = tiled_state(model, 3, init)
+    (x, g, shifts, sums, outer), q0 = state_arrays(start), start.initial_sample_covs
     rates = weights(schedule, 0, steps)
     for s in range(steps):
         x, g = stacked_round(x, g, sums, outer, s, q0, sensing,
@@ -992,12 +984,9 @@ def _same_bits(states):
 def test_every_lane_width_matches_one_lane_bit_for_bit(case, bank):
     model, top, schedule, init = KERNEL_CASES[case]
     steps = 10_000
-    states = []
-    for kernel in _every_width():
-        state, q0 = _bank_state(model, init, bank)
-        _kernel_advance(kernel, state, q0, model, top, schedule, _streams(len(case), bank), 0,
-                        3_000, steps)
-        states.append(state)
+    states = [_kernel_advance(bind_bank(model, top, schedule, _seeds(len(case), bank), steps,
+                                        init, kernel=kernel), 3_000, steps)
+              for kernel in _every_width()]
     _same_bits(states)
 
 
@@ -1010,17 +999,23 @@ def test_every_lane_width_names_the_same_singular_trial():
     schedule = WeightSchedule(a=0.0, b=0.0, tau_gamma=1.0)
     bank, steps = 11, 8
     _, noise = _block(model, top, steps, seed=0, bank=bank, start=40)
+
+    def bank_at_40(kernel):
+        """The bank from step 40, its Grammians the identity."""
+        bound = bind_bank(model, top, schedule, _seeds(0, bank), 40 + steps, step=40,
+                          kernel=kernel)
+        bound.state.grammians[:] = np.eye(model.param_dim)
+        return bound
+
     states = []
     for kernel in _every_width():
-        state, q0 = _bank_state(model, None, bank)
-        state[1][:] = np.eye(model.param_dim)
+        bound = bank_at_40(kernel)
         for trial, s in ((9, 42), (10, 42), (2, 44)):
-            state[1][trial] = -(1.0 / (s + 1.0)) * np.eye(model.param_dim)
+            bound.state.grammians[trial] = -(1.0 / (s + 1.0)) * np.eye(model.param_dim)
         with pytest.raises(TrialDiverged) as info:
-            _kernel_advance(kernel, state, q0, model, top, schedule, _streams(0, bank), 40,
-                            40 + steps)
+            bound.advance(40 + steps)
         assert (info.value.trial, info.value.step) == (9, 42)
-        states.append(state)
+        states.append(state_arrays(bound.state))
     _same_bits(states)
     obs = observations(model._stacked, noise)
     for trial, folded in ((9, 2), (10, 2), (2, 4), (0, steps)):
@@ -1034,14 +1029,12 @@ def test_every_lane_width_names_the_same_singular_trial():
     for kernel in _every_width():
         for pivot, expected in ((False, (0, 48, TrialDiverged.NON_FINITE)),
                                 (True, (9, 42, TrialDiverged.SINGULAR))):
-            state, q0 = _bank_state(model, None, bank)
-            state[1][:] = np.eye(model.param_dim)
+            bound = bank_at_40(kernel)
             if pivot:
-                state[1][9] = -(1.0 / 43.0) * np.eye(model.param_dim)
-            state[0][0, 3, 1] = np.nan
+                bound.state.grammians[9] = -(1.0 / 43.0) * np.eye(model.param_dim)
+            bound.state.estimates[0, 3, 1] = np.nan
             with pytest.raises(TrialDiverged) as info:
-                _kernel_advance(kernel, state, q0, model, top, schedule, _streams(0, bank), 40,
-                                40 + steps, out=np.empty((bank, model.num_agents + 3)))
+                bound.advance(40 + steps, np.empty((bank, model.num_agents + 3)))
             assert (info.value.trial, info.value.step, info.value.cause) == expected
 
 
@@ -1055,13 +1048,12 @@ def test_kernel_forms_the_observations_of_the_numpy_synthesis_bit_for_bit(build,
     bank, steps = 11, 500
     _, z = _block(model, top, steps, seed=7, bank=bank)
     obs = observations(model._stacked, z)
-    (_, _, *moments), q0 = _bank_state(model, None, bank)
+    _, _, *moments = state_arrays(tiled_state(model, bank))
     for s in range(steps):
         fold_observations(*moments, s, obs[:, s])
     for kernel in _every_width():
-        state, q0 = _bank_state(model, None, bank)
-        _kernel_advance(kernel, state, q0, model, top, WeightSchedule(a=0.0, b=0.0),
-                        _streams(7, bank), 0, steps)
+        state = _kernel_advance(bind_bank(model, top, WeightSchedule(a=0.0, b=0.0),
+                                          _seeds(7, bank), steps, kernel=kernel), steps)
         for got, want in zip(state[2:], moments):
             assert got.tobytes() == want.tobytes()
 
@@ -1072,13 +1064,14 @@ def test_singular_gain_solve_names_the_first_trial_and_its_step(compiled):
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
     draws, noise = _block(model, top, 5, seed=0, start=40)
     rates = weights(schedule, 40, 5)
-    (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
-    g[1:] = -rates[2, 0] * np.eye(model.param_dim)  # G + gamma I = 0 at step 40
-    state = NetworkState(x, g, shifts, sums, outer, q0, 40, model.obs_dims)
+    state = tiled_state(model, 3)
+    state.grammians[1:] = -rates[2, 0] * np.eye(model.param_dim)  # G + gamma I = 0 at step 40
+    state.step = 40
     with pytest.raises(TrialDiverged) as info:
         if compiled:
-            bound = _kernel.load().bind(state, model, top, schedule, _streams(0), 45)
-            harness._advance(bound, state, 45)
+            bound = bind_bank(model, top, schedule, _seeds(0), 45, state=state_arrays(state),
+                              step=40)
+            harness._advance(bound, 45)
         else:
             stacked_segment(state, model._stacked, noise, 0, 5, rates, top, draws)
     assert (info.value.trial, info.value.step) == (1, 40)
@@ -1086,72 +1079,83 @@ def test_singular_gain_solve_names_the_first_trial_and_its_step(compiled):
 
 
 def test_kernel_rejects_noncontiguous_and_misshapen_arrays():
-    kernel = _kernel.load()
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
-    streams = _streams(0)
-    (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        _kernel_advance(kernel, [np.asfortranarray(x), g, shifts, sums, outer], q0, model, top,
-                        schedule, streams, 0, 8)
-    with pytest.raises(ValueError, match="shape"):
-        _kernel_advance(kernel, [x, g[:, :-1].copy(), shifts, sums, outer], q0, model, top,
-                        schedule, streams, 0, 8)
-    with pytest.raises(ValueError, match="^streams must be a bank of 3 Streams, one per trial"):
-        _kernel_advance(kernel, [x, g, shifts, sums, outer], q0, model, top, schedule,
-                        np.zeros((3, 6)), 0, 8)
-    frozen = x.copy()
-    frozen.setflags(write=False)
-    with pytest.raises(ValueError, match="writable"):
-        _kernel_advance(kernel, [frozen, g, shifts, sums, outer], q0, model, top, schedule,
-                        streams, 0, 8)
-    network = _network(model, [x, g, shifts, sums, outer], q0)
-    bound = kernel.bind(network, model, top, schedule, streams, 2**52)
+    n, fresh = model.num_agents, numpy_states([np.random.default_rng(s) for s in _seeds(0)])
+    bound = bind_bank(model, top, schedule, _seeds(0), 2**52)
+    for out in (np.empty((n + 3, 3)).T, np.empty((3, n + 2)), np.empty((3, n + 3), np.float32),
+                [[0.0] * (n + 3)] * 3):
+        with pytest.raises(ValueError, match=re.escape(
+                f"out must be a C-contiguous float64 array of shape (3, {n + 3})")):
+            bound.advance(8, out)
     for start, stop in [(-1, 2), (3, 2), (0, 2**63), (2**64, 2**64 + 1)]:
+        bound.state.step = start
         with pytest.raises(ValueError, match=re.escape(
                 f"segment [{start}, {stop}) needs 0 <= start <= stop < 2**63")):
-            bound.advance(start, stop)
-    bound.advance(2**52, 2**52)  # an empty segment
-    assert np.array_equal(x, np.zeros_like(x))  # nothing ran
-    assert np.array_equal(frozen, np.zeros_like(x))
-    assert stream_states(streams._states) == stream_states(_streams(0)._states)  # no draw
+            bound.advance(stop)
+        assert bound.state.step == start
+    bound.state.step = 2**52
+    bound.advance(2**52)  # an empty segment
+    assert bound.state.step == 2**52
+    assert np.array_equal(bound.state.estimates, np.zeros((3, n, model.param_dim)))  # nothing ran
+    assert stream_states(bound._arrays["streams"]) == fresh  # no draw
 
 
 def test_a_segment_beyond_the_bound_horizon_is_refused():
     # the kernel's last block runs to the horizon: a segment past it would
     # start a block of no steps, or fewer than none
     model, top, schedule, _ = KERNEL_CASES["gossip"]
-    (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
-    streams, network = _streams(0), _network(model, [x, g, shifts, sums, outer], q0)
     for horizon in (-1, 2**63, 2**64 + 40):  # not wrapped into the int64 field
         with pytest.raises(ValueError, match=re.escape(
                 f"horizon {horizon} needs 0 <= horizon < 2**63")):
-            _kernel.load().bind(network, model, top, schedule, streams, horizon)
-    bound = _kernel.load().bind(network, model, top, schedule, streams, 40)
+            bind_bank(model, top, schedule, _seeds(0), horizon)
+    bound = bind_bank(model, top, schedule, _seeds(0), 40)
     for start, stop in [(0, 41), (40, 41), (41, 41), (BLOCK_STEPS, BLOCK_STEPS + 1)]:
+        bound.state.step = start
         with pytest.raises(ValueError, match=re.escape(
                 f"segment [{start}, {stop}) ends beyond the horizon 40")):
-            bound.advance(start, stop)
+            bound.advance(stop)
+    x = bound.state.estimates
     assert np.array_equal(x, np.zeros_like(x))  # nothing ran
-    assert stream_states(streams._states) == stream_states(_streams(0)._states)  # no draw
-    bound.advance(0, 40)
+    fresh = numpy_states([np.random.default_rng(s) for s in _seeds(0)])
+    assert stream_states(bound._arrays["streams"]) == fresh  # no draw
+    bound.state.step = 0
+    bound.advance(40)
     assert np.all(x != 0.0)
 
 
+def test_a_trajectory_yields_the_banks_own_state_in_place(monkeypatch, ring_model,
+                                                          bernoulli_pentagon, ring_schedule):
+    # the walk yields bound.state itself at every grid step, its arrays where
+    # bind put them, and each advance(stop) leaves state.step == stop
+    banks, steps = _binds(monkeypatch), []
+    grid = [1, 10, 37, BLOCK_STEPS + 3]
+    for t, state in trajectory(ring_model, bernoulli_pentagon, ring_schedule, grid[-1], grid,
+                               _seeds(4)):
+        bound, = banks
+        assert state is bound.state and state.step == t
+        assert [a.ctypes.data for a in state_arrays(state)] == [
+            bound._arrays[name].ctypes.data for name in ("x", "g", "shift", "sums", "outer")]
+        assert state.initial_sample_covs is bound._arrays["q0"]
+        steps.append(t)
+    assert steps == grid
+
+
 def _advanced_bank(model, top, schedule, init, bank, steps=300):
-    """A bank's state after ``steps`` kernel steps, and its q0."""
-    state, q0 = _bank_state(model, init, bank)
-    _kernel_advance(_kernel.load(), state, q0, model, top, schedule, _streams(bank, bank), 0,
-                    steps)
-    return state, q0
+    """A bank's state after ``steps`` kernel steps."""
+    bound = bind_bank(model, top, schedule, _seeds(bank, bank), steps, init)
+    bound.advance(steps)
+    return bound.state
 
 
-def _checkpoint(kernel, model, top, state, q0, count, schedule):
-    """The kernel's (R, N + 3) records of a bank's state at step ``count``,
+def _checkpoint(kernel, model, top, state, step, schedule):
+    """The kernel's (R, N + 3) records of a bank's state, the arrays of
+    ``state`` or else the initial state of three trials, at step ``step``,
     which a zero-step advance writes at the schedule's gamma there."""
-    network = _network(model, state, q0, count)
-    out = np.full((len(state[0]), model.num_agents + 3), np.nan)
-    kernel.bind(network, model, top, schedule, no_draws(network), count).advance(count, count,
-                                                                                 out)
+    bank = 3 if state is None else len(state[0])
+    bound = bind_bank(model, top, schedule, range(bank), step, state=state, step=step,
+                      kernel=kernel)
+    out = np.full((bank, model.num_agents + 3), np.nan)
+    bound.advance(step, out)
     return out
 
 
@@ -1160,12 +1164,13 @@ def _checkpoint(kernel, model, top, state, q0, count, schedule):
 def test_checkpoint_records_match_the_numpy_diagnostics(case, bank):
     model, top, schedule, init = KERNEL_CASES[case]
     steps = 300
-    state, q0 = _advanced_bank(model, top, schedule, init, bank, steps)
+    advanced = _advanced_bank(model, top, schedule, init, bank, steps)
+    state = state_arrays(advanced)
     gamma = float(schedule.gamma(steps))
     x, g, _, sums, outer = state
-    want = harness._bank_checkpoint(x, g, _sample_cov_from_moments(sums, outer, steps, q0),
-                                    model, gamma)
-    records = [_checkpoint(kernel, model, top, state, q0, steps, schedule)
+    sample_covs = _sample_cov_from_moments(sums, outer, steps, advanced.initial_sample_covs)
+    want = harness._bank_checkpoint(x, g, sample_covs, model, gamma)
+    records = [_checkpoint(kernel, model, top, state, steps, schedule)
                for kernel in _every_width()]
     _same_bits(records)
     n = model.num_agents
@@ -1183,7 +1188,7 @@ def test_checkpoint_names_the_first_trial_by_precedence():
     model, top, schedule, _ = KERNEL_CASES["bernoulli"]
     steps, bank = 40, 11
     gamma = float(schedule.gamma(steps))
-    clean, q0 = _advanced_bank(model, top, schedule, None, bank, steps)
+    clean = state_arrays(_advanced_bank(model, top, schedule, None, bank, steps))
 
     def broken(names):
         state = [a.copy() for a in clean]
@@ -1202,10 +1207,10 @@ def test_checkpoint_names_the_first_trial_by_precedence():
                 (("singular", "overflow"), 4, TrialDiverged.SINGULAR),
                 (("nan", "singular", "overflow"), 9, TrialDiverged.NON_FINITE)]
     for kernel in _every_width():
-        assert np.all(np.isfinite(_checkpoint(kernel, model, top, clean, q0, steps, schedule)))
+        assert np.all(np.isfinite(_checkpoint(kernel, model, top, clean, steps, schedule)))
         for names, trial, cause in expected:
             with pytest.raises(TrialDiverged) as info:
-                _checkpoint(kernel, model, top, broken(names), q0, steps, schedule)
+                _checkpoint(kernel, model, top, broken(names), steps, schedule)
             assert (info.value.trial, info.value.step, info.value.cause) == (trial, steps, cause)
 
 
@@ -1218,11 +1223,9 @@ def test_checkpoint_needs_its_targets(ring_schedule):
         next(harness._walk(*walk, records=np.empty((2, 2, 8))))
     model, top, _, _ = KERNEL_CASES["bernoulli"]
     for kernel in _every_width():
-        state, q0 = _bank_state(noiseless, None)
         with pytest.raises(NotPositiveDefinite):
-            _checkpoint(kernel, noiseless, top, state, q0, 1, ring_schedule)
-        state, q0 = _bank_state(model, None)
-        records = _checkpoint(kernel, model, top, state, q0, 1, ring_schedule)
+            _checkpoint(kernel, noiseless, top, None, 1, ring_schedule)
+        records = _checkpoint(kernel, model, top, None, 1, ring_schedule)
         assert records.shape == (3, 8) and np.all(records[:, 1:6] == np.sqrt(5.0))  # x = 0
 
 
@@ -1244,20 +1247,21 @@ def test_grammians_stay_exactly_symmetric_at_every_grid_step(monkeypatch, case):
         assert np.any(g != 0.0)
 
 
-def test_an_asymmetric_grammian_is_refused_by_bind():
+def test_an_asymmetric_grammian_binds_as_its_symmetric_part():
+    # bind makes the bank's Grammians from the init Grammian's exactly
+    # symmetric (G + G') / 2; a NaN written on a diagonal, its own mirror,
+    # still reaches the records, which name it
     model, top, schedule, _ = KERNEL_CASES["sensing"]
-    (x, g, shifts, sums, outer), q0 = _bank_state(model, None)
-    g[:] = np.eye(model.param_dim)
-    g[1, 2, 0, 2] = 1e-300  # its mirror is 0.0
-    with pytest.raises(ValueError, match="^grammians must be exactly symmetric"):
-        _kernel_advance(_kernel.load(), [x, g, shifts, sums, outer], q0, model, top, schedule,
-                        _streams(0), 0, 8)
-    g[1, 2, 2, 0] = 1e-300
-    g[0, 1, 1, 1] = np.nan  # a NaN is its own mirror: the records name it
+    skewed = np.eye(model.param_dim)
+    skewed[0, 2] = 1e-300  # its mirror is 0.0
+    bound = bind_bank(model, top, schedule, _seeds(0), 8, (None, skewed, None))
+    g = bound.state.grammians
+    assert g.tobytes() == np.tile((skewed + skewed.T) / 2, (3, 4, 1, 1)).tobytes()
+    assert g.tobytes() == g.swapaxes(-1, -2).tobytes()
+    g[0, 1, 1, 1] = np.nan
     with pytest.raises(TrialDiverged) as info:
-        _kernel_advance(_kernel.load(), [x, g, shifts, sums, outer], q0, model, top, schedule,
-                        _streams(0), 0, 0, out=np.empty((3, model.num_agents + 3)))
-    assert (info.value.trial, info.value.cause) == (0, TrialDiverged.NON_FINITE)
+        bound.advance(0, np.empty((3, model.num_agents + 3)))
+    assert (info.value.trial, info.value.step, info.value.cause) == (0, 0, TrialDiverged.NON_FINITE)
 
 
 def test_a_nearly_symmetric_initial_grammian_runs_on_its_symmetric_part():
@@ -1282,11 +1286,9 @@ def test_a_nearly_symmetric_initial_grammian_runs_on_its_symmetric_part():
 
 def test_lane_scratch_is_aligned_and_sized_by_the_kernel():
     model, top, _, _ = KERNEL_CASES["ragged"]
+    kernel = _kernel.load()
     for bank in (1, 3):
-        state, q0 = _bank_state(model, None, bank)
-        kernel = _kernel.load()
-        network = _network(model, state, q0)
-        bound = kernel.bind(network, model, top, WeightSchedule(), no_draws(network), 0)
+        bound = bind_bank(model, top, WeightSchedule(), range(bank), 0)
         scratch = bound._arrays["scratch"]
         lanes = 1 if bank == 1 else kernel.lanes
         vectors = _kernel.scratch_vectors(model.num_agents, model.param_dim,
@@ -1355,9 +1357,9 @@ def test_each_bank_is_bound_once(monkeypatch, ring_model, bernoulli_pentagon, ri
     # each bound with the experiment's schedule
     shapes, bind = [], _kernel.BankKernel.bind
 
-    def spy(self, state, model, top, schedule, streams, horizon):
-        shapes.append((len(streams), horizon, schedule))
-        return bind(self, state, model, top, schedule, streams, horizon)
+    def spy(self, model, top, schedule, seeds, horizon, init=None):
+        shapes.append((len(seeds), horizon, schedule))
+        return bind(self, model, top, schedule, seeds, horizon, init)
 
     monkeypatch.setattr(_kernel.BankKernel, "bind", spy)
     horizon = 2 * BLOCK_STEPS + 37
@@ -1375,10 +1377,10 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
     seeds = range(min(harness.TRIALS_PER_BANK, trials))
     advance, held, peaks = harness._advance, [], []
 
-    def spy(bound, state, stop, out=None):  # a segment with its block starts: what it keeps
+    def spy(bound, stop, out=None):  # a segment with its block starts: what it keeps
         tracemalloc.start()
         try:
-            advance(bound, state, stop, out)
+            advance(bound, stop, out)
             left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1553,7 +1555,7 @@ def test_a_library_of_layout_two_is_refused(monkeypatch, tmp_path):
 
 
 def test_a_library_of_another_stream_size_is_refused(monkeypatch):
-    # Streams allocates STREAM_BYTES a stream, which the library's draws must not pass
+    # bind allocates STREAM_BYTES a stream, which the library's draws must not pass
     lib = ctypes.CDLL(str(_kernel._build()))
     _kernel.BankKernel(lib)
     monkeypatch.setattr(_kernel, "STREAM_BYTES", 40)
@@ -1650,6 +1652,6 @@ def test_a_private_build_directory_is_removed_once_loaded(monkeypatch, tmp_path)
     finally:
         _kernel.load.cache_clear()
     assert list(tmp_path.iterdir()) == [shared] and list(shared.iterdir()) == []
-    assert stream_states(_kernel.Streams([3])._states) == numpy_states(
-        [np.random.default_rng(3)])
+    bound = kernel.bind(example1_model(), TopologyModel(cycle_graph(5)), WeightSchedule(), [3], 0)
+    assert stream_states(bound._arrays["streams"]) == numpy_states([np.random.default_rng(3)])
     assert kernel.lanes in _kernel.WIDTHS

@@ -189,7 +189,7 @@ def test_the_link_law_is_read_in_network_only():
 
 
 def test_generators_are_drawn_from_in_the_public_helpers_only():
-    # a run draws from a bank of Streams by adle's own names; a numpy Generator's
+    # a run draws from the streams that bind seeds, in the kernel; a numpy Generator's
     # are called only where the public helpers draw from the caller's generator
     names = {"random", "integers", "standard_normal"}
 

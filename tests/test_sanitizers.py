@@ -78,8 +78,7 @@ def _drive(library: str) -> None:
     from adle.model import ObservationModel
     from adle.network import Graph, TopologyModel, cycle_graph, path_graph
     from adle.schedule import WeightSchedule
-    from conftest import make_ragged_model, make_random_sensing_model
-    from reference import tiled_state
+    from conftest import bind_bank, make_ragged_model, make_random_sensing_model
 
     _kernel._build = lambda: Path(library)
     kernel = _kernel.load()
@@ -117,50 +116,45 @@ def _drive(library: str) -> None:
     model, top = example1_model(), TopologyModel(cycle_graph(5), "bernoulli", 0.5)
     n, m = model.num_agents, model.param_dim
 
-    def bank_state(bank):
-        """A bank of ``bank`` zero states whose Grammians are the identity."""
-        state = tiled_state(model, bank)
-        state.grammians[:] = np.eye(m)
-        return state
+    def identity_bank(kernel, bank, schedule, horizon, step):
+        """A bank of ``bank`` zero states at ``step`` whose Grammians are the identity."""
+        bound = bind_bank(model, top, schedule, range(bank), horizon, step=step, kernel=kernel)
+        bound.state.grammians[:] = np.eye(m)
+        return bound
 
     for width in widths:
         wide = copy.copy(kernel)
         wide.lanes = width
         for bank, breaks in ((1, ()), (7, ()), (11, ("nan",)), (11, ("singular",)),
                              (11, ("overflow",)), (61, ("singular", "overflow"))):
-            state = bank_state(bank)
+            bound = identity_bank(wide, bank, WeightSchedule(tau_gamma=0.0), 3, 3)
             if "nan" in breaks:
-                state.grammians[bank - 1, 2, 1, 1] = np.nan
+                bound.state.grammians[bank - 1, 2, 1, 1] = np.nan
             if "singular" in breaks:
-                state.grammians[bank - 2] = -np.eye(m)  # G + gamma I = 0 at gamma = 1
+                bound.state.grammians[bank - 2] = -np.eye(m)  # G + gamma I = 0 at gamma = 1
             if "overflow" in breaks:
-                state.estimates[bank - 3, 0] = 1e300
-            bound = wide.bind(state, model, top, WeightSchedule(tau_gamma=0.0),
-                              _kernel.Streams(range(bank)), 3)
+                bound.state.estimates[bank - 3, 0] = 1e300
             out = np.empty((bank, n + 3))
             try:
-                bound.advance(3, 3, out)
+                bound.advance(3, out)
                 assert not breaks
             except TrialDiverged:
                 assert breaks
 
         # a zero pivot met while advancing, in a partial lane group, with records asked for
         bank, steps = 11, 8
-        state = bank_state(bank)
-        state.grammians[bank - 1] = -0.25 * np.eye(m)  # gamma 1 / 4 at step 3 meets -I / 4
-        bound = wide.bind(state, model, top, WeightSchedule(a=0.0, b=0.0, tau_gamma=1.0),
-                          _kernel.Streams(range(bank)), steps)
+        bound = identity_bank(wide, bank, WeightSchedule(a=0.0, b=0.0, tau_gamma=1.0), steps, 0)
+        bound.state.grammians[bank - 1] = -0.25 * np.eye(m)  # gamma 1 / 4 at step 3 meets -I / 4
         try:
-            bound.advance(0, steps, np.empty((bank, n + 3)))
+            bound.advance(steps, np.empty((bank, n + 3)))
             raise AssertionError("no zero pivot met")
         except TrialDiverged as exc:
             assert (exc.trial, exc.step, exc.cause) == (bank - 1, 3, TrialDiverged.SINGULAR)
         # a segment past step 2**31, with records
         start = 2**31 + 5
-        bound = wide.bind(bank_state(7), model, top, schedule, _kernel.Streams(range(7)),
-                          start + 37)
+        bound = identity_bank(wide, 7, schedule, start + 37, start)
         out = np.empty((7, n + 3))
-        bound.advance(start, start + 37, out)
+        bound.advance(start + 37, out)
         assert np.all(np.isfinite(out))
 
         # block starts by bound advances under both drawing laws, on five edges
@@ -169,13 +163,11 @@ def _drive(library: str) -> None:
         pair = ObservationModel((np.ones((1, 1)),) * 2, (np.eye(1),) * 2, np.zeros(1))
         for other, graph in ((model, cycle_graph(5)), (pair, Graph(2, ((0, 1),)))):
             for law in ("bernoulli", "gossip"):
-                state = tiled_state(other, 7)
-                bound = wide.bind(state, other, TopologyModel(graph, law, 0.5), schedule,
-                                  _kernel.Streams(range(7)), horizon)
+                bound = bind_bank(other, TopologyModel(graph, law, 0.5), schedule, range(7),
+                                  horizon, kernel=wide)
                 for stop in (1, 2, horizon - 3, horizon):
                     out = np.empty((7, other.num_agents + 3))
-                    bound.advance(state.step, stop, out)
-                    state.step = stop
+                    bound.advance(stop, out)
                 assert np.all(np.isfinite(out))
     print("clean", runs)
 

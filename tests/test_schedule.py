@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from adle import _kernel
 from adle.errors import InvalidExponent, ScheduleViolation
-from adle.estimator import NetworkState
 from adle.harness import BLOCK_STEPS
 from adle.model import ObservationModel
 from adle.network import Graph, TopologyModel
@@ -13,6 +11,7 @@ from adle.schedule import (
     recursion_trace,
     validate_schedule,
 )
+from conftest import bind_bank, state_arrays
 from reference import fold_observations, observations, stacked_round, weights
 
 
@@ -64,9 +63,10 @@ def test_block_equals_per_step_values_bit_for_bit(schedule):
                  rng.standard_normal((bank, 2, 1)), sums,
                  sums[..., None] ** 2 / max(start, 1) + start * (1.0 + rng.random((bank, 2, 1, 1)))]
         q0, (x, g, shifts, moments, outer) = np.ones((2, 1, 1)), [a.copy() for a in state]
-        streams = _kernel.Streams([(start, r) for r in range(bank)])
-        _kernel.load().bind(NetworkState(*state, q0, start, model.obs_dims), model, top,
-                            schedule, streams, start + 1).advance(start, start + 1)
+        bound = bind_bank(model, top, schedule, [(start, r) for r in range(bank)], start + 1,
+                          (None, None, 1.0), state, start)
+        bound.advance(start + 1)
+        state = state_arrays(bound.state)
 
         noise = np.stack([np.random.default_rng((start, r)).standard_normal((2, 1))
                           for r in range(bank)])

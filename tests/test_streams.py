@@ -1,7 +1,8 @@
-"""The trials' random streams (``_kernel.Streams``) against numpy's own
-``SeedSequence`` and ``default_rng``: the same seed words, the same states
-and the same draws, which the kernel makes; and the public helpers, which
-draw from a numpy ``Generator`` directly, against that generator read by hand."""
+"""The trials' random streams, which ``BankKernel.bind`` seeds, against
+numpy's own ``SeedSequence`` and ``default_rng``: the same seed words, the
+same states and the same draws, which the kernel makes; and the public
+helpers, which draw from a numpy ``Generator`` directly, against that
+generator read by hand."""
 
 import json
 import re
@@ -22,10 +23,16 @@ from adle.network import (
     sample_laplacian,
 )
 from adle.schedule import WeightSchedule
-from conftest import make_ragged_model, numpy_states, stream_states
+from conftest import bind_bank, make_ragged_model, numpy_states, stream_states
 from reference import check_block_ends
 
 SEED_PARTS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**33]
+
+
+def _seeded(seeds):
+    """The states of the streams of a bank bound with ``seeds``."""
+    bound = bind_bank(make_ragged_model(), TopologyModel(path_graph(3)), WeightSchedule(), seeds, 0)
+    return stream_states(bound._arrays["streams"])
 
 
 @pytest.mark.parametrize("first", SEED_PARTS)
@@ -40,11 +47,9 @@ def test_seeds_are_entropy_or_seed_sequences():
     # and objects with generate_state, which seed from their own words
     seeds = [7, [1, [2, 3]], list(range(9)), 2**100 + 5,
              np.random.SeedSequence(5, spawn_key=(2,))]
-    streams = _kernel.Streams(seeds)
-    assert stream_states(streams._states) == numpy_states(
-        [np.random.default_rng(seed) for seed in seeds])
+    assert _seeded(seeds) == numpy_states([np.random.default_rng(seed) for seed in seeds])
     with pytest.raises(ValueError, match="non-negative"):
-        _kernel.Streams([(1, -2)])
+        _seeded([(1, -2)])
 
 
 def test_a_seed_of_no_ints_is_refused_by_name():
@@ -53,14 +58,14 @@ def test_a_seed_of_no_ints_is_refused_by_name():
         with pytest.raises(TypeError, match=re.escape(
                 "a seed must be a non-negative int, a sequence of them or a SeedSequence, "
                 f"got {seed!r}")):
-            _kernel.Streams([0, seed])
+            _seeded([0, seed])
 
 
 def test_an_empty_bank_is_refused_by_name():
     # not numpy's "cannot reshape array of size 0" from the state allocation
     for seeds in ([], (), range(0)):
         with pytest.raises(ValueError, match="^a bank of streams needs at least one seed$"):
-            _kernel.Streams(seeds)
+            _seeded(seeds)
 
 
 @pytest.mark.parametrize("family", ["normal", "laplace"])
