@@ -74,6 +74,9 @@
  * gain solve meets a zero pivot stops there while the others go on, so
  * that ``failure`` names the earliest such step and its first trial, as a
  * round-by-round bank would meet it.
+ *
+ * adle_csv_rows, shared by every width, writes the report tables as CSV
+ * text, each double spelt as Python's repr spells it.
  */
 
 /* This file includes itself once per lane width: read without LANES it
@@ -281,6 +284,109 @@ int64_t adle_scratch_vectors(const struct adle_bank *b)
 {
     const int64_t n = b->n, m = b->m, mx = b->mx;
     return n * (3 * m + 3 * m * m + 5 * mx + mx * mx) + 2 * mx * mx + 2 * m * mx + m * m + mx;
+}
+
+/* CSV text of the report tables.  libstdc++'s (GCC >= 11) shortest
+ * round-trip std::to_chars(first, last, value, chars_format::scientific),
+ * bound by its symbol, gives the digits that repr(float) chooses: the
+ * fewest that read back to the value, the closest of them where several
+ * are as short (Ryu; Adams, PLDI 2018), as d.ddde+XX. */
+struct to_chars_result {
+    char *ptr;
+    int ec;
+};
+
+struct to_chars_result shortest_scientific(char *first, char *last, double value, int format)
+    __asm__("_ZSt8to_charsPcS_dSt12chars_format");
+
+enum { SCIENTIFIC = 1 };   /* std::chars_format::scientific */
+
+static char *put(char *out, const char *text, int64_t count)
+{
+    memcpy(out, text, (size_t)count);
+    return out + count;
+}
+
+/* value as repr(float(value)) spells it: nan, inf, -0.0, fixed notation
+ * for decimal exponents from -4 to 15 (1e-05 and 1e+16 are scientific),
+ * at least one digit after the point; at most 24 bytes */
+static char *csv_double(char *out, double value)
+{
+    if (isnan(value))
+        return put(out, "nan", 3);
+    if (signbit(value)) {
+        *out++ = '-';
+        value = -value;
+    }
+    if (isinf(value))
+        return put(out, "inf", 3);
+    if (value == 0.0)
+        return put(out, "0.0", 3);
+    char text[32], digits[17];
+    const char *end = shortest_scientific(text, text + sizeof text, value, SCIENTIFIC).ptr;
+    const char *e = memchr(text, 'e', (size_t)(end - text));
+    int64_t exp = 0, count = 0;
+    for (const char *c = e + 2; c < end; c++)
+        exp = 10 * exp + (*c - '0');
+    if (e[1] == '-')
+        exp = -exp;
+    if (exp < -4 || exp > 15)
+        return put(out, text, end - text);
+    for (const char *c = text; c < e; c++)
+        if (*c != '.')
+            digits[count++] = *c;
+    if (exp < 0) {   /* 0.000ddd */
+        out = put(out, "0.000", 1 - exp);
+        return put(out, digits, count);
+    }
+    const int64_t whole = exp + 1;   /* digits before the point */
+    if (count <= whole) {   /* ddd000.0 */
+        out = put(out, digits, count);
+        memset(out, '0', (size_t)(whole - count));
+        return put(out + whole - count, ".0", 2);
+    }
+    out = put(out, digits, whole);
+    *out++ = '.';
+    return put(out, digits + whole, count - whole);
+}
+
+/* value in decimal; at most 20 bytes */
+static char *csv_int(char *out, int64_t value)
+{
+    uint64_t rest = value < 0 ? 0 - (uint64_t)value : (uint64_t)value;
+    char digits[20];
+    int count = 0;
+    do
+        digits[count++] = (char)('0' + rest % 10);
+    while (rest /= 10);
+    if (value < 0)
+        *out++ = '-';
+    while (count)
+        *out++ = digits[--count];
+    return out;
+}
+
+/* rows CSV rows into out, each its `lead` ints (rows, lead), then its
+ * `cols` values (rows, cols) as repr spells them, comma-joined and ended
+ * by \r\n, as csv.writer writes fields that need no quoting; out holds
+ * rows (21 lead + 25 cols + 2) bytes, the longest fields' bound.  Returns
+ * the bytes written. */
+int64_t adle_csv_rows(int64_t rows, int64_t lead, const int64_t *ints, int64_t cols,
+                      const double *values, char *out)
+{
+    char *const start = out;
+    for (int64_t r = 0; r < rows; r++) {
+        for (int64_t j = 0; j < lead; j++) {
+            out = csv_int(out, *ints++);
+            *out++ = ',';
+        }
+        for (int64_t j = 0; j < cols; j++) {
+            out = csv_double(out, *values++);
+            *out++ = ',';
+        }
+        out = put(out - (lead + cols > 0), "\r\n", 2);
+    }
+    return out - start;
 }
 
 #define CAT_(a, b) a##b

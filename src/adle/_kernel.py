@@ -1,6 +1,7 @@
 """Loader of the compiled library (``_kernel.c``): the bank-step kernel,
 the library's one consensus+innovation round and its checkpoint
-diagnostics, and the trials' random streams.
+diagnostics, the trials' random streams, and the CSV text of the report
+tables (:meth:`BankKernel.csv_rows`).
 
 The kernel advances a whole trial bank through one segment of steps in a
 single call, computing each step's weights from the schedule, starting
@@ -70,8 +71,13 @@ STREAM_BYTES = 48
 #: No ``-march=native`` and no ``-ffast-math``, and no contraction into
 #: fused multiply-adds: results are then bit-stable across machines of
 #: one architecture.  ``-fno-math-errno`` keeps the kernel's ``sqrt`` one
-#: instruction (its value is the same); numpy's distributions need libm.
+#: instruction (its value is the same).
 COMPILE = ("gcc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
+
+#: The libraries linked after numpy's static one: libm, which its distributions
+#: need, and libstdc++ for its shortest round-trip ``std::to_chars`` (GCC >= 11),
+#: which numpy loads already.
+LIBS = ("-lm", "-lstdc++")
 
 #: Lane widths of the entry points ``adle_advance_bank_<L>``: baseline,
 #: AVX2 and AVX-512F.
@@ -113,7 +119,7 @@ def _cache_dir() -> Path:
 
 def _command(output, source) -> list[str]:
     """The compile command of the library ``output`` from ``source``."""
-    return [*COMPILE, "-o", str(output), str(source), str(NPYRANDOM), "-lm"]
+    return [*COMPILE, "-o", str(output), str(source), str(NPYRANDOM), *LIBS]
 
 
 class _CompileFailed(Exception):
@@ -193,6 +199,7 @@ SIGNATURES = {
     "adle_layout": ([], _I64), "adle_bank_bytes": ([], _I64), "adle_lanes": ([], ctypes.c_int),
     "adle_scratch_vectors": ([_BANK], _I64), "adle_stream_bytes": ([], _I64),
     "adle_seed": ([_PTR, _I64, _PTR], None),
+    "adle_csv_rows": ([_I64, _I64, _PTR, _I64, _PTR, _PTR], _I64),
     **{f"adle_advance_bank_{width}": ([_BANK, _I64, _I64, _PTR], ctypes.c_int)
        for width in WIDTHS},
 }
@@ -286,6 +293,22 @@ class BankKernel:
         arrays["scratch"] = _aligned(size, 64)
         args.scratch = arrays["scratch"].ctypes.data
         return BoundBank(self._fns[lanes], args, arrays, model, state)
+
+    def csv_rows(self, ints: np.ndarray, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """CSV text of a table into ``out``, a uint8 array of at least
+        :func:`csv_bytes` bytes, and the part of ``out`` it fills.  Row r is
+        ``ints[r]`` (int64, rows x lead) in decimal, then ``values[r]``
+        (float64, rows x cols) each as ``repr(float(v))`` spells it,
+        comma-joined and ended by ``\\r\\n``, as ``csv.writer`` writes them."""
+        (rows, lead), (_, cols) = ints.shape, values.shape
+        if not (ints.dtype == np.int64 and values.dtype == np.float64 and out.dtype == np.uint8
+                and all(arr.flags.c_contiguous for arr in (ints, values, out))
+                and len(values) == rows and out.size >= csv_bytes(rows, lead, cols)):
+            raise ValueError(f"csv_rows needs C-contiguous int64 and float64 tables of {rows} "
+                             f"rows and {csv_bytes(rows, lead, cols)} bytes of uint8 out")
+        written = self._lib.adle_csv_rows(rows, lead, ints.ctypes.data, cols,
+                                          values.ctypes.data, out.ctypes.data)
+        return out[:written]
 
 
 class BoundBank:
@@ -388,6 +411,13 @@ def _aligned(size: int, alignment: int) -> np.ndarray:
     """An uninitialized buffer of ``size`` bytes whose address ``alignment`` divides."""
     raw = np.empty(size + alignment, np.uint8)
     return raw[-raw.ctypes.data % alignment:][:size]
+
+
+def csv_bytes(rows: int, lead: int, cols: int) -> int:
+    """The bound of :meth:`BankKernel.csv_rows`' text of ``rows`` rows of
+    ``lead`` ints and ``cols`` floats: 21 bytes a field of int64's minimum,
+    25 one of ``-2.2250738585072014e-308``, commas and ``\\r\\n`` included."""
+    return rows * (21 * lead + 25 * cols + 2)
 
 
 def scratch_vectors(n: int, m: int, mx: int) -> int:

@@ -566,8 +566,6 @@ def evaluate_acceptance(
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return repr(float(value))
 
 
@@ -577,9 +575,12 @@ def _row(fields) -> str:
 
 
 def _write_matrix(path: Path, matrix: np.ndarray, header: str):
-    with open(path, "w", newline="") as handle:
-        handle.write(f"# {header}\n")
-        handle.writelines(_row(map(_fmt, row)) for row in np.atleast_2d(matrix))
+    values = np.ascontiguousarray(np.atleast_2d(matrix), np.float64)
+    rows, cols = values.shape
+    text = np.empty(_kernel.csv_bytes(rows, 0, cols), np.uint8)
+    with open(path, "wb") as handle:
+        handle.write(f"# {header}\n".encode())
+        handle.write(_kernel.load().csv_rows(np.empty((rows, 0), np.int64), values, text))
 
 
 def write_report(
@@ -601,14 +602,17 @@ def write_report(
 
     header = ["trial", "t", "disagreement", *(f"err_agent_{i}" for i in range(n_agents)),
               "gain_gap", "grammian_gap"]
-    times = report.checkpoint_times.tolist()  # Python ints and floats: repr is _fmt
-    with open(outdir / "checkpoints.csv", "w", newline="") as handle:
-        handle.write(_row(header))
+    keys = np.empty((len(report.checkpoint_times), 2), np.int64)  # trial, t
+    keys[:, 1] = report.checkpoint_times
+    text = np.empty(_kernel.csv_bytes(len(keys), 2, n_agents + 3), np.uint8)
+    csv_rows = _kernel.load().csv_rows
+    with open(outdir / "checkpoints.csv", "wb") as handle:
+        handle.write(_row(header).encode())
         for trial, errors in enumerate(report.trial_error_norms):  # a trial's table at a time
+            keys[:, 0] = trial
             rows = np.column_stack([report.trial_disagreement[trial], errors,
                                     report.trial_gain_gap[trial], report.trial_grammian_gap[trial]])
-            handle.writelines(_row([str(trial), str(t), *map(repr, row)])
-                              for t, row in zip(times, rows.tolist()))
+            handle.write(csv_rows(keys, rows, text))
 
     for agent in range(n_agents):
         _write_matrix(

@@ -13,13 +13,16 @@ Two oracles of the compiled bank kernel, the library's one round:
   state, as ``adle.harness._walk`` does.
 
 The tests check that the kernel agrees with both and check the
-equations' properties on the per-agent oracle.
+equations' properties on the per-agent oracle.  One oracle of the
+library's CSV text, :func:`write_report_by_repr`, writes the report
+files a row of Python strings at a time, each value by ``repr``.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -401,3 +404,50 @@ def reference_walk(model, top, schedule, horizon: int, grid, seeds, init=None, r
             write_state(bound, state_arrays(state), t)
             bound.advance(t, records[c])
         yield t, state
+
+
+def _write_matrix(path: Path, matrix: np.ndarray, header: str):
+    with open(path, "w", newline="") as handle:
+        handle.write(f"# {header}\n")
+        handle.writelines(harness._row(repr(float(value)) for value in row)
+                          for row in np.atleast_2d(matrix))
+
+
+def write_report_by_repr(report, outdir, thresholds) -> None:
+    """``harness.write_report`` in Python rows: each row ``harness._row`` of
+    ``str(trial)``, ``str(t)`` and ``repr`` of each value, each matrix row
+    of ``repr(float(v))`` of each value; ``summary.csv`` as the library
+    writes it."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    n_agents = report.empirical_scaled_cov.shape[0]
+    header = ["trial", "t", "disagreement", *(f"err_agent_{i}" for i in range(n_agents)),
+              "gain_gap", "grammian_gap"]
+    times = report.checkpoint_times.tolist()
+    with open(outdir / "checkpoints.csv", "w", newline="") as handle:
+        handle.write(harness._row(header))
+        for trial, errors in enumerate(report.trial_error_norms):
+            rows = np.column_stack([report.trial_disagreement[trial], errors,
+                                    report.trial_gain_gap[trial], report.trial_grammian_gap[trial]])
+            handle.writelines(harness._row([str(trial), str(t), *map(repr, row)])
+                              for t, row in zip(times, rows.tolist()))
+    for agent in range(n_agents):
+        _write_matrix(outdir / f"covariance_agent_{agent}.csv", report.empirical_scaled_cov[agent],
+                      f"scaled-error covariance, agent {agent}, trials={report.num_trials}, "
+                      f"horizon={report.horizon}")
+    _write_matrix(outdir / "covariance_target.csv", report.target_cov,
+                  "centralized asymptotic covariance (benchmark)")
+    _write_matrix(outdir / "covariance_centralized.csv", report.centralized_scaled_cov,
+                  f"scaled-error covariance of the centralized baseline, "
+                  f"trials={report.num_trials}, horizon={report.horizon}")
+    if report.ks_pvalues is not None:
+        _write_matrix(outdir / "ks_pvalues.csv", report.ks_pvalues,
+                      "KS p-values per agent (rows) and coordinate (columns)")
+    stats = harness.evaluate_acceptance(report, thresholds)
+    summary = [["statistic", "value", "requirement", "passed"],
+               *([name, str(getattr(report, name)), "", ""]
+                 for name in ("master_seed", "num_trials", "horizon")),
+               *([stat.name, harness._fmt(stat.value), stat.requirement,
+                  harness._fmt(stat.passed)] for stat in stats)]
+    with open(outdir / "summary.csv", "w", newline="") as handle:
+        handle.writelines(map(harness._row, summary))

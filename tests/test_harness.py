@@ -73,6 +73,7 @@ from reference import (
     unit_variance_draws,
     weights,
     whole_block_draws,
+    write_report_by_repr,
 )
 
 
@@ -484,6 +485,89 @@ def test_checkpoints_csv_is_the_csv_writer_bytes(tmp_path, ring_model, bernoulli
                                         b",5e-324\r\n"))
     assert b",nan," in (tmp_path / "out" / "covariance_agent_1.csv").read_bytes()
     assert any(not stat.passed for stat in stats) and any(stat.passed for stat in stats)
+
+
+#: Doubles at the edges of repr's spelling: its layout switches (1e-05 and
+#: 0.0001, 9999999999999998.0 and 1e16), the extremes, an integer past 2**53
+#: and the values it spells by name.
+PLANTED = (np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072014e-308,
+           1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-05, 0.0001, 2.0**53 + 2)
+
+
+def test_report_files_are_the_repr_rows_bytes_with_planted_values(tmp_path):
+    # a report built by hand, each of its tables holding every planted value
+    # among values of every magnitude, written by the library and by the oracle
+    rng = np.random.default_rng(29)
+    trials, n, m = 3, 4, 4
+    times = np.array([1, 9, 40, 300, 2**40])
+
+    def table(*shape):
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 31, shape)
+        values.flat[rng.choice(values.size, len(PLANTED), replace=False)] = PLANTED
+        return values
+
+    report = harness.ExperimentReport(
+        num_trials=trials, horizon=2**40, master_seed=29, checkpoint_times=times,
+        trial_disagreement=table(trials, len(times)),
+        trial_error_norms=table(trials, len(times), n),
+        trial_gain_gap=table(trials, len(times)), trial_grammian_gap=table(trials, len(times)),
+        terminal_gain_gap=rng.random(trials), empirical_scaled_cov=table(n, m, m),
+        target_cov=table(m, m), rel_frobenius_gap=rng.random(n),
+        centralized_scaled_cov=table(m, m), centralized_baseline_gap=0.5,
+        median_disagreement=rng.random(len(times)), median_error=rng.random((len(times), n)),
+        disagreement_slope=-0.5, consistency_decay=np.full(n, -0.5), optimal_gain_norm=1.0,
+        ks_pvalues=table(n, m))
+    write_report(report, tmp_path / "out", AcceptanceThresholds())
+    write_report_by_repr(report, tmp_path / "oracle", AcceptanceThresholds())
+    names = sorted(path.name for path in (tmp_path / "out").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "oracle").iterdir())
+    assert len(names) == 9 and "ks_pvalues.csv" in names
+    for name in names:
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
+    got = (tmp_path / "out" / "checkpoints.csv").read_bytes()
+    assert all(repr(value).encode() in got for value in PLANTED)
+
+
+def _csv_cells(values) -> list[str]:
+    """``adle_csv_rows``' spelling of each of ``values``, a one-column table."""
+    values = np.ascontiguousarray(values, np.float64).reshape(-1, 1)
+    text = np.empty(_kernel.csv_bytes(len(values), 0, 1), np.uint8)
+    got = _kernel.load().csv_rows(np.empty((len(values), 0), np.int64), values, text)
+    return got.tobytes().decode().split("\r\n")[:-1]
+
+
+def test_csv_rows_spell_every_double_as_repr():
+    # 10**6 random bit patterns, NaN payloads, subnormals and every exponent among them
+    patterns = np.random.default_rng(2018).integers(0, 2**64, 10**6, np.uint64, endpoint=False)
+    values = patterns.view(np.float64)
+    assert _csv_cells(values) == [repr(value) for value in values.tolist()]
+    # every power of two, each power of ten and its neighbours, the integers past
+    # 2**53, and both sides of repr's switches to scientific notation
+    tens = [10.0**k for k in range(-30, 31)]
+    specials = [*(2.0**k for k in range(-1074, 1024)),
+                *(near for ten in tens for near in (np.nextafter(ten, 0), ten,
+                                                    np.nextafter(ten, np.inf))),
+                *(2.0**53 + i for i in range(5)),
+                1e-05, np.nextafter(1e-04, 0), 0.0001, 9999999999999998.0, 1e16, *PLANTED]
+    specials += [-value for value in specials]
+    assert _csv_cells(specials) == [repr(float(value)) for value in specials]
+
+
+def test_csv_rows_fit_their_bound_with_the_longest_fields():
+    # rows of int64's minimum and of the longest repr, in a buffer of exactly
+    # the bound, followed by guard bytes that stay as they were
+    rows, lead, cols = 7, 3, 4
+    ints = np.full((rows, lead), np.iinfo(np.int64).min)
+    values = np.full((rows, cols), -2.2250738585072014e-308)
+    bound = _kernel.csv_bytes(rows, lead, cols)
+    buffer = np.full(bound + 64, 0xA5, np.uint8)
+    got = _kernel.load().csv_rows(ints, values, buffer[:bound])
+    assert np.all(buffer[bound:] == 0xA5)
+    row = ",".join(["-9223372036854775808"] * lead + ["-2.2250738585072014e-308"] * cols)
+    assert got.tobytes() == f"{row}\r\n".encode() * rows
+    assert len(got) == bound - rows  # one byte a row to spare: the last field has no comma
+    with pytest.raises(ValueError, match="bytes of uint8 out"):
+        _kernel.load().csv_rows(ints, values, buffer[:bound - 1])
 
 
 @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
@@ -1321,7 +1405,7 @@ def test_the_library_exports_the_typed_entry_points_only():
     built = _kernel.WIDTHS if x86 else (1,)
     assert exported == {name for name in _kernel.SIGNATURES
                         if not name.startswith(_kernel._WIDE) or int(name.rsplit("_", 1)[1]) in built}
-    assert len(exported) == (9 if x86 else 7)
+    assert len(exported) == (10 if x86 else 8)
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
@@ -1479,7 +1563,8 @@ def test_missing_static_library_is_a_named_error(monkeypatch, tmp_path, capsys):
                         "topology: {base: example1, law: gossip}\nhorizon: 100\nnum_trials: 4\n")
     _kernel.load.cache_clear()
     try:
-        with pytest.raises(AdleError, match=re.escape(f"{missing} -lm`: numpy's static library")):
+        libs = " ".join(_kernel.LIBS)
+        with pytest.raises(AdleError, match=re.escape(f"{missing} {libs}`: numpy's static library")):
             _kernel.load()
         assert main(["--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
     finally:

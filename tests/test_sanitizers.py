@@ -12,7 +12,9 @@ and noise family, ragged observation dimensions, the Grammians' triangle
 loops at three parameters under random sensing, block starts by
 segments that end at a block's end and that cross it into a short last
 block, on five edges and on one, zero-step records calls, the failure
-paths and a segment past step 2**31.  A sanitizer report fails the test.
+paths and a segment past step 2**31, and the CSV text of repr's hardest
+doubles and int64's extremes into a buffer of exactly its bound.  A
+sanitizer report fails the test.
 """
 
 import copy
@@ -49,7 +51,8 @@ def test_the_kernel_runs_clean_under_address_and_undefined_behavior_sanitizers(t
     library = tmp_path / "_kernel-sanitized.so"
     flags = [flag for flag in _kernel.COMPILE if not flag.startswith("-O")]
     build = subprocess.run([*flags, *SANITIZE, "-o", str(library), str(_kernel._SOURCE),
-                            str(_kernel.NPYRANDOM), "-lm"], capture_output=True, text=True)
+                            str(_kernel.NPYRANDOM), *_kernel.LIBS], capture_output=True,
+                           text=True)
     assert build.returncode == 0, build.stderr
     here = Path(__file__).resolve().parent
     env = {**os.environ, "LD_PRELOAD": ":".join(map(str, runtimes)),
@@ -169,6 +172,19 @@ def _drive(library: str) -> None:
                     out = np.empty((7, other.num_agents + 3))
                     bound.advance(stop, out)
                 assert np.all(np.isfinite(out))
+
+    # CSV text of repr's switches and specials, and a table of the longest fields
+    # (int64's minimum, the longest repr) in a buffer of exactly the bound
+    values = np.array([[-2.2250738585072014e-308, np.nan, -np.inf], [-0.0, 5e-324, 1e-05],
+                       [0.0001, 9999999999999998.0, 1e16], [2.0**53 + 2, -1.7976931348623157e308,
+                                                            np.nextafter(1e-04, 0)]])
+    ints = np.array([[np.iinfo(np.int64).min, -1], [0, np.iinfo(np.int64).max]] * 2)
+    for keys, table in ((ints, values), (np.full_like(ints, ints[0, 0]),
+                                         np.full_like(values, values[0, 0]))):
+        text = np.empty(_kernel.csv_bytes(*keys.shape, table.shape[1]), np.uint8)
+        got = kernel.csv_rows(keys, table, text).tobytes().decode()
+        assert got == "".join(",".join([*map(str, row_keys), *map(repr, row)]) + "\r\n"
+                              for row_keys, row in zip(keys.tolist(), table.tolist()))
     print("clean", runs)
 
 
