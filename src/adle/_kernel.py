@@ -4,28 +4,27 @@ diagnostics, the trials' random streams, and the CSV text of the report
 tables (:meth:`BankKernel.csv_rows`).
 
 The kernel advances a whole trial bank through one segment of steps in a
-single call, computing each step's weights from the schedule, starting
-each block's link draws, drawing each step's noise and links from the
-trials' streams and forming the observations from the noise, and, where
-asked, writes the bank's checkpoint records at the segment's last step.
-A bank is made in one place, ``BankKernel.bind(model, top, schedule,
-seeds, horizon, init)``: its state, tiled over its trials from
-``initial_network_state``, its streams and their link-stream copies and
-one lane scratch buffer, bound once; ``BoundBank.advance(stop, out)``
-runs one segment.  The streams are numpy's PCG64, seeded as
-``np.random.default_rng`` seeds it and drawn by numpy's own C
-distributions, which the library links from numpy's static
-``libnpyrandom.a``.  The library is compiled on first use with the
-system C compiler and cached under the package's ``__pycache__`` (else
-in one private per-user directory under the system temporary directory,
-else in a directory of its own that is removed once the library is
-loaded), keyed by a hash of the source, as read when this module is
-imported, the compile command and numpy's version; the loader refuses a
-library whose ``struct adle_bank`` differs from ``_BankArgs`` or whose
-``struct adle_stream`` is not ``STREAM_BYTES``.  The library holds one
-entry point per lane width (trials advanced side by side in one vector);
-the CPU it loads on picks the widest it runs, and every width gives the
-same bits.
+single call, computing each step's weights from the schedule, starting each
+block's link draws, drawing each step's noise and links from the trials'
+streams and forming the observations from the noise, and, where asked,
+writes the bank's checkpoint records at the segment's last step.  A bank is
+made in one place, ``BankKernel.bind(model, top, schedule, seeds, horizon,
+init)``: its state, tiled over its trials from ``initial_network_state``,
+its streams and their link-stream copies and one lane scratch buffer of
+``BankKernel.scratch_bytes``, which validation counts too, bound once;
+``BoundBank.advance(stop, out)`` runs one segment.  The streams are numpy's
+PCG64, seeded as ``np.random.default_rng`` seeds it and drawn by numpy's
+own C distributions, which the library links from numpy's static
+``libnpyrandom.a``.  The library is compiled on first use with the system C
+compiler and cached under the package's ``__pycache__`` (else in one
+private per-user directory under the system temporary directory, else in a
+directory of its own that is removed once the library is loaded), keyed by
+a hash of the source, as read when this module is imported, the compile
+command and numpy's version; the loader refuses a library whose
+``struct adle_bank`` differs from ``_BankArgs`` or whose ``struct adle_stream``
+is not ``STREAM_BYTES``.  The library holds one entry point per lane width
+(trials advanced side by side in one vector); the CPU it loads on picks the
+widest it runs, and every width gives the same bits.
 """
 
 from __future__ import annotations
@@ -287,12 +286,19 @@ class BankKernel:
                          scale=(schedule.a, schedule.b, schedule.gamma0),
                          tau=(schedule.tau1, schedule.tau2, schedule.tau_gamma),
                          **{name: arr.ctypes.data for name, arr in arrays.items()})
-        lanes = 1 if bank == 1 else self.lanes
         # GCC's vector types assume their 64-byte alignment, which np.empty does not promise
-        size = self._lib.adle_scratch_vectors(ctypes.byref(args)) * lanes * 8
-        arrays["scratch"] = _aligned(size, 64)
+        arrays["scratch"] = _aligned(self.scratch_bytes(model, bank), 64)
         args.scratch = arrays["scratch"].ctypes.data
-        return BoundBank(self._fns[lanes], args, arrays, model, state)
+        return BoundBank(self._fns[self._width(bank)], args, arrays, model, state)
+
+    def _width(self, bank: int) -> int:
+        return 1 if bank == 1 else self.lanes
+
+    def scratch_bytes(self, model, bank: int) -> int:
+        """Bytes of the lane scratch that :meth:`bind` allocates for a bank of ``bank``
+        trials of ``model``: ``adle_scratch_vectors`` vectors of the bank's width."""
+        args = _BankArgs(n=model.num_agents, m=model.param_dim, mx=max(model.obs_dims))
+        return self._lib.adle_scratch_vectors(ctypes.byref(args)) * self._width(bank) * 8
 
     def csv_rows(self, ints: np.ndarray, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """CSV text of a table into ``out``, a uint8 array of at least
@@ -418,12 +424,6 @@ def csv_bytes(rows: int, lead: int, cols: int) -> int:
     ``lead`` ints and ``cols`` floats: 21 bytes a field of int64's minimum,
     25 one of ``-2.2250738585072014e-308``, commas and ``\\r\\n`` included."""
     return rows * (21 * lead + 25 * cols + 2)
-
-
-def scratch_vectors(n: int, m: int, mx: int) -> int:
-    """``adle_scratch_vectors`` of ``_kernel.c``: the lane vectors of scratch
-    of a bank of ``n`` agents, ``m`` parameters and ``mx`` observations."""
-    return n * (3 * m + 3 * m * m + 5 * mx + mx * mx) + 2 * mx * mx + 2 * m * mx + m * m + mx
 
 
 @functools.cache

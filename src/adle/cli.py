@@ -12,7 +12,6 @@ configuration or runtime errors.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -23,7 +22,7 @@ import yaml
 from . import harness
 from .errors import AdleError, ParseError, ValidationError
 from .estimator import initial_network_state
-from .model import ObservationModel, validate_observation_model
+from .model import ObservationModel
 from .network import Graph, TopologyModel, cycle_graph, mean_laplacian, fiedler_value, validate_mean_connectivity
 from .schedule import WeightSchedule, checkpoint_bound, validate_schedule
 
@@ -186,7 +185,7 @@ def _model(spec: dict) -> ObservationModel:
         problem = "not with preset example1" if preset else "missing"
         raise ValidationError([f"model.{key}: {problem}" for key in keys])
     model = example1_model(**spec) if preset else ObservationModel(**spec)
-    validate_observation_model(model)
+    model._centralized  # validates it, cached for the run
     return model
 
 
@@ -218,8 +217,9 @@ def parse_config(path, overrides=None) -> ScenarioConfig:
 
     ``overrides`` maps top-level keys to values that replace the file's
     before validation, as ``--seed``, ``--trials`` and ``--horizon`` do.
-    Raises :class:`ParseError` for unreadable or malformed YAML and
-    :class:`ValidationError` carrying every validation failure at once.
+    Raises :class:`ParseError` for unreadable or malformed YAML, :class:`ValidationError`
+    carrying every validation failure at once, and the loader's :class:`AdleError`
+    where the compiled kernel, whose lane width sizes the memory check, cannot be built.
     """
     try:
         with open(path) as handle:
@@ -282,6 +282,7 @@ def parse_config(path, overrides=None) -> ScenarioConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here only: a run loads neither it nor gettext
     parser = argparse.ArgumentParser(prog="adle", description=(
         "Run distributed-estimation Monte Carlo experiments from a scenario file."))
     parser.add_argument("--config", required=True, help="path to the scenario YAML file")
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
         return 1
 
     if args.validate_only:
-        summary = validate_observation_model(config.model)
+        summary = config.model._centralized
         print(f"configuration OK (schema {SCHEMA})")
         print(f"mean-Laplacian Fiedler value: {fiedler_value(mean_laplacian(config.topology)):.6g}")
         print(f"schedule separation slack: {config.schedule.separation_slack:.6g}")

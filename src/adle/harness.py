@@ -156,14 +156,14 @@ def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
 
 
 def _draw_bytes(model: ObservationModel, trials: int) -> dict[str, int]:
-    """Bytes of the buffers that one bank of an experiment holds, by part:
-    its streams and link streams, the kernel's lane scratch at the widest
-    lane width, and its state."""
+    """Bytes of the buffers that the largest bank of an experiment holds, by
+    part: its streams and link streams, the lane scratch that the loaded
+    kernel binds for it (``BankKernel.scratch_bytes``), and its state."""
     rows = min(TRIALS_PER_BANK, trials)
     n, m, mx = model.num_agents, model.param_dim, max(model.obs_dims)
     return {
         "streams": 2 * rows * _kernel.STREAM_BYTES,
-        "lane scratch": _kernel.scratch_vectors(n, m, mx) * max(_kernel.WIDTHS) * 8,
+        "lane scratch": _kernel.load().scratch_bytes(model, rows),
         "bank state": (rows * (m + m * m + 2 * mx + mx * mx) + mx * mx) * n * 8,
     }
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -119,8 +118,8 @@ def checkpoint_bound(horizon: int, start: int = 10, per_decade: int = 8) -> int:
     without building the grid: the smaller of the steps from ``start`` to
     ``horizon`` and ``per_decade * log10((horizon + 0.5) / start) + 2``.
     Exact for integers beyond the float range."""
-    decades = Fraction(math.log10(2 * horizon + 1) - math.log10(2 * start))
-    return min(horizon - start + 1, math.floor(per_decade * decades) + 2)
+    num, den = (math.log10(2 * horizon + 1) - math.log10(2 * start)).as_integer_ratio()
+    return min(horizon - start + 1, per_decade * num // den + 2)
 
 
 def recursion_trace(

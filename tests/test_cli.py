@@ -155,6 +155,22 @@ def test_validate_only_prints_derived_quantities(tmp_path, capsys):
     assert "covariance" in out
 
 
+def test_a_run_validates_its_model_once(tmp_path, monkeypatch):
+    # parse_config validates the model by its cached centralized summary,
+    # which the optimal gains, the baseline and the report read again
+    calls, validate = [], adle.model.validate_observation_model
+
+    def spy(model):
+        calls.append(model)
+        return validate(model)
+
+    monkeypatch.setattr(adle.model, "validate_observation_model", spy)
+    monkeypatch.setattr(cli, "validate_observation_model", spy, raising=False)
+    config = parse_config(write_scenario(tmp_path, run_ks_test=True))
+    harness.write_report(harness.run_experiment(config), tmp_path / "out", config.acceptance)
+    assert calls == [config.model]
+
+
 def test_bad_flag_exits_one(capsys):
     assert main(["--config", "x", "--bogus"]) == 1
 
@@ -275,8 +291,9 @@ def test_module_entry_point_runs_the_command(tmp_path):
 def test_a_one_worker_run_loads_neither_numpy_ma_nor_multiprocessing(tmp_path):
     # the medians are sorts, the process pool is imported only to be built,
     # subprocess only to compile the kernel, which this process has built, the
-    # trials draw from the kernel's streams, not numpy.random, and the kernel's
-    # source is hashed without hashlib (OpenSSL)
+    # trials draw from the kernel's streams, not numpy.random, the kernel's
+    # source is hashed without hashlib (OpenSSL), the checkpoint bound takes
+    # no Fraction and argparse is imported only to parse the command line
     _kernel._build()
     src = str(Path(adle.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -287,7 +304,8 @@ def test_a_one_worker_run_loads_neither_numpy_ma_nor_multiprocessing(tmp_path):
             "harness.write_report(harness.run_experiment(config), sys.argv[2], config.acceptance); "
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['numpy', 'ma'], "
             "['numpy', 'random']) or m.split('.')[0] in ('multiprocessing', 'subprocess', "
-            "'hashlib', '_hashlib')))")
+            "'hashlib', '_hashlib', 'fractions', 'decimal', '_decimal', 'argparse', "
+            "'gettext')))")
     out = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -411,7 +429,8 @@ def test_draw_buffers_beyond_memory_are_a_collected_validation_error(tmp_path, c
     parts = harness._draw_bytes(config.model, 1300)
     assert parts == {
         "streams": 2 * 64 * 48,
-        "lane scratch": 518 * 8 * 8,  # adle_scratch_vectors at n = m = 5, mx = 1
+        # adle_scratch_vectors at n = m = 5, mx = 1, at the loaded kernel's width
+        "lane scratch": 518 * _kernel.load().lanes * 8,
         "bank state": (64 * (5 + 25 + 2 + 1) + 1) * 5 * 8}
     path = write_scenario(tmp_path, num_trials=1300, horizon=2085, parallelism=2)
     assert main(["--config", str(path), "--validate-only"]) == 1

@@ -1371,23 +1371,23 @@ def test_a_nearly_symmetric_initial_grammian_runs_on_its_symmetric_part():
 def test_lane_scratch_is_aligned_and_sized_by_the_kernel():
     model, top, _, _ = KERNEL_CASES["ragged"]
     kernel = _kernel.load()
+    args = _kernel._BankArgs(n=model.num_agents, m=model.param_dim, mx=model._stacked.max_dim)
+    vectors = kernel._lib.adle_scratch_vectors(ctypes.byref(args))
     for bank in (1, 3):
         bound = bind_bank(model, top, WeightSchedule(), range(bank), 0)
         scratch = bound._arrays["scratch"]
         lanes = 1 if bank == 1 else kernel.lanes
-        vectors = _kernel.scratch_vectors(model.num_agents, model.param_dim,
-                                          model._stacked.max_dim)
-        assert scratch.ctypes.data % 64 == 0 and scratch.nbytes == vectors * lanes * 8
-        assert bound._args.scratch == scratch.ctypes.data
+        assert scratch.nbytes == kernel.scratch_bytes(model, bank) == vectors * lanes * 8
+        assert scratch.ctypes.data % 64 == 0 and bound._args.scratch == scratch.ctypes.data
 
 
 def test_the_scratch_formula_is_the_kernels():
-    # the memory bound's mirror of adle_scratch_vectors, over agents, parameters
-    # and observation dimensions below, at and above the parameters'
-    lib = _kernel.load()._lib
-    for n, m, mx in itertools.product((1, 2, 5, 50), (1, 2, 5), (1, 2, 3, 7)):
-        args = _kernel._BankArgs(n=n, m=m, mx=mx)
-        assert _kernel.scratch_vectors(n, m, mx) == lib.adle_scratch_vectors(ctypes.byref(args))
+    # the memory bound's lane scratch is what bind allocates, one lane for one
+    # trial, over models of ragged, equal and random observation dimensions
+    for (model, top, schedule, _), bank in itertools.product(KERNEL_CASES.values(), (1, 3, 64)):
+        scratch = bind_bank(model, top, schedule, range(bank), 0)._arrays["scratch"]
+        assert scratch.nbytes == harness._draw_bytes(model, bank)["lane scratch"], (
+            model.obs_dims, bank)
 
 
 def test_the_library_exports_the_typed_entry_points_only():
@@ -1454,7 +1454,7 @@ def test_each_bank_is_bound_once(monkeypatch, ring_model, bernoulli_pentagon, ri
 
 
 @pytest.mark.parametrize("law", ["static", "bernoulli", "gossip"])
-@pytest.mark.parametrize("trials, horizon", [(3, 10), (70, 2 * BLOCK_STEPS + 37)])
+@pytest.mark.parametrize("trials, horizon", [(1, 10), (3, 10), (70, 2 * BLOCK_STEPS + 37)])
 def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring_schedule, law,
                                                    trials, horizon):
     top = TopologyModel(cycle_graph(5), law, 0.5)
@@ -1478,13 +1478,11 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
     bound, = banks
     parts = harness._draw_bytes(ring_model, trials)
     arrays = dict(bound._arrays)
-    # the lane scratch at the widest width; the model's arrays are not the bank's
-    lanes = 1 if len(seeds) == 1 else _kernel.load().lanes
-    widest = arrays.pop("scratch").nbytes // lanes * max(_kernel.WIDTHS)
+    # the model's arrays are not the bank's
     bound_bytes = sum(arrays[name].nbytes for name in arrays
                       if name not in ("h", "truth", "factor", "edges"))
-    assert widest + bound_bytes == sum(parts.values())
-    assert widest == parts["lane scratch"]
+    assert bound_bytes == sum(parts.values())
+    assert arrays["scratch"].nbytes == parts["lane scratch"]
     assert arrays["streams"].nbytes + arrays["link_streams"].nbytes == parts["streams"]
     # one segment, whose block starts copy the streams into the bound link
     # streams in the kernel, and keeps nothing
@@ -1543,10 +1541,14 @@ def test_missing_compiler_is_a_named_error(monkeypatch, tmp_path, capsys):
         with pytest.raises(AdleError, match="adle-no-such-compiler -o"):
             _kernel.load()
         assert main(["--config", str(scenario), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        # validation sizes the bank by the kernel that the run would load
+        assert main(["--config", str(scenario), "--validate-only"]) == 1
+        captured = capsys.readouterr()
     finally:
         _kernel.load.cache_clear()
     assert list(cache.iterdir()) == []
-    err = capsys.readouterr().err
+    assert captured.err == err and "configuration OK" not in captured.out
     assert err.startswith("error: cannot build the compiled bank-step kernel with")
     assert "adle-no-such-compiler" in err and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
