@@ -10,21 +10,20 @@ streams and forming the observations from the noise, and, where asked,
 writes the bank's checkpoint records at the segment's last step.  A bank is
 made in one place, ``BankKernel.bind(model, top, schedule, seeds, horizon,
 init)``: its state, tiled over its trials from ``initial_network_state``,
-its streams and their link-stream copies and one lane scratch buffer of
-``BankKernel.scratch_bytes``, which validation counts too, bound once;
-``BoundBank.advance(stop, out)`` runs one segment.  The streams are numpy's
-PCG64, seeded as ``np.random.default_rng`` seeds it and drawn by numpy's
-own C distributions, which the library links from numpy's static
-``libnpyrandom.a``.  The library is compiled on first use with the system C
-compiler and cached under the package's ``__pycache__`` (else in one
+its streams and their link-stream copies and one lane scratch buffer,
+bound once, each of the bytes that ``BankKernel.bank_bytes`` states and
+validation counts; ``BoundBank.advance(stop, out)`` runs one segment.  The
+streams are numpy's PCG64, seeded as ``np.random.default_rng`` seeds it and
+drawn by numpy's own C distributions, which the library links from numpy's
+static ``libnpyrandom.a``.  The library is compiled on first use with the
+system C compiler and cached under the package's ``__pycache__`` (else in one
 private per-user directory under the system temporary directory, else in a
 directory of its own that is removed once the library is loaded), keyed by
 a hash of the source, as read when this module is imported, the compile
-command and numpy's version; the loader refuses a library whose
-``struct adle_bank`` differs from ``_BankArgs`` or whose ``struct adle_stream``
-is not ``STREAM_BYTES``.  The library holds one entry point per lane width
-(trials advanced side by side in one vector); the CPU it loads on picks the
-widest it runs, and every width gives the same bits.
+command and numpy's version; the loader refuses a library whose ``struct
+adle_bank`` differs from ``_BankArgs``.  The library holds one entry point
+per lane width (trials advanced side by side in one vector); the CPU it
+loads on picks the widest it runs, and every width gives the same bits.
 """
 
 from __future__ import annotations
@@ -63,9 +62,6 @@ LAYOUT = 7
 #: past the block's link draws (``block`` of ``struct adle_bank``): part of
 #: the documented per-trial draw order, a block's links, then its noise.
 BLOCK_STEPS = 1024
-
-#: Bytes of a ``struct adle_stream`` of ``_kernel.c``: one stream's state.
-STREAM_BYTES = 48
 
 #: No ``-march=native`` and no ``-ffast-math``, and no contraction into
 #: fused multiply-adds: results are then bit-stable across machines of
@@ -205,6 +201,9 @@ SIGNATURES = {
 
 _WIDE = "adle_advance_bank_"  # one entry point per lane width
 
+#: The fields of ``initial_network_state`` that a bank holds one of per trial.
+_TILED = ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums")
+
 
 def _bind(lib: ctypes.CDLL, name: str):
     """The entry point ``name`` of ``lib``, typed by :data:`SIGNATURES`.  It
@@ -230,9 +229,6 @@ class BankKernel:
             raise AdleError(f"the compiled kernel's struct adle_bank is layout {found[0]} of "
                             f"{found[1]} bytes, but the loader's _BankArgs is layout {LAYOUT} "
                             f"of {ctypes.sizeof(_BankArgs)} bytes")
-        if lib.adle_stream_bytes() != STREAM_BYTES:
-            raise AdleError(f"the compiled kernel's struct adle_stream is {lib.adle_stream_bytes()}"
-                            f" bytes, but the loader's STREAM_BYTES is {STREAM_BYTES}")
         self.lanes = lib.adle_lanes()
         self._fns = {width: _bind(lib, f"{_WIDE}{width}")
                      for width in WIDTHS[:WIDTHS.index(self.lanes) + 1]}
@@ -266,12 +262,13 @@ class BankKernel:
             raise ValueError(f"topology has {top.base.num_nodes} nodes, model has {n} agents")
         words = np.array([seed.generate_state(4, np.uint64) if hasattr(seed, "generate_state")
                           else _seed_words(seed) for seed in seeds], np.uint64)
+        sizes = self.bank_bytes(model, bank)
         # the streams, then their link streams; __uint128_t wants 16-byte alignment
-        streams = _aligned(2 * bank * STREAM_BYTES, 16).reshape(2, bank, -1)
+        streams = _aligned(sizes["streams"], 16).reshape(2, bank, -1)
         self._lib.adle_seed(streams.ctypes.data, bank, words.ctypes.data)
         streams[1] = streams[0]
         state = initial_network_state(model, *(init or ()))
-        for field in ("estimates", "grammians", "obs_shifts", "obs_sums", "obs_outer_sums"):
+        for field in _TILED:
             setattr(state, field, np.repeat(getattr(state, field)[None], bank, axis=0))
         arrays = {  # in the order of struct adle_bank
             "x": state.estimates, "g": state.grammians, "shift": state.obs_shifts,
@@ -287,18 +284,23 @@ class BankKernel:
                          tau=(schedule.tau1, schedule.tau2, schedule.tau_gamma),
                          **{name: arr.ctypes.data for name, arr in arrays.items()})
         # GCC's vector types assume their 64-byte alignment, which np.empty does not promise
-        arrays["scratch"] = _aligned(self.scratch_bytes(model, bank), 64)
+        arrays["scratch"] = _aligned(sizes["lane scratch"], 64)
         args.scratch = arrays["scratch"].ctypes.data
         return BoundBank(self._fns[self._width(bank)], args, arrays, model, state)
 
     def _width(self, bank: int) -> int:
         return 1 if bank == 1 else self.lanes
 
-    def scratch_bytes(self, model, bank: int) -> int:
-        """Bytes of the lane scratch that :meth:`bind` allocates for a bank of ``bank``
-        trials of ``model``: ``adle_scratch_vectors`` vectors of the bank's width."""
+    def bank_bytes(self, model, bank: int) -> dict[str, int]:
+        """Bytes of each buffer that :meth:`bind` allocates for a bank of ``bank``
+        trials of ``model``: the streams and their link streams, the lane scratch
+        of the bank's width and ``initial_network_state(model)`` tiled over it."""
         args = _BankArgs(n=model.num_agents, m=model.param_dim, mx=max(model.obs_dims))
-        return self._lib.adle_scratch_vectors(ctypes.byref(args)) * self._width(bank) * 8
+        state, lib, lanes = initial_network_state(model), self._lib, self._width(bank)
+        return {"streams": 2 * bank * lib.adle_stream_bytes(),
+                "lane scratch": lib.adle_scratch_vectors(ctypes.byref(args)) * lanes * 8,
+                "bank state": bank * sum(getattr(state, name).nbytes for name in _TILED)
+                + state.initial_sample_covs.nbytes}
 
     def csv_rows(self, ints: np.ndarray, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """CSV text of a table into ``out``, a uint8 array of at least

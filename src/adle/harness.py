@@ -155,32 +155,30 @@ def _bank_checkpoint(estimates, grammians, sample_covs, model, gamma):
     return disagreement, error_norms, gain_gap, grammian_gap
 
 
-def _draw_bytes(model: ObservationModel, trials: int) -> dict[str, int]:
-    """Bytes of the buffers that the largest bank of an experiment holds, by
-    part: its streams and link streams, the lane scratch that the loaded
-    kernel binds for it (``BankKernel.scratch_bytes``), and its state."""
+def _held_bytes(model, trials: int, checkpoints: int, workers: int) -> tuple[int, dict[str, int]]:
+    """Bytes that an experiment of up to ``checkpoints`` checkpoints holds:
+    the parent's records (:func:`_memory_shortfall`) and one worker's
+    buffers by part, those of its largest bank (``BankKernel.bank_bytes``)
+    and the (checkpoints, R, N + 3) records table that its walk fills."""
     rows = min(TRIALS_PER_BANK, trials)
-    n, m, mx = model.num_agents, model.param_dim, max(model.obs_dims)
-    return {
-        "streams": 2 * rows * _kernel.STREAM_BYTES,
-        "lane scratch": _kernel.load().scratch_bytes(model, rows),
-        "bank state": (rows * (m + m * m + 2 * mx + mx * mx) + mx * mx) * n * 8,
-    }
+    n, m = model.num_agents, model.param_dim
+    bank = {**_kernel.load().bank_bytes(model, rows),
+            "records table": checkpoints * rows * (n + 3) * 8}
+    records = (trials * (checkpoints * (2 * n + 3) + (n + 1) * m) + 3 * checkpoints * n) * 8
+    return records + (workers > 1) * bank["records table"], bank
 
 
 def _memory_shortfall(model, trials: int, checkpoints: int, parallelism: int) -> str | None:
     """Why an experiment does not fit in memory, naming its largest part:
     the parent process's records of up to ``checkpoints`` checkpoints, with
     the sorted copy of their error norms and the three (checkpoints, N)
-    temporaries that :func:`_median` makes, and the terminal scaled errors
-    and baseline, beside each worker's bank (:func:`_draw_bytes`); ``None``
-    where it fits, or where the memory size is unknown."""
+    temporaries that :func:`_median` makes, the terminal scaled errors and
+    baseline, and one bank's records as they arrive from workers that are
+    other processes, beside each worker's buffers (:func:`_held_bytes`);
+    ``None`` where it fits, or where the memory size is unknown."""
     memory, bounded_by = _memory_limit()
-    banks = -(-trials // TRIALS_PER_BANK)
-    workers = worker_count(parallelism, banks)
-    bank = _draw_bytes(model, trials)
-    n, m = model.num_agents, model.param_dim
-    records = (trials * (checkpoints * (2 * n + 3) + (n + 1) * m) + 3 * checkpoints * n) * 8
+    workers = worker_count(parallelism, -(-trials // TRIALS_PER_BANK))
+    records, bank = _held_bytes(model, trials, checkpoints, workers)
     parts = {"records": records, **{name: workers * size for name, size in bank.items()}}
     if memory is None or sum(parts.values()) <= memory:
         return None

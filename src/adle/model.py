@@ -152,25 +152,15 @@ class ObservationModel:
         max_dim = max(self.obs_dims)
         sensing = np.zeros((n_agents, max_dim, m))
         factor = np.zeros((n_agents, max_dim, max_dim))
-        weight = np.zeros((n_agents, max_dim, m))  # inv(R) @ H, for the baseline
-        for n, (h, r, f) in enumerate(zip(self.sensing, self.noise_cov, self._noise_factors)):
+        for n, (h, f) in enumerate(zip(self.sensing, self._noise_factors)):
             k = h.shape[0]
             sensing[n, :k, :] = h
             factor[n, :k, :k] = f
-            try:
-                weight[n, :k, :] = np.linalg.solve(r, h)
-            except np.linalg.LinAlgError:
-                pass  # singular noise covariance: baseline weights undefined
         sensed_truth = sensing @ self.true_param
-        for arr in (sensing, factor, weight, sensed_truth):
+        for arr in (sensing, factor, sensed_truth):
             arr.setflags(write=False)
-        return SimpleNamespace(
-            max_dim=max_dim,
-            sensing=sensing,
-            noise_factor=factor,
-            noise_weight=weight,
-            sensed_truth=sensed_truth,
-        )
+        return SimpleNamespace(max_dim=max_dim, sensing=sensing, noise_factor=factor,
+                               sensed_truth=sensed_truth)
 
     @cached_property
     def _optimal_gain_stack(self) -> np.ndarray:
@@ -191,6 +181,7 @@ class CentralizedSummary:
     grammian: np.ndarray               # (M, M): N times grammian_norm
     asymptotic_cov: np.ndarray         # (M, M): inverse of grammian
     optimal_gains: tuple[np.ndarray, ...]  # per agent, (M, M_n)
+    noise_weight: np.ndarray           # (N, max_dim, M): inv(R_n) H_n, zero-padded
 
 
 def validate_observation_model(model: ObservationModel) -> CentralizedSummary:
@@ -202,14 +193,13 @@ def validate_observation_model(model: ObservationModel) -> CentralizedSummary:
     """
     n_agents, m = model.num_agents, model.param_dim
     grammian_norm = np.zeros((m, m))
-    solved = []
+    weight = np.zeros((n_agents, max(model.obs_dims), m))  # inv(R_n) H_n, padded
     for n, (h, r) in enumerate(zip(model.sensing, model.noise_cov)):
         _check_symmetric(n, r)
         eigenvalues = np.linalg.eigvalsh(r)
         if eigenvalues[0] <= 0.0:
             raise NotPositiveDefinite(n, float(eigenvalues[0]))
-        rinv_h = np.linalg.solve(r, h)
-        solved.append(rinv_h)
+        rinv_h = weight[n, :len(h)] = np.linalg.solve(r, h)
         grammian_norm += h.T @ rinv_h
     grammian_norm /= n_agents
     grammian_norm = 0.5 * (grammian_norm + grammian_norm.T)
@@ -222,14 +212,16 @@ def validate_observation_model(model: ObservationModel) -> CentralizedSummary:
     grammian = n_agents * grammian_norm
     asymptotic_cov = np.linalg.inv(grammian)
     asymptotic_cov = 0.5 * (asymptotic_cov + asymptotic_cov.T)
-    gains = tuple(np.linalg.solve(grammian_norm, rinv_h.T) for rinv_h in solved)
-    for arr in (grammian_norm, grammian, asymptotic_cov, *gains):
+    gains = tuple(np.linalg.solve(grammian_norm, rinv_h[:len(h)].T)
+                  for rinv_h, h in zip(weight, model.sensing))
+    for arr in (grammian_norm, grammian, asymptotic_cov, *gains, weight):
         arr.setflags(write=False)
     return CentralizedSummary(
         grammian_norm=grammian_norm,
         grammian=grammian,
         asymptotic_cov=asymptotic_cov,
         optimal_gains=gains,
+        noise_weight=weight,
     )
 
 
@@ -281,5 +273,6 @@ def centralized_estimate_from_means(model: ObservationModel, means: np.ndarray) 
     run in a fixed order, so each estimate's bits do not depend on the
     leading shape (``einsum`` and ``@`` pick their order by it).
     """
-    weighted = (model._stacked.noise_weight * means[..., None]).sum(axis=(-3, -2))
-    return (weighted[..., :, None] * model._centralized.asymptotic_cov).sum(axis=-2)
+    summary = model._centralized
+    weighted = (summary.noise_weight * means[..., None]).sum(axis=(-3, -2))
+    return (weighted[..., :, None] * summary.asymptotic_cov).sum(axis=-2)

@@ -13,9 +13,10 @@ Two oracles of the compiled bank kernel, the library's one round:
   state, as ``adle.harness._walk`` does.
 
 The tests check that the kernel agrees with both and check the
-equations' properties on the per-agent oracle.  One oracle of the
-library's CSV text, :func:`write_report_by_repr`, writes the report
-files a row of Python strings at a time, each value by ``repr``.
+equations' properties on the per-agent oracle.  The report files'
+rows, built once by :func:`report_rows`, are the oracle of the library's
+CSV text: :func:`write_report_by_repr` writes them a row of Python
+strings at a time, each value by ``repr``.
 """
 
 from __future__ import annotations
@@ -406,48 +407,58 @@ def reference_walk(model, top, schedule, horizon: int, grid, seeds, init=None, r
         yield t, state
 
 
-def _write_matrix(path: Path, matrix: np.ndarray, header: str):
-    with open(path, "w", newline="") as handle:
-        handle.write(f"# {header}\n")
-        handle.writelines(harness._row(repr(float(value)) for value in row)
-                          for row in np.atleast_2d(matrix))
+def report_rows(report, thresholds) -> dict[str, tuple[str | None, list[list]]]:
+    """The files that ``harness.write_report`` writes of ``report``, each
+    with its ``#`` header line's text (``None`` for none) and its rows of
+    cells, a CSV header among them: a checkpoint row's trial and step as
+    ints, every value a Python float, ``summary.csv``'s verdicts as bools.
+    Each oracle spells the cells and joins them in its own way."""
+    n_agents = report.empirical_scaled_cov.shape[0]
+    checkpoints = [["trial", "t", "disagreement", *(f"err_agent_{i}" for i in range(n_agents)),
+                    "gain_gap", "grammian_gap"]]
+    times = report.checkpoint_times.tolist()
+    for trial, errors in enumerate(report.trial_error_norms):
+        rows = np.column_stack([report.trial_disagreement[trial], errors,
+                                report.trial_gain_gap[trial], report.trial_grammian_gap[trial]])
+        checkpoints += ([trial, t, *row] for t, row in zip(times, rows.tolist()))
+    run = f"trials={report.num_trials}, horizon={report.horizon}"
+    matrices = {f"covariance_agent_{agent}.csv": (f"scaled-error covariance, agent {agent}, {run}",
+                                                  cov)
+                for agent, cov in enumerate(report.empirical_scaled_cov)}
+    matrices["covariance_target.csv"] = ("centralized asymptotic covariance (benchmark)",
+                                         report.target_cov)
+    matrices["covariance_centralized.csv"] = (
+        f"scaled-error covariance of the centralized baseline, {run}",
+        report.centralized_scaled_cov)
+    if report.ks_pvalues is not None:
+        matrices["ks_pvalues.csv"] = ("KS p-values per agent (rows) and coordinate (columns)",
+                                      report.ks_pvalues)
+    stats = harness.evaluate_acceptance(report, thresholds)
+    summary = [["statistic", "value", "requirement", "passed"],
+               *([name, getattr(report, name), "", ""]
+                 for name in ("master_seed", "num_trials", "horizon")),
+               *([stat.name, float(stat.value), stat.requirement, bool(stat.passed)]
+                 for stat in stats)]
+    return {"checkpoints.csv": (None, checkpoints),
+            **{name: (header, np.atleast_2d(np.asarray(matrix, np.float64)).tolist())
+               for name, (header, matrix) in matrices.items()},
+            "summary.csv": (None, summary)}
+
+
+def _repr_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_report_by_repr(report, outdir, thresholds) -> None:
-    """``harness.write_report`` in Python rows: each row ``harness._row`` of
-    ``str(trial)``, ``str(t)`` and ``repr`` of each value, each matrix row
-    of ``repr(float(v))`` of each value; ``summary.csv`` as the library
-    writes it."""
+    """``harness.write_report`` in Python rows: each row of
+    :func:`report_rows` ``harness._row`` of ``str`` of each int and string,
+    ``repr`` of each float and ``true`` or ``false`` of each verdict."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    n_agents = report.empirical_scaled_cov.shape[0]
-    header = ["trial", "t", "disagreement", *(f"err_agent_{i}" for i in range(n_agents)),
-              "gain_gap", "grammian_gap"]
-    times = report.checkpoint_times.tolist()
-    with open(outdir / "checkpoints.csv", "w", newline="") as handle:
-        handle.write(harness._row(header))
-        for trial, errors in enumerate(report.trial_error_norms):
-            rows = np.column_stack([report.trial_disagreement[trial], errors,
-                                    report.trial_gain_gap[trial], report.trial_grammian_gap[trial]])
-            handle.writelines(harness._row([str(trial), str(t), *map(repr, row)])
-                              for t, row in zip(times, rows.tolist()))
-    for agent in range(n_agents):
-        _write_matrix(outdir / f"covariance_agent_{agent}.csv", report.empirical_scaled_cov[agent],
-                      f"scaled-error covariance, agent {agent}, trials={report.num_trials}, "
-                      f"horizon={report.horizon}")
-    _write_matrix(outdir / "covariance_target.csv", report.target_cov,
-                  "centralized asymptotic covariance (benchmark)")
-    _write_matrix(outdir / "covariance_centralized.csv", report.centralized_scaled_cov,
-                  f"scaled-error covariance of the centralized baseline, "
-                  f"trials={report.num_trials}, horizon={report.horizon}")
-    if report.ks_pvalues is not None:
-        _write_matrix(outdir / "ks_pvalues.csv", report.ks_pvalues,
-                      "KS p-values per agent (rows) and coordinate (columns)")
-    stats = harness.evaluate_acceptance(report, thresholds)
-    summary = [["statistic", "value", "requirement", "passed"],
-               *([name, str(getattr(report, name)), "", ""]
-                 for name in ("master_seed", "num_trials", "horizon")),
-               *([stat.name, harness._fmt(stat.value), stat.requirement,
-                  harness._fmt(stat.passed)] for stat in stats)]
-    with open(outdir / "summary.csv", "w", newline="") as handle:
-        handle.writelines(map(harness._row, summary))
+    for name, (header, rows) in report_rows(report, thresholds).items():
+        with open(outdir / name, "w", newline="") as handle:
+            if header is not None:
+                handle.write(f"# {header}\n")
+            handle.writelines(harness._row(map(_repr_cell, row)) for row in rows)

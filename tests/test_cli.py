@@ -421,24 +421,27 @@ def _physical_memory(monkeypatch, pages):
 
 def test_draw_buffers_beyond_memory_are_a_collected_validation_error(tmp_path, capsys,
                                                                       monkeypatch):
-    # 774 pages of 4 KiB: one worker's bank (0.12 MiB, most of it the bank
-    # state) fits beside the records of 1300 trials (21 banks), two do not
-    _physical_memory(monkeypatch, 774)
+    # 800 pages of 4 KiB: one worker's bank and records table (0.2 MiB, most
+    # of it the bank state and the table) fits beside the records of 1300
+    # trials (21 banks), two workers' and the parent's copy of a table do not
+    _physical_memory(monkeypatch, 800)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config = parse_config(write_scenario(tmp_path, num_trials=1300, horizon=2085))
-    parts = harness._draw_bytes(config.model, 1300)
-    assert parts == {
+    records, bank = harness._held_bytes(config.model, 1300, 20, 2)
+    assert bank == {
         "streams": 2 * 64 * 48,
         # adle_scratch_vectors at n = m = 5, mx = 1, at the loaded kernel's width
         "lane scratch": 518 * _kernel.load().lanes * 8,
-        "bank state": (64 * (5 + 25 + 2 + 1) + 1) * 5 * 8}
+        "bank state": (64 * (5 + 25 + 2 + 1) + 1) * 5 * 8,
+        "records table": 20 * 64 * (5 + 3) * 8}
+    assert records == (1300 * (20 * (2 * 5 + 3) + 6 * 5) + 3 * 20 * 5) * 8 + bank["records table"]
     path = write_scenario(tmp_path, num_trials=1300, horizon=2085, parallelism=2)
     assert main(["--config", str(path), "--validate-only"]) == 1
     err = capsys.readouterr().err
     assert "invalid scenario configuration" in err
     assert ("checkpoints: 1300 trials x up to 20 checkpoints need 2 MiB of records and "
-            "2 workers x 0.1 MiB of bank buffers, more than 3 MiB of physical memory; "
-            "the largest part is the records (2.9 MiB)") in err
+            "2 workers x 0.2 MiB of bank buffers, more than 3 MiB of physical memory; "
+            "the largest part is the records (3.0 MiB)") in err
 
 
 #: Cgroup cases: the lines of /proc/self/cgroup (None: no such file), the
@@ -505,7 +508,7 @@ def test_an_oversized_scenario_fails_validation_before_it_allocates(tmp_path, ca
     err = capsys.readouterr().err
     assert status == 1 and "invalid scenario configuration" in err
     assert ("64 trials x up to 5000 checkpoints need 32 MiB of records and 1 workers x "
-            "0.1 MiB of bank buffers, more than 1 MiB of physical memory; the largest part is "
+            "19.6 MiB of bank buffers, more than 1 MiB of physical memory; the largest part is "
             "the records (32.3 MiB)") in err
     assert peak < 1 << 19, peak
 

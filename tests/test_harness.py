@@ -67,6 +67,7 @@ from reference import (
     observations,
     reference_trajectory,
     reference_walk,
+    report_rows,
     stacked_round,
     stacked_segment,
     tiled_state,
@@ -424,40 +425,17 @@ def test_write_report_emits_deterministic_csv(tmp_path, ring_model, bernoulli_pe
     ) + ",gain_gap,grammian_gap"
 
 
-def _report_by_csv_writer(report, stats, got, oracle):
-    """The files of ``write_report`` as ``csv.writer`` writes them, one cell
-    per value, into ``oracle``; a matrix file's ``#`` header line is the
-    one written into ``got``."""
-    n_agents = report.trial_error_norms.shape[-1]
-    oracle.mkdir()
-    with open(oracle / "checkpoints.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["trial", "t", "disagreement"]
-                        + [f"err_agent_{i}" for i in range(n_agents)]
-                        + ["gain_gap", "grammian_gap"])
-        for trial in range(report.num_trials):
-            for c, t in enumerate(report.checkpoint_times):
-                values = [report.trial_disagreement[trial, c],
-                          *report.trial_error_norms[trial, c],
-                          report.trial_gain_gap[trial, c], report.trial_grammian_gap[trial, c]]
-                writer.writerow([int(trial), int(t), *(repr(float(v)) for v in values)])
-    matrices = {f"covariance_agent_{agent}.csv": cov
-                for agent, cov in enumerate(report.empirical_scaled_cov)}
-    matrices.update({"covariance_target.csv": report.target_cov,
-                     "covariance_centralized.csv": report.centralized_scaled_cov,
-                     "ks_pvalues.csv": report.ks_pvalues})
-    for name, matrix in matrices.items():
-        with open(oracle / name, "w", newline="") as handle:
-            handle.write((got / name).read_text().splitlines(keepends=True)[0])
-            csv.writer(handle).writerows([repr(float(v)) for v in row] for row in matrix)
-    with open(oracle / "summary.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["statistic", "value", "requirement", "passed"])
-        for name in ("master_seed", "num_trials", "horizon"):
-            writer.writerow([name, getattr(report, name), "", ""])
-        for stat in stats:
-            writer.writerow([stat.name, repr(float(stat.value)), stat.requirement,
-                             "true" if stat.passed else "false"])
+def _report_by_csv_writer(report, outdir, thresholds):
+    """The files of ``write_report`` of :func:`report_rows` as ``csv.writer``
+    writes them, one cell per value, a verdict as ``true`` or ``false``."""
+    outdir.mkdir()
+    for name, (header, rows) in report_rows(report, thresholds).items():
+        with open(outdir / name, "w", newline="") as handle:
+            if header is not None:
+                handle.write(f"# {header}\n")
+            csv.writer(handle).writerows(
+                [("true" if cell else "false") if isinstance(cell, bool) else cell for cell in row]
+                for row in rows)
 
 
 def test_checkpoints_csv_is_the_csv_writer_bytes(tmp_path, ring_model, bernoulli_pentagon,
@@ -474,7 +452,7 @@ def test_checkpoints_csv_is_the_csv_writer_bytes(tmp_path, ring_model, bernoulli
     report.empirical_scaled_cov[1, 0, 2] = np.nan
     report.centralized_scaled_cov[0, 0] = -0.0
     stats = write_report(report, tmp_path / "out", AcceptanceThresholds())
-    _report_by_csv_writer(report, stats, tmp_path / "out", tmp_path / "oracle")
+    _report_by_csv_writer(report, tmp_path / "oracle", AcceptanceThresholds())
     names = sorted(path.name for path in (tmp_path / "out").iterdir())
     assert names == sorted(path.name for path in (tmp_path / "oracle").iterdir())
     assert len(names) == 10 and "ks_pvalues.csv" in names
@@ -519,11 +497,14 @@ def test_report_files_are_the_repr_rows_bytes_with_planted_values(tmp_path):
         ks_pvalues=table(n, m))
     write_report(report, tmp_path / "out", AcceptanceThresholds())
     write_report_by_repr(report, tmp_path / "oracle", AcceptanceThresholds())
+    _report_by_csv_writer(report, tmp_path / "csv_writer", AcceptanceThresholds())
     names = sorted(path.name for path in (tmp_path / "out").iterdir())
-    assert names == sorted(path.name for path in (tmp_path / "oracle").iterdir())
     assert len(names) == 9 and "ks_pvalues.csv" in names
-    for name in names:
-        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
+    for oracle in ("oracle", "csv_writer"):
+        assert names == sorted(path.name for path in (tmp_path / oracle).iterdir())
+        for name in names:
+            assert (tmp_path / "out" / name).read_bytes() == (
+                tmp_path / oracle / name).read_bytes(), (oracle, name)
     got = (tmp_path / "out" / "checkpoints.csv").read_bytes()
     assert all(repr(value).encode() in got for value in PLANTED)
 
@@ -702,33 +683,34 @@ def test_a_ring50_bank_peaks_below_three_point_two_megabytes():
 
 
 def test_checkpoint_records_are_held_once(tmp_path, ring_model, ring_schedule):
-    # four banks of a static ring with a checkpoint at most steps: 7.5 MiB of
-    # records against one bank's 0.13 MiB of buffers; the run holds its records
-    # once, beside _median's sorted copy of the error norms and its temporaries
-    # and the terminal scaled errors, as validation counts them, and the report
-    # writer formats them one trial at a time
-    config = small_config(ring_model, TopologyModel(cycle_graph(5), "static"), ring_schedule,
-                          num_trials=256, horizon=600, checkpoint_start=1,
-                          checkpoints_per_decade=600)
-    grid = checkpoint_grid(config.horizon, 1, 600)
-    records = config.num_trials * len(grid) * (ring_model.num_agents + 3) * 8
-    n, m = ring_model.num_agents, ring_model.param_dim
-    counted = (config.num_trials * (len(grid) * (2 * n + 3) + (n + 1) * m) + 3 * len(grid) * n) * 8
-    bank = sum(harness._draw_bytes(ring_model, 256).values())
-    run_experiment(SimpleNamespace(**{**vars(config), "num_trials": 2, "horizon": 20}))  # warm
-    tracemalloc.start()
-    try:
-        report = run_experiment(config)
-        run_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        write_report(report, tmp_path, AcceptanceThresholds())
-        write_peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert len(grid) == 478 and records == 478 * 256 * 64
-    assert run_peak < min(1.7 * records, counted + bank), run_peak / records
-    assert write_peak < 0.1 * records, write_peak / records
+    # one bank, a bank and one trial, and four banks of a static ring with a
+    # checkpoint at most steps: 7.5 MiB of records at 256 trials against one
+    # bank's 0.13 MiB of buffers; the run holds its records once, beside the
+    # records table of the bank being copied, _median's sorted copy of the error
+    # norms and its temporaries and the terminal scaled errors, as validation
+    # counts them, and the report writer formats them one trial at a time
+    grid = checkpoint_grid(600, 1, 600)
+    assert len(grid) == 478
+    static = TopologyModel(cycle_graph(5), "static")
+    run_experiment(small_config(ring_model, static, ring_schedule, num_trials=2, horizon=20))
+    for trials in (64, 65, 256):
+        config = small_config(ring_model, static, ring_schedule, num_trials=trials, horizon=600,
+                              checkpoint_start=1, checkpoints_per_decade=600)
+        records = trials * len(grid) * (ring_model.num_agents + 3) * 8
+        parent, bank = harness._held_bytes(ring_model, trials, len(grid), 1)
+        tracemalloc.start()
+        try:
+            report = run_experiment(config)
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            write_report(report, tmp_path, AcceptanceThresholds())
+            write_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert run_peak < parent + sum(bank.values()), (trials, run_peak / records)
+        assert trials < 256 or run_peak < 1.7 * records, run_peak / records
+        assert write_peak < 0.1 * records, (trials, write_peak / records)
 
 
 # ----------------------------------------------------------------- link draws
@@ -1377,17 +1359,22 @@ def test_lane_scratch_is_aligned_and_sized_by_the_kernel():
         bound = bind_bank(model, top, WeightSchedule(), range(bank), 0)
         scratch = bound._arrays["scratch"]
         lanes = 1 if bank == 1 else kernel.lanes
-        assert scratch.nbytes == kernel.scratch_bytes(model, bank) == vectors * lanes * 8
+        assert scratch.nbytes == kernel.bank_bytes(model, bank)["lane scratch"] == (
+            vectors * lanes * 8)
         assert scratch.ctypes.data % 64 == 0 and bound._args.scratch == scratch.ctypes.data
 
 
 def test_the_scratch_formula_is_the_kernels():
-    # the memory bound's lane scratch is what bind allocates, one lane for one
-    # trial, over models of ragged, equal and random observation dimensions
-    for (model, top, schedule, _), bank in itertools.product(KERNEL_CASES.values(), (1, 3, 64)):
-        scratch = bind_bank(model, top, schedule, range(bank), 0)._arrays["scratch"]
-        assert scratch.nbytes == harness._draw_bytes(model, bank)["lane scratch"], (
-            model.obs_dims, bank)
+    # each part that the memory bound counts is the bytes of what bind
+    # allocated, one lane for one trial, over models of ragged, equal and
+    # random observation dimensions, both noise families and the three laws
+    state = ("x", "g", "shift", "sums", "outer", "q0")
+    for (model, top, schedule, init), bank in itertools.product(KERNEL_CASES.values(), (1, 3, 64)):
+        arrays = bind_bank(model, top, schedule, range(bank), 0, init)._arrays
+        assert _kernel.load().bank_bytes(model, bank) == {
+            "streams": arrays["streams"].nbytes + arrays["link_streams"].nbytes,
+            "lane scratch": arrays["scratch"].nbytes,
+            "bank state": sum(arrays[name].nbytes for name in state)}, (model.obs_dims, bank)
 
 
 def test_the_library_exports_the_typed_entry_points_only():
@@ -1476,7 +1463,7 @@ def test_draw_bytes_are_those_of_the_bound_buffers(monkeypatch, ring_model, ring
     walk = harness._walk(ring_model, top, ring_schedule, horizon, [horizon], seeds)
     next(walk)
     bound, = banks
-    parts = harness._draw_bytes(ring_model, trials)
+    parts = _kernel.load().bank_bytes(ring_model, len(seeds))
     arrays = dict(bound._arrays)
     # the model's arrays are not the bank's
     bound_bytes = sum(arrays[name].nbytes for name in arrays
@@ -1639,16 +1626,6 @@ def test_a_library_of_layout_two_is_refused(monkeypatch, tmp_path):
                 f"struct adle_bank is layout {old} of {size} bytes, but the loader's _BankArgs "
                 f"is layout 7 of {size} bytes")):
             _kernel.BankKernel(ctypes.CDLL(str(_kernel._build())))
-
-
-def test_a_library_of_another_stream_size_is_refused(monkeypatch):
-    # bind allocates STREAM_BYTES a stream, which the library's draws must not pass
-    lib = ctypes.CDLL(str(_kernel._build()))
-    _kernel.BankKernel(lib)
-    monkeypatch.setattr(_kernel, "STREAM_BYTES", 40)
-    with pytest.raises(AdleError, match=re.escape(
-            "struct adle_stream is 48 bytes, but the loader's STREAM_BYTES is 40")):
-        _kernel.BankKernel(lib)
 
 
 def test_bank_args_are_struct_adle_bank_field_for_field():
